@@ -2,14 +2,14 @@
 """Visibility versus intermediate-pulse area, scan-extracted vs the law.
 
 The backend defaults to analytic; --backend lindblad runs the master
-equation with zero rates (slower) and shows the integrator staying on
-the closed-form curve.
+equation (zero rates unless --gamma-deph-2-mhz is given) and shows the
+exact propagation staying on the closed-form curve.
 """
 
 import argparse
 import math
 
-from seqlab.dissipative import DissipationParams, IntegratorConfig
+from seqlab.dissipative import DissipationParams
 from seqlab.ramsey import (
     Backend,
     RamseyScanConfig,
@@ -38,7 +38,6 @@ def main():
     dissipation = DissipationParams(
         gamma_deph=(0.0, args.gamma_deph_2_mhz * 1e6, 0.0)
     )
-    integrator = IntegratorConfig(method="rk4", dt_max=0.25e-9)
 
     print(f"{'area/pi':>8}  {'extracted':>14}  {'law':>14}  {'err':>10}")
     for k in range(args.points):
@@ -46,7 +45,7 @@ def main():
         t2 = theta / omega
         cfg = RamseyScanConfig(
             t_mu1=t1, deltas=grid, omega_mu2=omega, t_mu2=t2,
-            backend=backend, dissipation=dissipation, integrator=integrator,
+            backend=backend, dissipation=dissipation,
         )
         v = extract_visibility(fringe_scan(cfg))
         law = ramsey_visibility(omega, t2)

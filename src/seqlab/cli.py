@@ -8,12 +8,13 @@ to stderr; data goes to --out (atomically) or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .config import RunConfig, load_config
-from .dissipative import DissipationParams, IntegratorConfig, NumericError
+from .dissipative import DissipationParams, NumericError
 from .dsl import ParseError, load_sequence
 from .io import csv_text, emit, json_text
 from .pairwise import InteractionParams, mixture_fringe_scan
@@ -56,15 +57,6 @@ def _dissipation_from(cfg: RunConfig) -> DissipationParams:
     )
 
 
-def _integrator_from(cfg: RunConfig) -> IntegratorConfig:
-    i = cfg.integrator
-    return IntegratorConfig(
-        method=i.method,
-        dt_max=i.dt_max if i.dt_max > 0 else None,
-        tolerance=i.tolerance,
-    )
-
-
 def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
     s = cfg.scan
     backend = Backend(args.backend if args.backend else s.backend)
@@ -77,7 +69,6 @@ def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
         I0=s.i0,
         inter_pulse_gap=s.gap,
         dissipation=_dissipation_from(cfg),
-        integrator=_integrator_from(cfg),
     )
     inter = cfg.interaction
     if inter.p2 > 0.0:
@@ -180,12 +171,15 @@ def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not lines or lines[0] != RAMSEY_CSV_HEADER:
         raise ValueError(f"{path}: expected header {RAMSEY_CSV_HEADER!r}")
     deltas, intensities = [], []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        deltas.append(float(parts[0]))
-        intensities.append(float(parts[1]))
+        delta, intensity = float(parts[0]), float(parts[1])
+        if not (math.isfinite(delta) and math.isfinite(intensity)):
+            raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
+        deltas.append(delta)
+        intensities.append(intensity)
     if len(deltas) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     return np.array(deltas), np.array(intensities)
@@ -278,6 +272,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
+        if cfg.deprecated_keys:
+            print(
+                f"warning: {', '.join(cfg.deprecated_keys)}: deprecated and "
+                "ignored (the master equation is propagated exactly)",
+                file=sys.stderr,
+            )
         return args.handler(args, cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

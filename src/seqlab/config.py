@@ -70,8 +70,14 @@ class DissipationSection:
 
 @dataclass
 class IntegratorSection:
+    """Deprecated and ignored: the master equation is propagated exactly.
+
+    The keys still parse and validate so that existing files load; the
+    CLI warns on stderr when a file sets any of them.
+    """
+
     method: str = "rk4"
-    dt_max: float = 0.0  # 0 -> automatic step choice
+    dt_max: float = 0.0
     tolerance: float = 1e-9
 
 
@@ -127,6 +133,8 @@ class RunConfig:
     fit: FitSection = field(default_factory=FitSection)
     output: OutputSection = field(default_factory=OutputSection)
     seed: int = 12345
+    # deprecated keys the parsed text set, in order of first appearance
+    deprecated_keys: list[str] = field(default_factory=list)
 
 
 # dotted key -> (section attr or None for top level, field name, kind, extra)
@@ -235,6 +243,8 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, name, converted)
+        if section == "integrator" and key not in cfg.deprecated_keys:
+            cfg.deprecated_keys.append(key)
     _validate(cfg)
     return cfg
 
@@ -268,7 +278,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.g2.bin not in (1, 2, 3):
         raise ValueError("g2.bin must be 1, 2 or 3")
     if cfg.integrator.dt_max < 0:
-        raise ValueError("integrator.dt_max must be non-negative (0 = auto)")
+        raise ValueError("integrator.dt_max must be non-negative")
     if cfg.integrator.tolerance <= 0:
         raise ValueError("integrator.tolerance must be positive")
     if cfg.fit.t_total_hint < 0:

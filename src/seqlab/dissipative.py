@@ -12,11 +12,12 @@ and the equation of motion is
     drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
 
 Drive segments give a piecewise-constant H (the 3x3 single-excitation
-Hamiltonian embedded in the 4x4 space; the loss level is dark).  The
-default integrator is fixed-step classical RK4 with dt capped at the
-shortest segment duration divided by 200 and at 0.01 rad of drive (or
-rate) advance per step, which keeps runs deterministic for golden-file
-tests; an adaptive RK45 (scipy) can be selected instead.
+Hamiltonian embedded in the 4x4 space; the loss level is dark), so each
+segment is propagated exactly: rho is flattened row-major into a
+16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
+constant 16x16 Liouvillian Lv of :func:`liouvillian`, and the segment
+map is exp(Lv t), evaluated by :func:`expm`.  numpy only: scipy would
+double the memory and start-up of every CLI call.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ POSITIVITY_TOL = 1e-8
 
 
 class NumericError(RuntimeError):
-    """Integration failed: positivity/trace violation or step underflow."""
+    """Propagation failed: non-finite state or a positivity/trace violation."""
 
 
 @dataclass(frozen=True)
@@ -75,33 +76,6 @@ class DissipationParams:
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """method: "rk4" (fixed step, default) or "rk45" (adaptive, scipy).
-
-    dt_max: cap on the RK4 step; None picks a step resolving both the
-    shortest segment and the fastest drive/rate scale (see _auto_dt).
-    tolerance: rtol for RK45 and the reporting tolerance for checks.
-    sample_dt: spacing of emitted trajectory samples inside segments;
-    None emits segment boundaries only.
-    """
-
-    method: str = "rk4"
-    dt_max: float | None = None
-    tolerance: float = 1e-9
-    sample_dt: float | None = None
-
-    def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError("method must be 'rk4' or 'rk45'")
-        if self.dt_max is not None and self.dt_max <= 0:
-            raise ValueError("dt_max must be strictly positive")
-        if self.sample_dt is not None and self.sample_dt <= 0:
-            raise ValueError("sample_dt must be strictly positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be strictly positive")
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """4x4 density matrix over (R1, R2, R3, loss)."""
 
@@ -124,6 +98,8 @@ class DensityMatrix:
     def validate(self) -> None:
         """Raise NumericError if hermiticity, trace or positivity is violated."""
         m = self.matrix
+        if not np.isfinite(m).all():
+            raise NumericError("density matrix has non-finite entries")
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
@@ -164,133 +140,101 @@ def segment_hamiltonian(segment: Segment) -> np.ndarray:
     return embed_hamiltonian(build_hamiltonian(mu2=segment))
 
 
-def lindblad_rhs(
-    rho: np.ndarray, H: np.ndarray, collapse_ops: list[np.ndarray]
-) -> np.ndarray:
-    """Right-hand side of the master equation for one time step."""
-    out = -1j * (H @ rho - rho @ H)
-    for L in collapse_ops:
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
+def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
+    """Generator of the master equation acting on row-major vec(rho).
 
-
-def _auto_dt(drive_segs, params: DissipationParams) -> float:
-    """Default RK4 step: resolve both the segment grid and the dynamics.
-
-    Duration/200 alone under-resolves long segments under a fast drive, so
-    the step is also capped at 0.01 rad of generalized-Rabi (or rate)
-    advance; the O(dt^4) global error then stays well inside the
-    positivity/trace validation tolerances.
+    Uses vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
+    (2003)) on each term of -i[H, rho] + sum_C D[C] rho.
     """
-    dt = min(s.duration for s in drive_segs) / 200.0
-    scale = max(
-        (math.hypot(s.rabi, s.detuning) for s in drive_segs if not isinstance(s, Wait)),
-        default=0.0,
-    )
-    scale = max(scale, *params.gamma_decay, *params.gamma_deph)
-    if scale > 0.0:
-        dt = min(dt, 0.01 / scale)
-    return dt
+    eye = np.eye(H.shape[0])
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for C in collapse_ops:
+        CdC = C.conj().T @ C
+        L += np.kron(C, C.conj()) - 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
+    return L
 
 
-def _rk4_segment(rho, H, ops, duration, dt_max, samples, t0, sample_dt):
-    steps = max(1, math.ceil(duration / dt_max))
-    dt = duration / steps
-    if dt <= 0 or not math.isfinite(dt):
-        raise NumericError(f"step size underflow: dt={dt!r}")
-    next_sample = sample_dt
-    for k in range(steps):
-        k1 = lindblad_rhs(rho, H, ops)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, H, ops)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, H, ops)
-        k4 = lindblad_rhs(rho + dt * k3, H, ops)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_local = (k + 1) * dt
-        if sample_dt is not None and next_sample is not None:
-            # exclude samples within a relative hair of the segment end (the
-            # boundary sample is appended by evolve_master, and an accumulated
-            # next_sample can land just below duration in floating point);
-            # emit at most one sample per step so times stay strictly increasing
-            # even when sample_dt < dt
-            if (
-                next_sample <= t_local * (1 + 1e-12)
-                and next_sample < duration * (1 - 1e-12)
-            ):
-                samples.append((t0 + t_local, rho.copy()))
-                while next_sample <= t_local * (1 + 1e-12):
-                    next_sample += sample_dt
-    return rho
+# Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
+# approximant is accurate to double precision without scaling (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
-def _rk45_segment(rho, H, ops, duration, tolerance):
-    from scipy.integrate import solve_ivp
-
-    n = rho.shape[0]
-
-    def rhs(_t, y):
-        return lindblad_rhs(y.reshape(n, n), H, ops).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        rho.ravel(),
-        method="RK45",
-        rtol=tolerance,
-        atol=tolerance * 1e-3,
-    )
-    if not sol.success:
-        raise NumericError(f"adaptive integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(n, n)
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NumericError("generator has non-finite entries")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def evolve_master(
     rho0: DensityMatrix,
     sequence: PulseSequence,
     params: DissipationParams | None = None,
-    integrator: IntegratorConfig | None = None,
+    *,
+    sample_dt: float | None = None,
 ) -> MasterTrajectory:
     """Evolve rho0 through the sequence under the master equation.
 
-    Emits a sample at t=0, at each segment boundary, and (optionally) at
-    integrator.sample_dt spacing inside segments.  DensityMatrix
-    invariants are checked at every emitted sample; a violation beyond
-    tolerance aborts with a NumericError diagnostic.
+    Emits a sample at t=0, at each segment boundary, and, when sample_dt
+    is given, at t0 + k*sample_dt strictly inside each segment starting
+    at t0.  Boundary states come from the whole-segment propagator,
+    inner samples from repeated steps of exp(Lv sample_dt).
+    DensityMatrix invariants are checked at every emitted sample; a
+    violation beyond tolerance aborts with a NumericError diagnostic.
     """
     params = params or DissipationParams()
-    integrator = integrator or IntegratorConfig()
+    if sample_dt is not None and not sample_dt > 0:
+        raise ValueError("sample_dt must be strictly positive")
     drive_segs = sequence.drive_segments()
     if any(isinstance(s, Readout) for s in sequence.segments):
         raise ValueError(
             "sequence contains readout segments; use seqlab.photostats.readout_from_sequence"
         )
-    if not drive_segs:
-        rho0.validate()
-        return MasterTrajectory((0.0,), (rho0,))
 
     ops = params.collapse_operators()
-    dt_max = integrator.dt_max
-    if dt_max is None:
-        dt_max = _auto_dt(drive_segs, params)
-
-    rho = rho0.matrix.astype(complex).copy()
+    n = rho0.matrix.shape[0]
+    vec = rho0.matrix.astype(complex).ravel()
     t = 0.0
-    samples: list[tuple[float, np.ndarray]] = [(0.0, rho.copy())]
+    samples: list[tuple[float, np.ndarray]] = [(0.0, vec)]
     for seg in drive_segs:
-        H = segment_hamiltonian(seg)
-        if integrator.method == "rk4":
-            rho = _rk4_segment(
-                rho, H, ops, seg.duration, dt_max, samples, t, integrator.sample_dt
-            )
-        else:
-            rho = _rk45_segment(rho, H, ops, seg.duration, integrator.tolerance)
-        t += seg.duration
-        samples.append((t, rho.copy()))
+        L = liouvillian(segment_hamiltonian(seg), ops)
+        t_end = t + seg.duration
+        if sample_dt is not None and t + sample_dt < t_end:
+            step = expm(L * sample_dt)
+            inner = vec
+            k = 1
+            while (t_k := t + k * sample_dt) < t_end:
+                inner = step @ inner
+                samples.append((t_k, inner))
+                k += 1
+        vec = expm(L * seg.duration) @ vec
+        t = t_end
+        samples.append((t, vec))
 
     states = []
-    for t_s, m in samples:
-        dm = DensityMatrix(m)
+    for t_s, v in samples:
+        dm = DensityMatrix(v.reshape(n, n))
         try:
             dm.validate()
         except NumericError as err:

@@ -153,11 +153,15 @@ class ShotRecord(NamedTuple):
 SHOT_CSV_HEADER = "trial,binA1,binB1,binA2,binB2,binA3,binB3"
 
 
+COUNT_MAX = int(np.iinfo(np.int16).max)
+
+
 class ShotRecords:
     """Compact sequence of ShotRecord backed by an (n, 2, 3) count array.
 
     Index 0 of the middle axis is detector arm A.  Behaves as a read-only
-    sequence; estimators use the array directly.
+    sequence; estimators use the array directly.  Counts are stored as
+    int16, so each must lie in [0, COUNT_MAX].
     """
 
     def __init__(self, counts: np.ndarray):
@@ -166,6 +170,8 @@ class ShotRecords:
             raise ValueError("counts must have shape (n_trials, 2, 3)")
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be non-negative")
+        if counts.size and counts.max() > COUNT_MAX:
+            raise ValueError(f"counts must not exceed {COUNT_MAX}")
         self.counts = counts.astype(np.int16)
 
     def __len__(self) -> int:
@@ -206,7 +212,8 @@ def parse_shot_csv(text: str) -> ShotRecords:
             raise ValueError(f"malformed shot row: {ln!r}")
         vals = [int(p) for p in parts[1:]]
         rows.append([[vals[0], vals[2], vals[4]], [vals[1], vals[3], vals[5]]])
-    return ShotRecords(np.array(rows, dtype=np.int16).reshape(-1, 2, 3))
+    # no dtype: numpy keeps huge counts exact, so ShotRecords can reject them
+    return ShotRecords(np.array(rows).reshape(-1, 2, 3))
 
 
 def _validate_sampling(n_trials: int, dark_rate: float, p2: float) -> None:
@@ -281,6 +288,12 @@ def sample_coherent_shots(
     _validate_sampling(n_trials, dark_rate, 0.0)
     rng = np.random.default_rng(seed)
     nph = rng.poisson(mean_photons, n_trials)
+    # a dark click can add one count per arm
+    if nph.max() > COUNT_MAX - (dark_rate > 0):
+        raise ValueError(
+            f"photon count {int(nph.max())} overflows the int16 shot records; "
+            "lower mean_photons"
+        )
     na = rng.binomial(nph, 0.5)
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
     counts[:, 0, bin - 1] = na
@@ -329,7 +342,7 @@ def estimate_g2(
     mean_b = nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
         return G2Estimate(math.nan, math.nan, n, defined=False)
-    value = float((na * nb).mean() / (mean_a * mean_b))
+    value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
 
     pairs = np.stack([na, nb], axis=1)
     uniq, counts = np.unique(pairs, axis=0, return_counts=True)

@@ -130,7 +130,8 @@ class RamseyScanConfig:
     deltas must be strictly increasing.  inter_pulse_gap inserts a wait
     of that duration on both sides of the intermediate pulse (identity in
     this frame; it only enters the closed form through t_total).
-    dissipation/integrator are consulted by the LINDBLAD backend only.
+    dissipation is consulted by the LINDBLAD backend only, which
+    propagates each segment exactly.
     """
 
     t_mu1: float
@@ -141,7 +142,6 @@ class RamseyScanConfig:
     I0: float = 1.0
     inter_pulse_gap: float = 0.0
     dissipation: "object | None" = None
-    integrator: "object | None" = None
 
     def __post_init__(self):
         if self.t_mu1 <= 0:
@@ -237,14 +237,13 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
         from . import dissipative  # local import keeps the analytic path light
 
         params = config.dissipation or dissipative.DissipationParams()
-        integ = config.integrator or dissipative.IntegratorConfig()
         vals = []
         for d in config.deltas:
             seq = build_ramsey_sequence(
                 d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
             )
             rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
-            traj = dissipative.evolve_master(rho0, seq, params, integ)
+            traj = dissipative.evolve_master(rho0, seq, params)
             vals.append(config.I0 * traj.final.matrix[0, 0].real)
     else:  # pragma: no cover
         raise ValueError(f"unknown backend {config.backend!r}")

@@ -16,7 +16,6 @@ from seqlab.cli import main
 from seqlab.dissipative import (
     DensityMatrix,
     DissipationParams,
-    IntegratorConfig,
     evolve_master,
 )
 from seqlab.dsl import ParseError, load_sequence, parse_sequence
@@ -88,13 +87,12 @@ def test_lindblad_visibility_curve_reproduces_law():
     # zero-rate master-equation scans trace the closed-form visibility curve
     grid = symmetric_detuning_grid(mhz(4.0), 5)
     t_mu1, t_mu2 = 20e-9, 80e-9
-    integ = IntegratorConfig(dt_max=0.25e-9)
     for area in np.linspace(0.0, 3.0 * math.pi, 25):
         omega = float(area) / t_mu2
         scan = fringe_scan(
             RamseyScanConfig(
                 t_mu1=t_mu1, deltas=grid, omega_mu2=omega, t_mu2=t_mu2,
-                backend=Backend.LINDBLAD, integrator=integ,
+                backend=Backend.LINDBLAD,
             )
         )
         vis = extract_visibility(scan)
@@ -153,8 +151,7 @@ def test_master_equation_physicality_and_unitary_limit():
     # dissipative run: physicality bounds hold at every emitted sample
     params = DissipationParams(gamma_decay=(1e5, 2e5, 3e5), gamma_deph=(1e5, 1e5, 2e5))
     traj = evolve_master(
-        DensityMatrix.pure(QutritState.r1()), drives, params,
-        IntegratorConfig(sample_dt=5e-9),
+        DensityMatrix.pure(QutritState.r1()), drives, params, sample_dt=5e-9
     )
     assert len(traj.times) > 20
     for dm in traj.states:

@@ -1,6 +1,8 @@
 """Command line: artifact formats, exit codes, determinism, diagnostics."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,50 @@ def test_ramsey_scan_lindblad_backend(tmp_path):
     table = _table(_read(out))
     assert table.shape == (5, 2)
     assert np.all(np.isfinite(table))
+
+
+def test_integrator_keys_warn_once_and_change_nothing(tmp_path, capsys):
+    base = "scan.points = 5\nscan.backend = lindblad\ndissipation.gamma_deph_2 = 0.1MHz\n"
+    plain, legacy = tmp_path / "plain.cfg", tmp_path / "legacy.cfg"
+    plain.write_text(base, encoding="utf-8")
+    legacy.write_text(
+        base + "integrator.method = rk45\nintegrator.dt_max = 0.25ns\n"
+        "integrator.tolerance = 1e-6\nintegrator.method = rk4\n",
+        encoding="utf-8",
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["ramsey-scan", "--config", str(plain), "--out", str(a)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["ramsey-scan", "--config", str(legacy), "--out", str(b)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "warning: integrator.method, integrator.dt_max, integrator.tolerance: "
+        "deprecated and ignored (the master equation is propagated exactly)"
+    ]
+    assert a.read_bytes() == b.read_bytes()
+    assert main(["ramsey-scan", "--config", str(legacy)]) == 0
+    assert capsys.readouterr().out == a.read_text(encoding="utf-8")
+
+
+def test_lindblad_cli_path_imports_no_scipy(tmp_path):
+    # scipy would double the memory and start-up of every CLI call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scan.points = 3\ndissipation.gamma_decay_1 = 0.1MHz\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from seqlab.cli import main\n"
+        f"rc = main(['ramsey-scan', '--backend', 'lindblad', '--config', {str(cfg)!r},"
+        f" '--out', {str(tmp_path / 'l.csv')!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ramsey_scan_mixture_path(tmp_path):
@@ -231,6 +277,31 @@ def test_g2_coherent_near_one(tmp_path):
     assert abs(est["g2"] - 1.0) <= 3.0 * est["stderr"]
 
 
+def test_g2_coherent_many_photons_per_shot(tmp_path):
+    # na * nb exceeds the int16 range of the stored counts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "g2.mode = coherent\nshots.n_trials = 20000\nshots.mean_photons = 400\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "g2.json"
+    assert main(["g2", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    est = json.loads(_read(out))
+    assert abs(est["g2"] - 1.0) <= 5.0 * est["stderr"]
+
+
+def test_g2_counts_beyond_int16_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "g2.mode = coherent\nshots.n_trials = 20000\nshots.mean_photons = 140000\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "g2.csv"
+    assert main(["g2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_g2_mixture_recovers_closed_form(tmp_path):
     # p2 chosen so the two-photon mixture has g2 = 2 p2 / (1 + p2)^2 = 0.45
     cfg = tmp_path / "run.cfg"
@@ -321,6 +392,25 @@ def test_fit_rejects_wrong_header(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n3,4\n", encoding="utf-8")
     assert main(["fit", "--in", str(bad)]) == 2
     assert "expected header" in capsys.readouterr().err
+
+
+def test_fit_rejects_non_finite_rows(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scan.points = 21\n", encoding="utf-8")
+    assert main(["ramsey-scan", "--config", str(cfg), "--out", str(scan)]) == 0
+    lines = _read(scan).splitlines()
+    assert len(lines) == 22
+    for bad in ("nan", "inf", "-inf"):
+        broken = list(lines)
+        broken[5] = broken[5].split(",")[0] + "," + bad
+        broken[9] = "nan," + broken[9].split(",")[1]
+        path = tmp_path / f"{bad}.csv"
+        path.write_text("\n".join(broken) + "\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
+        assert "data row 5 is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------- usage and errors

@@ -1,15 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from seqlab.dissipative import (
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
     TRAJECTORY_CSV_HEADER,
     DensityMatrix,
     DissipationParams,
-    IntegratorConfig,
     NumericError,
     evolve_master,
+    expm,
+    liouvillian,
+    segment_hamiltonian,
     trajectory_rows,
 )
 from seqlab.qcore import (
@@ -82,8 +90,7 @@ def test_invariants_hold_at_all_samples():
             DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
         )
     )
-    integ = IntegratorConfig(method="rk4", sample_dt=5e-9)
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES, integ)
+    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES, sample_dt=5e-9)
     assert len(traj.times) > 20
     assert all(traj.times[i] < traj.times[i + 1] for i in range(len(traj.times) - 1))
     for dm in traj.states:
@@ -128,61 +135,161 @@ def test_dephasing_damps_coherence_exponentially():
 
 
 # ---------------------------------------------------------------------------
-# integration controls
+# exact propagation
 
 
-def test_step_halving_converged():
-    # canonical Ramsey sequence; halving the default step moves the final
-    # state by less than 1e-9 in trace distance
+CANONICAL_RAMSEY = PulseSequence(
+    (
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+    )
+)
+
+
+def _random_liouvillian(rng):
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = 0.5 * (h + h.conj().T) * rng.uniform(0.0, mhz(20.0))
+    ops = [
+        (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        * math.sqrt(rng.uniform(0.0, 5e6))
+        for _ in range(rng.integers(0, 4))
+    ]
+    return liouvillian(h, ops)
+
+
+def test_expm_matches_scipy_on_random_liouvillians():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(5150)
+    for _ in range(200):
+        a = _random_liouvillian(rng) * rng.uniform(0.0, 2e-6)
+        ref = scipy_linalg.expm(a)
+        assert np.abs(expm(a) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _rk4_oracle(rho, sequence, params):
+    """Fixed-step RK4 at 0.05 ns on the matrix form of the master equation,
+    drho/dt = -i (K rho - rho K^+) + sum_C C rho C^+ with K = H - i/2 sum_C C^+ C.
+    Its own error is ~1e-11 on the canonical sequence."""
+    ops = np.array(params.collapse_operators())
+    ops_dag = ops.conj().transpose(0, 2, 1)
+    damping = 0.5j * (ops_dag @ ops).sum(axis=0)
+
+    def rhs(r, K):
+        return -1j * (K @ r - r @ K.conj().T) + (ops @ r @ ops_dag).sum(axis=0)
+
+    for seg in sequence.segments:
+        K = segment_hamiltonian(seg) - damping
+        n = math.ceil(seg.duration / 0.05e-9)
+        dt = seg.duration / n
+        for _ in range(n):
+            k1 = rhs(rho, K)
+            k2 = rhs(rho + 0.5 * dt * k1, K)
+            k3 = rhs(rho + 0.5 * dt * k2, K)
+            k4 = rhs(rho + dt * k3, K)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+def test_final_state_matches_fine_step_rk4_oracle():
+    rho0 = DensityMatrix.pure(QutritState.r1())
+    traj = evolve_master(rho0, CANONICAL_RAMSEY, RATES)
+    oracle = _rk4_oracle(rho0.matrix, CANONICAL_RAMSEY, RATES)
+    assert _trace_distance(traj.final.matrix, oracle) <= 1e-9
+
+
+_segments = st.lists(
+    st.one_of(
+        st.builds(Wait, st.floats(1e-9, 300e-9)),
+        st.builds(
+            DriveSegment,
+            field=st.sampled_from(DriveField),
+            rabi=st.floats(0.0, mhz(20.0)),
+            duration=st.floats(1e-9, 300e-9),
+            detuning=st.floats(-mhz(5.0), mhz(5.0)),
+            phase=st.floats(-math.pi, math.pi),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
+
+
+@given(
+    segments=_segments,
+    decay=_rates,
+    deph=_rates,
+    sample_dt=st.floats(2e-9, 50e-9),
+)
+# a slow pi/2 pulse around a long detuned mu2 drive: under-resolved
+# stepping loses positivity here
+@example(
+    segments=[
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
+        DriveSegment(DriveField.MU2, rabi=mhz(12.5), detuning=mhz(5.0), duration=250e-9),
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
+    ],
+    decay=(0.0, 0.0, 0.0),
+    deph=(0.0, 0.0, 0.0),
+    sample_dt=5e-9,
+)
+def test_every_sample_is_physical(segments, decay, deph, sample_dt):
+    params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
+    traj = evolve_master(
+        DensityMatrix.pure(QutritState.r1()), PulseSequence(tuple(segments)),
+        params, sample_dt=sample_dt,
+    )
+    for dm in traj.states:
+        m = dm.matrix
+        assert abs(np.trace(m).real - 1.0) <= TRACE_TOL
+        assert np.abs(m - m.conj().T).max() <= HERMITICITY_TOL
+        assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -POSITIVITY_TOL
+
+
+def test_sample_times_are_exact_multiples_inside_segments():
     seq = PulseSequence(
         (
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+            DriveSegment(DriveField.MU1, rabi=mhz(6.0), duration=20e-9),
+            Wait(13e-9),
+            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=47e-9, detuning=mhz(2.0)),
         )
     )
+    sample_dt = 5e-9
     rho0 = DensityMatrix.pure(QutritState.r1())
-    dt_default = 20e-9 / 200.0
-    coarse = evolve_master(rho0, seq, RATES, IntegratorConfig(dt_max=dt_default))
-    fine = evolve_master(rho0, seq, RATES, IntegratorConfig(dt_max=dt_default / 2))
-    assert _trace_distance(coarse.final.matrix, fine.final.matrix) <= 1e-9
+    traj = evolve_master(rho0, seq, RATES, sample_dt=sample_dt)
 
+    expected = [0.0]
+    owner = [None]  # (segment index, k) of each inner sample
+    t0 = 0.0
+    for i, seg in enumerate(seq.segments):
+        k = 1
+        while t0 + k * sample_dt < t0 + seg.duration:
+            expected.append(t0 + k * sample_dt)
+            owner.append((i, k))
+            k += 1
+        t0 += seg.duration
+        expected.append(t0)
+        owner.append(None)
+    assert traj.times == tuple(expected)
+    assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
+    # 20 ns is a whole number of steps, so only the boundary sample lands there
+    assert traj.times.count(20e-9) == 1
 
-def test_default_step_resolves_fast_drives():
-    # the automatic step must track the drive scale, not just the segment
-    # grid: a long detuned mu2 segment after a slow pi/2 pulse would
-    # otherwise accumulate enough RK4 drift to trip the positivity guard
-    seq = PulseSequence(
-        (
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), detuning=mhz(5.0),
-                         duration=250e-9),
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
+    # an inner sample is the state of the sequence cut off at its time
+    for (t, dm, own) in zip(traj.times, traj.states, owner):
+        if own is None:
+            continue
+        i, k = own
+        cut = seq.segments[:i] + (
+            dataclasses.replace(seq.segments[i], duration=k * sample_dt),
         )
-    )
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq)
-    assert abs(traj.final.trace() - 1.0) <= 1e-8
-    assert np.linalg.eigvalsh(traj.final.matrix).min() >= -1e-9
+        ref = evolve_master(rho0, PulseSequence(cut), RATES).final.matrix
+        assert np.abs(dm.matrix - ref).max() <= 1e-12
 
-
-def test_rk45_agrees_with_rk4():
-    seq = PulseSequence(
-        (DriveSegment(DriveField.MU1, rabi=mhz(8.0), duration=80e-9),)
-    )
-    rho0 = DensityMatrix.pure(QutritState.r1())
-    a = evolve_master(rho0, seq, RATES, IntegratorConfig(method="rk4"))
-    b = evolve_master(rho0, seq, RATES,
-                      IntegratorConfig(method="rk45", tolerance=1e-10))
-    assert np.abs(a.final.matrix - b.final.matrix).max() <= 1e-6
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt_max=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(tolerance=0.0)
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            evolve_master(rho0, seq, RATES, sample_dt=bad)
 
 
 # ---------------------------------------------------------------------------

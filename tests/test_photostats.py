@@ -201,6 +201,8 @@ def test_shot_records_validation():
         ShotRecords(np.zeros((4, 3, 2), dtype=np.int16))
     with pytest.raises(ValueError):
         ShotRecords(np.full((4, 2, 3), -1, dtype=np.int16))
+    with pytest.raises(ValueError):
+        ShotRecords(np.full((4, 2, 3), 40000))  # beyond the int16 storage
 
 
 def test_parse_shot_csv_rejects_bad_input():
@@ -208,6 +210,10 @@ def test_parse_shot_csv_rejects_bad_input():
         parse_shot_csv("not,a,header\n0,0,0,0,0,0,0")
     with pytest.raises(ValueError):
         parse_shot_csv(SHOT_CSV_HEADER + "\n0,0,0")
+    with pytest.raises(ValueError):
+        parse_shot_csv(SHOT_CSV_HEADER + "\n0,40000,0,0,0,0,0")
+    with pytest.raises(ValueError):
+        parse_shot_csv(SHOT_CSV_HEADER + f"\n0,{2**70},0,0,0,0,0")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +296,12 @@ def test_coherent_records_give_unity_within_error():
     assert est.defined
     assert est.stderr > 0
     assert abs(est.value - 1.0) <= 3 * est.stderr
+
+
+def test_g2_product_of_large_counts_does_not_wrap():
+    counts = np.zeros((4, 2, 3), dtype=np.int16)
+    counts[:, :, 0] = 200  # 200 * 200 is beyond int16
+    assert estimate_g2(ShotRecords(counts)).value == 1.0
 
 
 def test_mixture_reproduces_target_g2():
