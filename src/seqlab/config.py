@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .units import mhz
 
-__all__ = ["RunConfig", "parse_config", "load_config"]
+__all__ = ["RunConfig", "parse_config", "load_config", "DEPRECATED_KEYS"]
 
 
 # value kinds
@@ -83,6 +83,13 @@ class IntegratorSection:
 
 @dataclass
 class ReadoutSection:
+    """Read-out efficiencies and dephasing between bins.
+
+    pulse_mu1 and pulse_mu2 are deprecated and ignored: the read-out
+    pulses come from the sequence file.  They still parse so that
+    existing files load; the CLI warns on stderr when a file sets them.
+    """
+
     eta_1: float = 1.0
     eta_2: float = 1.0
     eta_3: float = 1.0
@@ -136,6 +143,16 @@ class RunConfig:
     # deprecated keys the parsed text set, in order of first appearance
     deprecated_keys: list[str] = field(default_factory=list)
 
+
+# Keys that parse and validate but that nothing reads, with the reason
+# the warning gives; keys sharing a reason share one warning line.
+DEPRECATED_KEYS = {
+    "integrator.method": "the master equation is propagated exactly",
+    "integrator.dt_max": "the master equation is propagated exactly",
+    "integrator.tolerance": "the master equation is propagated exactly",
+    "readout.pulse_mu1": "read-out pulses come from the sequence file",
+    "readout.pulse_mu2": "read-out pulses come from the sequence file",
+}
 
 # dotted key -> (section attr or None for top level, field name, kind, extra)
 _SCHEMA: dict[str, tuple[str | None, str, str, tuple]] = {}
@@ -243,7 +260,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, name, converted)
-        if section == "integrator" and key not in cfg.deprecated_keys:
+        if key in DEPRECATED_KEYS and key not in cfg.deprecated_keys:
             cfg.deprecated_keys.append(key)
     _validate(cfg)
     return cfg

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    DriveField,
     PulseSequence,
     QutritState,
     Readout,
     Segment,
     Wait,
-    build_hamiltonian,
+    drive_hamiltonian,
 )
 
 LOSS_INDEX = 3
@@ -135,9 +134,9 @@ def segment_hamiltonian(segment: Segment) -> np.ndarray:
         raise ValueError("readout segments are handled by seqlab.photostats")
     if isinstance(segment, Wait):
         return np.zeros((4, 4), dtype=complex)
-    if segment.field is DriveField.MU1:
-        return embed_hamiltonian(build_hamiltonian(mu1=segment))
-    return embed_hamiltonian(build_hamiltonian(mu2=segment))
+    return embed_hamiltonian(
+        drive_hamiltonian(segment.field, segment.rabi, segment.detuning, segment.phase)
+    )
 
 
 def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:

@@ -84,7 +84,8 @@ def _tokenize(text: str) -> Iterator[list[_Token]]:
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
-def _number_with_unit(tok: _Token, unit: str, what: str) -> float:
+def _number_with_unit(tok: _Token, unit: str, what: str, scale: float = 1.0) -> float:
+    """The token's number times scale, which must be a finite float."""
     m = _NUMBER_RE.match(tok.text)
     if m is None:
         raise ParseError(f"{what}: expected a number", tok.line, tok.column, E_BAD_NUMBER)
@@ -94,7 +95,12 @@ def _number_with_unit(tok: _Token, unit: str, what: str) -> float:
             f"{what}: expected unit {unit!r}, got {rest!r}",
             tok.line, tok.column + m.end(), E_BAD_UNIT,
         )
-    return float(m.group())
+    value = float(m.group()) * scale
+    if not math.isfinite(value):
+        raise ParseError(
+            f"{what}: {tok.text!r} is out of range", tok.line, tok.column, E_BAD_NUMBER
+        )
+    return value
 
 
 def _split_kv(tok: _Token) -> tuple[str, _Token]:
@@ -131,15 +137,15 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
             raise ParseError(f"duplicate key {key!r}", tok.line, tok.column, E_DUPLICATE_KEY)
         seen[key] = tok
         if key == "rabi":
-            rabi = _number_with_unit(val, "MHz", "rabi")
+            rabi = _number_with_unit(val, "MHz", "rabi", _MHZ)
         elif key == "area":
             area = _number_with_unit(val, "pi", "area")
         elif key == "detuning":
-            detuning = _number_with_unit(val, "MHz", "detuning")
+            detuning = _number_with_unit(val, "MHz", "detuning", _MHZ)
         elif key == "phase":
-            phase = _number_with_unit(val, "pi", "phase")
+            phase = _number_with_unit(val, "pi", "phase", _PI)
         elif key == "duration":
-            duration = _number_with_unit(val, "ns", "duration")
+            duration = _number_with_unit(val, "ns", "duration", _NS)
             duration_tok = val
         else:
             raise ParseError(f"unknown key {key!r}", tok.line, tok.column, E_UNKNOWN_KEY)
@@ -162,32 +168,31 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
                 tok.line, tok.column, E_AREA_WITHOUT_DURATION,
             )
         raise ParseError("pulse needs duration=...ns", cmd.line, cmd.column, E_MISSING_DURATION)
-    if duration <= 0:
+    if duration <= 0:  # also a positive ns value that underflows in seconds
         raise ParseError(
             "duration must be strictly positive",
             duration_tok.line, duration_tok.column, E_NONPOSITIVE_DURATION,
         )
-
-    duration_s = duration * _NS
     if area is not None:
+        tok = seen["area"]
         if area < 0:
-            tok = seen["area"]
             raise ParseError("area must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
-        rabi_rad = area * _PI / duration_s
-        area_pi = area
-    else:
-        if rabi < 0:
-            tok = seen["rabi"]
-            raise ParseError("rabi must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
-        rabi_rad = rabi * _MHZ
-        area_pi = None
+        rabi = area * _PI / duration
+        if not math.isfinite(rabi):
+            raise ParseError(
+                f"area {area!r}pi over {duration!r} s is out of range",
+                tok.line, tok.column, E_BAD_NUMBER,
+            )
+    elif rabi < 0:
+        tok = seen["rabi"]
+        raise ParseError("rabi must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
     return DriveSegment(
         field=fld,
-        rabi=rabi_rad,
-        duration=duration_s,
-        detuning=0.0 if detuning is None else detuning * _MHZ,
-        phase=0.0 if phase is None else phase * _PI,
-        area_pi=area_pi,
+        rabi=rabi,
+        duration=duration,
+        detuning=0.0 if detuning is None else detuning,
+        phase=0.0 if phase is None else phase,
+        area_pi=area,
     )
 
 
@@ -195,13 +200,13 @@ def _parse_wait(tokens: list[_Token]) -> Wait:
     cmd = tokens[0]
     if len(tokens) != 2:
         raise ParseError("wait takes exactly one duration", cmd.line, cmd.column, E_SYNTAX)
-    duration = _number_with_unit(tokens[1], "ns", "wait duration")
-    if duration <= 0:
+    duration = _number_with_unit(tokens[1], "ns", "wait duration", _NS)
+    if duration <= 0:  # also a positive ns value that underflows in seconds
         raise ParseError(
             "duration must be strictly positive",
             tokens[1].line, tokens[1].column, E_NONPOSITIVE_DURATION,
         )
-    return Wait(duration * _NS)
+    return Wait(duration)
 
 
 def _parse_readout(tokens: list[_Token]) -> Readout:

@@ -14,25 +14,32 @@ consequence, so the scalar convenience constructor applies v_int to every
 configuration except (11).  That is the minimal model for the observed
 fringe phase offset: relative level shifts of the microwave-accessed
 configurations against the storage configuration.
+
+The lift is linear, so it is a contraction of the 3x3 operator with a
+constant (3, 3, 6, 6) tensor built once from the bosonic rule; it lifts
+whole stacks of Hamiltonians, which lets the mixture scan propagate its
+double branch over the detuning grid in stacked calls
+(:func:`seqlab.ramsey.ramsey_amplitudes`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .qcore import (
-    DriveField,
     PulseSequence,
     Readout,
     Segment,
     Wait,
     build_hamiltonian,
+    drive_hamiltonian,
     hermitian_propagator,
 )
-from .ramsey import FringeScan, RamseyScanConfig, build_ramsey_sequence, fringe_scan
+from .ramsey import FringeScan, RamseyScanConfig, fringe_scan, ramsey_amplitudes
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -48,7 +55,29 @@ def _occupations(config: tuple[int, int]) -> tuple[int, int, int]:
 
 
 _OCC = tuple(_occupations(c) for c in PAIR_CONFIGS)
-_OCC_INDEX = {occ: i for i, occ in enumerate(_OCC)}
+# number of excitations in R1 for each configuration
+_R1_OCC = np.array([occ[0] for occ in _OCC], dtype=float)
+
+
+def _lift_tensor() -> np.ndarray:
+    """T[x, y] is b_x^+ b_y on the six configurations, from the bosonic rule
+    <m| b_x^+ b_y |n> = sqrt(n_y (n_x - d_xy + 1)) for m = n - e_y + e_x."""
+    index = {occ: i for i, occ in enumerate(_OCC)}
+    T = np.zeros((3, 3, 6, 6))
+    for j, n in enumerate(_OCC):
+        for y in range(3):
+            if n[y] == 0:
+                continue
+            for x in range(3):
+                m = list(n)
+                m[y] -= 1
+                factor = math.sqrt(n[y] * (m[x] + 1))
+                m[x] += 1
+                T[x, y, index[tuple(m)], j] += factor
+    return T
+
+
+_LIFT = _lift_tensor()
 
 
 @dataclass(frozen=True)
@@ -91,23 +120,16 @@ class InteractionParams:
 
 
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
-    """Lift a 3x3 single-particle operator to the 6-dim symmetric manifold.
+    """Lift a single-particle operator, or a (..., 3, 3) stack of them, to
+    the 6-dim symmetric manifold: H = sum_xy h3[x, y] b_x^+ b_y."""
+    return np.einsum("...xy,xyij->...ij", h3, _LIFT)
 
-    Matrix elements follow the bosonic rule
-    <m| b_x^+ b_y |n> = sqrt(n_y (n_x - d_xy + 1)) for m = n - e_y + e_x.
-    """
-    H = np.zeros((6, 6), dtype=complex)
-    for j, n in enumerate(_OCC):
-        for y in range(3):
-            if n[y] == 0:
-                continue
-            for x in range(3):
-                m = list(n)
-                m[y] -= 1
-                factor = math.sqrt(n[y] * (m[x] + 1))
-                m[x] += 1
-                i = _OCC_INDEX[tuple(m)]
-                H[i, j] += h3[x, y] * factor
+
+def _pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams | None) -> np.ndarray:
+    """Lift of a (..., 3, 3) drive stack plus the diagonal interaction shifts."""
+    H = lift_single_particle(h3)
+    if interactions is not None:
+        H = H + np.diag(interactions.config_shifts())
     return H
 
 
@@ -115,11 +137,7 @@ def build_pair_hamiltonian(
     mu1=None, mu2=None, interactions: InteractionParams | None = None
 ) -> np.ndarray:
     """6x6 Hamiltonian: symmetric lift of the drive plus diagonal shifts."""
-    h3 = build_hamiltonian(mu1, mu2)
-    H = lift_single_particle(h3)
-    if interactions is not None:
-        H += np.diag(interactions.config_shifts().astype(complex))
-    return H
+    return _pair_hamiltonian(build_hamiltonian(mu1, mu2), interactions)
 
 
 @dataclass(frozen=True)
@@ -145,8 +163,7 @@ class PairState:
 
     def expected_r1_excitations(self) -> float:
         """Expected number of excitations sitting in R1."""
-        p = np.abs(self.amplitudes) ** 2
-        return float(sum(occ[0] * pk for occ, pk in zip(_OCC, p)))
+        return float(np.abs(self.amplitudes) ** 2 @ _R1_OCC)
 
 
 def _pair_segment_hamiltonian(seg: Segment, interactions: InteractionParams):
@@ -154,10 +171,9 @@ def _pair_segment_hamiltonian(seg: Segment, interactions: InteractionParams):
         raise ValueError("readout segments are handled by seqlab.photostats")
     if isinstance(seg, Wait):
         # interactions persist while the drives are off
-        return build_pair_hamiltonian(None, None, interactions)
-    if seg.field is DriveField.MU1:
-        return build_pair_hamiltonian(mu1=seg, interactions=interactions)
-    return build_pair_hamiltonian(mu2=seg, interactions=interactions)
+        return _pair_hamiltonian(np.zeros((3, 3)), interactions)
+    h3 = drive_hamiltonian(seg.field, seg.rabi, seg.detuning, seg.phase)
+    return _pair_hamiltonian(h3, interactions)
 
 
 def propagate_pair_sequence(
@@ -179,25 +195,22 @@ def mixture_fringe_scan(
     I(delta) = (1 - p2) I_single + p2 I_double, where I_single is the
     ordinary scan with config's backend and I_double is I0 times the
     expected number of R1 excitations after the pair propagates through
-    the same sequence.  With p2 = 0 this reduces to the single scan
-    elementwise; the double branch is bounded by 2 I0, so the mixture is
-    bounded by (1 - p2) I0 + 2 p2 I0.
+    the same sequence, over the whole grid in stacked calls.  With
+    p2 = 0 this reduces to the single scan elementwise; the double branch
+    is bounded by 2 I0, so the mixture is bounded by (1 - p2) I0 + 2 p2 I0.
     """
     single = fringe_scan(config)
     p2 = interactions.p2
     if p2 == 0.0:
         return FringeScan(single.deltas, single.intensities, single.I0, "mixture")
-    doubles = []
-    for d in config.deltas:
-        seq = build_ramsey_sequence(
-            d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
-        )
-        final = propagate_pair_sequence(PairState.stored_pair(), seq, interactions)
-        doubles.append(config.I0 * final.expected_r1_excitations())
-    mixed = tuple(
-        (1.0 - p2) * s + p2 * d for s, d in zip(single.intensities, doubles)
+    amps = ramsey_amplitudes(
+        config,
+        PairState.stored_pair().amplitudes,
+        partial(_pair_hamiltonian, interactions=interactions),
     )
-    return FringeScan(single.deltas, mixed, single.I0, "mixture")
+    doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
+    mixed = (1.0 - p2) * np.array(single.intensities) + p2 * doubles
+    return FringeScan(single.deltas, tuple(mixed.tolist()), single.I0, "mixture")
 
 
 def p2_from_g2(g2: float, mean_photons: float) -> float:

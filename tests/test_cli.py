@@ -100,6 +100,31 @@ def test_integrator_keys_warn_once_and_change_nothing(tmp_path, capsys):
     assert capsys.readouterr().out == a.read_text(encoding="utf-8")
 
 
+def test_readout_pulse_keys_warn_and_change_nothing(tmp_path, capsys):
+    plain, legacy = tmp_path / "plain.cfg", tmp_path / "legacy.cfg"
+    plain.write_text("readout.eta_2 = 0.8\n", encoding="utf-8")
+    legacy.write_text(
+        "readout.eta_2 = 0.8\nreadout.pulse_mu1 = -5ns\nintegrator.dt_max = 1ns\n"
+        "readout.pulse_mu2 = 30ns\n",
+        encoding="utf-8",
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["readout", "--config", str(plain), "--seq", CANONICAL, "--out", str(a)]) == 0
+    budget = capsys.readouterr().err.splitlines()
+    assert main(["readout", "--config", str(legacy), "--seq", CANONICAL, "--out", str(b)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "warning: readout.pulse_mu1, readout.pulse_mu2: deprecated and ignored "
+        "(read-out pulses come from the sequence file)",
+        "warning: integrator.dt_max: deprecated and ignored "
+        "(the master equation is propagated exactly)",
+        *budget,
+    ]
+    assert a.read_bytes() == b.read_bytes()
+    assert main(["readout", "--config", str(legacy), "--seq", CANONICAL]) == 0
+    assert capsys.readouterr().out == a.read_text(encoding="utf-8")
+
+
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
     # scipy would double the memory and start-up of every CLI call
     cfg = tmp_path / "run.cfg"
@@ -230,6 +255,15 @@ def test_readout_parse_error_exits_2(tmp_path, capsys):
     assert main(["readout", "--seq", str(seq)]) == 2
     err = capsys.readouterr().err
     assert "line 1, column 7" in err and "E_UNKNOWN_FIELD" in err
+
+
+def test_readout_underflowing_duration_exits_2(tmp_path, capsys):
+    # 1e-320 ns is 0 s: a coded diagnostic, not a ZeroDivisionError
+    seq = tmp_path / "tiny.seq"
+    seq.write_text("pulse mu1 area=1pi duration=1e-320ns\nreadout bin=1\n", encoding="utf-8")
+    assert main(["readout", "--seq", str(seq)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1, column 29" in err and "E_NONPOSITIVE_DURATION" in err
 
 
 def test_readout_missing_file_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab import dsl
@@ -143,6 +143,18 @@ def test_duplicate_key():
 def test_bad_number():
     err = _err("pulse mu1 rabi=fastMHz duration=20ns")
     assert err.code == dsl.E_BAD_NUMBER
+    # numbers that are not finite as written or after unit conversion are
+    # reported at their value's position
+    for text, column in (
+        ("pulse mu1 rabi=1e400MHz duration=20ns", 16),
+        ("pulse mu1 rabi=1e308MHz duration=20ns", 16),
+        ("pulse mu1 rabi=5MHz detuning=1e308MHz duration=20ns", 30),
+        ("pulse mu1 rabi=5MHz phase=1e400pi duration=20ns", 27),
+        ("pulse mu1 rabi=5MHz duration=1e400ns", 30),
+        ("pulse mu1 area=1e300pi duration=1e-300ns", 11),
+    ):
+        err = _err(text)
+        assert (err.code, err.line, err.column) == (dsl.E_BAD_NUMBER, 1, column), text
 
 
 def test_negative_amplitude_rejected():
@@ -181,6 +193,11 @@ def test_nonpositive_duration():
     assert _err("pulse mu1 rabi=5MHz duration=0ns").code == dsl.E_NONPOSITIVE_DURATION
     assert _err("wait 0ns").code == dsl.E_NONPOSITIVE_DURATION
     assert _err("wait -3ns").code == dsl.E_NONPOSITIVE_DURATION
+    # positive in ns but 0 once converted to seconds
+    err = _err("pulse mu1 area=1pi duration=1e-320ns")
+    assert (err.code, err.column) == (dsl.E_NONPOSITIVE_DURATION, 29)
+    err = _err("wait 1e-320ns")
+    assert (err.code, err.column) == (dsl.E_NONPOSITIVE_DURATION, 6)
 
 
 def test_bad_bin():
@@ -289,3 +306,43 @@ def test_printer_rejects_unknown_segment_type():
     object.__setattr__(seq, "segments", ("not a segment",))
     with pytest.raises(TypeError):
         format_sequence(seq)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "5", ".5", "1e400", "-1e400", "1e308", "-1e308",
+         "1e-320", "4.9e-324", "1e-400", "1.7976931348623157e308"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def _statement(draw):
+    kind = draw(st.sampled_from(["pulse", "wait", "readout"]))
+    if kind == "wait":
+        return f"wait {draw(_NUMBERS)}ns"
+    if kind == "readout":
+        return f"readout bin={draw(st.sampled_from('01234'))}"
+    options = [
+        f"rabi={draw(_NUMBERS)}MHz", f"area={draw(_NUMBERS)}pi",
+        f"detuning={draw(_NUMBERS)}MHz", f"phase={draw(_NUMBERS)}pi",
+        f"duration={draw(_NUMBERS)}ns",
+    ]
+    keys = draw(st.lists(st.sampled_from(options), unique=True))
+    return " ".join([kind, draw(st.sampled_from(["mu1", "mu2"])), *keys])
+
+
+@given(st.one_of(st.text(), st.lists(_statement(), min_size=1, max_size=6).map("\n".join)))
+@example("pulse mu1 area=1pi duration=1e-320ns\nreadout bin=1")
+@example("pulse mu2 rabi=1e400MHz detuning=1e308MHz phase=1e400pi duration=5ns")
+def test_parser_raises_only_parse_error(text):
+    try:
+        seq = parse_sequence(text)
+    except ParseError:
+        return
+    for seg in seq.segments:
+        if isinstance(seg, DriveSegment):
+            assert math.isfinite(seg.rabi) and seg.rabi >= 0
+        if not isinstance(seg, Readout):
+            assert seg.duration > 0

@@ -59,10 +59,14 @@ def _random_hermitian(rng) -> np.ndarray:
 
 def test_lift_matches_tensor_oracle_random():
     rng = np.random.default_rng(20260815)
-    for _ in range(50):
-        h3 = _random_hermitian(rng)
+    stack = np.array([_random_hermitian(rng) for _ in range(50)])
+    for h3 in stack:
         dev = np.abs(lift_single_particle(h3) - _tensor_lift(h3)).max()
         assert dev <= 1e-12
+    # a (5, 10, 3, 3) stack lifts matrix by matrix
+    lifted = lift_single_particle(stack.reshape(5, 10, 3, 3)).reshape(50, 6, 6)
+    for h3, H in zip(stack, lifted):
+        assert np.abs(H - _tensor_lift(h3)).max() <= 1e-12
 
 
 def test_lift_matches_tensor_oracle_physical_scale():

@@ -15,6 +15,7 @@ from seqlab.qcore import (
     Readout,
     Wait,
     build_hamiltonian,
+    hermitian_propagator,
     propagate_sequence,
     segment_unitary,
     sequence_unitary,
@@ -119,6 +120,25 @@ def test_propagator_rejects_bad_arguments():
         two_level_propagator(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         two_level_propagator(math.nan, 0.0, 0.0, 1e-9)
+
+
+def test_hermitian_propagator_stacks_with_broadcast_durations():
+    rng = np.random.default_rng(515)
+    m = rng.normal(size=(4, 5, 6, 6)) + 1j * rng.normal(size=(4, 5, 6, 6))
+    H = 0.5 * (m + m.conj().swapaxes(-1, -2)) * mhz(3.0)
+    t = rng.uniform(1e-9, 200e-9, size=5)  # one duration per column of the stack
+    U = hermitian_propagator(H, t)
+    assert U.shape == (4, 5, 6, 6)
+    for i in range(4):
+        for j in range(5):
+            assert np.abs(U[i, j] - hermitian_propagator(H[i, j], t[j])).max() <= 1e-13
+    # one Hamiltonian against a grid of durations
+    U = hermitian_propagator(H[0, 0], t)
+    for j in range(5):
+        assert np.abs(U[j] - hermitian_propagator(H[0, 0], t[j])).max() <= 1e-13
+    for bad in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hermitian_propagator(H[0], np.array([1e-9, bad, 1e-9, 1e-9, 1e-9]))
 
 
 # ---------------------------------------------------------------------------

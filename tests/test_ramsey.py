@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqlab.qcore import DriveField, DriveSegment, Wait
+from seqlab.pairwise import (
+    InteractionParams,
+    PairState,
+    mixture_fringe_scan,
+    propagate_pair_sequence,
+)
+from seqlab.qcore import (
+    DriveField,
+    DriveSegment,
+    PulseSequence,
+    QutritState,
+    Wait,
+    propagate_sequence,
+)
 from seqlab.ramsey import (
+    BLOCK_POINTS,
     Backend,
     RamseyScanConfig,
     build_ramsey_sequence,
@@ -247,3 +261,93 @@ def test_rabi_scan_even_split_and_period():
     idx80 = np.argmin(np.abs(times - 80e-9))
     assert table[idx80, 2] == pytest.approx(0.5, abs=1e-9)
     assert table[idx80, 3] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_rabi_scan_rejects_bad_times():
+    # a negative or non-finite time used to give the t = 0 row silently
+    for bad in (-50e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rabi_scan([0.0, 20e-9, bad], mhz(12.5))
+
+
+# ---------------------------------------------------------------------------
+# stacked scans against the per-point sequence propagation
+
+
+def _reference_scans(cfg, interactions, times, detuning2):
+    """Unitary, mixture and Rabi results one point at a time, through
+    build_ramsey_sequence and the sequence propagators."""
+    single, double = [], []
+    for d in cfg.deltas:
+        seq = build_ramsey_sequence(
+            d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.inter_pulse_gap
+        )
+        single.append(cfg.I0 * abs(propagate_sequence(QutritState.r1(), seq).c1) ** 2)
+        pair = propagate_pair_sequence(PairState.stored_pair(), seq, interactions)
+        double.append(cfg.I0 * pair.expected_r1_excitations())
+    single, double = np.array(single), np.array(double)
+    p2 = interactions.p2
+    mixed = single if p2 == 0.0 else (1.0 - p2) * single + p2 * double
+    prep = DriveSegment(DriveField.MU1, rabi=math.pi / (2.0 * cfg.t_mu1), duration=cfg.t_mu1)
+    rows = []
+    for t in times:
+        segs = (prep,)
+        if t > 0:
+            segs += (DriveSegment(DriveField.MU2, cfg.omega_mu2, t, detuning=detuning2),)
+        state = propagate_sequence(QutritState.r1(), PulseSequence(segs))
+        rows.append((t, *state.populations()))
+    return single, mixed, np.array(rows)
+
+
+def _assert_batched_matches_reference(cfg, interactions, times, detuning2):
+    single, mixed, rows = _reference_scans(cfg, interactions, times, detuning2)
+    tol = 1e-12 * cfg.I0
+    assert np.abs(np.array(fringe_scan(cfg).intensities) - single).max() <= tol
+    got = mixture_fringe_scan(cfg, interactions)
+    assert np.abs(np.array(got.intensities) - mixed).max() <= tol
+    table = rabi_scan(times, cfg.omega_mu2, t_mu1=cfg.t_mu1, detuning2=detuning2)
+    assert np.array_equal(table[:, 0], rows[:, 0])
+    assert np.abs(table[:, 1:] - rows[:, 1:]).max() <= 1e-12
+
+
+_maybe_zero_time = st.one_of(st.just(0.0), st.floats(1e-9, 400e-9))
+
+
+@given(
+    t_mu1=st.floats(5e-9, 200e-9),
+    omega_mu2=st.floats(0.0, mhz(25.0)),
+    t_mu2=_maybe_zero_time,
+    gap=st.one_of(st.just(0.0), st.floats(1e-9, 100e-9)),
+    I0=st.floats(0.1, 5.0),
+    v_int=st.floats(-mhz(1.0), mhz(1.0)),
+    p2=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    detuning2=st.floats(-mhz(5.0), mhz(5.0)),
+    span=st.floats(mhz(0.5), mhz(20.0)),
+    points=st.sampled_from([3, 5, 9, 17]),
+    t_max=st.floats(1e-9, 400e-9),
+)
+def test_batched_scans_match_per_point_reference(
+    t_mu1, omega_mu2, t_mu2, gap, I0, v_int, p2, detuning2, span, points, t_max
+):
+    cfg = RamseyScanConfig(
+        t_mu1=t_mu1, deltas=symmetric_detuning_grid(span, points),
+        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.UNITARY, I0=I0,
+        inter_pulse_gap=gap,
+    )
+    times = np.linspace(0.0, t_max, points)
+    _assert_batched_matches_reference(
+        cfg, InteractionParams.from_scalar(v_int, p2), times, detuning2
+    )
+
+
+@pytest.mark.parametrize("points", [3, BLOCK_POINTS - 1, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1])
+def test_batched_scans_do_not_depend_on_block_boundaries(points):
+    cfg = RamseyScanConfig(
+        t_mu1=40e-9, deltas=symmetric_detuning_grid(mhz(12.0), points),
+        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=Backend.UNITARY, I0=1.3,
+        inter_pulse_gap=15e-9,
+    )
+    times = np.linspace(0.0, 200e-9, points)
+    _assert_batched_matches_reference(
+        cfg, InteractionParams.from_scalar(mhz(0.3), 0.4), times, mhz(1.5)
+    )
