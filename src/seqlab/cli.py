@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,30 +137,14 @@ def readout_populations(
 # HBT shot sampling
 
 
-class ShotRecord(NamedTuple):
-    """Per-trial click counts: arm A and arm B for each of the three bins."""
-
-    trial: int
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    a3: int
-    b3: int
-
-
-SHOT_CSV_HEADER = "trial,binA1,binB1,binA2,binB2,binA3,binB3"
-
-
 COUNT_MAX = int(np.iinfo(np.int16).max)
 
 
 class ShotRecords:
-    """Compact sequence of ShotRecord backed by an (n, 2, 3) count array.
+    """Per-trial click counts backed by an (n, 2, 3) count array.
 
-    Index 0 of the middle axis is detector arm A.  Behaves as a read-only
-    sequence; estimators use the array directly.  Counts are stored as
-    int16, so each must lie in [0, COUNT_MAX].
+    Axis 1 is the detector arm (index 0 is arm A), axis 2 the time bin.
+    Counts are stored as int16, so each must lie in [0, COUNT_MAX].
     """
 
     def __init__(self, counts: np.ndarray):
@@ -177,43 +160,10 @@ class ShotRecords:
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    def __getitem__(self, i: int) -> ShotRecord:
-        c = self.counts[i]
-        return ShotRecord(
-            int(i),
-            int(c[0, 0]), int(c[1, 0]),
-            int(c[0, 1]), int(c[1, 1]),
-            int(c[0, 2]), int(c[1, 2]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def arm_counts(self, bin: int) -> tuple[np.ndarray, np.ndarray]:
         if bin not in (1, 2, 3):
             raise ValueError("bin must be 1, 2 or 3")
         return self.counts[:, 0, bin - 1], self.counts[:, 1, bin - 1]
-
-    def csv_rows(self):
-        for i in range(len(self)):
-            c = self.counts[i]
-            yield (i, c[0, 0], c[1, 0], c[0, 1], c[1, 1], c[0, 2], c[1, 2])
-
-
-def parse_shot_csv(text: str) -> ShotRecords:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != SHOT_CSV_HEADER:
-        raise ValueError(f"expected header {SHOT_CSV_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"malformed shot row: {ln!r}")
-        vals = [int(p) for p in parts[1:]]
-        rows.append([[vals[0], vals[2], vals[4]], [vals[1], vals[3], vals[5]]])
-    # no dtype: numpy keeps huge counts exact, so ShotRecords can reject them
-    return ShotRecords(np.array(rows).reshape(-1, 2, 3))
 
 
 def _validate_sampling(n_trials: int, dark_rate: float, p2: float) -> None:
@@ -256,19 +206,16 @@ def sample_shots(
 
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
     # double-excitation branch: both photons in bin 1
-    counts[double, 0, 0] += double_a[double].astype(np.int16)
-    counts[double, 1, 0] += (2 - double_a[double]).astype(np.int16)
-    # single branch: categorical over the three bins (or nothing)
-    edges = np.cumsum(p)
-    single = ~double
-    bin_idx = np.searchsorted(edges, u_bin, side="right")  # 3 means no photon
-    for b in range(3):
-        hit = single & (bin_idx == b)
-        counts[hit & arm_a, 0, b] += 1
-        counts[hit & ~arm_a, 1, b] += 1
+    counts[:, 0, 0] = np.where(double, double_a, 0)
+    counts[:, 1, 0] = np.where(double, 2 - double_a, 0)
+    # single branch: categorical over the three bins (or nothing); a
+    # trial lands in at most one cell, so one scatter writes them all
+    bin_idx = np.searchsorted(np.cumsum(p), u_bin, side="right")  # 3: no photon
+    rows = np.flatnonzero(~double & (bin_idx < 3))
+    counts[rows, (~arm_a[rows]).astype(np.intp), bin_idx[rows]] = 1
+    del rows  # freed before the (n, 2, 3) dark draw, which sets the peak memory
     if dark_rate > 0:
-        dark = rng.random((n_trials, 2, 3)) < dark_rate
-        counts += dark.astype(np.int16)
+        counts += rng.random((n_trials, 2, 3)) < dark_rate
     return ShotRecords(counts)
 
 
@@ -332,7 +279,11 @@ def estimate_g2(
 
     The bootstrap (fixed 200 resamples, seeded) resamples trials with
     replacement; collapsing to unique (nA, nB) outcomes makes that a
-    multinomial redraw, which is fast at large n.
+    multinomial redraw, which is fast at large n.  The outcomes are
+    collapsed on one packed int64 key nA * (COUNT_MAX + 1) + nB: both
+    counts lie in [0, COUNT_MAX], so the sorted keys list the outcomes in
+    lexicographic (nA, nB) order.  The multinomial draws for a seed depend
+    on that order, so it fixes the stderr a given bootstrap_seed yields.
     """
     na, nb = records.arm_counts(bin)
     n = len(records)
@@ -344,10 +295,12 @@ def estimate_g2(
         return G2Estimate(math.nan, math.nan, n, defined=False)
     value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
 
-    pairs = np.stack([na, nb], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    ua = uniq[:, 0].astype(float)
-    ub = uniq[:, 1].astype(float)
+    radix = COUNT_MAX + 1
+    keys, counts = np.unique(
+        na.astype(np.int64) * radix + nb, return_counts=True
+    )
+    ua = (keys // radix).astype(float)
+    ub = (keys % radix).astype(float)
     uab = ua * ub
     rng = np.random.default_rng(bootstrap_seed)
     draws = rng.multinomial(n, counts / n, size=N_BOOTSTRAP)

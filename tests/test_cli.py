@@ -365,6 +365,40 @@ def test_g2_undefined_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+def test_g2_output_bytes_are_pinned(tmp_path):
+    # data lines captured before the sampler and estimator were rewritten
+    # for speed (numpy 2.4.6); a change to the draws or the bootstrap moves them
+    cases = [
+        ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
+         "0.09509303601394675,0.004026878400424597,20000"),
+        ("g2.mode = coherent\nshots.mean_photons = 2.0\nshots.dark_rate = 0.01\n",
+         "1.0012709199727272,0.006298534538589159,20000"),
+        ("g2.mode = coherent\nshots.mean_photons = 400\n",
+         "1.000011090912176,3.683950036513352e-05,20000"),
+    ]
+    cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
+    for settings, line in cases:
+        cfg.write_text(settings + "shots.n_trials = 20000\n", encoding="utf-8")
+        code = main(["g2", "--config", str(cfg), "--seed", "7", "--format", "csv",
+                     "--out", str(out)])
+        assert code == 0
+        assert _read(out) == f"g2,stderr,n_trials\n{line}\n"
+
+
+def test_g2_unallocatable_trial_count_exits_3(tmp_path, capsys):
+    # the first draw asks for tens of TiB and fails before touching memory
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "g2.mode = coherent\nshots.n_trials = 10000000000000\n", encoding="utf-8"
+    )
+    out = tmp_path / "g2.csv"
+    assert main(["g2", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: out of memory")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------------ fit
 
 def test_fit_scan_roundtrip(tmp_path):

@@ -2,22 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab.dissipative import DensityMatrix
 from seqlab.photostats import (
     DEFAULT_PI_PULSE_S,
-    SHOT_CSV_HEADER,
+    COUNT_MAX,
+    N_BOOTSTRAP,
     FitResult,
     G2Estimate,
-    ShotRecord,
     ShotRecords,
     TimeBinPopulations,
     estimate_g2,
     fit_fringe,
     fit_sinusoid,
-    parse_shot_csv,
     readout_from_sequence,
     readout_populations,
     sample_coherent_shots,
@@ -172,28 +171,7 @@ def test_readout_from_sequence_clock_spans_segments():
 
 
 # ---------------------------------------------------------------------------
-# shot records and CSV round trip
-
-
-def test_shot_records_roundtrip_through_csv():
-    recs = sample_shots((0.4, 0.3, 0.2), n_trials=200, seed=99, dark_rate=0.02, p2=0.1)
-    text = SHOT_CSV_HEADER + "\n" + "\n".join(
-        ",".join(str(int(v)) for v in row) for row in recs.csv_rows()
-    )
-    back = parse_shot_csv(text)
-    assert np.array_equal(back.counts, recs.counts)
-
-
-def test_shot_record_tuple_view():
-    counts = np.zeros((2, 2, 3), dtype=np.int16)
-    counts[0, 0, 0] = 1
-    counts[1, 1, 2] = 2
-    recs = ShotRecords(counts)
-    assert len(recs) == 2
-    first = recs[0]
-    assert isinstance(first, ShotRecord)
-    assert first == ShotRecord(0, 1, 0, 0, 0, 0, 0)
-    assert list(recs)[1] == ShotRecord(1, 0, 0, 0, 0, 0, 2)
+# shot records
 
 
 def test_shot_records_validation():
@@ -203,17 +181,6 @@ def test_shot_records_validation():
         ShotRecords(np.full((4, 2, 3), -1, dtype=np.int16))
     with pytest.raises(ValueError):
         ShotRecords(np.full((4, 2, 3), 40000))  # beyond the int16 storage
-
-
-def test_parse_shot_csv_rejects_bad_input():
-    with pytest.raises(ValueError):
-        parse_shot_csv("not,a,header\n0,0,0,0,0,0,0")
-    with pytest.raises(ValueError):
-        parse_shot_csv(SHOT_CSV_HEADER + "\n0,0,0")
-    with pytest.raises(ValueError):
-        parse_shot_csv(SHOT_CSV_HEADER + "\n0,40000,0,0,0,0,0")
-    with pytest.raises(ValueError):
-        parse_shot_csv(SHOT_CSV_HEADER + f"\n0,{2**70},0,0,0,0,0")
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +243,46 @@ def test_sampling_validation():
         sample_coherent_shots(-0.1, 10, seed=1)
     with pytest.raises(ValueError):
         sample_coherent_shots(0.1, 10, seed=1, bin=4)
+
+
+def _masked_loop_sample_shots(p, n_trials, seed, dark_rate, p2):
+    """Reference: the sampler as six masked passes over the trials."""
+    rng = np.random.default_rng(seed)
+    double = rng.random(n_trials) < p2
+    double_a = rng.binomial(2, 0.5, size=n_trials)
+    u_bin = rng.random(n_trials)
+    arm_a = rng.random(n_trials) < 0.5
+    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
+    counts[double, 0, 0] += double_a[double].astype(np.int16)
+    counts[double, 1, 0] += (2 - double_a[double]).astype(np.int16)
+    bin_idx = np.searchsorted(np.cumsum(p), u_bin, side="right")
+    for b in range(3):
+        hit = ~double & (bin_idx == b)
+        counts[hit & arm_a, 0, b] += 1
+        counts[hit & ~arm_a, 1, b] += 1
+    if dark_rate > 0:
+        counts += (rng.random((n_trials, 2, 3)) < dark_rate).astype(np.int16)
+    return counts
+
+
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+        lambda w: sum(w) > 0
+    ),
+    p2=st.sampled_from([0.0]) | st.floats(0.0, 0.99),
+    dark_rate=st.sampled_from([0.0]) | st.floats(0.0, 0.5),
+    n_trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[1.0, 0.0, 0.0, 0.0], p2=0.05, dark_rate=0.001, n_trials=2000, seed=7)
+@example(weights=[0.0, 0.0, 0.0, 1.0], p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
+def test_sample_shots_matches_masked_loop_reference(weights, p2, dark_rate, n_trials, seed):
+    total = sum(weights)
+    pops = tuple(w / total for w in weights[:3])
+    recs = sample_shots(pops, n_trials, seed, dark_rate=dark_rate, p2=p2)
+    ref = _masked_loop_sample_shots(pops, n_trials, seed, dark_rate, p2)
+    assert recs.counts.dtype == np.int16
+    assert np.array_equal(recs.counts, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +348,64 @@ def test_g2_undefined_when_an_arm_is_dark():
         estimate_g2(recs, bin=4)
     with pytest.raises(ValueError):
         estimate_g2(ShotRecords(np.zeros((0, 2, 3), dtype=np.int16)))
+
+
+def _row_unique_g2(records, bin, bootstrap_seed=815):
+    """Reference: the estimator collapsing outcomes with a row-wise unique."""
+    na, nb = records.arm_counts(bin)
+    n = len(records)
+    mean_a, mean_b = na.mean(), nb.mean()
+    if mean_a == 0.0 or mean_b == 0.0:
+        return G2Estimate(math.nan, math.nan, n, defined=False)
+    value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
+    uniq, counts = np.unique(np.stack([na, nb], axis=1), axis=0, return_counts=True)
+    ua = uniq[:, 0].astype(float)
+    ub = uniq[:, 1].astype(float)
+    draws = np.random.default_rng(bootstrap_seed).multinomial(
+        n, counts / n, size=N_BOOTSTRAP
+    )
+    sa, sb, sab = draws @ ua, draws @ ub, draws @ (ua * ub)
+    ok = (sa > 0) & (sb > 0)
+    boot = n * sab[ok] / (sa[ok] * sb[ok])
+    stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
+    return G2Estimate(value, stderr, n)
+
+
+@st.composite
+def _shot_counts(draw):
+    n = draw(st.integers(1, 2000))
+    top = draw(st.sampled_from([1, 2, 5, 300, COUNT_MAX]) | st.integers(0, COUNT_MAX))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(
+        0, top, size=(n, 2, 3), dtype=np.int16, endpoint=True
+    )
+
+
+@given(counts=_shot_counts(), bin=st.integers(1, 3))
+@example(counts=np.full((50, 2, 3), 3, dtype=np.int16), bin=1)  # one distinct outcome
+@example(  # counts at COUNT_MAX in both arms
+    counts=np.stack(
+        [
+            np.where(np.arange(27) % 4 == 0, COUNT_MAX, np.arange(27) % 2).reshape(9, 3),
+            np.where(np.arange(27) % 3 == 0, COUNT_MAX, np.arange(27)).reshape(9, 3),
+        ],
+        axis=1,
+    ).astype(np.int16),
+    bin=1,
+)
+@example(  # arm B dark: undefined
+    counts=np.stack([np.ones((9, 3)), np.zeros((9, 3))], axis=1).astype(np.int16),
+    bin=1,
+)
+def test_estimate_g2_matches_row_unique_reference(counts, bin):
+    recs = ShotRecords(counts)
+    est = estimate_g2(recs, bin=bin)
+    ref = _row_unique_g2(recs, bin)
+    assert est.defined == ref.defined
+    assert est.n_trials == ref.n_trials
+    assert np.array_equal(
+        [est.value, est.stderr], [ref.value, ref.stderr], equal_nan=True
+    )
 
 
 # ---------------------------------------------------------------------------
