@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import DEPRECATED_KEYS, RunConfig, load_config
+from .config import RunConfig, load_config
 from .dissipative import DissipationParams, NumericError
 from .dsl import ParseError, load_sequence
 from .io import csv_text, emit, json_text
@@ -272,14 +272,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        by_reason: dict[str, list[str]] = {}
-        for key in cfg.deprecated_keys:
-            by_reason.setdefault(DEPRECATED_KEYS[key], []).append(key)
-        for reason, keys in by_reason.items():
-            print(
-                f"warning: {', '.join(keys)}: deprecated and ignored ({reason})",
-                file=sys.stderr,
-            )
         return args.handler(args, cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

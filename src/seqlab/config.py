@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .units import mhz
 
-__all__ = ["RunConfig", "parse_config", "load_config", "DEPRECATED_KEYS"]
+__all__ = ["RunConfig", "parse_config", "load_config"]
 
 
 # value kinds
@@ -69,33 +69,14 @@ class DissipationSection:
 
 
 @dataclass
-class IntegratorSection:
-    """Deprecated and ignored: the master equation is propagated exactly.
-
-    The keys still parse and validate so that existing files load; the
-    CLI warns on stderr when a file sets any of them.
-    """
-
-    method: str = "rk4"
-    dt_max: float = 0.0
-    tolerance: float = 1e-9
-
-
-@dataclass
 class ReadoutSection:
-    """Read-out efficiencies and dephasing between bins.
-
-    pulse_mu1 and pulse_mu2 are deprecated and ignored: the read-out
-    pulses come from the sequence file.  They still parse so that
-    existing files load; the CLI warns on stderr when a file sets them.
-    """
+    """Read-out efficiencies and dephasing between bins; the read-out
+    pulses come from the sequence file."""
 
     eta_1: float = 1.0
     eta_2: float = 1.0
     eta_3: float = 1.0
     deph: float = 0.0
-    pulse_mu1: float = 40e-9
-    pulse_mu2: float = 40e-9
 
 
 @dataclass
@@ -132,7 +113,6 @@ class RunConfig:
     scan: ScanSection = field(default_factory=ScanSection)
     rabi: RabiSection = field(default_factory=RabiSection)
     dissipation: DissipationSection = field(default_factory=DissipationSection)
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
     readout: ReadoutSection = field(default_factory=ReadoutSection)
     interaction: InteractionSection = field(default_factory=InteractionSection)
     shots: ShotsSection = field(default_factory=ShotsSection)
@@ -140,19 +120,6 @@ class RunConfig:
     fit: FitSection = field(default_factory=FitSection)
     output: OutputSection = field(default_factory=OutputSection)
     seed: int = 12345
-    # deprecated keys the parsed text set, in order of first appearance
-    deprecated_keys: list[str] = field(default_factory=list)
-
-
-# Keys that parse and validate but that nothing reads, with the reason
-# the warning gives; keys sharing a reason share one warning line.
-DEPRECATED_KEYS = {
-    "integrator.method": "the master equation is propagated exactly",
-    "integrator.dt_max": "the master equation is propagated exactly",
-    "integrator.tolerance": "the master equation is propagated exactly",
-    "readout.pulse_mu1": "read-out pulses come from the sequence file",
-    "readout.pulse_mu2": "read-out pulses come from the sequence file",
-}
 
 # dotted key -> (section attr or None for top level, field name, kind, extra)
 _SCHEMA: dict[str, tuple[str | None, str, str, tuple]] = {}
@@ -179,14 +146,9 @@ _register("rabi", "detuning2", _FREQ)
 for _i in (1, 2, 3):
     _register("dissipation", f"gamma_decay_{_i}", _RATE)
     _register("dissipation", f"gamma_deph_{_i}", _RATE)
-_register("integrator", "method", _CHOICE, ("rk4", "rk45"))
-_register("integrator", "dt_max", _TIME)
-_register("integrator", "tolerance", _FLOAT)
 for _i in (1, 2, 3):
     _register("readout", f"eta_{_i}", _FLOAT)
 _register("readout", "deph", _RATE)
-_register("readout", "pulse_mu1", _TIME)
-_register("readout", "pulse_mu2", _TIME)
 _register("interaction", "v_int", _FREQ)
 _register("interaction", "p2", _FLOAT)
 _register("shots", "n_trials", _INT)
@@ -260,8 +222,6 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, name, converted)
-        if key in DEPRECATED_KEYS and key not in cfg.deprecated_keys:
-            cfg.deprecated_keys.append(key)
     _validate(cfg)
     return cfg
 
@@ -294,10 +254,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("shots.mean_photons must be non-negative")
     if cfg.g2.bin not in (1, 2, 3):
         raise ValueError("g2.bin must be 1, 2 or 3")
-    if cfg.integrator.dt_max < 0:
-        raise ValueError("integrator.dt_max must be non-negative")
-    if cfg.integrator.tolerance <= 0:
-        raise ValueError("integrator.tolerance must be positive")
     if cfg.fit.t_total_hint < 0:
         raise ValueError("fit.t_total_hint must be non-negative (0 = derive)")
     if cfg.seed < 0:

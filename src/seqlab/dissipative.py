@@ -11,13 +11,16 @@ and the equation of motion is
 
     drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
 
-Drive segments give a piecewise-constant H (the 3x3 single-excitation
-Hamiltonian embedded in the 4x4 space; the loss level is dark), so each
-segment is propagated exactly: rho is flattened row-major into a
+Drive and wait segments give a piecewise-constant H: the 3x3 H of
+:func:`seqlab.qcore.segment_hamiltonian`, the same generator the closed
+backends propagate, embedded in the 4x4 space (the loss level is dark).
+Each segment is propagated exactly: rho is flattened row-major into a
 16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
 constant 16x16 Liouvillian Lv of :func:`liouvillian`, and the segment
-map is exp(Lv t), evaluated by :func:`expm`.  numpy only: scipy would
-double the memory and start-up of every CLI call.
+map is exp(Lv t), evaluated by :func:`expm`.  Lv is not Hermitian, so
+this is the propagator of the open system, as
+:func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
+only: scipy would double the memory and start-up of every CLI call.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    PulseSequence,
-    QutritState,
-    Readout,
-    Segment,
-    Wait,
-    drive_hamiltonian,
-)
+from .qcore import PulseSequence, QutritState, segment_hamiltonian
 
 LOSS_INDEX = 3
 DM_LABELS = ("R1", "R2", "R3", "loss")
@@ -122,23 +118,6 @@ class MasterTrajectory:
         return self.states[-1]
 
 
-def embed_hamiltonian(h3: np.ndarray) -> np.ndarray:
-    H = np.zeros((4, 4), dtype=complex)
-    H[:3, :3] = h3
-    return H
-
-
-def segment_hamiltonian(segment: Segment) -> np.ndarray:
-    """4x4 Hamiltonian for one drive/wait segment."""
-    if isinstance(segment, Readout):
-        raise ValueError("readout segments are handled by seqlab.photostats")
-    if isinstance(segment, Wait):
-        return np.zeros((4, 4), dtype=complex)
-    return embed_hamiltonian(
-        drive_hamiltonian(segment.field, segment.rabi, segment.detuning, segment.phase)
-    )
-
-
 def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
     """Generator of the master equation acting on row-major vec(rho).
 
@@ -205,19 +184,16 @@ def evolve_master(
     params = params or DissipationParams()
     if sample_dt is not None and not sample_dt > 0:
         raise ValueError("sample_dt must be strictly positive")
-    drive_segs = sequence.drive_segments()
-    if any(isinstance(s, Readout) for s in sequence.segments):
-        raise ValueError(
-            "sequence contains readout segments; use seqlab.photostats.readout_from_sequence"
-        )
 
     ops = params.collapse_operators()
     n = rho0.matrix.shape[0]
     vec = rho0.matrix.astype(complex).ravel()
+    H = np.zeros((n, n), dtype=complex)  # the loss level is dark
     t = 0.0
     samples: list[tuple[float, np.ndarray]] = [(0.0, vec)]
-    for seg in drive_segs:
-        L = liouvillian(segment_hamiltonian(seg), ops)
+    for seg in sequence.segments:
+        H[:3, :3] = segment_hamiltonian(seg)
+        L = liouvillian(H, ops)
         t_end = t + seg.duration
         if sample_dt is not None and t + sample_dt < t_end:
             step = expm(L * sample_dt)
@@ -240,32 +216,3 @@ def evolve_master(
             raise NumericError(f"at t={t_s:.3e} s: {err}") from None
         states.append(dm)
     return MasterTrajectory(tuple(t for t, _ in samples), tuple(states))
-
-
-TRAJECTORY_CSV_HEADER = (
-    "time_s,P1,P2,P3,P_loss,"
-    "re_rho12,im_rho12,re_rho13,im_rho13,re_rho23,im_rho23"
-)
-
-
-def trajectory_rows(traj: MasterTrajectory):
-    """Rows matching TRAJECTORY_CSV_HEADER, as plain floats."""
-    rows = []
-    for t, dm in zip(traj.times, traj.states):
-        m = dm.matrix
-        rows.append(
-            (
-                t,
-                m[0, 0].real,
-                m[1, 1].real,
-                m[2, 2].real,
-                m[3, 3].real,
-                m[0, 1].real,
-                m[0, 1].imag,
-                m[0, 2].real,
-                m[0, 2].imag,
-                m[1, 2].real,
-                m[1, 2].imag,
-            )
-        )
-    return rows

@@ -15,10 +15,12 @@ configuration except (11).  That is the minimal model for the observed
 fringe phase offset: relative level shifts of the microwave-accessed
 configurations against the storage configuration.
 
-The lift is linear, so it is a contraction of the 3x3 operator with a
-constant (3, 3, 6, 6) tensor built once from the bosonic rule; it lifts
-whole stacks of Hamiltonians, which lets the mixture scan propagate its
-double branch over the detuning grid in stacked calls
+The pair space has no generator or propagator of its own:
+:func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
+:func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
+is linear, a contraction with a constant (3, 3, 6, 6) tensor built once
+from the bosonic rule, so it lifts whole stacks: the mixture scan
+propagates its double branch over the detuning grid in stacked calls
 (:func:`seqlab.ramsey.ramsey_amplitudes`).
 """
 
@@ -30,15 +32,6 @@ from functools import partial
 
 import numpy as np
 
-from .qcore import (
-    PulseSequence,
-    Readout,
-    Segment,
-    Wait,
-    build_hamiltonian,
-    drive_hamiltonian,
-    hermitian_propagator,
-)
 from .ramsey import FringeScan, RamseyScanConfig, fringe_scan, ramsey_amplitudes
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
@@ -125,19 +118,12 @@ def lift_single_particle(h3: np.ndarray) -> np.ndarray:
     return np.einsum("...xy,xyij->...ij", h3, _LIFT)
 
 
-def _pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams | None) -> np.ndarray:
-    """Lift of a (..., 3, 3) drive stack plus the diagonal interaction shifts."""
-    H = lift_single_particle(h3)
-    if interactions is not None:
-        H = H + np.diag(interactions.config_shifts())
-    return H
-
-
-def build_pair_hamiltonian(
-    mu1=None, mu2=None, interactions: InteractionParams | None = None
-) -> np.ndarray:
-    """6x6 Hamiltonian: symmetric lift of the drive plus diagonal shifts."""
-    return _pair_hamiltonian(build_hamiltonian(mu1, mu2), interactions)
+def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndarray:
+    """Pair Hamiltonian of a (..., 3, 3) stack of single-excitation
+    Hamiltonians, e.g. from :func:`seqlab.qcore.segment_hamiltonian`: the
+    symmetric lift plus the diagonal interaction shifts, which persist
+    while the drives are off."""
+    return lift_single_particle(h3) + np.diag(interactions.config_shifts())
 
 
 @dataclass(frozen=True)
@@ -166,27 +152,6 @@ class PairState:
         return float(np.abs(self.amplitudes) ** 2 @ _R1_OCC)
 
 
-def _pair_segment_hamiltonian(seg: Segment, interactions: InteractionParams):
-    if isinstance(seg, Readout):
-        raise ValueError("readout segments are handled by seqlab.photostats")
-    if isinstance(seg, Wait):
-        # interactions persist while the drives are off
-        return _pair_hamiltonian(np.zeros((3, 3)), interactions)
-    h3 = drive_hamiltonian(seg.field, seg.rabi, seg.detuning, seg.phase)
-    return _pair_hamiltonian(h3, interactions)
-
-
-def propagate_pair_sequence(
-    state: PairState, sequence: PulseSequence, interactions: InteractionParams
-) -> PairState:
-    """Propagate a pair state through drive/wait segments (unitary)."""
-    amps = state.amplitudes.copy()
-    for seg in sequence.segments:
-        H = _pair_segment_hamiltonian(seg, interactions)
-        amps = hermitian_propagator(H, seg.duration) @ amps
-    return PairState(amps)
-
-
 def mixture_fringe_scan(
     config: RamseyScanConfig, interactions: InteractionParams
 ) -> FringeScan:
@@ -206,7 +171,7 @@ def mixture_fringe_scan(
     amps = ramsey_amplitudes(
         config,
         PairState.stored_pair().amplitudes,
-        partial(_pair_hamiltonian, interactions=interactions),
+        partial(pair_hamiltonian, interactions=interactions),
     )
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
     mixed = (1.0 - p2) * np.array(single.intensities) + p2 * doubles

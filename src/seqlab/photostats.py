@@ -27,7 +27,7 @@ from .qcore import (
     PulseSequence,
     QutritState,
     Readout,
-    segment_unitary,
+    segment_propagators,
 )
 
 DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
@@ -72,17 +72,18 @@ def readout_from_sequence(
     current R1 population times eta[b-1] (times the inter-bin dephasing
     factor) and then zeroes R1, modelling the departed photon.  The
     dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  Works for both pure states and density matrices.
+    attenuated.  A pure state enters as its density matrix; all drive/wait
+    propagators come from one stacked call.
     """
     eta = _validate_eta(eta)
     if deph_between_bins < 0 or not math.isfinite(deph_between_bins):
         raise ValueError("deph_between_bins must be finite and non-negative")
 
-    pure = isinstance(state, QutritState)
-    if pure:
-        amps = state.as_array()
-    else:
-        rho = state.matrix.astype(complex).copy()
+    if isinstance(state, QutritState):
+        state = DensityMatrix.pure(state)
+    rho = state.matrix.astype(complex)
+    steps = iter(segment_propagators(sequence.drive_segments()))
+    U = np.eye(4, dtype=complex)  # the loss level is untouched
 
     bins = {1: 0.0, 2: 0.0, 3: 0.0}
     clock_running = False
@@ -92,21 +93,13 @@ def readout_from_sequence(
             factor = eta[seg.bin - 1]
             if clock_running and deph_between_bins > 0:
                 factor *= math.exp(-deph_between_bins * elapsed)
-            if pure:
-                bins[seg.bin] = float(abs(amps[0]) ** 2) * factor
-                amps[0] = 0.0
-            else:
-                bins[seg.bin] = float(rho[0, 0].real) * factor
-                rho[0, :] = 0.0
-                rho[:, 0] = 0.0
+            bins[seg.bin] = float(rho[0, 0].real) * factor
+            rho[0, :] = 0.0
+            rho[:, 0] = 0.0
             clock_running = True
         else:
-            if pure:
-                amps = segment_unitary(seg) @ amps
-            else:
-                U = np.eye(4, dtype=complex)
-                U[:3, :3] = segment_unitary(seg)
-                rho = U @ rho @ U.conj().T
+            U[:3, :3] = next(steps)
+            rho = U @ rho @ U.conj().T
             if clock_running:
                 elapsed += seg.duration
     return TimeBinPopulations(bins[1], bins[2], bins[3], eta)

@@ -19,6 +19,10 @@ frame.  Physical free-precession phase that a different frame would
 accumulate between pulses is accounted for analytically in
 :mod:`seqlab.ramsey` through the total sequence time.  Positive detuning
 means the drive is blue of the atomic transition.
+
+:func:`segment_hamiltonian` is the one generator of a segment; the pair
+space lifts it and the master equation embeds it.  Every closed-system
+evolution goes through :func:`hermitian_propagator`.
 """
 
 from __future__ import annotations
@@ -190,59 +194,15 @@ def drive_hamiltonian(field: DriveField, rabi, detuning=0.0, phase=0.0) -> np.nd
     return H
 
 
-def build_hamiltonian(
-    mu1: DriveSegment | None = None, mu2: DriveSegment | None = None
-) -> np.ndarray:
-    """3x3 Hermitian Hamiltonian (rad/s) for the given drive settings.
-
-    An absent field contributes zeros, including its diagonal detuning
-    entry (see the module docstring for the frame convention).  The
-    direct R1 <-> R3 coupling is zero: the fields address adjacent
-    ladder rungs only.
-    """
-    H = np.zeros((3, 3), dtype=complex)
-    for slot, seg in ((DriveField.MU1, mu1), (DriveField.MU2, mu2)):
-        if seg is None:
-            continue
-        if seg.field is not slot:
-            raise ValueError(f"{slot.value} slot got a segment tagged for another field")
-        H += drive_hamiltonian(slot, seg.rabi, seg.detuning, seg.phase)
-    return H
-
-
-def two_level_propagator(
-    rabi: float, detuning: float, phase: float, duration: float
-) -> np.ndarray:
-    """Closed-form exp(-i H t) for the two-level block
-
-        H = [[0, (rabi/2) e^{i phase}], [(rabi/2) e^{-i phase}, -detuning]].
-
-    Uses the generalized Rabi frequency W = hypot(rabi, detuning); the
-    W -> 0 limit is the identity.
-    """
-    for name, v in (("rabi", rabi), ("detuning", detuning),
-                    ("phase", phase), ("duration", duration)):
-        _require_finite(name, v)
-    if rabi < 0:
-        raise ValueError("rabi must be non-negative")
-    if duration <= 0:
-        raise ValueError("duration must be strictly positive")
-    W = math.hypot(rabi, detuning)
-    if W == 0.0:
-        return np.eye(2, dtype=complex)
-    half = 0.5 * W * duration
-    c = math.cos(half)
-    s = math.sin(half) / W  # sin(Wt/2)/W, finite for W > 0
-    g = complex(math.cos(0.5 * detuning * duration),
-                math.sin(0.5 * detuning * duration))
-    off = -1j * rabi * s
-    return g * np.array(
-        [
-            [c - 1j * detuning * s, off * np.exp(1j * phase)],
-            [off * np.exp(-1j * phase), c + 1j * detuning * s],
-        ],
-        dtype=complex,
-    )
+def segment_hamiltonian(segment: Segment) -> np.ndarray:
+    """3x3 Hamiltonian (rad/s) of a drive segment (its field's
+    :func:`drive_hamiltonian`) or of a wait (zeros, see the frame
+    convention above).  A Readout is a measurement and has none."""
+    if isinstance(segment, Readout):
+        raise ValueError("readout segments have no Hamiltonian; see seqlab.photostats")
+    if isinstance(segment, Wait):
+        return np.zeros((3, 3), dtype=complex)
+    return drive_hamiltonian(segment.field, segment.rabi, segment.detuning, segment.phase)
 
 
 def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
@@ -261,36 +221,18 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
     return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def segment_unitary(segment: Segment) -> np.ndarray:
-    """3x3 unitary for one segment.
-
-    Drive segments embed the closed-form two-level propagator in the block
-    their field couples; the remaining level is untouched.  Wait segments
-    are the identity.
-    """
-    if isinstance(segment, Readout):
-        raise ValueError("readout segments have no unitary; see seqlab.photostats")
-    U = np.eye(3, dtype=complex)
-    if isinstance(segment, Wait):
-        return U
-    # build_hamiltonian puts (rabi/2) e^{+i phase} on the lower off-diagonal of
-    # the driven block; two_level_propagator parameterizes the upper one, so the
-    # phase flips sign here to keep both backends evolving the same Hamiltonian.
-    block = two_level_propagator(
-        segment.rabi, segment.detuning, -segment.phase, segment.duration
-    )
-    if segment.field is DriveField.MU1:
-        U[0:2, 0:2] = block
-    else:
-        U[1:3, 1:3] = block
-    return U
+def segment_propagators(segments) -> np.ndarray:
+    """exp(-i H t) of every drive/wait segment, shape (n, 3, 3), from one
+    stacked :func:`hermitian_propagator` call."""
+    H = np.array([segment_hamiltonian(s) for s in segments]).reshape(len(segments), 3, 3)
+    return hermitian_propagator(H, [s.duration for s in segments])
 
 
 def sequence_unitary(segments) -> np.ndarray:
-    """Ordered product of segment unitaries (last segment applied last)."""
+    """Ordered product of segment propagators (last segment applied last)."""
     U = np.eye(3, dtype=complex)
-    for seg in segments:
-        U = segment_unitary(seg) @ U
+    for step in segment_propagators(segments):
+        U = step @ U
     return U
 
 
@@ -300,11 +242,4 @@ def propagate_sequence(state: QutritState, sequence: PulseSequence) -> QutritSta
     Sequences containing Readout segments are rejected here; retrieval is
     a measurement and lives in :mod:`seqlab.photostats`.
     """
-    if any(isinstance(s, Readout) for s in sequence.segments):
-        raise ValueError(
-            "sequence contains readout segments; use seqlab.photostats.readout_from_sequence"
-        )
-    amps = state.as_array()
-    for seg in sequence.segments:
-        amps = segment_unitary(seg) @ amps
-    return QutritState.from_array(amps)
+    return QutritState.from_array(sequence_unitary(sequence.segments) @ state.as_array())

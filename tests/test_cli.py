@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from seqlab.cli import main
 
@@ -77,52 +78,23 @@ def test_ramsey_scan_lindblad_backend(tmp_path):
     assert np.all(np.isfinite(table))
 
 
-def test_integrator_keys_warn_once_and_change_nothing(tmp_path, capsys):
-    base = "scan.points = 5\nscan.backend = lindblad\ndissipation.gamma_deph_2 = 0.1MHz\n"
-    plain, legacy = tmp_path / "plain.cfg", tmp_path / "legacy.cfg"
-    plain.write_text(base, encoding="utf-8")
-    legacy.write_text(
-        base + "integrator.method = rk45\nintegrator.dt_max = 0.25ns\n"
-        "integrator.tolerance = 1e-6\nintegrator.method = rk4\n",
-        encoding="utf-8",
-    )
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["ramsey-scan", "--config", str(plain), "--out", str(a)]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["ramsey-scan", "--config", str(legacy), "--out", str(b)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        "warning: integrator.method, integrator.dt_max, integrator.tolerance: "
-        "deprecated and ignored (the master equation is propagated exactly)"
-    ]
-    assert a.read_bytes() == b.read_bytes()
-    assert main(["ramsey-scan", "--config", str(legacy)]) == 0
-    assert capsys.readouterr().out == a.read_text(encoding="utf-8")
-
-
-def test_readout_pulse_keys_warn_and_change_nothing(tmp_path, capsys):
-    plain, legacy = tmp_path / "plain.cfg", tmp_path / "legacy.cfg"
-    plain.write_text("readout.eta_2 = 0.8\n", encoding="utf-8")
-    legacy.write_text(
-        "readout.eta_2 = 0.8\nreadout.pulse_mu1 = -5ns\nintegrator.dt_max = 1ns\n"
-        "readout.pulse_mu2 = 30ns\n",
-        encoding="utf-8",
-    )
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["readout", "--config", str(plain), "--seq", CANONICAL, "--out", str(a)]) == 0
-    budget = capsys.readouterr().err.splitlines()
-    assert main(["readout", "--config", str(legacy), "--seq", CANONICAL, "--out", str(b)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        "warning: readout.pulse_mu1, readout.pulse_mu2: deprecated and ignored "
-        "(read-out pulses come from the sequence file)",
-        "warning: integrator.dt_max: deprecated and ignored "
-        "(the master equation is propagated exactly)",
-        *budget,
-    ]
-    assert a.read_bytes() == b.read_bytes()
-    assert main(["readout", "--config", str(legacy), "--seq", CANONICAL]) == 0
-    assert capsys.readouterr().out == a.read_text(encoding="utf-8")
+@pytest.mark.parametrize(
+    "key",
+    [
+        "integrator.method",
+        "integrator.dt_max",
+        "integrator.tolerance",
+        "readout.pulse_mu1",
+        "readout.pulse_mu2",
+    ],
+)
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scan.points = 5\n{key} = 1\n", encoding="utf-8")
+    assert main(["ramsey-scan", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config line 2: unknown key {key!r}\n"
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
@@ -232,7 +204,9 @@ def test_readout_canonical_sequence(tmp_path, capsys):
     assert len(lines) == 4
     table = _table(text)
     assert list(table[:, 0]) == [1.0, 2.0, 3.0]
-    assert table[0, 1] == 0.925328113903962  # ideal retrieval of the canonical file
+    assert table[0, 1] == 0.9253281139039611  # ideal retrieval of the canonical file
+    # exact: R1 after pi/2, a 2pi*12.5 MHz mu2 pulse of 250 ns and pi/2 is (1 + cos(pi/8))^2 / 4
+    assert abs(table[0, 1] - 0.92532811390396182) <= 1e-15
     assert np.all(table[:, 1] >= 0.0) and table[:, 1].sum() <= 1.0 + 1e-12
 
 

@@ -16,8 +16,6 @@ def test_empty_text_gives_defaults():
     assert cfg.scan.omega_mu2 == mhz(12.5)
     assert cfg.scan.backend == "analytic"
     assert cfg.rabi.t_max == 160e-9
-    assert cfg.integrator.method == "rk4"
-    assert cfg.integrator.dt_max == 0.0
     assert cfg.readout.eta_1 == 1.0
     assert cfg.interaction.v_int == 0.0 and cfg.interaction.p2 == 0.0
     assert cfg.shots.n_trials == 100_000
@@ -30,13 +28,11 @@ def test_time_units_convert_to_seconds():
     cfg = parse_config(
         "scan.t_mu1 = 100ns\n"
         "scan.t_mu2 = 1.5us\n"
-        "integrator.dt_max = 0.25ns\n"
         "fit.t_total_hint = 1.5e-7s\n"
         "scan.gap = 0.001ms\n"
     )
     assert cfg.scan.t_mu1 == 100.0 * 1e-9
     assert cfg.scan.t_mu2 == 1.5 * 1e-6
-    assert cfg.integrator.dt_max == 0.25 * 1e-9
     assert cfg.fit.t_total_hint == 1.5e-7
     assert cfg.scan.gap == 0.001 * 1e-3
 
@@ -132,8 +128,6 @@ def test_non_finite_values_rejected():
         ("shots.dark_rate = 1.0", r"\[0, 1\)"),
         ("shots.mean_photons = -0.5", "non-negative"),
         ("g2.bin = 4", "1, 2 or 3"),
-        ("integrator.dt_max = -1ns", "non-negative"),
-        ("integrator.tolerance = 0", "positive"),
         ("fit.t_total_hint = -1ns", "non-negative"),
         ("seed = -1", "non-negative"),
     ],
@@ -146,12 +140,10 @@ def test_validation_rules(text, match):
 def test_all_listed_choices_accepted():
     cfg = parse_config(
         "scan.backend = lindblad\n"
-        "integrator.method = rk45\n"
         "g2.mode = mixture\n"
         "output.format = json\n"
     )
     assert cfg.scan.backend == "lindblad"
-    assert cfg.integrator.method == "rk45"
     assert cfg.g2.mode == "mixture"
     assert cfg.output.format == "json"
     assert parse_config("scan.backend = unitary\n").scan.backend == "unitary"

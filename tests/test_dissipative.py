@@ -10,15 +10,12 @@ from seqlab.dissipative import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
-    TRAJECTORY_CSV_HEADER,
     DensityMatrix,
     DissipationParams,
     NumericError,
     evolve_master,
     expm,
     liouvillian,
-    segment_hamiltonian,
-    trajectory_rows,
 )
 from seqlab.qcore import (
     DriveField,
@@ -27,9 +24,10 @@ from seqlab.qcore import (
     QutritState,
     Readout,
     Wait,
-    sequence_unitary,
+    segment_hamiltonian,
 )
 from seqlab.units import mhz
+from test_qcore import closed_form_unitary
 
 
 def _random_sequence(rng, max_segments=6):
@@ -70,8 +68,9 @@ def test_zero_rates_reproduce_unitary_evolution():
     for _ in range(5):
         seq = _random_sequence(rng)
         traj = evolve_master(rho0, seq, DissipationParams())
-        U = sequence_unitary(seq.segments)
-        psi = U @ QutritState.r1().as_array()
+        psi = QutritState.r1().as_array()
+        for seg in seq.segments:
+            psi = closed_form_unitary(seg) @ psi
         expected = np.zeros((4, 4), dtype=complex)
         expected[:3, :3] = np.outer(psi, psi.conj())
         assert _trace_distance(traj.final.matrix, expected) <= 1e-8
@@ -179,7 +178,8 @@ def _rk4_oracle(rho, sequence, params):
         return -1j * (K @ r - r @ K.conj().T) + (ops @ r @ ops_dag).sum(axis=0)
 
     for seg in sequence.segments:
-        K = segment_hamiltonian(seg) - damping
+        K = -damping.copy()
+        K[:3, :3] += segment_hamiltonian(seg)
         n = math.ceil(seg.duration / 0.05e-9)
         dt = seg.duration / n
         for _ in range(n):
@@ -319,13 +319,3 @@ def test_dissipation_params_validation():
     ops = RATES.collapse_operators()
     assert len(ops) == 6  # three decay + three dephasing channels
     assert all(op.shape == (4, 4) for op in ops)
-
-
-def test_trajectory_rows_match_header():
-    seq = PulseSequence((Wait(50e-9),))
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES)
-    width = len(TRAJECTORY_CSV_HEADER.split(","))
-    rows = list(trajectory_rows(traj))
-    assert len(rows) == len(traj.times)
-    assert all(len(r) == width for r in rows)
-    assert rows[0][0] == 0.0 and rows[0][1] == pytest.approx(1.0)

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seqlab.pairwise import (
     PAIR_CONFIGS,
     InteractionParams,
     PairState,
-    build_pair_hamiltonian,
     lift_single_particle,
     mixture_fringe_scan,
     p2_from_g2,
-    propagate_pair_sequence,
+    pair_hamiltonian,
 )
 from seqlab.photostats import fit_fringe
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     Readout,
     Wait,
-    build_hamiltonian,
+    hermitian_propagator,
+    segment_hamiltonian,
+    sequence_unitary,
 )
 from seqlab.ramsey import (
     Backend,
@@ -33,11 +34,9 @@ from seqlab.ramsey import (
 from seqlab.units import mhz
 
 
-def _tensor_lift(h3: np.ndarray) -> np.ndarray:
-    """Brute-force oracle: h x I + I x h on C3 x C3, projected onto the
-    symmetric subspace via the orthonormal isometry |aa> -> e_aa,
-    (|ab> + |ba>)/sqrt(2) -> e_ab."""
-    h9 = np.kron(h3, np.eye(3)) + np.kron(np.eye(3), h3)
+def _symmetric_isometry() -> np.ndarray:
+    """9x6 orthonormal isometry from the six configurations into C3 x C3:
+    e_aa -> |aa>, e_ab -> (|ab> + |ba>)/sqrt(2)."""
     S = np.zeros((9, 6), dtype=complex)
     for col, (a, b) in enumerate(PAIR_CONFIGS):
         if a == b:
@@ -45,7 +44,26 @@ def _tensor_lift(h3: np.ndarray) -> np.ndarray:
         else:
             S[3 * a + b, col] = 1.0 / math.sqrt(2)
             S[3 * b + a, col] = 1.0 / math.sqrt(2)
-    return S.conj().T @ h9 @ S
+    return S
+
+
+_S = _symmetric_isometry()
+
+
+def _tensor_lift(h3: np.ndarray) -> np.ndarray:
+    """Brute-force oracle: h x I + I x h on C3 x C3, projected onto the
+    symmetric subspace through the isometry."""
+    h9 = np.kron(h3, np.eye(3)) + np.kron(np.eye(3), h3)
+    return _S.conj().T @ h9 @ _S
+
+
+def _pair_sequence_propagator(segs, interactions) -> np.ndarray:
+    """Per-segment product of the pair propagators (last segment last)."""
+    U = np.eye(6, dtype=complex)
+    for s in segs:
+        H = pair_hamiltonian(segment_hamiltonian(s), interactions)
+        U = hermitian_propagator(H, s.duration) @ U
+    return U
 
 
 def _random_hermitian(rng) -> np.ndarray:
@@ -74,18 +92,30 @@ def test_lift_matches_tensor_oracle_physical_scale():
                        detuning=mhz(1.0), phase=0.3)
     mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9,
                        detuning=mhz(0.5), phase=-1.1)
-    h3 = build_hamiltonian(mu1=mu1, mu2=mu2)
+    h3 = segment_hamiltonian(mu1) + segment_hamiltonian(mu2)
     lifted = lift_single_particle(h3)
     oracle = _tensor_lift(h3)
     scale = np.abs(oracle).max()
     assert np.abs(lifted - oracle).max() / scale <= 1e-12
 
 
-def test_lift_is_hermitian():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        H = lift_single_particle(_random_hermitian(rng))
-        assert np.abs(H - H.conj().T).max() <= 1e-12
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            arrays(float, (n, 3, 3), elements=_entries),
+            arrays(float, (n, 3, 3), elements=_entries),
+        )
+    )
+)
+def test_lift_is_hermitian(parts):
+    m = parts[0] + 1j * parts[1]
+    stack = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    H = lift_single_particle(stack)
+    assert H.shape == (stack.shape[0], 6, 6)
+    assert np.abs(H - H.conj().swapaxes(-1, -2)).max() <= 1e-12
 
 
 def test_bosonic_enhancement_factors():
@@ -102,7 +132,7 @@ def test_bosonic_enhancement_factors():
 
 def test_resonant_drive_coupling_is_sqrt2_half_rabi():
     seg = DriveSegment(DriveField.MU1, rabi=mhz(10.0), duration=20e-9)
-    H = build_pair_hamiltonian(mu1=seg)
+    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams())
     assert abs(H[0, 1] - math.sqrt(2) * mhz(10.0) / 2.0) <= 1e-6
 
 
@@ -113,7 +143,7 @@ def test_resonant_drive_coupling_is_sqrt2_half_rabi():
 def test_uniform_shift_matrix_gives_uniform_diagonal():
     v = mhz(0.7)
     params = InteractionParams(shift=((v, v, v), (v, v, v), (v, v, v)))
-    H = build_pair_hamiltonian(interactions=params)
+    H = pair_hamiltonian(segment_hamiltonian(Wait(10e-9)), params)
     assert np.abs(H - v * np.eye(6)).max() <= 1e-12
 
 
@@ -129,8 +159,8 @@ def test_from_scalar_zeroes_the_stored_pair():
 def test_build_adds_diagonal_shifts_to_lift():
     seg = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=100e-9)
     params = InteractionParams.from_scalar(mhz(0.4))
-    H = build_pair_hamiltonian(mu2=seg, interactions=params)
-    bare = lift_single_particle(build_hamiltonian(mu2=seg))
+    H = pair_hamiltonian(segment_hamiltonian(seg), params)
+    bare = lift_single_particle(segment_hamiltonian(seg))
     assert np.abs((H - bare) - np.diag(params.config_shifts())).max() <= 1e-12
 
 
@@ -139,14 +169,10 @@ def test_interactions_persist_during_wait():
     t = 120e-9
     amps = np.zeros(6, dtype=complex)
     amps[0] = amps[1] = 1.0 / math.sqrt(2)
-    out = propagate_pair_sequence(
-        PairState(amps),
-        PulseSequence((Wait(t),)),
-        InteractionParams.from_scalar(v),
-    )
+    out = _pair_sequence_propagator((Wait(t),), InteractionParams.from_scalar(v)) @ amps
     # stored pair sets the energy zero; (12) acquires exp(-i v t)
-    assert abs(out.amplitudes[0] - amps[0]) <= 1e-12
-    assert abs(out.amplitudes[1] - amps[1] * np.exp(-1j * v * t)) <= 1e-12
+    assert abs(out[0] - amps[0]) <= 1e-12
+    assert abs(out[1] - amps[1] * np.exp(-1j * v * t)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +209,37 @@ def test_pair_propagation_is_unitary(seed):
                 )
             )
     params = InteractionParams.from_scalar(float(rng.uniform(-mhz(1.0), mhz(1.0))))
-    out = propagate_pair_sequence(
-        PairState.stored_pair(), PulseSequence(tuple(segs)), params
+    out = PairState(
+        _pair_sequence_propagator(segs, params) @ PairState.stored_pair().amplitudes
     )
     assert abs(out.norm() - 1.0) <= 1e-9
 
 
+_segments = st.one_of(
+    st.builds(
+        DriveSegment,
+        field=st.sampled_from([DriveField.MU1, DriveField.MU2]),
+        rabi=st.floats(0.0, mhz(25.0)),
+        duration=st.floats(1e-9, 1e-6),
+        detuning=st.floats(-mhz(10.0), mhz(10.0)),
+        phase=st.floats(-math.pi, math.pi),
+    ),
+    st.builds(Wait, duration=st.floats(1e-9, 1e-6)),
+)
+
+
+@given(st.lists(_segments, min_size=1, max_size=5))
+def test_free_pair_propagator_is_symmetric_product(segs):
+    # without interaction shifts the two excitations evolve independently,
+    # so the pair propagator is U x U restricted to the symmetric subspace
+    U = sequence_unitary(segs)
+    ref = _S.conj().T @ np.kron(U, U) @ _S
+    assert np.abs(_pair_sequence_propagator(segs, InteractionParams()) - ref).max() <= 1e-12
+
+
 def test_pair_propagation_rejects_readout():
     with pytest.raises(ValueError):
-        propagate_pair_sequence(
-            PairState.stored_pair(),
-            PulseSequence((Readout(1),)),
-            InteractionParams(),
-        )
+        pair_hamiltonian(segment_hamiltonian(Readout(1)), InteractionParams())
 
 
 # ---------------------------------------------------------------------------

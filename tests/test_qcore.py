@@ -14,14 +14,54 @@ from seqlab.qcore import (
     QutritState,
     Readout,
     Wait,
-    build_hamiltonian,
+    drive_hamiltonian,
     hermitian_propagator,
     propagate_sequence,
-    segment_unitary,
+    segment_hamiltonian,
     sequence_unitary,
-    two_level_propagator,
 )
 from seqlab.units import mhz
+
+
+def two_level_propagator(rabi, detuning, phase, duration):
+    """Closed-form oracle: exp(-i H t) for the two-level block
+
+        H = [[0, (rabi/2) e^{i phase}], [(rabi/2) e^{-i phase}, -detuning]],
+
+    from the generalized Rabi frequency W = hypot(rabi, detuning); the
+    W -> 0 limit is the identity."""
+    W = math.hypot(rabi, detuning)
+    if W == 0.0:
+        return np.eye(2, dtype=complex)
+    half = 0.5 * W * duration
+    c = math.cos(half)
+    s = math.sin(half) / W  # sin(Wt/2)/W, finite for W > 0
+    g = complex(math.cos(0.5 * detuning * duration),
+                math.sin(0.5 * detuning * duration))
+    off = -1j * rabi * s
+    return g * np.array(
+        [
+            [c - 1j * detuning * s, off * np.exp(1j * phase)],
+            [off * np.exp(-1j * phase), c + 1j * detuning * s],
+        ],
+        dtype=complex,
+    )
+
+
+def closed_form_unitary(segment):
+    """3x3 oracle for one drive/wait segment: the closed-form two-level
+    block embedded where its field couples.  segment_hamiltonian puts
+    (rabi/2) e^{+i phase} on the lower off-diagonal, two_level_propagator
+    parameterizes the upper one, hence the flipped phase."""
+    U = np.eye(3, dtype=complex)
+    if isinstance(segment, Wait):
+        return U
+    block = two_level_propagator(
+        segment.rabi, segment.detuning, -segment.phase, segment.duration
+    )
+    lo = 0 if segment.field is DriveField.MU1 else 1
+    U[lo:lo + 2, lo:lo + 2] = block
+    return U
 
 # ---------------------------------------------------------------------------
 # Hamiltonian structure
@@ -31,32 +71,27 @@ def test_hamiltonian_both_fields():
     mu1 = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=30e-9,
                        detuning=mhz(1.0), phase=0.5 * math.pi)
     mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=40e-9)
-    H = build_hamiltonian(mu1, mu2)
+    H1, H2 = segment_hamiltonian(mu1), segment_hamiltonian(mu2)
     g1 = 0.5 * mhz(5.0) * np.exp(0.5j * math.pi)
-    assert H[1, 0] == pytest.approx(g1, abs=1e-6)
-    assert H[0, 1] == pytest.approx(np.conj(g1), abs=1e-6)
-    assert H[1, 1] == pytest.approx(-mhz(1.0), abs=1e-6)
-    assert H[2, 1] == pytest.approx(0.5 * mhz(12.5), abs=1e-6)
-    assert H[2, 2] == 0.0  # resonant mu2
-    # no direct R1 <-> R3 coupling
-    assert H[2, 0] == 0.0 and H[0, 2] == 0.0
-    assert np.abs(H - H.conj().T).max() == 0.0
+    assert H1[1, 0] == pytest.approx(g1, abs=1e-6)
+    assert H1[0, 1] == pytest.approx(np.conj(g1), abs=1e-6)
+    assert H1[1, 1] == pytest.approx(-mhz(1.0), abs=1e-6)
+    assert H2[2, 1] == pytest.approx(0.5 * mhz(12.5), abs=1e-6)
+    assert H2[2, 2] == 0.0  # resonant mu2
+    for H in (H1, H2):
+        # no direct R1 <-> R3 coupling
+        assert H[2, 0] == 0.0 and H[0, 2] == 0.0
+        assert np.abs(H - H.conj().T).max() == 0.0
 
 
 def test_hamiltonian_absent_field_is_zero():
-    assert np.abs(build_hamiltonian()).max() == 0.0
+    assert np.abs(segment_hamiltonian(Wait(10e-9))).max() == 0.0
     mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=40e-9,
                        detuning=mhz(2.0))
-    H = build_hamiltonian(mu2=mu2)
+    H = segment_hamiltonian(mu2)
     # absent mu1 contributes nothing, including its diagonal entry
     assert H[0, 0] == 0.0 and H[1, 1] == 0.0
     assert H[2, 2] == pytest.approx(-mhz(2.0))
-
-
-def test_hamiltonian_rejects_mismatched_slot():
-    mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=40e-9)
-    with pytest.raises(ValueError):
-        build_hamiltonian(mu1=mu2)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +136,9 @@ def test_two_level_propagator_frozen_point():
     )
     U = two_level_propagator(mhz(5.0), mhz(1.0), 0.5 * math.pi, 30e-9)
     assert np.abs(U - expected).max() <= 1e-14
+    seg = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=30e-9,
+                       detuning=mhz(1.0), phase=-0.5 * math.pi)
+    assert np.abs(sequence_unitary((seg,))[:2, :2] - expected).max() <= 1e-14
 
 
 def test_resonant_special_areas():
@@ -115,11 +153,11 @@ def test_resonant_special_areas():
 
 def test_propagator_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        two_level_propagator(-1.0, 0.0, 0.0, 1e-9)
+        drive_hamiltonian(DriveField.MU1, -1.0)
     with pytest.raises(ValueError):
-        two_level_propagator(1.0, 0.0, 0.0, 0.0)
+        hermitian_propagator(np.zeros((3, 3)), 0.0)
     with pytest.raises(ValueError):
-        two_level_propagator(math.nan, 0.0, 0.0, 1e-9)
+        drive_hamiltonian(DriveField.MU1, math.nan)
 
 
 def test_hermitian_propagator_stacks_with_broadcast_durations():
@@ -159,23 +197,18 @@ _segments = st.one_of(
 
 @given(_segments)
 def test_segment_unitary_is_unitary(seg):
-    U = segment_unitary(seg)
+    U = sequence_unitary((seg,))
     assert np.abs(U @ U.conj().T - np.eye(3)).max() <= 1e-12
 
 
 @given(_segments)
 def test_segment_unitary_exponentiates_the_hamiltonian(seg):
-    # the closed-form block and expm(-i H t) with H from build_hamiltonian must
-    # agree for every phase, or the unitary and master-equation backends drift
-    U = segment_unitary(seg)
-    if isinstance(seg, Wait):
-        H = build_hamiltonian()
-    elif seg.field is DriveField.MU1:
-        H = build_hamiltonian(mu1=seg)
-    else:
-        H = build_hamiltonian(mu2=seg)
-    ref = expm(-1j * H * seg.duration)
+    # the propagator, the closed form and expm(-i H t) of segment_hamiltonian
+    # must agree for every phase, or the unitary and master-equation backends drift
+    U = sequence_unitary((seg,))
+    ref = expm(-1j * segment_hamiltonian(seg) * seg.duration)
     assert np.abs(U - ref).max() <= 1e-10
+    assert np.abs(U - closed_form_unitary(seg)).max() <= 1e-10
 
 
 @given(st.lists(_segments, min_size=1, max_size=5))
@@ -183,7 +216,7 @@ def test_sequence_unitary_composes(segs):
     U = sequence_unitary(segs)
     ref = np.eye(3, dtype=complex)
     for s in segs:
-        ref = segment_unitary(s) @ ref
+        ref = sequence_unitary((s,)) @ ref
     assert np.abs(U - ref).max() == 0.0
     assert np.abs(U @ U.conj().T - np.eye(3)).max() <= 1e-12
 
@@ -282,7 +315,9 @@ def test_state_validation_and_populations():
 
 def test_readout_has_no_unitary():
     with pytest.raises(ValueError):
-        segment_unitary(Readout(1))
+        segment_hamiltonian(Readout(1))
+    with pytest.raises(ValueError):
+        sequence_unitary((Readout(1),))
     seq = PulseSequence((Readout(1),))
     with pytest.raises(ValueError):
         propagate_sequence(QutritState.r1(), seq)

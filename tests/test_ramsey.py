@@ -9,15 +9,15 @@ from seqlab.pairwise import (
     InteractionParams,
     PairState,
     mixture_fringe_scan,
-    propagate_pair_sequence,
+    pair_hamiltonian,
 )
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     QutritState,
     Wait,
-    propagate_sequence,
+    hermitian_propagator,
+    segment_hamiltonian,
 )
 from seqlab.ramsey import (
     BLOCK_POINTS,
@@ -33,6 +33,7 @@ from seqlab.ramsey import (
     symmetric_detuning_grid,
 )
 from seqlab.units import mhz
+from test_qcore import closed_form_unitary
 
 T1 = 100e-9
 T2 = 250e-9
@@ -274,17 +275,28 @@ def test_rabi_scan_rejects_bad_times():
 # stacked scans against the per-point sequence propagation
 
 
+def _closed_form_state(segs):
+    psi = QutritState.r1().as_array()
+    for seg in segs:
+        psi = closed_form_unitary(seg) @ psi
+    return QutritState.from_array(psi)
+
+
 def _reference_scans(cfg, interactions, times, detuning2):
     """Unitary, mixture and Rabi results one point at a time, through
-    build_ramsey_sequence and the sequence propagators."""
+    build_ramsey_sequence: the qutrit from the closed-form oracle, the pair
+    from a product of per-segment propagators."""
     single, double = [], []
     for d in cfg.deltas:
         seq = build_ramsey_sequence(
             d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.inter_pulse_gap
         )
-        single.append(cfg.I0 * abs(propagate_sequence(QutritState.r1(), seq).c1) ** 2)
-        pair = propagate_pair_sequence(PairState.stored_pair(), seq, interactions)
-        double.append(cfg.I0 * pair.expected_r1_excitations())
+        single.append(cfg.I0 * abs(_closed_form_state(seq.segments).c1) ** 2)
+        amps = PairState.stored_pair().amplitudes
+        for s in seq.segments:
+            H = pair_hamiltonian(segment_hamiltonian(s), interactions)
+            amps = hermitian_propagator(H, s.duration) @ amps
+        double.append(cfg.I0 * PairState(amps).expected_r1_excitations())
     single, double = np.array(single), np.array(double)
     p2 = interactions.p2
     mixed = single if p2 == 0.0 else (1.0 - p2) * single + p2 * double
@@ -294,7 +306,7 @@ def _reference_scans(cfg, interactions, times, detuning2):
         segs = (prep,)
         if t > 0:
             segs += (DriveSegment(DriveField.MU2, cfg.omega_mu2, t, detuning=detuning2),)
-        state = propagate_sequence(QutritState.r1(), PulseSequence(segs))
+        state = _closed_form_state(segs)
         rows.append((t, *state.populations()))
     return single, mixed, np.array(rows)
 
