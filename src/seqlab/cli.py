@@ -92,7 +92,7 @@ def _cmd_rabi_scan(args, cfg: RunConfig) -> int:
     r = cfg.rabi
     times = np.linspace(0.0, r.t_max, r.points)
     table = rabi_scan(times, r.omega_mu2, t_mu1=r.t_mu1, detuning2=r.detuning2)
-    rows = [tuple(float(v) for v in row) for row in table]
+    rows = table.tolist()
     if _resolve_format(args, cfg) == "csv":
         text = csv_text(RABI_CSV_HEADER, rows)
     else:

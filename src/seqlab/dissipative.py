@@ -12,7 +12,7 @@ and the equation of motion is
     drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
 
 Drive and wait segments give a piecewise-constant H: the 3x3 H of
-:func:`seqlab.qcore.segment_hamiltonian`, the same generator the closed
+:func:`seqlab.qcore.segment_hamiltonians`, the same generator the closed
 backends propagate, embedded in the 4x4 space (the loss level is dark).
 Each segment is propagated exactly: rho is flattened row-major into a
 16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
@@ -21,16 +21,24 @@ map is exp(Lv t), evaluated by :func:`expm`.  Lv is not Hermitian, so
 this is the propagator of the open system, as
 :func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
 only: scipy would double the memory and start-up of every CLI call.
+
+Everything works on stacks: :func:`evolve_master` takes a batch of
+sequences that share one layout (a detuning scan), builds each distinct
+segment's Liouvillian once in a (n, 16, 16) stack, exponentiates the
+stack in one :func:`expm` call with a scaling exponent per matrix, and
+validates the states of the whole batch at each sample time with one
+:meth:`DensityMatrix.validate` call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PulseSequence, QutritState, segment_hamiltonian
+from .qcore import PulseSequence, QutritState, segment_hamiltonians
 
 LOSS_INDEX = 3
 DM_LABELS = ("R1", "R2", "R3", "loss")
@@ -72,7 +80,9 @@ class DissipationParams:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 density matrix over (R1, R2, R3, loss)."""
+    """4x4 density matrix over (R1, R2, R3, loss), or a (..., 4, 4) stack
+    of them, e.g. a batch of sequences at one time (see
+    :func:`evolve_master`).  trace() reads a single matrix."""
 
     matrix: np.ndarray
     labels: tuple[str, ...] = DM_LABELS
@@ -83,32 +93,37 @@ class DensityMatrix:
         amps[:3] = state.as_array()
         return cls(np.outer(amps, amps.conj()))
 
-    def populations(self) -> tuple[float, float, float, float]:
-        d = self.matrix.diagonal().real
-        return (d[0], d[1], d[2], d[3])
+    def populations(self) -> tuple:
+        d = np.diagonal(self.matrix, axis1=-2, axis2=-1).real
+        return (d[..., 0], d[..., 1], d[..., 2], d[..., 3])
 
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
     def validate(self) -> None:
-        """Raise NumericError if hermiticity, trace or positivity is violated."""
+        """Raise NumericError if hermiticity, trace or positivity is violated
+        by the matrix or by any matrix of the stack; the message quotes the
+        worst value.  One batched eigvalsh call covers the whole stack."""
         m = self.matrix
         if not np.isfinite(m).all():
             raise NumericError("density matrix has non-finite entries")
-        herm = np.abs(m - m.conj().T).max()
+        m_dag = m.conj().swapaxes(-1, -2)
+        herm = np.abs(m - m_dag).max()
         if herm > HERMITICITY_TOL:
             raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NumericError(f"trace drifted to {tr!r}")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+        tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+        worst = np.abs(tr - 1.0).argmax()
+        if abs(tr[worst] - 1.0) > TRACE_TOL:
+            raise NumericError(f"trace drifted to {tr[worst]!r}")
+        lo = float(np.linalg.eigvalsh(0.5 * (m + m_dag)).min())
         if lo < -POSITIVITY_TOL:
             raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True)
 class MasterTrajectory:
-    """Sampled evolution: times (s) and the matching density matrices."""
+    """Sampled evolution: times (s) and the matching density matrices, one
+    (n_sequences, 4, 4) stack per time for a batch of sequences."""
 
     times: tuple[float, ...]
     states: tuple[DensityMatrix, ...]
@@ -118,17 +133,25 @@ class MasterTrajectory:
         return self.states[-1]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes of (..., n, n) stacks, by broadcast."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3], k.shape[-2] * k.shape[-1]))
+
+
 def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
-    """Generator of the master equation acting on row-major vec(rho).
+    """Generator of the master equation acting on row-major vec(rho), for
+    an (n, n) H or a (..., n, n) stack of them; shape (..., n^2, n^2).
 
     Uses vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
-    (2003)) on each term of -i[H, rho] + sum_C D[C] rho.
+    (2003)) on each term of -i[H, rho] + sum_C D[C] rho.  The dissipator
+    does not depend on H and is built once for the whole stack.
     """
-    eye = np.eye(H.shape[0])
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    eye = np.eye(H.shape[-1])
+    L = -1j * (_kron(H, eye) - _kron(eye, H.swapaxes(-1, -2)))
     for C in collapse_ops:
         CdC = C.conj().T @ C
-        L += np.kron(C, C.conj()) - 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
+        L += _kron(C, C.conj()) - 0.5 * (_kron(CdC, eye) + _kron(eye, CdC.T))
     return L
 
 
@@ -144,14 +167,23 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
+    """Matrix exponential of an (n, n) matrix or a (..., n, n) stack, by
+    Pade-13 scaling and squaring (Higham 2005).  Each matrix gets the
+    scaling exponent of its own 1-norm, so it comes out as it would alone
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009))."""
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norms).all():
         raise NumericError("generator has non-finite entries")
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
-    a = a / 2.0**s
+    s = np.array(
+        [max(0, math.ceil(math.log2(x / _THETA13))) if x > 0.0 else 0
+         for x in norms.tolist()],
+        dtype=int,
+    )
+    a = a / (2.0 ** s)[:, None, None]
     b = _PADE13
-    eye = np.eye(a.shape[0])
+    eye = np.eye(shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -160,56 +192,90 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r.reshape(shape)
+
+
+def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """maps[i] @ vecs[i] for every i of the batch."""
+    return (maps @ vecs[..., None])[..., 0]
 
 
 def evolve_master(
     rho0: DensityMatrix,
-    sequence: PulseSequence,
+    sequences: PulseSequence | Sequence[PulseSequence],
     params: DissipationParams | None = None,
     *,
     sample_dt: float | None = None,
 ) -> MasterTrajectory:
-    """Evolve rho0 through the sequence under the master equation.
+    """Evolve rho0 through one sequence, or through a batch of sequences
+    at once, under the master equation.
+
+    A batch must share one layout: as many segments in each sequence, with
+    equal durations position by position (else ValueError), so every
+    sequence has the same sample times.  Each distinct segment's
+    Liouvillian and map are built once per call, as one stack through
+    :func:`liouvillian` and one :func:`expm` call, and all states are
+    propagated together.
 
     Emits a sample at t=0, at each segment boundary, and, when sample_dt
     is given, at t0 + k*sample_dt strictly inside each segment starting
     at t0.  Boundary states come from the whole-segment propagator,
-    inner samples from repeated steps of exp(Lv sample_dt).
-    DensityMatrix invariants are checked at every emitted sample; a
-    violation beyond tolerance aborts with a NumericError diagnostic.
+    inner samples from repeated steps of exp(Lv sample_dt).  For one
+    sequence each state is a 4x4 DensityMatrix; for a batch, the
+    (n_sequences, 4, 4) stack at that time.  DensityMatrix invariants are
+    checked at every emitted sample of every sequence; a violation beyond
+    tolerance aborts with a NumericError diagnostic naming its time.
     """
     params = params or DissipationParams()
     if sample_dt is not None and not sample_dt > 0:
         raise ValueError("sample_dt must be strictly positive")
+    single = isinstance(sequences, PulseSequence)
+    batch = (sequences,) if single else tuple(sequences)
+    if not batch:
+        raise ValueError("no sequences to evolve")
+    durations = [seg.duration for seg in batch[0].segments]
+    if any([seg.duration for seg in seq.segments] != durations for seq in batch):
+        raise ValueError(
+            "sequences of one batch need equal segment durations at each position"
+        )
 
-    ops = params.collapse_operators()
+    # slots[i, p]: the distinct segment at position p of sequence i
+    distinct: dict = {}
+    slots = np.array(
+        [[distinct.setdefault(seg, len(distinct)) for seg in seq.segments] for seq in batch],
+        dtype=int,
+    ).reshape(len(batch), len(durations))
     n = rho0.matrix.shape[0]
-    vec = rho0.matrix.astype(complex).ravel()
-    H = np.zeros((n, n), dtype=complex)  # the loss level is dark
+    H = np.zeros((len(distinct), n, n), dtype=complex)  # the loss level is dark
+    H[:, :3, :3] = segment_hamiltonians(tuple(distinct))
+    L = liouvillian(H, params.collapse_operators())
+    maps = expm(L * np.array([seg.duration for seg in distinct])[:, None, None])
+    steps = expm(L * sample_dt) if sample_dt is not None else None
+
+    vec = np.tile(rho0.matrix.astype(complex).ravel(), (len(batch), 1))
     t = 0.0
     samples: list[tuple[float, np.ndarray]] = [(0.0, vec)]
-    for seg in sequence.segments:
-        H[:3, :3] = segment_hamiltonian(seg)
-        L = liouvillian(H, ops)
-        t_end = t + seg.duration
+    for p, duration in enumerate(durations):
+        t_end = t + duration
         if sample_dt is not None and t + sample_dt < t_end:
-            step = expm(L * sample_dt)
+            step = steps[slots[:, p]]
             inner = vec
             k = 1
             while (t_k := t + k * sample_dt) < t_end:
-                inner = step @ inner
+                inner = _apply(step, inner)
                 samples.append((t_k, inner))
                 k += 1
-        vec = expm(L * seg.duration) @ vec
+        vec = _apply(maps[slots[:, p]], vec)
         t = t_end
         samples.append((t, vec))
 
+    shape = (n, n) if single else (len(batch), n, n)
     states = []
     for t_s, v in samples:
-        dm = DensityMatrix(v.reshape(n, n))
+        dm = DensityMatrix(v.reshape(shape))
         try:
             dm.validate()
         except NumericError as err:

@@ -144,13 +144,6 @@ class PairState:
         a[0] = 1.0
         return cls(a)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def expected_r1_excitations(self) -> float:
-        """Expected number of excitations sitting in R1."""
-        return float(np.abs(self.amplitudes) ** 2 @ _R1_OCC)
-
 
 def mixture_fringe_scan(
     config: RamseyScanConfig, interactions: InteractionParams

@@ -20,7 +20,7 @@ accumulate between pulses is accounted for analytically in
 :mod:`seqlab.ramsey` through the total sequence time.  Positive detuning
 means the drive is blue of the atomic transition.
 
-:func:`segment_hamiltonian` is the one generator of a segment; the pair
+:func:`segment_hamiltonians` is the one generator of segments; the pair
 space lifts it and the master equation embeds it.  Every closed-system
 evolution goes through :func:`hermitian_propagator`.
 """
@@ -70,6 +70,8 @@ class DriveSegment:
     area_pi: float | None = None
 
     def __post_init__(self):
+        # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
+        object.__setattr__(self, "field", DriveField(self.field))
         for name in ("rabi", "duration", "detuning", "phase"):
             _require_finite(name, getattr(self, name))
         if self.rabi < 0:
@@ -170,11 +172,12 @@ class QutritState:
         return (abs(self.c1) ** 2, abs(self.c2) ** 2, abs(self.c3) ** 2)
 
 
-def drive_hamiltonian(field: DriveField, rabi, detuning=0.0, phase=0.0) -> np.ndarray:
+def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0, phase=0.0) -> np.ndarray:
     """Hamiltonian (rad/s) of one field driving alone, for array arguments.
 
-    rabi, detuning and phase broadcast against each other; the result has
-    shape (..., 3, 3) over their broadcast shape.  The field's block
+    field is a DriveField or its value ("mu1", "mu2").  rabi, detuning
+    and phase broadcast against each other; the result has shape
+    (..., 3, 3) over their broadcast shape.  The field's block
     carries (rabi/2) e^{i phase} on the lower off-diagonal and -detuning
     on the upper level's diagonal; every other entry is zero.  Values are
     validated as DriveSegment validates them.
@@ -185,7 +188,7 @@ def drive_hamiltonian(field: DriveField, rabi, detuning=0.0, phase=0.0) -> np.nd
             raise ValueError(f"{name} must be finite")
     if (rabi < 0).any():
         raise ValueError("rabi must be non-negative; sign belongs in phase")
-    lo = 0 if field is DriveField.MU1 else 1
+    lo = 0 if DriveField(field) is DriveField.MU1 else 1
     H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
     g = 0.5 * rabi * np.exp(1j * phase)
     H[..., lo + 1, lo] = g
@@ -194,15 +197,32 @@ def drive_hamiltonian(field: DriveField, rabi, detuning=0.0, phase=0.0) -> np.nd
     return H
 
 
-def segment_hamiltonian(segment: Segment) -> np.ndarray:
-    """3x3 Hamiltonian (rad/s) of a drive segment (its field's
-    :func:`drive_hamiltonian`) or of a wait (zeros, see the frame
-    convention above).  A Readout is a measurement and has none."""
-    if isinstance(segment, Readout):
+def segment_hamiltonians(segments) -> np.ndarray:
+    """(n, 3, 3) stack of the Hamiltonians (rad/s) of drive and wait
+    segments: a drive's is its field's :func:`drive_hamiltonian`, from one
+    stacked call per field; a wait's is zeros (see the frame convention
+    above).  A Readout is a measurement and has none."""
+    if any(isinstance(s, Readout) for s in segments):
         raise ValueError("readout segments have no Hamiltonian; see seqlab.photostats")
-    if isinstance(segment, Wait):
-        return np.zeros((3, 3), dtype=complex)
-    return drive_hamiltonian(segment.field, segment.rabi, segment.detuning, segment.phase)
+    H = np.zeros((len(segments), 3, 3), dtype=complex)
+    for field in DriveField:
+        idx = [i for i, s in enumerate(segments)
+               if isinstance(s, DriveSegment) and s.field is field]
+        if idx:
+            drives = [segments[i] for i in idx]
+            H[idx] = drive_hamiltonian(
+                field,
+                [s.rabi for s in drives],
+                [s.detuning for s in drives],
+                [s.phase for s in drives],
+            )
+    return H
+
+
+def segment_hamiltonian(segment: Segment) -> np.ndarray:
+    """3x3 Hamiltonian (rad/s) of one segment; see
+    :func:`segment_hamiltonians`."""
+    return segment_hamiltonians((segment,))[0]
 
 
 def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
@@ -224,8 +244,9 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
 def segment_propagators(segments) -> np.ndarray:
     """exp(-i H t) of every drive/wait segment, shape (n, 3, 3), from one
     stacked :func:`hermitian_propagator` call."""
-    H = np.array([segment_hamiltonian(s) for s in segments]).reshape(len(segments), 3, 3)
-    return hermitian_propagator(H, [s.duration for s in segments])
+    return hermitian_propagator(
+        segment_hamiltonians(segments), [s.duration for s in segments]
+    )
 
 
 def sequence_unitary(segments) -> np.ndarray:

@@ -23,20 +23,22 @@ The fringe visibility against the intermediate pulse area theta is
 
     V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |.
 
-Backends: ANALYTIC evaluates the closed form; UNITARY propagates the
-actual three-segment sequence with :mod:`seqlab.qcore`, the whole grid in
-stacked calls (:func:`ramsey_amplitudes`); LINDBLAD runs the master
-equation of :mod:`seqlab.dissipative` point by point.  All three agree at
-delta1 = 0.  Away from resonance the propagation backends follow the
-frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1 is
-off), so their fringe phase lacks the free-precession advance delta1*t_mu2
-that the closed form carries in t_total; envelopes and visibility are
-unaffected, which is what the scans are for.
+Backends: ANALYTIC evaluates the closed form over the whole grid at
+once; UNITARY propagates the actual three-segment sequence with
+:mod:`seqlab.qcore`, the whole grid in stacked calls
+(:func:`ramsey_amplitudes`); LINDBLAD runs the master equation of
+:mod:`seqlab.dissipative`, one batched
+:func:`seqlab.dissipative.evolve_master` call per block of BLOCK_POINTS
+detunings, which builds the shared mu2 and gap maps once.  All three
+agree at delta1 = 0.  Away from resonance the propagation backends follow
+the frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1
+is off), so their fringe phase lacks the free-precession advance
+delta1*t_mu2 that the closed form carries in t_total; envelopes and
+visibility are unaffected, which is what the scans are for.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -67,7 +69,8 @@ class Backend(str, Enum):
 
 @dataclass(frozen=True)
 class RamseyTerms:
-    """Closed-form ingredients of the fringe at one detuning.
+    """Closed-form ingredients of the fringe, at one detuning or over an
+    array of them (then each field but t_total is an array of that shape).
 
     stay_amp: complex amplitude of the R1 -> R1 -> R1 path.
     swap_amp: complex amplitude of the R1 -> R2 -> R1 path (before the
@@ -77,49 +80,51 @@ class RamseyTerms:
     t_total: time across which the swap path accrues free precession.
     """
 
-    stay_amp: complex
-    swap_amp: complex
-    cross_term: float
-    rotation_angle: float
+    stay_amp: complex | np.ndarray
+    swap_amp: complex | np.ndarray
+    cross_term: float | np.ndarray
+    rotation_angle: float | np.ndarray
     t_total: float
 
 
 def ramsey_terms(
-    delta1: float, t_mu1: float, t_mu2: float, dead_time: float = 0.0
+    delta1, t_mu1: float, t_mu2: float, dead_time: float = 0.0
 ) -> RamseyTerms:
-    """Evaluate the closed-form path amplitudes at one mu1 detuning."""
+    """Evaluate the closed-form path amplitudes at a mu1 detuning or an
+    array of them."""
     if t_mu1 <= 0:
         raise ValueError("t_mu1 must be strictly positive")
     if t_mu2 < 0 or dead_time < 0:
         raise ValueError("t_mu2 and dead_time must be non-negative")
+    delta1 = np.asarray(delta1, dtype=float)
     dt1 = delta1 * t_mu1
-    angle = math.sqrt(dt1 * dt1 + 0.25 * math.pi**2)
+    angle = np.sqrt(dt1 * dt1 + 0.25 * math.pi**2)
     t_total = t_mu1 + t_mu2 + dead_time
     half = 0.5 * angle
-    stay = cmath.exp(1j * dt1) * (math.cos(half) - 1j * dt1 * math.sin(half) / angle) ** 2
-    swap = -cmath.exp(1j * delta1 * t_total) * (
-        math.pi**2 * math.sin(half) ** 2 / (4.0 * dt1 * dt1 + math.pi**2)
+    stay = np.exp(1j * dt1) * (np.cos(half) - 1j * dt1 * np.sin(half) / angle) ** 2
+    swap = -np.exp(1j * delta1 * t_total) * (
+        math.pi**2 * np.sin(half) ** 2 / (4.0 * dt1 * dt1 + math.pi**2)
     )
-    cross = 2.0 * (stay * swap.conjugate()).real
+    cross = 2.0 * (stay * swap.conj()).real
     return RamseyTerms(stay, swap, cross, angle, t_total)
 
 
 def ramsey_intensity(
-    delta1: float,
+    delta1,
     t_mu1: float,
     omega_mu2: float,
     t_mu2: float,
     I0: float = 1.0,
     dead_time: float = 0.0,
-) -> float:
-    """Closed-form fringe intensity for one detuning point."""
+):
+    """Closed-form fringe intensity at a detuning or an array of them."""
     if I0 <= 0:
         raise ValueError("I0 must be strictly positive")
     terms = ramsey_terms(delta1, t_mu1, t_mu2, dead_time)
     K = math.cos(0.5 * omega_mu2 * t_mu2)
     return I0 * (
-        abs(terms.stay_amp) ** 2
-        + abs(terms.swap_amp) ** 2 * K * K
+        np.abs(terms.stay_amp) ** 2
+        + np.abs(terms.swap_amp) ** 2 * K * K
         + terms.cross_term * K
     )
 
@@ -260,12 +265,9 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
     """Run a detuning scan with the configured backend."""
     dead = 2.0 * config.inter_pulse_gap
     if config.backend is Backend.ANALYTIC:
-        vals = [
-            ramsey_intensity(
-                d, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
-            )
-            for d in config.deltas
-        ]
+        vals = ramsey_intensity(
+            config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
+        ).tolist()
     elif config.backend is Backend.UNITARY:
         amps = ramsey_amplitudes(config, QutritState.r1().as_array())
         vals = (config.I0 * np.abs(amps[:, 0]) ** 2).tolist()
@@ -273,14 +275,17 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
         from . import dissipative  # local import keeps the analytic path light
 
         params = config.dissipation or dissipative.DissipationParams()
+        rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
         vals = []
-        for d in config.deltas:
-            seq = build_ramsey_sequence(
-                d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
-            )
-            rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
-            traj = dissipative.evolve_master(rho0, seq, params)
-            vals.append(config.I0 * traj.final.matrix[0, 0].real)
+        for start in range(0, len(config.deltas), BLOCK_POINTS):
+            seqs = [
+                build_ramsey_sequence(
+                    d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
+                )
+                for d in config.deltas[start:start + BLOCK_POINTS]
+            ]
+            final = dissipative.evolve_master(rho0, seqs, params).final.matrix
+            vals += (config.I0 * final[:, 0, 0].real).tolist()
     else:  # pragma: no cover
         raise ValueError(f"unknown backend {config.backend!r}")
     return FringeScan(

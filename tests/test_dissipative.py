@@ -10,6 +10,7 @@ from seqlab.dissipative import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
+    _THETA13,
     DensityMatrix,
     DissipationParams,
     NumericError,
@@ -319,3 +320,123 @@ def test_dissipation_params_validation():
     ops = RATES.collapse_operators()
     assert len(ops) == 6  # three decay + three dephasing channels
     assert all(op.shape == (4, 4) for op in ops)
+
+
+# ---------------------------------------------------------------------------
+# batches of sequences and stacked kernels
+
+
+def test_stacked_expm_matches_per_matrix_calls():
+    rng = np.random.default_rng(4242)
+    gens = [np.zeros((16, 16), dtype=complex)]
+    for target in (1e-3, 10.0, 40.0, 300.0, 3000.0):  # 1-norms
+        g = _random_liouvillian(rng)
+        gens.append(g * target / np.abs(g).sum(axis=0).max())
+    gens = np.array(gens)
+    norms = np.abs(gens).sum(axis=-2).max(axis=-1)
+    # scaling exponents 0, 1, 3, 6 and 10 beside the zero generator
+    exponents = {max(0, math.ceil(math.log2(x / _THETA13))) for x in norms[1:]}
+    assert norms[0] == 0.0 and len(exponents) == 5
+    stacked = expm(gens)
+    for g, r in zip(gens, stacked):
+        assert np.array_equal(expm(g), r)
+    assert np.abs(stacked[0] - np.eye(16)).max() <= 1e-15
+    # leading axes of any shape
+    assert np.array_equal(expm(gens.reshape(2, 3, 16, 16)), stacked.reshape(2, 3, 16, 16))
+
+
+def _layout_batch(rng, n_sequences, durations):
+    """Sequences that share one layout; some positions repeat a segment."""
+    shared = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=durations[0])
+    batch = []
+    for _ in range(n_sequences):
+        segs = [shared]
+        for d in durations[1:]:
+            if rng.random() < 0.25:
+                segs.append(Wait(d))
+            else:
+                segs.append(DriveSegment(
+                    field=DriveField.MU1 if rng.random() < 0.5 else DriveField.MU2,
+                    rabi=float(rng.uniform(0.0, mhz(20.0))),
+                    duration=d,
+                    detuning=float(rng.uniform(-mhz(5.0), mhz(5.0))),
+                    phase=float(rng.uniform(-math.pi, math.pi)),
+                ))
+        batch.append(PulseSequence(tuple(segs)))
+    return batch
+
+
+@pytest.mark.parametrize("sample_dt", [None, 7e-9])
+def test_batched_evolve_master_equals_per_sequence_calls(sample_dt):
+    rng = np.random.default_rng(99)
+    batch = _layout_batch(rng, 9, [40e-9, 20e-9, 55e-9, 3e-9])
+    batch.append(batch[2])  # a repeated sequence shares all its maps
+    rho0 = DensityMatrix.pure(QutritState.from_array(np.array([0.6, 0.8j, 0.0])))
+    traj = evolve_master(rho0, batch, RATES, sample_dt=sample_dt)
+    for i, seq in enumerate(batch):
+        ref = evolve_master(rho0, seq, RATES, sample_dt=sample_dt)
+        assert traj.times == ref.times
+        for got, want in zip(traj.states, ref.states):
+            assert got.matrix.shape == (len(batch), 4, 4)
+            assert np.array_equal(got.matrix[i], want.matrix)
+    assert traj.final.populations()[3].shape == (len(batch),)
+
+
+def test_batch_with_mismatched_layout_is_rejected():
+    rho0 = DensityMatrix.pure(QutritState.r1())
+    a = PulseSequence((Wait(10e-9), Wait(20e-9)))
+    for other in (
+        PulseSequence((Wait(10e-9), Wait(21e-9))),  # duration differs
+        PulseSequence((Wait(10e-9),)),  # fewer segments
+        PulseSequence((Wait(10e-9), Wait(20e-9), Wait(5e-9))),  # more segments
+    ):
+        with pytest.raises(ValueError):
+            evolve_master(rho0, [a, other])
+    with pytest.raises(ValueError):
+        evolve_master(rho0, [])
+    with pytest.raises(ValueError):
+        evolve_master(rho0, [a, PulseSequence((Wait(10e-9), Readout(1)))])
+
+
+def test_unphysical_state_anywhere_in_a_batch_raises(monkeypatch):
+    import seqlab.dissipative as dissipative
+
+    real_expm = dissipative.expm
+
+    def leaky_last_map(a):
+        out = real_expm(a)
+        out[-1] *= 1.5  # the last distinct segment no longer keeps the trace
+        return out
+
+    monkeypatch.setattr(dissipative, "expm", leaky_last_map)
+    half_pi = math.pi / (2 * 20e-9)
+    batch = [
+        PulseSequence((
+            DriveSegment(DriveField.MU1, rabi=half_pi, duration=20e-9, detuning=d),
+            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        ))
+        for d in (-mhz(1.0), 0.0, mhz(1.0))
+    ]
+    # distinct segments in order of appearance: mu1(-1), mu2, mu1(0), mu1(+1);
+    # the last one is the first segment of the last sequence only
+    with pytest.raises(NumericError, match=r"^at t=2\.000e-08 s: trace drifted"):
+        evolve_master(DensityMatrix.pure(QutritState.r1()), batch, RATES)
+
+
+def test_validate_checks_every_matrix_of_a_stack():
+    good = np.zeros((7, 4, 4), dtype=complex)
+    good[:, 0, 0] = 1.0
+    DensityMatrix(good).validate()
+    bad_cases = {
+        "non-finite": (3, 1, 1, math.nan),
+        "hermiticity": (5, 0, 1, 1e-3),
+        "trace": (6, 0, 0, 0.7),
+        "positivity": (2, 1, 1, -1e-3),
+    }
+    for what, (i, r, c, value) in bad_cases.items():
+        m = good.copy()
+        m[i, r, c] = value
+        if what == "positivity":
+            m[i, 0, 0] = 1.0 + 1e-3  # keep the trace
+        with pytest.raises(NumericError, match=what.split("-")[0]):
+            DensityMatrix(m).validate()

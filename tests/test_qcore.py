@@ -94,6 +94,23 @@ def test_hamiltonian_absent_field_is_zero():
     assert H[2, 2] == pytest.approx(-mhz(2.0))
 
 
+def test_field_is_coerced_to_the_enum():
+    # "mu1" compares equal to DriveField.MU1; it used to drive the R2-R3 block
+    H = drive_hamiltonian("mu1", 2.0)
+    assert np.array_equal(H, drive_hamiltonian(DriveField.MU1, 2.0))
+    assert H[1, 0] == 1.0 and H[0, 1] == 1.0
+    assert H[2, 1] == 0.0 and H[1, 2] == 0.0
+    seg = DriveSegment("mu1", rabi=2.0, duration=1e-9)
+    assert seg.field is DriveField.MU1
+    assert np.array_equal(segment_hamiltonian(seg), H)
+    assert DriveSegment("mu2", rabi=2.0, duration=1e-9).field is DriveField.MU2
+    # "mu3" was accepted and driven as mu2
+    with pytest.raises(ValueError):
+        DriveSegment("mu3", rabi=2.0, duration=1e-9)
+    with pytest.raises(ValueError):
+        drive_hamiltonian("mu3", 2.0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form propagator vs matrix-exponential oracle
 

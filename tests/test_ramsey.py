@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlab.dissipative import DensityMatrix, DissipationParams, evolve_master
 from seqlab.pairwise import (
+    PAIR_CONFIGS,
     InteractionParams,
     PairState,
     mixture_fringe_scan,
@@ -37,6 +39,8 @@ from test_qcore import closed_form_unitary
 
 T1 = 100e-9
 T2 = 250e-9
+# excitations in R1 of each pair configuration
+_R1_OCC = np.array([config.count(0) for config in PAIR_CONFIGS], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,7 @@ def _reference_scans(cfg, interactions, times, detuning2):
         for s in seq.segments:
             H = pair_hamiltonian(segment_hamiltonian(s), interactions)
             amps = hermitian_propagator(H, s.duration) @ amps
-        double.append(cfg.I0 * PairState(amps).expected_r1_excitations())
+        double.append(cfg.I0 * (np.abs(amps) ** 2 @ _R1_OCC))
     single, double = np.array(single), np.array(double)
     p2 = interactions.p2
     mixed = single if p2 == 0.0 else (1.0 - p2) * single + p2 * double
@@ -363,3 +367,37 @@ def test_batched_scans_do_not_depend_on_block_boundaries(points):
     _assert_batched_matches_reference(
         cfg, InteractionParams.from_scalar(mhz(0.3), 0.4), times, mhz(1.5)
     )
+
+
+_rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
+
+
+@settings(max_examples=10)
+@given(
+    t_mu1=st.floats(5e-9, 200e-9),
+    omega_mu2=st.floats(0.0, mhz(25.0)),
+    t_mu2=_maybe_zero_time,
+    gap=st.one_of(st.just(0.0), st.floats(1e-9, 100e-9)),
+    I0=st.floats(0.1, 5.0),
+    decay=_rates,
+    deph=_rates,
+    span=st.floats(mhz(0.5), mhz(20.0)),
+    points=st.sampled_from([3, BLOCK_POINTS - 1, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1]),
+)
+def test_lindblad_scan_matches_per_point_master_equation(
+    t_mu1, omega_mu2, t_mu2, gap, I0, decay, deph, span, points
+):
+    params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
+    cfg = RamseyScanConfig(
+        t_mu1=t_mu1, deltas=symmetric_detuning_grid(span, points),
+        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.LINDBLAD, I0=I0,
+        inter_pulse_gap=gap, dissipation=params,
+    )
+    rho0 = DensityMatrix.pure(QutritState.r1())
+    ref = [
+        I0 * evolve_master(
+            rho0, build_ramsey_sequence(d, t_mu1, omega_mu2, t_mu2, gap), params
+        ).final.matrix[0, 0].real
+        for d in cfg.deltas
+    ]
+    assert np.abs(np.array(fringe_scan(cfg).intensities) - ref).max() <= 1e-12 * I0
