@@ -12,7 +12,7 @@ and the equation of motion is
     drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
 
 Drive and wait segments give a piecewise-constant H: the 3x3 H of
-:func:`seqlab.qcore.segment_hamiltonians`, the same generator the closed
+:func:`seqlab.qcore.segment_hamiltonian`, the same generator the closed
 backends propagate, embedded in the 4x4 space (the loss level is dark).
 Each segment is propagated exactly: rho is flattened row-major into a
 16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
@@ -22,26 +22,25 @@ this is the propagator of the open system, as
 :func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
 only: scipy would double the memory and start-up of every CLI call.
 
-Everything works on stacks: :func:`evolve_master` takes a batch of
-sequences that share one layout (a detuning scan), builds each distinct
-segment's Liouvillian once in a (n, 16, 16) stack, exponentiates the
-stack in one :func:`expm` call with a scaling exponent per matrix, and
-validates the states of the whole batch at each sample time with one
+Everything works on stacks: :func:`evolve_master` takes one sequence,
+whose segments may stand for stacks of pulses (a detuning scan), gets
+the maps of all its distinct segments from one
+:func:`seqlab.qcore.segment_maps` call (one (n, 16, 16) Liouvillian stack,
+one :func:`expm` call with a scaling exponent per matrix), and validates
+the states of the whole stack at each sample time with one
 :meth:`DensityMatrix.validate` call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PulseSequence, QutritState, segment_hamiltonians
+from .qcore import PulseSequence, QutritState, segment_maps
 
 LOSS_INDEX = 3
-DM_LABELS = ("R1", "R2", "R3", "loss")
 
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
@@ -81,24 +80,16 @@ class DissipationParams:
 @dataclass(frozen=True)
 class DensityMatrix:
     """4x4 density matrix over (R1, R2, R3, loss), or a (..., 4, 4) stack
-    of them, e.g. a batch of sequences at one time (see
-    :func:`evolve_master`).  trace() reads a single matrix."""
+    of them, e.g. the states of a stacked sequence at one time (see
+    :func:`evolve_master`)."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] = DM_LABELS
 
     @classmethod
     def pure(cls, state: QutritState) -> "DensityMatrix":
         amps = np.zeros(4, dtype=complex)
         amps[:3] = state.as_array()
         return cls(np.outer(amps, amps.conj()))
-
-    def populations(self) -> tuple:
-        d = np.diagonal(self.matrix, axis1=-2, axis2=-1).real
-        return (d[..., 0], d[..., 1], d[..., 2], d[..., 3])
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
 
     def validate(self) -> None:
         """Raise NumericError if hermiticity, trace or positivity is violated
@@ -123,7 +114,7 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class MasterTrajectory:
     """Sampled evolution: times (s) and the matching density matrices, one
-    (n_sequences, 4, 4) stack per time for a batch of sequences."""
+    (..., 4, 4) stack per time over the sequence's stack shape."""
 
     times: tuple[float, ...]
     states: tuple[DensityMatrix, ...]
@@ -198,84 +189,60 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """maps[i] @ vecs[i] for every i of the batch."""
-    return (maps @ vecs[..., None])[..., 0]
-
-
 def evolve_master(
     rho0: DensityMatrix,
-    sequences: PulseSequence | Sequence[PulseSequence],
+    sequence: PulseSequence,
     params: DissipationParams | None = None,
     *,
     sample_dt: float | None = None,
 ) -> MasterTrajectory:
-    """Evolve rho0 through one sequence, or through a batch of sequences
-    at once, under the master equation.
+    """Evolve rho0 through a sequence under the master equation.
 
-    A batch must share one layout: as many segments in each sequence, with
-    equal durations position by position (else ValueError), so every
-    sequence has the same sample times.  Each distinct segment's
-    Liouvillian and map are built once per call, as one stack through
-    :func:`liouvillian` and one :func:`expm` call, and all states are
-    propagated together.
+    The sequence's segments may stand for stacks of pulses; every state
+    is then the (..., 4, 4) stack over their broadcast shape, from t=0 on.
+    Each distinct segment's map comes from one :func:`seqlab.qcore.segment_maps`
+    call, and the whole stack is propagated together.
 
     Emits a sample at t=0, at each segment boundary, and, when sample_dt
     is given, at t0 + k*sample_dt strictly inside each segment starting
     at t0.  Boundary states come from the whole-segment propagator,
-    inner samples from repeated steps of exp(Lv sample_dt).  For one
-    sequence each state is a 4x4 DensityMatrix; for a batch, the
-    (n_sequences, 4, 4) stack at that time.  DensityMatrix invariants are
-    checked at every emitted sample of every sequence; a violation beyond
-    tolerance aborts with a NumericError diagnostic naming its time.
+    inner samples from repeated steps of exp(Lv sample_dt).
+    DensityMatrix invariants are checked at every emitted sample, on the
+    whole stack at once; a violation beyond tolerance aborts with a
+    NumericError diagnostic naming its time.
     """
     params = params or DissipationParams()
     if sample_dt is not None and not sample_dt > 0:
         raise ValueError("sample_dt must be strictly positive")
-    single = isinstance(sequences, PulseSequence)
-    batch = (sequences,) if single else tuple(sequences)
-    if not batch:
-        raise ValueError("no sequences to evolve")
-    durations = [seg.duration for seg in batch[0].segments]
-    if any([seg.duration for seg in seq.segments] != durations for seq in batch):
-        raise ValueError(
-            "sequences of one batch need equal segment durations at each position"
-        )
-
-    # slots[i, p]: the distinct segment at position p of sequence i
-    distinct: dict = {}
-    slots = np.array(
-        [[distinct.setdefault(seg, len(distinct)) for seg in seq.segments] for seq in batch],
-        dtype=int,
-    ).reshape(len(batch), len(durations))
     n = rho0.matrix.shape[0]
-    H = np.zeros((len(distinct), n, n), dtype=complex)  # the loss level is dark
-    H[:, :3, :3] = segment_hamiltonians(tuple(distinct))
-    L = liouvillian(H, params.collapse_operators())
-    maps = expm(L * np.array([seg.duration for seg in distinct])[:, None, None])
-    steps = expm(L * sample_dt) if sample_dt is not None else None
+    ops = params.collapse_operators()
 
-    vec = np.tile(rho0.matrix.astype(complex).ravel(), (len(batch), 1))
+    def propagator(h3: np.ndarray, t: np.ndarray) -> np.ndarray:
+        H = np.zeros((len(h3), n, n), dtype=complex)  # the loss level is dark
+        H[:, :3, :3] = h3
+        return expm(liouvillian(H, ops) * t[:, None, None])
+
+    maps = segment_maps(sequence.segments, propagator)
+    steps = maps if sample_dt is None else segment_maps(sequence.segments, propagator, sample_dt)
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
+    vec = np.broadcast_to(rho0.matrix.astype(complex).reshape(n * n, 1), shape + (n * n, 1))
     t = 0.0
     samples: list[tuple[float, np.ndarray]] = [(0.0, vec)]
-    for p, duration in enumerate(durations):
-        t_end = t + duration
-        if sample_dt is not None and t + sample_dt < t_end:
-            step = steps[slots[:, p]]
-            inner = vec
-            k = 1
-            while (t_k := t + k * sample_dt) < t_end:
-                inner = _apply(step, inner)
-                samples.append((t_k, inner))
-                k += 1
-        vec = _apply(maps[slots[:, p]], vec)
+    for seg, seg_map, step in zip(sequence.segments, maps, steps):
+        t_end = t + seg.duration
+        inner = vec
+        k = 1
+        while sample_dt is not None and (t_k := t + k * sample_dt) < t_end:
+            inner = step @ inner
+            samples.append((t_k, inner))
+            k += 1
+        vec = seg_map @ vec
         t = t_end
         samples.append((t, vec))
 
-    shape = (n, n) if single else (len(batch), n, n)
     states = []
     for t_s, v in samples:
-        dm = DensityMatrix(v.reshape(shape))
+        dm = DensityMatrix(v.reshape(shape + (n, n)))
         try:
             dm.validate()
         except NumericError as err:

@@ -9,8 +9,8 @@ Grammar, one statement per line, '#' starts a comment:
 
 Parse errors carry a 1-based line/column and a stable machine-readable
 code.  The canonical printer emits decimal values chosen so that parsing
-its output reproduces the internal floats bit-exactly; a pulse parsed in
-area form is printed back in area form.
+its output reproduces the floats of parsed text bit-exactly; a pulse
+parsed in area form is printed back in area form.
 """
 
 from __future__ import annotations
@@ -314,5 +314,11 @@ def _format_segment(seg) -> str:
 
 
 def format_sequence(sequence: PulseSequence) -> str:
-    """Canonical text for a sequence; parse(format(s)) reproduces s."""
+    """Canonical text for a sequence.
+
+    For a sequence parsed from text, parse(format(s)) == s, and format is
+    idempotent on its own output.  A sequence built in code may hold
+    values with no decimal that parses back to them exactly; those come
+    back one ulp off.
+    """
     return "\n".join(_format_segment(seg) for seg in sequence.segments) + "\n"

@@ -19,9 +19,9 @@ The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
 :func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
 is linear, a contraction with a constant (3, 3, 6, 6) tensor built once
-from the bosonic rule, so it lifts whole stacks: the mixture scan
-propagates its double branch over the detuning grid in stacked calls
-(:func:`seqlab.ramsey.ramsey_amplitudes`).
+from the bosonic rule, so it lifts whole stacks: the mixture scan walks
+the same stacked Ramsey sequence as the unitary backend, with the lift in
+its propagator (:func:`seqlab.ramsey.ramsey_amplitudes`).
 """
 
 from __future__ import annotations
@@ -126,25 +126,6 @@ def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndar
     return lift_single_particle(h3) + np.diag(interactions.config_shifts())
 
 
-@dataclass(frozen=True)
-class PairState:
-    """Pure state on the six symmetric configurations."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (6,):
-            raise ValueError("pair state needs 6 amplitudes")
-        object.__setattr__(self, "amplitudes", a)
-
-    @classmethod
-    def stored_pair(cls) -> "PairState":
-        a = np.zeros(6, dtype=complex)
-        a[0] = 1.0
-        return cls(a)
-
-
 def mixture_fringe_scan(
     config: RamseyScanConfig, interactions: InteractionParams
 ) -> FringeScan:
@@ -161,19 +142,11 @@ def mixture_fringe_scan(
     p2 = interactions.p2
     if p2 == 0.0:
         return FringeScan(single.deltas, single.intensities, single.I0, "mixture")
+    stored_pair = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # configuration (11)
     amps = ramsey_amplitudes(
-        config,
-        PairState.stored_pair().amplitudes,
-        partial(pair_hamiltonian, interactions=interactions),
+        config, stored_pair, partial(pair_hamiltonian, interactions=interactions)
     )
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
     mixed = (1.0 - p2) * np.array(single.intensities) + p2 * doubles
     return FringeScan(single.deltas, tuple(mixed.tolist()), single.I0, "mixture")
 
-
-def p2_from_g2(g2: float, mean_photons: float) -> float:
-    """Low-flux estimate of the double-excitation probability,
-    p2 ~ g2 * <n> / 2.  Valid for mean photon numbers well below one."""
-    if g2 < 0 or mean_photons < 0:
-        raise ValueError("g2 and mean_photons must be non-negative")
-    return 0.5 * g2 * mean_photons

@@ -27,7 +27,8 @@ from .qcore import (
     PulseSequence,
     QutritState,
     Readout,
-    segment_propagators,
+    hermitian_propagator,
+    segment_maps,
 )
 
 DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
@@ -82,7 +83,7 @@ def readout_from_sequence(
     if isinstance(state, QutritState):
         state = DensityMatrix.pure(state)
     rho = state.matrix.astype(complex)
-    steps = iter(segment_propagators(sequence.drive_segments()))
+    steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
 
     bins = {1: 0.0, 2: 0.0, 3: 0.0}
@@ -363,6 +364,8 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     fallback); offset/quadrature amplitudes start from the linear solve at
     that frequency.  Convergence is a relative step below 1e-10 within 200
     iterations; a non-converged fit is returned flagged, with its residual.
+    A scan whose spread is within 1e-12 of its largest magnitude is
+    returned flat (flag "flat_scan"); non-finite x or y raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -372,9 +375,11 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
         raise ValueError("need at least 8 points to fit")
     if freq_hint <= 0 or not math.isfinite(freq_hint):
         raise ValueError("freq_hint must be finite and strictly positive")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
 
     scale = float(np.abs(y).max())
-    if np.ptp(y) <= 1e-12 * max(scale, 1.0):
+    if np.ptp(y) <= 1e-12 * scale:  # relative, so the fit is scale-free
         return FitResult(
             offset=float(y.mean()), amplitude=0.0, frequency=freq_hint,
             phase=0.0, visibility=0.0, residual_rms=0.0, converged=True,

@@ -20,9 +20,13 @@ accumulate between pulses is accounted for analytically in
 :mod:`seqlab.ramsey` through the total sequence time.  Positive detuning
 means the drive is blue of the atomic transition.
 
-:func:`segment_hamiltonians` is the one generator of segments; the pair
-space lifts it and the master equation embeds it.  Every closed-system
-evolution goes through :func:`hermitian_propagator`.
+A drive segment may stand for a stack of pulses: its rabi, detuning and
+phase may be arrays that broadcast against each other, while its duration
+stays one number, so every pulse of the stack shares the sample times.
+:func:`segment_hamiltonian` is the one generator of segments; the pair
+space lifts it and the master equation embeds it.  :func:`segment_maps`
+is the one path from a sequence's segments to their maps, for every space:
+it takes the propagator (:func:`hermitian_propagator` for closed systems).
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import numpy as np
 # it, motional dephasing of the collective state dominates.
 SEQUENCE_BUDGET_S = 1.8e-6
 
-LEVEL_LABELS = ("R1", "R2", "R3")
-
 
 class DriveField(str, Enum):
     """Which microwave field a pulse drives."""
@@ -48,36 +50,52 @@ class DriveField(str, Enum):
     MU2 = "mu2"  # couples R2 <-> R3
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _require_duration(value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"duration must be finite and strictly positive, got {value!r}")
+
+
+def _drive_values(rabi, detuning, phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rabi, detuning and phase as new float arrays, checked: every entry
+    finite, rabi non-negative, shapes broadcastable (else ValueError)."""
+    rabi, detuning, phase = (np.array(v, dtype=float) for v in (rabi, detuning, phase))
+    for name, v in (("rabi", rabi), ("detuning", detuning), ("phase", phase)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    if (rabi < 0).any():
+        raise ValueError("rabi must be non-negative; sign belongs in phase")
+    np.broadcast(rabi, detuning, phase)  # ValueError unless the shapes broadcast
+    return rabi, detuning, phase
 
 
 @dataclass(frozen=True)
 class DriveSegment:
-    """A constant-amplitude microwave pulse on one field.
+    """A constant-amplitude microwave pulse on one field, or a stack of them.
 
-    rabi, detuning in rad/s; phase in rad; duration in seconds.  area_pi
-    is bookkeeping for sequences parsed from the area form of the DSL
-    (pulse area in units of pi); it does not affect the dynamics.
+    rabi, detuning in rad/s; phase in rad; duration in seconds.  rabi,
+    detuning and phase are numbers or arrays that broadcast against each
+    other; an array, kept as a read-only copy, makes the segment a stack of
+    pulses over the broadcast shape, all of the one duration.  area_pi is
+    bookkeeping for sequences parsed from the area form of the DSL (pulse
+    area in units of pi); it does not affect the dynamics.
     """
 
     field: DriveField
-    rabi: float
+    rabi: float | np.ndarray
     duration: float
-    detuning: float = 0.0
-    phase: float = 0.0
+    detuning: float | np.ndarray = 0.0
+    phase: float | np.ndarray = 0.0
     area_pi: float | None = None
 
     def __post_init__(self):
         # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
         object.__setattr__(self, "field", DriveField(self.field))
-        for name in ("rabi", "duration", "detuning", "phase"):
-            _require_finite(name, getattr(self, name))
-        if self.rabi < 0:
-            raise ValueError("rabi must be non-negative; sign belongs in phase")
-        if self.duration <= 0:
-            raise ValueError("duration must be strictly positive")
+        values = _drive_values(self.rabi, self.detuning, self.phase)
+        for name, v in zip(("rabi", "detuning", "phase"), values):
+            if v.ndim:  # the caller's array cannot change a frozen segment
+                v.flags.writeable = False
+                object.__setattr__(self, name, v)
+        _require_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -87,9 +105,7 @@ class Wait:
     duration: float
 
     def __post_init__(self):
-        _require_finite("duration", self.duration)
-        if self.duration <= 0:
-            raise ValueError("duration must be strictly positive")
+        _require_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -182,13 +198,12 @@ def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0, phase=0.0) ->
     on the upper level's diagonal; every other entry is zero.  Values are
     validated as DriveSegment validates them.
     """
-    rabi, detuning, phase = (np.asarray(v, dtype=float) for v in (rabi, detuning, phase))
-    for name, v in (("rabi", rabi), ("detuning", detuning), ("phase", phase)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite")
-    if (rabi < 0).any():
-        raise ValueError("rabi must be non-negative; sign belongs in phase")
-    lo = 0 if DriveField(field) is DriveField.MU1 else 1
+    return _drive_block(DriveField(field), *_drive_values(rabi, detuning, phase))
+
+
+def _drive_block(field: DriveField, rabi, detuning, phase) -> np.ndarray:
+    """:func:`drive_hamiltonian` of checked values, e.g. a DriveSegment's."""
+    lo = 0 if field is DriveField.MU1 else 1
     H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
     g = 0.5 * rabi * np.exp(1j * phase)
     H[..., lo + 1, lo] = g
@@ -197,32 +212,16 @@ def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0, phase=0.0) ->
     return H
 
 
-def segment_hamiltonians(segments) -> np.ndarray:
-    """(n, 3, 3) stack of the Hamiltonians (rad/s) of drive and wait
-    segments: a drive's is its field's :func:`drive_hamiltonian`, from one
-    stacked call per field; a wait's is zeros (see the frame convention
-    above).  A Readout is a measurement and has none."""
-    if any(isinstance(s, Readout) for s in segments):
-        raise ValueError("readout segments have no Hamiltonian; see seqlab.photostats")
-    H = np.zeros((len(segments), 3, 3), dtype=complex)
-    for field in DriveField:
-        idx = [i for i, s in enumerate(segments)
-               if isinstance(s, DriveSegment) and s.field is field]
-        if idx:
-            drives = [segments[i] for i in idx]
-            H[idx] = drive_hamiltonian(
-                field,
-                [s.rabi for s in drives],
-                [s.detuning for s in drives],
-                [s.phase for s in drives],
-            )
-    return H
-
-
 def segment_hamiltonian(segment: Segment) -> np.ndarray:
-    """3x3 Hamiltonian (rad/s) of one segment; see
-    :func:`segment_hamiltonians`."""
-    return segment_hamiltonians((segment,))[0]
+    """Hamiltonian (rad/s) of a drive or wait segment, shape (..., 3, 3)
+    over the segment's stack: a drive's is its field's (values checked when
+    the segment was built), a wait's is zeros (see the frame convention
+    above).  A Readout is a measurement and has none."""
+    if isinstance(segment, Readout):
+        raise ValueError("readout segments have no Hamiltonian; see seqlab.photostats")
+    if isinstance(segment, Wait):
+        return np.zeros((3, 3), dtype=complex)
+    return _drive_block(segment.field, segment.rabi, segment.detuning, segment.phase)
 
 
 def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
@@ -241,20 +240,46 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
     return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def segment_propagators(segments) -> np.ndarray:
-    """exp(-i H t) of every drive/wait segment, shape (n, 3, 3), from one
-    stacked :func:`hermitian_propagator` call."""
-    return hermitian_propagator(
-        segment_hamiltonians(segments), [s.duration for s in segments]
+def segment_maps(segments, propagator, duration: float | None = None) -> list[np.ndarray]:
+    """The map of every drive/wait segment, in order, each of shape
+    (..., d, d) over the segment's stack.
+
+    propagator(H, t) takes the (n, 3, 3) Hamiltonians of the distinct
+    segments, all stacks flattened and concatenated, with the (n,) times,
+    and returns their (n, d, d) maps, e.g. :func:`hermitian_propagator`.
+    Segments are told apart by identity, so a segment object that appears
+    twice is propagated once, in the one propagator call.  duration, if
+    given, replaces every segment's own duration.
+    """
+    distinct = list({id(s): s for s in segments}.values())
+    if not distinct:
+        return []
+    gens = [segment_hamiltonian(s) for s in distinct]
+    sizes = [math.prod(g.shape[:-2]) for g in gens]
+    maps = propagator(
+        np.concatenate([g.reshape(-1, 3, 3) for g in gens]),
+        np.repeat([s.duration if duration is None else duration for s in distinct], sizes),
     )
+    by_id, start = {}, 0
+    for s, g, size in zip(distinct, gens, sizes):
+        by_id[id(s)] = maps[start:start + size].reshape(g.shape[:-2] + maps.shape[-2:])
+        start += size
+    return [by_id[id(s)] for s in segments]
+
+
+def apply_segments(segments, state: np.ndarray, propagator) -> np.ndarray:
+    """state, a (..., d, k) stack of columns, after the drive/wait segments
+    act in order, each by its :func:`segment_maps` map from the left; the
+    result broadcasts state against the segments' stacks."""
+    for step in segment_maps(segments, propagator):
+        state = step @ state
+    return state
 
 
 def sequence_unitary(segments) -> np.ndarray:
-    """Ordered product of segment propagators (last segment applied last)."""
-    U = np.eye(3, dtype=complex)
-    for step in segment_propagators(segments):
-        U = step @ U
-    return U
+    """Ordered product of segment propagators (last segment applied last),
+    shape (..., 3, 3) over the segments' stacks."""
+    return apply_segments(segments, np.eye(3, dtype=complex), hermitian_propagator)
 
 
 def propagate_sequence(state: QutritState, sequence: PulseSequence) -> QutritState:

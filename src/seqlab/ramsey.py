@@ -24,15 +24,15 @@ The fringe visibility against the intermediate pulse area theta is
     V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |.
 
 Backends: ANALYTIC evaluates the closed form over the whole grid at
-once; UNITARY propagates the actual three-segment sequence with
-:mod:`seqlab.qcore`, the whole grid in stacked calls
-(:func:`ramsey_amplitudes`); LINDBLAD runs the master equation of
-:mod:`seqlab.dissipative`, one batched
-:func:`seqlab.dissipative.evolve_master` call per block of BLOCK_POINTS
-detunings, which builds the shared mu2 and gap maps once.  All three
-agree at delta1 = 0.  Away from resonance the propagation backends follow
-the frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1
-is off), so their fringe phase lacks the free-precession advance
+once.  UNITARY and LINDBLAD propagate the sequence of
+:func:`build_ramsey_sequence`, the one layout of the Ramsey sequence, with
+the detunings of a block of BLOCK_POINTS grid points stacked in its mu1
+pulses: UNITARY walks its segments' unitaries from
+:func:`seqlab.qcore.segment_maps` (:func:`ramsey_amplitudes`), LINDBLAD
+makes one :func:`seqlab.dissipative.evolve_master` call per block.  All
+three agree at delta1 = 0.  Away from resonance the propagation backends
+follow the frame convention of :mod:`seqlab.qcore` (no diagonal term while
+mu1 is off), so their fringe phase lacks the free-precession advance
 delta1*t_mu2 that the closed form carries in t_total; envelopes and
 visibility are unaffected, which is what the scans are for.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .qcore import (
     PulseSequence,
     QutritState,
     Wait,
+    apply_segments,
     drive_hamiltonian,
     hermitian_propagator,
 )
@@ -177,9 +178,6 @@ class FringeScan:
     I0: float
     provenance: str
 
-    def points(self):
-        return tuple(zip(self.deltas, self.intensities))
-
 
 def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
     """Odd-count grid over [-span, +span] with an exact 0.0 at the center.
@@ -197,16 +195,18 @@ def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
 
 
 def build_ramsey_sequence(
-    delta1: float,
+    delta1,
     t_mu1: float,
     omega_mu2: float,
     t_mu2: float,
     inter_pulse_gap: float = 0.0,
 ) -> PulseSequence:
-    """The three-segment control sequence used by the propagation backends.
+    """The control sequence used by the propagation backends: mu1 pi/2,
+    [gap wait], [mu2 pulse if t_mu2 > 0], [gap wait], the same mu1 pi/2.
 
-    Both pi/2 pulses use the same duration and rabi = pi / (2 t_mu1), so
-    the pulse area stays pi/2 while the detuning is scanned.
+    Both pi/2 pulses are one segment object with rabi = pi / (2 t_mu1), so
+    the pulse area stays pi/2 while the detuning is scanned.  delta1 is a
+    detuning or an array of them; an array stacks the mu1 pulses over it.
     """
     half_pi = DriveSegment(
         field=DriveField.MU1,
@@ -227,6 +227,18 @@ def build_ramsey_sequence(
     return PulseSequence(tuple(segs), label="ramsey")
 
 
+def _block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
+    """(block, sequence) for each block of BLOCK_POINTS detunings of
+    config: the :func:`build_ramsey_sequence` sequence stacked over them."""
+    deltas = np.asarray(config.deltas, dtype=float)
+    for start in range(0, deltas.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        yield block, build_ramsey_sequence(
+            deltas[block], config.t_mu1, config.omega_mu2, config.t_mu2,
+            config.inter_pulse_gap,
+        )
+
+
 def ramsey_amplitudes(
     config: RamseyScanConfig,
     initial: np.ndarray,
@@ -237,27 +249,15 @@ def ramsey_amplitudes(
 
     initial is the d-dim start state.  lift maps a (..., 3, 3) stack of
     single-excitation Hamiltonians to the (..., d, d) Hamiltonians of the
-    space initial lives in; None keeps the qutrit space.  The mu2 pulse
-    and the gap waits do not depend on the detuning and are propagated
-    once; the mu1 pi/2 propagator is built once per block of
-    BLOCK_POINTS detunings and applied on both sides of them.
+    space initial lives in; None keeps the qutrit space.  Each block of
+    BLOCK_POINTS detunings takes one propagator call for all its segments.
     """
-    space = lift if lift is not None else (lambda h: h)
-    middle = np.eye(initial.shape[0], dtype=complex)
-    if config.t_mu2 > 0:
-        h2 = drive_hamiltonian(DriveField.MU2, config.omega_mu2)
-        middle = hermitian_propagator(space(h2), config.t_mu2)
-    if config.inter_pulse_gap > 0:
-        wait = hermitian_propagator(space(np.zeros((3, 3))), config.inter_pulse_gap)
-        middle = wait @ middle @ wait
-    rabi = math.pi / (2.0 * config.t_mu1)
-    deltas = np.asarray(config.deltas, dtype=float)
-    out = np.empty((deltas.size, initial.shape[0]), dtype=complex)
-    for start in range(0, deltas.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        h1 = drive_hamiltonian(DriveField.MU1, rabi, deltas[block])
-        U = hermitian_propagator(space(h1), config.t_mu1)
-        out[block] = (U @ (middle @ (U @ initial)[..., None]))[..., 0]
+    def propagator(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return hermitian_propagator(h if lift is None else lift(h), t)
+
+    out = np.empty((len(config.deltas), initial.shape[0]), dtype=complex)
+    for block, seq in _block_sequences(config):
+        out[block] = apply_segments(seq.segments, initial[:, None], propagator)[..., 0]
     return out
 
 
@@ -274,17 +274,10 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
     elif config.backend is Backend.LINDBLAD:
         from . import dissipative  # local import keeps the analytic path light
 
-        params = config.dissipation or dissipative.DissipationParams()
         rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
         vals = []
-        for start in range(0, len(config.deltas), BLOCK_POINTS):
-            seqs = [
-                build_ramsey_sequence(
-                    d, config.t_mu1, config.omega_mu2, config.t_mu2, config.inter_pulse_gap
-                )
-                for d in config.deltas[start:start + BLOCK_POINTS]
-            ]
-            final = dissipative.evolve_master(rho0, seqs, params).final.matrix
+        for _, seq in _block_sequences(config):
+            final = dissipative.evolve_master(rho0, seq, config.dissipation).final.matrix
             vals += (config.I0 * final[:, 0, 0].real).tolist()
     else:  # pragma: no cover
         raise ValueError(f"unknown backend {config.backend!r}")
@@ -338,7 +331,8 @@ def rabi_scan(
 
     Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
     be finite and non-negative; a time of 0 means no mu2 segment.  The
-    mu2 propagators of BLOCK_POINTS times come from one stacked call.
+    mu2 drive is one Hamiltonian, so one eigendecomposition serves every
+    time.
     """
     times = np.asarray(times, dtype=float)
     if not (np.isfinite(times).all() and (times >= 0).all()):
@@ -349,8 +343,6 @@ def rabi_scan(
     prep = hermitian_propagator(h1, t_mu1)[:, 0]
     h2 = drive_hamiltonian(DriveField.MU2, omega_mu2, detuning2)
     amps = np.tile(prep, (times.size, 1))
-    driven = np.flatnonzero(times > 0)
-    for start in range(0, driven.size, BLOCK_POINTS):
-        idx = driven[start:start + BLOCK_POINTS]
-        amps[idx] = hermitian_propagator(h2, times[idx]) @ prep
+    driven = times > 0
+    amps[driven] = hermitian_propagator(h2, times[driven]) @ prep
     return np.column_stack((times, np.abs(amps) ** 2))

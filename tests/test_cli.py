@@ -98,15 +98,21 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
-    # scipy would double the memory and start-up of every CLI call
+    # scipy would double the memory and start-up of every CLI call, and it
+    # is a test dependency only: no seqlab module may import it
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scan.points = 3\ndissipation.gamma_decay_1 = 0.1MHz\n", encoding="utf-8")
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
         "from seqlab.cli import main\n"
         f"rc = main(['ramsey-scan', '--backend', 'lindblad', '--config', {str(cfg)!r},"
         f" '--out', {str(tmp_path / 'l.csv')!r}])\n"
         "assert rc == 0, rc\n"
+        "import seqlab\n"
+        "names = [m.name for m in pkgutil.iter_modules(seqlab.__path__)]\n"
+        "assert 'dissipative' in names and 'cli' in names, names\n"
+        "for name in names:\n"
+        "    importlib.import_module('seqlab.' + name)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -393,6 +399,25 @@ def test_fit_scan_roundtrip(tmp_path):
     # fringe frequency ~ stored-interval duration 2*t_mu1 + t_mu2 = 290 ns
     assert abs(result["frequency"] - 2.9e-7) <= 0.1 * 2.9e-7
     assert 0.9 <= result["visibility"] <= 1.0
+
+
+def test_fit_of_a_faint_scan_matches_the_unit_scan(tmp_path):
+    fits = []
+    for i0 in ("1", "1e-13"):
+        cfg = tmp_path / f"run{i0}.cfg"
+        cfg.write_text(f"scan.i0 = {i0}\n", encoding="utf-8")
+        scan = tmp_path / f"scan{i0}.csv"
+        args = ["--config", str(cfg), "--out"]
+        assert main(["ramsey-scan", "--backend", "unitary", *args, str(scan)]) == 0
+        out = tmp_path / f"fit{i0}.json"
+        assert main(["fit", "--in", str(scan), *args, str(out)]) == 0
+        fits.append(json.loads(_read(out)))
+    unit, faint = fits
+    assert faint["converged"] is True
+    assert faint["flags"] == unit["flags"] == ["frequency_far_from_hint"]
+    assert faint["visibility"] == pytest.approx(unit["visibility"], rel=1e-12)
+    assert faint["frequency"] == pytest.approx(unit["frequency"], rel=1e-12)
+    assert 0.6 < faint["visibility"] < 0.63
 
 
 def test_fit_defaults_to_json_even_with_csv_config(tmp_path):

@@ -26,6 +26,7 @@ from seqlab.qcore import (
     Readout,
     Wait,
     segment_hamiltonian,
+    sequence_unitary,
 )
 from seqlab.units import mhz
 from test_qcore import closed_form_unitary
@@ -106,7 +107,7 @@ def test_population_leaks_into_loss_level():
     seq = PulseSequence((Wait(2e-6),))
     params = DissipationParams(gamma_decay=(5e5, 0.0, 0.0))
     traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
-    p1, p2, p3, ploss = traj.final.populations()
+    p1, p2, p3, ploss = np.diagonal(traj.final.matrix).real
     expected = math.exp(-5e5 * 2e-6)
     assert p1 == pytest.approx(expected, abs=1e-9)
     assert ploss == pytest.approx(1.0 - expected, abs=1e-9)
@@ -345,82 +346,90 @@ def test_stacked_expm_matches_per_matrix_calls():
     assert np.array_equal(expm(gens.reshape(2, 3, 16, 16)), stacked.reshape(2, 3, 16, 16))
 
 
-def _layout_batch(rng, n_sequences, durations):
-    """Sequences that share one layout; some positions repeat a segment."""
-    shared = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=durations[0])
-    batch = []
-    for _ in range(n_sequences):
-        segs = [shared]
-        for d in durations[1:]:
-            if rng.random() < 0.25:
-                segs.append(Wait(d))
-            else:
-                segs.append(DriveSegment(
-                    field=DriveField.MU1 if rng.random() < 0.5 else DriveField.MU2,
-                    rabi=float(rng.uniform(0.0, mhz(20.0))),
-                    duration=d,
-                    detuning=float(rng.uniform(-mhz(5.0), mhz(5.0))),
-                    phase=float(rng.uniform(-math.pi, math.pi)),
-                ))
-        batch.append(PulseSequence(tuple(segs)))
-    return batch
+@st.composite
+def _stacked_sequences(draw):
+    """(stacked sequence, the per-point scalar sequences, points): some
+    drive values are arrays over the points, and one stacked segment
+    object appears twice, anywhere in the sequence."""
+    points = draw(st.integers(1, 4))
+
+    def value(lo, hi):
+        if draw(st.booleans()):
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=points, max_size=points)))
+        return draw(st.floats(lo, hi))
+
+    def drive():
+        return DriveSegment(
+            field=draw(st.sampled_from(list(DriveField))),
+            rabi=value(0.0, mhz(20.0)),
+            duration=draw(st.floats(3e-9, 120e-9)),
+            detuning=value(-mhz(5.0), mhz(5.0)),
+            phase=value(-math.pi, math.pi),
+        )
+
+    scan = DriveSegment(
+        DriveField.MU1, rabi=mhz(6.25), duration=40e-9,
+        detuning=np.linspace(-mhz(3.0), mhz(3.0), points),
+    )
+    segs = [
+        drive() if draw(st.booleans()) else Wait(draw(st.floats(3e-9, 100e-9)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    first = draw(st.integers(0, len(segs)))
+    segs.insert(first, scan)
+    segs.insert(draw(st.integers(first + 1, len(segs))), scan)
+    stacked = tuple(segs)
+    per_point = []
+    for i in range(points):
+        scalar = {}
+        for seg in stacked:
+            if isinstance(seg, DriveSegment) and id(seg) not in scalar:
+                scalar[id(seg)] = dataclasses.replace(seg, **{
+                    k: float(np.broadcast_to(getattr(seg, k), (points,))[i])
+                    for k in ("rabi", "detuning", "phase")
+                })
+        per_point.append(PulseSequence(tuple(scalar.get(id(s), s) for s in stacked)))
+    return PulseSequence(stacked), per_point, points
 
 
 @pytest.mark.parametrize("sample_dt", [None, 7e-9])
-def test_batched_evolve_master_equals_per_sequence_calls(sample_dt):
-    rng = np.random.default_rng(99)
-    batch = _layout_batch(rng, 9, [40e-9, 20e-9, 55e-9, 3e-9])
-    batch.append(batch[2])  # a repeated sequence shares all its maps
+@given(_stacked_sequences())
+def test_stacked_sequence_equals_per_point_sequences(sample_dt, case):
+    stacked, per_point, points = case
     rho0 = DensityMatrix.pure(QutritState.from_array(np.array([0.6, 0.8j, 0.0])))
-    traj = evolve_master(rho0, batch, RATES, sample_dt=sample_dt)
-    for i, seq in enumerate(batch):
+    traj = evolve_master(rho0, stacked, RATES, sample_dt=sample_dt)
+    U = sequence_unitary(stacked.segments)
+    for i, seq in enumerate(per_point):
         ref = evolve_master(rho0, seq, RATES, sample_dt=sample_dt)
         assert traj.times == ref.times
         for got, want in zip(traj.states, ref.states):
-            assert got.matrix.shape == (len(batch), 4, 4)
+            assert got.matrix.shape == (points, 4, 4)
             assert np.array_equal(got.matrix[i], want.matrix)
-    assert traj.final.populations()[3].shape == (len(batch),)
+        assert np.array_equal(U[i], sequence_unitary(seq.segments))
 
 
-def test_batch_with_mismatched_layout_is_rejected():
-    rho0 = DensityMatrix.pure(QutritState.r1())
-    a = PulseSequence((Wait(10e-9), Wait(20e-9)))
-    for other in (
-        PulseSequence((Wait(10e-9), Wait(21e-9))),  # duration differs
-        PulseSequence((Wait(10e-9),)),  # fewer segments
-        PulseSequence((Wait(10e-9), Wait(20e-9), Wait(5e-9))),  # more segments
-    ):
-        with pytest.raises(ValueError):
-            evolve_master(rho0, [a, other])
-    with pytest.raises(ValueError):
-        evolve_master(rho0, [])
-    with pytest.raises(ValueError):
-        evolve_master(rho0, [a, PulseSequence((Wait(10e-9), Readout(1)))])
-
-
-def test_unphysical_state_anywhere_in_a_batch_raises(monkeypatch):
+def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
     import seqlab.dissipative as dissipative
 
     real_expm = dissipative.expm
 
     def leaky_last_map(a):
         out = real_expm(a)
-        out[-1] *= 1.5  # the last distinct segment no longer keeps the trace
+        out[-1] *= 1.5  # the last map of the stack no longer keeps the trace
         return out
 
     monkeypatch.setattr(dissipative, "expm", leaky_last_map)
-    half_pi = math.pi / (2 * 20e-9)
-    batch = [
-        PulseSequence((
-            DriveSegment(DriveField.MU1, rabi=half_pi, duration=20e-9, detuning=d),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
-        ))
-        for d in (-mhz(1.0), 0.0, mhz(1.0))
-    ]
-    # distinct segments in order of appearance: mu1(-1), mu2, mu1(0), mu1(+1);
-    # the last one is the first segment of the last sequence only
-    with pytest.raises(NumericError, match=r"^at t=2\.000e-08 s: trace drifted"):
-        evolve_master(DensityMatrix.pure(QutritState.r1()), batch, RATES)
+    seq = PulseSequence((
+        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        DriveSegment(
+            DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9,
+            detuning=np.array([-mhz(1.0), 0.0, mhz(1.0)]),
+        ),
+    ))
+    # distinct segments in order of appearance: mu2, then the three mu1
+    # points; the last map is the mu1 pulse at the last detuning only
+    with pytest.raises(NumericError, match=r"^at t=2\.700e-07 s: trace drifted"):
+        evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES)
 
 
 def test_validate_checks_every_matrix_of_a_stack():

@@ -301,6 +301,48 @@ def test_roundtrip_is_bit_exact_for_unit_born_values(f_mhz, d_mhz, ph_pi, t_ns):
     assert back.phase == seg.phase
 
 
+def _decimal(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def _drive_or_wait(draw):
+    duration = draw(_decimal(1e-3, 1e5))
+    if draw(st.booleans()):
+        return f"wait {duration}ns"
+    parts = ["pulse", draw(st.sampled_from(["mu1", "mu2"]))]
+    if draw(st.booleans()):
+        parts.append(f"area={draw(_decimal(0.0, 10.0))}pi")
+    else:
+        parts.append(f"rabi={draw(_decimal(0.0, 1e3))}MHz")
+    if draw(st.booleans()):
+        parts.append(f"detuning={draw(_decimal(-1e3, 1e3))}MHz")
+    if draw(st.booleans()):
+        parts.append(f"phase={draw(_decimal(-4.0, 4.0))}pi")
+    parts.append(f"duration={duration}ns")
+    return " ".join(parts)
+
+
+@st.composite
+def _sequence_text(draw):
+    lines = []
+    for b in sorted(draw(st.sets(st.integers(1, 3)))):
+        lines += draw(st.lists(_drive_or_wait(), max_size=3))
+        lines.append(f"readout bin={b}")
+    lines += draw(st.lists(_drive_or_wait(), min_size=1, max_size=3))
+    return "\n".join(lines)
+
+
+@given(_sequence_text())
+def test_parsed_text_roundtrip_is_exact_and_format_is_idempotent(text):
+    # the property format_sequence keeps for any parsed sequence; values
+    # built in code may have no exact decimal and come back one ulp off
+    seq = parse_sequence(text)
+    printed = format_sequence(seq)
+    assert parse_sequence(printed) == seq
+    assert format_sequence(parse_sequence(printed)) == printed
+
+
 def test_printer_rejects_unknown_segment_type():
     seq = PulseSequence((Wait(1e-8),))
     object.__setattr__(seq, "segments", ("not a segment",))

@@ -9,10 +9,8 @@ from hypothesis.extra.numpy import arrays
 from seqlab.pairwise import (
     PAIR_CONFIGS,
     InteractionParams,
-    PairState,
     lift_single_particle,
     mixture_fringe_scan,
-    p2_from_g2,
     pair_hamiltonian,
 )
 from seqlab.photostats import fit_fringe
@@ -199,7 +197,7 @@ def test_pair_propagation_is_unitary(seed):
                 )
             )
     params = InteractionParams.from_scalar(float(rng.uniform(-mhz(1.0), mhz(1.0))))
-    out = _pair_sequence_propagator(segs, params) @ PairState.stored_pair().amplitudes
+    out = _pair_sequence_propagator(segs, params)[:, 0]  # from the stored pair (11)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
 
@@ -323,16 +321,7 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
 
 
 # ---------------------------------------------------------------------------
-# p2 helper and validation
-
-
-def test_p2_from_g2_low_flux_estimate():
-    assert p2_from_g2(0.5, 0.1) == pytest.approx(0.025, abs=1e-15)
-    assert p2_from_g2(0.0, 0.1) == 0.0
-    with pytest.raises(ValueError):
-        p2_from_g2(-0.1, 0.1)
-    with pytest.raises(ValueError):
-        p2_from_g2(0.5, -1.0)
+# validation
 
 
 def test_interaction_params_validation():
@@ -346,8 +335,3 @@ def test_interaction_params_validation():
         InteractionParams(
             shift=((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         )
-
-
-def test_pair_state_validation():
-    with pytest.raises(ValueError):
-        PairState(np.zeros(3, dtype=complex))

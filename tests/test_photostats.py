@@ -440,6 +440,26 @@ def test_fit_flags_flat_scan():
     assert fit.offset == 0.25
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-6, 1.0, 1e6, 1e13])
+def test_fit_is_scale_equivariant(scale):
+    # the flat-scan test is relative: a small fringe is still a fringe
+    x, y = _synth()
+    ref = fit_sinusoid(x, y, freq_hint=2.7)
+    fit = fit_sinusoid(x, scale * y, freq_hint=2.7)
+    assert fit.converged and fit.flags == ref.flags == ()
+    assert fit.visibility == pytest.approx(ref.visibility, rel=1e-12)
+    assert fit.frequency == pytest.approx(ref.frequency, rel=1e-12)
+    assert fit.offset == pytest.approx(scale * ref.offset, rel=1e-12)
+    assert fit.amplitude == pytest.approx(scale * ref.amplitude, rel=1e-12)
+
+
+def test_fit_rejects_non_finite_values():
+    x, y = _synth()
+    for bad_x, bad_y in ((x, np.where(x == x[5], np.inf, y)), (np.where(x == x[0], np.nan, x), y)):
+        with pytest.raises(ValueError, match="finite"):
+            fit_sinusoid(bad_x, bad_y, freq_hint=2.7)
+
+
 def test_fit_flags_frequency_far_from_hint():
     x, y = _synth(f=2.7)
     fit = fit_sinusoid(x, y, freq_hint=3.6)

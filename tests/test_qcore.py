@@ -322,6 +322,23 @@ def test_segment_validation():
         Readout(4)
 
 
+def test_stacked_drive_segment_rejects_bad_entries():
+    good = np.array([0.0, mhz(1.0), mhz(2.0)])
+    for bad in (
+        {"rabi": np.array([mhz(1.0), math.nan])},
+        {"rabi": np.array([mhz(1.0), -1.0])},
+        {"detuning": np.array([0.0, math.inf])},
+        {"phase": np.array([[0.0], [-math.inf]])},
+        {"detuning": np.zeros(2)},  # does not broadcast against rabi
+    ):
+        with pytest.raises(ValueError):
+            DriveSegment(DriveField.MU2, **{"rabi": good, "duration": 1e-9, **bad})
+    seg = DriveSegment(DriveField.MU2, rabi=good, duration=1e-9, phase=np.zeros((2, 1)))
+    assert segment_hamiltonian(seg).shape == (2, 3, 3, 3)
+    good[0] = math.nan  # the segment holds its own read-only copy
+    assert np.isfinite(seg.rabi).all() and not seg.rabi.flags.writeable
+
+
 def test_state_validation_and_populations():
     with pytest.raises(ValueError):
         QutritState(1.0, 1.0, 0.0)

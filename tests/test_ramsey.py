@@ -9,7 +9,6 @@ from seqlab.dissipative import DensityMatrix, DissipationParams, evolve_master
 from seqlab.pairwise import (
     PAIR_CONFIGS,
     InteractionParams,
-    PairState,
     mixture_fringe_scan,
     pair_hamiltonian,
 )
@@ -296,7 +295,7 @@ def _reference_scans(cfg, interactions, times, detuning2):
             d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.inter_pulse_gap
         )
         single.append(cfg.I0 * abs(_closed_form_state(seq.segments).c1) ** 2)
-        amps = PairState.stored_pair().amplitudes
+        amps = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # the stored pair (11)
         for s in seq.segments:
             H = pair_hamiltonian(segment_hamiltonian(s), interactions)
             amps = hermitian_propagator(H, s.duration) @ amps
