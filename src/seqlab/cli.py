@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .dissipative import DissipationParams, NumericError
 from .dsl import ParseError, load_sequence
-from .io import csv_text, emit, json_text
+from .io import csv_text, emit, json_table_text, json_text
 from .pairwise import InteractionParams, mixture_fringe_scan
 from .photostats import (
     estimate_g2,
@@ -49,6 +49,12 @@ def _resolve_format(args, cfg: RunConfig, default: str | None = None) -> str:
     return cfg.output.format
 
 
+def _table_text(args, cfg: RunConfig, header: str, columns) -> str:
+    if _resolve_format(args, cfg) == "csv":
+        return csv_text(header, columns)
+    return json_table_text(header, columns)
+
+
 def _dissipation_from(cfg: RunConfig) -> DissipationParams:
     d = cfg.dissipation
     return DissipationParams(
@@ -77,13 +83,9 @@ def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
         )
     else:
         scan = fringe_scan(scan_cfg)
-    rows = list(zip(scan.deltas, scan.intensities))
-    if _resolve_format(args, cfg) == "csv":
-        text = csv_text(RAMSEY_CSV_HEADER, rows)
-    else:
-        text = json_text(
-            [{"delta_rad_s": d, "intensity": i} for d, i in rows]
-        )
+    text = _table_text(
+        args, cfg, RAMSEY_CSV_HEADER, (scan.deltas, scan.intensities)
+    )
     emit(text, args.out)
     return 0
 
@@ -92,17 +94,7 @@ def _cmd_rabi_scan(args, cfg: RunConfig) -> int:
     r = cfg.rabi
     times = np.linspace(0.0, r.t_max, r.points)
     table = rabi_scan(times, r.omega_mu2, t_mu1=r.t_mu1, detuning2=r.detuning2)
-    rows = table.tolist()
-    if _resolve_format(args, cfg) == "csv":
-        text = csv_text(RABI_CSV_HEADER, rows)
-    else:
-        text = json_text(
-            [
-                {"t_mu2_s": t, "P1": p1, "P2": p2, "P3": p3}
-                for t, p1, p2, p3 in rows
-            ]
-        )
-    emit(text, args.out)
+    emit(_table_text(args, cfg, RABI_CSV_HEADER, table.T), args.out)
     return 0
 
 
@@ -125,11 +117,9 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
         eta=(ro.eta_1, ro.eta_2, ro.eta_3),
         deph_between_bins=ro.deph,
     )
-    rows = [(1, pops.p1), (2, pops.p2), (3, pops.p3)]
-    if _resolve_format(args, cfg) == "csv":
-        text = csv_text(READOUT_CSV_HEADER, rows)
-    else:
-        text = json_text([{"bin": b, "probability": p} for b, p in rows])
+    text = _table_text(
+        args, cfg, READOUT_CSV_HEADER, ((1, 2, 3), (pops.p1, pops.p2, pops.p3))
+    )
     emit(text, args.out)
     return 0
 
@@ -156,7 +146,9 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
             f"({est.n_trials} trials, bin {cfg.g2.bin})"
         )
     if _resolve_format(args, cfg) == "csv":
-        text = csv_text(G2_CSV_HEADER, [(est.value, est.stderr, est.n_trials)])
+        text = csv_text(
+            G2_CSV_HEADER, ([est.value], [est.stderr], [est.n_trials])
+        )
     else:
         text = json_text(
             {"g2": est.value, "stderr": est.stderr, "n_trials": est.n_trials}
@@ -206,11 +198,11 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         "flags": list(result.flags),
     }
     if _resolve_format(args, cfg, default="json") == "csv":
-        row = tuple(
-            payload[k] if k != "flags" else ";".join(result.flags)
+        columns = [
+            [payload[k] if k != "flags" else ";".join(result.flags)]
             for k in FIT_CSV_HEADER.split(",")
-        )
-        text = csv_text(FIT_CSV_HEADER, [row])
+        ]
+        text = csv_text(FIT_CSV_HEADER, columns)
     else:
         text = json_text(payload)
     emit(text, args.out)

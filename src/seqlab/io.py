@@ -1,20 +1,29 @@
 """Deterministic CSV/JSON emission.
 
-Floats are formatted as their shortest round-trip decimal (repr), lines
-end in LF, and file writes go through a temp file plus os.replace so a
-crashed run never leaves a half-written artifact.  Identical data gives
-byte-identical files.
+Tables are written column by column: one 1-d sequence per header field.
+A column of finite floats (a float64 array, or a sequence of Python
+floats) is written as each value's shortest round-trip decimal, its
+``float.__repr__``; any other column is written cell by cell, through
+``format_value`` in CSV and through the ``json`` module in JSON, so
+non-finite floats read ``nan``/``inf`` in CSV and ``NaN``/``Infinity``
+in JSON.  JSON tables are lists of flat records keyed by the header
+names, laid out as ``json.dumps(..., indent=2)`` lays them out; other
+JSON payloads go through ``json_text``.  Lines end in LF, and file
+writes go through a temp file plus os.replace so a crashed run never
+leaves a half-written artifact.  Identical data gives byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
-__all__ = ["format_value", "csv_text", "json_text", "write_text", "emit"]
+__all__ = ["format_value", "csv_text", "json_table_text", "json_text", "write_text", "emit"]
 
 
 def format_value(v) -> str:
@@ -27,14 +36,59 @@ def format_value(v) -> str:
     return str(v)
 
 
-def csv_text(header: str, rows) -> str:
-    lines = [header]
-    width = len(header.split(","))
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} != header width {width}")
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cells(column, encode) -> list[str]:
+    """The cell strings of one column, in row order."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        values = column.tolist()
+    elif {*map(type, column)} <= {float}:
+        values = column
+    else:
+        return [encode(v) for v in column]
+    if all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return [encode(v) for v in column]
+
+
+def _table(header: str, columns, encode) -> tuple[list[str], list[list[str]]]:
+    names = header.split(",")
+    if len(columns) != len(names):
+        raise ValueError(f"table width {len(columns)} != header width {len(names)}")
+    cells = [_cells(column, encode) for column in columns]
+    lengths = {len(c) for c in cells}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    return names, cells
+
+
+def csv_text(header: str, columns) -> str:
+    """CSV of a table given as columns, one 1-d sequence per header field.
+
+    The header line comes first, then one line per row; ValueError when
+    the number of columns is not the header's width or the columns
+    differ in length.
+    """
+    _, cells = _table(header, columns, format_value)
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json_cell(v) -> str:
+    return json.dumps(v, default=_json_default)
+
+
+def json_table_text(header: str, columns) -> str:
+    """JSON list of records keyed by the header names, from columns.
+
+    Takes the columns as ``csv_text`` does and gives the bytes of
+    ``json_text`` over the list of records.
+    """
+    names, cells = _table(header, columns, _json_cell)
+    if not cells[0]:
+        return "[]\n"
+    fields = ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in names
+    )
+    record = "  {\n" + fields + "\n  }"
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
 
 
 def _json_default(o):
@@ -46,6 +100,7 @@ def _json_default(o):
 
 
 def json_text(obj) -> str:
+    """Indented JSON of any payload, such as a dict of results."""
     # json emits floats via repr already (shortest round-trip)
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
 

@@ -396,10 +396,10 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     o, A, B = linear_at(f)
     lam = 1e-3
     converged = False
-    r = y - (o + A * np.cos(f * x) + B * np.sin(f * x))
+    # c, s hold the trigonometry of the accepted f, reused by the next step
+    c, s = np.cos(f * x), np.sin(f * x)
+    r = y - (o + A * c + B * s)
     for _ in range(MAX_FIT_ITERATIONS):
-        c = np.cos(f * x)
-        s = np.sin(f * x)
         J = np.column_stack([np.ones_like(x), c, s, x * (-A * s + B * c)])
         g = J.T @ r
         Hm = J.T @ J
@@ -410,10 +410,11 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
             break
         cand = np.array([o, A, B, f]) + step
         rel = np.linalg.norm(step) / max(np.linalg.norm(cand), 1e-30)
-        r_cand = y - (cand[0] + cand[1] * np.cos(cand[3] * x) + cand[2] * np.sin(cand[3] * x))
+        c_cand, s_cand = np.cos(cand[3] * x), np.sin(cand[3] * x)
+        r_cand = y - (cand[0] + cand[1] * c_cand + cand[2] * s_cand)
         if (r_cand**2).sum() < (r**2).sum():
             o, A, B, f = cand
-            r = r_cand
+            r, c, s = r_cand, c_cand, s_cand
             lam = max(lam * 0.3, 1e-14)
             if rel < FIT_STEP_TOL:
                 converged = True
@@ -450,17 +451,3 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
         converged=converged, flags=tuple(flags),
     )
 
-
-def fit_fringe(scan, t_total_hint: float) -> FitResult:
-    """Fit I(delta) = offset * (1 + v cos(delta * t_total + phase)).
-
-    The hinted fringe frequency is the total sequence time.  Requires at
-    least 8 points spanning at least one hinted fringe period.  Useful on
-    scans whose fringe period is short against the envelope scale; the
-    on-resonance extraction in seqlab.ramsey handles the general case.
-    """
-    deltas = np.asarray(scan.deltas, dtype=float)
-    span = deltas.max() - deltas.min()
-    if span * t_total_hint < 2.0 * math.pi:
-        raise ValueError("scan must span at least one hinted fringe period")
-    return fit_sinusoid(deltas, np.asarray(scan.intensities, dtype=float), t_total_hint)

@@ -1,0 +1,35 @@
+"""The benchmark's required span names resolve to seqlab functions."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _required_spans() -> dict:
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "REQUIRED_SPANS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no REQUIRED_SPANS in {WORKLOADS}")
+
+
+SPANS = sorted({name for names in _required_spans().values() for name in names})
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_required_span_is_a_seqlab_function(span):
+    module, *path = span.split(".")
+    mod = importlib.import_module(f"seqlab.{module}")
+    obj = mod
+    for attr in path:
+        obj = getattr(obj, attr, None)
+        assert obj is not None, f"seqlab.{module} has no {'.'.join(path)}"
+    # the bench traces functions defined in the module that names them
+    assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, span
