@@ -55,6 +55,18 @@ def _table_text(args, cfg: RunConfig, header: str, columns) -> str:
     return json_table_text(header, columns)
 
 
+def _record_text(args, cfg: RunConfig, header: str, values, default=None) -> str:
+    """One record: a one-row CSV table, or a JSON object keyed by the
+    header names.  A tuple value (a list of words) is ';'-joined in CSV
+    and a list in JSON."""
+    if _resolve_format(args, cfg, default) == "csv":
+        return csv_text(
+            header,
+            [[";".join(v) if isinstance(v, tuple) else v] for v in values],
+        )
+    return json_text(dict(zip(header.split(","), values)))
+
+
 def _dissipation_from(cfg: RunConfig) -> DissipationParams:
     d = cfg.dissipation
     return DissipationParams(
@@ -145,15 +157,8 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
             "g2 undefined: one arm registered no clicks "
             f"({est.n_trials} trials, bin {cfg.g2.bin})"
         )
-    if _resolve_format(args, cfg) == "csv":
-        text = csv_text(
-            G2_CSV_HEADER, ([est.value], [est.stderr], [est.n_trials])
-        )
-    else:
-        text = json_text(
-            {"g2": est.value, "stderr": est.stderr, "n_trials": est.n_trials}
-        )
-    emit(text, args.out)
+    values = (est.value, est.stderr, est.n_trials)
+    emit(_record_text(args, cfg, G2_CSV_HEADER, values), args.out)
     return 0
 
 
@@ -187,25 +192,8 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         s = cfg.scan
         hint = 2.0 * s.t_mu1 + s.t_mu2 + 2.0 * s.gap
     result = fit_sinusoid(deltas, intensities, hint)
-    payload = {
-        "offset": result.offset,
-        "amplitude": result.amplitude,
-        "frequency": result.frequency,
-        "phase": result.phase,
-        "visibility": result.visibility,
-        "residual_rms": result.residual_rms,
-        "converged": result.converged,
-        "flags": list(result.flags),
-    }
-    if _resolve_format(args, cfg, default="json") == "csv":
-        columns = [
-            [payload[k] if k != "flags" else ";".join(result.flags)]
-            for k in FIT_CSV_HEADER.split(",")
-        ]
-        text = csv_text(FIT_CSV_HEADER, columns)
-    else:
-        text = json_text(payload)
-    emit(text, args.out)
+    values = [getattr(result, name) for name in FIT_CSV_HEADER.split(",")]
+    emit(_record_text(args, cfg, FIT_CSV_HEADER, values, default="json"), args.out)
     return 0
 
 

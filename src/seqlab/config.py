@@ -6,10 +6,14 @@
     dissipation.gamma_deph_2 = 0.1MHz
     seed = 12345
 
-Schema-driven: every key has a declared kind that fixes both validation
-and unit handling.  Drive frequencies and interaction shifts are angular
-internally (MHz value times 2*pi*1e6); decay and dephasing rates are
-plain 1/e rates (MHz value times 1e6 s^-1).  Unknown keys are errors.
+Each key is declared once, as a field of its section dataclass that
+carries the default, the parser of its written form and the bound on
+its value; the dotted-key schema is derived from ``RunConfig``'s fields.
+Drive frequencies and interaction shifts are angular internally (MHz
+value times 2*pi*1e6); decay and dephasing rates are plain 1/e rates
+(MHz value times 1e6 s^-1).  A line is parsed and bounds-checked as it
+is read, so an unknown key, a malformed value and an out-of-range value
+all name their line.
 """
 
 from __future__ import annotations
@@ -22,50 +26,95 @@ from .units import mhz
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
 
-# value kinds
-_TIME = "time"            # 20ns / 1.5us / 2e-6s  -> seconds
-_FREQ = "freq"            # 12.5MHz -> rad/s (angular)
-_RATE = "rate"            # 0.1MHz  -> 1e5 s^-1 (plain rate)
-_FLOAT = "float"
-_INT = "int"
-_CHOICE = "choice"
+def _number(raw: str, factor: float = 1.0) -> float:
+    try:
+        value = float(raw) * factor
+    except ValueError:
+        raise ValueError(f"bad number {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
 
-_TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+def _scaled(raw: str, units: dict[str, float]) -> float:
+    for suffix, factor in units.items():  # longest suffix first
+        if raw.endswith(suffix):
+            return _number(raw[: -len(suffix)], factor)
+    raise ValueError(
+        f"expected one of {sorted(units)} as unit suffix, got {raw!r}"
+    )
+
+
+def _time(raw: str) -> float:
+    """20ns / 1.5us / 2e-6s -> seconds."""
+    return _scaled(raw, {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0})
+
+
+def _angular(raw: str) -> float:
+    """12.5MHz -> rad/s."""
+    return _scaled(raw, {"MHz": mhz(1.0)})
+
+
+def _rate(raw: str) -> float:
+    """0.1MHz -> 1e5 s^-1: decay and dephasing rates are not angular."""
+    return _scaled(raw, {"MHz": 1e6})
+
+
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"bad integer {raw!r}") from None
+
+
+# bounds: (predicate on the parsed value, rule named in the diagnostic)
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_UNIT_OPEN = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+
+
+def _key(default, parse, bound=None):
+    """A config key: its default, its parser (or tuple of allowed words)
+    and its optional bound."""
+    return field(default=default, metadata={"parse": parse, "bound": bound})
 
 
 @dataclass
 class ScanSection:
     """Ramsey detuning scan: pi/2 - drive - pi/2 with a symmetric grid."""
 
-    t_mu1: float = 100e-9
-    t_mu2: float = 250e-9
-    omega_mu2: float = mhz(12.5)
-    span: float = mhz(10.0)
-    points: int = 201
-    i0: float = 1.0
-    gap: float = 0.0
-    backend: str = "analytic"
+    t_mu1: float = _key(100e-9, _time, _POSITIVE)
+    t_mu2: float = _key(250e-9, _time, _NON_NEGATIVE)  # 0: no middle drive
+    omega_mu2: float = _key(mhz(12.5), _angular)
+    span: float = _key(mhz(10.0), _angular)
+    points: int = _key(
+        201, _int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
+    )
+    i0: float = _key(1.0, _number)
+    gap: float = _key(0.0, _time)
+    backend: str = _key("analytic", ("analytic", "unitary", "lindblad"))
 
 
 @dataclass
 class RabiSection:
     """mu2 Rabi scan after a mu1 pi/2 preparation pulse."""
 
-    t_mu1: float = 20e-9
-    omega_mu2: float = mhz(12.5)
-    t_max: float = 160e-9
-    points: int = 81
-    detuning2: float = 0.0
+    t_mu1: float = _key(20e-9, _time, _POSITIVE)
+    omega_mu2: float = _key(mhz(12.5), _angular)
+    t_max: float = _key(160e-9, _time, _POSITIVE)
+    points: int = _key(81, _int, (lambda v: v >= 2, "must be >= 2"))
+    detuning2: float = _key(0.0, _angular)
 
 
 @dataclass
 class DissipationSection:
-    gamma_decay_1: float = 0.0
-    gamma_decay_2: float = 0.0
-    gamma_decay_3: float = 0.0
-    gamma_deph_1: float = 0.0
-    gamma_deph_2: float = 0.0
-    gamma_deph_3: float = 0.0
+    gamma_decay_1: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_decay_2: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_decay_3: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_deph_1: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_deph_2: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_deph_3: float = _key(0.0, _rate, _NON_NEGATIVE)
 
 
 @dataclass
@@ -73,39 +122,40 @@ class ReadoutSection:
     """Read-out efficiencies and dephasing between bins; the read-out
     pulses come from the sequence file."""
 
-    eta_1: float = 1.0
-    eta_2: float = 1.0
-    eta_3: float = 1.0
-    deph: float = 0.0
+    eta_1: float = _key(1.0, _number, _UNIT)
+    eta_2: float = _key(1.0, _number, _UNIT)
+    eta_3: float = _key(1.0, _number, _UNIT)
+    deph: float = _key(0.0, _rate, _NON_NEGATIVE)
 
 
 @dataclass
 class InteractionSection:
-    v_int: float = 0.0
-    p2: float = 0.0
+    v_int: float = _key(0.0, _angular)
+    p2: float = _key(0.0, _number, _UNIT_OPEN)
 
 
 @dataclass
 class ShotsSection:
-    n_trials: int = 100_000
-    dark_rate: float = 0.0
-    mean_photons: float = 0.1
+    n_trials: int = _key(100_000, _int, _POSITIVE)
+    dark_rate: float = _key(0.0, _number, _UNIT_OPEN)
+    mean_photons: float = _key(0.1, _number, _NON_NEGATIVE)
 
 
 @dataclass
 class G2Section:
-    mode: str = "antibunched"
-    bin: int = 1
+    mode: str = _key("antibunched", ("antibunched", "coherent", "mixture"))
+    bin: int = _key(1, _int, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3"))
 
 
 @dataclass
 class FitSection:
-    t_total_hint: float = 0.0  # 0 -> derive from the scan section
+    # 0 -> derive from the scan section
+    t_total_hint: float = _key(0.0, _time, _NON_NEGATIVE)
 
 
 @dataclass
 class OutputSection:
-    format: str = "csv"
+    format: str = _key("csv", ("csv", "json"))
 
 
 @dataclass
@@ -119,87 +169,33 @@ class RunConfig:
     g2: G2Section = field(default_factory=G2Section)
     fit: FitSection = field(default_factory=FitSection)
     output: OutputSection = field(default_factory=OutputSection)
-    seed: int = 12345
-
-# dotted key -> (section attr or None for top level, field name, kind, extra)
-_SCHEMA: dict[str, tuple[str | None, str, str, tuple]] = {}
+    seed: int = _key(12345, _int, _NON_NEGATIVE)
 
 
-def _register(section: str | None, name: str, kind: str, extra: tuple = ()):
-    key = f"{section}.{name}" if section else name
-    _SCHEMA[key] = (section, name, kind, extra)
+def _schema() -> dict[str, tuple[str | None, object]]:
+    """Dotted key -> (section attribute or None at top level, field)."""
+    schema = {}
+    for top in fields(RunConfig):
+        if "parse" in top.metadata:
+            schema[top.name] = (None, top)
+        else:
+            for f in fields(top.default_factory):
+                schema[f"{top.name}.{f.name}"] = (top.name, f)
+    return schema
 
 
-_register("scan", "t_mu1", _TIME)
-_register("scan", "t_mu2", _TIME)
-_register("scan", "omega_mu2", _FREQ)
-_register("scan", "span", _FREQ)
-_register("scan", "points", _INT)
-_register("scan", "i0", _FLOAT)
-_register("scan", "gap", _TIME)
-_register("scan", "backend", _CHOICE, ("analytic", "unitary", "lindblad"))
-_register("rabi", "t_mu1", _TIME)
-_register("rabi", "omega_mu2", _FREQ)
-_register("rabi", "t_max", _TIME)
-_register("rabi", "points", _INT)
-_register("rabi", "detuning2", _FREQ)
-for _i in (1, 2, 3):
-    _register("dissipation", f"gamma_decay_{_i}", _RATE)
-    _register("dissipation", f"gamma_deph_{_i}", _RATE)
-for _i in (1, 2, 3):
-    _register("readout", f"eta_{_i}", _FLOAT)
-_register("readout", "deph", _RATE)
-_register("interaction", "v_int", _FREQ)
-_register("interaction", "p2", _FLOAT)
-_register("shots", "n_trials", _INT)
-_register("shots", "dark_rate", _FLOAT)
-_register("shots", "mean_photons", _FLOAT)
-_register("g2", "mode", _CHOICE, ("antibunched", "coherent", "mixture"))
-_register("g2", "bin", _INT)
-_register("fit", "t_total_hint", _TIME)
-_register("output", "format", _CHOICE, ("csv", "json"))
-_register(None, "seed", _INT)
+_SCHEMA = _schema()
 
 
-def _parse_scaled(raw: str, units: dict[str, float], what: str) -> float:
-    for suffix, factor in sorted(units.items(), key=lambda kv: -len(kv[0])):
-        if raw.endswith(suffix):
-            num = raw[: -len(suffix)]
-            try:
-                return float(num) * factor
-            except ValueError:
-                raise ValueError(f"{what}: bad number {num!r}") from None
-    raise ValueError(
-        f"{what}: expected one of {sorted(units)} as unit suffix, got {raw!r}"
-    )
-
-
-def _convert(raw: str, kind: str, extra: tuple, key: str):
-    if kind == _TIME:
-        value = _parse_scaled(raw, _TIME_UNITS, key)
-    elif kind == _FREQ:
-        value = _parse_scaled(raw, {"MHz": 1.0}, key) * mhz(1.0)
-    elif kind == _RATE:
-        # decay/dephasing rates: plain 1/e rates, not angular
-        value = _parse_scaled(raw, {"MHz": 1.0}, key) * 1e6
-    elif kind == _FLOAT:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"{key}: bad number {raw!r}") from None
-    elif kind == _INT:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{key}: bad integer {raw!r}") from None
-    elif kind == _CHOICE:
-        if raw not in extra:
-            raise ValueError(f"{key}: expected one of {extra}, got {raw!r}")
+def _convert(raw: str, f):
+    parse, bound = f.metadata["parse"], f.metadata["bound"]
+    if isinstance(parse, tuple):
+        if raw not in parse:
+            raise ValueError(f"expected one of {parse}, got {raw!r}")
         return raw
-    else:  # pragma: no cover - schema bug
-        raise AssertionError(kind)
-    if kind != _INT and not math.isfinite(value):
-        raise ValueError(f"{key}: value must be finite")
+    value = parse(raw)
+    if bound is not None and not bound[0](value):
+        raise ValueError(bound[1])
     return value
 
 
@@ -215,49 +211,14 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = (p.strip() for p in line.partition("="))
         if key not in _SCHEMA:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        section, name, kind, extra = _SCHEMA[key]
+        section, f = _SCHEMA[key]
         try:
-            converted = _convert(value, kind, extra, key)
+            converted = _convert(value, f)
         except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from None
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
-        setattr(target, name, converted)
-    _validate(cfg)
+        setattr(target, f.name, converted)
     return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.scan.points < 3 or cfg.scan.points % 2 == 0:
-        raise ValueError("scan.points must be an odd integer >= 3")
-    if cfg.rabi.points < 2:
-        raise ValueError("rabi.points must be >= 2")
-    if cfg.scan.t_mu1 <= 0 or cfg.scan.t_mu2 < 0:
-        raise ValueError("scan pulse times must be positive (t_mu2 may be 0)")
-    if cfg.rabi.t_mu1 <= 0 or cfg.rabi.t_max <= 0:
-        raise ValueError("rabi.t_mu1 and rabi.t_max must be positive")
-    for f in fields(DissipationSection):
-        if getattr(cfg.dissipation, f.name) < 0:
-            raise ValueError(f"dissipation.{f.name} must be non-negative")
-    for i in (1, 2, 3):
-        eta = getattr(cfg.readout, f"eta_{i}")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"readout.eta_{i} must lie in [0, 1]")
-    if cfg.readout.deph < 0:
-        raise ValueError("readout.deph must be non-negative")
-    if not 0.0 <= cfg.interaction.p2 < 1.0:
-        raise ValueError("interaction.p2 must lie in [0, 1)")
-    if cfg.shots.n_trials <= 0:
-        raise ValueError("shots.n_trials must be positive")
-    if not 0.0 <= cfg.shots.dark_rate < 1.0:
-        raise ValueError("shots.dark_rate must lie in [0, 1)")
-    if cfg.shots.mean_photons < 0:
-        raise ValueError("shots.mean_photons must be non-negative")
-    if cfg.g2.bin not in (1, 2, 3):
-        raise ValueError("g2.bin must be 1, 2 or 3")
-    if cfg.fit.t_total_hint < 0:
-        raise ValueError("fit.t_total_hint must be non-negative (0 = derive)")
-    if cfg.seed < 0:
-        raise ValueError("seed must be non-negative")
 
 
 def load_config(path) -> RunConfig:

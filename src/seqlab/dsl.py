@@ -27,7 +27,7 @@ from .qcore import (
     Readout,
     Wait,
 )
-from .units import MHZ, TWO_PI
+from .units import MHZ
 
 __all__ = ["ParseError", "parse_sequence", "load_sequence", "format_sequence"]
 

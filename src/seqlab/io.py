@@ -27,7 +27,7 @@ __all__ = ["format_value", "csv_text", "json_table_text", "json_text", "write_te
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -92,6 +92,8 @@ def json_table_text(header: str, columns) -> str:
 
 
 def _json_default(o):
+    if isinstance(o, np.bool_):
+        return bool(o)
     if isinstance(o, np.integer):
         return int(o)
     if isinstance(o, np.floating):

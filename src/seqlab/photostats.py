@@ -41,7 +41,6 @@ class TimeBinPopulations:
     p1: float
     p2: float
     p3: float
-    eta: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         for p in (self.p1, self.p2, self.p3):
@@ -103,7 +102,7 @@ def readout_from_sequence(
             rho = U @ rho @ U.conj().T
             if clock_running:
                 elapsed += seg.duration
-    return TimeBinPopulations(bins[1], bins[2], bins[3], eta)
+    return TimeBinPopulations(bins[1], bins[2], bins[3])
 
 
 def readout_populations(
@@ -335,16 +334,16 @@ FIT_STEP_TOL = 1e-10
 
 
 def _periodogram_peak(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Peak angular frequency of a demeaned uniform-grid periodogram."""
+    """Peak angular frequency of a demeaned uniform-grid periodogram.
+
+    x is strictly increasing with at least 8 points (``fit_sinusoid``
+    checks both before it calls this).
+    """
     n = x.size
     dx = np.diff(x)
-    if n < 4 or dx.min() <= 0:
-        return None
     if np.ptp(dx) > 1e-9 * dx.mean():  # non-uniform grid: caller falls back
         return None
     spec = np.abs(np.fft.rfft(y - y.mean())) ** 2
-    if spec.size < 3:
-        return None
     k = int(np.argmax(spec[1:])) + 1
     if spec[k] == 0.0:
         return None
@@ -364,8 +363,9 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     fallback); offset/quadrature amplitudes start from the linear solve at
     that frequency.  Convergence is a relative step below 1e-10 within 200
     iterations; a non-converged fit is returned flagged, with its residual.
-    A scan whose spread is within 1e-12 of its largest magnitude is
-    returned flat (flag "flat_scan"); non-finite x or y raise ValueError.
+    x must be strictly increasing.  A scan whose spread is within 1e-12
+    of its largest magnitude is returned flat (flag "flat_scan");
+    non-finite x or y, or a non-increasing x, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -377,6 +377,8 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
         raise ValueError("freq_hint must be finite and strictly positive")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
+    if not (np.diff(x) > 0).all():
+        raise ValueError("x must be strictly increasing")
 
     scale = float(np.abs(y).max())
     if np.ptp(y) <= 1e-12 * scale:  # relative, so the fit is scale-free

@@ -22,11 +22,3 @@ def mhz(f: float) -> float:
 def to_mhz(omega: float) -> float:
     """Angular frequency in rad/s to ordinary frequency in MHz."""
     return omega / MHZ
-
-
-def ns(t: float) -> float:
-    return t * 1e-9
-
-
-def us(t: float) -> float:
-    return t * 1e-6

@@ -480,6 +480,17 @@ def test_fit_rejects_non_finite_rows(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_fit_rejects_a_constant_detuning_axis(tmp_path, capsys):
+    # a constant axis holds no fringe, so it must not fit to a visibility near 1
+    scan = tmp_path / "const.csv"
+    rows = "".join(f"0.0,{0.5 + 0.4 * (-1) ** i}\n" for i in range(21))
+    scan.write_text(f"delta_rad_s,intensity\n{rows}", encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(scan), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: x must be strictly increasing\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- usage and errors
 
 def test_bad_config_exits_2(tmp_path, capsys):

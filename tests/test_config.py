@@ -1,11 +1,12 @@
 """Run-configuration parsing: units, schema validation, diagnostics."""
 
 import math
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from seqlab.config import RunConfig, load_config, parse_config
-from seqlab.units import mhz
+from seqlab.units import mhz, to_mhz
 
 
 def test_empty_text_gives_defaults():
@@ -133,8 +134,63 @@ def test_non_finite_values_rejected():
     ],
 )
 def test_validation_rules(text, match):
-    with pytest.raises(ValueError, match=match):
+    key = text.split(" = ")[0]
+    with pytest.raises(ValueError, match=match) as info:
         parse_config(text + "\n")
+    assert str(info.value).startswith(f"config line 1: {key}: ")
+
+
+def test_out_of_range_value_names_its_line_even_if_overridden():
+    text = "# header\nscan.points = 11\nscan.points = 200\nscan.points = 21\n"
+    with pytest.raises(ValueError, match=r"^config line 3: scan\.points: must be an odd integer >= 3$"):
+        parse_config(text)
+
+
+def _schema_keys():
+    """(dotted key, field) for every config key, from RunConfig's fields."""
+    for top in fields(RunConfig):
+        if is_dataclass(top.default_factory):
+            for f in fields(top.default_factory):
+                yield f"{top.name}.{f.name}", f
+        else:
+            yield top.name, top
+
+
+_ANGULAR = ("omega_mu2", "span", "detuning2", "v_int")
+
+
+def _is_rate(name: str) -> bool:
+    return name.startswith("gamma_") or name == "deph"
+
+
+def _written(name: str, value) -> str:
+    """A default written back in the unit the README gives its key."""
+    if isinstance(value, (str, int)):
+        return str(value)
+    if name.startswith("t_") or name == "gap":
+        return f"{value!r}s"
+    if _is_rate(name):
+        return f"{value / 1e6!r}MHz"
+    if name in _ANGULAR:
+        return f"{to_mhz(value)!r}MHz"
+    return repr(value)
+
+
+@pytest.mark.parametrize("key, f", [pytest.param(k, f, id=k) for k, f in _schema_keys()])
+def test_every_default_lies_in_its_bound_and_reads_back(key, f):
+    bound = f.metadata["bound"]
+    assert bound is None or bound[0](f.default), bound[1]
+    section, _, name = key.rpartition(".")
+
+    def read(text):
+        cfg = parse_config(f"{key} = {text}\n")
+        return getattr(getattr(cfg, section) if section else cfg, name)
+
+    value = read(_written(name, f.default))
+    assert value == f.default and type(value) is type(f.default)
+    if _is_rate(name) or name in _ANGULAR:
+        # a non-zero value tells a plain rate from an angular frequency
+        assert read("1MHz") == (1e6 if _is_rate(name) else mhz(1.0))
 
 
 def test_all_listed_choices_accepted():

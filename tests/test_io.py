@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab.cli import main
-from seqlab.io import csv_text, format_value, json_table_text
+from seqlab.io import csv_text, format_value, json_table_text, json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 CANONICAL = ROOT / "sequences" / "ramsey_readout.seq"
@@ -111,6 +111,13 @@ def test_csv_matches_the_row_wise_writer(table):
 def test_json_table_matches_the_records_writer(table):
     header, columns = table
     assert json_table_text(header, columns) == oracle_json_table(header, columns)
+
+
+def test_numpy_bools_are_written_as_json_bools():
+    column = np.array([True, False])
+    assert csv_text("a", [column]) == "a\ntrue\nfalse\n"
+    assert json_table_text("a", [column]) == json_table_text("a", [[True, False]])
+    assert json_text({"a": column[0]}) == json_text({"a": True})
 
 
 def test_empty_table_is_the_header_alone():

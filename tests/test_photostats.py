@@ -484,6 +484,39 @@ def test_fit_validation():
         fit_sinusoid(x, y, freq_hint=0.0)
     with pytest.raises(ValueError):
         fit_sinusoid(x, y[:-1], freq_hint=1.0)
+    # a non-increasing detuning axis has no fringe to fit
+    for bad_x in (np.zeros_like(x), np.where(x == x[3], x[2], x), x[::-1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_sinusoid(bad_x, y, freq_hint=2.7)
+
+
+@st.composite
+def _finite_scans(draw):
+    """8-40 points on a strictly increasing uniform or non-uniform axis
+    (steps 1e-9 to 1e3), with finite |y| <= 1e6."""
+    n = draw(st.integers(8, 40))
+    step = draw(st.floats(1e-9, 1e3))
+    if draw(st.booleans()):
+        steps = np.full(n - 1, step)
+    else:
+        steps = step * np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n - 1, max_size=n - 1)))
+    x = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(steps)])
+    y = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return x, np.array(y)
+
+
+@given(scan=_finite_scans(), hint=st.floats(1e-6, 1e6))
+@example(scan=(np.arange(8.0), np.zeros(8)), hint=1.0)
+@example(scan=(np.arange(8.0), np.array([0.0, 1e6] * 4)), hint=1e6)
+def test_fit_on_degenerate_finite_input_is_finite_or_flagged(scan, hint):
+    # any finite scan on an increasing axis gives six finite numbers or
+    # says it did not converge; it never raises
+    fit = fit_sinusoid(*scan, freq_hint=hint)
+    numbers = (
+        fit.offset, fit.amplitude, fit.frequency,
+        fit.phase, fit.visibility, fit.residual_rms,
+    )
+    assert all(map(math.isfinite, numbers)) or "not_converged" in fit.flags
 
 
 def test_fit_handles_noisy_fringe():

@@ -1,13 +1,19 @@
-"""The benchmark's required span names resolve to seqlab functions."""
+"""The benchmark's required span names resolve to seqlab functions, and
+the README lists the config's sections."""
 
 import ast
 import importlib
 import inspect
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+from seqlab.config import RunConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _required_spans() -> dict:
@@ -33,3 +39,15 @@ def test_required_span_is_a_seqlab_function(span):
         assert obj is not None, f"seqlab.{module} has no {'.'.join(path)}"
     # the bench traces functions defined in the module that names them
     assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, span
+
+
+def test_readme_lists_the_config_sections():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"^Sections: (.*?)\.", text, re.M | re.S).group(1)
+    sections, _, top = listed.partition("plus top-level")
+    assert re.findall(r"`(\w+)`", sections) == [
+        f.name for f in fields(RunConfig) if is_dataclass(f.default_factory)
+    ]
+    assert re.findall(r"`(\w+)`", top) == [
+        f.name for f in fields(RunConfig) if not is_dataclass(f.default_factory)
+    ]
