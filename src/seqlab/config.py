@@ -86,13 +86,13 @@ class ScanSection:
 
     t_mu1: float = _key(100e-9, _time, _POSITIVE)
     t_mu2: float = _key(250e-9, _time, _NON_NEGATIVE)  # 0: no middle drive
-    omega_mu2: float = _key(mhz(12.5), _angular)
-    span: float = _key(mhz(10.0), _angular)
+    omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
+    span: float = _key(mhz(10.0), _angular, _POSITIVE)
     points: int = _key(
         201, _int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
     )
-    i0: float = _key(1.0, _number)
-    gap: float = _key(0.0, _time)
+    i0: float = _key(1.0, _number, _POSITIVE)
+    gap: float = _key(0.0, _time, _NON_NEGATIVE)
     backend: str = _key("analytic", ("analytic", "unitary", "lindblad"))
 
 
@@ -101,7 +101,7 @@ class RabiSection:
     """mu2 Rabi scan after a mu1 pi/2 preparation pulse."""
 
     t_mu1: float = _key(20e-9, _time, _POSITIVE)
-    omega_mu2: float = _key(mhz(12.5), _angular)
+    omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
     t_max: float = _key(160e-9, _time, _POSITIVE)
     points: int = _key(81, _int, (lambda v: v >= 2, "must be >= 2"))
     detuning2: float = _key(0.0, _angular)

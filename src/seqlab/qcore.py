@@ -68,7 +68,10 @@ def _drive_values(rabi, detuning, phase) -> tuple[np.ndarray, np.ndarray, np.nda
     return rabi, detuning, phase
 
 
-@dataclass(frozen=True)
+_DRIVE_VALUES = ("rabi", "detuning", "phase")
+
+
+@dataclass(frozen=True, eq=False)
 class DriveSegment:
     """A constant-amplitude microwave pulse on one field, or a stack of them.
 
@@ -77,7 +80,9 @@ class DriveSegment:
     other; an array, kept as a read-only copy, makes the segment a stack of
     pulses over the broadcast shape, all of the one duration.  area_pi is
     bookkeeping for sequences parsed from the area form of the DSL (pulse
-    area in units of pi); it does not affect the dynamics.
+    area in units of pi); it does not affect the dynamics.  Two segments
+    are equal when every field is, arrays by shape and entries, and equal
+    segments hash alike.
     """
 
     field: DriveField
@@ -91,11 +96,29 @@ class DriveSegment:
         # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
         object.__setattr__(self, "field", DriveField(self.field))
         values = _drive_values(self.rabi, self.detuning, self.phase)
-        for name, v in zip(("rabi", "detuning", "phase"), values):
+        for name, v in zip(_DRIVE_VALUES, values):
             if v.ndim:  # the caller's array cannot change a frozen segment
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
         _require_duration(self.duration)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.duration, self.area_pi) == (
+            other.field, other.duration, other.area_pi
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _DRIVE_VALUES
+        )
+
+    def __hash__(self):
+        # entries as Python numbers, so that 0.0 and -0.0 hash alike
+        values = tuple(
+            (np.shape(v), tuple(np.ravel(v).tolist()))
+            for v in (getattr(self, name) for name in _DRIVE_VALUES)
+        )
+        return hash((self.field, self.duration, self.area_pi, values))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqlab.cli import main
+from seqlab.photostats import SHOT_BLOCK
 
 CANONICAL = "sequences/ramsey_readout.seq"
 
@@ -95,6 +96,30 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: config line 2: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, rule",
+    [
+        ("scan.span = -5MHz", "must be positive"),
+        ("scan.i0 = -1", "must be positive"),
+        ("scan.gap = -10ns", "must be non-negative"),
+        ("scan.omega_mu2 = -1MHz", "must be non-negative"),
+        ("rabi.omega_mu2 = -1MHz", "must be non-negative"),
+    ],
+)
+def test_out_of_range_scan_values_exit_2_under_every_command(tmp_path, capsys, setting, rule):
+    # once accepted by every command but the one that used the value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scan.points = 5\n{setting}\n", encoding="utf-8")
+    key = setting.split(" = ")[0]
+    out = tmp_path / "out.csv"
+    for command in ("ramsey-scan", "rabi-scan", "readout", "g2", "fit"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config line 2: {key}: {rule}\n"
+        assert not out.exists()
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
@@ -347,7 +372,8 @@ def test_g2_undefined_exits_3(tmp_path, capsys):
 
 def test_g2_output_bytes_are_pinned(tmp_path):
     # data lines captured before the sampler and estimator were rewritten
-    # for speed (numpy 2.4.6); a change to the draws or the bootstrap moves them
+    # for speed (numpy 2.4.6), and the 70001-trial line before the samplers
+    # were streamed in blocks; a change to the draws or the bootstrap moves them
     cases = [
         ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
          "0.09509303601394675,0.004026878400424597,20000"),
@@ -355,10 +381,15 @@ def test_g2_output_bytes_are_pinned(tmp_path):
          "1.0012709199727272,0.006298534538589159,20000"),
         ("g2.mode = coherent\nshots.mean_photons = 400\n",
          "1.000011090912176,3.683950036513352e-05,20000"),
+        # more than two blocks of trials, so a block boundary bug shows
+        ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
+         "0.09577034175929568,0.0020702292017074704,70001"),
     ]
+    assert 70001 > 2 * SHOT_BLOCK
     cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
     for settings, line in cases:
-        cfg.write_text(settings + "shots.n_trials = 20000\n", encoding="utf-8")
+        n_trials = line.rsplit(",", 1)[1]
+        cfg.write_text(settings + f"shots.n_trials = {n_trials}\n", encoding="utf-8")
         code = main(["g2", "--config", str(cfg), "--seed", "7", "--format", "csv",
                      "--out", str(out)])
         assert code == 0
@@ -366,7 +397,7 @@ def test_g2_output_bytes_are_pinned(tmp_path):
 
 
 def test_g2_unallocatable_trial_count_exits_3(tmp_path, capsys):
-    # the first draw asks for tens of TiB and fails before touching memory
+    # the record array asks for about 100 TiB and fails before touching memory
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "g2.mode = coherent\nshots.n_trials = 10000000000000\n", encoding="utf-8"

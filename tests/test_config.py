@@ -119,6 +119,11 @@ def test_non_finite_values_rejected():
         ("scan.points = 1", "odd integer"),
         ("rabi.points = 1", ">= 2"),
         ("scan.t_mu1 = 0ns", "must be positive"),
+        ("scan.span = 0MHz", "must be positive"),
+        ("scan.i0 = 0", "must be positive"),
+        ("scan.gap = -1ns", "non-negative"),
+        ("scan.omega_mu2 = -0.5MHz", "non-negative"),
+        ("rabi.omega_mu2 = -0.5MHz", "non-negative"),
         ("rabi.t_max = 0ns", "must be positive"),
         ("dissipation.gamma_decay_1 = -0.1MHz", "non-negative"),
         ("readout.eta_2 = 1.5", r"\[0, 1\]"),

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.dissipative import DensityMatrix
@@ -10,6 +11,7 @@ from seqlab.photostats import (
     DEFAULT_PI_PULSE_S,
     COUNT_MAX,
     N_BOOTSTRAP,
+    SHOT_BLOCK,
     FitResult,
     G2Estimate,
     ShotRecords,
@@ -282,6 +284,96 @@ def test_sample_shots_matches_masked_loop_reference(weights, p2, dark_rate, n_tr
     ref = _masked_loop_sample_shots(pops, n_trials, seed, dark_rate, p2)
     assert recs.counts.dtype == np.int16
     assert np.array_equal(recs.counts, ref)
+
+
+def _whole_array_sample_shots(p, n_trials, seed, dark_rate, p2):
+    """Reference: the sampler as whole-array draws, one array per kind."""
+    rng = np.random.default_rng(seed)
+    double = rng.random(n_trials) < p2
+    double_a = rng.binomial(2, 0.5, size=n_trials)
+    u_bin = rng.random(n_trials)
+    arm_a = rng.random(n_trials) < 0.5
+    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
+    counts[:, 0, 0] = np.where(double, double_a, 0)
+    counts[:, 1, 0] = np.where(double, 2 - double_a, 0)
+    bin_idx = np.searchsorted(np.cumsum(p), u_bin, side="right")
+    rows = np.flatnonzero(~double & (bin_idx < 3))
+    counts[rows, (~arm_a[rows]).astype(np.intp), bin_idx[rows]] = 1
+    if dark_rate > 0:
+        counts += rng.random((n_trials, 2, 3)) < dark_rate
+    return counts
+
+
+def _whole_array_coherent_shots(mean_photons, n_trials, seed, bin, dark_rate):
+    """Reference: the coherent sampler as whole-array draws."""
+    rng = np.random.default_rng(seed)
+    nph = rng.poisson(mean_photons, n_trials)
+    na = rng.binomial(nph, 0.5)
+    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
+    counts[:, 0, bin - 1] = na
+    counts[:, 1, bin - 1] = nph - na
+    if dark_rate > 0:
+        counts += (rng.random((n_trials, 2, 3)) < dark_rate).astype(np.int16)
+    return counts
+
+
+# trial counts either side of one and two block boundaries
+_BLOCK_EDGES = (SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 1)
+
+
+@pytest.mark.parametrize(
+    "pops, p2, dark_rate",
+    [
+        ((1.0, 0.0, 0.0), 0.05, 0.001),  # the g2 mixture
+        ((0.5, 0.3, 0.1), 0.2, 0.05),
+        ((0.2, 0.3, 0.4), 0.0, 0.0),
+    ],
+)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_sample_shots_streams_the_whole_array_draws(pops, p2, dark_rate, seed):
+    for n in _BLOCK_EDGES:
+        recs = sample_shots(pops, n, seed, dark_rate=dark_rate, p2=p2)
+        ref = _whole_array_sample_shots(pops, n, seed, dark_rate, p2)
+        assert recs.counts.dtype == np.int16
+        assert np.array_equal(recs.counts, ref)
+
+
+@pytest.mark.parametrize(
+    "mean_photons, bin, dark_rate",
+    [(2.0, 1, 0.01), (0.1, 2, 0.3), (2.0, 3, 0.0), (400.0, 1, 0.0)],
+)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, dark_rate, seed):
+    for n in _BLOCK_EDGES:
+        recs = sample_coherent_shots(mean_photons, n, seed, bin=bin, dark_rate=dark_rate)
+        ref = _whole_array_coherent_shots(mean_photons, n, seed, bin, dark_rate)
+        assert recs.counts.dtype == np.int16
+        assert np.array_equal(recs.counts, ref)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda n: sample_shots((1.0, 0.0, 0.0), n, 7, dark_rate=0.001, p2=0.05),
+        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, dark_rate=0.01),
+        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01),
+        lambda n: sample_coherent_shots(2.0, n, 7),
+    ],
+    ids=["mixture", "three-bin", "coherent-dark", "coherent"],
+)
+def test_sampler_peak_memory_is_near_the_records(sample):
+    # the records take 12 B/trial; whole-array draws peaked at 82-94 B/trial
+    n = 500_000
+    tracemalloc.start()
+    try:
+        recs = sample(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == n
+    assert peak / n <= 40.0
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,27 @@ def test_stacked_drive_segment_rejects_bad_entries():
     assert np.isfinite(seg.rabi).all() and not seg.rabi.flags.writeable
 
 
+def test_stacked_segments_compare_and_hash():
+    deltas = np.linspace(-mhz(1.0), mhz(1.0), 5)
+
+    def seg(detuning, **kw):
+        return DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=1e-8,
+                            detuning=detuning, **kw)
+
+    a, b = seg(deltas), seg(deltas.copy())
+    assert a == b and hash(a) == hash(b)
+    assert PulseSequence((a, Wait(1e-8))) == PulseSequence((b, Wait(1e-8)))
+    assert hash(PulseSequence((a,))) == hash(PulseSequence((b,)))
+    assert len({a, b}) == 1
+    shifted = deltas.copy()
+    shifted[2] += 1.0
+    for other in (seg(shifted), seg(deltas[:4]), seg(deltas[:, None]),
+                  seg(deltas, area_pi=0.5), seg(0.0)):
+        assert a != other
+    assert a != "mu1" and seg(0.0) == seg(-0.0)
+    assert hash(seg(0.0)) == hash(seg(-0.0))
+
+
 def test_state_validation_and_populations():
     with pytest.raises(ValueError):
         QutritState(1.0, 1.0, 0.0)
