@@ -27,7 +27,7 @@ whose segments may stand for stacks of pulses (a detuning scan), gets
 the maps of all its distinct segments from one
 :func:`seqlab.qcore.segment_maps` call (one (n, 16, 16) Liouvillian stack,
 one :func:`expm` call with a scaling exponent per matrix), and validates
-the states of the whole stack at each sample time with one
+the states of the whole stack at t=0 and after each segment with one
 :meth:`DensityMatrix.validate` call.
 """
 
@@ -111,19 +111,6 @@ class DensityMatrix:
             raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
 
 
-@dataclass(frozen=True)
-class MasterTrajectory:
-    """Sampled evolution: times (s) and the matching density matrices, one
-    (..., 4, 4) stack per time over the sequence's stack shape."""
-
-    times: tuple[float, ...]
-    states: tuple[DensityMatrix, ...]
-
-    @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of the last two axes of (..., n, n) stacks, by broadcast."""
     k = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -193,27 +180,19 @@ def evolve_master(
     rho0: DensityMatrix,
     sequence: PulseSequence,
     params: DissipationParams | None = None,
-    *,
-    sample_dt: float | None = None,
-) -> MasterTrajectory:
-    """Evolve rho0 through a sequence under the master equation.
+) -> DensityMatrix:
+    """rho0 after a sequence under the master equation.
 
-    The sequence's segments may stand for stacks of pulses; every state
-    is then the (..., 4, 4) stack over their broadcast shape, from t=0 on.
+    The sequence's segments may stand for stacks of pulses; the state is
+    then the (..., 4, 4) stack over their broadcast shape, from t=0 on.
     Each distinct segment's map comes from one :func:`seqlab.qcore.segment_maps`
     call, and the whole stack is propagated together.
 
-    Emits a sample at t=0, at each segment boundary, and, when sample_dt
-    is given, at t0 + k*sample_dt strictly inside each segment starting
-    at t0.  Boundary states come from the whole-segment propagator,
-    inner samples from repeated steps of exp(Lv sample_dt).
-    DensityMatrix invariants are checked at every emitted sample, on the
-    whole stack at once; a violation beyond tolerance aborts with a
+    DensityMatrix invariants are checked at t=0 and after every segment,
+    on the whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
     params = params or DissipationParams()
-    if sample_dt is not None and not sample_dt > 0:
-        raise ValueError("sample_dt must be strictly positive")
     n = rho0.matrix.shape[0]
     ops = params.collapse_operators()
 
@@ -222,30 +201,21 @@ def evolve_master(
         H[:, :3, :3] = h3
         return expm(liouvillian(H, ops) * t[:, None, None])
 
-    maps = segment_maps(sequence.segments, propagator)
-    steps = maps if sample_dt is None else segment_maps(sequence.segments, propagator, sample_dt)
-    shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
-    vec = np.broadcast_to(rho0.matrix.astype(complex).reshape(n * n, 1), shape + (n * n, 1))
-    t = 0.0
-    samples: list[tuple[float, np.ndarray]] = [(0.0, vec)]
-    for seg, seg_map, step in zip(sequence.segments, maps, steps):
-        t_end = t + seg.duration
-        inner = vec
-        k = 1
-        while sample_dt is not None and (t_k := t + k * sample_dt) < t_end:
-            inner = step @ inner
-            samples.append((t_k, inner))
-            k += 1
-        vec = seg_map @ vec
-        t = t_end
-        samples.append((t, vec))
-
-    states = []
-    for t_s, v in samples:
-        dm = DensityMatrix(v.reshape(shape + (n, n)))
+    def checked(t: float, vec: np.ndarray) -> DensityMatrix:
+        dm = DensityMatrix(vec.reshape(shape + (n, n)))
         try:
             dm.validate()
         except NumericError as err:
-            raise NumericError(f"at t={t_s:.3e} s: {err}") from None
-        states.append(dm)
-    return MasterTrajectory(tuple(t for t, _ in samples), tuple(states))
+            raise NumericError(f"at t={t:.3e} s: {err}") from None
+        return dm
+
+    maps = segment_maps(sequence.segments, propagator)
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
+    vec = np.broadcast_to(rho0.matrix.astype(complex).reshape(n * n, 1), shape + (n * n, 1))
+    t = 0.0
+    state = checked(t, vec)
+    for seg, seg_map in zip(sequence.segments, maps):
+        vec = seg_map @ vec
+        t += seg.duration
+        state = checked(t, vec)
+    return state

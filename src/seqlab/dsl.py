@@ -8,9 +8,9 @@ Grammar, one statement per line, '#' starts a comment:
     readout bin=<1|2|3>
 
 Parse errors carry a 1-based line/column and a stable machine-readable
-code.  The canonical printer emits decimal values chosen so that parsing
-its output reproduces the floats of parsed text bit-exactly; a pulse
-parsed in area form is printed back in area form.
+code.  A value parses to its decimal times the unit's factor, the factor
+of :mod:`seqlab.units` for MHz, so ``rabi=12.5MHz`` is ``units.mhz(12.5)``
+bit for bit; the area form gives rabi = area * pi / duration.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .qcore import (
 )
 from .units import MHZ
 
-__all__ = ["ParseError", "parse_sequence", "load_sequence", "format_sequence"]
+__all__ = ["ParseError", "parse_sequence", "load_sequence"]
 
 _MHZ = MHZ  # shared with units.mhz so parsed and constructed values agree bit-exactly
 _NS = 1e-9
@@ -192,7 +192,6 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
         duration=duration,
         detuning=0.0 if detuning is None else detuning,
         phase=0.0 if phase is None else phase,
-        area_pi=area,
     )
 
 
@@ -262,63 +261,3 @@ def load_sequence(path, label: str | None = None) -> PulseSequence:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_sequence(text, label if label is not None else os.path.basename(str(path)))
-
-
-# ---------------------------------------------------------------------------
-# canonical printer
-
-
-def _strip_point_zero(s: str) -> str:
-    return s[:-2] if s.endswith(".0") else s
-
-
-def _decimal_for(value: float, factor: float) -> str:
-    """Shortest decimal d with float(d) * factor == value, if one exists.
-
-    Tries value/factor and its two floating-point neighbours; conversion
-    factors here are well-conditioned so one of them almost always works.
-    Falls back to the plain quotient (possibly one ulp off after a
-    round-trip) otherwise.
-    """
-    if value == 0.0:
-        return "0"
-    q = value / factor
-    good = [
-        _strip_point_zero(repr(cand))
-        for cand in (q, math.nextafter(q, math.inf), math.nextafter(q, -math.inf))
-        if float(repr(cand)) * factor == value
-    ]
-    if good:
-        return min(good, key=len)
-    return _strip_point_zero(repr(q))
-
-
-def _format_segment(seg) -> str:
-    if isinstance(seg, DriveSegment):
-        parts = [f"pulse {seg.field.value}"]
-        if seg.area_pi is not None:
-            parts.append(f"area={_strip_point_zero(repr(seg.area_pi))}pi")
-        else:
-            parts.append(f"rabi={_decimal_for(seg.rabi, _MHZ)}MHz")
-        if seg.detuning != 0.0:
-            parts.append(f"detuning={_decimal_for(seg.detuning, _MHZ)}MHz")
-        if seg.phase != 0.0:
-            parts.append(f"phase={_decimal_for(seg.phase, _PI)}pi")
-        parts.append(f"duration={_decimal_for(seg.duration, _NS)}ns")
-        return " ".join(parts)
-    if isinstance(seg, Wait):
-        return f"wait {_decimal_for(seg.duration, _NS)}ns"
-    if isinstance(seg, Readout):
-        return f"readout bin={seg.bin}"
-    raise TypeError(f"cannot format segment of type {type(seg).__name__}")
-
-
-def format_sequence(sequence: PulseSequence) -> str:
-    """Canonical text for a sequence.
-
-    For a sequence parsed from text, parse(format(s)) == s, and format is
-    idempotent on its own output.  A sequence built in code may hold
-    values with no decimal that parses back to them exactly; those come
-    back one ulp off.
-    """
-    return "\n".join(_format_segment(seg) for seg in sequence.segments) + "\n"

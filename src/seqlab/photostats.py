@@ -49,9 +49,6 @@ class TimeBinPopulations:
         if self.p1 + self.p2 + self.p3 > 1.0 + 1e-9:
             raise ValueError("bin probabilities exceed unity")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p1, self.p2, self.p3)
-
 
 def _validate_eta(eta) -> tuple[float, float, float]:
     eta = tuple(float(e) for e in eta)
@@ -191,7 +188,7 @@ def _add_dark_counts(rng, counts: np.ndarray, dark_rate: float) -> None:
 
 
 def sample_shots(
-    pops: TimeBinPopulations | tuple[float, float, float],
+    pops: tuple[float, float, float],
     n_trials: int,
     seed: int,
     dark_rate: float = 0.0,
@@ -212,11 +209,8 @@ def sample_shots(
     records only one int8 per trial is kept whole, and everything else is
     block sized: the peak is about 17 B/trial at 500 000 trials.
     """
-    if isinstance(pops, TimeBinPopulations):
-        p = pops.as_tuple()
-    else:
-        p = tuple(float(x) for x in pops)
-        TimeBinPopulations(*p)  # reuse validation
+    p = tuple(float(x) for x in pops)
+    TimeBinPopulations(*p)  # reuse validation
     _validate_sampling(n_trials, dark_rate, p2)
 
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
@@ -330,10 +324,12 @@ def estimate_g2(
     The bootstrap (fixed 200 resamples, seeded) resamples trials with
     replacement; collapsing to unique (nA, nB) outcomes makes that a
     multinomial redraw, which is fast at large n.  The outcomes are
-    collapsed on one packed int64 key nA * (COUNT_MAX + 1) + nB: both
-    counts lie in [0, COUNT_MAX], so the sorted keys list the outcomes in
+    collapsed on one packed key nA * (COUNT_MAX + 1) + nB: both counts lie
+    in [0, COUNT_MAX], so the sorted keys list the outcomes in
     lexicographic (nA, nB) order.  The multinomial draws for a seed depend
     on that order, so it fixes the stderr a given bootstrap_seed yields.
+    The product nA * nB is at most COUNT_MAX**2 and the key at most
+    2**30 - 1, so both are exact in int32.
     """
     na, nb = records.arm_counts(bin)
     n = len(records)
@@ -343,11 +339,11 @@ def estimate_g2(
     mean_b = nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
         return G2Estimate(math.nan, math.nan, n, defined=False)
-    value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
+    value = float(np.multiply(na, nb, dtype=np.int32).mean() / (mean_a * mean_b))
 
     radix = COUNT_MAX + 1
     keys, counts = np.unique(
-        na.astype(np.int64) * radix + nb, return_counts=True
+        na.astype(np.int32) * radix + nb, return_counts=True
     )
     ua = (keys // radix).astype(float)
     ub = (keys % radix).astype(float)

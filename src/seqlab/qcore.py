@@ -78,11 +78,9 @@ class DriveSegment:
     rabi, detuning in rad/s; phase in rad; duration in seconds.  rabi,
     detuning and phase are numbers or arrays that broadcast against each
     other; an array, kept as a read-only copy, makes the segment a stack of
-    pulses over the broadcast shape, all of the one duration.  area_pi is
-    bookkeeping for sequences parsed from the area form of the DSL (pulse
-    area in units of pi); it does not affect the dynamics.  Two segments
-    are equal when every field is, arrays by shape and entries, and equal
-    segments hash alike.
+    pulses over the broadcast shape, all of the one duration.  Two
+    segments are equal when every field is, arrays by shape and entries,
+    and equal segments hash alike.
     """
 
     field: DriveField
@@ -90,7 +88,6 @@ class DriveSegment:
     duration: float
     detuning: float | np.ndarray = 0.0
     phase: float | np.ndarray = 0.0
-    area_pi: float | None = None
 
     def __post_init__(self):
         # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
@@ -105,9 +102,7 @@ class DriveSegment:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.duration, self.area_pi) == (
-            other.field, other.duration, other.area_pi
-        ) and all(
+        return (self.field, self.duration) == (other.field, other.duration) and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in _DRIVE_VALUES
         )
@@ -118,7 +113,7 @@ class DriveSegment:
             (np.shape(v), tuple(np.ravel(v).tolist()))
             for v in (getattr(self, name) for name in _DRIVE_VALUES)
         )
-        return hash((self.field, self.duration, self.area_pi, values))
+        return hash((self.field, self.duration, values))
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,6 @@ class Readout:
     """Retrieval of the R1 population into time bin `bin` (1..3)."""
 
     bin: int
-    duration: float = 0.0  # retrieval windows carry no coherent evolution
 
     def __post_init__(self):
         if self.bin not in (1, 2, 3):
@@ -168,11 +162,12 @@ class PulseSequence:
                 last_bin = seg.bin
 
     def total_duration(self) -> float:
-        """Sum of all segment durations in seconds."""
-        return sum(s.duration for s in self.segments)
+        """Sum of the drive and wait durations in seconds; a readout takes
+        no time."""
+        return sum((s.duration for s in self.drive_segments()), 0.0)
 
-    def fits_budget(self, budget: float = SEQUENCE_BUDGET_S) -> bool:
-        return self.total_duration() < budget
+    def fits_budget(self) -> bool:
+        return self.total_duration() < SEQUENCE_BUDGET_S
 
     def drive_segments(self) -> tuple[Segment, ...]:
         return tuple(s for s in self.segments if not isinstance(s, Readout))
@@ -263,7 +258,7 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
     return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def segment_maps(segments, propagator, duration: float | None = None) -> list[np.ndarray]:
+def segment_maps(segments, propagator) -> list[np.ndarray]:
     """The map of every drive/wait segment, in order, each of shape
     (..., d, d) over the segment's stack.
 
@@ -271,8 +266,7 @@ def segment_maps(segments, propagator, duration: float | None = None) -> list[np
     segments, all stacks flattened and concatenated, with the (n,) times,
     and returns their (n, d, d) maps, e.g. :func:`hermitian_propagator`.
     Segments are told apart by identity, so a segment object that appears
-    twice is propagated once, in the one propagator call.  duration, if
-    given, replaces every segment's own duration.
+    twice is propagated once, in the one propagator call.
     """
     distinct = list({id(s): s for s in segments}.values())
     if not distinct:
@@ -281,7 +275,7 @@ def segment_maps(segments, propagator, duration: float | None = None) -> list[np
     sizes = [math.prod(g.shape[:-2]) for g in gens]
     maps = propagator(
         np.concatenate([g.reshape(-1, 3, 3) for g in gens]),
-        np.repeat([s.duration if duration is None else duration for s in distinct], sizes),
+        np.repeat([s.duration for s in distinct], sizes),
     )
     by_id, start = {}, 0
     for s, g, size in zip(distinct, gens, sizes):

@@ -277,7 +277,7 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
         rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
         vals = []
         for _, seq in _block_sequences(config):
-            final = dissipative.evolve_master(rho0, seq, config.dissipation).final.matrix
+            final = dissipative.evolve_master(rho0, seq, config.dissipation).matrix
             vals += (config.I0 * final[:, 0, 0].real).tolist()
     else:  # pragma: no cover
         raise ValueError(f"unknown backend {config.backend!r}")

@@ -55,6 +55,24 @@ def _trace_distance(a, b):
     return 0.5 * np.abs(vals).sum()
 
 
+def cut_sequences(seq, dt):
+    """seq cut off at t0 + k*dt strictly inside each segment starting at
+    t0, and at each segment's end, in time order: the prefixes whose final
+    states sample the evolution every dt."""
+    for i, seg in enumerate(seq.segments):
+        k = 1
+        while k * dt < seg.duration:
+            yield PulseSequence(seq.segments[:i] + (dataclasses.replace(seg, duration=k * dt),))
+            k += 1
+        yield PulseSequence(seq.segments[:i + 1])
+
+
+def assert_physical(m):
+    assert abs(np.trace(m).real - 1.0) <= TRACE_TOL
+    assert np.abs(m - m.conj().T).max() <= HERMITICITY_TOL
+    assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -POSITIVITY_TOL
+
+
 RATES = DissipationParams(
     gamma_decay=(1e5, 2e5, 3e5), gamma_deph=(1e5, 1e5, 2e5)
 )
@@ -69,13 +87,13 @@ def test_zero_rates_reproduce_unitary_evolution():
     rho0 = DensityMatrix.pure(QutritState.r1())
     for _ in range(5):
         seq = _random_sequence(rng)
-        traj = evolve_master(rho0, seq, DissipationParams())
+        final = evolve_master(rho0, seq, DissipationParams())
         psi = QutritState.r1().as_array()
         for seg in seq.segments:
             psi = closed_form_unitary(seg) @ psi
         expected = np.zeros((4, 4), dtype=complex)
         expected[:3, :3] = np.outer(psi, psi.conj())
-        assert _trace_distance(traj.final.matrix, expected) <= 1e-8
+        assert _trace_distance(final.matrix, expected) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +109,20 @@ def test_invariants_hold_at_all_samples():
             DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
         )
     )
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES, sample_dt=5e-9)
-    assert len(traj.times) > 20
-    assert all(traj.times[i] < traj.times[i + 1] for i in range(len(traj.times) - 1))
-    for dm in traj.states:
-        m = dm.matrix
-        assert abs(np.trace(m).real - 1.0) <= 1e-8
-        assert np.abs(m - m.conj().T).max() <= 1e-10
-        assert np.linalg.eigvalsh(m).min() >= -1e-8
+    rho0 = DensityMatrix.pure(QutritState.r1())
+    cuts = list(cut_sequences(seq, 5e-9))
+    assert len(cuts) > 20
+    for cut in cuts:
+        assert_physical(evolve_master(rho0, cut, RATES).matrix)
     # validate() agrees
-    traj.final.validate()
+    evolve_master(rho0, seq, RATES).validate()
 
 
 def test_population_leaks_into_loss_level():
     seq = PulseSequence((Wait(2e-6),))
     params = DissipationParams(gamma_decay=(5e5, 0.0, 0.0))
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
-    p1, p2, p3, ploss = np.diagonal(traj.final.matrix).real
+    final = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
+    p1, p2, p3, ploss = np.diagonal(final.matrix).real
     expected = math.exp(-5e5 * 2e-6)
     assert p1 == pytest.approx(expected, abs=1e-9)
     assert ploss == pytest.approx(1.0 - expected, abs=1e-9)
@@ -121,18 +136,16 @@ def test_dephasing_damps_coherence_exponentially():
     rate = 4e5
     seq = PulseSequence((prep, Wait(t_wait)))
     params = DissipationParams(gamma_deph=(0.0, rate, 0.0))
-    traj = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
+    final = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
     # coherence after the pulse alone
     ref = evolve_master(
         DensityMatrix.pure(QutritState.r1()), PulseSequence((prep,)), params
     )
-    c_before = abs(ref.final.matrix[0, 1])
-    c_after = abs(traj.final.matrix[0, 1])
+    c_before = abs(ref.matrix[0, 1])
+    c_after = abs(final.matrix[0, 1])
     assert c_after == pytest.approx(c_before * math.exp(-0.5 * rate * t_wait), abs=1e-6)
     # populations untouched by pure dephasing
-    assert traj.final.matrix[0, 0].real == pytest.approx(
-        ref.final.matrix[0, 0].real, abs=1e-9
-    )
+    assert final.matrix[0, 0].real == pytest.approx(ref.matrix[0, 0].real, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +208,9 @@ def _rk4_oracle(rho, sequence, params):
 
 def test_final_state_matches_fine_step_rk4_oracle():
     rho0 = DensityMatrix.pure(QutritState.r1())
-    traj = evolve_master(rho0, CANONICAL_RAMSEY, RATES)
+    final = evolve_master(rho0, CANONICAL_RAMSEY, RATES)
     oracle = _rk4_oracle(rho0.matrix, CANONICAL_RAMSEY, RATES)
-    assert _trace_distance(traj.final.matrix, oracle) <= 1e-9
+    assert _trace_distance(final.matrix, oracle) <= 1e-9
 
 
 _segments = st.lists(
@@ -222,10 +235,10 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
     segments=_segments,
     decay=_rates,
     deph=_rates,
-    sample_dt=st.floats(2e-9, 50e-9),
+    dt=st.floats(2e-9, 50e-9),
 )
-# a slow pi/2 pulse around a long detuned mu2 drive: under-resolved
-# stepping loses positivity here
+# a slow pi/2 pulse around a long detuned mu2 drive: an under-resolved
+# stepping integrator loses positivity here
 @example(
     segments=[
         DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
@@ -234,64 +247,13 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
     ],
     decay=(0.0, 0.0, 0.0),
     deph=(0.0, 0.0, 0.0),
-    sample_dt=5e-9,
+    dt=5e-9,
 )
-def test_every_sample_is_physical(segments, decay, deph, sample_dt):
+def test_every_sample_is_physical(segments, decay, deph, dt):
     params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
-    traj = evolve_master(
-        DensityMatrix.pure(QutritState.r1()), PulseSequence(tuple(segments)),
-        params, sample_dt=sample_dt,
-    )
-    for dm in traj.states:
-        m = dm.matrix
-        assert abs(np.trace(m).real - 1.0) <= TRACE_TOL
-        assert np.abs(m - m.conj().T).max() <= HERMITICITY_TOL
-        assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -POSITIVITY_TOL
-
-
-def test_sample_times_are_exact_multiples_inside_segments():
-    seq = PulseSequence(
-        (
-            DriveSegment(DriveField.MU1, rabi=mhz(6.0), duration=20e-9),
-            Wait(13e-9),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=47e-9, detuning=mhz(2.0)),
-        )
-    )
-    sample_dt = 5e-9
     rho0 = DensityMatrix.pure(QutritState.r1())
-    traj = evolve_master(rho0, seq, RATES, sample_dt=sample_dt)
-
-    expected = [0.0]
-    owner = [None]  # (segment index, k) of each inner sample
-    t0 = 0.0
-    for i, seg in enumerate(seq.segments):
-        k = 1
-        while t0 + k * sample_dt < t0 + seg.duration:
-            expected.append(t0 + k * sample_dt)
-            owner.append((i, k))
-            k += 1
-        t0 += seg.duration
-        expected.append(t0)
-        owner.append(None)
-    assert traj.times == tuple(expected)
-    assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
-    # 20 ns is a whole number of steps, so only the boundary sample lands there
-    assert traj.times.count(20e-9) == 1
-
-    # an inner sample is the state of the sequence cut off at its time
-    for (t, dm, own) in zip(traj.times, traj.states, owner):
-        if own is None:
-            continue
-        i, k = own
-        cut = seq.segments[:i] + (
-            dataclasses.replace(seq.segments[i], duration=k * sample_dt),
-        )
-        ref = evolve_master(rho0, PulseSequence(cut), RATES).final.matrix
-        assert np.abs(dm.matrix - ref).max() <= 1e-12
-
-    for bad in (0.0, -1e-9, math.nan):
-        with pytest.raises(ValueError):
-            evolve_master(rho0, seq, RATES, sample_dt=bad)
+    for cut in cut_sequences(PulseSequence(tuple(segments)), dt):
+        assert_physical(evolve_master(rho0, cut, params).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +354,15 @@ def _stacked_sequences(draw):
     return PulseSequence(stacked), per_point, points
 
 
-@pytest.mark.parametrize("sample_dt", [None, 7e-9])
 @given(_stacked_sequences())
-def test_stacked_sequence_equals_per_point_sequences(sample_dt, case):
+def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
     rho0 = DensityMatrix.pure(QutritState.from_array(np.array([0.6, 0.8j, 0.0])))
-    traj = evolve_master(rho0, stacked, RATES, sample_dt=sample_dt)
+    final = evolve_master(rho0, stacked, RATES)
+    assert final.matrix.shape == (points, 4, 4)
     U = sequence_unitary(stacked.segments)
     for i, seq in enumerate(per_point):
-        ref = evolve_master(rho0, seq, RATES, sample_dt=sample_dt)
-        assert traj.times == ref.times
-        for got, want in zip(traj.states, ref.states):
-            assert got.matrix.shape == (points, 4, 4)
-            assert np.array_equal(got.matrix[i], want.matrix)
+        assert np.array_equal(final.matrix[i], evolve_master(rho0, seq, RATES).matrix)
         assert np.array_equal(U[i], sequence_unitary(seq.segments))
 
 

@@ -5,12 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab import dsl
-from seqlab.dsl import (
-    ParseError,
-    format_sequence,
-    load_sequence,
-    parse_sequence,
-)
+from seqlab.dsl import ParseError, load_sequence, parse_sequence
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
@@ -21,22 +16,6 @@ from seqlab.qcore import (
 from seqlab.units import mhz
 
 CANONICAL = "sequences/ramsey_readout.seq"
-
-
-def _segments_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Readout):
-        return a.bin == b.bin
-    if isinstance(a, Wait):
-        return a.duration == b.duration
-    return (
-        a.field == b.field
-        and a.rabi == b.rabi
-        and a.duration == b.duration
-        and a.detuning == b.detuning
-        and a.phase == b.phase
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +31,9 @@ def test_area_form_derives_rabi():
     assert seg.detuning == 0.0
     assert seg.phase == 0.0
     assert seg.duration == 20e-9
+    # the area form leaves no trace: the pulse equals its rabi form
+    same = DriveSegment(DriveField.MU1, rabi=0.5 * math.pi / 20e-9, duration=20e-9)
+    assert seg == same and hash(seg) == hash(same)
 
 
 def test_full_pulse_statement():
@@ -233,51 +215,7 @@ def test_malformed_statements():
 
 
 # ---------------------------------------------------------------------------
-# canonical printer and round trips
-
-
-def test_canonical_file_roundtrip_is_exact_and_idempotent():
-    with open(CANONICAL, encoding="utf-8") as fh:
-        text = fh.read()
-    seq = parse_sequence(text)
-    printed = format_sequence(seq)
-    reparsed = parse_sequence(printed)
-    assert len(reparsed.segments) == len(seq.segments)
-    for a, b in zip(seq.segments, reparsed.segments):
-        assert _segments_equal(a, b)
-    assert format_sequence(reparsed) == printed
-
-
-def test_printer_preserves_area_form():
-    printed = format_sequence(parse_sequence("pulse mu1 area=0.5pi duration=20ns"))
-    assert printed == "pulse mu1 area=0.5pi duration=20ns\n"
-
-
-def test_printer_emits_rabi_form():
-    printed = format_sequence(parse_sequence("pulse mu2 rabi=12.5MHz duration=250ns"))
-    assert printed == "pulse mu2 rabi=12.5MHz duration=250ns\n"
-
-
-def test_printer_omits_default_fields():
-    printed = format_sequence(
-        parse_sequence("pulse mu1 rabi=5MHz detuning=0MHz phase=0pi duration=20ns")
-    )
-    assert printed == "pulse mu1 rabi=5MHz duration=20ns\n"
-
-
-def test_programmatic_sequence_roundtrip():
-    seq = PulseSequence(
-        (
-            DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=20.0 * 1e-9,
-                         detuning=mhz(-0.37), phase=0.25 * math.pi),
-            Wait(50.0 * 1e-9),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250.0 * 1e-9),
-            Readout(1),
-        )
-    )
-    back = parse_sequence(format_sequence(seq))
-    for a, b in zip(seq.segments, back.segments):
-        assert _segments_equal(a, b)
+# parsed values
 
 
 @given(
@@ -286,19 +224,16 @@ def test_programmatic_sequence_roundtrip():
     st.floats(-2.0, 2.0),
     st.floats(0.1, 10000.0),
 )
-def test_roundtrip_is_bit_exact_for_unit_born_values(f_mhz, d_mhz, ph_pi, t_ns):
-    seg = DriveSegment(
-        DriveField.MU2,
-        rabi=mhz(f_mhz),
-        duration=t_ns * 1e-9,
-        detuning=mhz(d_mhz),
-        phase=ph_pi * math.pi,
-    )
-    (back,) = parse_sequence(format_sequence(PulseSequence((seg,)))).segments
-    assert back.rabi == seg.rabi
-    assert back.duration == seg.duration
-    assert back.detuning == seg.detuning
-    assert back.phase == seg.phase
+@example(12.5, -0.4, 0.25, 250.0)
+def test_parsed_values_equal_the_unit_helpers_bit_for_bit(f_mhz, d_mhz, ph_pi, t_ns):
+    (seg,) = parse_sequence(
+        f"pulse mu2 rabi={f_mhz!r}MHz detuning={d_mhz!r}MHz "
+        f"phase={ph_pi!r}pi duration={t_ns!r}ns"
+    ).segments
+    assert seg.rabi == mhz(f_mhz)
+    assert seg.detuning == mhz(d_mhz)
+    assert seg.phase == ph_pi * math.pi
+    assert seg.duration == t_ns * 1e-9
 
 
 def _decimal(lo, hi):
@@ -307,47 +242,55 @@ def _decimal(lo, hi):
 
 @st.composite
 def _drive_or_wait(draw):
-    duration = draw(_decimal(1e-3, 1e5))
+    """(statement, the segment it stands for)."""
+    text = draw(_decimal(1e-3, 1e5))
+    duration = float(text) * 1e-9
     if draw(st.booleans()):
-        return f"wait {duration}ns"
-    parts = ["pulse", draw(st.sampled_from(["mu1", "mu2"]))]
+        return f"wait {text}ns", Wait(duration)
+    field = draw(st.sampled_from(["mu1", "mu2"]))
+    parts = ["pulse", field]
     if draw(st.booleans()):
-        parts.append(f"area={draw(_decimal(0.0, 10.0))}pi")
+        area = draw(_decimal(0.0, 10.0))
+        parts.append(f"area={area}pi")
+        rabi = float(area) * math.pi / duration
     else:
-        parts.append(f"rabi={draw(_decimal(0.0, 1e3))}MHz")
+        rabi = draw(_decimal(0.0, 1e3))
+        parts.append(f"rabi={rabi}MHz")
+        rabi = mhz(float(rabi))
+    detuning = phase = 0.0
     if draw(st.booleans()):
-        parts.append(f"detuning={draw(_decimal(-1e3, 1e3))}MHz")
+        detuning = draw(_decimal(-1e3, 1e3))
+        parts.append(f"detuning={detuning}MHz")
+        detuning = mhz(float(detuning))
     if draw(st.booleans()):
-        parts.append(f"phase={draw(_decimal(-4.0, 4.0))}pi")
-    parts.append(f"duration={duration}ns")
-    return " ".join(parts)
+        phase = draw(_decimal(-4.0, 4.0))
+        parts.append(f"phase={phase}pi")
+        phase = float(phase) * math.pi
+    parts.append(f"duration={text}ns")
+    seg = DriveSegment(field, rabi=rabi, duration=duration, detuning=detuning, phase=phase)
+    return " ".join(parts), seg
 
 
 @st.composite
 def _sequence_text(draw):
-    lines = []
+    """(sequence text, the segments it stands for)."""
+    lines, segments = [], []
     for b in sorted(draw(st.sets(st.integers(1, 3)))):
-        lines += draw(st.lists(_drive_or_wait(), max_size=3))
+        for line, seg in draw(st.lists(_drive_or_wait(), max_size=3)):
+            lines.append(line)
+            segments.append(seg)
         lines.append(f"readout bin={b}")
-    lines += draw(st.lists(_drive_or_wait(), min_size=1, max_size=3))
-    return "\n".join(lines)
+        segments.append(Readout(b))
+    for line, seg in draw(st.lists(_drive_or_wait(), min_size=1, max_size=3)):
+        lines.append(line)
+        segments.append(seg)
+    return "\n".join(lines), tuple(segments)
 
 
 @given(_sequence_text())
-def test_parsed_text_roundtrip_is_exact_and_format_is_idempotent(text):
-    # the property format_sequence keeps for any parsed sequence; values
-    # built in code may have no exact decimal and come back one ulp off
-    seq = parse_sequence(text)
-    printed = format_sequence(seq)
-    assert parse_sequence(printed) == seq
-    assert format_sequence(parse_sequence(printed)) == printed
-
-
-def test_printer_rejects_unknown_segment_type():
-    seq = PulseSequence((Wait(1e-8),))
-    object.__setattr__(seq, "segments", ("not a segment",))
-    with pytest.raises(TypeError):
-        format_sequence(seq)
+def test_parsed_text_gives_the_written_values(case):
+    text, segments = case
+    assert parse_sequence(text) == PulseSequence(segments)
 
 
 _NUMBERS = st.one_of(

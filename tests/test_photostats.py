@@ -396,6 +396,19 @@ def test_coherent_records_give_unity_within_error():
     assert abs(est.value - 1.0) <= 3 * est.stderr
 
 
+def test_estimate_g2_peak_memory_per_trial():
+    # int32 products and packed keys peak at 10 B/trial; int64 ones at 18
+    recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01)
+    tracemalloc.start()
+    try:
+        est = estimate_g2(recs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.defined
+    assert peak / len(recs) <= 12.0
+
+
 def test_g2_product_of_large_counts_does_not_wrap():
     counts = np.zeros((4, 2, 3), dtype=np.int16)
     counts[:, :, 0] = 200  # 200 * 200 is beyond int16

@@ -290,6 +290,20 @@ def test_sequence_totals_and_budget():
     assert not long.fits_budget()
 
 
+def test_readout_takes_no_time():
+    # a readout has no duration of its own to add to, or take from, the total
+    with pytest.raises(TypeError):
+        Readout(1, duration=-1.0)
+    seq = PulseSequence(
+        (DriveSegment(DriveField.MU1, rabi=1e7, duration=2e-6), Readout(1))
+    )
+    assert seq.total_duration() == 2e-6
+    assert not seq.fits_budget()
+    only_readouts = PulseSequence((Readout(1), Readout(3)))
+    assert repr(only_readouts.total_duration()) == "0.0"
+    assert only_readouts.fits_budget()
+
+
 def test_sequence_rejects_bad_readout_order():
     with pytest.raises(ValueError):
         PulseSequence((Readout(2), Readout(1)))
@@ -353,8 +367,10 @@ def test_stacked_segments_compare_and_hash():
     assert len({a, b}) == 1
     shifted = deltas.copy()
     shifted[2] += 1.0
+    other_field = DriveSegment(DriveField.MU2, rabi=mhz(5.0), duration=1e-8, detuning=deltas)
+    longer = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=2e-8, detuning=deltas)
     for other in (seg(shifted), seg(deltas[:4]), seg(deltas[:, None]),
-                  seg(deltas, area_pi=0.5), seg(0.0)):
+                  other_field, longer, seg(0.0)):
         assert a != other
     assert a != "mu1" and seg(0.0) == seg(-0.0)
     assert hash(seg(0.0)) == hash(seg(-0.0))

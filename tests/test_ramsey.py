@@ -396,7 +396,7 @@ def test_lindblad_scan_matches_per_point_master_equation(
     ref = [
         I0 * evolve_master(
             rho0, build_ramsey_sequence(d, t_mu1, omega_mu2, t_mu2, gap), params
-        ).final.matrix[0, 0].real
+        ).matrix[0, 0].real
         for d in cfg.deltas
     ]
     assert np.abs(np.array(fringe_scan(cfg).intensities) - ref).max() <= 1e-12 * I0
