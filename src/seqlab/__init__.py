@@ -1,100 +1,4 @@
 """seqlab: collectively-encoded qutrit pulse sequences, dissipative
 dynamics, pairwise interactions, and photon-statistics estimators."""
 
-from .dissipative import (
-    DensityMatrix,
-    DissipationParams,
-    NumericError,
-    evolve_master,
-)
-from .dsl import ParseError, load_sequence, parse_sequence
-from .pairwise import (
-    InteractionParams,
-    mixture_fringe_scan,
-    pair_hamiltonian,
-)
-from .photostats import (
-    FitResult,
-    G2Estimate,
-    ShotRecords,
-    TimeBinPopulations,
-    estimate_g2,
-    fit_sinusoid,
-    readout_from_sequence,
-    readout_populations,
-    sample_coherent_shots,
-    sample_shots,
-)
-from .qcore import (
-    SEQUENCE_BUDGET_S,
-    DriveField,
-    DriveSegment,
-    PulseSequence,
-    QutritState,
-    Readout,
-    Wait,
-    propagate_sequence,
-    segment_hamiltonian,
-    sequence_unitary,
-)
-from .ramsey import (
-    Backend,
-    FringeScan,
-    RamseyScanConfig,
-    RamseyTerms,
-    build_ramsey_sequence,
-    extract_visibility,
-    fringe_scan,
-    rabi_scan,
-    ramsey_intensity,
-    ramsey_terms,
-    ramsey_visibility,
-    symmetric_detuning_grid,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Backend",
-    "DensityMatrix",
-    "DissipationParams",
-    "DriveField",
-    "DriveSegment",
-    "FitResult",
-    "FringeScan",
-    "G2Estimate",
-    "InteractionParams",
-    "NumericError",
-    "ParseError",
-    "PulseSequence",
-    "QutritState",
-    "RamseyScanConfig",
-    "RamseyTerms",
-    "Readout",
-    "SEQUENCE_BUDGET_S",
-    "ShotRecords",
-    "TimeBinPopulations",
-    "Wait",
-    "build_ramsey_sequence",
-    "estimate_g2",
-    "evolve_master",
-    "extract_visibility",
-    "fit_sinusoid",
-    "fringe_scan",
-    "load_sequence",
-    "mixture_fringe_scan",
-    "pair_hamiltonian",
-    "parse_sequence",
-    "propagate_sequence",
-    "rabi_scan",
-    "ramsey_intensity",
-    "ramsey_terms",
-    "ramsey_visibility",
-    "readout_from_sequence",
-    "readout_populations",
-    "sample_coherent_shots",
-    "sample_shots",
-    "segment_hamiltonian",
-    "sequence_unitary",
-    "symmetric_detuning_grid",
-]

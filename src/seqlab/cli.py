@@ -29,7 +29,6 @@ from .qcore import SEQUENCE_BUDGET_S, QutritState
 from .ramsey import (
     Backend,
     RamseyScanConfig,
-    fringe_scan,
     rabi_scan,
     symmetric_detuning_grid,
 )
@@ -89,12 +88,7 @@ def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
         dissipation=_dissipation_from(cfg),
     )
     inter = cfg.interaction
-    if inter.p2 > 0.0:
-        scan = mixture_fringe_scan(
-            scan_cfg, InteractionParams.from_scalar(inter.v_int, inter.p2)
-        )
-    else:
-        scan = fringe_scan(scan_cfg)
+    scan = mixture_fringe_scan(scan_cfg, InteractionParams(inter.v_int, inter.p2))
     text = _table_text(
         args, cfg, RAMSEY_CSV_HEADER, (scan.deltas, scan.intensities)
     )

@@ -257,7 +257,8 @@ def parse_sequence(text: str, label: str = "") -> PulseSequence:
     return PulseSequence(tuple(segments), label=label)
 
 
-def load_sequence(path, label: str | None = None) -> PulseSequence:
+def load_sequence(path) -> PulseSequence:
+    """Parse the sequence file at path, labelled with its file name."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_sequence(text, label if label is not None else os.path.basename(str(path)))
+    return parse_sequence(text, os.path.basename(str(path)))

@@ -5,15 +5,15 @@ is the bosonic-symmetric subspace of two qutrits: six configurations
 (11), (12), (13), (22), (23), (33), ordered lexicographically.  A
 single-particle Hamiltonian h lifts to this space with the usual bosonic
 enhancement, e.g. <11| H |12> = sqrt(2) h[0][1], which follows from
-H = sum_xy h[x][y] b_x^+ b_y on occupation states.  Diagonal van der
-Waals shifts V[alpha][beta] are added per configuration.
+H = sum_xy h[x][y] b_x^+ b_y on occupation states.  A diagonal van der
+Waals shift is added per configuration.
 
 The stored pair (11) sets the zero of interaction energy: a uniform
 shift of every configuration is a global phase with no observable
-consequence, so the scalar convenience constructor applies v_int to every
-configuration except (11).  That is the minimal model for the observed
-fringe phase offset: relative level shifts of the microwave-accessed
-configurations against the storage configuration.
+consequence, so the one shift v_int applies to every configuration
+except (11).  That is the minimal model for the observed fringe phase
+offset: relative level shifts of the microwave-accessed configurations
+against the storage configuration.
 
 The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .ramsey import FringeScan, RamseyScanConfig, fringe_scan, ramsey_amplitudes
+from .ramsey import Backend, FringeScan, RamseyScanConfig, fringe_scan, ramsey_amplitudes
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -75,41 +75,21 @@ _LIFT = _lift_tensor()
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Pairwise interaction shifts (rad/s) and the double-excitation rate.
+    """Pairwise interaction shift (rad/s) and the double-excitation rate.
 
-    shift is a symmetric 3x3 matrix: shift[a][b] is the diagonal energy of
-    configuration (a, b).  p2 is the probability that a shot holds two
-    excitations instead of one.
+    v_int is the diagonal energy of every configuration except the stored
+    pair (11), whose shift defines the energy zero.  p2 is the probability
+    that a shot holds two excitations instead of one.
     """
 
-    shift: tuple[tuple[float, float, float], ...] = (
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
-    )
+    v_int: float = 0.0
     p2: float = 0.0
 
     def __post_init__(self):
-        m = np.asarray(self.shift, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("shift must be 3x3")
-        if not np.isfinite(m).all():
-            raise ValueError("shift entries must be finite")
-        if np.abs(m - m.T).max() > 0.0:
-            raise ValueError("shift must be symmetric")
+        if not math.isfinite(self.v_int):
+            raise ValueError("v_int must be finite")
         if not (0.0 <= self.p2 < 1.0):
             raise ValueError("p2 must lie in [0, 1)")
-
-    @classmethod
-    def from_scalar(cls, v_int: float, p2: float = 0.0) -> "InteractionParams":
-        """Single-scalar model: v_int on every configuration except the
-        stored pair (11), whose shift defines the energy zero."""
-        m = [[v_int] * 3 for _ in range(3)]
-        m[0][0] = 0.0
-        return cls(tuple(tuple(row) for row in m), p2)
-
-    def config_shifts(self) -> np.ndarray:
-        return np.array([self.shift[a][b] for a, b in PAIR_CONFIGS], dtype=float)
 
 
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
@@ -123,7 +103,9 @@ def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndar
     Hamiltonians, e.g. from :func:`seqlab.qcore.segment_hamiltonian`: the
     symmetric lift plus the diagonal interaction shifts, which persist
     while the drives are off."""
-    return lift_single_particle(h3) + np.diag(interactions.config_shifts())
+    shifts = np.full(len(PAIR_CONFIGS), interactions.v_int, dtype=float)
+    shifts[0] = 0.0  # the stored pair, a literal zero whatever the sign of v_int
+    return lift_single_particle(h3) + np.diag(shifts)
 
 
 def mixture_fringe_scan(
@@ -135,18 +117,25 @@ def mixture_fringe_scan(
     ordinary scan with config's backend and I_double is I0 times the
     expected number of R1 excitations after the pair propagates through
     the same sequence, over the whole grid in stacked calls.  With
-    p2 = 0 this reduces to the single scan elementwise; the double branch
-    is bounded by 2 I0, so the mixture is bounded by (1 - p2) I0 + 2 p2 I0.
+    p2 = 0 this is the single scan itself; the double branch is bounded
+    by 2 I0, so the mixture is bounded by (1 - p2) I0 + 2 p2 I0.  The double
+    branch is closed, so p2 > 0 with LINDBLAD and a non-zero dissipation
+    rate raises ValueError rather than damp the single branch alone.
     """
-    single = fringe_scan(config)
     p2 = interactions.p2
     if p2 == 0.0:
-        return FringeScan(single.deltas, single.intensities, single.I0, "mixture")
+        return fringe_scan(config)
+    rates = config.dissipation is not None and config.dissipation.collapse_operators()
+    if config.backend is Backend.LINDBLAD and rates:
+        raise ValueError(
+            f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
+            "backend has no dissipative model of the double-excitation branch"
+        )
+    single = fringe_scan(config)
     stored_pair = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # configuration (11)
     amps = ramsey_amplitudes(
         config, stored_pair, partial(pair_hamiltonian, interactions=interactions)
     )
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
     mixed = (1.0 - p2) * np.array(single.intensities) + p2 * doubles
-    return FringeScan(single.deltas, tuple(mixed.tolist()), single.I0, "mixture")
-
+    return FringeScan(single.deltas, tuple(mixed.tolist()), single.I0)

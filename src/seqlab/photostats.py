@@ -58,7 +58,7 @@ def _validate_eta(eta) -> tuple[float, float, float]:
 
 
 def readout_from_sequence(
-    state: QutritState | DensityMatrix,
+    state: QutritState,
     sequence: PulseSequence,
     eta=(1.0, 1.0, 1.0),
     deph_between_bins: float = 0.0,
@@ -69,16 +69,14 @@ def readout_from_sequence(
     current R1 population times eta[b-1] (times the inter-bin dephasing
     factor) and then zeroes R1, modelling the departed photon.  The
     dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  A pure state enters as its density matrix; all drive/wait
+    attenuated.  The state enters as its density matrix; all drive/wait
     propagators come from one stacked call.
     """
     eta = _validate_eta(eta)
     if deph_between_bins < 0 or not math.isfinite(deph_between_bins):
         raise ValueError("deph_between_bins must be finite and non-negative")
 
-    if isinstance(state, QutritState):
-        state = DensityMatrix.pure(state)
-    rho = state.matrix.astype(complex)
+    rho = DensityMatrix.pure(state).matrix
     steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
 
@@ -103,24 +101,17 @@ def readout_from_sequence(
 
 
 def readout_populations(
-    state: QutritState | DensityMatrix,
-    eta=(1.0, 1.0, 1.0),
-    deph_between_bins: float = 0.0,
-    pulse_durations: tuple[float, float] = (DEFAULT_PI_PULSE_S, DEFAULT_PI_PULSE_S),
+    state: QutritState, deph_between_bins: float = 0.0
 ) -> TimeBinPopulations:
-    """Three-bin read-out with the canonical remapping pulses.
-
-    pulse_durations = (mu1 pi pulse, mu2 pi pulse) set the inter-bin
-    delays that the dephasing factor sees.
+    """Three-bin read-out with the canonical remapping pulses, ideal
+    retrieval and pi pulses of DEFAULT_PI_PULSE_S on both fields, which
+    set the inter-bin delays that the dephasing factor sees.
     """
-    t1, t2 = pulse_durations
-    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t1, duration=t1)
-    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t2, duration=t2)
-    chain = PulseSequence(
-        (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3)),
-        label="readout",
-    )
-    return readout_from_sequence(state, chain, eta, deph_between_bins)
+    t = DEFAULT_PI_PULSE_S
+    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
+    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
+    chain = PulseSequence((Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3)))
+    return readout_from_sequence(state, chain, deph_between_bins=deph_between_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +305,21 @@ class G2Estimate:
 
 
 N_BOOTSTRAP = 200
+BOOTSTRAP_SEED = 815
 
 
-def estimate_g2(
-    records: ShotRecords, bin: int = 1, bootstrap_seed: int = 815
-) -> G2Estimate:
+def estimate_g2(records: ShotRecords, bin: int = 1) -> G2Estimate:
     """g2(0) = <nA nB> / (<nA> <nB>) over trials for the chosen bin.
 
-    The bootstrap (fixed 200 resamples, seeded) resamples trials with
+    The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials with
     replacement; collapsing to unique (nA, nB) outcomes makes that a
     multinomial redraw, which is fast at large n.  The outcomes are
     collapsed on one packed key nA * (COUNT_MAX + 1) + nB: both counts lie
     in [0, COUNT_MAX], so the sorted keys list the outcomes in
-    lexicographic (nA, nB) order.  The multinomial draws for a seed depend
-    on that order, so it fixes the stderr a given bootstrap_seed yields.
-    The product nA * nB is at most COUNT_MAX**2 and the key at most
-    2**30 - 1, so both are exact in int32.
+    lexicographic (nA, nB) order.  The multinomial draws depend on that
+    order, so it fixes the stderr that BOOTSTRAP_SEED yields.  The product
+    nA * nB is at most COUNT_MAX**2 and the key at most 2**30 - 1, so both
+    are exact in int32.
     """
     na, nb = records.arm_counts(bin)
     n = len(records)
@@ -348,7 +338,7 @@ def estimate_g2(
     ua = (keys // radix).astype(float)
     ub = (keys % radix).astype(float)
     uab = ua * ub
-    rng = np.random.default_rng(bootstrap_seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     draws = rng.multinomial(n, counts / n, size=N_BOOTSTRAP)
     sa = draws @ ua
     sb = draws @ ub

@@ -206,17 +206,16 @@ class QutritState:
         return (abs(self.c1) ** 2, abs(self.c2) ** 2, abs(self.c3) ** 2)
 
 
-def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0, phase=0.0) -> np.ndarray:
-    """Hamiltonian (rad/s) of one field driving alone, for array arguments.
+def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0) -> np.ndarray:
+    """Hamiltonian (rad/s) of one field driving alone at phase 0.
 
-    field is a DriveField or its value ("mu1", "mu2").  rabi, detuning
-    and phase broadcast against each other; the result has shape
-    (..., 3, 3) over their broadcast shape.  The field's block
-    carries (rabi/2) e^{i phase} on the lower off-diagonal and -detuning
-    on the upper level's diagonal; every other entry is zero.  Values are
-    validated as DriveSegment validates them.
+    field is a DriveField or its value ("mu1", "mu2").  rabi and detuning
+    broadcast against each other; the result has shape (..., 3, 3) over
+    their broadcast shape.  The field's block carries rabi/2 on both
+    off-diagonals and -detuning on the upper level's diagonal; every other
+    entry is zero.  Values are validated as DriveSegment validates them.
     """
-    return _drive_block(DriveField(field), *_drive_values(rabi, detuning, phase))
+    return _drive_block(DriveField(field), *_drive_values(rabi, detuning, 0.0))
 
 
 def _drive_block(field: DriveField, rabi, detuning, phase) -> np.ndarray:

@@ -171,12 +171,11 @@ class RamseyScanConfig:
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Scan result: (delta, intensity) points plus normalization and origin."""
+    """Scan result: (delta, intensity) points plus normalization."""
 
     deltas: tuple[float, ...]
     intensities: tuple[float, ...]
     I0: float
-    provenance: str
 
 
 def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
@@ -224,7 +223,7 @@ def build_ramsey_sequence(
     if inter_pulse_gap > 0:
         segs.append(Wait(inter_pulse_gap))
     segs.append(half_pi)
-    return PulseSequence(tuple(segs), label="ramsey")
+    return PulseSequence(tuple(segs))
 
 
 def _block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
@@ -281,9 +280,7 @@ def fringe_scan(config: RamseyScanConfig) -> FringeScan:
             vals += (config.I0 * final[:, 0, 0].real).tolist()
     else:  # pragma: no cover
         raise ValueError(f"unknown backend {config.backend!r}")
-    return FringeScan(
-        tuple(config.deltas), tuple(vals), config.I0, config.backend.value
-    )
+    return FringeScan(tuple(config.deltas), tuple(vals), config.I0)
 
 
 def extract_visibility(scan: FringeScan) -> float:

@@ -188,7 +188,7 @@ def test_pair_lift_oracle_and_interaction_phase_offset():
         cfg = RamseyScanConfig(
             t_mu1=t_mu1, deltas=grid, omega_mu2=2.0 * math.pi / t_mu2, t_mu2=t_mu2
         )
-        scan = mixture_fringe_scan(cfg, InteractionParams.from_scalar(v, 0.3))
+        scan = mixture_fringe_scan(cfg, InteractionParams(v, 0.3))
         fits.append(
             fit_sinusoid(np.array(scan.deltas), np.array(scan.intensities), hint)
         )

@@ -163,6 +163,54 @@ def test_ramsey_scan_mixture_path(tmp_path):
     assert np.all(table[:, 1] >= -1e-12)
 
 
+MIXTURE_WITH_DECAY = (
+    "scan.points = 5\ninteraction.p2 = 0.5\n"
+    "dissipation.gamma_decay_1 = 5MHz\ndissipation.gamma_decay_2 = 5MHz\n"
+    "dissipation.gamma_decay_3 = 5MHz\n"
+)
+
+
+def test_lindblad_mixture_scan_with_rates_exits_2(tmp_path, capsys):
+    # the double branch has no dissipative model: this used to exit 0 with
+    # a damped single branch mixed into an undamped double one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MIXTURE_WITH_DECAY, encoding="utf-8")
+    out = tmp_path / "m.csv"
+    for extra in ([], ["--out", str(out)]):
+        argv = ["ramsey-scan", "--backend", "lindblad", "--config", str(cfg), *extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: interaction.p2 = 0.5 with non-zero dissipation rates: the lindblad "
+            "backend has no dissipative model of the double-excitation branch\n"
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["analytic", "unitary"])
+def test_closed_mixture_scans_ignore_rates(tmp_path, capsys, backend):
+    cfg = tmp_path / "run.cfg"
+    outputs = []
+    for text in (MIXTURE_WITH_DECAY, "scan.points = 5\ninteraction.p2 = 0.5\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["ramsey-scan", "--backend", backend, "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("backend", ["analytic", "unitary", "lindblad"])
+def test_ramsey_scan_ignores_v_int_at_p2_zero(tmp_path, capsys, backend):
+    # one command path: at p2 = 0 the mixture scan is the single scan
+    cfg = tmp_path / "run.cfg"
+    outputs = []
+    for extra in ("", "interaction.v_int = 1MHz\n"):
+        cfg.write_text("scan.points = 11\n" + extra, encoding="utf-8")
+        assert main(["ramsey-scan", "--backend", backend, "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_format_priority_flag_over_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("output.format = json\nscan.points = 5\n", encoding="utf-8")

@@ -75,11 +75,6 @@ def test_canonical_file_loads():
     assert seq.total_duration() < 1.8e-6
 
 
-def test_load_sequence_label_override():
-    seq = load_sequence(CANONICAL, label="custom")
-    assert seq.label == "custom"
-
-
 # ---------------------------------------------------------------------------
 # coded parse errors
 

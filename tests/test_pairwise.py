@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from seqlab.dissipative import DissipationParams
 from seqlab.pairwise import (
     PAIR_CONFIGS,
     InteractionParams,
@@ -138,28 +140,19 @@ def test_resonant_drive_coupling_is_sqrt2_half_rabi():
 # interaction shifts
 
 
-def test_uniform_shift_matrix_gives_uniform_diagonal():
-    v = mhz(0.7)
-    params = InteractionParams(shift=((v, v, v), (v, v, v), (v, v, v)))
-    H = pair_hamiltonian(segment_hamiltonian(Wait(10e-9)), params)
-    assert np.abs(H - v * np.eye(6)).max() <= 1e-12
-
-
-def test_from_scalar_zeroes_the_stored_pair():
-    v = mhz(0.3)
-    params = InteractionParams.from_scalar(v, p2=0.25)
-    shifts = params.config_shifts()
-    assert shifts[0] == 0.0
-    assert np.all(shifts[1:] == v)
-    assert params.p2 == 0.25
+@pytest.mark.parametrize("v", [mhz(0.3), -mhz(0.3)], ids=["positive", "negative"])
+def test_v_int_shifts_every_configuration_but_the_stored_pair(v):
+    H = pair_hamiltonian(segment_hamiltonian(Wait(10e-9)), InteractionParams(v, p2=0.25))
+    assert np.array_equal(H, np.diag([0.0] + [v] * 5))
+    assert not np.signbit(H[0, 0].real)  # a literal zero, also for negative v
 
 
 def test_build_adds_diagonal_shifts_to_lift():
     seg = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=100e-9)
-    params = InteractionParams.from_scalar(mhz(0.4))
-    H = pair_hamiltonian(segment_hamiltonian(seg), params)
+    v = mhz(0.4)
+    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams(v))
     bare = lift_single_particle(segment_hamiltonian(seg))
-    assert np.abs((H - bare) - np.diag(params.config_shifts())).max() <= 1e-12
+    assert np.abs((H - bare) - np.diag([0.0] + [v] * 5)).max() <= 1e-12
 
 
 def test_interactions_persist_during_wait():
@@ -167,7 +160,7 @@ def test_interactions_persist_during_wait():
     t = 120e-9
     amps = np.zeros(6, dtype=complex)
     amps[0] = amps[1] = 1.0 / math.sqrt(2)
-    out = _pair_sequence_propagator((Wait(t),), InteractionParams.from_scalar(v)) @ amps
+    out = _pair_sequence_propagator((Wait(t),), InteractionParams(v)) @ amps
     # stored pair sets the energy zero; (12) acquires exp(-i v t)
     assert abs(out[0] - amps[0]) <= 1e-12
     assert abs(out[1] - amps[1] * np.exp(-1j * v * t)) <= 1e-12
@@ -196,7 +189,7 @@ def test_pair_propagation_is_unitary(seed):
                     phase=float(rng.uniform(-math.pi, math.pi)),
                 )
             )
-    params = InteractionParams.from_scalar(float(rng.uniform(-mhz(1.0), mhz(1.0))))
+    params = InteractionParams(float(rng.uniform(-mhz(1.0), mhz(1.0))))
     out = _pair_sequence_propagator(segs, params)[:, 0]  # from the stored pair (11)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
@@ -244,9 +237,7 @@ def _scan_config(points=161, span=mhz(7.0), t_mu2=150e-9):
 def test_mixture_reduces_to_single_scan_at_p2_zero():
     config = _scan_config(points=41)
     single = fringe_scan(config)
-    mixed = mixture_fringe_scan(config, InteractionParams.from_scalar(mhz(0.5), p2=0.0))
-    assert mixed.deltas == single.deltas
-    assert mixed.intensities == single.intensities
+    assert mixture_fringe_scan(config, InteractionParams(mhz(0.5), p2=0.0)) == single
 
 
 def test_zero_interactions_double_is_twice_single():
@@ -287,7 +278,7 @@ def test_mixture_intensity_bounds():
     config = _scan_config(points=81)
     p2 = 0.3
     mixed = mixture_fringe_scan(
-        config, InteractionParams.from_scalar(mhz(0.2), p2=p2)
+        config, InteractionParams(mhz(0.2), p2=p2)
     )
     upper = (1.0 - p2) * config.I0 + 2.0 * p2 * config.I0
     for y in mixed.intensities:
@@ -299,10 +290,10 @@ def test_interaction_sign_reflects_the_fringe():
     # gauge, so the scan with -v is the delta-reversed scan with +v
     config = _scan_config(points=81)
     plus = mixture_fringe_scan(
-        config, InteractionParams.from_scalar(mhz(0.3), p2=0.3)
+        config, InteractionParams(mhz(0.3), p2=0.3)
     )
     minus = mixture_fringe_scan(
-        config, InteractionParams.from_scalar(-mhz(0.3), p2=0.3)
+        config, InteractionParams(-mhz(0.3), p2=0.3)
     )
     for yp, ym in zip(plus.intensities, reversed(minus.intensities)):
         assert abs(yp - ym) <= 1e-9
@@ -314,7 +305,7 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
     phases = []
     for v in (-mhz(0.1), 0.0, mhz(0.1)):
         fit = _fit_scan(
-            mixture_fringe_scan(config, InteractionParams.from_scalar(v, p2=0.3)),
+            mixture_fringe_scan(config, InteractionParams(v, p2=0.3)),
             hint,
         )
         assert fit.converged
@@ -324,18 +315,44 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
     assert abs(phases[0] + phases[2]) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        DissipationParams(gamma_decay=(5e6, 5e6, 5e6)),
+        DissipationParams(gamma_deph=(0.0, 1e5, 0.0)),
+    ],
+)
+def test_mixture_refuses_lindblad_with_rates(rates):
+    # the double branch is closed: under LINDBLAD it would stay undamped
+    # while the single branch decays, and the mixture used to report that
+    lindblad = replace(_scan_config(points=5), backend=Backend.LINDBLAD, dissipation=rates)
+    refused = r"^interaction\.p2 = 0\.5 with non-zero dissipation rates"
+    with pytest.raises(ValueError, match=refused):
+        mixture_fringe_scan(lindblad, InteractionParams(p2=0.5))
+    # p2 = 0 is the dissipative single scan
+    assert mixture_fringe_scan(lindblad, InteractionParams(p2=0.0)) == fringe_scan(lindblad)
+    # the closed backends ignore the rates; zero rates under LINDBLAD
+    # shadow the unitary mixture
+    interactions = InteractionParams(mhz(0.2), p2=0.5)
+    unitary = mixture_fringe_scan(replace(lindblad, backend=Backend.UNITARY), interactions)
+    assert unitary == mixture_fringe_scan(
+        replace(lindblad, backend=Backend.UNITARY, dissipation=None), interactions
+    )
+    zero_rates = mixture_fringe_scan(
+        replace(lindblad, dissipation=DissipationParams()), interactions
+    )
+    assert np.abs(np.subtract(zero_rates.intensities, unitary.intensities)).max() <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # validation
 
 
 def test_interaction_params_validation():
     with pytest.raises(ValueError):
-        InteractionParams(shift=((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    with pytest.raises(ValueError):
         InteractionParams(p2=1.0)
     with pytest.raises(ValueError):
         InteractionParams(p2=-0.1)
-    with pytest.raises(ValueError):
-        InteractionParams(
-            shift=((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        )
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            InteractionParams(v_int=v)

@@ -202,7 +202,6 @@ def test_lindblad_backend_zero_rates_matches_analytic_at_zero():
     b = fringe_scan(cfg_l)
     i0 = grid.index(0.0)
     assert a.intensities[i0] == pytest.approx(b.intensities[i0], abs=1e-7)
-    assert b.provenance == "lindblad"
 
 
 def test_extraction_matches_law_on_random_areas():
@@ -351,7 +350,7 @@ def test_batched_scans_match_per_point_reference(
     )
     times = np.linspace(0.0, t_max, points)
     _assert_batched_matches_reference(
-        cfg, InteractionParams.from_scalar(v_int, p2), times, detuning2
+        cfg, InteractionParams(v_int, p2), times, detuning2
     )
 
 
@@ -364,7 +363,7 @@ def test_batched_scans_do_not_depend_on_block_boundaries(points):
     )
     times = np.linspace(0.0, 200e-9, points)
     _assert_batched_matches_reference(
-        cfg, InteractionParams.from_scalar(mhz(0.3), 0.4), times, mhz(1.5)
+        cfg, InteractionParams(mhz(0.3), 0.4), times, mhz(1.5)
     )
 
 

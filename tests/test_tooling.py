@@ -1,11 +1,13 @@
 """The benchmark's required span names resolve to seqlab functions, the
-README lists the config's sections, and every seqlab function serves a
-command or a script.
+README lists the config's sections, the package version is the project's,
+and every seqlab function and defaulted parameter serves a command or a
+script.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
-every command and script in one process under a call profile and prints
-the seqlab functions entered, as JSON; it imports seqlab only once the
-profile is set, so functions that run at import count too.
+every command and script in one process under a call profile and prints,
+as JSON, the seqlab functions entered, their defaulted parameters and the
+parameters some call gave a non-default value; it imports seqlab only
+once the profile is set, so functions that run at import count too.
 """
 
 import ast
@@ -22,6 +24,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +71,16 @@ def test_readme_lists_the_config_sections():
     ]
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
+def test_package_version_is_the_project_version():
+    import tomllib
+
+    import seqlab
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert seqlab.__version__ == tomllib.load(fh)["project"]["version"]
+
+
 # ---------------------------------------------------------------------------
 # no code is reachable only from tests
 
@@ -103,6 +116,49 @@ def _defined_functions() -> set[str]:
             todo += [c for c in code.co_consts if inspect.iscode(c)]
             found.add(_function_key(code))
     return found - {None}
+
+
+def _defaulted_parameters() -> dict:
+    """code -> ((name, default), ...) of every function and method defined
+    in src/seqlab that has defaulted parameters.  A dataclass's generated
+    ``__init__`` is compiled from a string, not from src/seqlab, so the
+    field defaults are out of reach of this guard."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "seqlab" if path.stem == "__init__" else f"seqlab.{path.stem}"
+        functions = []
+        for obj in vars(importlib.import_module(name)).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isclass(obj):  # methods, static and class methods too
+                functions += [getattr(v, "__func__", v) for v in vars(obj).values()]
+            else:
+                functions.append(obj)
+        for fn in functions:
+            if not inspect.isfunction(fn) or _function_key(fn.__code__) is None:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            defaults = tuple((p.name, p.default) for p in params if p.default is not p.empty)
+            if defaults:
+                found[fn.__code__] = defaults
+    return found
+
+
+def _differs(value, default) -> bool:
+    """value is neither the default object nor equal to it; an array
+    always differs."""
+    if value is default:
+        return False
+    if isinstance(value, np.ndarray) or isinstance(default, np.ndarray):
+        return True
+    try:
+        return bool(value != default)
+    except (TypeError, ValueError):  # e.g. a tuple that holds arrays
+        return True
+
+
+def _parameter_key(code, name: str) -> str:
+    return f"{_function_key(code).rsplit(':', 1)[0]}({name})"
 
 
 SCAN_VARIANTS = (
@@ -146,8 +202,9 @@ def _traffic(tmp: Path) -> None:
     run("ramsey-scan", "--out", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), "--format", "csv", config="fit.t_total_hint = 450ns\n")
-    for fmt in ("csv", "json"):
-        run("rabi-scan", "--format", fmt, config="rabi.points = 9\nrabi.t_max = 80ns\n")
+    rabi = "rabi.points = 9\nrabi.t_max = 80ns\n"
+    run("rabi-scan", "--format", "csv", config=rabi)
+    run("rabi-scan", "--format", "json", config=rabi + "rabi.t_mu1 = 30ns\nrabi.detuning2 = 1MHz\n")
     seq = tmp / "wait.seq"
     seq.write_text(SEQUENCE_WITH_A_WAIT, encoding="utf-8")
     run("readout", "--seq", str(ROOT / "sequences" / "ramsey_readout.seq"))
@@ -164,6 +221,8 @@ def _traffic(tmp: Path) -> None:
     run("ramsey-scan", config="scan.nope = 1\n", code=2)
     run("ramsey-scan", config="scan.points = 4\n", code=2)
     run("ramsey-scan", "--config", str(tmp / "missing.cfg"), code=2)
+    run("ramsey-scan", "--backend", "lindblad",
+        config=scan + "interaction.p2 = 0.5\ndissipation.gamma_decay_1 = 5MHz\n", code=2)
     run("readout", code=2)
     bad_seq = tmp / "bad.seq"
     bad_seq.write_text("pulse mu3 rabi=1MHz duration=1ns\n", encoding="utf-8")
@@ -187,17 +246,28 @@ def _traffic(tmp: Path) -> None:
             sys.argv = argv
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
-def test_every_seqlab_function_serves_a_command_or_script(tmp_path):
+needs_qualname = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="needs code.co_qualname"
+)
+
+
+@pytest.fixture(scope="module")
+def call_profile(tmp_path_factory) -> dict:
+    """The JSON this file prints when run as a script over the traffic."""
     env = dict(os.environ)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + old if old else "")
     proc = subprocess.run(
-        [sys.executable, __file__, str(tmp_path)],
+        [sys.executable, __file__, str(tmp_path_factory.mktemp("traffic"))],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    entered = set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+@needs_qualname
+def test_every_seqlab_function_serves_a_command_or_script(call_profile):
+    entered = set(call_profile["entered"])
     defined = _defined_functions()
     assert ALLOWED_UNREACHED <= {key.rsplit(":", 1)[0] for key in defined}
     unreached = sorted(
@@ -207,15 +277,41 @@ def test_every_seqlab_function_serves_a_command_or_script(tmp_path):
     assert not unreached, "reached only from tests, or from nothing"
 
 
+@needs_qualname
+def test_every_defaulted_parameter_is_set_by_a_command_or_script(call_profile):
+    unset = sorted(set(call_profile["defaulted"]) - set(call_profile["varied"]))
+    assert not unset, "set only by tests, or by nothing"
+
+
 if __name__ == "__main__":
-    entered = set()
+    entered, varied, defaults, at_import = set(), set(), {}, []
+    src = f"{SRC}{os.sep}"
+
+    def _judge(code, args) -> None:
+        for name, default in defaults.get(code, ()):
+            if _differs(args[name], default):
+                varied.add((code, name))
 
     def _profile(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
+            if defaults:
+                _judge(frame.f_code, frame.f_locals)
+            elif frame.f_code.co_filename.startswith(src):
+                # seqlab is importing: judge the call once the defaults are known
+                at_import.append((frame.f_code, dict(frame.f_locals)))
 
     sys.setprofile(_profile)
+    defaults.update(_defaulted_parameters())
+    for code, args in at_import:
+        _judge(code, args)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         _traffic(Path(sys.argv[1]))
     sys.setprofile(None)
-    print(json.dumps(sorted({_function_key(code) for code in entered} - {None})))
+    print(json.dumps({
+        "entered": sorted({_function_key(code) for code in entered} - {None}),
+        "defaulted": sorted(
+            _parameter_key(code, name) for code, params in defaults.items() for name, _ in params
+        ),
+        "varied": sorted(_parameter_key(code, name) for code, name in varied),
+    }))
