@@ -37,19 +37,19 @@ def main():
     print(f"# t_mu1={args.t_mu1_ns} ns  t_mu2={args.t_mu2_ns} ns  "
           f"area={args.area_pi} pi")
     print(f"{'delta/2pi (MHz)':>16}  {'analytic':>12}  {'unitary':>12}")
-    scans = {}
+    configs, scans = {}, {}
     for backend in (Backend.ANALYTIC, Backend.UNITARY):
-        cfg = RamseyScanConfig(
+        configs[backend] = RamseyScanConfig(
             t_mu1=t1, deltas=grid, omega_mu2=omega, t_mu2=t2, backend=backend
         )
-        scans[backend] = fringe_scan(cfg)
+        scans[backend] = fringe_scan(configs[backend])
     for i, d in enumerate(grid):
-        print(f"{to_mhz(d):16.4f}  {scans[Backend.ANALYTIC].intensities[i]:12.8f}"
-              f"  {scans[Backend.UNITARY].intensities[i]:12.8f}")
+        print(f"{to_mhz(d):16.4f}  {scans[Backend.ANALYTIC][i]:12.8f}"
+              f"  {scans[Backend.UNITARY][i]:12.8f}")
 
     law = ramsey_visibility(omega, t2)
     for backend, scan in scans.items():
-        v = extract_visibility(scan)
+        v = extract_visibility(configs[backend], scan)
         print(f"# visibility[{backend.value}] = {v:.12f}  "
               f"(law {law:.12f}, err {v - law:+.2e})")
 

@@ -47,7 +47,7 @@ def main():
             t_mu1=t1, deltas=grid, omega_mu2=omega, t_mu2=t2,
             backend=backend, dissipation=dissipation,
         )
-        v = extract_visibility(fringe_scan(cfg))
+        v = extract_visibility(cfg, fringe_scan(cfg))
         law = ramsey_visibility(omega, t2)
         print(f"{theta / math.pi:8.3f}  {v:14.10f}  {law:14.10f}  "
               f"{v - law:+10.2e}")

@@ -1,14 +1,16 @@
 """`seqlab` command line: experiment commands over the library.
 
 Subcommands: ramsey-scan, rabi-scan, readout, g2, fit.  Exit codes:
-0 success, 2 validation/usage error, 3 numeric failure.  Diagnostics go
-to stderr; data goes to --out (atomically) or stdout.
+0 success, 2 validation/usage error, 3 numeric failure (a floating-point
+overflow, invalid operation or division by zero included).  Diagnostics
+go to stderr; data goes to --out (atomically) or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -88,10 +90,8 @@ def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
         dissipation=_dissipation_from(cfg),
     )
     inter = cfg.interaction
-    scan = mixture_fringe_scan(scan_cfg, InteractionParams(inter.v_int, inter.p2))
-    text = _table_text(
-        args, cfg, RAMSEY_CSV_HEADER, (scan.deltas, scan.intensities)
-    )
+    intensities = mixture_fringe_scan(scan_cfg, InteractionParams(inter.v_int, inter.p2))
+    text = _table_text(args, cfg, RAMSEY_CSV_HEADER, (scan_cfg.deltas, intensities))
     emit(text, args.out)
     return 0
 
@@ -111,7 +111,7 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
     seq = load_sequence(args.seq)
     total = seq.total_duration()
     print(
-        f"sequence {seq.label}: total duration {total!r} s "
+        f"sequence {os.path.basename(args.seq)}: total duration {total!r} s "
         f"(budget {SEQUENCE_BUDGET_S!r} s, "
         f"{'within' if seq.fits_budget() else 'EXCEEDS'} budget)",
         file=sys.stderr,
@@ -145,13 +145,8 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
             (1.0, 0.0, 0.0), sh.n_trials, seed,
             dark_rate=sh.dark_rate, p2=p2,
         )
-    est = estimate_g2(records, bin=cfg.g2.bin)
-    if not est.defined:
-        raise NumericError(
-            "g2 undefined: one arm registered no clicks "
-            f"({est.n_trials} trials, bin {cfg.g2.bin})"
-        )
-    values = (est.value, est.stderr, est.n_trials)
+    value, stderr = estimate_g2(records, bin=cfg.g2.bin)
+    values = (value, stderr, len(records))
     emit(_record_text(args, cfg, G2_CSV_HEADER, values), args.out)
     return 0
 
@@ -246,11 +241,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        return args.handler(args, cfg)
+        # overflow and invalid operations are coded failures, not warnings
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args, cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

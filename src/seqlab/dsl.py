@@ -16,7 +16,6 @@ bit for bit; the area form gives rabi = area * pi / duration.
 from __future__ import annotations
 
 import math
-import os
 import re
 from typing import Iterator, NamedTuple
 
@@ -222,7 +221,7 @@ def _parse_readout(tokens: list[_Token]) -> Readout:
     return Readout(int(val.text))
 
 
-def parse_sequence(text: str, label: str = "") -> PulseSequence:
+def parse_sequence(text: str) -> PulseSequence:
     """Parse sequence text into a PulseSequence, or raise ParseError."""
     segments = []
     seen_bins: dict[int, int] = {}
@@ -254,11 +253,10 @@ def parse_sequence(text: str, label: str = "") -> PulseSequence:
             )
     if not segments:
         raise ParseError("sequence has no segments", 1, 1, E_EMPTY)
-    return PulseSequence(tuple(segments), label=label)
+    return PulseSequence(tuple(segments))
 
 
 def load_sequence(path) -> PulseSequence:
-    """Parse the sequence file at path, labelled with its file name."""
+    """Parse the sequence file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_sequence(text, os.path.basename(str(path)))
+        return parse_sequence(fh.read())

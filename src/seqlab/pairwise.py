@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .ramsey import Backend, FringeScan, RamseyScanConfig, fringe_scan, ramsey_amplitudes
+from .ramsey import Backend, RamseyScanConfig, fringe_scan, ramsey_amplitudes
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -110,8 +110,9 @@ def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndar
 
 def mixture_fringe_scan(
     config: RamseyScanConfig, interactions: InteractionParams
-) -> FringeScan:
-    """Detuning scan of the single/double mixture.
+) -> np.ndarray:
+    """Detuning scan of the single/double mixture: a float64 array of
+    intensities, one per config.deltas.
 
     I(delta) = (1 - p2) I_single + p2 I_double, where I_single is the
     ordinary scan with config's backend and I_double is I0 times the
@@ -137,5 +138,4 @@ def mixture_fringe_scan(
         config, stored_pair, partial(pair_hamiltonian, interactions=interactions)
     )
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
-    mixed = (1.0 - p2) * np.array(single.intensities) + p2 * doubles
-    return FringeScan(single.deltas, tuple(mixed.tolist()), single.I0)
+    return (1.0 - p2) * single + p2 * doubles

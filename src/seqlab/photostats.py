@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipative import DensityMatrix
+from .dissipative import DensityMatrix, NumericError
 from .qcore import (
     DriveField,
     DriveSegment,
@@ -88,7 +88,8 @@ def readout_from_sequence(
             factor = eta[seg.bin - 1]
             if clock_running and deph_between_bins > 0:
                 factor *= math.exp(-deph_between_bins * elapsed)
-            bins[seg.bin] = float(rho[0, 0].real) * factor
+            # rho is positive semidefinite: a negative rho_00 is rounding
+            bins[seg.bin] = max(float(rho[0, 0].real), 0.0) * factor
             rho[0, :] = 0.0
             rho[:, 0] = 0.0
             clock_running = True
@@ -290,26 +291,14 @@ def sample_coherent_shots(
 # g2(0) estimation
 
 
-@dataclass(frozen=True)
-class G2Estimate:
-    """Normalized zero-delay coincidence estimate with bootstrap stderr.
-
-    defined is False when either arm saw no clicks at all, which leaves
-    the normalization (and hence the estimate) undefined.
-    """
-
-    value: float
-    stderr: float
-    n_trials: int
-    defined: bool = True
-
-
 N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 815
 
 
-def estimate_g2(records: ShotRecords, bin: int = 1) -> G2Estimate:
-    """g2(0) = <nA nB> / (<nA> <nB>) over trials for the chosen bin.
+def estimate_g2(records: ShotRecords, bin: int = 1) -> tuple[float, float]:
+    """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials for the
+    chosen bin, and its bootstrap standard error.  NumericError when an
+    arm registered no clicks, which leaves the normalization undefined.
 
     The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials with
     replacement; collapsing to unique (nA, nB) outcomes makes that a
@@ -328,7 +317,9 @@ def estimate_g2(records: ShotRecords, bin: int = 1) -> G2Estimate:
     mean_a = na.mean()
     mean_b = nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
-        return G2Estimate(math.nan, math.nan, n, defined=False)
+        raise NumericError(
+            f"g2 undefined: one arm registered no clicks ({n} trials, bin {bin})"
+        )
     value = float(np.multiply(na, nb, dtype=np.int32).mean() / (mean_a * mean_b))
 
     radix = COUNT_MAX + 1
@@ -346,7 +337,7 @@ def estimate_g2(records: ShotRecords, bin: int = 1) -> G2Estimate:
     ok = (sa > 0) & (sb > 0)
     boot = n * sab[ok] / (sa[ok] * sb[ok])
     stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
-    return G2Estimate(value, stderr, n)
+    return value, stderr
 
 
 # ---------------------------------------------------------------------------

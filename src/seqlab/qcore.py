@@ -148,7 +148,6 @@ class PulseSequence:
     """
 
     segments: tuple[Segment, ...]
-    label: str = ""
 
     def __post_init__(self):
         last_bin = 0

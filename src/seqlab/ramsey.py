@@ -46,6 +46,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .dissipative import DensityMatrix, evolve_master
 from .qcore import (
     DriveField,
     DriveSegment,
@@ -68,31 +69,10 @@ class Backend(str, Enum):
     LINDBLAD = "lindblad"
 
 
-@dataclass(frozen=True)
-class RamseyTerms:
-    """Closed-form ingredients of the fringe, at one detuning or over an
-    array of them (then each field but t_total is an array of that shape).
-
-    stay_amp: complex amplitude of the R1 -> R1 -> R1 path.
-    swap_amp: complex amplitude of the R1 -> R2 -> R1 path (before the
-        intermediate-pulse factor K is applied).
-    cross_term: 2 Re(stay_amp * conj(swap_amp)), real.
-    rotation_angle: generalized rotation angle of one pi/2 pulse.
-    t_total: time across which the swap path accrues free precession.
-    """
-
-    stay_amp: complex | np.ndarray
-    swap_amp: complex | np.ndarray
-    cross_term: float | np.ndarray
-    rotation_angle: float | np.ndarray
-    t_total: float
-
-
-def ramsey_terms(
-    delta1, t_mu1: float, t_mu2: float, dead_time: float = 0.0
-) -> RamseyTerms:
-    """Evaluate the closed-form path amplitudes at a mu1 detuning or an
-    array of them."""
+def ramsey_terms(delta1, t_mu1: float, t_mu2: float, dead_time: float = 0.0):
+    """(stay, swap): the complex amplitudes of the R1 -> R1 -> R1 path and
+    of the R1 -> R2 -> R1 path (before the intermediate-pulse factor K),
+    at a mu1 detuning or an array of them."""
     if t_mu1 <= 0:
         raise ValueError("t_mu1 must be strictly positive")
     if t_mu2 < 0 or dead_time < 0:
@@ -106,8 +86,7 @@ def ramsey_terms(
     swap = -np.exp(1j * delta1 * t_total) * (
         math.pi**2 * np.sin(half) ** 2 / (4.0 * dt1 * dt1 + math.pi**2)
     )
-    cross = 2.0 * (stay * swap.conj()).real
-    return RamseyTerms(stay, swap, cross, angle, t_total)
+    return stay, swap
 
 
 def ramsey_intensity(
@@ -121,13 +100,10 @@ def ramsey_intensity(
     """Closed-form fringe intensity at a detuning or an array of them."""
     if I0 <= 0:
         raise ValueError("I0 must be strictly positive")
-    terms = ramsey_terms(delta1, t_mu1, t_mu2, dead_time)
+    stay, swap = ramsey_terms(delta1, t_mu1, t_mu2, dead_time)
+    cross = 2.0 * (stay * swap.conj()).real
     K = math.cos(0.5 * omega_mu2 * t_mu2)
-    return I0 * (
-        np.abs(terms.stay_amp) ** 2
-        + np.abs(terms.swap_amp) ** 2 * K * K
-        + terms.cross_term * K
-    )
+    return I0 * (np.abs(stay) ** 2 + np.abs(swap) ** 2 * K * K + cross * K)
 
 
 def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:
@@ -167,15 +143,6 @@ class RamseyScanConfig:
             raise ValueError("deltas must be non-empty")
         if any(b <= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class FringeScan:
-    """Scan result: (delta, intensity) points plus normalization."""
-
-    deltas: tuple[float, ...]
-    intensities: tuple[float, ...]
-    I0: float
 
 
 def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
@@ -260,31 +227,30 @@ def ramsey_amplitudes(
     return out
 
 
-def fringe_scan(config: RamseyScanConfig) -> FringeScan:
-    """Run a detuning scan with the configured backend."""
-    dead = 2.0 * config.inter_pulse_gap
+def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
+    """Run a detuning scan with the configured backend: a float64 array of
+    intensities, one per config.deltas."""
     if config.backend is Backend.ANALYTIC:
-        vals = ramsey_intensity(
+        dead = 2.0 * config.inter_pulse_gap
+        return ramsey_intensity(
             config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
-        ).tolist()
-    elif config.backend is Backend.UNITARY:
+        )
+    if config.backend is Backend.UNITARY:
         amps = ramsey_amplitudes(config, QutritState.r1().as_array())
-        vals = (config.I0 * np.abs(amps[:, 0]) ** 2).tolist()
-    elif config.backend is Backend.LINDBLAD:
-        from . import dissipative  # local import keeps the analytic path light
-
-        rho0 = dissipative.DensityMatrix.pure(QutritState.r1())
-        vals = []
-        for _, seq in _block_sequences(config):
-            final = dissipative.evolve_master(rho0, seq, config.dissipation).matrix
-            vals += (config.I0 * final[:, 0, 0].real).tolist()
-    else:  # pragma: no cover
-        raise ValueError(f"unknown backend {config.backend!r}")
-    return FringeScan(tuple(config.deltas), tuple(vals), config.I0)
+        return config.I0 * np.abs(amps[:, 0]) ** 2
+    if config.backend is Backend.LINDBLAD:
+        rho0 = DensityMatrix.pure(QutritState.r1())
+        out = np.empty(len(config.deltas))
+        for block, seq in _block_sequences(config):
+            final = evolve_master(rho0, seq, config.dissipation).matrix
+            out[block] = config.I0 * final[:, 0, 0].real
+        return out
+    raise ValueError(f"unknown backend {config.backend!r}")  # pragma: no cover
 
 
-def extract_visibility(scan: FringeScan) -> float:
-    """On-resonance fringe visibility from a scan.
+def extract_visibility(config: RamseyScanConfig, intensities) -> float:
+    """On-resonance fringe visibility from the intensities of a scan over
+    config.deltas.
 
     The scan intensity is an even function of detuning, so the point at
     exactly zero detuning sits on a fringe extremum where both path
@@ -299,12 +265,12 @@ def extract_visibility(scan: FringeScan) -> float:
     :func:`symmetric_detuning_grid`.
     """
     try:
-        idx = scan.deltas.index(0.0)
+        idx = config.deltas.index(0.0)
     except ValueError:
         raise ValueError(
             "scan grid must contain detuning 0.0 exactly for visibility extraction"
         ) from None
-    center = scan.intensities[idx] / scan.I0
+    center = float(intensities[idx]) / config.I0
     r = math.sqrt(min(max(center, 0.0), 1.0))
     K = 1.0 - 2.0 * r
     opposite = 0.25 * (1.0 + K) ** 2

@@ -122,6 +122,32 @@ def test_out_of_range_scan_values_exit_2_under_every_command(tmp_path, capsys, s
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "backend, setting",
+    [
+        ("analytic", "scan.span = 1e300MHz"),  # once exit 0 with nan rows
+        ("unitary", "scan.i0 = 1.7e308\ninteraction.p2 = 0.9"),  # once exit 0 with inf rows
+        ("lindblad", "scan.span = 1e300MHz"),
+    ],
+)
+def test_overflow_exits_3_without_warnings(tmp_path, backend, setting):
+    # in a child process, because pytest would capture the warnings itself
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scan.points = 11\nscan.t_mu1 = 100ns\n{setting}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = ["ramsey-scan", "--backend", backend, "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqlab.cli", *argv], capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": ""},
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert not out.exists()
+    assert proc.stderr.startswith("numeric failure: overflow encountered in ")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
+
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
     # scipy would double the memory and start-up of every CLI call, and it
     # is a test dependency only: no seqlab module may import it

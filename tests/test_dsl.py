@@ -64,7 +64,6 @@ def test_comments_and_blank_lines_are_ignored():
 
 def test_canonical_file_loads():
     seq = load_sequence(CANONICAL)
-    assert seq.label == "ramsey_readout.seq"
     assert len(seq.segments) == 9
     kinds = [type(s).__name__ for s in seq.segments]
     assert kinds == [

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqlab.dissipative import NumericError
+from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
     DEFAULT_PI_PULSE_S,
     COUNT_MAX,
@@ -13,7 +15,6 @@ from seqlab.photostats import (
     N_BOOTSTRAP,
     SHOT_BLOCK,
     FitResult,
-    G2Estimate,
     ShotRecords,
     TimeBinPopulations,
     estimate_g2,
@@ -40,6 +41,7 @@ from seqlab.ramsey import (
     symmetric_detuning_grid,
 )
 from seqlab.units import mhz
+from test_tooling import SEQUENCE_WITH_A_WAIT
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -165,6 +167,21 @@ def test_readout_from_sequence_clock_spans_segments():
     pops = readout_from_sequence(state, seq, deph_between_bins=gamma)
     assert abs(pops.p1 - 0.5) <= 1e-15
     assert abs(pops.p2 - 0.5 * math.exp(-gamma * 90e-9)) <= 1e-12
+
+
+def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
+    # the readout_dephasing.py state (mu1 pi/2, then a 2pi mu2 pulse) under
+    # SEQUENCE_WITH_A_WAIT: bin 1 takes everything and rho_00 rounds to
+    # about -6e-33 at bin 2, which TimeBinPopulations used to refuse
+    omega = mhz(12.5)
+    prep = PulseSequence((
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment(DriveField.MU2, rabi=omega, duration=2.0 * math.pi / omega),
+    ))
+    state = propagate_sequence(QutritState.r1(), prep)
+    pops = readout_from_sequence(state, parse_sequence(SEQUENCE_WITH_A_WAIT))
+    assert abs(pops.p1 - 1.0) <= 1e-15
+    assert pops.p2 == 0.0 and pops.p3 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +395,15 @@ def test_sampler_peak_memory_is_near_the_records(sample):
 
 def test_antibunched_records_give_exactly_zero():
     recs = sample_shots((0.6, 0.2, 0.1), 20_000, seed=21)
-    est = estimate_g2(recs)
-    assert est.defined
-    assert est.value == 0.0
-    assert est.n_trials == 20_000
+    value, _ = estimate_g2(recs)
+    assert value == 0.0
 
 
 def test_coherent_records_give_unity_within_error():
     recs = sample_coherent_shots(0.1, 200_000, seed=7)
-    est = estimate_g2(recs)
-    assert est.defined
-    assert est.stderr > 0
-    assert abs(est.value - 1.0) <= 3 * est.stderr
+    value, stderr = estimate_g2(recs)
+    assert stderr > 0
+    assert abs(value - 1.0) <= 3 * stderr
 
 
 def test_estimate_g2_peak_memory_per_trial():
@@ -397,18 +411,17 @@ def test_estimate_g2_peak_memory_per_trial():
     recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01)
     tracemalloc.start()
     try:
-        est = estimate_g2(recs)
+        estimate_g2(recs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.defined
     assert peak / len(recs) <= 12.0
 
 
 def test_g2_product_of_large_counts_does_not_wrap():
     counts = np.zeros((4, 2, 3), dtype=np.int16)
     counts[:, :, 0] = 200  # 200 * 200 is beyond int16
-    assert estimate_g2(ShotRecords(counts)).value == 1.0
+    assert estimate_g2(ShotRecords(counts))[0] == 1.0
 
 
 def test_mixture_reproduces_target_g2():
@@ -417,31 +430,26 @@ def test_mixture_reproduces_target_g2():
     p2 = 0.5194938532959157
     assert abs(2 * p2 / (1 + p2) ** 2 - 0.45) <= 1e-12
     recs = sample_shots((1.0, 0.0, 0.0), 400_000, seed=11, p2=p2)
-    est = estimate_g2(recs)
-    assert est.defined
-    assert abs(est.value - 0.45) <= 3 * est.stderr
+    value, stderr = estimate_g2(recs)
+    assert abs(value - 0.45) <= 3 * stderr
 
 
 def test_g2_invariant_under_arm_relabeling():
     recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3)
     swapped = ShotRecords(recs.counts[:, ::-1, :])
-    a = estimate_g2(recs)
-    b = estimate_g2(swapped)
-    assert a.value == b.value
+    assert estimate_g2(recs)[0] == estimate_g2(swapped)[0]
 
 
 def test_g2_bootstrap_is_deterministic():
     recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3)
-    a = estimate_g2(recs)
-    b = estimate_g2(recs)
-    assert a.stderr == b.stderr
+    assert estimate_g2(recs)[1] == estimate_g2(recs)[1]
 
 
 def test_g2_undefined_when_an_arm_is_dark():
     recs = sample_shots((0.0, 0.0, 0.0), 100, seed=1)
-    est = estimate_g2(recs)
-    assert not est.defined
-    assert math.isnan(est.value)
+    undefined = r"^g2 undefined: one arm registered no clicks \(100 trials, bin 1\)$"
+    with pytest.raises(NumericError, match=undefined):
+        estimate_g2(recs)
     with pytest.raises(ValueError):
         estimate_g2(recs, bin=4)
     with pytest.raises(ValueError):
@@ -449,12 +457,13 @@ def test_g2_undefined_when_an_arm_is_dark():
 
 
 def _row_unique_g2(records, bin):
-    """Reference: the estimator collapsing outcomes with a row-wise unique."""
+    """Reference: the estimator collapsing outcomes with a row-wise unique;
+    None where an arm is dark."""
     na, nb = records.arm_counts(bin)
     n = len(records)
     mean_a, mean_b = na.mean(), nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
-        return G2Estimate(math.nan, math.nan, n, defined=False)
+        return None
     value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
     uniq, counts = np.unique(np.stack([na, nb], axis=1), axis=0, return_counts=True)
     ua = uniq[:, 0].astype(float)
@@ -466,7 +475,7 @@ def _row_unique_g2(records, bin):
     ok = (sa > 0) & (sb > 0)
     boot = n * sab[ok] / (sa[ok] * sb[ok])
     stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
-    return G2Estimate(value, stderr, n)
+    return value, stderr
 
 
 @st.composite
@@ -497,13 +506,12 @@ def _shot_counts(draw):
 )
 def test_estimate_g2_matches_row_unique_reference(counts, bin):
     recs = ShotRecords(counts)
-    est = estimate_g2(recs, bin=bin)
     ref = _row_unique_g2(recs, bin)
-    assert est.defined == ref.defined
-    assert est.n_trials == ref.n_trials
-    assert np.array_equal(
-        [est.value, est.stderr], [ref.value, ref.stderr], equal_nan=True
-    )
+    if ref is None:
+        with pytest.raises(NumericError, match="^g2 undefined"):
+            estimate_g2(recs, bin=bin)
+    else:
+        assert np.array_equal(estimate_g2(recs, bin=bin), ref, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -632,41 +640,25 @@ def test_fit_handles_noisy_fringe():
 # fringe fitting on analytic scans
 
 
-def _dense_scan(area: float):
+def _fit_dense_scan(area: float):
     t_mu1 = 5e-9
     t_mu2 = 2000e-9
     t_total = 2 * t_mu1 + t_mu2
     span = 1.6 * 2.0 * math.pi / t_total
     omega = area / t_mu2
-    return (
-        fringe_scan(
-            RamseyScanConfig(
-                t_mu1=t_mu1,
-                deltas=symmetric_detuning_grid(span, 201),
-                omega_mu2=omega,
-                t_mu2=t_mu2,
-            )
-        ),
-        t_total,
-    )
-
-
-def _fit_scan(scan, t_total):
-    return fit_sinusoid(
-        np.asarray(scan.deltas), np.asarray(scan.intensities), t_total
-    )
+    deltas = symmetric_detuning_grid(span, 201)
+    cfg = RamseyScanConfig(t_mu1=t_mu1, deltas=deltas, omega_mu2=omega, t_mu2=t_mu2)
+    return fit_sinusoid(np.asarray(deltas), fringe_scan(cfg), t_total)
 
 
 def test_fringe_fit_visibility_full_area():
-    scan, t_total = _dense_scan(2.0 * math.pi)
-    fit = _fit_scan(scan, t_total)
+    fit = _fit_dense_scan(2.0 * math.pi)
     assert fit.converged
     assert abs(fit.visibility - 1.0) <= 1e-6
 
 
 def test_fringe_fit_visibility_half_pi_area():
-    scan, t_total = _dense_scan(math.pi / 2.0)
-    fit = _fit_scan(scan, t_total)
+    fit = _fit_dense_scan(math.pi / 2.0)
     assert fit.converged
     law = ramsey_visibility((math.pi / 2.0) / 2000e-9, 2000e-9)
     assert abs(fit.visibility - law) <= 1e-4

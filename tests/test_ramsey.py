@@ -51,16 +51,15 @@ _R1_OCC = np.array([config.count(0) for config in PAIR_CONFIGS], dtype=float)
 
 def test_terms_frozen_reference():
     delta = math.pi / (2 * T1)
-    terms = ramsey_terms(delta, T1, T2)
-    assert terms.stay_amp == pytest.approx(
+    stay, swap = ramsey_terms(delta, T1, T2)
+    assert stay == pytest.approx(
         complex(0.56264005857240015, -0.20427490030911007), abs=5e-16
     )
-    assert terms.swap_amp == pytest.approx(
+    assert swap == pytest.approx(
         complex(-0.28385031614044174, 0.28385031614044174), abs=5e-16
     )
-    assert terms.cross_term == pytest.approx(-0.43537810706270111, abs=5e-16)
-    assert terms.rotation_angle == pytest.approx(2.2214414690791831, abs=5e-16)
-    assert terms.t_total == pytest.approx(T1 + T2)
+    cross = 2.0 * (stay * swap.conj()).real
+    assert cross == pytest.approx(-0.43537810706270111, abs=5e-16)
 
 
 def test_intensity_frozen_reference():
@@ -72,24 +71,26 @@ def test_intensity_frozen_reference():
 
 
 def test_terms_on_resonance():
-    terms = ramsey_terms(0.0, T1, T2)
-    assert abs(terms.stay_amp - 0.5) <= 1e-15
-    assert abs(terms.swap_amp + 0.5) <= 1e-15
-    assert abs(terms.cross_term + 0.5) <= 2e-15
-    assert terms.rotation_angle == pytest.approx(0.5 * math.pi, abs=1e-15)
+    stay, swap = ramsey_terms(0.0, T1, T2)
+    assert abs(stay - 0.5) <= 1e-15
+    assert abs(swap + 0.5) <= 1e-15
+    assert abs(2.0 * (stay * swap.conj()).real + 0.5) <= 2e-15
 
 
 def test_dead_time_extends_total():
-    terms = ramsey_terms(1e5, T1, T2, dead_time=50e-9)
-    assert terms.t_total == pytest.approx(T1 + T2 + 50e-9)
+    # dead time only advances the swap path's free precession
+    delta, dead = 1e5, 50e-9
+    _, swap0 = ramsey_terms(delta, T1, T2)
+    _, swap = ramsey_terms(delta, T1, T2, dead_time=dead)
+    assert abs(swap / swap0 - np.exp(1j * delta * dead)) <= 1e-15
 
 
 @given(st.floats(-50.0, 50.0))
 def test_swap_amplitude_bounded(x):
     # x = delta * t_mu1
-    terms = ramsey_terms(x / T1, T1, T2)
-    assert abs(terms.swap_amp) <= 0.5 + 1e-12
-    assert abs(terms.stay_amp) <= 1.0 + 1e-12
+    stay, swap = ramsey_terms(x / T1, T1, T2)
+    assert abs(swap) <= 0.5 + 1e-12
+    assert abs(stay) <= 1.0 + 1e-12
 
 
 @given(st.floats(-50.0, 50.0), st.floats(0.0, 4.0))
@@ -174,8 +175,8 @@ def test_backends_agree_on_resonance():
             cfg = RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=omega,
                                    t_mu2=T2, backend=backend)
             scans[backend] = fringe_scan(cfg)
-        assert scans[Backend.ANALYTIC].intensities[i0] == pytest.approx(
-            scans[Backend.UNITARY].intensities[i0], abs=1e-12
+        assert scans[Backend.ANALYTIC][i0] == pytest.approx(
+            scans[Backend.UNITARY][i0], abs=1e-12
         )
 
 
@@ -188,7 +189,7 @@ def test_fringeless_at_odd_pi_area_backends_agree_everywhere():
     for backend in (Backend.ANALYTIC, Backend.UNITARY):
         cfg = RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=omega,
                                t_mu2=T2, backend=backend)
-        out[backend] = np.array(fringe_scan(cfg).intensities)
+        out[backend] = fringe_scan(cfg)
     assert np.abs(out[Backend.ANALYTIC] - out[Backend.UNITARY]).max() <= 1e-9
 
 
@@ -201,7 +202,7 @@ def test_lindblad_backend_zero_rates_matches_analytic_at_zero():
     a = fringe_scan(cfg_a)
     b = fringe_scan(cfg_l)
     i0 = grid.index(0.0)
-    assert a.intensities[i0] == pytest.approx(b.intensities[i0], abs=1e-7)
+    assert a[i0] == pytest.approx(b[i0], abs=1e-7)
 
 
 def test_extraction_matches_law_on_random_areas():
@@ -213,7 +214,7 @@ def test_extraction_matches_law_on_random_areas():
         for backend in (Backend.ANALYTIC, Backend.UNITARY):
             cfg = RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=omega,
                                    t_mu2=T2, backend=backend)
-            v = extract_visibility(fringe_scan(cfg))
+            v = extract_visibility(cfg, fringe_scan(cfg))
             assert v == pytest.approx(ramsey_visibility(omega, T2), abs=1e-9)
 
 
@@ -222,7 +223,7 @@ def test_extraction_requires_zero_point():
                            omega_mu2=0.0, t_mu2=T2, backend=Backend.ANALYTIC)
     scan = fringe_scan(cfg)
     with pytest.raises(ValueError):
-        extract_visibility(scan)
+        extract_visibility(cfg, scan)
 
 
 def test_scan_config_validation():
@@ -234,14 +235,12 @@ def test_scan_config_validation():
 
 def test_scan_i0_scales_intensities():
     grid = symmetric_detuning_grid(mhz(3.0), 5)
-    base = fringe_scan(RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=0.0,
-                                        t_mu2=T2))
-    scaled = fringe_scan(RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=0.0,
-                                          t_mu2=T2, I0=2.5))
-    assert np.allclose(np.array(scaled.intensities),
-                       2.5 * np.array(base.intensities), rtol=0, atol=1e-12)
-    assert extract_visibility(base) == pytest.approx(
-        extract_visibility(scaled), abs=1e-12
+    base_cfg = RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=0.0, t_mu2=T2)
+    scaled_cfg = RamseyScanConfig(t_mu1=T1, deltas=grid, omega_mu2=0.0, t_mu2=T2, I0=2.5)
+    base, scaled = fringe_scan(base_cfg), fringe_scan(scaled_cfg)
+    assert np.allclose(scaled, 2.5 * base, rtol=0, atol=1e-12)
+    assert extract_visibility(base_cfg, base) == pytest.approx(
+        extract_visibility(scaled_cfg, scaled), abs=1e-12
     )
 
 
@@ -316,9 +315,8 @@ def _reference_scans(cfg, interactions, times, detuning2):
 def _assert_batched_matches_reference(cfg, interactions, times, detuning2):
     single, mixed, rows = _reference_scans(cfg, interactions, times, detuning2)
     tol = 1e-12 * cfg.I0
-    assert np.abs(np.array(fringe_scan(cfg).intensities) - single).max() <= tol
-    got = mixture_fringe_scan(cfg, interactions)
-    assert np.abs(np.array(got.intensities) - mixed).max() <= tol
+    assert np.abs(fringe_scan(cfg) - single).max() <= tol
+    assert np.abs(mixture_fringe_scan(cfg, interactions) - mixed).max() <= tol
     table = rabi_scan(times, cfg.omega_mu2, t_mu1=cfg.t_mu1, detuning2=detuning2)
     assert np.array_equal(table[:, 0], rows[:, 0])
     assert np.abs(table[:, 1:] - rows[:, 1:]).max() <= 1e-12
@@ -398,4 +396,4 @@ def test_lindblad_scan_matches_per_point_master_equation(
         ).matrix[0, 0].real
         for d in cfg.deltas
     ]
-    assert np.abs(np.array(fringe_scan(cfg).intensities) - ref).max() <= 1e-12 * I0
+    assert np.abs(fringe_scan(cfg) - ref).max() <= 1e-12 * I0

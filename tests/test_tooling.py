@@ -1,13 +1,14 @@
 """The benchmark's required span names resolve to seqlab functions, the
 README lists the config's sections, the package version is the project's,
-and every seqlab function and defaulted parameter serves a command or a
-script.
+and every seqlab function, defaulted parameter and dataclass field serves
+a command or a script.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command and script in one process under a call profile and prints,
-as JSON, the seqlab functions entered, their defaulted parameters and the
-parameters some call gave a non-default value; it imports seqlab only
-once the profile is set, so functions that run at import count too.
+as JSON, the seqlab functions entered, their defaulted parameters, the
+parameters some call gave a non-default value and the dataclass fields
+that seqlab or script code read; it imports seqlab only once the profile
+is set, so functions that run at import count too.
 """
 
 import ast
@@ -118,30 +119,64 @@ def _defined_functions() -> set[str]:
     return found - {None}
 
 
+def _module_objects() -> list:
+    """The objects that the modules of src/seqlab define at top level."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "seqlab" if path.stem == "__init__" else f"seqlab.{path.stem}"
+        found += [
+            obj for obj in vars(importlib.import_module(name)).values()
+            if getattr(obj, "__module__", None) == name
+        ]
+    return found
+
+
 def _defaulted_parameters() -> dict:
     """code -> ((name, default), ...) of every function and method defined
     in src/seqlab that has defaulted parameters.  A dataclass's generated
     ``__init__`` is compiled from a string, not from src/seqlab, so the
     field defaults are out of reach of this guard."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        name = "seqlab" if path.stem == "__init__" else f"seqlab.{path.stem}"
-        functions = []
-        for obj in vars(importlib.import_module(name)).values():
-            if getattr(obj, "__module__", None) != name:
-                continue
-            if inspect.isclass(obj):  # methods, static and class methods too
-                functions += [getattr(v, "__func__", v) for v in vars(obj).values()]
-            else:
-                functions.append(obj)
-        for fn in functions:
-            if not inspect.isfunction(fn) or _function_key(fn.__code__) is None:
-                continue
-            params = inspect.signature(fn).parameters.values()
-            defaults = tuple((p.name, p.default) for p in params if p.default is not p.empty)
-            if defaults:
-                found[fn.__code__] = defaults
+    functions = []
+    for obj in _module_objects():
+        if inspect.isclass(obj):  # methods, static and class methods too
+            functions += [getattr(v, "__func__", v) for v in vars(obj).values()]
+        else:
+            functions.append(obj)
+    for fn in functions:
+        if not inspect.isfunction(fn) or _function_key(fn.__code__) is None:
+            continue
+        params = inspect.signature(fn).parameters.values()
+        defaults = tuple((p.name, p.default) for p in params if p.default is not p.empty)
+        if defaults:
+            found[fn.__code__] = defaults
     return found
+
+
+def _dataclasses() -> list[type]:
+    """The dataclasses defined in src/seqlab."""
+    return [obj for obj in _module_objects() if inspect.isclass(obj) and is_dataclass(obj)]
+
+
+def _record_field_reads(cls: type, read: set, readers: tuple[str, ...]) -> None:
+    """Make cls add Class.field to read whenever code in a file under one of
+    the readers directories reads one of its fields, except in the class's
+    own __post_init__, __eq__ and __hash__, which only check or compare
+    the value.  A NamedTuple's fields are tuple items, read by index or
+    unpacking as often as by name, so they are out of reach of this guard."""
+    names = {f.name for f in fields(cls)}
+    own = {f"{cls.__qualname__}.{m}" for m in ("__post_init__", "__eq__", "__hash__")}
+    get = cls.__getattribute__
+
+    def __getattribute__(self, name):
+        if name in names:
+            code = sys._getframe(1).f_code
+            reader = code.co_qualname.split(".<locals>")[0]
+            if code.co_filename.startswith(readers) and reader not in own:
+                read.add(f"{cls.__qualname__}.{name}")
+        return get(self, name)
+
+    cls.__getattribute__ = __getattribute__
 
 
 def _differs(value, default) -> bool:
@@ -283,6 +318,13 @@ def test_every_defaulted_parameter_is_set_by_a_command_or_script(call_profile):
     assert not unset, "set only by tests, or by nothing"
 
 
+@needs_qualname
+def test_every_dataclass_field_is_read_by_a_command_or_script(call_profile):
+    defined = {f"{cls.__qualname__}.{f.name}" for cls in _dataclasses() for f in fields(cls)}
+    unread = sorted(defined - set(call_profile["fields_read"]))
+    assert not unread, "read only by tests, or by nothing"
+
+
 if __name__ == "__main__":
     entered, varied, defaults, at_import = set(), set(), {}, []
     src = f"{SRC}{os.sep}"
@@ -305,6 +347,10 @@ if __name__ == "__main__":
     defaults.update(_defaulted_parameters())
     for code, args in at_import:
         _judge(code, args)
+    fields_read: set[str] = set()
+    readers = (src, f"{ROOT / 'scripts'}{os.sep}")
+    for cls in _dataclasses():
+        _record_field_reads(cls, fields_read, readers)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         _traffic(Path(sys.argv[1]))
     sys.setprofile(None)
@@ -314,4 +360,5 @@ if __name__ == "__main__":
             _parameter_key(code, name) for code, params in defaults.items() for name, _ in params
         ),
         "varied": sorted(_parameter_key(code, name) for code, name in varied),
+        "fields_read": sorted(fields_read),
     }))
