@@ -10,13 +10,7 @@ import argparse
 import math
 
 from seqlab.photostats import readout_populations
-from seqlab.qcore import (
-    DriveField,
-    DriveSegment,
-    PulseSequence,
-    QutritState,
-    propagate_sequence,
-)
+from seqlab.qcore import DriveField, DriveSegment, sequence_unitary
 from seqlab.units import mhz
 
 
@@ -28,15 +22,15 @@ def main():
     args = ap.parse_args()
 
     omega = mhz(12.5)
-    prep = PulseSequence((
+    prep = (
         DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
         DriveSegment(DriveField.MU2, rabi=omega, duration=2 * math.pi / omega),
-    ))
-    state = propagate_sequence(QutritState.r1(), prep)
-    print(f"prepared populations: {state.populations()}")
+    )
+    populations = tuple(abs(c) ** 2 for c in sequence_unitary(prep)[:, 0].tolist())
+    print(f"prepared populations: {populations}")
     print(f"{'rate (MHz)':>10}  {'P1':>10}  {'P2':>10}  {'P3':>10}  {'sum':>10}")
     for rate_mhz in args.rates_mhz:
-        pops = readout_populations(state, deph_between_bins=rate_mhz * 1e6)
+        pops = readout_populations(prep, deph_between_bins=rate_mhz * 1e6)
         total = pops.p1 + pops.p2 + pops.p3
         print(f"{rate_mhz:10.2f}  {pops.p1:10.6f}  {pops.p2:10.6f}  "
               f"{pops.p3:10.6f}  {total:10.6f}")

@@ -27,7 +27,7 @@ from .photostats import (
     sample_coherent_shots,
     sample_shots,
 )
-from .qcore import SEQUENCE_BUDGET_S, QutritState
+from .qcore import SEQUENCE_BUDGET_S
 from .ramsey import (
     Backend,
     RamseyScanConfig,
@@ -118,7 +118,6 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
     )
     ro = cfg.readout
     pops = readout_from_sequence(
-        QutritState.r1(),
         seq,
         eta=(ro.eta_1, ro.eta_2, ro.eta_3),
         deph_between_bins=ro.deph,

@@ -72,6 +72,11 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _UNIT_OPEN = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+# a pi/2 pulse of this duration drives at rabi pi/(2 t), which must be finite
+_PI_HALF_TIME = (
+    lambda v: v > 0 and math.isfinite(math.pi / (2.0 * v)),
+    "must be positive, with pi/(2 t_mu1) finite",
+)
 
 
 def _key(default, parse, bound=None):
@@ -84,7 +89,7 @@ def _key(default, parse, bound=None):
 class ScanSection:
     """Ramsey detuning scan: pi/2 - drive - pi/2 with a symmetric grid."""
 
-    t_mu1: float = _key(100e-9, _time, _POSITIVE)
+    t_mu1: float = _key(100e-9, _time, _PI_HALF_TIME)
     t_mu2: float = _key(250e-9, _time, _NON_NEGATIVE)  # 0: no middle drive
     omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
     span: float = _key(mhz(10.0), _angular, _POSITIVE)
@@ -100,7 +105,7 @@ class ScanSection:
 class RabiSection:
     """mu2 Rabi scan after a mu1 pi/2 preparation pulse."""
 
-    t_mu1: float = _key(20e-9, _time, _POSITIVE)
+    t_mu1: float = _key(20e-9, _time, _PI_HALF_TIME)
     omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
     t_max: float = _key(160e-9, _time, _POSITIVE)
     points: int = _key(81, _int, (lambda v: v >= 2, "must be >= 2"))

@@ -22,13 +22,14 @@ this is the propagator of the open system, as
 :func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
 only: scipy would double the memory and start-up of every CLI call.
 
-Everything works on stacks: :func:`evolve_master` takes one sequence,
-whose segments may stand for stacks of pulses (a detuning scan), gets
-the maps of all its distinct segments from one
-:func:`seqlab.qcore.segment_maps` call (one (n, 16, 16) Liouvillian stack,
-one :func:`expm` call with a scaling exponent per matrix), and validates
-the states of the whole stack at t=0 and after each segment with one
-:meth:`DensityMatrix.validate` call.
+Every sequence starts from the stored excitation, rho = |R1><R1|
+(:func:`stored_excitation`), and everything works on stacks:
+:func:`evolve_master` takes one sequence, whose segments may stand for
+stacks of pulses (a detuning scan), gets the maps of all its distinct
+segments from one :func:`seqlab.qcore.segment_maps` call (one
+(n, 16, 16) Liouvillian stack, one :func:`expm` call with a scaling
+exponent per matrix), and checks the states of the whole stack after
+each segment with one :func:`_validate_density` call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PulseSequence, QutritState, segment_maps
+from .qcore import PulseSequence, segment_maps
 
 LOSS_INDEX = 3
 
@@ -77,38 +78,32 @@ class DissipationParams:
         return ops
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """4x4 density matrix over (R1, R2, R3, loss), or a (..., 4, 4) stack
-    of them, e.g. the states of a stacked sequence at one time (see
-    :func:`evolve_master`)."""
+def stored_excitation() -> np.ndarray:
+    """|R1><R1| over (R1, R2, R3, loss), the state every sequence starts
+    from, as a new complex 4x4 array."""
+    amps = np.zeros(LOSS_INDEX + 1, dtype=complex)
+    amps[0] = 1.0
+    return np.outer(amps, amps.conj())
 
-    matrix: np.ndarray
 
-    @classmethod
-    def pure(cls, state: QutritState) -> "DensityMatrix":
-        amps = np.zeros(4, dtype=complex)
-        amps[:3] = state.as_array()
-        return cls(np.outer(amps, amps.conj()))
-
-    def validate(self) -> None:
-        """Raise NumericError if hermiticity, trace or positivity is violated
-        by the matrix or by any matrix of the stack; the message quotes the
-        worst value.  One batched eigvalsh call covers the whole stack."""
-        m = self.matrix
-        if not np.isfinite(m).all():
-            raise NumericError("density matrix has non-finite entries")
-        m_dag = m.conj().swapaxes(-1, -2)
-        herm = np.abs(m - m_dag).max()
-        if herm > HERMITICITY_TOL:
-            raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
-        tr = np.trace(m, axis1=-2, axis2=-1).ravel()
-        worst = np.abs(tr - 1.0).argmax()
-        if abs(tr[worst] - 1.0) > TRACE_TOL:
-            raise NumericError(f"trace drifted to {tr[worst]!r}")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m_dag)).min())
-        if lo < -POSITIVITY_TOL:
-            raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
+def _validate_density(m: np.ndarray) -> None:
+    """Raise NumericError if hermiticity, trace or positivity is violated
+    by the 4x4 density matrix m or by any matrix of a (..., 4, 4) stack;
+    the message quotes the worst value.  One batched eigvalsh call covers
+    the whole stack."""
+    if not np.isfinite(m).all():
+        raise NumericError("density matrix has non-finite entries")
+    m_dag = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - m_dag).max()
+    if herm > HERMITICITY_TOL:
+        raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    worst = np.abs(tr - 1.0).argmax()
+    if abs(tr[worst] - 1.0) > TRACE_TOL:
+        raise NumericError(f"trace drifted to {float(tr[worst].real):.3e}")
+    lo = float(np.linalg.eigvalsh(0.5 * (m + m_dag)).min())
+    if lo < -POSITIVITY_TOL:
+        raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,23 +172,22 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def evolve_master(
-    rho0: DensityMatrix,
-    sequence: PulseSequence,
-    params: DissipationParams | None = None,
-) -> DensityMatrix:
-    """rho0 after a sequence under the master equation.
+    sequence: PulseSequence, params: DissipationParams | None = None
+) -> np.ndarray:
+    """The density matrix after a sequence under the master equation,
+    starting from the stored excitation.
 
-    The sequence's segments may stand for stacks of pulses; the state is
-    then the (..., 4, 4) stack over their broadcast shape, from t=0 on.
-    Each distinct segment's map comes from one :func:`seqlab.qcore.segment_maps`
-    call, and the whole stack is propagated together.
+    The sequence's segments may stand for stacks of pulses; the result is
+    then the (..., 4, 4) stack over their broadcast shape.  Each distinct
+    segment's map comes from one :func:`seqlab.qcore.segment_maps` call,
+    and the whole stack is propagated together.
 
-    DensityMatrix invariants are checked at t=0 and after every segment,
-    on the whole stack at once; a violation beyond tolerance aborts with a
+    The density-matrix invariants are checked after every segment, on the
+    whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
     params = params or DissipationParams()
-    n = rho0.matrix.shape[0]
+    n = LOSS_INDEX + 1
     ops = params.collapse_operators()
 
     def propagator(h3: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -201,21 +195,15 @@ def evolve_master(
         H[:, :3, :3] = h3
         return expm(liouvillian(H, ops) * t[:, None, None])
 
-    def checked(t: float, vec: np.ndarray) -> DensityMatrix:
-        dm = DensityMatrix(vec.reshape(shape + (n, n)))
-        try:
-            dm.validate()
-        except NumericError as err:
-            raise NumericError(f"at t={t:.3e} s: {err}") from None
-        return dm
-
     maps = segment_maps(sequence.segments, propagator)
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
-    vec = np.broadcast_to(rho0.matrix.astype(complex).reshape(n * n, 1), shape + (n * n, 1))
+    vec = np.broadcast_to(stored_excitation().reshape(n * n, 1), shape + (n * n, 1))
     t = 0.0
-    state = checked(t, vec)
     for seg, seg_map in zip(sequence.segments, maps):
         vec = seg_map @ vec
         t += seg.duration
-        state = checked(t, vec)
-    return state
+        try:
+            _validate_density(vec.reshape(shape + (n, n)))
+        except NumericError as err:
+            raise NumericError(f"at t={t:.3e} s: {err}") from None
+    return vec.reshape(shape + (n, n))

@@ -133,9 +133,7 @@ def mixture_fringe_scan(
             "backend has no dissipative model of the double-excitation branch"
         )
     single = fringe_scan(config)
-    stored_pair = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # configuration (11)
-    amps = ramsey_amplitudes(
-        config, stored_pair, partial(pair_hamiltonian, interactions=interactions)
-    )
+    # from the stored pair (11), configuration 0
+    amps = ramsey_amplitudes(config, partial(pair_hamiltonian, interactions=interactions))
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
     return (1.0 - p2) * single + p2 * doubles

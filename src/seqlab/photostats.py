@@ -4,7 +4,9 @@ Read-out maps the qutrit onto three photon time bins: bin 1 retrieves
 whatever sits in R1, a mu1 pi pulse then moves R2 down for bin 2, and a
 mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
 retrieval empties R1.  Retrieval efficiencies eta scale the three bins
-independently.
+independently.  A read-out sequence starts from the stored excitation in
+R1, like every sequence; the segments before bin 1 prepare the state that
+the bins read.
 
 Dephasing accumulated between bins suppresses the retrievable collective
 mode, so it shows up as signal loss rather than as a population change:
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipative import DensityMatrix, NumericError
+from .dissipative import NumericError, stored_excitation
 from .qcore import (
     DriveField,
     DriveSegment,
     PulseSequence,
-    QutritState,
     Readout,
     hermitian_propagator,
     segment_maps,
@@ -58,25 +59,26 @@ def _validate_eta(eta) -> tuple[float, float, float]:
 
 
 def readout_from_sequence(
-    state: QutritState,
     sequence: PulseSequence,
     eta=(1.0, 1.0, 1.0),
     deph_between_bins: float = 0.0,
 ) -> TimeBinPopulations:
-    """Walk a sequence containing Readout segments and collect the bins.
+    """Walk a sequence containing Readout segments from the stored
+    excitation and collect the bins.
 
     Drive/wait segments propagate the state; each Readout(b) records the
     current R1 population times eta[b-1] (times the inter-bin dephasing
     factor) and then zeroes R1, modelling the departed photon.  The
     dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  The state enters as its density matrix; all drive/wait
+    attenuated.  The state is walked as its density matrix, from
+    :func:`seqlab.dissipative.stored_excitation`; all drive/wait
     propagators come from one stacked call.
     """
     eta = _validate_eta(eta)
     if deph_between_bins < 0 or not math.isfinite(deph_between_bins):
         raise ValueError("deph_between_bins must be finite and non-negative")
 
-    rho = DensityMatrix.pure(state).matrix
+    rho = stored_excitation()
     steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
 
@@ -101,18 +103,20 @@ def readout_from_sequence(
     return TimeBinPopulations(bins[1], bins[2], bins[3])
 
 
-def readout_populations(
-    state: QutritState, deph_between_bins: float = 0.0
-) -> TimeBinPopulations:
-    """Three-bin read-out with the canonical remapping pulses, ideal
-    retrieval and pi pulses of DEFAULT_PI_PULSE_S on both fields, which
-    set the inter-bin delays that the dephasing factor sees.
+def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulations:
+    """Three-bin read-out of the state that the drive/wait segments prep
+    prepare from the stored excitation: the canonical remapping pulses
+    follow prep, with ideal retrieval and pi pulses of DEFAULT_PI_PULSE_S
+    on both fields, which set the inter-bin delays that the dephasing
+    factor sees.
     """
     t = DEFAULT_PI_PULSE_S
     pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
     pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
-    chain = PulseSequence((Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3)))
-    return readout_from_sequence(state, chain, deph_between_bins=deph_between_bins)
+    chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
+    return readout_from_sequence(
+        PulseSequence((*prep, *chain)), deph_between_bins=deph_between_bins
+    )
 
 
 # ---------------------------------------------------------------------------

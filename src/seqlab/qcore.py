@@ -1,10 +1,12 @@
-"""Single-excitation qutrit core: states, pulse segments, propagators.
+"""Single-excitation qutrit core: pulse segments, generators, propagators.
 
 The collectively stored excitation occupies one of three Rydberg levels,
 written |R1>, |R2>, |R3> (indices 0, 1, 2).  Two microwave fields drive
-the ladder: mu1 couples R1 <-> R2 and mu2 couples R2 <-> R3.  In the frame
-rotating with both fields the Hamiltonian restricted to the
-single-excitation manifold is
+the ladder: mu1 couples R1 <-> R2 and mu2 couples R2 <-> R3.  Storage
+leaves the excitation in R1 and every sequence starts there; the fields
+reach every other state from R1, so the state after a sequence is column
+0 of :func:`sequence_unitary`.  In the frame rotating with both fields
+the Hamiltonian restricted to the single-excitation manifold is
 
     H = [[ 0,            conj(g1),  0        ],
          [ g1,           -delta1,   conj(g2) ],
@@ -172,39 +174,6 @@ class PulseSequence:
         return tuple(s for s in self.segments if not isinstance(s, Readout))
 
 
-@dataclass(frozen=True)
-class QutritState:
-    """Pure state of the single-excitation manifold, amplitudes on R1..R3."""
-
-    c1: complex
-    c2: complex
-    c3: complex
-
-    def __post_init__(self):
-        for c in (self.c1, self.c2, self.c3):
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("amplitudes must be finite")
-        if abs(self.norm() - 1.0) > 1e-6:
-            raise ValueError(f"state must be normalized, norm={self.norm()!r}")
-
-    @classmethod
-    def r1(cls) -> "QutritState":
-        return cls(1.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, amps: np.ndarray) -> "QutritState":
-        return cls(complex(amps[0]), complex(amps[1]), complex(amps[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3], dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2)
-
-    def populations(self) -> tuple[float, float, float]:
-        return (abs(self.c1) ** 2, abs(self.c2) ** 2, abs(self.c3) ** 2)
-
-
 def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0) -> np.ndarray:
     """Hamiltonian (rad/s) of one field driving alone at phase 0.
 
@@ -282,25 +251,10 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
     return [by_id[id(s)] for s in segments]
 
 
-def apply_segments(segments, state: np.ndarray, propagator) -> np.ndarray:
-    """state, a (..., d, k) stack of columns, after the drive/wait segments
-    act in order, each by its :func:`segment_maps` map from the left; the
-    result broadcasts state against the segments' stacks."""
-    for step in segment_maps(segments, propagator):
-        state = step @ state
-    return state
-
-
 def sequence_unitary(segments) -> np.ndarray:
     """Ordered product of segment propagators (last segment applied last),
     shape (..., 3, 3) over the segments' stacks."""
-    return apply_segments(segments, np.eye(3, dtype=complex), hermitian_propagator)
-
-
-def propagate_sequence(state: QutritState, sequence: PulseSequence) -> QutritState:
-    """Propagate a pure state through the drive/wait segments of a sequence.
-
-    Sequences containing Readout segments are rejected here; retrieval is
-    a measurement and lives in :mod:`seqlab.photostats`.
-    """
-    return QutritState.from_array(sequence_unitary(sequence.segments) @ state.as_array())
+    U = np.eye(3, dtype=complex)
+    for step in segment_maps(segments, hermitian_propagator):
+        U = step @ U
+    return U

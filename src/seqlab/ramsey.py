@@ -46,16 +46,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dissipative import DensityMatrix, evolve_master
+from .dissipative import evolve_master
 from .qcore import (
     DriveField,
     DriveSegment,
     PulseSequence,
-    QutritState,
     Wait,
-    apply_segments,
     drive_hamiltonian,
     hermitian_propagator,
+    segment_maps,
 )
 
 # Grid points propagated per stacked call.  Stacking a whole 2001-point
@@ -207,24 +206,28 @@ def _block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSeq
 
 def ramsey_amplitudes(
     config: RamseyScanConfig,
-    initial: np.ndarray,
     lift: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Final amplitudes of the :func:`build_ramsey_sequence` sequence at
-    every detuning of config, shape (len(config.deltas), d).
+    every detuning of config, shape (len(config.deltas), d), from the
+    stored excitation: basis state 0 of the space, R1 or the stored pair.
 
-    initial is the d-dim start state.  lift maps a (..., 3, 3) stack of
-    single-excitation Hamiltonians to the (..., d, d) Hamiltonians of the
-    space initial lives in; None keeps the qutrit space.  Each block of
-    BLOCK_POINTS detunings takes one propagator call for all its segments.
+    lift maps a (..., 3, 3) stack of single-excitation Hamiltonians to the
+    (..., d, d) Hamiltonians of the space; None keeps the qutrit space.
+    Each block of BLOCK_POINTS detunings takes one propagator call for all
+    its segments.
     """
     def propagator(h: np.ndarray, t: np.ndarray) -> np.ndarray:
         return hermitian_propagator(h if lift is None else lift(h), t)
 
-    out = np.empty((len(config.deltas), initial.shape[0]), dtype=complex)
-    for block, seq in _block_sequences(config):
-        out[block] = apply_segments(seq.segments, initial[:, None], propagator)[..., 0]
-    return out
+    blocks = []
+    for _, seq in _block_sequences(config):
+        first, *rest = segment_maps(seq.segments, propagator)
+        amps = first[..., :1]  # the first map acting on basis state 0
+        for step in rest:
+            amps = step @ amps
+        blocks.append(amps[..., 0])
+    return np.concatenate(blocks)
 
 
 def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
@@ -236,13 +239,12 @@ def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
             config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
         )
     if config.backend is Backend.UNITARY:
-        amps = ramsey_amplitudes(config, QutritState.r1().as_array())
+        amps = ramsey_amplitudes(config)
         return config.I0 * np.abs(amps[:, 0]) ** 2
     if config.backend is Backend.LINDBLAD:
-        rho0 = DensityMatrix.pure(QutritState.r1())
         out = np.empty(len(config.deltas))
         for block, seq in _block_sequences(config):
-            final = evolve_master(rho0, seq, config.dissipation).matrix
+            final = evolve_master(seq, config.dissipation)
             out[block] = config.I0 * final[:, 0, 0].real
         return out
     raise ValueError(f"unknown backend {config.backend!r}")  # pragma: no cover

@@ -119,6 +119,9 @@ def test_non_finite_values_rejected():
         ("scan.points = 1", "odd integer"),
         ("rabi.points = 1", ">= 2"),
         ("scan.t_mu1 = 0ns", "must be positive"),
+        ("scan.t_mu1 = 1e-300ns", r"pi/\(2 t_mu1\) finite"),
+        ("rabi.t_mu1 = 0ns", "must be positive"),
+        ("rabi.t_mu1 = 1e-300ns", r"pi/\(2 t_mu1\) finite"),
         ("scan.span = 0MHz", "must be positive"),
         ("scan.i0 = 0", "must be positive"),
         ("scan.gap = -1ns", "non-negative"),

@@ -11,18 +11,17 @@ from seqlab.dissipative import (
     POSITIVITY_TOL,
     TRACE_TOL,
     _THETA13,
-    DensityMatrix,
     DissipationParams,
     NumericError,
     evolve_master,
     expm,
     liouvillian,
+    _validate_density,
 )
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
     PulseSequence,
-    QutritState,
     Readout,
     Wait,
     segment_hamiltonian,
@@ -84,16 +83,15 @@ RATES = DissipationParams(
 
 def test_zero_rates_reproduce_unitary_evolution():
     rng = np.random.default_rng(7011)
-    rho0 = DensityMatrix.pure(QutritState.r1())
     for _ in range(5):
         seq = _random_sequence(rng)
-        final = evolve_master(rho0, seq, DissipationParams())
-        psi = QutritState.r1().as_array()
+        final = evolve_master(seq, DissipationParams())
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # R1, the stored excitation
         for seg in seq.segments:
             psi = closed_form_unitary(seg) @ psi
         expected = np.zeros((4, 4), dtype=complex)
         expected[:3, :3] = np.outer(psi, psi.conj())
-        assert _trace_distance(final.matrix, expected) <= 1e-8
+        assert _trace_distance(final, expected) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +107,19 @@ def test_invariants_hold_at_all_samples():
             DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
         )
     )
-    rho0 = DensityMatrix.pure(QutritState.r1())
     cuts = list(cut_sequences(seq, 5e-9))
     assert len(cuts) > 20
     for cut in cuts:
-        assert_physical(evolve_master(rho0, cut, RATES).matrix)
-    # validate() agrees
-    evolve_master(rho0, seq, RATES).validate()
+        assert_physical(evolve_master(cut, RATES))
+    # the density check agrees
+    _validate_density(evolve_master(seq, RATES))
 
 
 def test_population_leaks_into_loss_level():
     seq = PulseSequence((Wait(2e-6),))
     params = DissipationParams(gamma_decay=(5e5, 0.0, 0.0))
-    final = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
-    p1, p2, p3, ploss = np.diagonal(final.matrix).real
+    final = evolve_master(seq, params)
+    p1, p2, p3, ploss = np.diagonal(final).real
     expected = math.exp(-5e5 * 2e-6)
     assert p1 == pytest.approx(expected, abs=1e-9)
     assert ploss == pytest.approx(1.0 - expected, abs=1e-9)
@@ -136,16 +133,14 @@ def test_dephasing_damps_coherence_exponentially():
     rate = 4e5
     seq = PulseSequence((prep, Wait(t_wait)))
     params = DissipationParams(gamma_deph=(0.0, rate, 0.0))
-    final = evolve_master(DensityMatrix.pure(QutritState.r1()), seq, params)
+    final = evolve_master(seq, params)
     # coherence after the pulse alone
-    ref = evolve_master(
-        DensityMatrix.pure(QutritState.r1()), PulseSequence((prep,)), params
-    )
-    c_before = abs(ref.matrix[0, 1])
-    c_after = abs(final.matrix[0, 1])
+    ref = evolve_master(PulseSequence((prep,)), params)
+    c_before = abs(ref[0, 1])
+    c_after = abs(final[0, 1])
     assert c_after == pytest.approx(c_before * math.exp(-0.5 * rate * t_wait), abs=1e-6)
     # populations untouched by pure dephasing
-    assert final.matrix[0, 0].real == pytest.approx(ref.matrix[0, 0].real, abs=1e-9)
+    assert final[0, 0].real == pytest.approx(ref[0, 0].real, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +202,11 @@ def _rk4_oracle(rho, sequence, params):
 
 
 def test_final_state_matches_fine_step_rk4_oracle():
-    rho0 = DensityMatrix.pure(QutritState.r1())
-    final = evolve_master(rho0, CANONICAL_RAMSEY, RATES)
-    oracle = _rk4_oracle(rho0.matrix, CANONICAL_RAMSEY, RATES)
-    assert _trace_distance(final.matrix, oracle) <= 1e-9
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[0, 0] = 1.0  # the stored excitation
+    final = evolve_master(CANONICAL_RAMSEY, RATES)
+    oracle = _rk4_oracle(rho0, CANONICAL_RAMSEY, RATES)
+    assert _trace_distance(final, oracle) <= 1e-9
 
 
 _segments = st.lists(
@@ -251,9 +247,8 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
 )
 def test_every_sample_is_physical(segments, decay, deph, dt):
     params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
-    rho0 = DensityMatrix.pure(QutritState.r1())
     for cut in cut_sequences(PulseSequence(tuple(segments)), dt):
-        assert_physical(evolve_master(rho0, cut, params).matrix)
+        assert_physical(evolve_master(cut, params))
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +258,18 @@ def test_every_sample_is_physical(segments, decay, deph, dt):
 def test_readout_segments_rejected():
     seq = PulseSequence((Readout(1),))
     with pytest.raises(ValueError):
-        evolve_master(DensityMatrix.pure(QutritState.r1()), seq)
+        evolve_master(seq)
 
 
 def test_validate_flags_unphysical_matrices():
-    bad_trace = DensityMatrix(np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex))
+    bad_trace = np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(NumericError):
-        bad_trace.validate()
+        _validate_density(bad_trace)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0
     m[0, 1] = 1e-3  # non-Hermitian
     with pytest.raises(NumericError):
-        DensityMatrix(m).validate()
+        _validate_density(m)
 
 
 def test_dissipation_params_validation():
@@ -354,15 +349,22 @@ def _stacked_sequences(draw):
     return PulseSequence(stacked), per_point, points
 
 
+# prepares 0.6 |R1> + 0.8i |R2> from the stored excitation
+PREP_06_08 = DriveSegment(
+    DriveField.MU1, rabi=2.0 * math.acos(0.6) / 20e-9, duration=20e-9, phase=math.pi
+)
+
+
 @given(_stacked_sequences())
 def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
-    rho0 = DensityMatrix.pure(QutritState.from_array(np.array([0.6, 0.8j, 0.0])))
-    final = evolve_master(rho0, stacked, RATES)
-    assert final.matrix.shape == (points, 4, 4)
+    stacked = PulseSequence((PREP_06_08,) + stacked.segments)
+    final = evolve_master(stacked, RATES)
+    assert final.shape == (points, 4, 4)
     U = sequence_unitary(stacked.segments)
     for i, seq in enumerate(per_point):
-        assert np.array_equal(final.matrix[i], evolve_master(rho0, seq, RATES).matrix)
+        seq = PulseSequence((PREP_06_08,) + seq.segments)
+        assert np.array_equal(final[i], evolve_master(seq, RATES))
         assert np.array_equal(U[i], sequence_unitary(seq.segments))
 
 
@@ -387,13 +389,13 @@ def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
     # distinct segments in order of appearance: mu2, then the three mu1
     # points; the last map is the mu1 pulse at the last detuning only
     with pytest.raises(NumericError, match=r"^at t=2\.700e-07 s: trace drifted"):
-        evolve_master(DensityMatrix.pure(QutritState.r1()), seq, RATES)
+        evolve_master(seq, RATES)
 
 
 def test_validate_checks_every_matrix_of_a_stack():
     good = np.zeros((7, 4, 4), dtype=complex)
     good[:, 0, 0] = 1.0
-    DensityMatrix(good).validate()
+    _validate_density(good)
     bad_cases = {
         "non-finite": (3, 1, 1, math.nan),
         "hermiticity": (5, 0, 1, 1e-3),
@@ -406,4 +408,4 @@ def test_validate_checks_every_matrix_of_a_stack():
         if what == "positivity":
             m[i, 0, 0] = 1.0 + 1e-3  # keep the trace
         with pytest.raises(NumericError, match=what.split("-")[0]):
-            DensityMatrix(m).validate()
+            _validate_density(m)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlab.dissipative import NumericError
+from seqlab.dissipative import DissipationParams, NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
     DEFAULT_PI_PULSE_S,
@@ -28,10 +28,9 @@ from seqlab.qcore import (
     DriveField,
     DriveSegment,
     PulseSequence,
-    QutritState,
     Readout,
     Wait,
-    propagate_sequence,
+    sequence_unitary,
 )
 from seqlab.ramsey import (
     RamseyScanConfig,
@@ -43,7 +42,8 @@ from seqlab.ramsey import (
 from seqlab.units import mhz
 from test_tooling import SEQUENCE_WITH_A_WAIT
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# one mu1 pi/2 pulse: the stored excitation split evenly between R1 and R2
+HALF_PI_MU1 = (DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_ideal_readout_of_equal_superposition():
-    state = QutritState(INV_SQRT2, INV_SQRT2, 0.0)
-    pops = readout_populations(state)
+    pops = readout_populations(HALF_PI_MU1)
     assert abs(pops.p1 - 0.5) <= 1e-15
     assert abs(pops.p2 - 0.5) <= 1e-15
     # float pi leaves a cos(pi/2)^4-scale residue, nothing larger
@@ -66,17 +65,20 @@ def test_readout_after_half_pi_and_pi_area():
             DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
         )
     )
-    state = propagate_sequence(QutritState.r1(), seq)
-    pops = readout_populations(state)
+    pops = readout_populations(seq.segments)
     assert abs(pops.p1 - 0.5) <= 1e-12
     assert abs(pops.p2 - 0.0) <= 1e-12
     assert abs(pops.p3 - 0.5) <= 1e-12
 
 
 def test_readout_of_r3_lands_in_bin_three():
-    state = QutritState(0.0, 0.0, 1.0)
-    pops = readout_populations(state)
-    assert pops.p1 == 0.0
+    to_r3 = (  # a mu1 pi pulse, then a mu2 pi pulse
+        DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
+    )
+    pops = readout_populations(to_r3)
+    # float pi leaves a cos(pi/2)^2-scale residue in R1, nothing larger
+    assert pops.p1 <= 1e-30
     assert abs(pops.p2) <= 1e-24
     assert abs(pops.p3 - 1.0) <= 1e-12
 
@@ -90,40 +92,50 @@ def _canonical_chain() -> PulseSequence:
 
 
 def test_readout_eta_scales_each_bin():
-    state = QutritState(INV_SQRT2, INV_SQRT2, 0.0)
-    assert readout_from_sequence(state, _canonical_chain()) == readout_populations(state)
-    pops = readout_from_sequence(state, _canonical_chain(), eta=(0.8, 0.5, 0.3))
+    seq = PulseSequence(HALF_PI_MU1 + _canonical_chain().segments)
+    assert readout_from_sequence(seq) == readout_populations(HALF_PI_MU1)
+    pops = readout_from_sequence(seq, eta=(0.8, 0.5, 0.3))
     assert abs(pops.p1 - 0.5 * 0.8) <= 1e-12
     assert abs(pops.p2 - 0.5 * 0.5) <= 1e-12
     assert pops.p3 <= 1e-30
 
 
-@given(
-    st.tuples(
-        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-    )
+# preparation segments from the stored excitation: field, area, phase, detuning
+_prep_segments = st.lists(
+    st.builds(
+        lambda field, area, phase, detuning: DriveSegment(
+            field, rabi=area / 20e-9, duration=20e-9, phase=phase, detuning=detuning
+        ),
+        st.sampled_from(DriveField),
+        st.floats(0.0, 4.0 * math.pi),
+        st.floats(-math.pi, math.pi),
+        st.floats(-mhz(5.0), mhz(5.0)),
+    ),
+    max_size=4,
 )
-def test_readout_conserves_probability(parts):
-    raw = np.array(
-        [
-            parts[0] + 1j * parts[1],
-            parts[2] + 1j * parts[3],
-            parts[4] + 1j * parts[5],
-        ]
-    )
-    norm = np.linalg.norm(raw)
-    if norm < 1e-3:
-        return
-    a = raw / norm
-    pops = readout_populations(QutritState(a[0], a[1], a[2]))
+
+
+@given(_prep_segments)
+def test_readout_conserves_probability(prep):
+    pops = readout_populations(prep)
     assert abs(pops.p1 + pops.p2 + pops.p3 - 1.0) <= 1e-12
 
 
+@given(_prep_segments)
+def test_prepared_state_is_the_first_column_of_the_unitary(prep):
+    # every path starts from the stored excitation: the ideal read-out and
+    # the zero-rate master equation both see column 0 of the unitary
+    psi = np.zeros(4, dtype=complex)
+    psi[:3] = sequence_unitary(prep)[:, 0]
+    pops = readout_populations(prep)
+    assert np.abs(np.array([pops.p1, pops.p2, pops.p3]) - np.abs(psi[:3]) ** 2).max() <= 1e-12
+    rho = evolve_master(PulseSequence(tuple(prep)), DissipationParams())
+    assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
+
+
 def test_interbin_dephasing_attenuates_later_bins():
-    state = QutritState(INV_SQRT2, INV_SQRT2, 0.0)
     gamma = 6.5e6
-    pops = readout_populations(state, deph_between_bins=gamma)
+    pops = readout_populations(HALF_PI_MU1, deph_between_bins=gamma)
     # bin 1 is read before any delay has accrued
     assert abs(pops.p1 - 0.5) <= 1e-15
     # bin 2 follows one pi pulse of delay
@@ -131,22 +143,20 @@ def test_interbin_dephasing_attenuates_later_bins():
 
 
 def test_interbin_dephasing_is_monotone_in_rate():
-    state = QutritState(INV_SQRT2, INV_SQRT2, 0.0)
     p2s = [
-        readout_populations(state, deph_between_bins=g).p2
+        readout_populations(HALF_PI_MU1, deph_between_bins=g).p2
         for g in (0.0, 2e5, 5e5, 1e6, 2e6)
     ]
     assert all(a > b for a, b in zip(p2s, p2s[1:]))
 
 
 def test_readout_validation():
-    state = QutritState.r1()
     with pytest.raises(ValueError):
-        readout_from_sequence(state, _canonical_chain(), eta=(1.0, 1.0))
+        readout_from_sequence(_canonical_chain(), eta=(1.0, 1.0))
     with pytest.raises(ValueError):
-        readout_from_sequence(state, _canonical_chain(), eta=(1.0, 1.0, 1.5))
+        readout_from_sequence(_canonical_chain(), eta=(1.0, 1.0, 1.5))
     with pytest.raises(ValueError):
-        readout_populations(state, deph_between_bins=-1.0)
+        readout_populations((), deph_between_bins=-1.0)
     with pytest.raises(ValueError):
         TimeBinPopulations(0.6, 0.6, 0.0)
 
@@ -154,9 +164,8 @@ def test_readout_validation():
 def test_readout_from_sequence_clock_spans_segments():
     # segments between bins 1 and 2 sum to 90 ns of dephasing delay
     gamma = 1e6
-    state = QutritState(INV_SQRT2, INV_SQRT2, 0.0)
     seq = PulseSequence(
-        (
+        HALF_PI_MU1 + (
             Readout(1),
             Wait(30e-9),
             DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
@@ -164,22 +173,20 @@ def test_readout_from_sequence_clock_spans_segments():
             Readout(2),
         )
     )
-    pops = readout_from_sequence(state, seq, deph_between_bins=gamma)
+    pops = readout_from_sequence(seq, deph_between_bins=gamma)
     assert abs(pops.p1 - 0.5) <= 1e-15
     assert abs(pops.p2 - 0.5 * math.exp(-gamma * 90e-9)) <= 1e-12
 
 
 def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
-    # the readout_dephasing.py state (mu1 pi/2, then a 2pi mu2 pulse) under
+    # a mu1 pi/2 pulse at phase pi, undone by the first pulse of
     # SEQUENCE_WITH_A_WAIT: bin 1 takes everything and rho_00 rounds to
-    # about -6e-33 at bin 2, which TimeBinPopulations used to refuse
-    omega = mhz(12.5)
-    prep = PulseSequence((
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        DriveSegment(DriveField.MU2, rabi=omega, duration=2.0 * math.pi / omega),
-    ))
-    state = propagate_sequence(QutritState.r1(), prep)
-    pops = readout_from_sequence(state, parse_sequence(SEQUENCE_WITH_A_WAIT))
+    # about -4.5e-34 at bin 2, which TimeBinPopulations would refuse
+    prep = (
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=math.pi),
+    )
+    seq = PulseSequence(prep + parse_sequence(SEQUENCE_WITH_A_WAIT).segments)
+    pops = readout_from_sequence(seq)
     assert abs(pops.p1 - 1.0) <= 1e-15
     assert pops.p2 == 0.0 and pops.p3 == 0.0
 
