@@ -152,22 +152,29 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
 
 def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines or lines[0] != RAMSEY_CSV_HEADER:
         raise ValueError(f"{path}: expected header {RAMSEY_CSV_HEADER!r}")
-    deltas, intensities = [], []
-    for row, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        delta, intensity = float(parts[0]), float(parts[1])
-        if not (math.isfinite(delta) and math.isfinite(intensity)):
-            raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
-        deltas.append(delta)
-        intensities.append(intensity)
-    if len(deltas) < 2:
+    body = lines[1:]
+    cells = ",".join(body).split(",")
+    table = None
+    # as many commas as rows and one in every row: two cells a row
+    if len(cells) == 2 * len(body) and all("," in ln for ln in body):
+        try:  # (2, n): one contiguous row per column
+            table = np.array(cells, dtype=float).reshape(-1, 2).T.copy()
+        except ValueError:  # a cell that is not a number, reported below
+            pass
+    if table is None or not np.isfinite(table).all():
+        # the error path: report the first faulty row, in file order
+        for row, ln in enumerate(body, start=1):
+            parts = ln.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: malformed row {ln!r}")
+            if not all(map(math.isfinite, [float(p) for p in parts])):
+                raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
+    if len(body) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    return np.array(deltas), np.array(intensities)
+    return table[0], table[1]
 
 
 def _cmd_fit(args, cfg: RunConfig) -> int:

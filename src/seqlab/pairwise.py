@@ -18,10 +18,10 @@ against the storage configuration.
 The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
 :func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
-is linear, a contraction with a constant (3, 3, 6, 6) tensor built once
-from the bosonic rule, so it lifts whole stacks: the mixture scan walks
-the same stacked Ramsey sequence as the unitary backend, with the lift in
-its propagator (:func:`seqlab.ramsey.ramsey_amplitudes`).
+is linear, one matmul with a constant (9, 36) matrix built once from the
+bosonic rule, so it lifts whole stacks: the mixture scan walks the same
+stacked Ramsey sequence as the unitary backend, with the lift in its
+propagator (:func:`seqlab.ramsey.ramsey_amplitudes`).
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ def _lift_tensor() -> np.ndarray:
     return T
 
 
-_LIFT = _lift_tensor()
+# row 3x + y is T[x, y] flattened: the lift of a flattened h3 is one matmul.
+# Every entry of a lift sums at most two non-zero terms, and a term with a
+# sqrt(2) factor stands alone, so no summation order can change a rounding.
+_LIFT = _lift_tensor().reshape(9, 36)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class InteractionParams:
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
     """Lift a single-particle operator, or a (..., 3, 3) stack of them, to
     the 6-dim symmetric manifold: H = sum_xy h3[x, y] b_x^+ b_y."""
-    return np.einsum("...xy,xyij->...ij", h3, _LIFT)
+    return (h3.reshape(-1, 9) @ _LIFT).reshape(h3.shape[:-2] + (6, 6))
 
 
 def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndarray:

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from seqlab.cli import main
+from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
 from seqlab.photostats import SHOT_BLOCK
 
 CANONICAL = "sequences/ramsey_readout.seq"
@@ -671,6 +674,94 @@ def test_fit_rejects_non_finite_rows(tmp_path, capsys):
         assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
         assert "data row 5 is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        (["0,1", "0.5", "1,0"], "0.5"),
+        (["0,1", "0.5,1,2", "1,0"], "0.5,1,2"),
+        # one cell in one row and three in another still make two cells a row
+        (["0,1", "2", "3,4,5", "6,7"], "2"),
+    ],
+)
+def test_fit_rejects_a_row_of_the_wrong_width(tmp_path, capsys, rows, bad):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("\n".join([RAMSEY_CSV_HEADER, *rows, ""]), encoding="utf-8")
+    assert main(["fit", "--in", str(scan)]) == 2
+    assert capsys.readouterr().err == f"error: {scan}: malformed row {bad!r}\n"
+
+
+def test_fit_needs_two_data_rows(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    scan.write_text(f"{RAMSEY_CSV_HEADER}\n0,1\n\n", encoding="utf-8")
+    assert main(["fit", "--in", str(scan)]) == 2
+    assert capsys.readouterr().err == f"error: {scan}: need at least two data rows\n"
+
+
+def test_fit_tolerates_blank_lines_spaces_and_crlf(tmp_path):
+    scan, fit = tmp_path / "scan.csv", tmp_path / "fit.json"
+    assert main(["ramsey-scan", "--backend", "unitary", "--out", str(scan)]) == 0
+    assert main(["fit", "--in", str(scan), "--out", str(fit)]) == 0
+    header, *rows = _read(scan).splitlines()
+    messy_rows = [f" \t{r}  " if i % 3 else f"{r}\r\n \r\n" for i, r in enumerate(rows)]
+    messy = tmp_path / "messy.csv"
+    messy.write_bytes(("\r\n" + f"  {header}\r\n" + "\r\n".join(messy_rows) + "\r\n\r\n").encode())
+    messy_fit = tmp_path / "messy.json"
+    assert main(["fit", "--in", str(messy), "--out", str(messy_fit)]) == 0
+    assert messy_fit.read_bytes() == fit.read_bytes()
+
+
+def _row_by_row_scan_csv(path):
+    """Reference ingest: one line at a time, the first faulty row reported."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != RAMSEY_CSV_HEADER:
+        raise ValueError(f"{path}: expected header {RAMSEY_CSV_HEADER!r}")
+    rows = []
+    for row, ln in enumerate(lines[1:], start=1):
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: malformed row {ln!r}")
+        values = [float(p) for p in parts]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
+        rows.append(values)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least two data rows")
+    return np.array(rows)[:, 0], np.array(rows)[:, 1]
+
+
+_csv_cells = st.sampled_from(
+    ["0", "-0.0", "1.5", " 2e300 ", "5e-324", "1_0", "nan", "-inf", "1e999", "x", ""]
+)
+_csv_lines = st.one_of(
+    st.lists(_csv_cells, min_size=2, max_size=2).map(",".join),
+    st.lists(_csv_cells, min_size=0, max_size=4).map(",".join),
+    st.sampled_from(["", "  ", "\t", RAMSEY_CSV_HEADER]),
+)
+
+
+@given(
+    header=st.sampled_from([RAMSEY_CSV_HEADER, f" {RAMSEY_CSV_HEADER}\t", "x,y"]),
+    lines=st.lists(_csv_lines, max_size=8),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_ingest_matches_a_row_by_row_reader(tmp_path_factory, header, lines, newline):
+    path = tmp_path_factory.mktemp("ingest") / "scan.csv"
+    path.write_bytes(newline.join([header, *lines]).encode())
+    try:
+        want = _row_by_row_scan_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _read_scan_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = _read_scan_csv(path)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert a.flags.c_contiguous
 
 
 def test_fit_rejects_a_constant_detuning_axis(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from seqlab.cli import main
+from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
 from seqlab.io import csv_text, format_value, json_table_text, json_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +133,28 @@ def test_table_width_or_length_mismatch_raises(write):
         write("a", [np.array([1.0]), np.array([2.0])])
     with pytest.raises(ValueError):
         write("a,b", [np.array([1.0, 2.0]), [1]])
+
+
+# ------------------------------------------------- scan CSV ingest round trip
+
+@st.composite
+def scan_columns(draw):
+    """Strictly increasing detunings and intensities, any finite float64."""
+    deltas = sorted(draw(st.lists(finite_floats, min_size=2, max_size=40, unique=True)))
+    intensities = draw(st.lists(finite_floats, min_size=len(deltas), max_size=len(deltas)))
+    return np.array(deltas), np.array(intensities)
+
+
+@given(scan_columns())
+@example((np.array([-1e308, -5e-324, 0.0, 1e-308, 1e308]),
+          np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-300])))
+@example((np.array([-0.0, 1.0]), np.array([1e16, -0.0001])))
+def test_scan_csv_round_trips_exactly(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    path.write_text(csv_text(RAMSEY_CSV_HEADER, columns), encoding="utf-8")
+    for got, want in zip(_read_scan_csv(path), columns):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------- CLI format round trip

@@ -11,6 +11,7 @@ from seqlab.dissipative import DissipationParams
 from seqlab.pairwise import (
     PAIR_CONFIGS,
     InteractionParams,
+    _lift_tensor,
     lift_single_particle,
     mixture_fringe_scan,
     pair_hamiltonian,
@@ -28,6 +29,7 @@ from seqlab.qcore import (
 from seqlab.ramsey import (
     Backend,
     RamseyScanConfig,
+    build_ramsey_sequence,
     fringe_scan,
     symmetric_detuning_grid,
 )
@@ -116,6 +118,57 @@ def test_lift_is_hermitian(parts):
     H = lift_single_particle(stack)
     assert H.shape == (stack.shape[0], 6, 6)
     assert np.abs(H - H.conj().swapaxes(-1, -2)).max() <= 1e-12
+
+
+def _einsum_lift(h3: np.ndarray) -> np.ndarray:
+    """Reference lift: the sum over x, y of h3[..., x, y] T[x, y] with the
+    (3, 3, 6, 6) bosonic tensor T, entry by entry."""
+    return np.einsum("...xy,xyij->...ij", h3, _lift_tensor())
+
+
+def _assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+# any finite magnitude whose sqrt(2) multiple stays finite, signed zeros and
+# subnormals included
+_bits = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0]
+)
+_stack_shapes = st.sampled_from([(), (1,), (4,), (2, 3), (1, 5)])
+
+
+@given(
+    _stack_shapes.flatmap(
+        lambda shape: st.tuples(
+            arrays(float, shape + (3, 3), elements=_bits),
+            arrays(float, shape + (3, 3), elements=_bits),
+            arrays(float, shape + (3, 3), elements=st.floats(-math.pi, math.pi)),
+        )
+    )
+)
+def test_lift_is_the_einsum_bit_for_bit(parts):
+    real, imag, phase = parts
+    for h3 in (real, real + 1j * imag, (real + 1j * imag) * np.exp(1j * phase)):
+        _assert_same_bits(lift_single_particle(h3), _einsum_lift(h3))
+
+
+@given(
+    st.lists(st.floats(-mhz(30.0), mhz(30.0)), min_size=1, max_size=12),
+    st.floats(1e-9, 200e-9),
+    st.floats(0.0, mhz(25.0)),
+    st.sampled_from([0.0, 150e-9]),
+    st.sampled_from([0.0, 15e-9]),
+)
+def test_lift_of_ramsey_hamiltonians_is_the_einsum_bit_for_bit(deltas, t_mu1, omega, t_mu2, gap):
+    seq = build_ramsey_sequence(np.array(deltas), t_mu1, omega, t_mu2, gap)
+    for seg in seq.segments:
+        h3 = np.broadcast_to(segment_hamiltonian(seg), (len(deltas), 3, 3))
+        for stack in (h3[0], h3, h3.reshape(1, -1, 3, 3)):
+            _assert_same_bits(lift_single_particle(stack), _einsum_lift(stack))
 
 
 def test_bosonic_enhancement_factors():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlab import ramsey
 from seqlab.dissipative import DissipationParams, evolve_master
 from seqlab.pairwise import (
     PAIR_CONFIGS,
@@ -363,6 +364,23 @@ def test_batched_scans_do_not_depend_on_block_boundaries(points):
     _assert_batched_matches_reference(
         cfg, InteractionParams(mhz(0.3), 0.4), times, mhz(1.5)
     )
+
+
+@pytest.mark.parametrize("gap", [0.0, 15e-9])
+def test_unitary_mixture_scan_is_the_same_bits_for_any_block_size(monkeypatch, gap):
+    points = 301
+    cfg = RamseyScanConfig(
+        t_mu1=40e-9, deltas=symmetric_detuning_grid(mhz(12.0), points),
+        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=Backend.UNITARY, I0=1.3,
+        inter_pulse_gap=gap,
+    )
+    interactions = InteractionParams(mhz(0.3), 0.4)
+    scans = {}
+    for block in (1, 7, 256, points + 1):
+        monkeypatch.setattr(ramsey, "BLOCK_POINTS", block)
+        scans[block] = mixture_fringe_scan(cfg, interactions)
+    for scan in scans.values():
+        assert np.array_equal(scan, scans[256])
 
 
 _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
