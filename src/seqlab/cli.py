@@ -134,18 +134,18 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
     sh = cfg.shots
     mode = cfg.g2.mode
     if mode == "coherent":
-        records = sample_coherent_shots(
+        counts = sample_coherent_shots(
             sh.mean_photons, sh.n_trials, seed,
             bin=cfg.g2.bin, dark_rate=sh.dark_rate,
         )
     else:
         p2 = cfg.interaction.p2 if mode == "mixture" else 0.0
-        records = sample_shots(
+        counts = sample_shots(
             (1.0, 0.0, 0.0), sh.n_trials, seed,
             dark_rate=sh.dark_rate, p2=p2,
         )
-    value, stderr = estimate_g2(records, bin=cfg.g2.bin)
-    values = (value, stderr, len(records))
+    value, stderr = estimate_g2(counts, bin=cfg.g2.bin)
+    values = (value, stderr, len(counts))
     emit(_record_text(args, cfg, G2_CSV_HEADER, values), args.out)
     return 0
 
@@ -186,6 +186,11 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
     if hint == 0.0:
         s = cfg.scan
         hint = 2.0 * s.t_mu1 + s.t_mu2 + 2.0 * s.gap
+        if not math.isfinite(hint):
+            raise ValueError(
+                "fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
+                "+ 2*scan.gap, which overflows; set fit.t_total_hint"
+            )
     result = fit_sinusoid(deltas, intensities, hint)
     values = [getattr(result, name) for name in FIT_CSV_HEADER.split(",")]
     emit(_record_text(args, cfg, FIT_CSV_HEADER, values, default="json"), args.out)

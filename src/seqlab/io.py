@@ -6,9 +6,11 @@ floats) is written as each value's shortest round-trip decimal, its
 ``float.__repr__``; any other column is written cell by cell, through
 ``format_value`` in CSV and through the ``json`` module in JSON, so
 non-finite floats read ``nan``/``inf`` in CSV and ``NaN``/``Infinity``
-in JSON.  JSON tables are lists of flat records keyed by the header
-names, laid out as ``json.dumps(..., indent=2)`` lays them out; other
-JSON payloads go through ``json_text``.  Lines end in LF, and file
+in JSON.  JSON takes Python values only (numbers, bools, strings and
+lists of them), no numpy scalars.  JSON tables are lists of flat
+records keyed by the header names, laid out as ``json.dumps(...,
+indent=2)`` lays them out, and hold at least one row; other JSON
+payloads go through ``json_text``.  Lines end in LF, and file
 writes go through a temp file plus os.replace so a crashed run never
 leaves a half-written artifact.  Identical data gives byte-identical
 files.
@@ -38,13 +40,9 @@ def format_value(v) -> str:
 
 def _cells(column, encode) -> list[str]:
     """The cell strings of one column, in row order."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        values = column.tolist()
-    elif {*map(type, column)} <= {float}:
-        values = column
-    else:
-        return [encode(v) for v in column]
-    if all(map(math.isfinite, values)):
+    float64 = isinstance(column, np.ndarray) and column.dtype == np.float64
+    values = column.tolist() if float64 else column
+    if (float64 or {*map(type, values)} <= {float}) and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
     return [encode(v) for v in column]
 
@@ -71,19 +69,13 @@ def csv_text(header: str, columns) -> str:
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
-def _json_cell(v) -> str:
-    return json.dumps(v, default=_json_default)
-
-
 def json_table_text(header: str, columns) -> str:
     """JSON list of records keyed by the header names, from columns.
 
     Takes the columns as ``csv_text`` does and gives the bytes of
     ``json_text`` over the list of records.
     """
-    names, cells = _table(header, columns, _json_cell)
-    if not cells[0]:
-        return "[]\n"
+    names, cells = _table(header, columns, json.dumps)
     fields = ",\n".join(
         f"    {json.dumps(name).replace('%', '%%')}: %s" for name in names
     )
@@ -91,20 +83,10 @@ def json_table_text(header: str, columns) -> str:
     return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
 
 
-def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def json_text(obj) -> str:
     """Indented JSON of any payload, such as a dict of results."""
     # json emits floats via repr already (shortest round-trip)
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def write_text(path, text: str) -> None:

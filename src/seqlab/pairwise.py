@@ -88,12 +88,6 @@ class InteractionParams:
     v_int: float = 0.0
     p2: float = 0.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.v_int):
-            raise ValueError("v_int must be finite")
-        if not (0.0 <= self.p2 < 1.0):
-            raise ValueError("p2 must lie in [0, 1)")
-
 
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
     """Lift a single-particle operator, or a (..., 3, 3) stack of them, to

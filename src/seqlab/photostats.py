@@ -13,6 +13,12 @@ mode, so it shows up as signal loss rather than as a population change:
 each retrieval after the first is scaled by exp(-rate * elapsed), with the
 elapsed time taken from the durations of the remapping segments actually
 in the sequence.
+
+The HBT samplers return the per-trial click counts as an (n_trials, 2, 3)
+int16 array, arm by time bin, and :func:`estimate_g2` reads that array.
+The run configuration bounds the counts, rates and efficiencies that
+reach this module; only the inter-bin dephasing rate, which the example
+scripts pass too, is checked here.
 """
 
 from __future__ import annotations
@@ -51,13 +57,6 @@ class TimeBinPopulations:
             raise ValueError("bin probabilities exceed unity")
 
 
-def _validate_eta(eta) -> tuple[float, float, float]:
-    eta = tuple(float(e) for e in eta)
-    if len(eta) != 3 or any(not (0.0 <= e <= 1.0) for e in eta):
-        raise ValueError("eta must be three efficiencies in [0, 1]")
-    return eta
-
-
 def readout_from_sequence(
     sequence: PulseSequence,
     eta=(1.0, 1.0, 1.0),
@@ -70,11 +69,11 @@ def readout_from_sequence(
     current R1 population times eta[b-1] (times the inter-bin dephasing
     factor) and then zeroes R1, modelling the departed photon.  The
     dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  The state is walked as its density matrix, from
+    attenuated.  eta holds three efficiencies in [0, 1].  The state is
+    walked as its density matrix, from
     :func:`seqlab.dissipative.stored_excitation`; all drive/wait
     propagators come from one stacked call.
     """
-    eta = _validate_eta(eta)
     if deph_between_bins < 0 or not math.isfinite(deph_between_bins):
         raise ValueError("deph_between_bins must be finite and non-negative")
 
@@ -129,42 +128,6 @@ COUNT_MAX = int(np.iinfo(np.int16).max)
 SHOT_BLOCK = 1 << 15
 
 
-class ShotRecords:
-    """Per-trial click counts backed by an (n, 2, 3) count array.
-
-    Axis 1 is the detector arm (index 0 is arm A), axis 2 the time bin.
-    Counts are stored as int16, so each must lie in [0, COUNT_MAX]; an
-    int16 array is kept as it is, not copied.
-    """
-
-    def __init__(self, counts: np.ndarray):
-        counts = np.asarray(counts)
-        if counts.ndim != 3 or counts.shape[1:] != (2, 3):
-            raise ValueError("counts must have shape (n_trials, 2, 3)")
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        if counts.size and counts.max() > COUNT_MAX:
-            raise ValueError(f"counts must not exceed {COUNT_MAX}")
-        self.counts = counts.astype(np.int16, copy=False)
-
-    def __len__(self) -> int:
-        return self.counts.shape[0]
-
-    def arm_counts(self, bin: int) -> tuple[np.ndarray, np.ndarray]:
-        if bin not in (1, 2, 3):
-            raise ValueError("bin must be 1, 2 or 3")
-        return self.counts[:, 0, bin - 1], self.counts[:, 1, bin - 1]
-
-
-def _validate_sampling(n_trials: int, dark_rate: float, p2: float) -> None:
-    if n_trials <= 0:
-        raise ValueError("n_trials must be strictly positive")
-    if not (0.0 <= dark_rate < 1.0):
-        raise ValueError("dark_rate must lie in [0, 1)")
-    if not (0.0 <= p2 < 1.0):
-        raise ValueError("p2 must lie in [0, 1)")
-
-
 def _blocks(n_trials: int):
     """(start, stop) of each SHOT_BLOCK-trial block, in trial order."""
     for start in range(0, n_trials, SHOT_BLOCK):
@@ -189,15 +152,19 @@ def sample_shots(
     seed: int,
     dark_rate: float = 0.0,
     p2: float = 0.0,
-) -> ShotRecords:
-    """Monte-Carlo HBT records for n_trials sequence repetitions.
+) -> np.ndarray:
+    """Monte-Carlo HBT records for n_trials sequence repetitions: the
+    (n_trials, 2, 3) int16 click counts, axis 1 the detector arm (index 0
+    is arm A) and axis 2 the time bin.
 
     Each trial: with probability p2 a double-excitation event emits two
     photons into bin 1, split independently between the arms; otherwise a
     single photon lands in bin b with probability pops[b-1] (possibly no
     photon at all) and picks an arm 50/50.  Dark counts add one click per
     arm and bin with probability dark_rate, independently.  The draw
-    order is fixed, so identical seeds give identical records.
+    order is fixed, so identical seeds give identical records.  pops are
+    bin probabilities that sum to at most 1, n_trials > 0 and dark_rate
+    and p2 lie in [0, 1).
 
     The draws are streamed through the trials in SHOT_BLOCK blocks, each
     kind of draw over all trials before the next, so the records are
@@ -205,10 +172,6 @@ def sample_shots(
     records only one int8 per trial is kept whole, and everything else is
     block sized: the peak is about 17 B/trial at 500 000 trials.
     """
-    p = tuple(float(x) for x in pops)
-    TimeBinPopulations(*p)  # reuse validation
-    _validate_sampling(n_trials, dark_rate, p2)
-
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
     buf = np.empty(min(n_trials, SHOT_BLOCK))
     rng = np.random.default_rng(seed)
@@ -226,7 +189,7 @@ def sample_shots(
     # single branch: categorical over the three bins (or nothing).  The bin
     # is the number of cumulative pops <= u, as searchsorted(side="right")
     # gives it; a double's flag becomes 3 first, so it never gets a photon.
-    cum = np.cumsum(p)
+    cum = np.cumsum(pops)
     for start, stop in _blocks(n_trials):
         u_bin = rng.random(out=buf[: stop - start])
         idx = bin_idx[start:stop]
@@ -244,7 +207,7 @@ def sample_shots(
     del bin_idx, buf
     if dark_rate > 0:
         _add_dark_counts(rng, counts, dark_rate)
-    return ShotRecords(counts)
+    return counts
 
 
 def sample_coherent_shots(
@@ -253,9 +216,11 @@ def sample_coherent_shots(
     seed: int,
     bin: int = 1,
     dark_rate: float = 0.0,
-) -> ShotRecords:
+) -> np.ndarray:
     """Poissonian source mode: photon number ~ Poisson(mean_photons) in one
     bin, split binomially between the arms.  Gives g2 = 1 in expectation.
+    The counts are laid out as ``sample_shots`` lays them out; a photon
+    number beyond the int16 records raises ValueError.
 
     Streamed in SHOT_BLOCK blocks like ``sample_shots``, with records
     identical to those of whole-array draws: the photon numbers go straight
@@ -263,11 +228,6 @@ def sample_coherent_shots(
     nothing but the 12 B/trial records is kept whole.  The peak is about
     14 B/trial at 500 000 trials, 16 with dark counts.
     """
-    if mean_photons < 0 or not math.isfinite(mean_photons):
-        raise ValueError("mean_photons must be finite and non-negative")
-    if bin not in (1, 2, 3):
-        raise ValueError("bin must be 1, 2 or 3")
-    _validate_sampling(n_trials, dark_rate, 0.0)
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
     arm_a, arm_b = counts[:, 0, bin - 1], counts[:, 1, bin - 1]
     rng = np.random.default_rng(seed)
@@ -288,7 +248,7 @@ def sample_coherent_shots(
         arm_b[start:stop] -= na  # nph - na in place
     if dark_rate > 0:
         _add_dark_counts(rng, counts, dark_rate)
-    return ShotRecords(counts)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +259,11 @@ N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 815
 
 
-def estimate_g2(records: ShotRecords, bin: int = 1) -> tuple[float, float]:
+def estimate_g2(counts: np.ndarray, bin: int = 1) -> tuple[float, float]:
     """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials for the
-    chosen bin, and its bootstrap standard error.  NumericError when an
-    arm registered no clicks, which leaves the normalization undefined.
+    chosen bin, and its bootstrap standard error, from the (n_trials, 2,
+    3) int16 counts of a sampler.  NumericError when an arm registered no
+    clicks, which leaves the normalization undefined.
 
     The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials with
     replacement; collapsing to unique (nA, nB) outcomes makes that a
@@ -314,10 +275,8 @@ def estimate_g2(records: ShotRecords, bin: int = 1) -> tuple[float, float]:
     nA * nB is at most COUNT_MAX**2 and the key at most 2**30 - 1, so both
     are exact in int32.
     """
-    na, nb = records.arm_counts(bin)
-    n = len(records)
-    if n == 0:
-        raise ValueError("no records")
+    na, nb = counts[:, 0, bin - 1], counts[:, 1, bin - 1]
+    n = len(counts)
     mean_a = na.mean()
     mean_b = nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
@@ -327,14 +286,14 @@ def estimate_g2(records: ShotRecords, bin: int = 1) -> tuple[float, float]:
     value = float(np.multiply(na, nb, dtype=np.int32).mean() / (mean_a * mean_b))
 
     radix = COUNT_MAX + 1
-    keys, counts = np.unique(
+    keys, freq = np.unique(
         na.astype(np.int32) * radix + nb, return_counts=True
     )
     ua = (keys // radix).astype(float)
     ub = (keys % radix).astype(float)
     uab = ua * ub
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    draws = rng.multinomial(n, counts / n, size=N_BOOTSTRAP)
+    draws = rng.multinomial(n, freq / n, size=N_BOOTSTRAP)
     sa = draws @ ua
     sb = draws @ ub
     sab = draws @ uab
@@ -401,20 +360,16 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     fallback); offset/quadrature amplitudes start from the linear solve at
     that frequency.  Convergence is a relative step below 1e-10 within 200
     iterations; a non-converged fit is returned flagged, with its residual.
-    x must be strictly increasing.  A scan whose spread is within 1e-12
-    of its largest magnitude is returned flat (flag "flat_scan");
-    non-finite x or y, or a non-increasing x, raise ValueError.
+    x and y are finite 1-d float arrays of equal length, and freq_hint is
+    finite and positive (the scan reader and the CLI check them).  A scan
+    whose spread is within 1e-12 of its largest magnitude is returned flat
+    (flag "flat_scan"); fewer than 8 points, or an x that is not strictly
+    increasing, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 8:
         raise ValueError("need at least 8 points to fit")
-    if freq_hint <= 0 or not math.isfinite(freq_hint):
-        raise ValueError("freq_hint must be finite and strictly positive")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
     if not (np.diff(x) > 0).all():
         raise ValueError("x must be strictly increasing")
 
@@ -447,7 +402,7 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
         try:
             step = np.linalg.solve(damped, g)
         except np.linalg.LinAlgError:
-            break
+            break  # a singular system ends the fit unconverged
         cand = np.array([o, A, B, f]) + step
         rel = np.linalg.norm(step) / max(np.linalg.norm(cand), 1e-30)
         c_cand, s_cand = np.cos(cand[3] * x), np.sin(cand[3] * x)

@@ -59,13 +59,13 @@ def _require_duration(value: float) -> None:
 
 def _drive_values(rabi, detuning, phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rabi, detuning and phase as new float arrays, checked: every entry
-    finite, rabi non-negative, shapes broadcastable (else ValueError)."""
+    finite, shapes broadcastable (else ValueError).  rabi is non-negative,
+    as the sequence parser and the config bounds give it; its sign belongs
+    in phase."""
     rabi, detuning, phase = (np.array(v, dtype=float) for v in (rabi, detuning, phase))
     for name, v in (("rabi", rabi), ("detuning", detuning), ("phase", phase)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
-    if (rabi < 0).any():
-        raise ValueError("rabi must be non-negative; sign belongs in phase")
     np.broadcast(rabi, detuning, phase)  # ValueError unless the shapes broadcast
     return rabi, detuning, phase
 
@@ -80,9 +80,8 @@ class DriveSegment:
     rabi, detuning in rad/s; phase in rad; duration in seconds.  rabi,
     detuning and phase are numbers or arrays that broadcast against each
     other; an array, kept as a read-only copy, makes the segment a stack of
-    pulses over the broadcast shape, all of the one duration.  Two
-    segments are equal when every field is, arrays by shape and entries,
-    and equal segments hash alike.
+    pulses over the broadcast shape, all of the one duration.  Segments
+    compare and hash by identity, as :func:`segment_maps` tells them apart.
     """
 
     field: DriveField
@@ -101,22 +100,6 @@ class DriveSegment:
                 object.__setattr__(self, name, v)
         _require_duration(self.duration)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.duration) == (other.field, other.duration) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in _DRIVE_VALUES
-        )
-
-    def __hash__(self):
-        # entries as Python numbers, so that 0.0 and -0.0 hash alike
-        values = tuple(
-            (np.shape(v), tuple(np.ravel(v).tolist()))
-            for v in (getattr(self, name) for name in _DRIVE_VALUES)
-        )
-        return hash((self.field, self.duration, values))
-
 
 @dataclass(frozen=True)
 class Wait:
@@ -134,33 +117,16 @@ class Readout:
 
     bin: int
 
-    def __post_init__(self):
-        if self.bin not in (1, 2, 3):
-            raise ValueError(f"readout bin must be 1, 2 or 3, got {self.bin}")
-
 
 Segment = Union[DriveSegment, Wait, Readout]
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """An ordered list of segments with validation.
-
-    Readout bins must appear in strictly increasing order.
-    """
+    """An ordered list of segments; readout bins, when there are any,
+    appear in strictly increasing order (the sequence parser's rule)."""
 
     segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        last_bin = 0
-        for seg in self.segments:
-            if isinstance(seg, Readout):
-                if seg.bin <= last_bin:
-                    raise ValueError(
-                        f"readout bins must be strictly increasing; "
-                        f"bin {seg.bin} follows bin {last_bin}"
-                    )
-                last_bin = seg.bin
 
     def total_duration(self) -> float:
         """Sum of the drive and wait durations in seconds; a readout takes
@@ -201,9 +167,8 @@ def segment_hamiltonian(segment: Segment) -> np.ndarray:
     """Hamiltonian (rad/s) of a drive or wait segment, shape (..., 3, 3)
     over the segment's stack: a drive's is its field's (values checked when
     the segment was built), a wait's is zeros (see the frame convention
-    above).  A Readout is a measurement and has none."""
-    if isinstance(segment, Readout):
-        raise ValueError("readout segments have no Hamiltonian; see seqlab.photostats")
+    above).  A Readout is a measurement and has none: callers pass the
+    drive and wait segments only."""
     if isinstance(segment, Wait):
         return np.zeros((3, 3), dtype=complex)
     return _drive_block(segment.field, segment.rabi, segment.detuning, segment.phase)
@@ -213,13 +178,11 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
     """exp(-i H t) for a stack of Hermitian H, shape (..., d, d).
 
     duration (s) is a scalar or an array that broadcasts against the stack
-    shape H.shape[:-2]; every value must be finite and strictly positive.
-    One batched eigendecomposition, so the result is unitary up to
-    floating point.
+    shape H.shape[:-2]: the durations of checked segments, or other
+    finite positive times.  One batched eigendecomposition, so the result
+    is unitary up to floating point.
     """
     duration = np.asarray(duration, dtype=float)
-    if not (np.isfinite(duration).all() and (duration > 0).all()):
-        raise ValueError("duration must be finite and strictly positive")
     w, V = np.linalg.eigh(H)
     phases = np.exp(-1j * w * duration[..., None])
     return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)

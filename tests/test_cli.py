@@ -355,6 +355,29 @@ def test_readout_reports_budget_excess(tmp_path, capsys):
     assert "EXCEEDS budget" in capsys.readouterr().err
 
 
+def test_readout_of_a_read_out_only_sequence(tmp_path, capsys):
+    # no drive: the stored excitation is read out of R1 whole
+    seq = tmp_path / "only.seq"
+    seq.write_text("readout bin=1\n", encoding="utf-8")
+    assert main(["readout", "--seq", str(seq)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "bin,probability\n1,1.0\n2,0.0\n3,0.0\n"
+    assert captured.err == (
+        "sequence only.seq: total duration 0.0 s (budget 1.8e-06 s, within budget)\n"
+    )
+
+
+def test_out_naming_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    assert main(["readout", "--seq", CANONICAL, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: [Errno 21] Is a directory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert not any(target.iterdir())
+
+
 def test_readout_requires_seq(capsys):
     assert main(["readout"]) == 2
     assert "requires --seq" in capsys.readouterr().err
@@ -638,6 +661,23 @@ def test_fit_csv_format(tmp_path):
     )
     assert len(lines) == 2
     assert lines[1].split(",")[6] == "true"
+
+
+def test_fit_names_the_keys_of_an_overflowing_derived_hint(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    assert main(["ramsey-scan", "--out", str(scan)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scan.t_mu1 = 1e308s\n", encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(scan), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
+        "+ 2*scan.gap, which overflows; set fit.t_total_hint\n"
+    )
+    assert not out.exists()
+    # a hint of its own fits the same scan
+    cfg.write_text("scan.t_mu1 = 1e308s\nfit.t_total_hint = 450ns\n", encoding="utf-8")
+    assert main(["fit", "--in", str(scan), "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_fit_requires_in(capsys):

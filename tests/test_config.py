@@ -110,6 +110,9 @@ def test_non_finite_values_rejected():
         parse_config("scan.i0 = inf\n")
     with pytest.raises(ValueError, match="must be finite"):
         parse_config("shots.mean_photons = nan\n")
+    for text in ("interaction.v_int = infMHz", "interaction.v_int = nanMHz", "rabi.t_max = infns"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_config(text + "\n")
 
 
 @pytest.mark.parametrize(
@@ -128,6 +131,7 @@ def test_non_finite_values_rejected():
         ("scan.omega_mu2 = -0.5MHz", "non-negative"),
         ("rabi.omega_mu2 = -0.5MHz", "non-negative"),
         ("rabi.t_max = 0ns", "must be positive"),
+        ("rabi.t_max = -50ns", "must be positive"),
         ("dissipation.gamma_decay_1 = -0.1MHz", "non-negative"),
         ("readout.eta_2 = 1.5", r"\[0, 1\]"),
         ("readout.deph = -1MHz", "non-negative"),

@@ -22,7 +22,6 @@ from seqlab.qcore import (
     DriveField,
     DriveSegment,
     PulseSequence,
-    Readout,
     Wait,
     segment_hamiltonian,
     sequence_unitary,
@@ -253,12 +252,6 @@ def test_every_sample_is_physical(segments, decay, deph, dt):
 
 # ---------------------------------------------------------------------------
 # guards and plumbing
-
-
-def test_readout_segments_rejected():
-    seq = PulseSequence((Readout(1),))
-    with pytest.raises(ValueError):
-        evolve_master(seq)
 
 
 def test_validate_flags_unphysical_matrices():

@@ -20,7 +20,6 @@ from seqlab.photostats import fit_sinusoid
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    Readout,
     Wait,
     hermitian_propagator,
     segment_hamiltonian,
@@ -269,11 +268,6 @@ def test_free_pair_propagator_is_symmetric_product(segs):
     assert np.abs(_pair_sequence_propagator(segs, InteractionParams()) - ref).max() <= 1e-12
 
 
-def test_pair_propagation_rejects_readout():
-    with pytest.raises(ValueError):
-        pair_hamiltonian(segment_hamiltonian(Readout(1)), InteractionParams())
-
-
 # ---------------------------------------------------------------------------
 # mixture fringe scan
 
@@ -398,17 +392,3 @@ def test_mixture_refuses_lindblad_with_rates(rates):
         replace(lindblad, dissipation=DissipationParams()), interactions
     )
     assert np.abs(zero_rates - unitary).max() <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def test_interaction_params_validation():
-    with pytest.raises(ValueError):
-        InteractionParams(p2=1.0)
-    with pytest.raises(ValueError):
-        InteractionParams(p2=-0.1)
-    for v in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            InteractionParams(v_int=v)

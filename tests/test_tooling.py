@@ -1,14 +1,15 @@
 """The benchmark's required span names resolve to seqlab functions, the
 README lists the config's sections, the package version is the project's,
-and every seqlab function, defaulted parameter and dataclass field serves
-a command or a script.
+and every seqlab function, every line, every defaulted parameter and every
+dataclass field serves a command or a script.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
-every command and script in one process under a call profile and prints,
-as JSON, the seqlab functions entered, their defaulted parameters, the
-parameters some call gave a non-default value and the dataclass fields
-that seqlab or script code read; it imports seqlab only once the profile
-is set, so functions that run at import count too.
+every command and script in one process under a call profile and a line
+trace and prints, as JSON, the seqlab functions entered, the lines of
+seqlab functions that ran, their defaulted parameters, the parameters
+some call gave a non-default value and the dataclass fields that seqlab
+or script code read; it imports seqlab only once the profile and the
+trace are set, so code that runs at import counts too.
 """
 
 import ast
@@ -17,11 +18,13 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -85,38 +88,87 @@ def test_package_version_is_the_project_version():
 # ---------------------------------------------------------------------------
 # no code is reachable only from tests
 
-# Functions that no command or script enters, kept on purpose:
-ALLOWED_UNREACHED = {
-    # the equality contract of a segment: == by value, arrays included,
-    # and a hash that agrees with it
-    "qcore.py:DriveSegment.__eq__",
-    "qcore.py:DriveSegment.__hash__",
-    # the JSON fallback for numpy scalars in a payload
-    "io.py:_json_default",
+_INVARIANT = "internal invariant: no input is known to break it"
+_NON_FINITE_CELL = "a non-finite cell: every command raises on overflow, so none is emitted"
+
+# Lines that no command or script runs, kept on purpose:
+# (file:qualname, stripped line) -> why
+ALLOWED_UNRUN = {
+    ("dissipative.py:_validate_density",
+     'raise NumericError("density matrix has non-finite entries")'): _INVARIANT,
+    ("dissipative.py:_validate_density",
+     'raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")'): _INVARIANT,
+    ("dissipative.py:_validate_density",
+     'raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")'): _INVARIANT,
+    ("dissipative.py:expm", 'raise NumericError("generator has non-finite entries")'):
+        "internal invariant: an overflowing generator raises before expm sees it",
+    ("io.py:format_value", "return repr(float(v))"): _NON_FINITE_CELL,
+    ("io.py:_table",
+     'raise ValueError(f"table width {len(columns)} != header width {len(names)}")'):
+        "internal invariant: every command gives one column per header field",
+    ("io.py:_table", 'raise ValueError(f"columns differ in length: {sorted(lengths)}")'):
+        "internal invariant: every command gives columns of one length",
+    ("io.py:write_text", "except OSError:"): "the temp file was removed by another process",
+    ("io.py:write_text", "pass"): "the temp file was removed by another process",
+    ("photostats.py:TimeBinPopulations.__post_init__",
+     'raise ValueError("bin probabilities must be finite and non-negative")'): _INVARIANT,
+    ("photostats.py:TimeBinPopulations.__post_init__",
+     'raise ValueError("bin probabilities exceed unity")'): _INVARIANT,
+    ("photostats.py:fit_sinusoid", "except np.linalg.LinAlgError:"):
+        "the damped normal matrix is positive definite: no scan is known to make it singular",
+    ("photostats.py:fit_sinusoid", "break  # a singular system ends the fit unconverged"):
+        "the damped normal matrix is positive definite: no scan is known to make it singular",
+    ("ramsey.py:RamseyScanConfig.__post_init__",
+     'raise ValueError("deltas must be strictly increasing")'):
+        "a grid step underflows only past ~1.3e7 points (scan.points), too costly to run",
 }
 
 _COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
 
 
+def _line_key(code, line: int) -> str | None:
+    """file:qualname:line of a line of a function, lambda or comprehension
+    of src/seqlab, else None."""
+    path = Path(code.co_filename)
+    if path.parent != SRC or not code.co_flags & inspect.CO_OPTIMIZED:
+        return None  # not seqlab, or a module or class body
+    return f"{path.name}:{code.co_qualname}:{line}"
+
+
 def _function_key(code) -> str | None:
     """file:qualname:line of a function or lambda of src/seqlab, else None."""
-    path = Path(code.co_filename)
-    if path.parent != SRC or code.co_name in _COMPREHENSIONS:
+    if code.co_name in _COMPREHENSIONS:
         return None
-    if not code.co_flags & inspect.CO_OPTIMIZED:  # a module or class body
-        return None
-    return f"{path.name}:{code.co_qualname}:{code.co_firstlineno}"
+    return _line_key(code, code.co_firstlineno)
 
 
-def _defined_functions() -> set[str]:
-    found = set()
+def _code_objects():
+    """(source lines of its file, code object) for every code object
+    compiled from src/seqlab."""
     for path in sorted(SRC.glob("*.py")):
-        todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        text = path.read_text(encoding="utf-8")
+        source = text.splitlines()
+        todo = [compile(text, str(path), "exec")]
         while todo:
             code = todo.pop()
             todo += [c for c in code.co_consts if inspect.iscode(c)]
-            found.add(_function_key(code))
-    return found - {None}
+            yield source, code
+
+
+def _defined_functions() -> set[str]:
+    return {_function_key(code) for _, code in _code_objects()} - {None}
+
+
+def _executable_lines() -> dict[str, str]:
+    """file:qualname:line -> stripped text, for every line that a function,
+    lambda or comprehension of src/seqlab executes, its first line aside."""
+    found = {}
+    for source, code in _code_objects():
+        for _, _, line in code.co_lines():
+            key = _line_key(code, line) if line else None
+            if key and line != code.co_firstlineno:
+                found[key] = source[line - 1].strip()
+    return found
 
 
 def _module_objects() -> list:
@@ -161,18 +213,17 @@ def _dataclasses() -> list[type]:
 def _record_field_reads(cls: type, read: set, readers: tuple[str, ...]) -> None:
     """Make cls add Class.field to read whenever code in a file under one of
     the readers directories reads one of its fields, except in the class's
-    own __post_init__, __eq__ and __hash__, which only check or compare
-    the value.  A NamedTuple's fields are tuple items, read by index or
+    own __post_init__, which only checks the value.  A NamedTuple's fields are tuple items, read by index or
     unpacking as often as by name, so they are out of reach of this guard."""
     names = {f.name for f in fields(cls)}
-    own = {f"{cls.__qualname__}.{m}" for m in ("__post_init__", "__eq__", "__hash__")}
+    own = f"{cls.__qualname__}.__post_init__"
     get = cls.__getattribute__
 
     def __getattribute__(self, name):
         if name in names:
             code = sys._getframe(1).f_code
             reader = code.co_qualname.split(".<locals>")[0]
-            if code.co_filename.startswith(readers) and reader not in own:
+            if code.co_filename.startswith(readers) and reader != own:
                 read.add(f"{cls.__qualname__}.{name}")
         return get(self, name)
 
@@ -212,21 +263,86 @@ pulse mu1 rabi=12.5MHz detuning=0.1MHz phase=0.5pi duration=40ns
 readout bin=2
 """
 
+# (sequence text, a piece of its diagnostic): every code of the parser
+BAD_SEQUENCES = (
+    ("", "[E_EMPTY]"),
+    ("frobnicate", "unknown command 'frobnicate' [E_SYNTAX]"),
+    ("pulse", "needs a field tag (mu1 or mu2) [E_SYNTAX]"),
+    ("pulse mu1 rabi", "expected key=value, got 'rabi' [E_SYNTAX]"),
+    ("pulse mu3 rabi=1MHz duration=1ns", "[E_UNKNOWN_FIELD]"),
+    ("pulse mu1 foo=1 duration=1ns", "unknown key 'foo' [E_UNKNOWN_KEY]"),
+    ("pulse mu1 rabi=1MHz rabi=2MHz duration=1ns", "[E_DUPLICATE_KEY]"),
+    ("pulse mu1 rabi=xMHz duration=1ns", "expected a number [E_BAD_NUMBER]"),
+    ("pulse mu1 rabi=1kHz duration=1ns", "[E_BAD_UNIT]"),
+    ("pulse mu1 rabi=1e400MHz duration=1ns", "is out of range [E_BAD_NUMBER]"),
+    ("pulse mu1 rabi=-1MHz duration=1ns", "rabi must be non-negative [E_BAD_NUMBER]"),
+    ("pulse mu1 area=-1pi duration=1ns", "area must be non-negative [E_BAD_NUMBER]"),
+    ("pulse mu1 area=1e300pi duration=1e-300ns", "s is out of range [E_BAD_NUMBER]"),
+    ("pulse mu1 duration=1ns", "[E_MISSING_AMPLITUDE]"),
+    ("pulse mu1 rabi=1MHz area=1pi duration=1ns", "[E_CONFLICTING_AMPLITUDE]"),
+    ("pulse mu1 rabi=1MHz", "[E_MISSING_DURATION]"),
+    ("pulse mu1 area=1pi", "[E_AREA_WITHOUT_DURATION]"),
+    ("pulse mu1 rabi=1MHz duration=0ns", "[E_NONPOSITIVE_DURATION]"),
+    ("wait", "wait takes exactly one duration [E_SYNTAX]"),
+    ("wait 0ns", "[E_NONPOSITIVE_DURATION]"),
+    ("readout", "readout takes exactly bin=<1|2|3> [E_SYNTAX]"),
+    ("readout foo=1", "unknown key 'foo' [E_UNKNOWN_KEY]"),
+    ("readout bin=4", "[E_BAD_BIN]"),
+    ("readout bin=1\nreadout bin=1", "[E_DUPLICATE_BIN]"),
+    ("readout bin=2\nreadout bin=1", "[E_BIN_ORDER]"),
+)
+
+# (config line, a piece of its diagnostic): every parse error of the config
+BAD_CONFIGS = (
+    ("scan.nope = 1", "unknown key 'scan.nope'"),
+    ("scan.points 11", "expected key = value"),
+    ("scan.i0 = abc", "bad number 'abc'"),
+    ("scan.i0 = inf", "value must be finite"),
+    ("scan.t_mu1 = 10kHz", "as unit suffix"),
+    ("scan.points = 3.5", "bad integer '3.5'"),
+    ("scan.backend = euler", "expected one of"),
+    ("scan.points = 4", "must be an odd integer >= 3"),
+)
+
+_X = [float(k) for k in range(16)]
+_FRINGE = [1.0 + 0.5 * math.cos(0.7 * x) for x in _X]
+
+# (name, rows or text of a scan CSV, exit code, a piece of stderr):
+# every path of fit --in
+FIT_INPUTS = (
+    ("fringe", [*zip(_X, _FRINGE)], 0, ""),  # converges on a step too small to move
+    ("zero_offset", [(x, math.cos(0.7 * x)) for x in _X], 0, ""),
+    ("faint", [(x, 1e-200 * y) for x, y in zip(_X, _FRINGE)], 0, ""),  # power underflows
+    ("not_converged", [(x, float(5 * k * k % 6)) for k, x in enumerate(_X)], 0, ""),
+    ("non_uniform", [(x * (x + 1) / 2, y) for x, y in zip(_X, _FRINGE)], 0, ""),
+    ("flat", [(x, 0.25) for x in _X], 0, ""),
+    ("short", [*zip(_X[:5], _FRINGE)], 2, "need at least 8 points"),
+    ("decreasing", [*zip(_X[::-1], _FRINGE)], 2, "x must be strictly increasing"),
+    ("one_row", "0.0,1.0\n", 2, "need at least two data rows"),
+    ("wide", "0.0,1.0\n1.0,2.0,3.0\n", 2, "malformed row"),
+    ("word", "0.0,abc\n1.0,2.0\n", 2, "could not convert string to float"),
+    ("infinite", "0.0,inf\n1.0,2.0\n", 2, "data row 1 is not finite"),
+)
+
 
 def _traffic(tmp: Path) -> None:
-    """Every command, over its backends, modes, formats and error exits,
-    and every script, in this process; AssertionError on a wrong exit code."""
+    """Every command, over its backends, modes, formats, paths and error
+    exits, and every script, over its own argument checks, in this process;
+    AssertionError on a wrong exit code or diagnostic."""
     from seqlab import cli
 
-    def run(*argv, config=None, code=0):
+    def run(*argv, config=None, code=0, err=None):
         args = list(argv)
         if config is not None:
             cfg = tmp / "run.cfg"
             cfg.write_text(config, encoding="utf-8")
             args += ["--config", str(cfg)]
-        assert cli.main(args) == code, args
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(args) == code, args
+        assert err is None or err in stderr.getvalue(), (args, stderr.getvalue())
 
-    scan = "scan.points = 11\nscan.t_mu1 = 100ns\nscan.i0 = 2\nseed = 7\n"
+    scan = "# a short scan\n\nscan.points = 11\nscan.t_mu1 = 100ns\nscan.i0 = 2\nseed = 7\n"
     for backend in ("analytic", "unitary", "lindblad"):
         for variant in SCAN_VARIANTS:
             for fmt in ("csv", "json"):
@@ -237,48 +353,80 @@ def _traffic(tmp: Path) -> None:
     run("ramsey-scan", "--out", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), "--format", "csv", config="fit.t_total_hint = 450ns\n")
+    run("fit", "--in", str(scan_csv), config="scan.t_mu1 = 1e308s\n", code=2,
+        err="+ 2*scan.gap, which overflows")
+    for name, rows, code, err in FIT_INPUTS:
+        path = tmp / f"{name}.csv"
+        if not isinstance(rows, str):
+            rows = "".join(f"{x!r},{y!r}\n" for x, y in rows)
+        path.write_text("delta_rad_s,intensity\n" + rows, encoding="utf-8")
+        run("fit", "--in", str(path), code=code, err=err)
     rabi = "rabi.points = 9\nrabi.t_max = 80ns\n"
     run("rabi-scan", "--format", "csv", config=rabi)
     run("rabi-scan", "--format", "json", config=rabi + "rabi.t_mu1 = 30ns\nrabi.detuning2 = 1MHz\n")
     seq = tmp / "wait.seq"
     seq.write_text(SEQUENCE_WITH_A_WAIT, encoding="utf-8")
-    run("readout", "--seq", str(ROOT / "sequences" / "ramsey_readout.seq"))
+    canonical = str(ROOT / "sequences" / "ramsey_readout.seq")
+    run("readout", "--seq", canonical)
     run("readout", "--seq", str(seq), "--format", "json", "--out", str(tmp / "bins.json"),
         config="readout.eta_2 = 0.9\nreadout.deph = 1MHz\n")
+    seq.write_text("readout bin=1\n", encoding="utf-8")
+    run("readout", "--seq", str(seq))
+    for text, err in BAD_SEQUENCES:
+        seq.write_text(text, encoding="utf-8")
+        run("readout", "--seq", str(seq), code=2, err=err)
+    (tmp / "dir").mkdir()
+    run("readout", "--seq", canonical, "--out", str(tmp / "dir"), code=2, err="Is a directory")
     shots = "shots.n_trials = 2000\n"
     for g2 in ("", "g2.mode = mixture\ninteraction.p2 = 0.2\nshots.dark_rate = 0.01\n",
                "g2.mode = coherent\ng2.bin = 2\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"):
         for fmt in ("csv", "json"):
             run("g2", "--seed", "3", "--format", fmt, config=shots + g2)
+    run("g2", config=shots + "g2.bin = 2\n", code=3, err="g2 undefined")
+    run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 140000\n",
+        code=2, err="overflows the int16 shot records")
+    run("g2", config="g2.mode = coherent\nshots.n_trials = 10000000000000\n",
+        code=3, err="out of memory")
 
     run("--help")
     run(code=2)
-    run("ramsey-scan", config="scan.nope = 1\n", code=2)
-    run("ramsey-scan", config="scan.points = 4\n", code=2)
+    for line, err in BAD_CONFIGS:
+        run("ramsey-scan", config=line + "\n", code=2, err=err)
     run("ramsey-scan", "--config", str(tmp / "missing.cfg"), code=2)
     run("ramsey-scan", "--backend", "lindblad",
         config=scan + "interaction.p2 = 0.5\ndissipation.gamma_decay_1 = 5MHz\n", code=2)
+    run("ramsey-scan", "--backend", "lindblad",
+        config=scan + "dissipation.gamma_deph_2 = 1e300MHz\n", code=3, err="trace drifted")
     run("readout", code=2)
-    bad_seq = tmp / "bad.seq"
-    bad_seq.write_text("pulse mu3 rabi=1MHz duration=1ns\n", encoding="utf-8")
-    run("readout", "--seq", str(bad_seq), code=2)
     run("fit", code=2)
-    run("fit", "--in", str(bad_seq), code=2)
-    run("g2", config=shots + "g2.bin = 2\n", code=3)
+    run("fit", "--in", str(seq), code=2, err="expected header")
 
-    for script, args in (
-        ("fringe_demo.py", []),
-        ("readout_dephasing.py", []),
-        ("visibility_curve.py", []),
-        ("visibility_curve.py",
-         ["--backend", "lindblad", "--points", "3", "--gamma-deph-2-mhz", "1"]),
-    ):
-        path = ROOT / "scripts" / script
+    def script(name, *args, err=None):
+        path = ROOT / "scripts" / name
         argv, sys.argv = sys.argv, [str(path), *args]
         try:
             runpy.run_path(str(path), run_name="__main__")
+        except ValueError as exc:
+            assert err is not None and err in str(exc), (name, args, exc)
+        else:
+            assert err is None, (name, args)
         finally:
             sys.argv = argv
+
+    script("fringe_demo.py")
+    script("fringe_demo.py", "--points", "4", err="points must be odd")
+    script("fringe_demo.py", "--span-mhz", "0", err="span must be strictly positive")
+    script("fringe_demo.py", "--t-mu1-ns", "0", err="t_mu1 must be strictly positive")
+    script("fringe_demo.py", "--t-mu2-ns", "-1", err="must be non-negative")
+    script("fringe_demo.py", "--t-mu1-ns", "1e-306", err="rabi must be finite")
+    with np.errstate(all="ignore"):  # the closed form runs first, on an infinite time
+        script("fringe_demo.py", "--t-mu2-ns", "inf", err="duration must be finite")
+    script("readout_dephasing.py")
+    script("readout_dephasing.py", "--rates-mhz", "-1", err="deph_between_bins must be")
+    script("visibility_curve.py")
+    script("visibility_curve.py",
+           "--backend", "lindblad", "--points", "3", "--gamma-deph-2-mhz", "1")
+    script("visibility_curve.py", "--gamma-deph-2-mhz", "-1", err="rates must be finite")
 
 
 needs_qualname = pytest.mark.skipif(
@@ -302,14 +450,22 @@ def call_profile(tmp_path_factory) -> dict:
 
 @needs_qualname
 def test_every_seqlab_function_serves_a_command_or_script(call_profile):
-    entered = set(call_profile["entered"])
-    defined = _defined_functions()
-    assert ALLOWED_UNREACHED <= {key.rsplit(":", 1)[0] for key in defined}
-    unreached = sorted(
-        key for key in defined - entered
-        if key.rsplit(":", 1)[0] not in ALLOWED_UNREACHED
-    )
+    unreached = sorted(_defined_functions() - set(call_profile["entered"]))
     assert not unreached, "reached only from tests, or from nothing"
+
+
+@needs_qualname
+def test_every_seqlab_line_serves_a_command_or_script(call_profile):
+    ran = set(call_profile["ran"])
+    lines = {key: (key.rsplit(":", 1)[0], text) for key, text in _executable_lines().items()}
+    named = Counter(lines.values())
+    unclear = [entry for entry in ALLOWED_UNRUN if named[entry] != 1]
+    assert not unclear, "names no line, or several"
+    unrun = {entry for key, entry in lines.items() if key not in ran}
+    stale = sorted(set(ALLOWED_UNRUN) - unrun)
+    assert not stale, "allowed to stay unrun, but runs or is gone"
+    stray = sorted(unrun - set(ALLOWED_UNRUN))
+    assert not stray, "run only by tests, or by nothing"
 
 
 @needs_qualname
@@ -343,7 +499,18 @@ if __name__ == "__main__":
                 # seqlab is importing: judge the call once the defaults are known
                 at_import.append((frame.f_code, dict(frame.f_locals)))
 
+    ran: set = set()
+
+    def _lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return _lines
+
+    def _trace(frame, event, arg):
+        return _lines if frame.f_code.co_filename.startswith(src) else None
+
     sys.setprofile(_profile)
+    sys.settrace(_trace)
     defaults.update(_defaulted_parameters())
     for code, args in at_import:
         _judge(code, args)
@@ -353,8 +520,12 @@ if __name__ == "__main__":
         _record_field_reads(cls, fields_read, readers)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         _traffic(Path(sys.argv[1]))
+    sys.settrace(None)
     sys.setprofile(None)
     print(json.dumps({
+        "ran": sorted(
+            key for key in (_line_key(code, line) for code, line in ran) if key
+        ),
         "entered": sorted({_function_key(code) for code in entered} - {None}),
         "defaulted": sorted(
             _parameter_key(code, name) for code, params in defaults.items() for name, _ in params
