@@ -142,7 +142,7 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
         p2 = cfg.interaction.p2 if mode == "mixture" else 0.0
         counts = sample_shots(
             (1.0, 0.0, 0.0), sh.n_trials, seed,
-            dark_rate=sh.dark_rate, p2=p2,
+            bin=cfg.g2.bin, dark_rate=sh.dark_rate, p2=p2,
         )
     value, stderr = estimate_g2(counts, bin=cfg.g2.bin)
     values = (value, stderr, len(counts))

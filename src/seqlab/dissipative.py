@@ -100,7 +100,8 @@ def _validate_density(m: np.ndarray) -> None:
     tr = np.trace(m, axis1=-2, axis2=-1).ravel()
     worst = np.abs(tr - 1.0).argmax()
     if abs(tr[worst] - 1.0) > TRACE_TOL:
-        raise NumericError(f"trace drifted to {float(tr[worst].real):.3e}")
+        # repr: a drift beyond TRACE_TOL can round away in a short format
+        raise NumericError(f"trace drifted to {float(tr[worst].real)!r}")
     lo = float(np.linalg.eigvalsh(0.5 * (m + m_dag)).min())
     if lo < -POSITIVITY_TOL:
         raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")

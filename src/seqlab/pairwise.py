@@ -19,9 +19,10 @@ The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
 :func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
 is linear, one matmul with a constant (9, 36) matrix built once from the
-bosonic rule, so it lifts whole stacks: the mixture scan walks the same
-stacked Ramsey sequence as the unitary backend, with the lift in its
-propagator (:func:`seqlab.ramsey.ramsey_amplitudes`).
+bosonic rule, so it lifts whole stacks: the mixture scan walks each block's
+stacked Ramsey sequence once for the single branch, as the unitary or
+Lindblad backend does, and once with the lift in its propagator
+(:func:`seqlab.ramsey.sequence_amplitudes`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from functools import partial
 
 import numpy as np
 
-from .ramsey import Backend, RamseyScanConfig, fringe_scan, ramsey_amplitudes
+from .ramsey import (
+    Backend,
+    RamseyScanConfig,
+    block_intensities,
+    block_sequences,
+    fringe_scan,
+    sequence_amplitudes,
+)
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -114,7 +122,8 @@ def mixture_fringe_scan(
     I(delta) = (1 - p2) I_single + p2 I_double, where I_single is the
     ordinary scan with config's backend and I_double is I0 times the
     expected number of R1 excitations after the pair propagates through
-    the same sequence, over the whole grid in stacked calls.  With
+    the same sequence, over the whole grid in stacked calls; both branches
+    propagate each block's sequence, built once.  With
     p2 = 0 this is the single scan itself; the double branch is bounded
     by 2 I0, so the mixture is bounded by (1 - p2) I0 + 2 p2 I0.  The double
     branch is closed, so p2 > 0 with LINDBLAD and a non-zero dissipation
@@ -129,8 +138,14 @@ def mixture_fringe_scan(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"
         )
-    single = fringe_scan(config)
+    analytic = config.backend is Backend.ANALYTIC
+    single = fringe_scan(config) if analytic else np.empty(len(config.deltas))
     # from the stored pair (11), configuration 0
-    amps = ramsey_amplitudes(config, partial(pair_hamiltonian, interactions=interactions))
+    amps = np.empty((len(config.deltas), len(PAIR_CONFIGS)), dtype=complex)
+    lift = partial(pair_hamiltonian, interactions=interactions)
+    for block, seq in block_sequences(config):
+        if not analytic:
+            single[block] = block_intensities(config, seq)
+        amps[block] = sequence_amplitudes(seq, lift)
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
     return (1.0 - p2) * single + p2 * doubles

@@ -14,11 +14,13 @@ each retrieval after the first is scaled by exp(-rate * elapsed), with the
 elapsed time taken from the durations of the remapping segments actually
 in the sequence.
 
-The HBT samplers return the per-trial click counts as an (n_trials, 2, 3)
-int16 array, arm by time bin, and :func:`estimate_g2` reads that array.
-The run configuration bounds the counts, rates and efficiencies that
-reach this module; only the inter-bin dephasing rate, which the example
-scripts pass too, is checked here.
+The HBT samplers record the one time bin that g2 reads: the per-trial
+click counts of arm A and arm B in that bin, as an (n_trials, 2) int16
+array, drawn from the same stream as records of all three bins.
+:func:`estimate_g2` collapses that array to its (nA, nB) outcome
+histogram block by block.  The run configuration bounds the counts, rates
+and efficiencies that reach this module; only the inter-bin dephasing
+rate, which the example scripts pass too, is checked here.
 """
 
 from __future__ import annotations
@@ -123,39 +125,44 @@ def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulati
 
 
 COUNT_MAX = int(np.iinfo(np.int16).max)
-# Trials per block of the streamed samplers: the float draws and the index
-# temporaries are this long, whatever n_trials is.
+# Draws per block of the streamed samplers, and trials per block of the g2
+# outcome histogram: every block buffer and index temporary is this long at
+# most, whatever n_trials is.
 SHOT_BLOCK = 1 << 15
 
 
-def _blocks(n_trials: int):
-    """(start, stop) of each SHOT_BLOCK-trial block, in trial order."""
-    for start in range(0, n_trials, SHOT_BLOCK):
-        yield start, min(start + SHOT_BLOCK, n_trials)
+def _blocks(n_trials: int, draws_per_trial: int = 1):
+    """(start, stop) of each block of SHOT_BLOCK // draws_per_trial trials,
+    in trial order, so that a block takes at most SHOT_BLOCK draws."""
+    size = SHOT_BLOCK // draws_per_trial
+    for start in range(0, n_trials, size):
+        yield start, min(start + size, n_trials)
 
 
-def _add_dark_counts(rng, counts: np.ndarray, dark_rate: float) -> None:
-    """counts += rng.random(counts.shape) < dark_rate, one block at a time.
+def _add_dark_counts(rng, counts: np.ndarray, dark_rate: float, bin: int) -> None:
+    """counts += rng.random((n_trials, 2, 3))[:, :, bin - 1] < dark_rate.
 
-    Filling one reused buffer block by block draws the same stream as the
-    one (n_trials, 2, 3) draw.
+    The draws cover all three bins, so the stream stays that of three-bin
+    records; one reused buffer of at most SHOT_BLOCK floats takes them
+    block by block, and only the recorded bin's column is added.
     """
-    buf = np.empty(6 * min(len(counts), SHOT_BLOCK))
-    for start, stop in _blocks(len(counts)):
-        u = buf[: 6 * (stop - start)].reshape(stop - start, 2, 3)
-        counts[start:stop] += rng.random(out=u) < dark_rate
+    buf = np.empty(min(6 * len(counts), SHOT_BLOCK))
+    for start, stop in _blocks(len(counts), draws_per_trial=6):
+        u = rng.random(out=buf[: 6 * (stop - start)].reshape(stop - start, 2, 3))
+        counts[start:stop] += u[:, :, bin - 1] < dark_rate
 
 
 def sample_shots(
     pops: tuple[float, float, float],
     n_trials: int,
     seed: int,
+    bin: int = 1,
     dark_rate: float = 0.0,
     p2: float = 0.0,
 ) -> np.ndarray:
-    """Monte-Carlo HBT records for n_trials sequence repetitions: the
-    (n_trials, 2, 3) int16 click counts, axis 1 the detector arm (index 0
-    is arm A) and axis 2 the time bin.
+    """Monte-Carlo HBT records of time bin ``bin`` for n_trials sequence
+    repetitions: the (n_trials, 2) int16 click counts of arm A (column 0)
+    and arm B in that bin.
 
     Each trial: with probability p2 a double-excitation event emits two
     photons into bin 1, split independently between the arms; otherwise a
@@ -163,16 +170,18 @@ def sample_shots(
     photon at all) and picks an arm 50/50.  Dark counts add one click per
     arm and bin with probability dark_rate, independently.  The draw
     order is fixed, so identical seeds give identical records.  pops are
-    bin probabilities that sum to at most 1, n_trials > 0 and dark_rate
-    and p2 lie in [0, 1).
+    bin probabilities that sum to at most 1, n_trials > 0, bin is 1, 2 or
+    3, and dark_rate and p2 lie in [0, 1).
 
-    The draws are streamed through the trials in SHOT_BLOCK blocks, each
-    kind of draw over all trials before the next, so the records are
-    identical to those of whole-array draws.  Besides the 12 B/trial
-    records only one int8 per trial is kept whole, and everything else is
-    block sized: the peak is about 17 B/trial at 500 000 trials.
+    Every draw of all three bins is made, whichever bin is recorded, so a
+    bin's records are the column of that bin in three-bin records.  The
+    draws are streamed through the trials in blocks, each kind of draw
+    over all trials before the next, so the records are identical to
+    those of whole-array draws.  Besides the 4 B/trial records only one
+    int8 per trial is kept whole, and everything else is block sized: the
+    peak is about 9 B/trial at 500 000 trials.
     """
-    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
+    counts = np.zeros((n_trials, 2), dtype=np.int16)
     buf = np.empty(min(n_trials, SHOT_BLOCK))
     rng = np.random.default_rng(seed)
     # one int8 per trial carries the draws from pass to pass: first the
@@ -183,9 +192,10 @@ def sample_shots(
     # double-excitation branch: both photons in bin 1
     for start, stop in _blocks(n_trials):
         double_a = rng.binomial(2, 0.5, size=stop - start)
-        rows = np.flatnonzero(bin_idx[start:stop])
-        counts[start + rows, 0, 0] = double_a[rows]
-        counts[start + rows, 1, 0] = 2 - double_a[rows]
+        if bin == 1:
+            rows = np.flatnonzero(bin_idx[start:stop])
+            counts[start + rows, 0] = double_a[rows]
+            counts[start + rows, 1] = 2 - double_a[rows]
     # single branch: categorical over the three bins (or nothing).  The bin
     # is the number of cumulative pops <= u, as searchsorted(side="right")
     # gives it; a double's flag becomes 3 first, so it never gets a photon.
@@ -196,17 +206,16 @@ def sample_shots(
         idx *= 3
         for edge in cum:
             idx += u_bin >= edge
-    # a trial lands in at most one cell, 6 * trial + 3 * arm + bin of the
-    # flat counts, so one scatter per block writes them all
+    # a single photon in the recorded bin sets one cell, 2 * trial + arm of
+    # the flat counts, so one scatter per block writes them all
     cells = counts.reshape(-1)
     for start, stop in _blocks(n_trials):
         arm_b = rng.random(out=buf[: stop - start]) >= 0.5
-        idx = bin_idx[start:stop]
-        rows = np.flatnonzero(idx < 3)
-        cells[6 * (start + rows) + 3 * arm_b[rows] + idx[rows]] = 1
+        rows = np.flatnonzero(bin_idx[start:stop] == bin - 1)
+        cells[2 * (start + rows) + arm_b[rows]] = 1
     del bin_idx, buf
     if dark_rate > 0:
-        _add_dark_counts(rng, counts, dark_rate)
+        _add_dark_counts(rng, counts, dark_rate, bin)
     return counts
 
 
@@ -217,19 +226,20 @@ def sample_coherent_shots(
     bin: int = 1,
     dark_rate: float = 0.0,
 ) -> np.ndarray:
-    """Poissonian source mode: photon number ~ Poisson(mean_photons) in one
-    bin, split binomially between the arms.  Gives g2 = 1 in expectation.
-    The counts are laid out as ``sample_shots`` lays them out; a photon
-    number beyond the int16 records raises ValueError.
+    """Poissonian source mode: photon number ~ Poisson(mean_photons) in time
+    bin ``bin``, split binomially between the arms.  Gives g2 = 1 in
+    expectation.  The records of that bin are laid out as ``sample_shots``
+    lays them out; a photon number beyond the int16 records raises
+    ValueError.
 
-    Streamed in SHOT_BLOCK blocks like ``sample_shots``, with records
-    identical to those of whole-array draws: the photon numbers go straight
-    into arm B's column, which the binomial split then reduces in place, so
-    nothing but the 12 B/trial records is kept whole.  The peak is about
-    14 B/trial at 500 000 trials, 16 with dark counts.
+    Streamed in blocks like ``sample_shots``, with records identical to
+    the bin's column of whole-array draws: the photon numbers go straight
+    into arm B's column, which the binomial split then reduces in place,
+    so nothing but the 4 B/trial records is kept whole.  The peak is about
+    6 B/trial at 500 000 trials.
     """
-    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
-    arm_a, arm_b = counts[:, 0, bin - 1], counts[:, 1, bin - 1]
+    counts = np.zeros((n_trials, 2), dtype=np.int16)
+    arm_a, arm_b = counts.T
     rng = np.random.default_rng(seed)
     top = 0
     for start, stop in _blocks(n_trials):
@@ -247,7 +257,7 @@ def sample_coherent_shots(
         arm_a[start:stop] = na
         arm_b[start:stop] -= na  # nph - na in place
     if dark_rate > 0:
-        _add_dark_counts(rng, counts, dark_rate)
+        _add_dark_counts(rng, counts, dark_rate, bin)
     return counts
 
 
@@ -259,38 +269,59 @@ N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 815
 
 
-def estimate_g2(counts: np.ndarray, bin: int = 1) -> tuple[float, float]:
-    """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials for the
-    chosen bin, and its bootstrap standard error, from the (n_trials, 2,
-    3) int16 counts of a sampler.  NumericError when an arm registered no
-    clicks, which leaves the normalization undefined.
+def _outcome_histogram(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, freq) of the distinct (nA, nB) outcomes of (n_trials, 2)
+    records: the sorted packed keys nA * (COUNT_MAX + 1) + nB and the int64
+    number of trials of each, merged from SHOT_BLOCK-trial blocks.
 
-    The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials with
-    replacement; collapsing to unique (nA, nB) outcomes makes that a
-    multinomial redraw, which is fast at large n.  The outcomes are
-    collapsed on one packed key nA * (COUNT_MAX + 1) + nB: both counts lie
-    in [0, COUNT_MAX], so the sorted keys list the outcomes in
-    lexicographic (nA, nB) order.  The multinomial draws depend on that
-    order, so it fixes the stderr that BOOTSTRAP_SEED yields.  The product
-    nA * nB is at most COUNT_MAX**2 and the key at most 2**30 - 1, so both
-    are exact in int32.
+    Both counts lie in [0, COUNT_MAX], so a key is at most 2**30 - 1, exact
+    in int32, and the sorted keys list the outcomes in lexicographic
+    (nA, nB) order.
     """
-    na, nb = counts[:, 0, bin - 1], counts[:, 1, bin - 1]
+    keys = np.empty(0, dtype=np.int32)
+    freq = np.empty(0, dtype=np.int64)
+    for start, stop in _blocks(len(counts)):
+        block = counts[start:stop]
+        packed = np.multiply(block[:, 0], COUNT_MAX + 1, dtype=np.int32)
+        packed += block[:, 1]
+        block_keys, block_freq = np.unique(packed, return_counts=True)
+        keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, where, np.concatenate([freq, block_freq]))
+        freq = merged
+    return keys, freq
+
+
+def estimate_g2(counts: np.ndarray, bin: int = 1) -> tuple[float, float]:
+    """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials, and its
+    bootstrap standard error, from the (n_trials, 2) int16 records of one
+    time bin that a sampler returns; bin names that bin in the diagnostic.
+    NumericError when an arm registered no clicks, which leaves the
+    normalization undefined.
+
+    The records are collapsed to their outcome histogram block by block,
+    so nothing trial-long is built.  The sums behind <nA>, <nB> and
+    <nA nB> are exact Python integers over that histogram, so each mean is
+    one correctly rounded division by n at any n.  The bootstrap
+    (N_BOOTSTRAP resamples, seeded) resamples trials with replacement;
+    over the histogram that is a multinomial redraw, which is fast at
+    large n.  The multinomial draws depend on the order of the outcomes,
+    the lexicographic (nA, nB) order of the sorted keys, so that order
+    fixes the stderr that BOOTSTRAP_SEED yields.
+    """
     n = len(counts)
-    mean_a = na.mean()
-    mean_b = nb.mean()
-    if mean_a == 0.0 or mean_b == 0.0:
+    keys, freq = _outcome_histogram(counts)
+    ua, ub = np.divmod(keys, COUNT_MAX + 1)  # ua * ub <= COUNT_MAX**2: int32
+    weights = freq.astype(object)
+    sum_a, sum_b, sum_ab = (int(weights @ x) for x in (ua, ub, ua * ub))
+    if sum_a == 0 or sum_b == 0:
         raise NumericError(
             f"g2 undefined: one arm registered no clicks ({n} trials, bin {bin})"
         )
-    value = float(np.multiply(na, nb, dtype=np.int32).mean() / (mean_a * mean_b))
+    value = sum_ab / n / ((sum_a / n) * (sum_b / n))
 
-    radix = COUNT_MAX + 1
-    keys, freq = np.unique(
-        na.astype(np.int32) * radix + nb, return_counts=True
-    )
-    ua = (keys // radix).astype(float)
-    ub = (keys % radix).astype(float)
+    ua = ua.astype(float)
+    ub = ub.astype(float)
     uab = ua * ub
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     draws = rng.multinomial(n, freq / n, size=N_BOOTSTRAP)

@@ -27,14 +27,15 @@ Backends: ANALYTIC evaluates the closed form over the whole grid at
 once.  UNITARY and LINDBLAD propagate the sequence of
 :func:`build_ramsey_sequence`, the one layout of the Ramsey sequence, with
 the detunings of a block of BLOCK_POINTS grid points stacked in its mu1
-pulses: UNITARY walks its segments' unitaries from
-:func:`seqlab.qcore.segment_maps` (:func:`ramsey_amplitudes`), LINDBLAD
-makes one :func:`seqlab.dissipative.evolve_master` call per block.  All
-three agree at delta1 = 0.  Away from resonance the propagation backends
-follow the frame convention of :mod:`seqlab.qcore` (no diagonal term while
-mu1 is off), so their fringe phase lacks the free-precession advance
-delta1*t_mu2 that the closed form carries in t_total; envelopes and
-visibility are unaffected, which is what the scans are for.
+pulses (:func:`block_sequences`): UNITARY walks its segments' unitaries
+from :func:`seqlab.qcore.segment_maps` (:func:`sequence_amplitudes`),
+LINDBLAD makes one :func:`seqlab.dissipative.evolve_master` call per
+block.  All three agree at delta1 = 0.  Away from resonance the
+propagation backends follow the frame convention of :mod:`seqlab.qcore`
+(no diagonal term while mu1 is off), so their fringe phase lacks the
+free-precession advance delta1*t_mu2 that the closed form carries in
+t_total; envelopes and visibility are unaffected, which is what the scans
+are for.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def build_ramsey_sequence(
     return PulseSequence(tuple(segs))
 
 
-def _block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
+def block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
     """(block, sequence) for each block of BLOCK_POINTS detunings of
     config: the :func:`build_ramsey_sequence` sequence stacked over them."""
     deltas = np.asarray(config.deltas, dtype=float)
@@ -195,30 +196,35 @@ def _block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSeq
         )
 
 
-def ramsey_amplitudes(
-    config: RamseyScanConfig,
+def sequence_amplitudes(
+    sequence: PulseSequence,
     lift: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Final amplitudes of the :func:`build_ramsey_sequence` sequence at
-    every detuning of config, shape (len(config.deltas), d), from the
-    stored excitation: basis state 0 of the space, R1 or the stored pair.
+    """Final amplitudes of a sequence whose segments stack a block of
+    detunings, shape (block, d), from the stored excitation: basis state 0
+    of the space, R1 or the stored pair.
 
     lift maps a (..., 3, 3) stack of single-excitation Hamiltonians to the
     (..., d, d) Hamiltonians of the space; None keeps the qutrit space.
-    Each block of BLOCK_POINTS detunings takes one propagator call for all
-    its segments.
+    All segments take one propagator call.
     """
     def propagator(h: np.ndarray, t: np.ndarray) -> np.ndarray:
         return hermitian_propagator(h if lift is None else lift(h), t)
 
-    blocks = []
-    for _, seq in _block_sequences(config):
-        first, *rest = segment_maps(seq.segments, propagator)
-        amps = first[..., :1]  # the first map acting on basis state 0
-        for step in rest:
-            amps = step @ amps
-        blocks.append(amps[..., 0])
-    return np.concatenate(blocks)
+    first, *rest = segment_maps(sequence.segments, propagator)
+    amps = first[..., :1]  # the first map acting on basis state 0
+    for step in rest:
+        amps = step @ amps
+    return amps[..., 0]
+
+
+def block_intensities(config: RamseyScanConfig, sequence: PulseSequence) -> np.ndarray:
+    """Intensities of config's UNITARY or LINDBLAD backend at the detunings
+    that sequence stacks, one block of :func:`block_sequences`."""
+    if config.backend is Backend.UNITARY:
+        return config.I0 * np.abs(sequence_amplitudes(sequence)[:, 0]) ** 2
+    final = evolve_master(sequence, config.dissipation)  # LINDBLAD
+    return config.I0 * final[:, 0, 0].real
 
 
 def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
@@ -229,14 +235,9 @@ def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
         return ramsey_intensity(
             config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
         )
-    if config.backend is Backend.UNITARY:
-        amps = ramsey_amplitudes(config)
-        return config.I0 * np.abs(amps[:, 0]) ** 2
-    out = np.empty(len(config.deltas))  # LINDBLAD
-    for block, seq in _block_sequences(config):
-        final = evolve_master(seq, config.dissipation)
-        out[block] = config.I0 * final[:, 0, 0].real
-    return out
+    return np.concatenate(
+        [block_intensities(config, seq) for _, seq in block_sequences(config)]
+    )
 
 
 def extract_visibility(config: RamseyScanConfig, intensities) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,8 +177,20 @@ def test_trace_drift_message_quotes_a_plain_float(tmp_path, capsys):
     assert main(["ramsey-scan", "--backend", "lindblad", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numeric failure: at t=1.000e-07 s: trace drifted to 0.000e+00\n"
+    assert captured.err == "numeric failure: at t=1.000e-07 s: trace drifted to 0.0\n"
     assert "np." not in captured.err
+
+
+def test_trace_drift_message_shows_a_small_drift(tmp_path, capsys):
+    # a drift of 7.6e-6, beyond TRACE_TOL, once read "trace drifted to 1.000e+00"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dissipation.gamma_decay_1 = 1e12MHz\nscan.points = 5\n", encoding="utf-8")
+    assert main(["ramsey-scan", "--backend", "lindblad", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: at t=1.000e-07 s: trace drifted to 0.9999923706345158\n"
+    )
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
@@ -513,6 +526,13 @@ def test_g2_output_bytes_are_pinned(tmp_path):
         # more than two blocks of trials, so a block boundary bug shows
         ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
          "0.09577034175929568,0.0020702292017074704,70001"),
+        # off bin 1, captured while the records still held all three bins
+        ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.01\ng2.bin = 2\n",
+         "0.8724478667915774,0.36418058710857243,70001"),
+        ("g2.mode = coherent\nshots.mean_photons = 2.0\nshots.dark_rate = 0.01\ng2.bin = 3\n",
+         "0.9957527370237262,0.0037402244579349646,70001"),
+        ("g2.mode = antibunched\nshots.dark_rate = 0.01\n",
+         "0.03836343888829827,0.0012665792287752842,70001"),
     ]
     assert 70001 > 2 * SHOT_BLOCK
     cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
@@ -584,8 +604,32 @@ def test_fit_output_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        "g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
+        "g2.mode = coherent\nshots.mean_photons = 2.0\n",
+    ],
+    ids=["mixture-dark", "coherent"],
+)
+def test_g2_command_peak_memory_per_trial(tmp_path, settings):
+    # sampler and estimator together; three-bin records with trial-long
+    # estimator temporaries peaked at about 24 B/trial
+    n = 500_000
+    cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
+    cfg.write_text(settings + f"shots.n_trials = {n}\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["g2", "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / n <= 12.0
+
+
 def test_g2_unallocatable_trial_count_exits_3(tmp_path, capsys):
-    # the record array asks for about 100 TiB and fails before touching memory
+    # the record array asks for about 36 TiB and fails before touching memory
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "g2.mode = coherent\nshots.n_trials = 10000000000000\n", encoding="utf-8"

@@ -16,6 +16,7 @@ from seqlab.pairwise import (
     mixture_fringe_scan,
     pair_hamiltonian,
 )
+from seqlab import ramsey
 from seqlab.photostats import fit_sinusoid
 from seqlab.qcore import (
     DriveField,
@@ -285,6 +286,21 @@ def test_mixture_reduces_to_single_scan_at_p2_zero():
     config = _scan_config(points=41)
     single = fringe_scan(config)
     assert np.array_equal(mixture_fringe_scan(config, InteractionParams(mhz(0.5), p2=0.0)), single)
+
+
+@pytest.mark.parametrize("backend", [Backend.ANALYTIC, Backend.UNITARY, Backend.LINDBLAD])
+def test_mixture_builds_each_block_sequence_once(monkeypatch, backend):
+    # both branches propagate one sequence per block; building it for each
+    # branch once took 16 builds for the 8 blocks of a 2001-point scan
+    built = []
+    build = ramsey.build_ramsey_sequence
+    monkeypatch.setattr(
+        ramsey, "build_ramsey_sequence", lambda *args: built.append(1) or build(*args)
+    )
+    config = replace(_scan_config(points=2001), backend=backend)
+    assert -(-2001 // ramsey.BLOCK_POINTS) == 8
+    mixture_fringe_scan(config, InteractionParams(mhz(0.2), p2=0.3))
+    assert len(built) == 8
 
 
 def test_zero_interactions_double_is_twice_single():

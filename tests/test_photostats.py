@@ -202,23 +202,31 @@ def test_sampling_is_deterministic_per_seed():
 def test_deterministic_source_gives_one_click_per_trial():
     n = 10_000
     recs = sample_shots((1.0, 0.0, 0.0), n, seed=7)
-    totals = recs.sum(axis=(1, 2))
+    totals = recs.sum(axis=1)
     assert np.all(totals == 1)
-    assert recs[:, :, 1:].sum() == 0
-    na = recs[:, 0, 0].sum()
+    for bin in (2, 3):
+        assert sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=bin).sum() == 0
+    na = recs[:, 0].sum()
     # 4 sigma band around the 50/50 arm split
     assert abs(na - n / 2) <= 4 * math.sqrt(n * 0.25)
 
 
+def _all_bins(sample):
+    """The (n_trials, 2, 3) records of the three bins of sample(bin)."""
+    return np.stack([sample(bin) for bin in (1, 2, 3)], axis=-1)
+
+
 def test_single_branch_never_exceeds_one_click():
-    recs = sample_shots((0.3, 0.3, 0.2), 5_000, seed=11)
+    recs = _all_bins(lambda bin: sample_shots((0.3, 0.3, 0.2), 5_000, seed=11, bin=bin))
     assert recs.sum(axis=(1, 2)).max() <= 1
 
 
 def test_dark_counts_add_at_the_configured_rate():
     n = 40_000
     rate = 0.05
-    recs = sample_shots((0.0, 0.0, 0.0), n, seed=3, dark_rate=rate)
+    recs = _all_bins(
+        lambda bin: sample_shots((0.0, 0.0, 0.0), n, seed=3, bin=bin, dark_rate=rate)
+    )
     total = int(recs.sum())
     mean = 6 * n * rate
     sigma = math.sqrt(6 * n * rate * (1 - rate))
@@ -229,9 +237,8 @@ def test_coherent_source_total_is_poissonian():
     n = 100_000
     mu = 0.1
     recs = sample_coherent_shots(mu, n, seed=5)
-    totals = recs.sum(axis=(1, 2))
+    totals = recs.sum(axis=1)
     assert abs(totals.mean() - mu) <= 5 * math.sqrt(mu / n)
-    assert recs[:, :, 1:].sum() == 0
 
 
 def test_sampling_validation():
@@ -275,10 +282,11 @@ def _masked_loop_sample_shots(p, n_trials, seed, dark_rate, p2):
 def test_sample_shots_matches_masked_loop_reference(weights, p2, dark_rate, n_trials, seed):
     total = sum(weights)
     pops = tuple(w / total for w in weights[:3])
-    recs = sample_shots(pops, n_trials, seed, dark_rate=dark_rate, p2=p2)
     ref = _masked_loop_sample_shots(pops, n_trials, seed, dark_rate, p2)
-    assert recs.dtype == np.int16
-    assert np.array_equal(recs, ref)
+    for bin in (1, 2, 3):
+        recs = sample_shots(pops, n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+        assert recs.dtype == np.int16
+        assert np.array_equal(recs, ref[:, :, bin - 1])
 
 
 def _whole_array_sample_shots(p, n_trials, seed, dark_rate, p2):
@@ -328,10 +336,11 @@ _BLOCK_EDGES = (SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 1)
 @given(seed=st.integers(0, 2**64 - 1))
 def test_sample_shots_streams_the_whole_array_draws(pops, p2, dark_rate, seed):
     for n in _BLOCK_EDGES:
-        recs = sample_shots(pops, n, seed, dark_rate=dark_rate, p2=p2)
         ref = _whole_array_sample_shots(pops, n, seed, dark_rate, p2)
-        assert recs.dtype == np.int16
-        assert np.array_equal(recs, ref)
+        for bin in (1, 2, 3):
+            recs = sample_shots(pops, n, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+            assert recs.dtype == np.int16
+            assert np.array_equal(recs, ref[:, :, bin - 1])
 
 
 @pytest.mark.parametrize(
@@ -345,21 +354,22 @@ def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, 
         recs = sample_coherent_shots(mean_photons, n, seed, bin=bin, dark_rate=dark_rate)
         ref = _whole_array_coherent_shots(mean_photons, n, seed, bin, dark_rate)
         assert recs.dtype == np.int16
-        assert np.array_equal(recs, ref)
+        assert np.array_equal(recs, ref[:, :, bin - 1])
 
 
 @pytest.mark.parametrize(
     "sample",
     [
         lambda n: sample_shots((1.0, 0.0, 0.0), n, 7, dark_rate=0.001, p2=0.05),
-        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, dark_rate=0.01),
+        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, bin=2, dark_rate=0.01),
         lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01),
         lambda n: sample_coherent_shots(2.0, n, 7),
     ],
     ids=["mixture", "three-bin", "coherent-dark", "coherent"],
 )
 def test_sampler_peak_memory_is_near_the_records(sample):
-    # the records take 12 B/trial; whole-array draws peaked at 82-94 B/trial
+    # the records take 4 B/trial; three-bin records peaked at 14-17 B/trial
+    # and whole-array draws at 82-94 B/trial
     n = 500_000
     tracemalloc.start()
     try:
@@ -367,8 +377,8 @@ def test_sampler_peak_memory_is_near_the_records(sample):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(recs) == n
-    assert peak / n <= 40.0
+    assert recs.shape == (n, 2)
+    assert peak / n <= 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +399,8 @@ def test_coherent_records_give_unity_within_error():
 
 
 def test_estimate_g2_peak_memory_per_trial():
-    # int32 products and packed keys peak at 10 B/trial; int64 ones at 18
+    # the block histogram holds nothing trial-long; trial-long int32
+    # products and packed keys peaked at 10 B/trial
     recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01)
     tracemalloc.start()
     try:
@@ -397,12 +408,11 @@ def test_estimate_g2_peak_memory_per_trial():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(recs) <= 12.0
+    assert peak / len(recs) <= 2.0
 
 
 def test_g2_product_of_large_counts_does_not_wrap():
-    counts = np.zeros((4, 2, 3), dtype=np.int16)
-    counts[:, :, 0] = 200  # 200 * 200 is beyond int16
+    counts = np.full((4, 2), 200, dtype=np.int16)  # 200 * 200 is beyond int16
     assert estimate_g2(counts)[0] == 1.0
 
 
@@ -418,7 +428,7 @@ def test_mixture_reproduces_target_g2():
 
 def test_g2_invariant_under_arm_relabeling():
     recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3)
-    swapped = recs[:, ::-1, :]
+    swapped = recs[:, ::-1]
     assert estimate_g2(recs)[0] == estimate_g2(swapped)[0]
 
 
@@ -434,16 +444,16 @@ def test_g2_undefined_when_an_arm_is_dark():
         estimate_g2(recs)
 
 
-def _row_unique_g2(counts, bin):
-    """Reference: the estimator collapsing outcomes with a row-wise unique;
-    None where an arm is dark."""
-    na, nb = counts[:, 0, bin - 1], counts[:, 1, bin - 1]
+def _row_unique_g2(counts):
+    """Reference: the estimator over whole (n_trials, 2) records, collapsing
+    outcomes with a row-wise unique; None where an arm is dark."""
+    na, nb = counts[:, 0], counts[:, 1]
     n = len(counts)
     mean_a, mean_b = na.mean(), nb.mean()
     if mean_a == 0.0 or mean_b == 0.0:
         return None
     value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
-    uniq, freq = np.unique(np.stack([na, nb], axis=1), axis=0, return_counts=True)
+    uniq, freq = np.unique(counts, axis=0, return_counts=True)
     ua = uniq[:, 0].astype(float)
     ub = uniq[:, 1].astype(float)
     draws = np.random.default_rng(BOOTSTRAP_SEED).multinomial(
@@ -458,34 +468,36 @@ def _row_unique_g2(counts, bin):
 
 @st.composite
 def _shot_counts(draw):
-    n = draw(st.integers(1, 2000))
+    # some spanning several histogram blocks, so a merge bug shows
+    n = draw(st.integers(1, 2000) | st.sampled_from(_BLOCK_EDGES))
     top = draw(st.sampled_from([1, 2, 5, 300, COUNT_MAX]) | st.integers(0, COUNT_MAX))
     seed = draw(st.integers(0, 2**32 - 1))
     return np.random.default_rng(seed).integers(
-        0, top, size=(n, 2, 3), dtype=np.int16, endpoint=True
+        0, top, size=(n, 2), dtype=np.int16, endpoint=True
     )
 
 
 @given(counts=_shot_counts(), bin=st.integers(1, 3))
-@example(counts=np.full((50, 2, 3), 3, dtype=np.int16), bin=1)  # one distinct outcome
+@example(counts=np.full((50, 2), 3, dtype=np.int16), bin=1)  # one distinct outcome
 @example(  # counts at COUNT_MAX in both arms
     counts=np.stack(
         [
-            np.where(np.arange(27) % 4 == 0, COUNT_MAX, np.arange(27) % 2).reshape(9, 3),
-            np.where(np.arange(27) % 3 == 0, COUNT_MAX, np.arange(27)).reshape(9, 3),
+            np.where(np.arange(27) % 4 == 0, COUNT_MAX, np.arange(27) % 2),
+            np.where(np.arange(27) % 3 == 0, COUNT_MAX, np.arange(27)),
         ],
         axis=1,
     ).astype(np.int16),
     bin=1,
 )
 @example(  # arm B dark: undefined
-    counts=np.stack([np.ones((9, 3)), np.zeros((9, 3))], axis=1).astype(np.int16),
-    bin=1,
+    counts=np.stack([np.ones(9), np.zeros(9)], axis=1).astype(np.int16),
+    bin=3,
 )
 def test_estimate_g2_matches_row_unique_reference(counts, bin):
-    ref = _row_unique_g2(counts, bin)
+    ref = _row_unique_g2(counts)
     if ref is None:
-        with pytest.raises(NumericError, match="^g2 undefined"):
+        undefined = rf"no clicks \({len(counts)} trials, bin {bin}\)$"
+        with pytest.raises(NumericError, match="^g2 undefined: one arm registered " + undefined):
             estimate_g2(counts, bin=bin)
     else:
         assert np.array_equal(estimate_g2(counts, bin=bin), ref, equal_nan=True)

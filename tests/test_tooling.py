@@ -382,6 +382,9 @@ def _traffic(tmp: Path) -> None:
                "g2.mode = coherent\ng2.bin = 2\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"):
         for fmt in ("csv", "json"):
             run("g2", "--seed", "3", "--format", fmt, config=shots + g2)
+    # records of a bin other than bin 1, where the doubles land
+    run("g2", config=shots + "g2.mode = mixture\ng2.bin = 3\nshots.dark_rate = 0.01\n")
+    run("g2", config=shots + "g2.mode = coherent\ng2.bin = 3\n")
     run("g2", config=shots + "g2.bin = 2\n", code=3, err="g2 undefined")
     run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 140000\n",
         code=2, err="overflows the int16 shot records")
