@@ -1,22 +1,15 @@
 #!/usr/bin/env python3
 """Print a Ramsey fringe scan and its extracted visibility.
 
-Runs the analytic and unitary backends over the same detuning grid and
-compares the extracted visibility against the closed-form law.
+Runs `seqlab ramsey-scan` on the analytic and unitary backends over the
+same detuning grid and compares the visibility read off each scan's
+centre row against the closed-form law.
 """
 
 import argparse
 import math
 
-from seqlab.ramsey import (
-    Backend,
-    RamseyScanConfig,
-    extract_visibility,
-    fringe_scan,
-    ramsey_visibility,
-    symmetric_detuning_grid,
-)
-from seqlab.units import mhz, to_mhz
+from _commands import MHZ, centre_visibility, rows, run, visibility_law
 
 
 def main():
@@ -29,28 +22,30 @@ def main():
     ap.add_argument("--points", type=int, default=41)
     args = ap.parse_args()
 
-    t1 = args.t_mu1_ns * 1e-9
     t2 = args.t_mu2_ns * 1e-9
-    omega = args.area_pi * math.pi / t2 if t2 > 0 else 0.0
-    grid = symmetric_detuning_grid(mhz(args.span_mhz), args.points)
+    omega_mhz = args.area_pi * math.pi / t2 / MHZ if t2 > 0 else 0.0
+    config = (
+        f"scan.t_mu1 = {args.t_mu1_ns!r}ns\n"
+        f"scan.t_mu2 = {args.t_mu2_ns!r}ns\n"
+        f"scan.omega_mu2 = {omega_mhz!r}MHz\n"
+        f"scan.span = {args.span_mhz!r}MHz\n"
+        f"scan.points = {args.points}\n"
+    )
+    scans = {
+        backend: rows(run("ramsey-scan", config, "--backend", backend))
+        for backend in ("analytic", "unitary")
+    }
 
     print(f"# t_mu1={args.t_mu1_ns} ns  t_mu2={args.t_mu2_ns} ns  "
           f"area={args.area_pi} pi")
     print(f"{'delta/2pi (MHz)':>16}  {'analytic':>12}  {'unitary':>12}")
-    configs, scans = {}, {}
-    for backend in (Backend.ANALYTIC, Backend.UNITARY):
-        configs[backend] = RamseyScanConfig(
-            t_mu1=t1, deltas=grid, omega_mu2=omega, t_mu2=t2, backend=backend
-        )
-        scans[backend] = fringe_scan(configs[backend])
-    for i, d in enumerate(grid):
-        print(f"{to_mhz(d):16.4f}  {scans[Backend.ANALYTIC][i]:12.8f}"
-              f"  {scans[Backend.UNITARY][i]:12.8f}")
+    for (d, analytic), (_, unitary) in zip(scans["analytic"], scans["unitary"]):
+        print(f"{d / MHZ:16.4f}  {analytic:12.8f}  {unitary:12.8f}")
 
-    law = ramsey_visibility(omega, t2)
+    law = visibility_law(omega_mhz * MHZ, t2)
     for backend, scan in scans.items():
-        v = extract_visibility(configs[backend], scan)
-        print(f"# visibility[{backend.value}] = {v:.12f}  "
+        v = centre_visibility(scan)
+        print(f"# visibility[{backend}] = {v:.12f}  "
               f"(law {law:.12f}, err {v - law:+.2e})")
 
 

@@ -54,15 +54,11 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class DissipationParams:
-    """Per-level rates in 1/s; index 0 is R1."""
+    """Per-level rates in 1/s; index 0 is R1.  The rates are finite and
+    non-negative, as the config bounds give them."""
 
     gamma_decay: tuple[float, float, float] = (0.0, 0.0, 0.0)
     gamma_deph: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        for g in (*self.gamma_decay, *self.gamma_deph):
-            if not math.isfinite(g) or g < 0:
-                raise ValueError("rates must be finite and non-negative")
 
     def collapse_operators(self) -> list[np.ndarray]:
         ops = []
@@ -172,9 +168,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def evolve_master(
-    sequence: PulseSequence, params: DissipationParams | None = None
-) -> np.ndarray:
+def evolve_master(sequence: PulseSequence, params: DissipationParams) -> np.ndarray:
     """The density matrix after a sequence under the master equation,
     starting from the stored excitation.
 
@@ -187,7 +181,6 @@ def evolve_master(
     whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    params = params or DissipationParams()
     n = LOSS_INDEX + 1
     ops = params.collapse_operators()
 

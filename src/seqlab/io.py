@@ -105,7 +105,7 @@ def write_text(path, text: str) -> None:
         raise
 
 
-def emit(text: str, out_path=None) -> None:
+def emit(text: str, out_path) -> None:
     """Write to out_path, or stdout when no path is given."""
     if out_path is None:
         print(text, end="")

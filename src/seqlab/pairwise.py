@@ -93,8 +93,8 @@ class InteractionParams:
     that a shot holds two excitations instead of one.
     """
 
-    v_int: float = 0.0
-    p2: float = 0.0
+    v_int: float
+    p2: float
 
 
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
@@ -132,8 +132,7 @@ def mixture_fringe_scan(
     p2 = interactions.p2
     if p2 == 0.0:
         return fringe_scan(config)
-    rates = config.dissipation is not None and config.dissipation.collapse_operators()
-    if config.backend is Backend.LINDBLAD and rates:
+    if config.backend is Backend.LINDBLAD and config.dissipation.collapse_operators():
         raise ValueError(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"

@@ -18,9 +18,8 @@ The HBT samplers record the one time bin that g2 reads: the per-trial
 click counts of arm A and arm B in that bin, as an (n_trials, 2) int16
 array, drawn from the same stream as records of all three bins.
 :func:`estimate_g2` collapses that array to its (nA, nB) outcome
-histogram block by block.  The run configuration bounds the counts, rates
-and efficiencies that reach this module; only the inter-bin dephasing
-rate, which the example scripts pass too, is checked here.
+histogram block by block.  The run configuration bounds every count,
+rate and efficiency that reaches this module.
 """
 
 from __future__ import annotations
@@ -31,16 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipative import NumericError, stored_excitation
-from .qcore import (
-    DriveField,
-    DriveSegment,
-    PulseSequence,
-    Readout,
-    hermitian_propagator,
-    segment_maps,
-)
-
-DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
+from .qcore import PulseSequence, Readout, hermitian_propagator, segment_maps
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,7 @@ class TimeBinPopulations:
 
 
 def readout_from_sequence(
-    sequence: PulseSequence,
-    eta=(1.0, 1.0, 1.0),
-    deph_between_bins: float = 0.0,
+    sequence: PulseSequence, eta, deph_between_bins: float
 ) -> TimeBinPopulations:
     """Walk a sequence containing Readout segments from the stored
     excitation and collect the bins.
@@ -71,14 +59,12 @@ def readout_from_sequence(
     current R1 population times eta[b-1] (times the inter-bin dephasing
     factor) and then zeroes R1, modelling the departed photon.  The
     dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  eta holds three efficiencies in [0, 1].  The state is
+    attenuated.  eta holds three efficiencies in [0, 1], and
+    deph_between_bins is a finite non-negative rate in 1/s.  The state is
     walked as its density matrix, from
     :func:`seqlab.dissipative.stored_excitation`; all drive/wait
     propagators come from one stacked call.
     """
-    if deph_between_bins < 0 or not math.isfinite(deph_between_bins):
-        raise ValueError("deph_between_bins must be finite and non-negative")
-
     rho = stored_excitation()
     steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
@@ -102,22 +88,6 @@ def readout_from_sequence(
             if clock_running:
                 elapsed += seg.duration
     return TimeBinPopulations(bins[1], bins[2], bins[3])
-
-
-def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulations:
-    """Three-bin read-out of the state that the drive/wait segments prep
-    prepare from the stored excitation: the canonical remapping pulses
-    follow prep, with ideal retrieval and pi pulses of DEFAULT_PI_PULSE_S
-    on both fields, which set the inter-bin delays that the dephasing
-    factor sees.
-    """
-    t = DEFAULT_PI_PULSE_S
-    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
-    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
-    chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
-    return readout_from_sequence(
-        PulseSequence((*prep, *chain)), deph_between_bins=deph_between_bins
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +126,9 @@ def sample_shots(
     pops: tuple[float, float, float],
     n_trials: int,
     seed: int,
-    bin: int = 1,
-    dark_rate: float = 0.0,
-    p2: float = 0.0,
+    bin: int,
+    dark_rate: float,
+    p2: float,
 ) -> np.ndarray:
     """Monte-Carlo HBT records of time bin ``bin`` for n_trials sequence
     repetitions: the (n_trials, 2) int16 click counts of arm A (column 0)
@@ -223,8 +193,8 @@ def sample_coherent_shots(
     mean_photons: float,
     n_trials: int,
     seed: int,
-    bin: int = 1,
-    dark_rate: float = 0.0,
+    bin: int,
+    dark_rate: float,
 ) -> np.ndarray:
     """Poissonian source mode: photon number ~ Poisson(mean_photons) in time
     bin ``bin``, split binomially between the arms.  Gives g2 = 1 in
@@ -292,7 +262,7 @@ def _outcome_histogram(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, freq
 
 
-def estimate_g2(counts: np.ndarray, bin: int = 1) -> tuple[float, float]:
+def estimate_g2(counts: np.ndarray, bin: int) -> tuple[float, float]:
     """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials, and its
     bootstrap standard error, from the (n_trials, 2) int16 records of one
     time bin that a sampler returns; bin names that bin in the diagnostic.
@@ -354,7 +324,7 @@ class FitResult:
     visibility: float
     residual_rms: float
     converged: bool
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
 
 MAX_FIT_ITERATIONS = 200
@@ -364,8 +334,9 @@ FIT_STEP_TOL = 1e-10
 def _periodogram_peak(x: np.ndarray, y: np.ndarray) -> float | None:
     """Peak angular frequency of a demeaned uniform-grid periodogram.
 
-    x is strictly increasing with at least 8 points (``fit_sinusoid``
-    checks both before it calls this).
+    x is strictly increasing with at least 8 points, and y is not flat and
+    has its largest magnitude in [0.5, 1) (``fit_sinusoid`` sees to all
+    of it before it calls this), so the peak power is positive.
     """
     n = x.size
     dx = np.diff(x)
@@ -373,8 +344,6 @@ def _periodogram_peak(x: np.ndarray, y: np.ndarray) -> float | None:
         return None
     spec = np.abs(np.fft.rfft(y - y.mean())) ** 2
     k = int(np.argmax(spec[1:])) + 1
-    if spec[k] == 0.0:
-        return None
     # parabolic refinement on log power where neighbours exist
     if 1 <= k < spec.size - 1 and spec[k - 1] > 0 and spec[k + 1] > 0:
         la, lb, lc = np.log(spec[k - 1 : k + 2])
@@ -395,7 +364,10 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     finite and positive (the scan reader and the CLI check them).  A scan
     whose spread is within 1e-12 of its largest magnitude is returned flat
     (flag "flat_scan"); fewer than 8 points, or an x that is not strictly
-    increasing, raise ValueError.
+    increasing, raise ValueError.  y is fitted divided by the power of
+    two that brings its largest magnitude into [0.5, 1), so the squares
+    of the periodogram and the residuals neither under- nor overflow at
+    any scale; offset, amplitude and residual_rms are scaled back.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -412,6 +384,8 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
             flags=("flat_scan",),
         )
 
+    unit = 2.0 ** math.frexp(scale)[1]  # max |y / unit| lies in [0.5, 1)
+    y = y / unit
     f = _periodogram_peak(x, y) or freq_hint
 
     def linear_at(f):
@@ -455,7 +429,8 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
             if lam > 1e12:
                 break
 
-    amplitude = math.hypot(A, B)
+    amplitude = math.hypot(A, B) * unit
+    o *= unit
     phase = math.atan2(-B, A)
     f = abs(f)
     flags = []
@@ -470,7 +445,7 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     else:
         visibility = 0.0
         flags.append("zero_offset")
-    rms = float(np.sqrt((r**2).mean()))
+    rms = float(np.sqrt((r**2).mean())) * unit
     return FitResult(
         offset=float(o), amplitude=float(amplitude), frequency=float(f),
         phase=float(phase), visibility=float(visibility), residual_rms=rms,

@@ -4,8 +4,7 @@ The collectively stored excitation occupies one of three Rydberg levels,
 written |R1>, |R2>, |R3> (indices 0, 1, 2).  Two microwave fields drive
 the ladder: mu1 couples R1 <-> R2 and mu2 couples R2 <-> R3.  Storage
 leaves the excitation in R1 and every sequence starts there; the fields
-reach every other state from R1, so the state after a sequence is column
-0 of :func:`sequence_unitary`.  In the frame rotating with both fields
+reach every other state from R1.  In the frame rotating with both fields
 the Hamiltonian restricted to the single-excitation manifold is
 
     H = [[ 0,            conj(g1),  0        ],
@@ -52,20 +51,11 @@ class DriveField(str, Enum):
     MU2 = "mu2"  # couples R2 <-> R3
 
 
-def _require_duration(value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"duration must be finite and strictly positive, got {value!r}")
-
-
 def _drive_values(rabi, detuning, phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rabi, detuning and phase as new float arrays, checked: every entry
-    finite, shapes broadcastable (else ValueError).  rabi is non-negative,
-    as the sequence parser and the config bounds give it; its sign belongs
-    in phase."""
+    """rabi, detuning and phase as new float arrays whose shapes broadcast
+    (else ValueError).  The sequence parser and the config bounds give
+    finite values and a non-negative rabi; its sign belongs in phase."""
     rabi, detuning, phase = (np.array(v, dtype=float) for v in (rabi, detuning, phase))
-    for name, v in (("rabi", rabi), ("detuning", detuning), ("phase", phase)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite")
     np.broadcast(rabi, detuning, phase)  # ValueError unless the shapes broadcast
     return rabi, detuning, phase
 
@@ -77,7 +67,8 @@ _DRIVE_VALUES = ("rabi", "detuning", "phase")
 class DriveSegment:
     """A constant-amplitude microwave pulse on one field, or a stack of them.
 
-    rabi, detuning in rad/s; phase in rad; duration in seconds.  rabi,
+    rabi, detuning in rad/s; phase in rad; duration in seconds, positive
+    and finite as the sequence parser and the config bounds give it.  rabi,
     detuning and phase are numbers or arrays that broadcast against each
     other; an array, kept as a read-only copy, makes the segment a stack of
     pulses over the broadcast shape, all of the one duration.  Segments
@@ -98,17 +89,14 @@ class DriveSegment:
             if v.ndim:  # the caller's array cannot change a frozen segment
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
-        _require_duration(self.duration)
 
 
 @dataclass(frozen=True)
 class Wait:
-    """Free evolution (identity in this frame) for `duration` seconds."""
+    """Free evolution (identity in this frame) for `duration` seconds, a
+    positive finite time."""
 
     duration: float
-
-    def __post_init__(self):
-        _require_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -147,7 +135,7 @@ def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0) -> np.ndarray
     broadcast against each other; the result has shape (..., 3, 3) over
     their broadcast shape.  The field's block carries rabi/2 on both
     off-diagonals and -detuning on the upper level's diagonal; every other
-    entry is zero.  Values are validated as DriveSegment validates them.
+    entry is zero.  Values are converted as DriveSegment converts them.
     """
     return _drive_block(DriveField(field), *_drive_values(rabi, detuning, 0.0))
 
@@ -213,11 +201,3 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
         start += size
     return [by_id[id(s)] for s in segments]
 
-
-def sequence_unitary(segments) -> np.ndarray:
-    """Ordered product of segment propagators (last segment applied last),
-    shape (..., 3, 3) over the segments' stacks."""
-    U = np.eye(3, dtype=complex)
-    for step in segment_maps(segments, hermitian_propagator):
-        U = step @ U
-    return U

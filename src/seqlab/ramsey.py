@@ -19,9 +19,9 @@ and |b| = pi^2 sin^2(angle/2) / (4 delta1^2 t_mu1^2 + pi^2), with the
 phase of b advanced by the free precession over the full sequence time
 t_total = t_mu1 + t_mu2 (+ any dead time).
 
-The fringe visibility against the intermediate pulse area theta is
-
-    V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |.
+The fringe visibility against the intermediate pulse area theta,
+V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |, is what the
+example scripts read off the centre row of a scan and compare with.
 
 Backends: ANALYTIC evaluates the closed form over the whole grid at
 once.  UNITARY and LINDBLAD propagate the sequence of
@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dissipative import evolve_master
+from .dissipative import DissipationParams, evolve_master
 from .qcore import (
     DriveField,
     DriveSegment,
@@ -69,7 +69,7 @@ class Backend(str, Enum):
     LINDBLAD = "lindblad"
 
 
-def ramsey_terms(delta1, t_mu1: float, t_mu2: float, dead_time: float = 0.0):
+def ramsey_terms(delta1, t_mu1: float, t_mu2: float, dead_time: float):
     """(stay, swap): the complex amplitudes of the R1 -> R1 -> R1 path and
     of the R1 -> R2 -> R1 path (before the intermediate-pulse factor K),
     at a mu1 detuning or an array of them, for a positive t_mu1 and
@@ -91,8 +91,8 @@ def ramsey_intensity(
     t_mu1: float,
     omega_mu2: float,
     t_mu2: float,
-    I0: float = 1.0,
-    dead_time: float = 0.0,
+    I0: float,
+    dead_time: float,
 ):
     """Closed-form fringe intensity at a detuning or an array of them."""
     stay, swap = ramsey_terms(delta1, t_mu1, t_mu2, dead_time)
@@ -101,16 +101,12 @@ def ramsey_intensity(
     return I0 * (np.abs(stay) ** 2 + np.abs(swap) ** 2 * K * K + cross * K)
 
 
-def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:
-    """Fringe visibility as a function of the intermediate pulse area."""
-    c = math.cos(0.5 * omega_mu2 * t_mu2)
-    return abs(2.0 * c / (1.0 + c * c))
-
-
 @dataclass(frozen=True)
 class RamseyScanConfig:
     """Grid and sequence parameters for a detuning scan.
 
+    The values are the config's, within its bounds: t_mu1 > 0 with
+    pi/(2 t_mu1) finite, t_mu2, omega_mu2 and inter_pulse_gap >= 0.
     deltas must be strictly increasing.  inter_pulse_gap inserts a wait
     of that duration on both sides of the intermediate pulse (identity in
     this frame; it only enters the closed form through t_total).
@@ -122,30 +118,23 @@ class RamseyScanConfig:
     deltas: tuple[float, ...]
     omega_mu2: float
     t_mu2: float
-    backend: Backend = Backend.ANALYTIC
-    I0: float = 1.0
-    inter_pulse_gap: float = 0.0
-    dissipation: "object | None" = None
+    backend: Backend
+    I0: float
+    inter_pulse_gap: float
+    dissipation: DissipationParams
 
     def __post_init__(self):
-        if self.t_mu1 <= 0:
-            raise ValueError("t_mu1 must be strictly positive")
-        if self.t_mu2 < 0 or self.omega_mu2 < 0 or self.inter_pulse_gap < 0:
-            raise ValueError("t_mu2, omega_mu2 and inter_pulse_gap must be non-negative")
         if any(b <= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly increasing")
 
 
 def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
-    """Odd-count grid over [-span, +span] with an exact 0.0 at the center.
+    """Grid over [-span, +span] with an exact 0.0 at the center, for a
+    positive span and an odd points >= 3 (the config's bounds).
 
-    Built as step * arange so the center point is exactly representable,
-    which the on-resonance visibility extraction relies on.
+    Built as step * arange so the center point is exactly representable:
+    the example scripts read the visibility off the 0.0 row of a scan.
     """
-    if points < 3 or points % 2 == 0:
-        raise ValueError("points must be odd and >= 3")
-    if span <= 0:
-        raise ValueError("span must be strictly positive")
     half = (points - 1) // 2
     step = span / half
     return tuple(step * k for k in range(-half, half + 1))
@@ -156,7 +145,7 @@ def build_ramsey_sequence(
     t_mu1: float,
     omega_mu2: float,
     t_mu2: float,
-    inter_pulse_gap: float = 0.0,
+    inter_pulse_gap: float,
 ) -> PulseSequence:
     """The control sequence used by the propagation backends: mu1 pi/2,
     [gap wait], [mu2 pulse if t_mu2 > 0], [gap wait], the same mu1 pi/2.
@@ -240,36 +229,11 @@ def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
     )
 
 
-def extract_visibility(config: RamseyScanConfig, intensities) -> float:
-    """On-resonance fringe visibility from the intensities of a scan over
-    config.deltas.
-
-    The scan intensity is an even function of detuning, so the point at
-    exactly zero detuning sits on a fringe extremum where both path
-    envelopes equal 1/2.  Reading I(0)/I0 = (1 - K)^2 / 4 off the scan
-    fixes the intermediate-pulse factor K, and with the on-resonance
-    envelope the opposing extremum is I0 (1 + K)^2 / 4.  The visibility is
-    the usual (max - min) / (max + min) of that extremum pair.  This
-    stays exact where a plain sinusoid fit would be biased by the
-    envelope curvature away from resonance.
-
-    Requires a grid containing detuning 0.0 exactly; see
-    :func:`symmetric_detuning_grid`.
-    """
-    idx = config.deltas.index(0.0)  # ValueError without an exact 0.0
-    center = float(intensities[idx]) / config.I0
-    r = math.sqrt(min(max(center, 0.0), 1.0))
-    K = 1.0 - 2.0 * r
-    opposite = 0.25 * (1.0 + K) ** 2
-    # a scan's center lies in [0, 1] up to rounding: r^2 + (1 - r)^2 >= 1/2
-    return abs(opposite - center) / (center + opposite)
-
-
 def rabi_scan(
     times,
     omega_mu2: float,
-    t_mu1: float = 20e-9,
-    detuning2: float = 0.0,
+    t_mu1: float,
+    detuning2: float,
 ) -> np.ndarray:
     """Populations versus mu2 drive time after a mu1 pi/2 preparation.
 

@@ -17,8 +17,3 @@ MHZ = TWO_PI * 1e6
 def mhz(f: float) -> float:
     """Ordinary frequency in MHz to angular frequency in rad/s."""
     return f * MHZ
-
-
-def to_mhz(omega: float) -> float:
-    """Angular frequency in rad/s to ordinary frequency in MHz."""
-    return omega / MHZ

@@ -1,0 +1,73 @@
+"""Reference computations that tests compare the library against: the
+sequence unitary, the closed-form visibility law and its centre-point
+extraction from a scan, and the canonical three-bin read-out chain; and
+the scan configuration that most tests build."""
+
+import math
+
+import numpy as np
+
+from seqlab.dissipative import DissipationParams
+from seqlab.photostats import TimeBinPopulations, readout_from_sequence
+from seqlab.qcore import (
+    DriveField,
+    DriveSegment,
+    PulseSequence,
+    Readout,
+    hermitian_propagator,
+    segment_maps,
+)
+from seqlab.ramsey import Backend, RamseyScanConfig
+
+DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
+
+
+def sequence_unitary(segments) -> np.ndarray:
+    """Ordered product of segment propagators (last segment applied last),
+    shape (..., 3, 3) over the segments' stacks; column 0 is the state
+    after the segments from the stored excitation R1."""
+    U = np.eye(3, dtype=complex)
+    for step in segment_maps(segments, hermitian_propagator):
+        U = step @ U
+    return U
+
+
+def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:
+    """Fringe visibility |2c / (1 + c^2)|, c = cos(omega_mu2 t_mu2 / 2)."""
+    c = math.cos(0.5 * omega_mu2 * t_mu2)
+    return abs(2.0 * c / (1.0 + c * c))
+
+
+def extract_visibility(config, intensities) -> float:
+    """On-resonance visibility of a scan over config.deltas, which hold an
+    exact 0.0: the centre intensity I(0)/I0 = (1 - K)^2 / 4 fixes K, the
+    opposing extremum is (1 + K)^2 / 4, and the visibility is
+    (max - min) / (max + min) of the pair."""
+    center = float(intensities[config.deltas.index(0.0)]) / config.I0
+    r = math.sqrt(min(max(center, 0.0), 1.0))
+    K = 1.0 - 2.0 * r
+    opposite = 0.25 * (1.0 + K) ** 2
+    return abs(opposite - center) / (center + opposite)
+
+
+def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulations:
+    """Three-bin read-out with ideal retrieval of the state that the
+    segments prep prepare: the canonical remapping chain of
+    DEFAULT_PI_PULSE_S pi pulses on both fields follows prep."""
+    t = DEFAULT_PI_PULSE_S
+    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
+    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
+    chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
+    return readout_from_sequence(
+        PulseSequence((*prep, *chain)), (1.0, 1.0, 1.0), deph_between_bins
+    )
+
+
+def scan_config(t_mu1, deltas, omega_mu2, t_mu2, backend=Backend.ANALYTIC, I0=1.0,
+                inter_pulse_gap=0.0, dissipation=DissipationParams()) -> RamseyScanConfig:
+    """A RamseyScanConfig, with the config's default I0, gap, zero rates
+    and the analytic backend unless given."""
+    return RamseyScanConfig(
+        t_mu1=t_mu1, deltas=deltas, omega_mu2=omega_mu2, t_mu2=t_mu2, backend=backend,
+        I0=I0, inter_pulse_gap=inter_pulse_gap, dissipation=dissipation,
+    )

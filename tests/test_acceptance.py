@@ -19,7 +19,6 @@ from seqlab.pairwise import PAIR_CONFIGS, InteractionParams, lift_single_particl
 from seqlab.photostats import (
     estimate_g2,
     fit_sinusoid,
-    readout_populations,
     sample_coherent_shots,
     sample_shots,
 )
@@ -28,18 +27,21 @@ from seqlab.qcore import (
     DriveSegment,
     PulseSequence,
     Readout,
-    sequence_unitary,
 )
 from seqlab.ramsey import (
     Backend,
-    RamseyScanConfig,
-    extract_visibility,
     fringe_scan,
     rabi_scan,
-    ramsey_visibility,
     symmetric_detuning_grid,
 )
 from seqlab.units import mhz
+from references import (
+    extract_visibility,
+    ramsey_visibility,
+    readout_populations,
+    scan_config,
+    sequence_unitary,
+)
 from test_dissipative import cut_sequences
 
 CANONICAL = "sequences/ramsey_readout.seq"
@@ -62,9 +64,7 @@ def test_analytic_and_unitary_backends_agree():
     for area in (0.0, 0.5 * math.pi, math.pi, 2.0 * math.pi, 3.0 * math.pi):
         omega = area / t_mu2
         configs = {
-            b: RamseyScanConfig(
-                t_mu1=t_mu1, deltas=grid, omega_mu2=omega, t_mu2=t_mu2, backend=b
-            )
+            b: scan_config(t_mu1, grid, omega, t_mu2, backend=b)
             for b in (Backend.ANALYTIC, Backend.UNITARY)
         }
         scans = {b: fringe_scan(c) for b, c in configs.items()}
@@ -82,17 +82,14 @@ def test_lindblad_visibility_curve_reproduces_law():
     t_mu1, t_mu2 = 20e-9, 80e-9
     for area in np.linspace(0.0, 3.0 * math.pi, 25):
         omega = float(area) / t_mu2
-        cfg = RamseyScanConfig(
-            t_mu1=t_mu1, deltas=grid, omega_mu2=omega, t_mu2=t_mu2,
-            backend=Backend.LINDBLAD,
-        )
+        cfg = scan_config(t_mu1, grid, omega, t_mu2, backend=Backend.LINDBLAD)
         vis = extract_visibility(cfg, fringe_scan(cfg))
         assert abs(vis - ramsey_visibility(omega, t_mu2)) <= 1e-4
 
 
 def test_rabi_oscillation_period_and_stored_population():
     times = np.linspace(0.0, 160e-9, 81)
-    table = rabi_scan(times, mhz(12.5), t_mu1=20e-9)
+    table = rabi_scan(times, mhz(12.5), t_mu1=20e-9, detuning2=0.0)
     assert np.abs(table[:, 1] - 0.5).max() <= 1e-9  # stored half stays put
     fit = fit_sinusoid(table[:, 0], table[:, 2], mhz(12.5))
     assert fit.converged
@@ -130,7 +127,7 @@ def test_master_equation_physicality_and_unitary_limit():
         tuple(s for s in seq.segments if not isinstance(s, Readout))
     )
     # zero rates: the master equation must shadow the unitary propagation
-    final = evolve_master(drives)
+    final = evolve_master(drives, DissipationParams())
     psi = sequence_unitary(drives.segments)[:, 0]  # from R1
     expected = np.zeros((4, 4), dtype=complex)
     expected[:3, :3] = np.outer(psi, psi.conj())
@@ -172,9 +169,7 @@ def test_pair_lift_oracle_and_interaction_phase_offset():
     hint = 2.0 * t_mu1 + t_mu2
     fits = []
     for v in (-mhz(0.2), -mhz(0.1), 0.0, mhz(0.1), mhz(0.2)):
-        cfg = RamseyScanConfig(
-            t_mu1=t_mu1, deltas=grid, omega_mu2=2.0 * math.pi / t_mu2, t_mu2=t_mu2
-        )
+        cfg = scan_config(t_mu1, grid, 2.0 * math.pi / t_mu2, t_mu2)
         scan = mixture_fringe_scan(cfg, InteractionParams(v, 0.3))
         fits.append(fit_sinusoid(np.array(grid), scan, hint))
     phases = [f.phase for f in fits]
@@ -189,15 +184,15 @@ def test_pair_lift_oracle_and_interaction_phase_offset():
 
 def test_g2_estimator_calibration():
     # single emitter: never two clicks in one trial
-    anti, _ = estimate_g2(sample_shots((1.0, 0.0, 0.0), 200_000, seed=5))
+    anti, _ = estimate_g2(sample_shots((1.0, 0.0, 0.0), 200_000, 5, 1, 0.0, 0.0), 1)
     assert anti == 0.0
     # coherent source: Poissonian light has g2 = 1
-    coh, _ = estimate_g2(sample_coherent_shots(0.1, 1_000_000, seed=7))
+    coh, _ = estimate_g2(sample_coherent_shots(0.1, 1_000_000, 7, 1, 0.0), 1)
     assert abs(coh - 1.0) <= 0.02
     # two-photon admixture with closed-form g2 = 2 p2 / (1 + p2)^2 = 0.45
     p2 = 0.5194938532959157
     assert abs(2.0 * p2 / (1.0 + p2) ** 2 - 0.45) <= 1e-12
-    mix, stderr = estimate_g2(sample_shots((1.0, 0.0, 0.0), 400_000, seed=11, p2=p2))
+    mix, stderr = estimate_g2(sample_shots((1.0, 0.0, 0.0), 400_000, 11, 1, 0.0, p2), 1)
     assert abs(mix - 0.45) <= 3.0 * stderr
     assert stderr < 0.005
 

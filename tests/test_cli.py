@@ -683,6 +683,31 @@ def test_fit_of_a_faint_scan_matches_the_unit_scan(tmp_path):
     assert 0.6 < faint["visibility"] < 0.63
 
 
+def _fit_of_scaled_fringe(tmp_path, scale) -> dict:
+    """fit of the 16-point fringe scale * (1 + 0.5 cos(0.7 x))."""
+    scan = tmp_path / f"fringe{scale!r}.csv"
+    rows = "".join(
+        f"{x!r},{scale * (1.0 + 0.5 * math.cos(0.7 * x))!r}\n" for x in map(float, range(16))
+    )
+    scan.write_text(RAMSEY_CSV_HEADER + "\n" + rows, encoding="utf-8")
+    out = tmp_path / f"fit{scale!r}.json"
+    assert main(["fit", "--in", str(scan), "--out", str(out)]) == 0
+    return json.loads(_read(out))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_fit_of_a_scan_whose_squares_leave_the_float_range(tmp_path, scale):
+    # unscaled, the faint scan fitted V = 1 at the hint frequency with no
+    # flag, and the huge one overflowed in the residual squares (exit 3)
+    unit, scaled = _fit_of_scaled_fringe(tmp_path, 1.0), _fit_of_scaled_fringe(tmp_path, scale)
+    assert unit["visibility"] == pytest.approx(0.5, abs=1e-12)
+    assert unit["frequency"] == pytest.approx(0.7, abs=1e-12)
+    assert scaled["converged"] is True and scaled["flags"] == unit["flags"]
+    assert scaled["visibility"] == pytest.approx(unit["visibility"], abs=1e-12)
+    assert scaled["frequency"] == pytest.approx(unit["frequency"], abs=1e-12)
+    assert scaled["offset"] == pytest.approx(scale, rel=1e-12)
+
+
 def test_fit_defaults_to_json_even_with_csv_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("output.format = csv\nscan.points = 41\n", encoding="utf-8")

@@ -6,7 +6,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from seqlab.config import RunConfig, load_config, parse_config
-from seqlab.units import mhz, to_mhz
+from seqlab.units import MHZ, mhz
 
 
 def test_empty_text_gives_defaults():
@@ -184,7 +184,7 @@ def _written(name: str, value) -> str:
     if _is_rate(name):
         return f"{value / 1e6!r}MHz"
     if name in _ANGULAR:
-        return f"{to_mhz(value)!r}MHz"
+        return f"{value / MHZ!r}MHz"
     return repr(value)
 
 

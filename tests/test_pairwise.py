@@ -24,16 +24,17 @@ from seqlab.qcore import (
     Wait,
     hermitian_propagator,
     segment_hamiltonian,
-    sequence_unitary,
 )
 from seqlab.ramsey import (
     Backend,
-    RamseyScanConfig,
     build_ramsey_sequence,
     fringe_scan,
     symmetric_detuning_grid,
 )
 from seqlab.units import mhz
+from references import scan_config, sequence_unitary
+
+FREE = InteractionParams(0.0, 0.0)  # no shift, no doubles
 
 
 def _symmetric_isometry() -> np.ndarray:
@@ -185,7 +186,7 @@ def test_bosonic_enhancement_factors():
 
 def test_resonant_drive_coupling_is_sqrt2_half_rabi():
     seg = DriveSegment(DriveField.MU1, rabi=mhz(10.0), duration=20e-9)
-    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams())
+    H = pair_hamiltonian(segment_hamiltonian(seg), FREE)
     assert abs(H[0, 1] - math.sqrt(2) * mhz(10.0) / 2.0) <= 1e-6
 
 
@@ -203,7 +204,7 @@ def test_v_int_shifts_every_configuration_but_the_stored_pair(v):
 def test_build_adds_diagonal_shifts_to_lift():
     seg = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=100e-9)
     v = mhz(0.4)
-    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams(v))
+    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams(v, p2=0.0))
     bare = lift_single_particle(segment_hamiltonian(seg))
     assert np.abs((H - bare) - np.diag([0.0] + [v] * 5)).max() <= 1e-12
 
@@ -213,7 +214,7 @@ def test_interactions_persist_during_wait():
     t = 120e-9
     amps = np.zeros(6, dtype=complex)
     amps[0] = amps[1] = 1.0 / math.sqrt(2)
-    out = _pair_sequence_propagator((Wait(t),), InteractionParams(v)) @ amps
+    out = _pair_sequence_propagator((Wait(t),), InteractionParams(v, p2=0.0)) @ amps
     # stored pair sets the energy zero; (12) acquires exp(-i v t)
     assert abs(out[0] - amps[0]) <= 1e-12
     assert abs(out[1] - amps[1] * np.exp(-1j * v * t)) <= 1e-12
@@ -242,7 +243,7 @@ def test_pair_propagation_is_unitary(seed):
                     phase=float(rng.uniform(-math.pi, math.pi)),
                 )
             )
-    params = InteractionParams(float(rng.uniform(-mhz(1.0), mhz(1.0))))
+    params = InteractionParams(float(rng.uniform(-mhz(1.0), mhz(1.0))), p2=0.0)
     out = _pair_sequence_propagator(segs, params)[:, 0]  # from the stored pair (11)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
@@ -266,7 +267,7 @@ def test_free_pair_propagator_is_symmetric_product(segs):
     # so the pair propagator is U x U restricted to the symmetric subspace
     U = sequence_unitary(segs)
     ref = _S.conj().T @ np.kron(U, U) @ _S
-    assert np.abs(_pair_sequence_propagator(segs, InteractionParams()) - ref).max() <= 1e-12
+    assert np.abs(_pair_sequence_propagator(segs, FREE) - ref).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +275,8 @@ def test_free_pair_propagator_is_symmetric_product(segs):
 
 
 def _scan_config(points=161, span=mhz(7.0), t_mu2=150e-9):
-    return RamseyScanConfig(
-        t_mu1=20e-9,
-        deltas=symmetric_detuning_grid(span, points),
-        omega_mu2=2.0 * math.pi / t_mu2,
-        t_mu2=t_mu2,
+    return scan_config(
+        20e-9, symmetric_detuning_grid(span, points), 2.0 * math.pi / t_mu2, t_mu2
     )
 
 
@@ -309,15 +307,9 @@ def test_zero_interactions_double_is_twice_single():
     # so the mixture is (1 + p2) times the single-excitation fringe
     p2 = 0.4
     base = _scan_config(points=41)
-    config = RamseyScanConfig(
-        t_mu1=base.t_mu1,
-        deltas=base.deltas,
-        omega_mu2=base.omega_mu2,
-        t_mu2=base.t_mu2,
-        backend=Backend.UNITARY,
-    )
+    config = replace(base, backend=Backend.UNITARY)
     single = fringe_scan(config)
-    mixed = mixture_fringe_scan(config, InteractionParams(p2=p2))
+    mixed = mixture_fringe_scan(config, InteractionParams(0.0, p2=p2))
     for s, m in zip(single, mixed):
         assert abs(m - (1.0 + p2) * s) <= 1e-12
 
@@ -331,7 +323,7 @@ def test_zero_interactions_leave_fitted_phase_unchanged():
     hint = 2 * config.t_mu1 + config.t_mu2
     single_fit = _fit_scan(config, fringe_scan(config), hint)
     mixed_fit = _fit_scan(
-        config, mixture_fringe_scan(config, InteractionParams(p2=0.4)), hint
+        config, mixture_fringe_scan(config, InteractionParams(0.0, p2=0.4)), hint
     )
     assert single_fit.converged and mixed_fit.converged
     assert abs(mixed_fit.phase - single_fit.phase) <= 1e-6
@@ -392,17 +384,17 @@ def test_mixture_refuses_lindblad_with_rates(rates):
     lindblad = replace(_scan_config(points=5), backend=Backend.LINDBLAD, dissipation=rates)
     refused = r"^interaction\.p2 = 0\.5 with non-zero dissipation rates"
     with pytest.raises(ValueError, match=refused):
-        mixture_fringe_scan(lindblad, InteractionParams(p2=0.5))
+        mixture_fringe_scan(lindblad, InteractionParams(0.0, p2=0.5))
     # p2 = 0 is the dissipative single scan
     assert np.array_equal(
-        mixture_fringe_scan(lindblad, InteractionParams(p2=0.0)), fringe_scan(lindblad)
+        mixture_fringe_scan(lindblad, FREE), fringe_scan(lindblad)
     )
     # the closed backends ignore the rates; zero rates under LINDBLAD
     # shadow the unitary mixture
     interactions = InteractionParams(mhz(0.2), p2=0.5)
     unitary = mixture_fringe_scan(replace(lindblad, backend=Backend.UNITARY), interactions)
     assert np.array_equal(unitary, mixture_fringe_scan(
-        replace(lindblad, backend=Backend.UNITARY, dissipation=None), interactions
+        replace(lindblad, backend=Backend.UNITARY, dissipation=DissipationParams()), interactions
     ))
     zero_rates = mixture_fringe_scan(
         replace(lindblad, dissipation=DissipationParams()), interactions

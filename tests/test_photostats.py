@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from seqlab.dissipative import DissipationParams, NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
-    DEFAULT_PI_PULSE_S,
     COUNT_MAX,
     BOOTSTRAP_SEED,
     N_BOOTSTRAP,
@@ -19,7 +18,6 @@ from seqlab.photostats import (
     estimate_g2,
     fit_sinusoid,
     readout_from_sequence,
-    readout_populations,
     sample_coherent_shots,
     sample_shots,
 )
@@ -29,17 +27,19 @@ from seqlab.qcore import (
     PulseSequence,
     Readout,
     Wait,
+)
+from seqlab.ramsey import fringe_scan, rabi_scan, symmetric_detuning_grid
+from seqlab.units import mhz
+from references import (
+    DEFAULT_PI_PULSE_S,
+    ramsey_visibility,
+    readout_populations,
+    scan_config,
     sequence_unitary,
 )
-from seqlab.ramsey import (
-    RamseyScanConfig,
-    fringe_scan,
-    rabi_scan,
-    ramsey_visibility,
-    symmetric_detuning_grid,
-)
-from seqlab.units import mhz
 from test_tooling import SEQUENCE_WITH_A_WAIT
+
+IDEAL = (1.0, 1.0, 1.0)  # retrieval efficiencies of the three bins
 
 # one mu1 pi/2 pulse: the stored excitation split evenly between R1 and R2
 HALF_PI_MU1 = (DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),)
@@ -92,8 +92,8 @@ def _canonical_chain() -> PulseSequence:
 
 def test_readout_eta_scales_each_bin():
     seq = PulseSequence(HALF_PI_MU1 + _canonical_chain().segments)
-    assert readout_from_sequence(seq) == readout_populations(HALF_PI_MU1)
-    pops = readout_from_sequence(seq, eta=(0.8, 0.5, 0.3))
+    assert readout_from_sequence(seq, IDEAL, 0.0) == readout_populations(HALF_PI_MU1)
+    pops = readout_from_sequence(seq, (0.8, 0.5, 0.3), 0.0)
     assert abs(pops.p1 - 0.5 * 0.8) <= 1e-12
     assert abs(pops.p2 - 0.5 * 0.5) <= 1e-12
     assert pops.p3 <= 1e-30
@@ -150,9 +150,8 @@ def test_interbin_dephasing_is_monotone_in_rate():
 
 
 def test_readout_validation():
-    # eta is bounded by the readout.eta_* config keys (test_config)
-    with pytest.raises(ValueError):
-        readout_populations((), deph_between_bins=-1.0)
+    # eta and the inter-bin rate are bounded by the readout.eta_* and
+    # readout.deph config keys (test_config)
     with pytest.raises(ValueError):
         TimeBinPopulations(0.6, 0.6, 0.0)
 
@@ -169,7 +168,7 @@ def test_readout_from_sequence_clock_spans_segments():
             Readout(2),
         )
     )
-    pops = readout_from_sequence(seq, deph_between_bins=gamma)
+    pops = readout_from_sequence(seq, IDEAL, gamma)
     assert abs(pops.p1 - 0.5) <= 1e-15
     assert abs(pops.p2 - 0.5 * math.exp(-gamma * 90e-9)) <= 1e-12
 
@@ -182,7 +181,7 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
         DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=math.pi),
     )
     seq = PulseSequence(prep + parse_sequence(SEQUENCE_WITH_A_WAIT).segments)
-    pops = readout_from_sequence(seq)
+    pops = readout_from_sequence(seq, IDEAL, 0.0)
     assert abs(pops.p1 - 1.0) <= 1e-15
     assert pops.p2 == 0.0 and pops.p3 == 0.0
 
@@ -192,20 +191,20 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2)
-    b = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2)
-    c = sample_shots((0.5, 0.3, 0.1), 500, seed=43, dark_rate=0.01, p2=0.2)
+    a = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
+    b = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
+    c = sample_shots((0.5, 0.3, 0.1), 500, seed=43, dark_rate=0.01, p2=0.2, bin=1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_deterministic_source_gives_one_click_per_trial():
     n = 10_000
-    recs = sample_shots((1.0, 0.0, 0.0), n, seed=7)
+    recs = sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=1, dark_rate=0.0, p2=0.0)
     totals = recs.sum(axis=1)
     assert np.all(totals == 1)
     for bin in (2, 3):
-        assert sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=bin).sum() == 0
+        assert sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=bin, dark_rate=0.0, p2=0.0).sum() == 0
     na = recs[:, 0].sum()
     # 4 sigma band around the 50/50 arm split
     assert abs(na - n / 2) <= 4 * math.sqrt(n * 0.25)
@@ -217,7 +216,9 @@ def _all_bins(sample):
 
 
 def test_single_branch_never_exceeds_one_click():
-    recs = _all_bins(lambda bin: sample_shots((0.3, 0.3, 0.2), 5_000, seed=11, bin=bin))
+    recs = _all_bins(
+        lambda bin: sample_shots((0.3, 0.3, 0.2), 5_000, seed=11, bin=bin, dark_rate=0.0, p2=0.0)
+    )
     assert recs.sum(axis=(1, 2)).max() <= 1
 
 
@@ -225,7 +226,7 @@ def test_dark_counts_add_at_the_configured_rate():
     n = 40_000
     rate = 0.05
     recs = _all_bins(
-        lambda bin: sample_shots((0.0, 0.0, 0.0), n, seed=3, bin=bin, dark_rate=rate)
+        lambda bin: sample_shots((0.0, 0.0, 0.0), n, seed=3, bin=bin, dark_rate=rate, p2=0.0)
     )
     total = int(recs.sum())
     mean = 6 * n * rate
@@ -236,7 +237,7 @@ def test_dark_counts_add_at_the_configured_rate():
 def test_coherent_source_total_is_poissonian():
     n = 100_000
     mu = 0.1
-    recs = sample_coherent_shots(mu, n, seed=5)
+    recs = sample_coherent_shots(mu, n, seed=5, bin=1, dark_rate=0.0)
     totals = recs.sum(axis=1)
     assert abs(totals.mean() - mu) <= 5 * math.sqrt(mu / n)
 
@@ -245,7 +246,7 @@ def test_sampling_validation():
     # n_trials, dark_rate, p2, mean_photons and bin are bounded by their
     # config keys (test_config); a photon number is bounded by the records
     with pytest.raises(ValueError, match="overflows the int16 shot records"):
-        sample_coherent_shots(140_000, 10, seed=1)
+        sample_coherent_shots(140_000, 10, seed=1, bin=1, dark_rate=0.0)
 
 
 def _masked_loop_sample_shots(p, n_trials, seed, dark_rate, p2):
@@ -360,10 +361,10 @@ def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, 
 @pytest.mark.parametrize(
     "sample",
     [
-        lambda n: sample_shots((1.0, 0.0, 0.0), n, 7, dark_rate=0.001, p2=0.05),
-        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, bin=2, dark_rate=0.01),
-        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01),
-        lambda n: sample_coherent_shots(2.0, n, 7),
+        lambda n: sample_shots((1.0, 0.0, 0.0), n, 7, dark_rate=0.001, p2=0.05, bin=1),
+        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, bin=2, dark_rate=0.01, p2=0.0),
+        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01, bin=1),
+        lambda n: sample_coherent_shots(2.0, n, 7, bin=1, dark_rate=0.0),
     ],
     ids=["mixture", "three-bin", "coherent-dark", "coherent"],
 )
@@ -386,14 +387,14 @@ def test_sampler_peak_memory_is_near_the_records(sample):
 
 
 def test_antibunched_records_give_exactly_zero():
-    recs = sample_shots((0.6, 0.2, 0.1), 20_000, seed=21)
-    value, _ = estimate_g2(recs)
+    recs = sample_shots((0.6, 0.2, 0.1), 20_000, seed=21, bin=1, dark_rate=0.0, p2=0.0)
+    value, _ = estimate_g2(recs, bin=1)
     assert value == 0.0
 
 
 def test_coherent_records_give_unity_within_error():
-    recs = sample_coherent_shots(0.1, 200_000, seed=7)
-    value, stderr = estimate_g2(recs)
+    recs = sample_coherent_shots(0.1, 200_000, seed=7, bin=1, dark_rate=0.0)
+    value, stderr = estimate_g2(recs, bin=1)
     assert stderr > 0
     assert abs(value - 1.0) <= 3 * stderr
 
@@ -401,10 +402,10 @@ def test_coherent_records_give_unity_within_error():
 def test_estimate_g2_peak_memory_per_trial():
     # the block histogram holds nothing trial-long; trial-long int32
     # products and packed keys peaked at 10 B/trial
-    recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01)
+    recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01, bin=1)
     tracemalloc.start()
     try:
-        estimate_g2(recs)
+        estimate_g2(recs, bin=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -413,7 +414,7 @@ def test_estimate_g2_peak_memory_per_trial():
 
 def test_g2_product_of_large_counts_does_not_wrap():
     counts = np.full((4, 2), 200, dtype=np.int16)  # 200 * 200 is beyond int16
-    assert estimate_g2(counts)[0] == 1.0
+    assert estimate_g2(counts, bin=1)[0] == 1.0
 
 
 def test_mixture_reproduces_target_g2():
@@ -421,27 +422,27 @@ def test_mixture_reproduces_target_g2():
     # (1,1) across the arms half the time, so g2 = 2 p2 / (1 + p2)^2
     p2 = 0.5194938532959157
     assert abs(2 * p2 / (1 + p2) ** 2 - 0.45) <= 1e-12
-    recs = sample_shots((1.0, 0.0, 0.0), 400_000, seed=11, p2=p2)
-    value, stderr = estimate_g2(recs)
+    recs = sample_shots((1.0, 0.0, 0.0), 400_000, seed=11, p2=p2, bin=1, dark_rate=0.0)
+    value, stderr = estimate_g2(recs, bin=1)
     assert abs(value - 0.45) <= 3 * stderr
 
 
 def test_g2_invariant_under_arm_relabeling():
-    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3)
+    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
     swapped = recs[:, ::-1]
-    assert estimate_g2(recs)[0] == estimate_g2(swapped)[0]
+    assert estimate_g2(recs, bin=1)[0] == estimate_g2(swapped, bin=1)[0]
 
 
 def test_g2_bootstrap_is_deterministic():
-    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3)
-    assert estimate_g2(recs)[1] == estimate_g2(recs)[1]
+    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
+    assert estimate_g2(recs, bin=1)[1] == estimate_g2(recs, bin=1)[1]
 
 
 def test_g2_undefined_when_an_arm_is_dark():
-    recs = sample_shots((0.0, 0.0, 0.0), 100, seed=1)
+    recs = sample_shots((0.0, 0.0, 0.0), 100, seed=1, bin=1, dark_rate=0.0, p2=0.0)
     undefined = r"^g2 undefined: one arm registered no clicks \(100 trials, bin 1\)$"
     with pytest.raises(NumericError, match=undefined):
-        estimate_g2(recs)
+        estimate_g2(recs, bin=1)
 
 
 def _row_unique_g2(counts):
@@ -548,6 +549,23 @@ def test_fit_is_scale_equivariant(scale):
     assert fit.amplitude == pytest.approx(scale * ref.amplitude, rel=1e-12)
 
 
+@pytest.mark.parametrize("exponent", [-1000, -700, -50, 3, 50, 700, 1000])
+def test_fit_of_a_power_of_two_scaled_scan_is_the_same_fit_scaled(exponent):
+    # y is fitted divided by a power of two, so any power-of-two scale,
+    # also one whose squares leave the float range, gives the same bits
+    x, y = _synth()
+    y = y + np.random.default_rng(5).normal(0.0, 0.01, y.size)
+    ref = fit_sinusoid(x, y, freq_hint=2.7)
+    scale = 2.0**exponent
+    fit = fit_sinusoid(x, scale * y, freq_hint=2.7)
+    assert (fit.offset, fit.amplitude, fit.residual_rms) == (
+        scale * ref.offset, scale * ref.amplitude, scale * ref.residual_rms
+    )
+    assert (fit.frequency, fit.phase, fit.visibility, fit.converged, fit.flags) == (
+        ref.frequency, ref.phase, ref.visibility, ref.converged, ref.flags
+    )
+
+
 def test_fit_flags_frequency_far_from_hint():
     x, y = _synth(f=2.7)
     fit = fit_sinusoid(x, y, freq_hint=3.6)
@@ -627,7 +645,7 @@ def _fit_dense_scan(area: float):
     span = 1.6 * 2.0 * math.pi / t_total
     omega = area / t_mu2
     deltas = symmetric_detuning_grid(span, 201)
-    cfg = RamseyScanConfig(t_mu1=t_mu1, deltas=deltas, omega_mu2=omega, t_mu2=t_mu2)
+    cfg = scan_config(t_mu1, deltas, omega, t_mu2)
     return fit_sinusoid(np.asarray(deltas), fringe_scan(cfg), t_total)
 
 
@@ -646,7 +664,7 @@ def test_fringe_fit_visibility_half_pi_area():
 
 def test_remapping_scan_keeps_bin_one_at_half():
     times = tuple(np.linspace(0.0, 160e-9, 81))
-    table = rabi_scan(times, omega_mu2=mhz(12.5))
+    table = rabi_scan(times, omega_mu2=mhz(12.5), t_mu1=20e-9, detuning2=0.0)
     p1 = table[:, 1]
     assert np.abs(p1 - 0.5).max() <= 1e-9
     fit = fit_sinusoid(table[:, 0], table[:, 2], freq_hint=mhz(12.5))

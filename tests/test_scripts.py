@@ -1,5 +1,7 @@
-"""Smoke test: every example script runs to completion on its defaults."""
+"""The example scripts: each runs to completion on its defaults, prints
+pinned bytes, and exits with the command's code on a bad argument."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +10,22 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the scripts; modules whose name starts with "_" are their shared helpers
+SCRIPTS = sorted(p for p in (ROOT / "scripts").glob("*.py") if not p.name.startswith("_"))
+
+# sha256 of stdout, taken when the scripts called the library directly.
+# readout_dephasing.py's is of its table, without the line it printed first.
+STDOUT_SHA256 = {
+    ("fringe_demo.py",): "dd439dc932fa459dcccbb020648e13f36f307c9112c24d709a26ba0fa7bf3fc6",
+    ("visibility_curve.py",):
+        "91d34d779e02fa5dcbb9d7555b71d484686212f66c5d00f7e5fc5b8f31d2598f",
+    ("visibility_curve.py", "--backend", "unitary"):
+        "86ca9a45d72e83c10c5462d42b1d0c22eb413feed765f6ee679d7b9b9db0ba83",
+    ("visibility_curve.py", "--backend", "lindblad"):
+        "db541991fd64a52f487a1e26cb86a538efa15d120867ac50fdb21a28b3533cd7",
+    ("readout_dephasing.py",):
+        "d5223876aa6ca24a5f765252c22eca507616135c2c394bc1a94d77355580cd56",
+}
 
 
 def _run(script, *args):
@@ -25,6 +42,21 @@ def _run(script, *args):
 def test_script_exits_0(script):
     proc = _run(script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=" ".join)
+def test_script_stdout_bytes_are_pinned(argv):
+    proc = _run(ROOT / "scripts" / argv[0], *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_script_bad_argument_exits_with_the_config_diagnostic():
+    proc = _run(ROOT / "scripts" / "fringe_demo.py", "--points", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "scan.points" in proc.stderr
 
 
 def test_visibility_curve_lindblad_backend_follows_the_law():
