@@ -25,11 +25,11 @@ only: scipy would double the memory and start-up of every CLI call.
 Every sequence starts from the stored excitation, rho = |R1><R1|
 (:func:`stored_excitation`), and everything works on stacks:
 :func:`evolve_master` takes one sequence, whose segments may stand for
-stacks of pulses (a detuning scan), gets the maps of all its distinct
-segments from one :func:`seqlab.qcore.segment_maps` call (one
-(n, 16, 16) Liouvillian stack, one :func:`expm` call with a scaling
-exponent per matrix), and checks the states of the whole stack after
-each segment with one :func:`_validate_density` call.
+stacks of pulses (a detuning scan), gets the maps of its segments from
+:func:`seqlab.qcore.segment_maps` (one Liouvillian stack and one
+:func:`expm` call, with a scaling exponent per matrix, for each distinct
+segment), and checks the states of the whole stack after each segment
+with one :func:`_validate_density` call.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(norms).all():
         raise NumericError("generator has non-finite entries")
     s = np.array(
-        [max(0, math.ceil(math.log2(x / _THETA13))) if x > 0.0 else 0
+        [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
          for x in norms.tolist()],
         dtype=int,
     )
@@ -173,9 +173,9 @@ def evolve_master(sequence: PulseSequence, params: DissipationParams) -> np.ndar
     starting from the stored excitation.
 
     The sequence's segments may stand for stacks of pulses; the result is
-    then the (..., 4, 4) stack over their broadcast shape.  Each distinct
-    segment's map comes from one :func:`seqlab.qcore.segment_maps` call,
-    and the whole stack is propagated together.
+    then the (..., 4, 4) stack over their broadcast shape.  The maps come
+    from :func:`seqlab.qcore.segment_maps`, one :func:`expm` call per
+    distinct segment, and the whole stack is propagated together.
 
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
@@ -184,10 +184,10 @@ def evolve_master(sequence: PulseSequence, params: DissipationParams) -> np.ndar
     n = LOSS_INDEX + 1
     ops = params.collapse_operators()
 
-    def propagator(h3: np.ndarray, t: np.ndarray) -> np.ndarray:
-        H = np.zeros((len(h3), n, n), dtype=complex)  # the loss level is dark
-        H[:, :3, :3] = h3
-        return expm(liouvillian(H, ops) * t[:, None, None])
+    def propagator(h3: np.ndarray, t) -> np.ndarray:
+        H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark
+        H[..., :3, :3] = h3
+        return expm(liouvillian(H, ops) * np.asarray(t)[..., None, None])
 
     maps = segment_maps(sequence.segments, propagator)
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))

@@ -62,8 +62,8 @@ def readout_from_sequence(
     attenuated.  eta holds three efficiencies in [0, 1], and
     deph_between_bins is a finite non-negative rate in 1/s.  The state is
     walked as its density matrix, from
-    :func:`seqlab.dissipative.stored_excitation`; all drive/wait
-    propagators come from one stacked call.
+    :func:`seqlab.dissipative.stored_excitation`; the drive/wait
+    propagators come from :func:`seqlab.qcore.segment_maps`.
     """
     rho = stored_excitation()
     steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))

@@ -21,18 +21,17 @@ accumulate between pulses is accounted for analytically in
 :mod:`seqlab.ramsey` through the total sequence time.  Positive detuning
 means the drive is blue of the atomic transition.
 
-A drive segment may stand for a stack of pulses: its rabi, detuning and
-phase may be arrays that broadcast against each other, while its duration
-stays one number, so every pulse of the stack shares the sample times.
+A drive segment may stand for a stack of pulses: its rabi, duration,
+detuning and phase may be arrays that broadcast against each other.
 :func:`segment_hamiltonian` is the one generator of segments; the pair
 space lifts it and the master equation embeds it.  :func:`segment_maps`
 is the one path from a sequence's segments to their maps, for every space:
-it takes the propagator (:func:`hermitian_propagator` for closed systems).
+it takes the propagator (:func:`hermitian_propagator` for closed systems)
+and calls it once per distinct segment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -51,40 +50,33 @@ class DriveField(str, Enum):
     MU2 = "mu2"  # couples R2 <-> R3
 
 
-def _drive_values(rabi, detuning, phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rabi, detuning and phase as new float arrays whose shapes broadcast
-    (else ValueError).  The sequence parser and the config bounds give
-    finite values and a non-negative rabi; its sign belongs in phase."""
-    rabi, detuning, phase = (np.array(v, dtype=float) for v in (rabi, detuning, phase))
-    np.broadcast(rabi, detuning, phase)  # ValueError unless the shapes broadcast
-    return rabi, detuning, phase
-
-
-_DRIVE_VALUES = ("rabi", "detuning", "phase")
+_DRIVE_VALUES = ("rabi", "duration", "detuning", "phase")
 
 
 @dataclass(frozen=True, eq=False)
 class DriveSegment:
     """A constant-amplitude microwave pulse on one field, or a stack of them.
 
-    rabi, detuning in rad/s; phase in rad; duration in seconds, positive
-    and finite as the sequence parser and the config bounds give it.  rabi,
-    detuning and phase are numbers or arrays that broadcast against each
-    other; an array, kept as a read-only copy, makes the segment a stack of
-    pulses over the broadcast shape, all of the one duration.  Segments
-    compare and hash by identity, as :func:`segment_maps` tells them apart.
+    rabi, detuning in rad/s; phase in rad; duration in seconds.  The
+    sequence parser and the config bounds give finite values, a
+    non-negative rabi (its sign belongs in phase) and a positive duration.
+    The four are numbers or arrays that broadcast against each other (else
+    ValueError); an array, kept as a read-only float copy, makes the
+    segment a stack of pulses over the broadcast shape.  Segments compare
+    and hash by identity, as :func:`segment_maps` tells them apart.
     """
 
     field: DriveField
     rabi: float | np.ndarray
-    duration: float
+    duration: float | np.ndarray
     detuning: float | np.ndarray = 0.0
     phase: float | np.ndarray = 0.0
 
     def __post_init__(self):
         # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
         object.__setattr__(self, "field", DriveField(self.field))
-        values = _drive_values(self.rabi, self.detuning, self.phase)
+        values = [np.array(getattr(self, name), dtype=float) for name in _DRIVE_VALUES]
+        np.broadcast(*values)  # ValueError unless the shapes broadcast
         for name, v in zip(_DRIVE_VALUES, values):
             if v.ndim:  # the caller's array cannot change a frozen segment
                 v.flags.writeable = False
@@ -128,20 +120,13 @@ class PulseSequence:
         return tuple(s for s in self.segments if not isinstance(s, Readout))
 
 
-def drive_hamiltonian(field: DriveField | str, rabi, detuning=0.0) -> np.ndarray:
-    """Hamiltonian (rad/s) of one field driving alone at phase 0.
-
-    field is a DriveField or its value ("mu1", "mu2").  rabi and detuning
-    broadcast against each other; the result has shape (..., 3, 3) over
-    their broadcast shape.  The field's block carries rabi/2 on both
-    off-diagonals and -detuning on the upper level's diagonal; every other
-    entry is zero.  Values are converted as DriveSegment converts them.
-    """
-    return _drive_block(DriveField(field), *_drive_values(rabi, detuning, 0.0))
-
-
 def _drive_block(field: DriveField, rabi, detuning, phase) -> np.ndarray:
-    """:func:`drive_hamiltonian` of checked values, e.g. a DriveSegment's."""
+    """Hamiltonian (rad/s) of one field driving alone, from a
+    DriveSegment's checked values, shape (..., 3, 3) over the broadcast
+    shape of rabi, detuning and phase.  The field's block carries
+    (rabi/2) e^{i phase} below the diagonal, its conjugate above it and
+    -detuning on the upper level's diagonal; every other entry is zero.
+    """
     lo = 0 if field is DriveField.MU1 else 1
     H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
     g = 0.5 * rabi * np.exp(1j * phase)
@@ -166,9 +151,10 @@ def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
     """exp(-i H t) for a stack of Hermitian H, shape (..., d, d).
 
     duration (s) is a scalar or an array that broadcasts against the stack
-    shape H.shape[:-2]: the durations of checked segments, or other
-    finite positive times.  One batched eigendecomposition, so the result
-    is unitary up to floating point.
+    shape H.shape[:-2], a checked segment's; the result has shape (..., d, d)
+    over their broadcast shape.  One batched eigendecomposition of H, so a
+    single H serves every duration and the result is unitary up to
+    floating point.
     """
     duration = np.asarray(duration, dtype=float)
     w, V = np.linalg.eigh(H)
@@ -180,24 +166,16 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
     """The map of every drive/wait segment, in order, each of shape
     (..., d, d) over the segment's stack.
 
-    propagator(H, t) takes the (n, 3, 3) Hamiltonians of the distinct
-    segments, all stacks flattened and concatenated, with the (n,) times,
-    and returns their (n, d, d) maps, e.g. :func:`hermitian_propagator`.
-    Segments are told apart by identity, so a segment object that appears
-    twice is propagated once, in the one propagator call.
+    propagator(H, t) takes one segment's (..., 3, 3) Hamiltonian and its
+    duration, a number or an array that broadcasts against H.shape[:-2],
+    and returns the (..., d, d) maps over their broadcast shape, e.g.
+    :func:`hermitian_propagator`.  Segments are told apart by identity, so
+    a segment object that appears twice is propagated once: one
+    propagator call per distinct segment.
     """
-    distinct = list({id(s): s for s in segments}.values())
-    if not distinct:
-        return []
-    gens = [segment_hamiltonian(s) for s in distinct]
-    sizes = [math.prod(g.shape[:-2]) for g in gens]
-    maps = propagator(
-        np.concatenate([g.reshape(-1, 3, 3) for g in gens]),
-        np.repeat([s.duration for s in distinct], sizes),
-    )
-    by_id, start = {}, 0
-    for s, g, size in zip(distinct, gens, sizes):
-        by_id[id(s)] = maps[start:start + size].reshape(g.shape[:-2] + maps.shape[-2:])
-        start += size
-    return [by_id[id(s)] for s in segments]
+    maps = {}
+    for s in segments:
+        if id(s) not in maps:
+            maps[id(s)] = propagator(segment_hamiltonian(s), s.duration)
+    return [maps[id(s)] for s in segments]
 

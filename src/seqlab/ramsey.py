@@ -53,7 +53,6 @@ from .qcore import (
     DriveSegment,
     PulseSequence,
     Wait,
-    drive_hamiltonian,
     hermitian_propagator,
     segment_maps,
 )
@@ -151,7 +150,8 @@ def build_ramsey_sequence(
     [gap wait], [mu2 pulse if t_mu2 > 0], [gap wait], the same mu1 pi/2.
 
     Both pi/2 pulses are one segment object with rabi = pi / (2 t_mu1), so
-    the pulse area stays pi/2 while the detuning is scanned.  delta1 is a
+    the pulse area stays pi/2 while the detuning is scanned, and both gap
+    waits are one object too: each is propagated once.  delta1 is a
     detuning or an array of them; an array stacks the mu1 pulses over it.
     """
     half_pi = DriveSegment(
@@ -160,17 +160,12 @@ def build_ramsey_sequence(
         duration=t_mu1,
         detuning=delta1,
     )
-    segs: list = [half_pi]
-    if inter_pulse_gap > 0:
-        segs.append(Wait(inter_pulse_gap))
-    if t_mu2 > 0:
-        segs.append(
-            DriveSegment(field=DriveField.MU2, rabi=omega_mu2, duration=t_mu2)
-        )
-    if inter_pulse_gap > 0:
-        segs.append(Wait(inter_pulse_gap))
-    segs.append(half_pi)
-    return PulseSequence(tuple(segs))
+    gap = (Wait(inter_pulse_gap),) if inter_pulse_gap > 0 else ()
+    mu2 = (
+        (DriveSegment(field=DriveField.MU2, rabi=omega_mu2, duration=t_mu2),)
+        if t_mu2 > 0 else ()
+    )
+    return PulseSequence((half_pi, *gap, *mu2, *gap, half_pi))
 
 
 def block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
@@ -189,15 +184,15 @@ def sequence_amplitudes(
     sequence: PulseSequence,
     lift: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Final amplitudes of a sequence whose segments stack a block of
-    detunings, shape (block, d), from the stored excitation: basis state 0
-    of the space, R1 or the stored pair.
+    """Final amplitudes of a sequence from the stored excitation (basis
+    state 0 of the space, R1 or the stored pair), shape (..., d) over the
+    stack of its segments, e.g. a block of detunings.
 
     lift maps a (..., 3, 3) stack of single-excitation Hamiltonians to the
     (..., d, d) Hamiltonians of the space; None keeps the qutrit space.
-    All segments take one propagator call.
+    Each distinct segment takes one propagator call.
     """
-    def propagator(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def propagator(h: np.ndarray, t) -> np.ndarray:
         return hermitian_propagator(h if lift is None else lift(h), t)
 
     first, *rest = segment_maps(sequence.segments, propagator)
@@ -242,15 +237,14 @@ def rabi_scan(
     P1 stays at 1/2 and P2/P3 oscillate with period 2*pi/omega_mu2.
 
     Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
-    be finite and non-negative; a time of 0 means no mu2 segment.  The
-    mu2 drive is one Hamiltonian, so one eigendecomposition serves every
-    time.
+    be finite and non-negative; a time of 0 means no mu2 segment, so its
+    row is the prepared state.  The other times stack one mu2 segment,
+    whose one Hamiltonian takes one eigendecomposition for every time.
     """
     times = np.asarray(times, dtype=float)
-    h1 = drive_hamiltonian(DriveField.MU1, math.pi / (2.0 * t_mu1))
-    prep = hermitian_propagator(h1, t_mu1)[:, 0]
-    h2 = drive_hamiltonian(DriveField.MU2, omega_mu2, detuning2)
-    amps = np.tile(prep, (times.size, 1))
     driven = times > 0
-    amps[driven] = hermitian_propagator(h2, times[driven]) @ prep
+    half_pi = DriveSegment(DriveField.MU1, rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
+    mu2 = DriveSegment(DriveField.MU2, rabi=omega_mu2, duration=times[driven], detuning=detuning2)
+    amps = np.tile(sequence_amplitudes(PulseSequence((half_pi,))), (times.size, 1))
+    amps[driven] = sequence_amplitudes(PulseSequence((half_pi, mu2)))
     return np.column_stack((times, np.abs(amps) ** 2))

@@ -84,6 +84,22 @@ def test_ramsey_scan_lindblad_backend(tmp_path):
     assert np.all(np.isfinite(table))
 
 
+@pytest.mark.parametrize("omega", ["5e-324MHz", "3e-324MHz"])
+def test_lindblad_scan_at_a_subnormal_mu2_rabi(tmp_path, capsys, omega):
+    # the mu2 generator's 1-norm is subnormal; expm once exited 2 with
+    # "error: math domain error" where the unitary backend exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scan.omega_mu2 = {omega}\nscan.points = 3\n", encoding="utf-8")
+    tables = {}
+    for backend in ("lindblad", "unitary"):
+        out = tmp_path / f"{backend}.csv"
+        argv = ["ramsey-scan", "--backend", backend, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        tables[backend] = _table(_read(out))
+    assert np.abs(tables["lindblad"] - tables["unitary"]).max() <= 1e-12  # I0 = 1
+
+
 @pytest.mark.parametrize(
     "key",
     [
@@ -581,12 +597,20 @@ OUTPUT_SHA256 = [
      "6d6452fa0bef960665351e281739a06f7bacdd344e02e5cee676167390af4507"),
     (["readout", "--seq", CANONICAL], "readout.eta_2 = 0.9\nreadout.deph = 1MHz\n",
      "eacb97533566ea574a958e9069eebcd8c69b6e0635a887c2831bdce664f3b1ab"),
+    # a stacked mu2 drive at a detuning, and one gap wait on both sides of mu2
+    (["rabi-scan"], "rabi.points = 301\nrabi.t_max = 400ns\nrabi.detuning2 = 3MHz\n",
+     "5a989c9c2ff3326b5433a7aab15b928638f1061f490848d56707a3237812170c"),
+    (["ramsey-scan", "--backend", "lindblad"], "scan.gap = 50ns\n" + _RATES,
+     "e1b25459364df425d39ba17153693d511f3db7391c98d37e81d4e1a37863618a"),
+    (["ramsey-scan", "--backend", "unitary"], "scan.gap = 50ns\n" + _MIXTURE,
+     "9af2f7f317b8f98783283a067adc59561f86b90b5adb63c4182ca73f84ebf3de"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,settings,digest", OUTPUT_SHA256,
-    ids=[" ".join(a[:3]) + (" +cfg" if s else "") for a, s, _ in OUTPUT_SHA256],
+    ids=[" ".join(a[:3]) + (" +cfg" if s else "") + (" +gap" if "scan.gap" in s else "")
+         for a, s, _ in OUTPUT_SHA256],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, settings, digest):
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"

@@ -14,7 +14,6 @@ from seqlab.qcore import (
     PulseSequence,
     Readout,
     Wait,
-    drive_hamiltonian,
     hermitian_propagator,
     segment_hamiltonian,
     segment_maps,
@@ -111,19 +110,16 @@ def test_hamiltonian_absent_field_is_zero():
 
 def test_field_is_coerced_to_the_enum():
     # "mu1" compares equal to DriveField.MU1; it used to drive the R2-R3 block
-    H = drive_hamiltonian("mu1", 2.0)
-    assert np.array_equal(H, drive_hamiltonian(DriveField.MU1, 2.0))
-    assert H[1, 0] == 1.0 and H[0, 1] == 1.0
-    assert H[2, 1] == 0.0 and H[1, 2] == 0.0
     seg = DriveSegment("mu1", rabi=2.0, duration=1e-9)
     assert seg.field is DriveField.MU1
-    assert np.array_equal(segment_hamiltonian(seg), H)
+    H = segment_hamiltonian(seg)
+    assert np.array_equal(H, segment_hamiltonian(DriveSegment(DriveField.MU1, 2.0, 1e-9)))
+    assert H[1, 0] == 1.0 and H[0, 1] == 1.0
+    assert H[2, 1] == 0.0 and H[1, 2] == 0.0
     assert DriveSegment("mu2", rabi=2.0, duration=1e-9).field is DriveField.MU2
     # "mu3" was accepted and driven as mu2
     with pytest.raises(ValueError):
-        DriveSegment("mu3", rabi=2.0, duration=1e-9)
-    with pytest.raises(ValueError):
-        drive_hamiltonian("mu3", 2.0)
+        segment_hamiltonian(DriveSegment("mu3", rabi=2.0, duration=1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +183,22 @@ def test_propagator_rejects_bad_arguments():
     # finite values come from the sequence parser (test_dsl) and the config
     # bounds (test_config); shapes that do not broadcast are refused here
     with pytest.raises(ValueError):
-        drive_hamiltonian(DriveField.MU1, np.ones(2), np.zeros(3))
+        segment_hamiltonian(
+            DriveSegment(DriveField.MU1, rabi=np.ones(2), duration=1e-9, detuning=np.zeros(3))
+        )
+
+
+def test_stacked_duration_propagates_as_per_time_calls():
+    times = np.array([1e-9, 37e-9, 2e-7, 5e-7])
+    seg = DriveSegment(DriveField.MU2, rabi=mhz(3.0), duration=times, detuning=mhz(1.5))
+    (U,) = segment_maps((seg,), hermitian_propagator)
+    assert U.shape == (4, 3, 3)
+    for t, u in zip(times, U):
+        assert np.array_equal(u, hermitian_propagator(segment_hamiltonian(seg), t))
+    with pytest.raises(ValueError):  # does not broadcast against the detunings
+        DriveSegment(DriveField.MU2, rabi=mhz(3.0), duration=times, detuning=np.zeros(3))
+    times[0] = -1.0  # the segment holds its own read-only copy
+    assert seg.duration[0] == 1e-9 and not seg.duration.flags.writeable
 
 
 def test_hermitian_propagator_stacks_with_broadcast_durations():

@@ -1,8 +1,9 @@
 """The benchmark's required span names resolve to seqlab functions, the
 README lists the config's sections, the package version is the project's,
-the example scripts reach seqlab through its command line only, and every
+the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
-dataclass field serves a command.
+dataclass field serves a command, and every propagator call of a command
+runs inside :func:`seqlab.qcore.segment_maps`.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -192,16 +193,20 @@ def _executable_lines() -> dict[str, str]:
     return found
 
 
+def _modules() -> list:
+    """The modules of src/seqlab, imported."""
+    return [
+        importlib.import_module("seqlab" if path.stem == "__init__" else f"seqlab.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+    ]
+
+
 def _module_objects() -> list:
     """The objects that the modules of src/seqlab define at top level."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        name = "seqlab" if path.stem == "__init__" else f"seqlab.{path.stem}"
-        found += [
-            obj for obj in vars(importlib.import_module(name)).values()
-            if getattr(obj, "__module__", None) == name
-        ]
-    return found
+    return [
+        obj for mod in _modules() for obj in vars(mod).values()
+        if getattr(obj, "__module__", None) == mod.__name__
+    ]
 
 
 def _defaulted_parameters() -> dict:
@@ -427,6 +432,35 @@ def _traffic(tmp: Path) -> None:
     run("readout", code=2)
     run("fit", code=2)
     run("fit", "--in", str(seq), code=2, err="expected header")
+
+
+def test_every_propagation_goes_through_segment_maps(tmp_path, monkeypatch):
+    # one way to propagate a segment, in every space: no command calls a
+    # propagator but through qcore.segment_maps
+    from seqlab import dissipative, qcore
+
+    called, outside = set(), set()
+
+    def guarded(fn):
+        def wrapper(*args, **kwargs):
+            called.add(fn.__name__)
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not qcore.segment_maps.__code__:
+                frame = frame.f_back
+            if frame is None:
+                caller = sys._getframe(1).f_code
+                outside.add(f"{fn.__name__} from {caller.co_filename}:{caller.co_name}")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (qcore.hermitian_propagator, dissipative.expm):
+        wrapper = guarded(fn)
+        for mod in _modules():
+            if vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    _traffic(tmp_path)
+    assert called == {"hermitian_propagator", "expm"}
+    assert not outside, sorted(outside)
 
 
 needs_qualname = pytest.mark.skipif(
