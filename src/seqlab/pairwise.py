@@ -19,9 +19,10 @@ The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
 :func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
 is linear, one matmul with a constant (9, 36) matrix built once from the
-bosonic rule, so it lifts whole stacks: the mixture scan walks each block's
-stacked Ramsey sequence once for the single branch, as the unitary or
-Lindblad backend does, and once with the lift in its propagator
+bosonic rule, so it lifts whole stacks: the mixture scan takes its single
+branch from :func:`seqlab.ramsey.fringe_scan` and walks the blocks of
+stacked Ramsey sequences (:func:`seqlab.ramsey.block_sequences`) only for
+its double branch, with the lift in the propagator
 (:func:`seqlab.ramsey.sequence_amplitudes`).
 """
 
@@ -36,7 +37,6 @@ import numpy as np
 from .ramsey import (
     Backend,
     RamseyScanConfig,
-    block_intensities,
     block_sequences,
     fringe_scan,
     sequence_amplitudes,
@@ -119,15 +119,15 @@ def mixture_fringe_scan(
     """Detuning scan of the single/double mixture: a float64 array of
     intensities, one per config.deltas.
 
-    I(delta) = (1 - p2) I_single + p2 I_double, where I_single is the
-    ordinary scan with config's backend and I_double is I0 times the
-    expected number of R1 excitations after the pair propagates through
-    the same sequence, over the whole grid in stacked calls; both branches
-    propagate each block's sequence, built once.  With
-    p2 = 0 this is the single scan itself; the double branch is bounded
-    by 2 I0, so the mixture is bounded by (1 - p2) I0 + 2 p2 I0.  The double
-    branch is closed, so p2 > 0 with LINDBLAD and a non-zero dissipation
-    rate raises ValueError rather than damp the single branch alone.
+    I(delta) = (1 - p2) I_single + p2 I_double, where I_single is
+    :func:`seqlab.ramsey.fringe_scan` with config's backend and I_double is
+    I0 times the expected number of R1 excitations after the pair
+    propagates through the same sequence, one stacked call per block of
+    :func:`seqlab.ramsey.block_sequences`.  With p2 = 0 this is the single
+    scan itself; the double branch is bounded by 2 I0, so the mixture is
+    bounded by (1 - p2) I0 + 2 p2 I0.  The double branch is closed, so
+    p2 > 0 with LINDBLAD and a non-zero dissipation rate raises ValueError
+    rather than damp the single branch alone.
     """
     p2 = interactions.p2
     if p2 == 0.0:
@@ -137,14 +137,8 @@ def mixture_fringe_scan(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"
         )
-    analytic = config.backend is Backend.ANALYTIC
-    single = fringe_scan(config) if analytic else np.empty(len(config.deltas))
-    # from the stored pair (11), configuration 0
-    amps = np.empty((len(config.deltas), len(PAIR_CONFIGS)), dtype=complex)
     lift = partial(pair_hamiltonian, interactions=interactions)
-    for block, seq in block_sequences(config):
-        if not analytic:
-            single[block] = block_intensities(config, seq)
-        amps[block] = sequence_amplitudes(seq, lift)
+    # from the stored pair (11), configuration 0
+    amps = np.concatenate([sequence_amplitudes(s, lift) for s in block_sequences(config)])
     doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
-    return (1.0 - p2) * single + p2 * doubles
+    return (1.0 - p2) * fringe_scan(config) + p2 * doubles

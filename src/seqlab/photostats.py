@@ -102,9 +102,10 @@ SHOT_BLOCK = 1 << 15
 
 
 def _blocks(n_trials: int, draws_per_trial: int = 1):
-    """(start, stop) of each block of SHOT_BLOCK // draws_per_trial trials,
-    in trial order, so that a block takes at most SHOT_BLOCK draws."""
-    size = SHOT_BLOCK // draws_per_trial
+    """(start, stop) of each block of SHOT_BLOCK // draws_per_trial trials
+    (at least one), in trial order, so that a block takes at most
+    SHOT_BLOCK draws unless one trial takes more."""
+    size = max(1, SHOT_BLOCK // draws_per_trial)
     for start in range(0, n_trials, size):
         yield start, min(start + size, n_trials)
 
@@ -123,7 +124,6 @@ def _add_dark_counts(rng, counts: np.ndarray, dark_rate: float, bin: int) -> Non
 
 
 def sample_shots(
-    pops: tuple[float, float, float],
     n_trials: int,
     seed: int,
     bin: int,
@@ -136,54 +136,45 @@ def sample_shots(
 
     Each trial: with probability p2 a double-excitation event emits two
     photons into bin 1, split independently between the arms; otherwise a
-    single photon lands in bin b with probability pops[b-1] (possibly no
-    photon at all) and picks an arm 50/50.  Dark counts add one click per
-    arm and bin with probability dark_rate, independently.  The draw
-    order is fixed, so identical seeds give identical records.  pops are
-    bin probabilities that sum to at most 1, n_trials > 0, bin is 1, 2 or
-    3, and dark_rate and p2 lie in [0, 1).
+    single photon lands in bin 1 and picks an arm 50/50.  Dark counts add
+    one click per arm and bin with probability dark_rate, independently.
+    The draw order is fixed, so identical seeds give identical records.
+    n_trials > 0, bin is 1, 2 or 3, and dark_rate and p2 lie in [0, 1).
 
-    Every draw of all three bins is made, whichever bin is recorded, so a
-    bin's records are the column of that bin in three-bin records.  The
-    draws are streamed through the trials in blocks, each kind of draw
-    over all trials before the next, so the records are identical to
-    those of whole-array draws.  Besides the 4 B/trial records only one
-    int8 per trial is kept whole, and everything else is block sized: the
-    peak is about 9 B/trial at 500 000 trials.
+    Every draw of three-bin records is made, whichever bin is recorded,
+    the single photon's uniform bin draw included, so a bin's records are
+    the column of that bin in three-bin records.  The draws are streamed
+    through the trials in blocks, each kind of draw over all trials before
+    the next, so the records are identical to those of whole-array draws.
+    Besides the 4 B/trial records only one bool per trial is kept whole,
+    and everything else is block sized: the peak is about 9 B/trial at
+    500 000 trials.
     """
     counts = np.zeros((n_trials, 2), dtype=np.int16)
     buf = np.empty(min(n_trials, SHOT_BLOCK))
     rng = np.random.default_rng(seed)
-    # one int8 per trial carries the draws from pass to pass: first the
-    # double flag, then the single photon's bin (3 or more: no photon)
-    bin_idx = np.empty(n_trials, dtype=np.int8)
+    double = np.empty(n_trials, dtype=bool)
     for start, stop in _blocks(n_trials):
-        np.less(rng.random(out=buf[: stop - start]), p2, out=bin_idx[start:stop])
+        np.less(rng.random(out=buf[: stop - start]), p2, out=double[start:stop])
     # double-excitation branch: both photons in bin 1
     for start, stop in _blocks(n_trials):
         double_a = rng.binomial(2, 0.5, size=stop - start)
         if bin == 1:
-            rows = np.flatnonzero(bin_idx[start:stop])
+            rows = np.flatnonzero(double[start:stop])
             counts[start + rows, 0] = double_a[rows]
             counts[start + rows, 1] = 2 - double_a[rows]
-    # single branch: categorical over the three bins (or nothing).  The bin
-    # is the number of cumulative pops <= u, as searchsorted(side="right")
-    # gives it; a double's flag becomes 3 first, so it never gets a photon.
-    cum = np.cumsum(pops)
+    # the single photon's bin draw, which always picks bin 1
     for start, stop in _blocks(n_trials):
-        u_bin = rng.random(out=buf[: stop - start])
-        idx = bin_idx[start:stop]
-        idx *= 3
-        for edge in cum:
-            idx += u_bin >= edge
-    # a single photon in the recorded bin sets one cell, 2 * trial + arm of
-    # the flat counts, so one scatter per block writes them all
+        rng.random(out=buf[: stop - start])
+    # a single photon sets one cell of bin 1, 2 * trial + arm of the flat
+    # counts, so one scatter per block writes them all
     cells = counts.reshape(-1)
     for start, stop in _blocks(n_trials):
         arm_b = rng.random(out=buf[: stop - start]) >= 0.5
-        rows = np.flatnonzero(bin_idx[start:stop] == bin - 1)
-        cells[2 * (start + rows) + arm_b[rows]] = 1
-    del bin_idx, buf
+        if bin == 1:
+            rows = np.flatnonzero(~double[start:stop])
+            cells[2 * (start + rows) + arm_b[rows]] = 1
+    del double, buf
     if dark_rate > 0:
         _add_dark_counts(rng, counts, dark_rate, bin)
     return counts
@@ -274,10 +265,11 @@ def estimate_g2(counts: np.ndarray, bin: int) -> tuple[float, float]:
     <nA nB> are exact Python integers over that histogram, so each mean is
     one correctly rounded division by n at any n.  The bootstrap
     (N_BOOTSTRAP resamples, seeded) resamples trials with replacement;
-    over the histogram that is a multinomial redraw, which is fast at
-    large n.  The multinomial draws depend on the order of the outcomes,
-    the lexicographic (nA, nB) order of the sorted keys, so that order
-    fixes the stderr that BOOTSTRAP_SEED yields.
+    over the histogram that is a multinomial redraw, whose rows come in
+    blocks of at most SHOT_BLOCK counts, the same draws as one call.  The
+    draws depend on the order of the outcomes, the lexicographic (nA, nB)
+    order of the sorted keys, so that order fixes the stderr that
+    BOOTSTRAP_SEED yields.
     """
     n = len(counts)
     keys, freq = _outcome_histogram(counts)
@@ -294,10 +286,11 @@ def estimate_g2(counts: np.ndarray, bin: int) -> tuple[float, float]:
     ub = ub.astype(float)
     uab = ua * ub
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    draws = rng.multinomial(n, freq / n, size=N_BOOTSTRAP)
-    sa = draws @ ua
-    sb = draws @ ub
-    sab = draws @ uab
+    sums = np.empty((3, N_BOOTSTRAP))  # sa, sb, sab of each resample
+    for start, stop in _blocks(N_BOOTSTRAP, len(freq)):
+        draws = rng.multinomial(n, freq / n, size=stop - start)
+        sums[:, start:stop] = draws @ ua, draws @ ub, draws @ uab
+    sa, sb, sab = sums
     ok = (sa > 0) & (sb > 0)
     boot = n * sab[ok] / (sa[ok] * sb[ok])
     stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan

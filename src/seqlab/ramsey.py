@@ -27,15 +27,16 @@ Backends: ANALYTIC evaluates the closed form over the whole grid at
 once.  UNITARY and LINDBLAD propagate the sequence of
 :func:`build_ramsey_sequence`, the one layout of the Ramsey sequence, with
 the detunings of a block of BLOCK_POINTS grid points stacked in its mu1
-pulses (:func:`block_sequences`): UNITARY walks its segments' unitaries
-from :func:`seqlab.qcore.segment_maps` (:func:`sequence_amplitudes`),
-LINDBLAD makes one :func:`seqlab.dissipative.evolve_master` call per
-block.  All three agree at delta1 = 0.  Away from resonance the
-propagation backends follow the frame convention of :mod:`seqlab.qcore`
-(no diagonal term while mu1 is off), so their fringe phase lacks the
-free-precession advance delta1*t_mu2 that the closed form carries in
-t_total; envelopes and visibility are unaffected, which is what the scans
-are for.
+pulses (:func:`block_sequences`).  :func:`fringe_scan` holds the one
+block loop of a single scan: per block, UNITARY walks the segment
+unitaries from :func:`seqlab.qcore.segment_maps`
+(:func:`sequence_amplitudes`) and LINDBLAD makes one
+:func:`seqlab.dissipative.evolve_master` call.  All three agree at
+delta1 = 0.  Away from resonance the propagation backends follow the
+frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1 is
+off), so their fringe phase lacks the free-precession advance
+delta1*t_mu2 that the closed form carries in t_total; envelopes and
+visibility are unaffected, which is what the scans are for.
 """
 
 from __future__ import annotations
@@ -168,15 +169,14 @@ def build_ramsey_sequence(
     return PulseSequence((half_pi, *gap, *mu2, *gap, half_pi))
 
 
-def block_sequences(config: RamseyScanConfig) -> Iterator[tuple[slice, PulseSequence]]:
-    """(block, sequence) for each block of BLOCK_POINTS detunings of
-    config: the :func:`build_ramsey_sequence` sequence stacked over them."""
+def block_sequences(config: RamseyScanConfig) -> Iterator[PulseSequence]:
+    """The :func:`build_ramsey_sequence` sequence of config stacked over
+    each block of BLOCK_POINTS detunings, in grid order."""
     deltas = np.asarray(config.deltas, dtype=float)
     for start in range(0, deltas.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        yield block, build_ramsey_sequence(
-            deltas[block], config.t_mu1, config.omega_mu2, config.t_mu2,
-            config.inter_pulse_gap,
+        yield build_ramsey_sequence(
+            deltas[start : start + BLOCK_POINTS], config.t_mu1, config.omega_mu2,
+            config.t_mu2, config.inter_pulse_gap,
         )
 
 
@@ -202,15 +202,6 @@ def sequence_amplitudes(
     return amps[..., 0]
 
 
-def block_intensities(config: RamseyScanConfig, sequence: PulseSequence) -> np.ndarray:
-    """Intensities of config's UNITARY or LINDBLAD backend at the detunings
-    that sequence stacks, one block of :func:`block_sequences`."""
-    if config.backend is Backend.UNITARY:
-        return config.I0 * np.abs(sequence_amplitudes(sequence)[:, 0]) ** 2
-    final = evolve_master(sequence, config.dissipation)  # LINDBLAD
-    return config.I0 * final[:, 0, 0].real
-
-
 def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
     """Run a detuning scan with the configured backend: a float64 array of
     intensities, one per config.deltas."""
@@ -219,9 +210,12 @@ def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
         return ramsey_intensity(
             config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
         )
-    return np.concatenate(
-        [block_intensities(config, seq) for _, seq in block_sequences(config)]
-    )
+    unitary = config.backend is Backend.UNITARY
+    return config.I0 * np.concatenate([
+        np.abs(sequence_amplitudes(seq)[:, 0]) ** 2 if unitary
+        else evolve_master(seq, config.dissipation)[:, 0, 0].real  # LINDBLAD
+        for seq in block_sequences(config)
+    ])
 
 
 def rabi_scan(

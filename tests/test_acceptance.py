@@ -184,7 +184,7 @@ def test_pair_lift_oracle_and_interaction_phase_offset():
 
 def test_g2_estimator_calibration():
     # single emitter: never two clicks in one trial
-    anti, _ = estimate_g2(sample_shots((1.0, 0.0, 0.0), 200_000, 5, 1, 0.0, 0.0), 1)
+    anti, _ = estimate_g2(sample_shots(200_000, 5, 1, 0.0, 0.0), 1)
     assert anti == 0.0
     # coherent source: Poissonian light has g2 = 1
     coh, _ = estimate_g2(sample_coherent_shots(0.1, 1_000_000, 7, 1, 0.0), 1)
@@ -192,7 +192,7 @@ def test_g2_estimator_calibration():
     # two-photon admixture with closed-form g2 = 2 p2 / (1 + p2)^2 = 0.45
     p2 = 0.5194938532959157
     assert abs(2.0 * p2 / (1.0 + p2) ** 2 - 0.45) <= 1e-12
-    mix, stderr = estimate_g2(sample_shots((1.0, 0.0, 0.0), 400_000, 11, 1, 0.0, p2), 1)
+    mix, stderr = estimate_g2(sample_shots(400_000, 11, 1, 0.0, p2), 1)
     assert abs(mix - 0.45) <= 3.0 * stderr
     assert stderr < 0.005
 

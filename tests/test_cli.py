@@ -570,8 +570,11 @@ _RATES = (
 # sha256 of the emitted bytes, captured with numpy 2.4.6 before the start
 # state was fixed to the stored excitation; a refactor that moves a last bit
 # anywhere in these outputs fails here.  ROADMAP item 1 (one rotating frame)
-# changes the unitary and Lindblad scan hashes on purpose, and the fit of the
-# unitary scan with them.
+# changes on purpose: the unitary and Lindblad scans (CSV and JSON); Lindblad
+# with _RATES; _MIXTURE on all three backends, the analytic one too, as its
+# double branch is propagated; both scan.gap cases.  Outside this list it
+# moves the fit of the unitary scan (test_fit_output_bytes_are_pinned) and
+# the fringe_demo.py stdout pin (tests/test_scripts.py).
 OUTPUT_SHA256 = [
     (["ramsey-scan", "--backend", "analytic", "--format", "csv"], "",
      "faa8b6b6fa89d3b6e8471e2335fe021c9f964f9bf89c515b3e2105273cfa3b7e"),
@@ -633,12 +636,14 @@ def test_fit_output_bytes_are_pinned(tmp_path):
     [
         "g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
         "g2.mode = coherent\nshots.mean_photons = 2.0\n",
+        "g2.mode = coherent\nshots.mean_photons = 400\n",
     ],
-    ids=["mixture-dark", "coherent"],
+    ids=["mixture-dark", "coherent", "coherent-400"],
 )
 def test_g2_command_peak_memory_per_trial(tmp_path, settings):
     # sampler and estimator together; three-bin records with trial-long
-    # estimator temporaries peaked at about 24 B/trial
+    # estimator temporaries peaked at about 24 B/trial, and at 400 photons
+    # the bootstrap's whole (200, 8229) multinomial draw at 57.7 B/trial
     n = 500_000
     cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
     cfg.write_text(settings + f"shots.n_trials = {n}\n", encoding="utf-8")

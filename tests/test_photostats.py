@@ -191,20 +191,20 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
-    b = sample_shots((0.5, 0.3, 0.1), 500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
-    c = sample_shots((0.5, 0.3, 0.1), 500, seed=43, dark_rate=0.01, p2=0.2, bin=1)
+    a = sample_shots(500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
+    b = sample_shots(500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
+    c = sample_shots(500, seed=43, dark_rate=0.01, p2=0.2, bin=1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_deterministic_source_gives_one_click_per_trial():
     n = 10_000
-    recs = sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=1, dark_rate=0.0, p2=0.0)
+    recs = sample_shots(n, seed=7, bin=1, dark_rate=0.0, p2=0.0)
     totals = recs.sum(axis=1)
     assert np.all(totals == 1)
     for bin in (2, 3):
-        assert sample_shots((1.0, 0.0, 0.0), n, seed=7, bin=bin, dark_rate=0.0, p2=0.0).sum() == 0
+        assert sample_shots(n, seed=7, bin=bin, dark_rate=0.0, p2=0.0).sum() == 0
     na = recs[:, 0].sum()
     # 4 sigma band around the 50/50 arm split
     assert abs(na - n / 2) <= 4 * math.sqrt(n * 0.25)
@@ -217,7 +217,7 @@ def _all_bins(sample):
 
 def test_single_branch_never_exceeds_one_click():
     recs = _all_bins(
-        lambda bin: sample_shots((0.3, 0.3, 0.2), 5_000, seed=11, bin=bin, dark_rate=0.0, p2=0.0)
+        lambda bin: sample_shots(5_000, seed=11, bin=bin, dark_rate=0.0, p2=0.0)
     )
     assert recs.sum(axis=(1, 2)).max() <= 1
 
@@ -226,9 +226,9 @@ def test_dark_counts_add_at_the_configured_rate():
     n = 40_000
     rate = 0.05
     recs = _all_bins(
-        lambda bin: sample_shots((0.0, 0.0, 0.0), n, seed=3, bin=bin, dark_rate=rate, p2=0.0)
+        lambda bin: sample_shots(n, seed=3, bin=bin, dark_rate=rate, p2=0.0)
     )
-    total = int(recs.sum())
+    total = int(recs.sum()) - n  # each trial's single photon adds one click
     mean = 6 * n * rate
     sigma = math.sqrt(6 * n * rate * (1 - rate))
     assert abs(total - mean) <= 5 * sigma
@@ -249,60 +249,49 @@ def test_sampling_validation():
         sample_coherent_shots(140_000, 10, seed=1, bin=1, dark_rate=0.0)
 
 
-def _masked_loop_sample_shots(p, n_trials, seed, dark_rate, p2):
-    """Reference: the sampler as six masked passes over the trials."""
+def _masked_loop_sample_shots(n_trials, seed, dark_rate, p2):
+    """Reference: the sampler as masked passes over the trials."""
     rng = np.random.default_rng(seed)
     double = rng.random(n_trials) < p2
     double_a = rng.binomial(2, 0.5, size=n_trials)
-    u_bin = rng.random(n_trials)
+    rng.random(n_trials)  # the single photon's bin: always bin 1
     arm_a = rng.random(n_trials) < 0.5
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
     counts[double, 0, 0] += double_a[double].astype(np.int16)
     counts[double, 1, 0] += (2 - double_a[double]).astype(np.int16)
-    bin_idx = np.searchsorted(np.cumsum(p), u_bin, side="right")
-    for b in range(3):
-        hit = ~double & (bin_idx == b)
-        counts[hit & arm_a, 0, b] += 1
-        counts[hit & ~arm_a, 1, b] += 1
+    counts[~double & arm_a, 0, 0] += 1
+    counts[~double & ~arm_a, 1, 0] += 1
     if dark_rate > 0:
         counts += (rng.random((n_trials, 2, 3)) < dark_rate).astype(np.int16)
     return counts
 
 
 @given(
-    weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
-        lambda w: sum(w) > 0
-    ),
     p2=st.sampled_from([0.0]) | st.floats(0.0, 0.99),
     dark_rate=st.sampled_from([0.0]) | st.floats(0.0, 0.5),
     n_trials=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(weights=[1.0, 0.0, 0.0, 0.0], p2=0.05, dark_rate=0.001, n_trials=2000, seed=7)
-@example(weights=[0.0, 0.0, 0.0, 1.0], p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
-def test_sample_shots_matches_masked_loop_reference(weights, p2, dark_rate, n_trials, seed):
-    total = sum(weights)
-    pops = tuple(w / total for w in weights[:3])
-    ref = _masked_loop_sample_shots(pops, n_trials, seed, dark_rate, p2)
+@example(p2=0.05, dark_rate=0.001, n_trials=2000, seed=7)
+@example(p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
+def test_sample_shots_matches_masked_loop_reference(p2, dark_rate, n_trials, seed):
+    ref = _masked_loop_sample_shots(n_trials, seed, dark_rate, p2)
     for bin in (1, 2, 3):
-        recs = sample_shots(pops, n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+        recs = sample_shots(n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
         assert recs.dtype == np.int16
         assert np.array_equal(recs, ref[:, :, bin - 1])
 
 
-def _whole_array_sample_shots(p, n_trials, seed, dark_rate, p2):
+def _whole_array_sample_shots(n_trials, seed, dark_rate, p2):
     """Reference: the sampler as whole-array draws, one array per kind."""
     rng = np.random.default_rng(seed)
     double = rng.random(n_trials) < p2
     double_a = rng.binomial(2, 0.5, size=n_trials)
-    u_bin = rng.random(n_trials)
+    rng.random(n_trials)  # the single photon's bin: always bin 1
     arm_a = rng.random(n_trials) < 0.5
     counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
-    counts[:, 0, 0] = np.where(double, double_a, 0)
-    counts[:, 1, 0] = np.where(double, 2 - double_a, 0)
-    bin_idx = np.searchsorted(np.cumsum(p), u_bin, side="right")
-    rows = np.flatnonzero(~double & (bin_idx < 3))
-    counts[rows, (~arm_a[rows]).astype(np.intp), bin_idx[rows]] = 1
+    counts[:, 0, 0] = np.where(double, double_a, arm_a)
+    counts[:, 1, 0] = np.where(double, 2 - double_a, ~arm_a)
     if dark_rate > 0:
         counts += rng.random((n_trials, 2, 3)) < dark_rate
     return counts
@@ -326,20 +315,18 @@ _BLOCK_EDGES = (SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 1)
 
 
 @pytest.mark.parametrize(
-    "pops, p2, dark_rate",
-    [
-        ((1.0, 0.0, 0.0), 0.05, 0.001),  # the g2 mixture
-        ((0.5, 0.3, 0.1), 0.2, 0.05),
-        ((0.2, 0.3, 0.4), 0.0, 0.0),
-    ],
+    "p2, dark_rate",
+    [(0.05, 0.001), (0.2, 0.05), (0.0, 0.0)],  # the first is the g2 mixture
+    # the ids of the cases from when each also set the bin probabilities
+    ids=["pops0-0.05-0.001", "pops1-0.2-0.05", "pops2-0.0-0.0"],
 )
 @settings(max_examples=4)
 @given(seed=st.integers(0, 2**64 - 1))
-def test_sample_shots_streams_the_whole_array_draws(pops, p2, dark_rate, seed):
+def test_sample_shots_streams_the_whole_array_draws(p2, dark_rate, seed):
     for n in _BLOCK_EDGES:
-        ref = _whole_array_sample_shots(pops, n, seed, dark_rate, p2)
+        ref = _whole_array_sample_shots(n, seed, dark_rate, p2)
         for bin in (1, 2, 3):
-            recs = sample_shots(pops, n, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+            recs = sample_shots(n, seed, bin=bin, dark_rate=dark_rate, p2=p2)
             assert recs.dtype == np.int16
             assert np.array_equal(recs, ref[:, :, bin - 1])
 
@@ -361,8 +348,8 @@ def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, 
 @pytest.mark.parametrize(
     "sample",
     [
-        lambda n: sample_shots((1.0, 0.0, 0.0), n, 7, dark_rate=0.001, p2=0.05, bin=1),
-        lambda n: sample_shots((0.5, 0.3, 0.1), n, 7, bin=2, dark_rate=0.01, p2=0.0),
+        lambda n: sample_shots(n, 7, dark_rate=0.001, p2=0.05, bin=1),
+        lambda n: sample_shots(n, 7, bin=2, dark_rate=0.01, p2=0.0),
         lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01, bin=1),
         lambda n: sample_coherent_shots(2.0, n, 7, bin=1, dark_rate=0.0),
     ],
@@ -387,7 +374,7 @@ def test_sampler_peak_memory_is_near_the_records(sample):
 
 
 def test_antibunched_records_give_exactly_zero():
-    recs = sample_shots((0.6, 0.2, 0.1), 20_000, seed=21, bin=1, dark_rate=0.0, p2=0.0)
+    recs = sample_shots(20_000, seed=21, bin=1, dark_rate=0.0, p2=0.0)
     value, _ = estimate_g2(recs, bin=1)
     assert value == 0.0
 
@@ -422,27 +409,28 @@ def test_mixture_reproduces_target_g2():
     # (1,1) across the arms half the time, so g2 = 2 p2 / (1 + p2)^2
     p2 = 0.5194938532959157
     assert abs(2 * p2 / (1 + p2) ** 2 - 0.45) <= 1e-12
-    recs = sample_shots((1.0, 0.0, 0.0), 400_000, seed=11, p2=p2, bin=1, dark_rate=0.0)
+    recs = sample_shots(400_000, seed=11, p2=p2, bin=1, dark_rate=0.0)
     value, stderr = estimate_g2(recs, bin=1)
     assert abs(value - 0.45) <= 3 * stderr
 
 
 def test_g2_invariant_under_arm_relabeling():
-    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
+    recs = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
     swapped = recs[:, ::-1]
     assert estimate_g2(recs, bin=1)[0] == estimate_g2(swapped, bin=1)[0]
 
 
 def test_g2_bootstrap_is_deterministic():
-    recs = sample_shots((1.0, 0.0, 0.0), 50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
+    recs = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
     assert estimate_g2(recs, bin=1)[1] == estimate_g2(recs, bin=1)[1]
 
 
 def test_g2_undefined_when_an_arm_is_dark():
-    recs = sample_shots((0.0, 0.0, 0.0), 100, seed=1, bin=1, dark_rate=0.0, p2=0.0)
-    undefined = r"^g2 undefined: one arm registered no clicks \(100 trials, bin 1\)$"
+    # no photon reaches bin 2, and no dark click
+    recs = sample_shots(100, seed=1, bin=2, dark_rate=0.0, p2=0.0)
+    undefined = r"^g2 undefined: one arm registered no clicks \(100 trials, bin 2\)$"
     with pytest.raises(NumericError, match=undefined):
-        estimate_g2(recs, bin=1)
+        estimate_g2(recs, bin=2)
 
 
 def _row_unique_g2(counts):

@@ -344,12 +344,14 @@ def test_batched_scans_do_not_depend_on_block_boundaries(points):
     )
 
 
+@pytest.mark.parametrize("backend", [Backend.UNITARY, Backend.ANALYTIC, Backend.LINDBLAD])
 @pytest.mark.parametrize("gap", [0.0, 15e-9])
-def test_unitary_mixture_scan_is_the_same_bits_for_any_block_size(monkeypatch, gap):
+def test_mixture_scan_is_the_same_bits_for_any_block_size(monkeypatch, gap, backend):
+    # both branches join their blocks; LINDBLAD runs here at zero rates
     points = 301
     cfg = scan_config(
         t_mu1=40e-9, deltas=symmetric_detuning_grid(mhz(12.0), points),
-        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=Backend.UNITARY, I0=1.3,
+        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=backend, I0=1.3,
         inter_pulse_gap=gap,
     )
     interactions = InteractionParams(mhz(0.3), 0.4)
