@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .dissipative import DissipationParams, NumericError
+from .dissipative import NumericError
 from .dsl import ParseError, load_sequence
 from .io import csv_text, emit, json_table_text, json_text
-from .pairwise import InteractionParams, mixture_fringe_scan
+from .pairwise import mixture_fringe_scan
 from .photostats import (
     estimate_g2,
     fit_sinusoid,
@@ -28,12 +28,7 @@ from .photostats import (
     sample_shots,
 )
 from .qcore import SEQUENCE_BUDGET_S
-from .ramsey import (
-    Backend,
-    RamseyScanConfig,
-    rabi_scan,
-    symmetric_detuning_grid,
-)
+from .ramsey import Backend, rabi_scan, symmetric_detuning_grid
 
 RAMSEY_CSV_HEADER = "delta_rad_s,intensity"
 RABI_CSV_HEADER = "t_mu2_s,P1,P2,P3"
@@ -68,30 +63,13 @@ def _record_text(args, cfg: RunConfig, header: str, values, default=None) -> str
     return json_text(dict(zip(header.split(","), values)))
 
 
-def _dissipation_from(cfg: RunConfig) -> DissipationParams:
-    d = cfg.dissipation
-    return DissipationParams(
-        gamma_decay=(d.gamma_decay_1, d.gamma_decay_2, d.gamma_decay_3),
-        gamma_deph=(d.gamma_deph_1, d.gamma_deph_2, d.gamma_deph_3),
-    )
-
-
 def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
     s = cfg.scan
-    backend = Backend(args.backend if args.backend else s.backend)
-    scan_cfg = RamseyScanConfig(
-        t_mu1=s.t_mu1,
-        deltas=symmetric_detuning_grid(s.span, s.points),
-        omega_mu2=s.omega_mu2,
-        t_mu2=s.t_mu2,
-        backend=backend,
-        I0=s.i0,
-        inter_pulse_gap=s.gap,
-        dissipation=_dissipation_from(cfg),
-    )
-    inter = cfg.interaction
-    intensities = mixture_fringe_scan(scan_cfg, InteractionParams(inter.v_int, inter.p2))
-    text = _table_text(args, cfg, RAMSEY_CSV_HEADER, (scan_cfg.deltas, intensities))
+    if args.backend:
+        s.backend = args.backend
+    deltas = symmetric_detuning_grid(s.span, s.points)
+    intensities = mixture_fringe_scan(s, cfg.dissipation, cfg.interaction)
+    text = _table_text(args, cfg, RAMSEY_CSV_HEADER, (deltas, intensities))
     emit(text, args.out)
     return 0
 
@@ -201,7 +179,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     sub.add_argument(
         "--format", choices=("csv", "json"), default=None,
-        help="output format (default from config)",
+        help="output format (default: output.format; json for fit)",
     )
 
 

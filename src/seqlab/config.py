@@ -97,7 +97,7 @@ class ScanSection:
         201, _int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
     )
     i0: float = _key(1.0, _number, _POSITIVE)
-    gap: float = _key(0.0, _time, _NON_NEGATIVE)
+    gap: float = _key(0.0, _time, _NON_NEGATIVE)  # a wait each side of the mu2 pulse
     backend: str = _key("analytic", ("analytic", "unitary", "lindblad"))
 
 
@@ -114,6 +114,9 @@ class RabiSection:
 
 @dataclass
 class DissipationSection:
+    """1/e rates in 1/s of R1, R2 and R3 (suffix 1, 2, 3); decay takes
+    population to the loss level, dephasing damps the level's coherences."""
+
     gamma_decay_1: float = _key(0.0, _rate, _NON_NEGATIVE)
     gamma_decay_2: float = _key(0.0, _rate, _NON_NEGATIVE)
     gamma_decay_3: float = _key(0.0, _rate, _NON_NEGATIVE)
@@ -135,6 +138,9 @@ class ReadoutSection:
 
 @dataclass
 class InteractionSection:
+    """v_int (rad/s) shifts every pair configuration but the stored pair
+    (11); p2 is the probability that a shot holds two excitations."""
+
     v_int: float = _key(0.0, _angular)
     p2: float = _key(0.0, _number, _UNIT_OPEN)
 

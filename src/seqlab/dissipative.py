@@ -4,10 +4,10 @@ The density matrix lives on four levels: R1, R2, R3 and a trace-conserving
 loss level that collects decayed population.  Two channel families act on
 each Rydberg level alpha:
 
-    decay:     L = sqrt(gamma_decay[alpha]) |loss><R_alpha|
-    dephasing: L = sqrt(gamma_deph[alpha])  |R_alpha><R_alpha|
+    decay:     L = sqrt(gamma_decay_alpha) |loss><R_alpha|
+    dephasing: L = sqrt(gamma_deph_alpha)  |R_alpha><R_alpha|
 
-and the equation of motion is
+as :func:`collapse_operators` builds them, and the equation of motion is
 
     drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
 
@@ -29,16 +29,17 @@ stacks of pulses (a detuning scan), gets the maps of its segments from
 :func:`seqlab.qcore.segment_maps` (one Liouvillian stack and one
 :func:`expm` call, with a scaling exponent per matrix, for each distinct
 segment), and checks the states of the whole stack after each segment
-with one :func:`_validate_density` call.
+with one :func:`_validate_density` call.  The rates come from the run
+config's ``dissipation`` section, which :func:`evolve_master` takes as is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DissipationSection
 from .qcore import PulseSequence, segment_maps
 
 LOSS_INDEX = 3
@@ -52,26 +53,19 @@ class NumericError(RuntimeError):
     """Propagation failed: non-finite state or a positivity/trace violation."""
 
 
-@dataclass(frozen=True)
-class DissipationParams:
-    """Per-level rates in 1/s; index 0 is R1.  The rates are finite and
-    non-negative, as the config bounds give them."""
-
-    gamma_decay: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gamma_deph: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def collapse_operators(self) -> list[np.ndarray]:
-        ops = []
-        for alpha in range(3):
-            if self.gamma_decay[alpha] > 0:
+def collapse_operators(dissipation: DissipationSection) -> list[np.ndarray]:
+    """The 4x4 collapse operators of the non-zero rates, level by level
+    from R1, decay |loss><R_alpha| before dephasing |R_alpha><R_alpha|:
+    the order in which :func:`liouvillian` sums their dissipators."""
+    ops = []
+    for alpha in range(3):
+        for row, kind in ((LOSS_INDEX, "decay"), (alpha, "deph")):
+            rate = getattr(dissipation, f"gamma_{kind}_{alpha + 1}")
+            if rate > 0:
                 L = np.zeros((4, 4), dtype=complex)
-                L[LOSS_INDEX, alpha] = math.sqrt(self.gamma_decay[alpha])
+                L[row, alpha] = math.sqrt(rate)
                 ops.append(L)
-            if self.gamma_deph[alpha] > 0:
-                L = np.zeros((4, 4), dtype=complex)
-                L[alpha, alpha] = math.sqrt(self.gamma_deph[alpha])
-                ops.append(L)
-        return ops
+    return ops
 
 
 def stored_excitation() -> np.ndarray:
@@ -168,7 +162,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def evolve_master(sequence: PulseSequence, params: DissipationParams) -> np.ndarray:
+def evolve_master(sequence: PulseSequence, dissipation: DissipationSection) -> np.ndarray:
     """The density matrix after a sequence under the master equation,
     starting from the stored excitation.
 
@@ -182,7 +176,7 @@ def evolve_master(sequence: PulseSequence, params: DissipationParams) -> np.ndar
     NumericError diagnostic naming its time.
     """
     n = LOSS_INDEX + 1
-    ops = params.collapse_operators()
+    ops = collapse_operators(dissipation)
 
     def propagator(h3: np.ndarray, t) -> np.ndarray:
         H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark

@@ -13,7 +13,8 @@ shift of every configuration is a global phase with no observable
 consequence, so the one shift v_int applies to every configuration
 except (11).  That is the minimal model for the observed fringe phase
 offset: relative level shifts of the microwave-accessed configurations
-against the storage configuration.
+against the storage configuration.  v_int and p2 come from the run
+config's ``interaction`` section, which the functions here take as is.
 
 The pair space has no generator or propagator of its own:
 :func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
@@ -29,18 +30,13 @@ its double branch, with the lift in the propagator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .ramsey import (
-    Backend,
-    RamseyScanConfig,
-    block_sequences,
-    fringe_scan,
-    sequence_amplitudes,
-)
+from .config import DissipationSection, InteractionSection, ScanSection
+from .dissipative import collapse_operators
+from .ramsey import Backend, block_sequences, fringe_scan, sequence_amplitudes
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -84,44 +80,31 @@ def _lift_tensor() -> np.ndarray:
 _LIFT = _lift_tensor().reshape(9, 36)
 
 
-@dataclass(frozen=True)
-class InteractionParams:
-    """Pairwise interaction shift (rad/s) and the double-excitation rate.
-
-    v_int is the diagonal energy of every configuration except the stored
-    pair (11), whose shift defines the energy zero.  p2 is the probability
-    that a shot holds two excitations instead of one.
-    """
-
-    v_int: float
-    p2: float
-
-
 def lift_single_particle(h3: np.ndarray) -> np.ndarray:
     """Lift a single-particle operator, or a (..., 3, 3) stack of them, to
     the 6-dim symmetric manifold: H = sum_xy h3[x, y] b_x^+ b_y."""
     return (h3.reshape(-1, 9) @ _LIFT).reshape(h3.shape[:-2] + (6, 6))
 
 
-def pair_hamiltonian(h3: np.ndarray, interactions: InteractionParams) -> np.ndarray:
+def pair_hamiltonian(h3: np.ndarray, interaction: InteractionSection) -> np.ndarray:
     """Pair Hamiltonian of a (..., 3, 3) stack of single-excitation
     Hamiltonians, e.g. from :func:`seqlab.qcore.segment_hamiltonian`: the
     symmetric lift plus the diagonal interaction shifts, which persist
     while the drives are off."""
-    shifts = np.full(len(PAIR_CONFIGS), interactions.v_int, dtype=float)
+    shifts = np.full(len(PAIR_CONFIGS), interaction.v_int, dtype=float)
     shifts[0] = 0.0  # the stored pair, a literal zero whatever the sign of v_int
     return lift_single_particle(h3) + np.diag(shifts)
 
 
 def mixture_fringe_scan(
-    config: RamseyScanConfig, interactions: InteractionParams
+    scan: ScanSection, dissipation: DissipationSection, interaction: InteractionSection
 ) -> np.ndarray:
     """Detuning scan of the single/double mixture: a float64 array of
-    intensities, one per config.deltas.
+    intensities, one per point of the scan's grid.
 
     I(delta) = (1 - p2) I_single + p2 I_double, where I_single is
-    :func:`seqlab.ramsey.fringe_scan` with config's backend and I_double is
-    I0 times the expected number of R1 excitations after the pair
+    :func:`seqlab.ramsey.fringe_scan` with the scan's backend and I_double
+    is I0 times the expected number of R1 excitations after the pair
     propagates through the same sequence, one stacked call per block of
     :func:`seqlab.ramsey.block_sequences`.  With p2 = 0 this is the single
     scan itself; the double branch is bounded by 2 I0, so the mixture is
@@ -129,16 +112,16 @@ def mixture_fringe_scan(
     p2 > 0 with LINDBLAD and a non-zero dissipation rate raises ValueError
     rather than damp the single branch alone.
     """
-    p2 = interactions.p2
+    p2 = interaction.p2
     if p2 == 0.0:
-        return fringe_scan(config)
-    if config.backend is Backend.LINDBLAD and config.dissipation.collapse_operators():
+        return fringe_scan(scan, dissipation)
+    if scan.backend == Backend.LINDBLAD and collapse_operators(dissipation):
         raise ValueError(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"
         )
-    lift = partial(pair_hamiltonian, interactions=interactions)
+    lift = partial(pair_hamiltonian, interaction=interaction)
     # from the stored pair (11), configuration 0
-    amps = np.concatenate([sequence_amplitudes(s, lift) for s in block_sequences(config)])
-    doubles = config.I0 * (np.abs(amps) ** 2 @ _R1_OCC)
-    return (1.0 - p2) * fringe_scan(config) + p2 * doubles
+    amps = np.concatenate([sequence_amplitudes(s, lift) for s in block_sequences(scan)])
+    doubles = scan.i0 * (np.abs(amps) ** 2 @ _R1_OCC)
+    return (1.0 - p2) * fringe_scan(scan, dissipation) + p2 * doubles

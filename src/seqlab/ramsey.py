@@ -23,6 +23,10 @@ The fringe visibility against the intermediate pulse area theta,
 V(theta) = | 2 cos(theta/2) / (1 + cos^2(theta/2)) |, is what the
 example scripts read off the centre row of a scan and compare with.
 
+A scan takes the run config's ``scan`` and ``dissipation`` sections as
+they are; its grid is :func:`symmetric_detuning_grid` of the scan's span and
+points.
+
 Backends: ANALYTIC evaluates the closed form over the whole grid at
 once.  UNITARY and LINDBLAD propagate the sequence of
 :func:`build_ramsey_sequence`, the one layout of the Ramsey sequence, with
@@ -42,13 +46,13 @@ visibility are unaffected, which is what the scans are for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .dissipative import DissipationParams, evolve_master
+from .config import DissipationSection, ScanSection
+from .dissipative import evolve_master
 from .qcore import (
     DriveField,
     DriveSegment,
@@ -73,7 +77,7 @@ def ramsey_terms(delta1, t_mu1: float, t_mu2: float, dead_time: float):
     """(stay, swap): the complex amplitudes of the R1 -> R1 -> R1 path and
     of the R1 -> R2 -> R1 path (before the intermediate-pulse factor K),
     at a mu1 detuning or an array of them, for a positive t_mu1 and
-    non-negative t_mu2 and dead_time (a checked RamseyScanConfig's)."""
+    non-negative t_mu2 and dead_time (a checked scan section's)."""
     delta1 = np.asarray(delta1, dtype=float)
     dt1 = delta1 * t_mu1
     angle = np.sqrt(dt1 * dt1 + 0.25 * math.pi**2)
@@ -101,43 +105,20 @@ def ramsey_intensity(
     return I0 * (np.abs(stay) ** 2 + np.abs(swap) ** 2 * K * K + cross * K)
 
 
-@dataclass(frozen=True)
-class RamseyScanConfig:
-    """Grid and sequence parameters for a detuning scan.
-
-    The values are the config's, within its bounds: t_mu1 > 0 with
-    pi/(2 t_mu1) finite, t_mu2, omega_mu2 and inter_pulse_gap >= 0.
-    deltas must be strictly increasing.  inter_pulse_gap inserts a wait
-    of that duration on both sides of the intermediate pulse (identity in
-    this frame; it only enters the closed form through t_total).
-    dissipation is consulted by the LINDBLAD backend only, which
-    propagates each segment exactly.
-    """
-
-    t_mu1: float
-    deltas: tuple[float, ...]
-    omega_mu2: float
-    t_mu2: float
-    backend: Backend
-    I0: float
-    inter_pulse_gap: float
-    dissipation: DissipationParams
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise ValueError("deltas must be strictly increasing")
-
-
 def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
     """Grid over [-span, +span] with an exact 0.0 at the center, for a
     positive span and an odd points >= 3 (the config's bounds).
 
     Built as step * arange so the center point is exactly representable:
     the example scripts read the visibility off the 0.0 row of a scan.
+    ValueError if the step underflows and the grid is not increasing.
     """
     half = (points - 1) // 2
     step = span / half
-    return tuple(step * k for k in range(-half, half + 1))
+    deltas = tuple(step * k for k in range(-half, half + 1))
+    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly increasing")
+    return deltas
 
 
 def build_ramsey_sequence(
@@ -169,14 +150,14 @@ def build_ramsey_sequence(
     return PulseSequence((half_pi, *gap, *mu2, *gap, half_pi))
 
 
-def block_sequences(config: RamseyScanConfig) -> Iterator[PulseSequence]:
-    """The :func:`build_ramsey_sequence` sequence of config stacked over
-    each block of BLOCK_POINTS detunings, in grid order."""
-    deltas = np.asarray(config.deltas, dtype=float)
+def block_sequences(scan: ScanSection) -> Iterator[PulseSequence]:
+    """The :func:`build_ramsey_sequence` sequence of scan stacked over
+    each block of BLOCK_POINTS detunings of its grid, in grid order."""
+    deltas = np.asarray(symmetric_detuning_grid(scan.span, scan.points))
     for start in range(0, deltas.size, BLOCK_POINTS):
         yield build_ramsey_sequence(
-            deltas[start : start + BLOCK_POINTS], config.t_mu1, config.omega_mu2,
-            config.t_mu2, config.inter_pulse_gap,
+            deltas[start : start + BLOCK_POINTS], scan.t_mu1, scan.omega_mu2,
+            scan.t_mu2, scan.gap,
         )
 
 
@@ -202,19 +183,20 @@ def sequence_amplitudes(
     return amps[..., 0]
 
 
-def fringe_scan(config: RamseyScanConfig) -> np.ndarray:
-    """Run a detuning scan with the configured backend: a float64 array of
-    intensities, one per config.deltas."""
-    if config.backend is Backend.ANALYTIC:
-        dead = 2.0 * config.inter_pulse_gap
+def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarray:
+    """Run a detuning scan with the scan's backend: a float64 array of
+    intensities, one per point of its grid.  dissipation is consulted by
+    the LINDBLAD backend only."""
+    if scan.backend == Backend.ANALYTIC:  # == : a section holds the plain string
+        deltas = symmetric_detuning_grid(scan.span, scan.points)
         return ramsey_intensity(
-            config.deltas, config.t_mu1, config.omega_mu2, config.t_mu2, config.I0, dead
+            deltas, scan.t_mu1, scan.omega_mu2, scan.t_mu2, scan.i0, 2.0 * scan.gap
         )
-    unitary = config.backend is Backend.UNITARY
-    return config.I0 * np.concatenate([
+    unitary = scan.backend == Backend.UNITARY
+    return scan.i0 * np.concatenate([
         np.abs(sequence_amplitudes(seq)[:, 0]) ** 2 if unitary
-        else evolve_master(seq, config.dissipation)[:, 0, 0].real  # LINDBLAD
-        for seq in block_sequences(config)
+        else evolve_master(seq, dissipation)[:, 0, 0].real  # LINDBLAD
+        for seq in block_sequences(scan)
     ])
 
 

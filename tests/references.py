@@ -1,13 +1,13 @@
 """Reference computations that tests compare the library against: the
 sequence unitary, the closed-form visibility law and its centre-point
 extraction from a scan, and the canonical three-bin read-out chain; and
-the scan configuration that most tests build."""
+the scan section that most tests build."""
 
 import math
 
 import numpy as np
 
-from seqlab.dissipative import DissipationParams
+from seqlab.config import ScanSection
 from seqlab.photostats import TimeBinPopulations, readout_from_sequence
 from seqlab.qcore import (
     DriveField,
@@ -17,7 +17,7 @@ from seqlab.qcore import (
     hermitian_propagator,
     segment_maps,
 )
-from seqlab.ramsey import Backend, RamseyScanConfig
+from seqlab.ramsey import Backend, symmetric_detuning_grid
 
 DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
 
@@ -38,12 +38,13 @@ def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:
     return abs(2.0 * c / (1.0 + c * c))
 
 
-def extract_visibility(config, intensities) -> float:
-    """On-resonance visibility of a scan over config.deltas, which hold an
-    exact 0.0: the centre intensity I(0)/I0 = (1 - K)^2 / 4 fixes K, the
-    opposing extremum is (1 + K)^2 / 4, and the visibility is
+def extract_visibility(scan, intensities) -> float:
+    """On-resonance visibility of a scan over the grid of a scan section,
+    which holds an exact 0.0: the centre intensity I(0)/I0 = (1 - K)^2 / 4
+    fixes K, the opposing extremum is (1 + K)^2 / 4, and the visibility is
     (max - min) / (max + min) of the pair."""
-    center = float(intensities[config.deltas.index(0.0)]) / config.I0
+    grid = symmetric_detuning_grid(scan.span, scan.points)
+    center = float(intensities[grid.index(0.0)]) / scan.i0
     r = math.sqrt(min(max(center, 0.0), 1.0))
     K = 1.0 - 2.0 * r
     opposite = 0.25 * (1.0 + K) ** 2
@@ -63,11 +64,11 @@ def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulati
     )
 
 
-def scan_config(t_mu1, deltas, omega_mu2, t_mu2, backend=Backend.ANALYTIC, I0=1.0,
-                inter_pulse_gap=0.0, dissipation=DissipationParams()) -> RamseyScanConfig:
-    """A RamseyScanConfig, with the config's default I0, gap, zero rates
-    and the analytic backend unless given."""
-    return RamseyScanConfig(
-        t_mu1=t_mu1, deltas=deltas, omega_mu2=omega_mu2, t_mu2=t_mu2, backend=backend,
-        I0=I0, inter_pulse_gap=inter_pulse_gap, dissipation=dissipation,
+def scan_config(t_mu1, span, points, omega_mu2, t_mu2, backend=Backend.ANALYTIC, i0=1.0,
+                gap=0.0) -> ScanSection:
+    """A ScanSection over the symmetric grid of span and points, with the
+    config's default I0 and gap and the analytic backend unless given."""
+    return ScanSection(
+        t_mu1=t_mu1, t_mu2=t_mu2, omega_mu2=omega_mu2, span=span, points=points,
+        i0=i0, gap=gap, backend=backend,
     )

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from seqlab.cli import main
-from seqlab.dissipative import DissipationParams, evolve_master
+from seqlab.config import DissipationSection, InteractionSection
+from seqlab.dissipative import evolve_master
 from seqlab.dsl import ParseError, load_sequence, parse_sequence
-from seqlab.pairwise import PAIR_CONFIGS, InteractionParams, lift_single_particle, mixture_fringe_scan
+from seqlab.pairwise import PAIR_CONFIGS, lift_single_particle, mixture_fringe_scan
 from seqlab.photostats import (
     estimate_g2,
     fit_sinusoid,
@@ -64,10 +65,10 @@ def test_analytic_and_unitary_backends_agree():
     for area in (0.0, 0.5 * math.pi, math.pi, 2.0 * math.pi, 3.0 * math.pi):
         omega = area / t_mu2
         configs = {
-            b: scan_config(t_mu1, grid, omega, t_mu2, backend=b)
+            b: scan_config(t_mu1, mhz(10.0), 201, omega, t_mu2, backend=b)
             for b in (Backend.ANALYTIC, Backend.UNITARY)
         }
-        scans = {b: fringe_scan(c) for b, c in configs.items()}
+        scans = {b: fringe_scan(c, DissipationSection()) for b, c in configs.items()}
         on_resonance_gap = abs(
             scans[Backend.ANALYTIC][center] - scans[Backend.UNITARY][center]
         )
@@ -78,12 +79,11 @@ def test_analytic_and_unitary_backends_agree():
 
 def test_lindblad_visibility_curve_reproduces_law():
     # zero-rate master-equation scans trace the closed-form visibility curve
-    grid = symmetric_detuning_grid(mhz(4.0), 5)
     t_mu1, t_mu2 = 20e-9, 80e-9
     for area in np.linspace(0.0, 3.0 * math.pi, 25):
         omega = float(area) / t_mu2
-        cfg = scan_config(t_mu1, grid, omega, t_mu2, backend=Backend.LINDBLAD)
-        vis = extract_visibility(cfg, fringe_scan(cfg))
+        cfg = scan_config(t_mu1, mhz(4.0), 5, omega, t_mu2, backend=Backend.LINDBLAD)
+        vis = extract_visibility(cfg, fringe_scan(cfg, DissipationSection()))
         assert abs(vis - ramsey_visibility(omega, t_mu2)) <= 1e-4
 
 
@@ -127,7 +127,7 @@ def test_master_equation_physicality_and_unitary_limit():
         tuple(s for s in seq.segments if not isinstance(s, Readout))
     )
     # zero rates: the master equation must shadow the unitary propagation
-    final = evolve_master(drives, DissipationParams())
+    final = evolve_master(drives, DissipationSection())
     psi = sequence_unitary(drives.segments)[:, 0]  # from R1
     expected = np.zeros((4, 4), dtype=complex)
     expected[:3, :3] = np.outer(psi, psi.conj())
@@ -135,7 +135,10 @@ def test_master_equation_physicality_and_unitary_limit():
     assert 0.5 * np.abs(eigs).sum() <= 1e-8
     # dissipative run: physicality bounds hold every 5 ns, on the state of
     # the sequence cut off at that time
-    params = DissipationParams(gamma_decay=(1e5, 2e5, 3e5), gamma_deph=(1e5, 1e5, 2e5))
+    params = DissipationSection(
+        gamma_decay_1=1e5, gamma_decay_2=2e5, gamma_decay_3=3e5,
+        gamma_deph_1=1e5, gamma_deph_2=1e5, gamma_deph_3=2e5,
+    )
     cuts = list(cut_sequences(drives, 5e-9))
     assert len(cuts) > 20
     for cut in cuts:
@@ -169,8 +172,8 @@ def test_pair_lift_oracle_and_interaction_phase_offset():
     hint = 2.0 * t_mu1 + t_mu2
     fits = []
     for v in (-mhz(0.2), -mhz(0.1), 0.0, mhz(0.1), mhz(0.2)):
-        cfg = scan_config(t_mu1, grid, 2.0 * math.pi / t_mu2, t_mu2)
-        scan = mixture_fringe_scan(cfg, InteractionParams(v, 0.3))
+        cfg = scan_config(t_mu1, mhz(7.0), 281, 2.0 * math.pi / t_mu2, t_mu2)
+        scan = mixture_fringe_scan(cfg, DissipationSection(), InteractionSection(v, 0.3))
         fits.append(fit_sinusoid(np.array(grid), scan, hint))
     phases = [f.phase for f in fits]
     assert all(a > b for a, b in zip(phases, phases[1:]))  # monotone in the shift

@@ -747,6 +747,12 @@ def test_fit_defaults_to_json_even_with_csv_config(tmp_path):
     json.loads(_read(out))  # JSON by default for fit reports
 
 
+def test_fit_help_names_its_json_default(capsys):
+    # fit ignores output.format (the test above); its --format help says so
+    assert main(["fit", "--help"]) == 0
+    assert "json for fit" in " ".join(capsys.readouterr().out.split())
+
+
 def test_fit_csv_format(tmp_path):
     scan = tmp_path / "scan.csv"
     assert main(["ramsey-scan", "--out", str(scan)]) == 0

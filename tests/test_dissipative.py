@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from seqlab.config import DissipationSection
 from seqlab.dissipative import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
     _THETA13,
-    DissipationParams,
     NumericError,
+    collapse_operators,
     evolve_master,
     expm,
     liouvillian,
@@ -71,8 +72,9 @@ def assert_physical(m):
     assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -POSITIVITY_TOL
 
 
-RATES = DissipationParams(
-    gamma_decay=(1e5, 2e5, 3e5), gamma_deph=(1e5, 1e5, 2e5)
+RATES = DissipationSection(
+    gamma_decay_1=1e5, gamma_decay_2=2e5, gamma_decay_3=3e5,
+    gamma_deph_1=1e5, gamma_deph_2=1e5, gamma_deph_3=2e5,
 )
 
 
@@ -84,7 +86,7 @@ def test_zero_rates_reproduce_unitary_evolution():
     rng = np.random.default_rng(7011)
     for _ in range(5):
         seq = _random_sequence(rng)
-        final = evolve_master(seq, DissipationParams())
+        final = evolve_master(seq, DissipationSection())
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # R1, the stored excitation
         for seg in seq.segments:
             psi = closed_form_unitary(seg) @ psi
@@ -116,7 +118,7 @@ def test_invariants_hold_at_all_samples():
 
 def test_population_leaks_into_loss_level():
     seq = PulseSequence((Wait(2e-6),))
-    params = DissipationParams(gamma_decay=(5e5, 0.0, 0.0))
+    params = DissipationSection(gamma_decay_1=5e5)
     final = evolve_master(seq, params)
     p1, p2, p3, ploss = np.diagonal(final).real
     expected = math.exp(-5e5 * 2e-6)
@@ -131,7 +133,7 @@ def test_dephasing_damps_coherence_exponentially():
     t_wait = 1e-6
     rate = 4e5
     seq = PulseSequence((prep, Wait(t_wait)))
-    params = DissipationParams(gamma_deph=(0.0, rate, 0.0))
+    params = DissipationSection(gamma_deph_2=rate)
     final = evolve_master(seq, params)
     # coherence after the pulse alone
     ref = evolve_master(PulseSequence((prep,)), params)
@@ -189,7 +191,7 @@ def _rk4_oracle(rho, sequence, params):
     """Fixed-step RK4 at 0.05 ns on the matrix form of the master equation,
     drho/dt = -i (K rho - rho K^+) + sum_C C rho C^+ with K = H - i/2 sum_C C^+ C.
     Its own error is ~1e-11 on the canonical sequence."""
-    ops = np.array(params.collapse_operators())
+    ops = np.array(collapse_operators(params))
     ops_dag = ops.conj().transpose(0, 2, 1)
     damping = 0.5j * (ops_dag @ ops).sum(axis=0)
 
@@ -255,7 +257,7 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
     dt=5e-9,
 )
 def test_every_sample_is_physical(segments, decay, deph, dt):
-    params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
+    params = DissipationSection(*decay, *deph)
     for cut in cut_sequences(PulseSequence(tuple(segments)), dt):
         assert_physical(evolve_master(cut, params))
 
@@ -277,7 +279,7 @@ def test_validate_flags_unphysical_matrices():
 
 def test_dissipation_params_validation():
     # the rates are bounded by the dissipation.* config keys (test_config)
-    ops = RATES.collapse_operators()
+    ops = collapse_operators(RATES)
     assert len(ops) == 6  # three decay + three dephasing channels
     assert all(op.shape == (4, 4) for op in ops)
 

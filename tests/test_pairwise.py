@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seqlab.dissipative import DissipationParams
+from seqlab.config import DissipationSection, InteractionSection
 from seqlab.pairwise import (
     PAIR_CONFIGS,
-    InteractionParams,
     _lift_tensor,
     lift_single_particle,
     mixture_fringe_scan,
@@ -33,7 +32,7 @@ from seqlab.ramsey import (
 from seqlab.units import mhz
 from references import scan_config, sequence_unitary
 
-FREE = InteractionParams(0.0, 0.0)  # no shift, no doubles
+FREE = InteractionSection(0.0, 0.0)  # no shift, no doubles
 
 
 def _symmetric_isometry() -> np.ndarray:
@@ -195,7 +194,7 @@ def test_resonant_drive_coupling_is_sqrt2_half_rabi():
 
 @pytest.mark.parametrize("v", [mhz(0.3), -mhz(0.3)], ids=["positive", "negative"])
 def test_v_int_shifts_every_configuration_but_the_stored_pair(v):
-    H = pair_hamiltonian(segment_hamiltonian(Wait(10e-9)), InteractionParams(v, p2=0.25))
+    H = pair_hamiltonian(segment_hamiltonian(Wait(10e-9)), InteractionSection(v, p2=0.25))
     assert np.array_equal(H, np.diag([0.0] + [v] * 5))
     assert not np.signbit(H[0, 0].real)  # a literal zero, also for negative v
 
@@ -203,7 +202,7 @@ def test_v_int_shifts_every_configuration_but_the_stored_pair(v):
 def test_build_adds_diagonal_shifts_to_lift():
     seg = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=100e-9)
     v = mhz(0.4)
-    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionParams(v, p2=0.0))
+    H = pair_hamiltonian(segment_hamiltonian(seg), InteractionSection(v, p2=0.0))
     bare = lift_single_particle(segment_hamiltonian(seg))
     assert np.abs((H - bare) - np.diag([0.0] + [v] * 5)).max() <= 1e-12
 
@@ -213,7 +212,7 @@ def test_interactions_persist_during_wait():
     t = 120e-9
     amps = np.zeros(6, dtype=complex)
     amps[0] = amps[1] = 1.0 / math.sqrt(2)
-    out = _pair_sequence_propagator((Wait(t),), InteractionParams(v, p2=0.0)) @ amps
+    out = _pair_sequence_propagator((Wait(t),), InteractionSection(v, p2=0.0)) @ amps
     # stored pair sets the energy zero; (12) acquires exp(-i v t)
     assert abs(out[0] - amps[0]) <= 1e-12
     assert abs(out[1] - amps[1] * np.exp(-1j * v * t)) <= 1e-12
@@ -242,7 +241,7 @@ def test_pair_propagation_is_unitary(seed):
                     phase=float(rng.uniform(-math.pi, math.pi)),
                 )
             )
-    params = InteractionParams(float(rng.uniform(-mhz(1.0), mhz(1.0))), p2=0.0)
+    params = InteractionSection(float(rng.uniform(-mhz(1.0), mhz(1.0))), p2=0.0)
     out = _pair_sequence_propagator(segs, params)[:, 0]  # from the stored pair (11)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
@@ -273,16 +272,18 @@ def test_free_pair_propagator_is_symmetric_product(segs):
 # mixture fringe scan
 
 
+NO_RATES = DissipationSection()
+
+
 def _scan_config(points=161, span=mhz(7.0), t_mu2=150e-9):
-    return scan_config(
-        20e-9, symmetric_detuning_grid(span, points), 2.0 * math.pi / t_mu2, t_mu2
-    )
+    return scan_config(20e-9, span, points, 2.0 * math.pi / t_mu2, t_mu2)
 
 
 def test_mixture_reduces_to_single_scan_at_p2_zero():
     config = _scan_config(points=41)
-    single = fringe_scan(config)
-    assert np.array_equal(mixture_fringe_scan(config, InteractionParams(mhz(0.5), p2=0.0)), single)
+    single = fringe_scan(config, NO_RATES)
+    mixed = mixture_fringe_scan(config, NO_RATES, InteractionSection(mhz(0.5), p2=0.0))
+    assert np.array_equal(mixed, single)
 
 
 def test_zero_interactions_double_is_twice_single():
@@ -292,22 +293,23 @@ def test_zero_interactions_double_is_twice_single():
     p2 = 0.4
     base = _scan_config(points=41)
     config = replace(base, backend=Backend.UNITARY)
-    single = fringe_scan(config)
-    mixed = mixture_fringe_scan(config, InteractionParams(0.0, p2=p2))
+    single = fringe_scan(config, NO_RATES)
+    mixed = mixture_fringe_scan(config, NO_RATES, InteractionSection(0.0, p2=p2))
     for s, m in zip(single, mixed):
         assert abs(m - (1.0 + p2) * s) <= 1e-12
 
 
 def _fit_scan(config, intensities, hint):
-    return fit_sinusoid(np.asarray(config.deltas), intensities, hint)
+    grid = symmetric_detuning_grid(config.span, config.points)
+    return fit_sinusoid(np.asarray(grid), intensities, hint)
 
 
 def test_zero_interactions_leave_fitted_phase_unchanged():
     config = _scan_config()
     hint = 2 * config.t_mu1 + config.t_mu2
-    single_fit = _fit_scan(config, fringe_scan(config), hint)
+    single_fit = _fit_scan(config, fringe_scan(config, NO_RATES), hint)
     mixed_fit = _fit_scan(
-        config, mixture_fringe_scan(config, InteractionParams(0.0, p2=0.4)), hint
+        config, mixture_fringe_scan(config, NO_RATES, InteractionSection(0.0, p2=0.4)), hint
     )
     assert single_fit.converged and mixed_fit.converged
     assert abs(mixed_fit.phase - single_fit.phase) <= 1e-6
@@ -317,9 +319,9 @@ def test_mixture_intensity_bounds():
     config = _scan_config(points=81)
     p2 = 0.3
     mixed = mixture_fringe_scan(
-        config, InteractionParams(mhz(0.2), p2=p2)
+        config, NO_RATES, InteractionSection(mhz(0.2), p2=p2)
     )
-    upper = (1.0 - p2) * config.I0 + 2.0 * p2 * config.I0
+    upper = (1.0 - p2) * config.i0 + 2.0 * p2 * config.i0
     for y in mixed:
         assert -1e-12 <= y <= upper + 1e-12
 
@@ -329,10 +331,10 @@ def test_interaction_sign_reflects_the_fringe():
     # gauge, so the scan with -v is the delta-reversed scan with +v
     config = _scan_config(points=81)
     plus = mixture_fringe_scan(
-        config, InteractionParams(mhz(0.3), p2=0.3)
+        config, NO_RATES, InteractionSection(mhz(0.3), p2=0.3)
     )
     minus = mixture_fringe_scan(
-        config, InteractionParams(-mhz(0.3), p2=0.3)
+        config, NO_RATES, InteractionSection(-mhz(0.3), p2=0.3)
     )
     for yp, ym in zip(plus, minus[::-1]):
         assert abs(yp - ym) <= 1e-9
@@ -345,7 +347,7 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
     for v in (-mhz(0.1), 0.0, mhz(0.1)):
         fit = _fit_scan(
             config,
-            mixture_fringe_scan(config, InteractionParams(v, p2=0.3)),
+            mixture_fringe_scan(config, NO_RATES, InteractionSection(v, p2=0.3)),
             hint,
         )
         assert fit.converged
@@ -358,29 +360,26 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
 @pytest.mark.parametrize(
     "rates",
     [
-        DissipationParams(gamma_decay=(5e6, 5e6, 5e6)),
-        DissipationParams(gamma_deph=(0.0, 1e5, 0.0)),
+        DissipationSection(gamma_decay_1=5e6, gamma_decay_2=5e6, gamma_decay_3=5e6),
+        DissipationSection(gamma_deph_2=1e5),
     ],
 )
 def test_mixture_refuses_lindblad_with_rates(rates):
     # the double branch is closed: under LINDBLAD it would stay undamped
     # while the single branch decays, and the mixture used to report that
-    lindblad = replace(_scan_config(points=5), backend=Backend.LINDBLAD, dissipation=rates)
+    lindblad = replace(_scan_config(points=5), backend=Backend.LINDBLAD)
     refused = r"^interaction\.p2 = 0\.5 with non-zero dissipation rates"
     with pytest.raises(ValueError, match=refused):
-        mixture_fringe_scan(lindblad, InteractionParams(0.0, p2=0.5))
+        mixture_fringe_scan(lindblad, rates, InteractionSection(0.0, p2=0.5))
     # p2 = 0 is the dissipative single scan
     assert np.array_equal(
-        mixture_fringe_scan(lindblad, FREE), fringe_scan(lindblad)
+        mixture_fringe_scan(lindblad, rates, FREE), fringe_scan(lindblad, rates)
     )
     # the closed backends ignore the rates; zero rates under LINDBLAD
     # shadow the unitary mixture
-    interactions = InteractionParams(mhz(0.2), p2=0.5)
-    unitary = mixture_fringe_scan(replace(lindblad, backend=Backend.UNITARY), interactions)
-    assert np.array_equal(unitary, mixture_fringe_scan(
-        replace(lindblad, backend=Backend.UNITARY, dissipation=DissipationParams()), interactions
-    ))
-    zero_rates = mixture_fringe_scan(
-        replace(lindblad, dissipation=DissipationParams()), interactions
-    )
+    interactions = InteractionSection(mhz(0.2), p2=0.5)
+    unitary_scan = replace(lindblad, backend=Backend.UNITARY)
+    unitary = mixture_fringe_scan(unitary_scan, rates, interactions)
+    assert np.array_equal(unitary, mixture_fringe_scan(unitary_scan, NO_RATES, interactions))
+    zero_rates = mixture_fringe_scan(lindblad, NO_RATES, interactions)
     assert np.abs(zero_rates - unitary).max() <= 1e-9

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlab.dissipative import DissipationParams, NumericError, evolve_master
+from seqlab.config import DissipationSection
+from seqlab.dissipative import NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
     COUNT_MAX,
@@ -128,7 +129,7 @@ def test_prepared_state_is_the_first_column_of_the_unitary(prep):
     psi[:3] = sequence_unitary(prep)[:, 0]
     pops = readout_populations(prep)
     assert np.abs(np.array([pops.p1, pops.p2, pops.p3]) - np.abs(psi[:3]) ** 2).max() <= 1e-12
-    rho = evolve_master(PulseSequence(tuple(prep)), DissipationParams())
+    rho = evolve_master(PulseSequence(tuple(prep)), DissipationSection())
     assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
 
 
@@ -633,8 +634,8 @@ def _fit_dense_scan(area: float):
     span = 1.6 * 2.0 * math.pi / t_total
     omega = area / t_mu2
     deltas = symmetric_detuning_grid(span, 201)
-    cfg = scan_config(t_mu1, deltas, omega, t_mu2)
-    return fit_sinusoid(np.asarray(deltas), fringe_scan(cfg), t_total)
+    cfg = scan_config(t_mu1, span, 201, omega, t_mu2)
+    return fit_sinusoid(np.asarray(deltas), fringe_scan(cfg, DissipationSection()), t_total)
 
 
 def test_fringe_fit_visibility_full_area():

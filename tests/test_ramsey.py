@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import ramsey
-from seqlab.dissipative import DissipationParams, evolve_master
+from seqlab.config import DissipationSection, InteractionSection
+from seqlab.dissipative import evolve_master
 from seqlab.pairwise import (
     PAIR_CONFIGS,
-    InteractionParams,
     mixture_fringe_scan,
     pair_hamiltonian,
 )
@@ -165,9 +165,9 @@ def test_backends_agree_on_resonance():
         omega = area_pi * math.pi / T2 if area_pi else 0.0
         scans = {}
         for backend in (Backend.ANALYTIC, Backend.UNITARY):
-            cfg = scan_config(t_mu1=T1, deltas=grid, omega_mu2=omega,
+            cfg = scan_config(t_mu1=T1, span=mhz(10.0), points=21, omega_mu2=omega,
                               t_mu2=T2, backend=backend)
-            scans[backend] = fringe_scan(cfg)
+            scans[backend] = fringe_scan(cfg, DissipationSection())
         assert scans[Backend.ANALYTIC][i0] == pytest.approx(
             scans[Backend.UNITARY][i0], abs=1e-12
         )
@@ -176,53 +176,53 @@ def test_backends_agree_on_resonance():
 def test_fringeless_at_odd_pi_area_backends_agree_everywhere():
     # at intermediate area pi the interference term carries no fringe
     # phase, so the two backends must agree at every detuning
-    grid = symmetric_detuning_grid(mhz(10.0), 81)
     omega = math.pi / T2
     out = {}
     for backend in (Backend.ANALYTIC, Backend.UNITARY):
-        cfg = scan_config(t_mu1=T1, deltas=grid, omega_mu2=omega,
+        cfg = scan_config(t_mu1=T1, span=mhz(10.0), points=81, omega_mu2=omega,
                           t_mu2=T2, backend=backend)
-        out[backend] = fringe_scan(cfg)
+        out[backend] = fringe_scan(cfg, DissipationSection())
     assert np.abs(out[Backend.ANALYTIC] - out[Backend.UNITARY]).max() <= 1e-9
 
 
 def test_lindblad_backend_zero_rates_matches_analytic_at_zero():
     grid = symmetric_detuning_grid(mhz(2.0), 5)
-    cfg_a = scan_config(t_mu1=T1, deltas=grid, omega_mu2=mhz(4.0),
+    cfg_a = scan_config(t_mu1=T1, span=mhz(2.0), points=5, omega_mu2=mhz(4.0),
                         t_mu2=T2, backend=Backend.ANALYTIC)
-    cfg_l = scan_config(t_mu1=T1, deltas=grid, omega_mu2=mhz(4.0),
+    cfg_l = scan_config(t_mu1=T1, span=mhz(2.0), points=5, omega_mu2=mhz(4.0),
                         t_mu2=T2, backend=Backend.LINDBLAD)
-    a = fringe_scan(cfg_a)
-    b = fringe_scan(cfg_l)
+    a = fringe_scan(cfg_a, DissipationSection())
+    b = fringe_scan(cfg_l, DissipationSection())
     i0 = grid.index(0.0)
     assert a[i0] == pytest.approx(b[i0], abs=1e-7)
 
 
 def test_extraction_matches_law_on_random_areas():
     rng = np.random.default_rng(51)
-    grid = symmetric_detuning_grid(mhz(10.0), 41)
     for _ in range(50):
         area = rng.uniform(0.0, 4.0) * math.pi
         omega = area / T2
         for backend in (Backend.ANALYTIC, Backend.UNITARY):
-            cfg = scan_config(t_mu1=T1, deltas=grid, omega_mu2=omega,
+            cfg = scan_config(t_mu1=T1, span=mhz(10.0), points=41, omega_mu2=omega,
                               t_mu2=T2, backend=backend)
-            v = extract_visibility(cfg, fringe_scan(cfg))
+            v = extract_visibility(cfg, fringe_scan(cfg, DissipationSection()))
             assert v == pytest.approx(ramsey_visibility(omega, T2), abs=1e-9)
 
 
 def test_scan_config_validation():
     # t_mu1, t_mu2, omega_mu2 and the gap are bounded by their config keys
-    # (test_config); deltas come from symmetric_detuning_grid
+    # (test_config); a step that underflows gives the grid
+    # (-0.0, -0.0, 0.0, 0.0, 0.0), which symmetric_detuning_grid refuses
     with pytest.raises(ValueError, match="strictly increasing"):
-        scan_config(t_mu1=T1, deltas=(1.0, 1.0), omega_mu2=0.0, t_mu2=T2)
+        symmetric_detuning_grid(5e-324, 5)
 
 
 def test_scan_i0_scales_intensities():
-    grid = symmetric_detuning_grid(mhz(3.0), 5)
-    base_cfg = scan_config(t_mu1=T1, deltas=grid, omega_mu2=0.0, t_mu2=T2)
-    scaled_cfg = scan_config(t_mu1=T1, deltas=grid, omega_mu2=0.0, t_mu2=T2, I0=2.5)
-    base, scaled = fringe_scan(base_cfg), fringe_scan(scaled_cfg)
+    base_cfg = scan_config(t_mu1=T1, span=mhz(3.0), points=5, omega_mu2=0.0, t_mu2=T2)
+    scaled_cfg = scan_config(t_mu1=T1, span=mhz(3.0), points=5, omega_mu2=0.0, t_mu2=T2,
+                             i0=2.5)
+    base = fringe_scan(base_cfg, DissipationSection())
+    scaled = fringe_scan(scaled_cfg, DissipationSection())
     assert np.allclose(scaled, 2.5 * base, rtol=0, atol=1e-12)
     assert extract_visibility(base_cfg, base) == pytest.approx(
         extract_visibility(scaled_cfg, scaled), abs=1e-12
@@ -267,16 +267,14 @@ def _reference_scans(cfg, interactions, times, detuning2):
     build_ramsey_sequence: the qutrit from the closed-form oracle, the pair
     from a product of per-segment propagators."""
     single, double = [], []
-    for d in cfg.deltas:
-        seq = build_ramsey_sequence(
-            d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.inter_pulse_gap
-        )
-        single.append(cfg.I0 * abs(_closed_form_state(seq.segments)[0]) ** 2)
+    for d in symmetric_detuning_grid(cfg.span, cfg.points):
+        seq = build_ramsey_sequence(d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.gap)
+        single.append(cfg.i0 * abs(_closed_form_state(seq.segments)[0]) ** 2)
         amps = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # the stored pair (11)
         for s in seq.segments:
             H = pair_hamiltonian(segment_hamiltonian(s), interactions)
             amps = hermitian_propagator(H, s.duration) @ amps
-        double.append(cfg.I0 * (np.abs(amps) ** 2 @ _R1_OCC))
+        double.append(cfg.i0 * (np.abs(amps) ** 2 @ _R1_OCC))
     single, double = np.array(single), np.array(double)
     p2 = interactions.p2
     mixed = single if p2 == 0.0 else (1.0 - p2) * single + p2 * double
@@ -293,9 +291,10 @@ def _reference_scans(cfg, interactions, times, detuning2):
 
 def _assert_batched_matches_reference(cfg, interactions, times, detuning2):
     single, mixed, rows = _reference_scans(cfg, interactions, times, detuning2)
-    tol = 1e-12 * cfg.I0
-    assert np.abs(fringe_scan(cfg) - single).max() <= tol
-    assert np.abs(mixture_fringe_scan(cfg, interactions) - mixed).max() <= tol
+    tol = 1e-12 * cfg.i0
+    no_rates = DissipationSection()
+    assert np.abs(fringe_scan(cfg, no_rates) - single).max() <= tol
+    assert np.abs(mixture_fringe_scan(cfg, no_rates, interactions) - mixed).max() <= tol
     table = rabi_scan(times, cfg.omega_mu2, t_mu1=cfg.t_mu1, detuning2=detuning2)
     assert np.array_equal(table[:, 0], rows[:, 0])
     assert np.abs(table[:, 1:] - rows[:, 1:]).max() <= 1e-12
@@ -321,26 +320,24 @@ def test_batched_scans_match_per_point_reference(
     t_mu1, omega_mu2, t_mu2, gap, I0, v_int, p2, detuning2, span, points, t_max
 ):
     cfg = scan_config(
-        t_mu1=t_mu1, deltas=symmetric_detuning_grid(span, points),
-        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.UNITARY, I0=I0,
-        inter_pulse_gap=gap,
+        t_mu1=t_mu1, span=span, points=points,
+        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.UNITARY, i0=I0, gap=gap,
     )
     times = np.linspace(0.0, t_max, points)
     _assert_batched_matches_reference(
-        cfg, InteractionParams(v_int, p2), times, detuning2
+        cfg, InteractionSection(v_int, p2), times, detuning2
     )
 
 
 @pytest.mark.parametrize("points", [3, BLOCK_POINTS - 1, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1])
 def test_batched_scans_do_not_depend_on_block_boundaries(points):
     cfg = scan_config(
-        t_mu1=40e-9, deltas=symmetric_detuning_grid(mhz(12.0), points),
-        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=Backend.UNITARY, I0=1.3,
-        inter_pulse_gap=15e-9,
+        t_mu1=40e-9, span=mhz(12.0), points=points,
+        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=Backend.UNITARY, i0=1.3, gap=15e-9,
     )
     times = np.linspace(0.0, 200e-9, points)
     _assert_batched_matches_reference(
-        cfg, InteractionParams(mhz(0.3), 0.4), times, mhz(1.5)
+        cfg, InteractionSection(mhz(0.3), 0.4), times, mhz(1.5)
     )
 
 
@@ -350,15 +347,14 @@ def test_mixture_scan_is_the_same_bits_for_any_block_size(monkeypatch, gap, back
     # both branches join their blocks; LINDBLAD runs here at zero rates
     points = 301
     cfg = scan_config(
-        t_mu1=40e-9, deltas=symmetric_detuning_grid(mhz(12.0), points),
-        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=backend, I0=1.3,
-        inter_pulse_gap=gap,
+        t_mu1=40e-9, span=mhz(12.0), points=points,
+        omega_mu2=mhz(9.0), t_mu2=130e-9, backend=backend, i0=1.3, gap=gap,
     )
-    interactions = InteractionParams(mhz(0.3), 0.4)
+    interactions = InteractionSection(mhz(0.3), 0.4)
     scans = {}
     for block in (1, 7, 256, points + 1):
         monkeypatch.setattr(ramsey, "BLOCK_POINTS", block)
-        scans[block] = mixture_fringe_scan(cfg, interactions)
+        scans[block] = mixture_fringe_scan(cfg, DissipationSection(), interactions)
     for scan in scans.values():
         assert np.array_equal(scan, scans[256])
 
@@ -381,16 +377,15 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
 def test_lindblad_scan_matches_per_point_master_equation(
     t_mu1, omega_mu2, t_mu2, gap, I0, decay, deph, span, points
 ):
-    params = DissipationParams(gamma_decay=decay, gamma_deph=deph)
+    params = DissipationSection(*decay, *deph)
     cfg = scan_config(
-        t_mu1=t_mu1, deltas=symmetric_detuning_grid(span, points),
-        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.LINDBLAD, I0=I0,
-        inter_pulse_gap=gap, dissipation=params,
+        t_mu1=t_mu1, span=span, points=points,
+        omega_mu2=omega_mu2, t_mu2=t_mu2, backend=Backend.LINDBLAD, i0=I0, gap=gap,
     )
     ref = [
         I0 * evolve_master(
             build_ramsey_sequence(d, t_mu1, omega_mu2, t_mu2, gap), params
         )[0, 0].real
-        for d in cfg.deltas
+        for d in symmetric_detuning_grid(span, points)
     ]
-    assert np.abs(fringe_scan(cfg) - ref).max() <= 1e-12 * I0
+    assert np.abs(fringe_scan(cfg, params) - ref).max() <= 1e-12 * I0

@@ -140,7 +140,7 @@ ALLOWED_UNRUN = {
         "the damped normal matrix is positive definite: no scan is known to make it singular",
     ("photostats.py:fit_sinusoid", "break  # a singular system ends the fit unconverged"):
         "the damped normal matrix is positive definite: no scan is known to make it singular",
-    ("ramsey.py:RamseyScanConfig.__post_init__",
+    ("ramsey.py:symmetric_detuning_grid",
      'raise ValueError("deltas must be strictly increasing")'):
         "a grid step underflows only past ~1.3e7 points (scan.points), too costly to run",
 }
