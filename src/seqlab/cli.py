@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, convert, load_config
 from .dissipative import NumericError
 from .dsl import ParseError, load_sequence
 from .io import csv_text, emit, json_table_text, json_text
@@ -27,7 +27,7 @@ from .photostats import (
     sample_coherent_shots,
     sample_shots,
 )
-from .qcore import SEQUENCE_BUDGET_S
+from .qcore import SEQUENCE_BUDGET_S, total_duration
 from .ramsey import Backend, rabi_scan, symmetric_detuning_grid
 
 RAMSEY_CSV_HEADER = "delta_rad_s,intensity"
@@ -87,11 +87,11 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
         print("error: readout requires --seq <sequence file>", file=sys.stderr)
         return 2
     seq = load_sequence(args.seq)
-    total = seq.total_duration()
+    total = total_duration(seq)
     print(
         f"sequence {os.path.basename(args.seq)}: total duration {total!r} s "
         f"(budget {SEQUENCE_BUDGET_S!r} s, "
-        f"{'within' if seq.fits_budget() else 'EXCEEDS'} budget)",
+        f"{'within' if total < SEQUENCE_BUDGET_S else 'EXCEEDS'} budget)",
         file=sys.stderr,
     )
     ro = cfg.readout
@@ -105,6 +105,14 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
     )
     emit(text, args.out)
     return 0
+
+
+def _seed(raw: str) -> int:
+    """--seed, parsed and bounded as the config's seed key."""
+    try:
+        return convert("seed", raw)
+    except ValueError as exc:  # argparse names the flag
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_g2(args, cfg: RunConfig) -> int:
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g2", help="sample HBT shots and estimate g2(0)")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p.set_defaults(handler=_cmd_g2)
 
     p = sub.add_parser("fit", help="fit a fringe scan CSV")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 from .units import mhz
 
-__all__ = ["RunConfig", "parse_config", "load_config"]
+__all__ = ["RunConfig", "convert", "parse_config", "load_config"]
 
 
 def _number(raw: str, factor: float = 1.0) -> float:
@@ -198,8 +198,10 @@ def _schema() -> dict[str, tuple[str | None, object]]:
 _SCHEMA = _schema()
 
 
-def _convert(raw: str, f):
-    parse, bound = f.metadata["parse"], f.metadata["bound"]
+def convert(key: str, raw: str):
+    """raw parsed and bounded as the dotted key's value, else ValueError."""
+    meta = _SCHEMA[key][1].metadata
+    parse, bound = meta["parse"], meta["bound"]
     if isinstance(parse, tuple):
         if raw not in parse:
             raise ValueError(f"expected one of {parse}, got {raw!r}")
@@ -224,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         section, f = _SCHEMA[key]
         try:
-            converted = _convert(value, f)
+            converted = convert(key, value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)

@@ -24,9 +24,9 @@ only: scipy would double the memory and start-up of every CLI call.
 
 Every sequence starts from the stored excitation, rho = |R1><R1|
 (:func:`stored_excitation`), and everything works on stacks:
-:func:`evolve_master` takes one sequence, whose segments may stand for
-stacks of pulses (a detuning scan), gets the maps of its segments from
-:func:`seqlab.qcore.segment_maps` (one Liouvillian stack and one
+:func:`evolve_master` takes one sequence, a tuple of segments that may
+stand for stacks of pulses (a detuning scan), walks it with
+:func:`seqlab.qcore.propagate` (one Liouvillian stack and one
 :func:`expm` call, with a scaling exponent per matrix, for each distinct
 segment), and checks the states of the whole stack after each segment
 with one :func:`_validate_density` call.  The rates come from the run
@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .config import DissipationSection
-from .qcore import PulseSequence, segment_maps
+from .qcore import Segment, propagate
 
 LOSS_INDEX = 3
 
@@ -162,14 +162,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def evolve_master(sequence: PulseSequence, dissipation: DissipationSection) -> np.ndarray:
-    """The density matrix after a sequence under the master equation,
-    starting from the stored excitation.
+def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
+    """The density matrix after a sequence of drive/wait segments under the
+    master equation, starting from the stored excitation; |R1><R1| for an
+    empty sequence.
 
-    The sequence's segments may stand for stacks of pulses; the result is
-    then the (..., 4, 4) stack over their broadcast shape.  The maps come
-    from :func:`seqlab.qcore.segment_maps`, one :func:`expm` call per
-    distinct segment, and the whole stack is propagated together.
+    The segments may stand for stacks of pulses; the result is then the
+    (..., 4, 4) stack over their broadcast shape.  The states come from
+    :func:`seqlab.qcore.propagate`, one :func:`expm` call per distinct
+    segment, and the whole stack is propagated together.
 
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
@@ -183,15 +184,13 @@ def evolve_master(sequence: PulseSequence, dissipation: DissipationSection) -> n
         H[..., :3, :3] = h3
         return expm(liouvillian(H, ops) * np.asarray(t)[..., None, None])
 
-    maps = segment_maps(sequence.segments, propagator)
-    shape = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
-    vec = np.broadcast_to(stored_excitation().reshape(n * n, 1), shape + (n * n, 1))
+    rho = stored_excitation()
     t = 0.0
-    for seg, seg_map in zip(sequence.segments, maps):
-        vec = seg_map @ vec
+    for seg, vec in zip(sequence, propagate(sequence, propagator)):
+        rho = vec.reshape(vec.shape[:-1] + (n, n))
         t += seg.duration
         try:
-            _validate_density(vec.reshape(shape + (n, n)))
+            _validate_density(rho)
         except NumericError as err:
             raise NumericError(f"at t={t:.3e} s: {err}") from None
-    return vec.reshape(shape + (n, n))
+    return rho

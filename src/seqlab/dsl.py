@@ -22,8 +22,8 @@ from typing import Iterator, NamedTuple
 from .qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     Readout,
+    Segment,
     Wait,
 )
 from .units import MHZ
@@ -221,8 +221,9 @@ def _parse_readout(tokens: list[_Token]) -> Readout:
     return Readout(int(val.text))
 
 
-def parse_sequence(text: str) -> PulseSequence:
-    """Parse sequence text into a PulseSequence, or raise ParseError."""
+def parse_sequence(text: str) -> tuple[Segment, ...]:
+    """Parse sequence text into its tuple of segments, or raise ParseError;
+    readout bins appear at most once each, in strictly increasing order."""
     segments = []
     seen_bins: dict[int, int] = {}
     last_bin = 0
@@ -253,10 +254,10 @@ def parse_sequence(text: str) -> PulseSequence:
             )
     if not segments:
         raise ParseError("sequence has no segments", 1, 1, E_EMPTY)
-    return PulseSequence(tuple(segments))
+    return tuple(segments)
 
 
-def load_sequence(path) -> PulseSequence:
+def load_sequence(path) -> tuple[Segment, ...]:
     """Parse the sequence file at path."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_sequence(fh.read())

@@ -23,20 +23,20 @@ is linear, one matmul with a constant (9, 36) matrix built once from the
 bosonic rule, so it lifts whole stacks: the mixture scan takes its single
 branch from :func:`seqlab.ramsey.fringe_scan` and walks the blocks of
 stacked Ramsey sequences (:func:`seqlab.ramsey.block_sequences`) only for
-its double branch, with the lift in the propagator
-(:func:`seqlab.ramsey.sequence_amplitudes`).
+its double branch, with :func:`seqlab.qcore.propagate` and a pair
+propagator that lifts each segment's Hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .config import DissipationSection, InteractionSection, ScanSection
 from .dissipative import collapse_operators
-from .ramsey import Backend, block_sequences, fringe_scan, sequence_amplitudes
+from .qcore import hermitian_propagator, propagate
+from .ramsey import Backend, block_sequences, fringe_scan
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -120,8 +120,11 @@ def mixture_fringe_scan(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"
         )
-    lift = partial(pair_hamiltonian, interaction=interaction)
+
+    def propagator(h3: np.ndarray, t) -> np.ndarray:
+        return hermitian_propagator(pair_hamiltonian(h3, interaction), t)
+
     # from the stored pair (11), configuration 0
-    amps = np.concatenate([sequence_amplitudes(s, lift) for s in block_sequences(scan)])
+    amps = np.concatenate([propagate(s, propagator)[-1] for s in block_sequences(scan)])
     doubles = scan.i0 * (np.abs(amps) ** 2 @ _R1_OCC)
     return (1.0 - p2) * fringe_scan(scan, dissipation) + p2 * doubles

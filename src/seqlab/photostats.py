@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipative import NumericError, stored_excitation
-from .qcore import PulseSequence, Readout, hermitian_propagator, segment_maps
+from .qcore import Readout, Segment, hermitian_propagator, segment_maps
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class TimeBinPopulations:
 
 
 def readout_from_sequence(
-    sequence: PulseSequence, eta, deph_between_bins: float
+    sequence: tuple[Segment, ...], eta, deph_between_bins: float
 ) -> TimeBinPopulations:
     """Walk a sequence containing Readout segments from the stored
     excitation and collect the bins.
@@ -63,16 +63,18 @@ def readout_from_sequence(
     deph_between_bins is a finite non-negative rate in 1/s.  The state is
     walked as its density matrix, from
     :func:`seqlab.dissipative.stored_excitation`; the drive/wait
-    propagators come from :func:`seqlab.qcore.segment_maps`.
+    propagators come from :func:`seqlab.qcore.segment_maps`.  The walk is its
+    own, not :func:`seqlab.qcore.propagate`: each readout empties R1.
     """
     rho = stored_excitation()
-    steps = iter(segment_maps(sequence.drive_segments(), hermitian_propagator))
+    drives = [s for s in sequence if not isinstance(s, Readout)]
+    steps = iter(segment_maps(drives, hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
 
     bins = {1: 0.0, 2: 0.0, 3: 0.0}
     clock_running = False
     elapsed = 0.0
-    for seg in sequence.segments:
+    for seg in sequence:
         if isinstance(seg, Readout):
             factor = eta[seg.bin - 1]
             if clock_running and deph_between_bins > 0:

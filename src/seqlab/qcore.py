@@ -27,7 +27,9 @@ detuning and phase may be arrays that broadcast against each other.
 space lifts it and the master equation embeds it.  :func:`segment_maps`
 is the one path from a sequence's segments to their maps, for every space:
 it takes the propagator (:func:`hermitian_propagator` for closed systems)
-and calls it once per distinct segment.
+and calls it once per distinct segment.  :func:`propagate` is the one walk
+of those maps from the stored excitation, in the qutrit (3), the pair (6)
+and the Liouville space (16).  A sequence is a plain tuple of segments.
 """
 
 from __future__ import annotations
@@ -101,23 +103,9 @@ class Readout:
 Segment = Union[DriveSegment, Wait, Readout]
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    """An ordered list of segments; readout bins, when there are any,
-    appear in strictly increasing order (the sequence parser's rule)."""
-
-    segments: tuple[Segment, ...]
-
-    def total_duration(self) -> float:
-        """Sum of the drive and wait durations in seconds; a readout takes
-        no time."""
-        return sum((s.duration for s in self.drive_segments()), 0.0)
-
-    def fits_budget(self) -> bool:
-        return self.total_duration() < SEQUENCE_BUDGET_S
-
-    def drive_segments(self) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if not isinstance(s, Readout))
+def total_duration(segments) -> float:
+    """The drive and wait durations summed, in s; a readout takes no time."""
+    return sum((s.duration for s in segments if not isinstance(s, Readout)), 0.0)
 
 
 def _drive_block(field: DriveField, rabi, detuning, phase) -> np.ndarray:
@@ -178,4 +166,15 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
         if id(s) not in maps:
             maps[id(s)] = propagator(segment_hamiltonian(s), s.duration)
     return [maps[id(s)] for s in segments]
+
+
+def propagate(segments, propagator) -> list[np.ndarray]:
+    """The state after each drive/wait segment, from basis state 0 of the
+    space (R1, the stored pair (11) or vec|R1><R1|), shape (..., d) over the
+    stacks so far; [] for no segments.  The maps are :func:`segment_maps`'s,
+    and the first state is column 0 of the first map, sliced out."""
+    states = []
+    for step in segment_maps(segments, propagator):
+        states.append(step[..., :1] if not states else step @ states[-1])
+    return [state[..., 0] for state in states]
 

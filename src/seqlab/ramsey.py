@@ -29,25 +29,27 @@ points.
 
 Backends: ANALYTIC evaluates the closed form over the whole grid at
 once.  UNITARY and LINDBLAD propagate the sequence of
-:func:`build_ramsey_sequence`, the one layout of the Ramsey sequence, with
-the detunings of a block of BLOCK_POINTS grid points stacked in its mu1
-pulses (:func:`block_sequences`).  :func:`fringe_scan` holds the one
-block loop of a single scan: per block, UNITARY walks the segment
-unitaries from :func:`seqlab.qcore.segment_maps`
-(:func:`sequence_amplitudes`) and LINDBLAD makes one
-:func:`seqlab.dissipative.evolve_master` call.  All three agree at
-delta1 = 0.  Away from resonance the propagation backends follow the
-frame convention of :mod:`seqlab.qcore` (no diagonal term while mu1 is
-off), so their fringe phase lacks the free-precession advance
-delta1*t_mu2 that the closed form carries in t_total; envelopes and
-visibility are unaffected, which is what the scans are for.
+:func:`build_ramsey_sequence`, the one layout of the Ramsey sequence (a
+plain tuple of segments), with the detunings of a block of BLOCK_POINTS
+grid points stacked in its mu1 pulses (:func:`block_sequences`).
+:func:`fringe_scan` holds the one block loop of a single scan: per block,
+UNITARY takes the last state of :func:`seqlab.qcore.propagate` and
+LINDBLAD makes one :func:`seqlab.dissipative.evolve_master` call.  All
+three agree at delta1 = 0.  Away from resonance they do not: the
+propagation backends follow the frame convention of :mod:`seqlab.qcore`
+(no diagonal term while mu1 is off) and lack the free-precession advance
+that the closed form carries in t_total.  That moves the envelope and the
+visibility as well as the fringe phase; on the default scan max |analytic
+- unitary| is 0.7075 I0.  The mixture's double branch
+(:mod:`seqlab.pairwise`) is propagated in the same frame, with the same
+defect.  ROADMAP.md item 1 (one rotating frame) is the fix.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -56,10 +58,10 @@ from .dissipative import evolve_master
 from .qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
+    Segment,
     Wait,
     hermitian_propagator,
-    segment_maps,
+    propagate,
 )
 
 # Grid points propagated per stacked call.  Stacking a whole 2001-point
@@ -105,18 +107,17 @@ def ramsey_intensity(
     return I0 * (np.abs(stay) ** 2 + np.abs(swap) ** 2 * K * K + cross * K)
 
 
-def symmetric_detuning_grid(span: float, points: int) -> tuple[float, ...]:
-    """Grid over [-span, +span] with an exact 0.0 at the center, for a
-    positive span and an odd points >= 3 (the config's bounds).
+def symmetric_detuning_grid(span: float, points: int) -> np.ndarray:
+    """Float64 grid over [-span, +span] with an exact 0.0 at the center,
+    for a positive span and an odd points >= 3 (the config's bounds).
 
     Built as step * arange so the center point is exactly representable:
     the example scripts read the visibility off the 0.0 row of a scan.
     ValueError if the step underflows and the grid is not increasing.
     """
     half = (points - 1) // 2
-    step = span / half
-    deltas = tuple(step * k for k in range(-half, half + 1))
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+    deltas = span / half * np.arange(-half, half + 1)
+    if (np.diff(deltas) <= 0).any():
         raise ValueError("deltas must be strictly increasing")
     return deltas
 
@@ -127,7 +128,7 @@ def build_ramsey_sequence(
     omega_mu2: float,
     t_mu2: float,
     inter_pulse_gap: float,
-) -> PulseSequence:
+) -> tuple[Segment, ...]:
     """The control sequence used by the propagation backends: mu1 pi/2,
     [gap wait], [mu2 pulse if t_mu2 > 0], [gap wait], the same mu1 pi/2.
 
@@ -147,40 +148,18 @@ def build_ramsey_sequence(
         (DriveSegment(field=DriveField.MU2, rabi=omega_mu2, duration=t_mu2),)
         if t_mu2 > 0 else ()
     )
-    return PulseSequence((half_pi, *gap, *mu2, *gap, half_pi))
+    return (half_pi, *gap, *mu2, *gap, half_pi)
 
 
-def block_sequences(scan: ScanSection) -> Iterator[PulseSequence]:
+def block_sequences(scan: ScanSection) -> Iterator[tuple[Segment, ...]]:
     """The :func:`build_ramsey_sequence` sequence of scan stacked over
     each block of BLOCK_POINTS detunings of its grid, in grid order."""
-    deltas = np.asarray(symmetric_detuning_grid(scan.span, scan.points))
+    deltas = symmetric_detuning_grid(scan.span, scan.points)
     for start in range(0, deltas.size, BLOCK_POINTS):
         yield build_ramsey_sequence(
             deltas[start : start + BLOCK_POINTS], scan.t_mu1, scan.omega_mu2,
             scan.t_mu2, scan.gap,
         )
-
-
-def sequence_amplitudes(
-    sequence: PulseSequence,
-    lift: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Final amplitudes of a sequence from the stored excitation (basis
-    state 0 of the space, R1 or the stored pair), shape (..., d) over the
-    stack of its segments, e.g. a block of detunings.
-
-    lift maps a (..., 3, 3) stack of single-excitation Hamiltonians to the
-    (..., d, d) Hamiltonians of the space; None keeps the qutrit space.
-    Each distinct segment takes one propagator call.
-    """
-    def propagator(h: np.ndarray, t) -> np.ndarray:
-        return hermitian_propagator(h if lift is None else lift(h), t)
-
-    first, *rest = segment_maps(sequence.segments, propagator)
-    amps = first[..., :1]  # the first map acting on basis state 0
-    for step in rest:
-        amps = step @ amps
-    return amps[..., 0]
 
 
 def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarray:
@@ -194,7 +173,7 @@ def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarra
         )
     unitary = scan.backend == Backend.UNITARY
     return scan.i0 * np.concatenate([
-        np.abs(sequence_amplitudes(seq)[:, 0]) ** 2 if unitary
+        np.abs(propagate(seq, hermitian_propagator)[-1][:, 0]) ** 2 if unitary
         else evolve_master(seq, dissipation)[:, 0, 0].real  # LINDBLAD
         for seq in block_sequences(scan)
     ])
@@ -215,12 +194,14 @@ def rabi_scan(
     Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
     be finite and non-negative; a time of 0 means no mu2 segment, so its
     row is the prepared state.  The other times stack one mu2 segment,
-    whose one Hamiltonian takes one eigendecomposition for every time.
+    whose one Hamiltonian takes one eigendecomposition for every time, and
+    one walk gives both the prepared and the driven states.
     """
     times = np.asarray(times, dtype=float)
     driven = times > 0
     half_pi = DriveSegment(DriveField.MU1, rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
     mu2 = DriveSegment(DriveField.MU2, rabi=omega_mu2, duration=times[driven], detuning=detuning2)
-    amps = np.tile(sequence_amplitudes(PulseSequence((half_pi,))), (times.size, 1))
-    amps[driven] = sequence_amplitudes(PulseSequence((half_pi, mu2)))
+    prepared, after_mu2 = propagate((half_pi, mu2), hermitian_propagator)
+    amps = np.tile(prepared, (times.size, 1))
+    amps[driven] = after_mu2
     return np.column_stack((times, np.abs(amps) ** 2))

@@ -12,7 +12,6 @@ from seqlab.photostats import TimeBinPopulations, readout_from_sequence
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     Readout,
     hermitian_propagator,
     segment_maps,
@@ -44,7 +43,8 @@ def extract_visibility(scan, intensities) -> float:
     fixes K, the opposing extremum is (1 + K)^2 / 4, and the visibility is
     (max - min) / (max + min) of the pair."""
     grid = symmetric_detuning_grid(scan.span, scan.points)
-    center = float(intensities[grid.index(0.0)]) / scan.i0
+    (zero,) = np.flatnonzero(grid == 0.0)
+    center = float(intensities[zero]) / scan.i0
     r = math.sqrt(min(max(center, 0.0), 1.0))
     K = 1.0 - 2.0 * r
     opposite = 0.25 * (1.0 + K) ** 2
@@ -60,7 +60,7 @@ def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulati
     pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
     chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
     return readout_from_sequence(
-        PulseSequence((*prep, *chain)), (1.0, 1.0, 1.0), deph_between_bins
+        (*prep, *chain), (1.0, 1.0, 1.0), deph_between_bins
     )
 
 

@@ -499,6 +499,17 @@ def test_g2_counts_beyond_int16_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_g2_seed_flag_meets_the_config_seed_bound(tmp_path, capsys):
+    # the flag's value takes the bound of the config's seed key, and the
+    # diagnostic names the flag
+    out = tmp_path / "g2.csv"
+    assert main(["g2", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --seed: must be non-negative\n")
+    assert main(["g2", "--seed", "1.5", "--out", str(out)]) == 2
+    assert "error: argument --seed: bad integer '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_g2_mixture_recovers_closed_form(tmp_path):
     # p2 chosen so the two-photon mixture has g2 = 2 p2 / (1 + p2)^2 = 0.45
     cfg = tmp_path / "run.cfg"

@@ -22,7 +22,6 @@ from seqlab.dissipative import (
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     Wait,
     segment_hamiltonian,
 )
@@ -46,7 +45,7 @@ def _random_sequence(rng, max_segments=6):
                     phase=float(rng.uniform(-math.pi, math.pi)),
                 )
             )
-    return PulseSequence(tuple(segs))
+    return tuple(segs)
 
 
 def _trace_distance(a, b):
@@ -58,12 +57,12 @@ def cut_sequences(seq, dt):
     """seq cut off at t0 + k*dt strictly inside each segment starting at
     t0, and at each segment's end, in time order: the prefixes whose final
     states sample the evolution every dt."""
-    for i, seg in enumerate(seq.segments):
+    for i, seg in enumerate(seq):
         k = 1
         while k * dt < seg.duration:
-            yield PulseSequence(seq.segments[:i] + (dataclasses.replace(seg, duration=k * dt),))
+            yield seq[:i] + (dataclasses.replace(seg, duration=k * dt),)
             k += 1
-        yield PulseSequence(seq.segments[:i + 1])
+        yield seq[:i + 1]
 
 
 def assert_physical(m):
@@ -88,7 +87,7 @@ def test_zero_rates_reproduce_unitary_evolution():
         seq = _random_sequence(rng)
         final = evolve_master(seq, DissipationSection())
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # R1, the stored excitation
-        for seg in seq.segments:
+        for seg in seq:
             psi = closed_form_unitary(seg) @ psi
         expected = np.zeros((4, 4), dtype=complex)
         expected[:3, :3] = np.outer(psi, psi.conj())
@@ -100,13 +99,11 @@ def test_zero_rates_reproduce_unitary_evolution():
 
 
 def test_invariants_hold_at_all_samples():
-    seq = PulseSequence(
-        (
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-            DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
-            Wait(50e-9),
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        )
+    seq = (
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        Wait(50e-9),
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
     )
     cuts = list(cut_sequences(seq, 5e-9))
     assert len(cuts) > 20
@@ -117,7 +114,7 @@ def test_invariants_hold_at_all_samples():
 
 
 def test_population_leaks_into_loss_level():
-    seq = PulseSequence((Wait(2e-6),))
+    seq = (Wait(2e-6),)
     params = DissipationSection(gamma_decay_1=5e5)
     final = evolve_master(seq, params)
     p1, p2, p3, ploss = np.diagonal(final).real
@@ -132,11 +129,11 @@ def test_dephasing_damps_coherence_exponentially():
     prep = DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9)
     t_wait = 1e-6
     rate = 4e5
-    seq = PulseSequence((prep, Wait(t_wait)))
+    seq = (prep, Wait(t_wait))
     params = DissipationSection(gamma_deph_2=rate)
     final = evolve_master(seq, params)
     # coherence after the pulse alone
-    ref = evolve_master(PulseSequence((prep,)), params)
+    ref = evolve_master((prep,), params)
     c_before = abs(ref[0, 1])
     c_after = abs(final[0, 1])
     assert c_after == pytest.approx(c_before * math.exp(-0.5 * rate * t_wait), abs=1e-6)
@@ -148,12 +145,10 @@ def test_dephasing_damps_coherence_exponentially():
 # exact propagation
 
 
-CANONICAL_RAMSEY = PulseSequence(
-    (
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-    )
+CANONICAL_RAMSEY = (
+    DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+    DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+    DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
 )
 
 
@@ -198,7 +193,7 @@ def _rk4_oracle(rho, sequence, params):
     def rhs(r, K):
         return -1j * (K @ r - r @ K.conj().T) + (ops @ r @ ops_dag).sum(axis=0)
 
-    for seg in sequence.segments:
+    for seg in sequence:
         K = -damping.copy()
         K[:3, :3] += segment_hamiltonian(seg)
         n = math.ceil(seg.duration / 0.05e-9)
@@ -258,7 +253,7 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
 )
 def test_every_sample_is_physical(segments, decay, deph, dt):
     params = DissipationSection(*decay, *deph)
-    for cut in cut_sequences(PulseSequence(tuple(segments)), dt):
+    for cut in cut_sequences(tuple(segments), dt):
         assert_physical(evolve_master(cut, params))
 
 
@@ -349,8 +344,8 @@ def _stacked_sequences(draw):
                     k: float(np.broadcast_to(getattr(seg, k), (points,))[i])
                     for k in ("rabi", "detuning", "phase")
                 })
-        per_point.append(PulseSequence(tuple(scalar.get(id(s), s) for s in stacked)))
-    return PulseSequence(stacked), per_point, points
+        per_point.append(tuple(scalar.get(id(s), s) for s in stacked))
+    return stacked, per_point, points
 
 
 # prepares 0.6 |R1> + 0.8i |R2> from the stored excitation
@@ -362,14 +357,14 @@ PREP_06_08 = DriveSegment(
 @given(_stacked_sequences())
 def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
-    stacked = PulseSequence((PREP_06_08,) + stacked.segments)
+    stacked = (PREP_06_08,) + stacked
     final = evolve_master(stacked, RATES)
     assert final.shape == (points, 4, 4)
-    U = sequence_unitary(stacked.segments)
+    U = sequence_unitary(stacked)
     for i, seq in enumerate(per_point):
-        seq = PulseSequence((PREP_06_08,) + seq.segments)
+        seq = (PREP_06_08,) + seq
         assert np.array_equal(final[i], evolve_master(seq, RATES))
-        assert np.array_equal(U[i], sequence_unitary(seq.segments))
+        assert np.array_equal(U[i], sequence_unitary(seq))
 
 
 def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
@@ -384,13 +379,13 @@ def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(dissipative, "expm", leaky_last_map)
-    seq = PulseSequence((
+    seq = (
         DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
         DriveSegment(
             DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9,
             detuning=np.array([-mhz(1.0), 0.0, mhz(1.0)]),
         ),
-    ))
+    )
     # one expm call per distinct segment: the mu2 map, then the stack of the
     # three mu1 points, whose last map is the pulse at the last detuning only
     with pytest.raises(NumericError, match=r"^at t=2\.700e-07 s: trace drifted"):

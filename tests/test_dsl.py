@@ -11,6 +11,7 @@ from seqlab.qcore import (
     DriveSegment,
     Readout,
     Wait,
+    total_duration,
 )
 from seqlab.units import mhz
 from test_qcore import same_segments
@@ -24,7 +25,7 @@ CANONICAL = "sequences/ramsey_readout.seq"
 
 def test_area_form_derives_rabi():
     seq = parse_sequence("pulse mu1 area=0.5pi duration=20ns")
-    (seg,) = seq.segments
+    (seg,) = seq
     assert isinstance(seg, DriveSegment)
     assert seg.field is DriveField.MU1
     assert seg.rabi == 0.5 * math.pi / 20e-9
@@ -40,7 +41,7 @@ def test_full_pulse_statement():
     seq = parse_sequence(
         "pulse mu2 rabi=12.5MHz detuning=-0.4MHz phase=0.25pi duration=250ns"
     )
-    (seg,) = seq.segments
+    (seg,) = seq
     assert seg.field is DriveField.MU2
     assert seg.rabi == mhz(12.5)
     assert seg.detuning == mhz(-0.4)
@@ -50,7 +51,7 @@ def test_full_pulse_statement():
 
 def test_wait_and_readout_statements():
     seq = parse_sequence("wait 50ns\nreadout bin=2")
-    w, r = seq.segments
+    w, r = seq
     assert isinstance(w, Wait) and w.duration == 50.0 * 1e-9
     assert isinstance(r, Readout) and r.bin == 2
 
@@ -59,19 +60,19 @@ def test_comments_and_blank_lines_are_ignored():
     seq = parse_sequence(
         "# heading\n\npulse mu1 rabi=5MHz duration=10ns  # trailing\n\n"
     )
-    assert len(seq.segments) == 1
+    assert len(seq) == 1
 
 
 def test_canonical_file_loads():
     seq = load_sequence(CANONICAL)
-    assert len(seq.segments) == 9
-    kinds = [type(s).__name__ for s in seq.segments]
+    assert len(seq) == 9
+    kinds = [type(s).__name__ for s in seq]
     assert kinds == [
         "DriveSegment", "DriveSegment", "DriveSegment", "Readout",
         "DriveSegment", "Readout", "DriveSegment", "DriveSegment", "Readout",
     ]
-    assert [s.bin for s in seq.segments if isinstance(s, Readout)] == [1, 2, 3]
-    assert seq.total_duration() < 1.8e-6
+    assert [s.bin for s in seq if isinstance(s, Readout)] == [1, 2, 3]
+    assert total_duration(seq) < 1.8e-6
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_parsed_values_equal_the_unit_helpers_bit_for_bit(f_mhz, d_mhz, ph_pi, t
     (seg,) = parse_sequence(
         f"pulse mu2 rabi={f_mhz!r}MHz detuning={d_mhz!r}MHz "
         f"phase={ph_pi!r}pi duration={t_ns!r}ns"
-    ).segments
+    )
     assert seg.rabi == mhz(f_mhz)
     assert seg.detuning == mhz(d_mhz)
     assert seg.phase == ph_pi * math.pi
@@ -284,7 +285,7 @@ def _sequence_text(draw):
 @given(_sequence_text())
 def test_parsed_text_gives_the_written_values(case):
     text, segments = case
-    assert same_segments(parse_sequence(text).segments, segments)
+    assert same_segments(parse_sequence(text), segments)
 
 
 _NUMBERS = st.one_of(
@@ -320,7 +321,7 @@ def test_parser_raises_only_parse_error(text):
         seq = parse_sequence(text)
     except ParseError:
         return
-    for seg in seq.segments:
+    for seg in seq:
         if isinstance(seg, DriveSegment):
             assert math.isfinite(seg.rabi) and seg.rabi >= 0
         if not isinstance(seg, Readout):

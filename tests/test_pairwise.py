@@ -164,7 +164,7 @@ def test_lift_is_the_einsum_bit_for_bit(parts):
 )
 def test_lift_of_ramsey_hamiltonians_is_the_einsum_bit_for_bit(deltas, t_mu1, omega, t_mu2, gap):
     seq = build_ramsey_sequence(np.array(deltas), t_mu1, omega, t_mu2, gap)
-    for seg in seq.segments:
+    for seg in seq:
         h3 = np.broadcast_to(segment_hamiltonian(seg), (len(deltas), 3, 3))
         for stack in (h3[0], h3, h3.reshape(1, -1, 3, 3)):
             _assert_same_bits(lift_single_particle(stack), _einsum_lift(stack))

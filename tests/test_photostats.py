@@ -25,7 +25,6 @@ from seqlab.photostats import (
 from seqlab.qcore import (
     DriveField,
     DriveSegment,
-    PulseSequence,
     Readout,
     Wait,
 )
@@ -59,13 +58,11 @@ def test_ideal_readout_of_equal_superposition():
 
 
 def test_readout_after_half_pi_and_pi_area():
-    seq = PulseSequence(
-        (
-            DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-            DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
-        )
+    seq = (
+        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
     )
-    pops = readout_populations(seq.segments)
+    pops = readout_populations(seq)
     assert abs(pops.p1 - 0.5) <= 1e-12
     assert abs(pops.p2 - 0.0) <= 1e-12
     assert abs(pops.p3 - 0.5) <= 1e-12
@@ -83,16 +80,16 @@ def test_readout_of_r3_lands_in_bin_three():
     assert abs(pops.p3 - 1.0) <= 1e-12
 
 
-def _canonical_chain() -> PulseSequence:
+def _canonical_chain() -> tuple:
     """The read-out chain of readout_populations, written out."""
     t = DEFAULT_PI_PULSE_S
     pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
     pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
-    return PulseSequence((Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3)))
+    return (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
 
 
 def test_readout_eta_scales_each_bin():
-    seq = PulseSequence(HALF_PI_MU1 + _canonical_chain().segments)
+    seq = HALF_PI_MU1 + _canonical_chain()
     assert readout_from_sequence(seq, IDEAL, 0.0) == readout_populations(HALF_PI_MU1)
     pops = readout_from_sequence(seq, (0.8, 0.5, 0.3), 0.0)
     assert abs(pops.p1 - 0.5 * 0.8) <= 1e-12
@@ -129,7 +126,7 @@ def test_prepared_state_is_the_first_column_of_the_unitary(prep):
     psi[:3] = sequence_unitary(prep)[:, 0]
     pops = readout_populations(prep)
     assert np.abs(np.array([pops.p1, pops.p2, pops.p3]) - np.abs(psi[:3]) ** 2).max() <= 1e-12
-    rho = evolve_master(PulseSequence(tuple(prep)), DissipationSection())
+    rho = evolve_master(tuple(prep), DissipationSection())
     assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
 
 
@@ -160,14 +157,12 @@ def test_readout_validation():
 def test_readout_from_sequence_clock_spans_segments():
     # segments between bins 1 and 2 sum to 90 ns of dephasing delay
     gamma = 1e6
-    seq = PulseSequence(
-        HALF_PI_MU1 + (
-            Readout(1),
-            Wait(30e-9),
-            DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
-            Wait(20e-9),
-            Readout(2),
-        )
+    seq = HALF_PI_MU1 + (
+        Readout(1),
+        Wait(30e-9),
+        DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
+        Wait(20e-9),
+        Readout(2),
     )
     pops = readout_from_sequence(seq, IDEAL, gamma)
     assert abs(pops.p1 - 0.5) <= 1e-15
@@ -181,7 +176,7 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
     prep = (
         DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=math.pi),
     )
-    seq = PulseSequence(prep + parse_sequence(SEQUENCE_WITH_A_WAIT).segments)
+    seq = prep + parse_sequence(SEQUENCE_WITH_A_WAIT)
     pops = readout_from_sequence(seq, IDEAL, 0.0)
     assert abs(pops.p1 - 1.0) <= 1e-15
     assert pops.p2 == 0.0 and pops.p3 == 0.0

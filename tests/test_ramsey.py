@@ -131,6 +131,20 @@ def test_symmetric_grid_contains_exact_zero():
     assert all(grid[i] < grid[i + 1] for i in range(200))
 
 
+@given(span=st.floats(5e-324, 1e300), half=st.integers(1, 2000))
+def test_symmetric_grid_is_the_loop_grid_bit_for_bit(span, half):
+    # the Python loop the grid was built with, and the refusal it made
+    step = span / half
+    loop = [step * k for k in range(-half, half + 1)]
+    if any(b <= a for a, b in zip(loop, loop[1:])):
+        with pytest.raises(ValueError, match="deltas must be strictly increasing"):
+            symmetric_detuning_grid(span, 2 * half + 1)
+    else:
+        grid = symmetric_detuning_grid(span, 2 * half + 1)
+        assert grid.dtype == np.float64
+        assert [x.hex() for x in grid.tolist()] == [x.hex() for x in loop]
+
+
 # ---------------------------------------------------------------------------
 # sequence construction
 
@@ -138,20 +152,20 @@ def test_symmetric_grid_contains_exact_zero():
 def test_build_ramsey_sequence_layout():
     seq = build_ramsey_sequence(mhz(1.0), T1, mhz(12.5), T2,
                                 inter_pulse_gap=10e-9)
-    kinds = [type(s) for s in seq.segments]
+    kinds = [type(s) for s in seq]
     assert kinds == [DriveSegment, Wait, DriveSegment, Wait, DriveSegment]
-    first = seq.segments[0]
+    first = seq[0]
     assert first.field is DriveField.MU1
     assert first.rabi * first.duration == pytest.approx(0.5 * math.pi)
     assert first.detuning == mhz(1.0)
-    mid = seq.segments[2]
+    mid = seq[2]
     assert mid.field is DriveField.MU2 and mid.duration == T2
 
 
 def test_build_ramsey_sequence_without_mu2():
     seq = build_ramsey_sequence(0.0, T1, mhz(12.5), 0.0, 0.0)
-    assert len(seq.segments) == 2
-    assert all(s.field is DriveField.MU1 for s in seq.segments)
+    assert len(seq) == 2
+    assert all(s.field is DriveField.MU1 for s in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_build_ramsey_sequence_without_mu2():
 
 def test_backends_agree_on_resonance():
     grid = symmetric_detuning_grid(mhz(10.0), 21)
-    i0 = grid.index(0.0)
+    (i0,) = np.flatnonzero(grid == 0.0)
     for area_pi in (0.0, 0.5, 1.0, 2.0, 3.0):
         omega = area_pi * math.pi / T2 if area_pi else 0.0
         scans = {}
@@ -193,7 +207,7 @@ def test_lindblad_backend_zero_rates_matches_analytic_at_zero():
                         t_mu2=T2, backend=Backend.LINDBLAD)
     a = fringe_scan(cfg_a, DissipationSection())
     b = fringe_scan(cfg_l, DissipationSection())
-    i0 = grid.index(0.0)
+    (i0,) = np.flatnonzero(grid == 0.0)
     assert a[i0] == pytest.approx(b[i0], abs=1e-7)
 
 
@@ -269,9 +283,9 @@ def _reference_scans(cfg, interactions, times, detuning2):
     single, double = [], []
     for d in symmetric_detuning_grid(cfg.span, cfg.points):
         seq = build_ramsey_sequence(d, cfg.t_mu1, cfg.omega_mu2, cfg.t_mu2, cfg.gap)
-        single.append(cfg.i0 * abs(_closed_form_state(seq.segments)[0]) ** 2)
+        single.append(cfg.i0 * abs(_closed_form_state(seq)[0]) ** 2)
         amps = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # the stored pair (11)
-        for s in seq.segments:
+        for s in seq:
             H = pair_hamiltonian(segment_hamiltonian(s), interactions)
             amps = hermitian_propagator(H, s.duration) @ amps
         double.append(cfg.i0 * (np.abs(amps) ** 2 @ _R1_OCC))

@@ -3,7 +3,8 @@ README lists the config's sections, the package version is the project's,
 the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
 dataclass field serves a command, and every propagator call of a command
-runs inside :func:`seqlab.qcore.segment_maps`.
+runs inside :func:`seqlab.qcore.segment_maps`, which no command calls but
+:func:`seqlab.qcore.propagate` and the read-out.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -415,6 +416,7 @@ def _traffic(tmp: Path) -> None:
     run("g2", config=shots + "g2.mode = mixture\ng2.bin = 3\nshots.dark_rate = 0.01\n")
     run("g2", config=shots + "g2.mode = coherent\ng2.bin = 3\n")
     run("g2", config=shots + "g2.bin = 2\n", code=3, err="g2 undefined")
+    run("g2", "--seed", "-1", code=2, err="argument --seed: must be non-negative")
     run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 140000\n",
         code=2, err="overflows the int16 shot records")
     run("g2", config="g2.mode = coherent\nshots.n_trials = 10000000000000\n",
@@ -461,6 +463,27 @@ def test_every_propagation_goes_through_segment_maps(tmp_path, monkeypatch):
     _traffic(tmp_path)
     assert called == {"hermitian_propagator", "expm"}
     assert not outside, sorted(outside)
+
+
+def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
+    # one walk of the maps from the stored excitation, in every space: no
+    # command calls qcore.segment_maps but qcore.propagate and the read-out,
+    # whose density-matrix walk empties R1 between segments
+    from seqlab import photostats, qcore
+
+    segment_maps = qcore.segment_maps
+    callers = set()
+
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1).f_code
+        callers.add(f"{Path(caller.co_filename).name}:{caller.co_name}")
+        return segment_maps(*args, **kwargs)
+
+    for mod in _modules():
+        if vars(mod).get("segment_maps") is segment_maps:
+            monkeypatch.setattr(mod, "segment_maps", wrapper)
+    _traffic(tmp_path)
+    assert callers == {"qcore.py:propagate", "photostats.py:readout_from_sequence"}
 
 
 needs_qualname = pytest.mark.skipif(
