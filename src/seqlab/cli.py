@@ -4,11 +4,16 @@ Subcommands: ramsey-scan, rabi-scan, readout, g2, fit.  Exit codes:
 0 success, 2 validation/usage error, 3 numeric failure (a floating-point
 overflow, invalid operation or division by zero included).  Diagnostics
 go to stderr; data goes to --out (atomically) or stdout.
+
+``main(argv)`` may be called repeatedly in one process, as the example
+scripts do: it builds its parser on the first call and reuses it, so a
+fresh ``seqlab`` process pays the same start-up as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -191,6 +196,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # holds no per-call state: built on the first main call only
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqlab",
@@ -236,7 +242,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = load_config(args.config) if args.config is not None else RunConfig()
         # overflow and invalid operations are coded failures, not warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args, cfg)

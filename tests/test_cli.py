@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqlab import cli
 from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
 from seqlab.photostats import SHOT_BLOCK
 
@@ -942,6 +943,41 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["ramsey-scan", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["ramsey-scan", "g2"])
+def test_empty_config_path_exits_2(capsys, command):
+    # an empty path (say, an unset shell variable) is a missing file, not
+    # a request for the defaults
+    assert main([command, "--config", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_repeated_calls_in_one_process_stay_independent(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+
+    def run(*argv):
+        code = main(list(argv))
+        return (code, *capsys.readouterr())
+
+    # help is wrapped to the terminal width of each call
+    helps = {}
+    for columns in (60, 140):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, helps[columns], _ = run("ramsey-scan", "--help")
+        assert code == 0
+    widths = {c: max(map(len, text.splitlines())) for c, text in helps.items()}
+    assert widths[60] < widths[140]
+    assert helps[60].split() == helps[140].split()
+
+    # a successful command leaves nothing behind for the next parse
+    failures = (("ramsey-scan", "--bogus"), ("g2", "--seed", "-1"), ("readout",))
+    before = [run(*argv) for argv in failures]
+    assert [code for code, _, _ in before] == [2, 2, 2]
+    assert run("ramsey-scan", "--backend", "unitary")[0] == 0
+    assert [run(*argv) for argv in failures] == before
 
 
 def test_unknown_subcommand_exits_2(capsys):

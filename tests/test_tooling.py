@@ -4,7 +4,8 @@ the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
 dataclass field serves a command, and every propagator call of a command
 runs inside :func:`seqlab.qcore.segment_maps`, which no command calls but
-:func:`seqlab.qcore.propagate` and the read-out.
+:func:`seqlab.qcore.propagate` and the read-out, and the command line
+builds its parser once per process.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -15,6 +16,7 @@ it imports seqlab only once the profile and the trace are set, so code
 that runs at import counts too.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -484,6 +486,22 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
     assert callers == {"qcore.py:propagate", "photostats.py:readout_from_sequence"}
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # every command of the traffic reuses one parser: at most the top
+    # parser and one per subcommand are ever constructed, none if an
+    # earlier call already built them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    _traffic(tmp_path)
+    assert len(built) <= 6, built
 
 
 needs_qualname = pytest.mark.skipif(
