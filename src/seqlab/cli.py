@@ -125,17 +125,17 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
     sh = cfg.shots
     mode = cfg.g2.mode
     if mode == "coherent":
-        counts = sample_coherent_shots(
+        hist = sample_coherent_shots(
             sh.mean_photons, sh.n_trials, seed,
             bin=cfg.g2.bin, dark_rate=sh.dark_rate,
         )
     else:
         p2 = cfg.interaction.p2 if mode == "mixture" else 0.0
-        counts = sample_shots(
+        hist = sample_shots(
             sh.n_trials, seed, bin=cfg.g2.bin, dark_rate=sh.dark_rate, p2=p2
         )
-    value, stderr = estimate_g2(counts, bin=cfg.g2.bin)
-    values = (value, stderr, len(counts))
+    value, stderr = estimate_g2(hist, bin=cfg.g2.bin)
+    values = (value, stderr, sh.n_trials)
     emit(_record_text(args, cfg, G2_CSV_HEADER, values), args.out)
     return 0
 

@@ -147,9 +147,17 @@ class InteractionSection:
 
 @dataclass
 class ShotsSection:
-    n_trials: int = _key(100_000, _int, _POSITIVE)
+    """HBT shots: n_trials goes to numpy's int64 multinomial draws; a
+    coherent source's outcomes span about sqrt(mean_photons) counts per
+    arm, so mean_photons bounds the work of a g2 run at any n_trials."""
+
+    n_trials: int = _key(
+        100_000, _int, (lambda v: 0 < v < 2**63, "must be positive and below 2**63")
+    )
     dark_rate: float = _key(0.0, _number, _UNIT_OPEN)
-    mean_photons: float = _key(0.1, _number, _NON_NEGATIVE)
+    mean_photons: float = _key(
+        0.1, _number, (lambda v: 0 <= v <= 32767, "must be non-negative and at most 32767")
+    )
 
 
 @dataclass

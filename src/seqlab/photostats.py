@@ -14,12 +14,14 @@ each retrieval after the first is scaled by exp(-rate * elapsed), with the
 elapsed time taken from the durations of the remapping segments actually
 in the sequence.
 
-The HBT samplers record the one time bin that g2 reads: the per-trial
-click counts of arm A and arm B in that bin, as an (n_trials, 2) int16
-array, drawn from the same stream as records of all three bins.
-:func:`estimate_g2` collapses that array to its (nA, nB) outcome
-histogram block by block.  The run configuration bounds every count,
-rate and efficiency that reaches this module.
+The HBT samplers give the statistics of the one time bin that g2 reads
+as its outcome histogram: the (nA, nB) click counts of arm A and arm B
+that occurred, with the number of trials of each.  The trials are
+independent, so that histogram is one multinomial draw over the outcome
+distribution of a single trial, and no trial is drawn on its own: time
+and memory do not grow with the trial count.  :func:`estimate_g2` takes
+the histogram.  The run configuration bounds every count, rate and
+efficiency that reaches this module.
 """
 
 from __future__ import annotations
@@ -96,33 +98,63 @@ def readout_from_sequence(
 # HBT shot sampling
 
 
-COUNT_MAX = int(np.iinfo(np.int16).max)
-# Draws per block of the streamed samplers, and trials per block of the g2
-# outcome histogram: every block buffer and index temporary is this long at
-# most, whatever n_trials is.
-SHOT_BLOCK = 1 << 15
+def _histogram_rows(rng, totals, pmf: np.ndarray):
+    """(row, k, freq) of the non-zero cells of one Multinomial(totals[row],
+    pmf) histogram per row, in lexicographic (row, k) order, over the
+    counts k = 0, 1, ... that pmf covers.
 
-
-def _blocks(n_trials: int, draws_per_trial: int = 1):
-    """(start, stop) of each block of SHOT_BLOCK // draws_per_trial trials
-    (at least one), in trial order, so that a block takes at most
-    SHOT_BLOCK draws unless one trial takes more."""
-    size = max(1, SHOT_BLOCK // draws_per_trial)
-    for start in range(0, n_trials, size):
-        yield start, min(start + size, n_trials)
-
-
-def _add_dark_counts(rng, counts: np.ndarray, dark_rate: float, bin: int) -> None:
-    """counts += rng.random((n_trials, 2, 3))[:, :, bin - 1] < dark_rate.
-
-    The draws cover all three bins, so the stream stays that of three-bin
-    records; one reused buffer of at most SHOT_BLOCK floats takes them
-    block by block, and only the recorded bin's column is added.
+    The conditional-binomial method (Davis, Comput. Stat. Data Anal. 16,
+    205 (1993)): count k takes Binomial(left, pmf[k] / P(K >= k)) of the
+    trials of a row not placed yet, for k up the support, vectorised over
+    the rows, until every trial is placed.  The tail masses P(K >= k) are
+    summed from the top, so they keep their relative precision far out in
+    the tail; counts outside the non-zero range of pmf take no draw.
     """
-    buf = np.empty(min(6 * len(counts), SHOT_BLOCK))
-    for start, stop in _blocks(len(counts), draws_per_trial=6):
-        u = rng.random(out=buf[: 6 * (stop - start)].reshape(stop - start, 2, 3))
-        counts[start:stop] += u[:, :, bin - 1] < dark_rate
+    support = np.flatnonzero(pmf)
+    lo = int(support[0])
+    pmf = pmf[lo : support[-1] + 1]
+    tail = np.cumsum(pmf[::-1])[::-1]
+    rows = np.arange(len(totals))
+    left = np.asarray(totals, dtype=np.int64)
+    cells = []
+    # the last count takes every trial left, as pmf / tail is 1 there
+    for k, q in enumerate(pmf / tail, start=lo):
+        taken = rng.binomial(left, q)
+        hit = np.flatnonzero(taken)
+        cells.append((rows[hit], np.full(hit.size, k), taken[hit]))
+        left -= taken
+        still = left > 0
+        rows, left = rows[still], left[still]
+        if not rows.size:
+            break
+    row, k, freq = map(np.concatenate, zip(*cells))
+    order = np.lexsort((k, row))
+    return row[order], k[order], freq[order]
+
+
+def _mixture_table(bin: int, dark_rate: float, p2: float) -> np.ndarray:
+    """p[nA, nB], over {0..3}^2: the probability that one trial of the
+    single emitter gives nA clicks in arm A and nB in arm B in time bin
+    ``bin``.
+
+    In bin 1 a trial holds a photon pair with probability p2, split
+    Binomial(2, 1/2) between the arms, and otherwise a single photon that
+    picks an arm 50/50; no photon reaches bins 2 and 3.  A dark click adds
+    one count to each arm with probability dark_rate, independently.
+    """
+    signal = np.zeros((3, 3))
+    if bin == 1:
+        signal[1, 0] = signal[0, 1] = 0.5 * (1.0 - p2)
+        signal[2, 0] = signal[0, 2] = 0.25 * p2
+        signal[1, 1] = 0.5 * p2
+    else:
+        signal[0, 0] = 1.0
+    dark = (1.0 - dark_rate, dark_rate)
+    table = np.zeros((4, 4))
+    for a in (0, 1):
+        for b in (0, 1):
+            table[a : a + 3, b : b + 3] += dark[a] * dark[b] * signal
+    return table
 
 
 def sample_shots(
@@ -131,55 +163,40 @@ def sample_shots(
     bin: int,
     dark_rate: float,
     p2: float,
-) -> np.ndarray:
-    """Monte-Carlo HBT records of time bin ``bin`` for n_trials sequence
-    repetitions: the (n_trials, 2) int16 click counts of arm A (column 0)
-    and arm B in that bin.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monte-Carlo HBT statistics of time bin ``bin`` over n_trials
+    sequence repetitions of a single emitter with a two-photon admixture
+    (see :func:`_mixture_table`): the outcome histogram, as the int64
+    arrays (nA, nB, freq) of the click counts of arm A and arm B and the
+    number of trials that gave them, in lexicographic (nA, nB) order and
+    without empty cells.
 
-    Each trial: with probability p2 a double-excitation event emits two
-    photons into bin 1, split independently between the arms; otherwise a
-    single photon lands in bin 1 and picks an arm 50/50.  Dark counts add
-    one click per arm and bin with probability dark_rate, independently.
-    The draw order is fixed, so identical seeds give identical records.
-    n_trials > 0, bin is 1, 2 or 3, and dark_rate and p2 lie in [0, 1).
-
-    Every draw of three-bin records is made, whichever bin is recorded,
-    the single photon's uniform bin draw included, so a bin's records are
-    the column of that bin in three-bin records.  The draws are streamed
-    through the trials in blocks, each kind of draw over all trials before
-    the next, so the records are identical to those of whole-array draws.
-    Besides the 4 B/trial records only one bool per trial is kept whole,
-    and everything else is block sized: the peak is about 9 B/trial at
-    500 000 trials.
+    The trials are independent, so the histogram is exactly one
+    Multinomial(n_trials, p) draw over the single-trial table p; identical
+    seeds give identical histograms.  n_trials lies in [1, 2**63 - 1],
+    bin is 1, 2 or 3, and dark_rate and p2 lie in [0, 1).
     """
-    counts = np.zeros((n_trials, 2), dtype=np.int16)
-    buf = np.empty(min(n_trials, SHOT_BLOCK))
-    rng = np.random.default_rng(seed)
-    double = np.empty(n_trials, dtype=bool)
-    for start, stop in _blocks(n_trials):
-        np.less(rng.random(out=buf[: stop - start]), p2, out=double[start:stop])
-    # double-excitation branch: both photons in bin 1
-    for start, stop in _blocks(n_trials):
-        double_a = rng.binomial(2, 0.5, size=stop - start)
-        if bin == 1:
-            rows = np.flatnonzero(double[start:stop])
-            counts[start + rows, 0] = double_a[rows]
-            counts[start + rows, 1] = 2 - double_a[rows]
-    # the single photon's bin draw, which always picks bin 1
-    for start, stop in _blocks(n_trials):
-        rng.random(out=buf[: stop - start])
-    # a single photon sets one cell of bin 1, 2 * trial + arm of the flat
-    # counts, so one scatter per block writes them all
-    cells = counts.reshape(-1)
-    for start, stop in _blocks(n_trials):
-        arm_b = rng.random(out=buf[: stop - start]) >= 0.5
-        if bin == 1:
-            rows = np.flatnonzero(~double[start:stop])
-            cells[2 * (start + rows) + arm_b[rows]] = 1
-    del double, buf
-    if dark_rate > 0:
-        _add_dark_counts(rng, counts, dark_rate, bin)
-    return counts
+    table = _mixture_table(bin, dark_rate, p2)
+    freq = np.random.default_rng(seed).multinomial(n_trials, table.ravel())
+    cells = np.flatnonzero(freq)
+    return cells // 4, cells % 4, freq[cells]
+
+
+def _arm_pmf(mean: float, dark_rate: float) -> np.ndarray:
+    """pmf over k = 0, 1, ... of one arm's clicks: Poisson(mean) photons
+    plus one dark click with probability dark_rate.  The Poisson pmf is
+    taken in log space, so a large mean does not underflow exp(-mean), up
+    to mean + 40 sqrt(mean) + 200 photons, where it is below exp(-745)
+    and has underflowed to zero."""
+    if mean == 0.0:
+        photons = np.ones(1)
+    else:
+        log_mean = math.log(mean)
+        top = int(mean + 40.0 * math.sqrt(mean)) + 200
+        photons = np.exp(
+            [k * log_mean - mean - math.lgamma(k + 1) for k in range(top)]
+        )
+    return np.convolve(photons, (1.0 - dark_rate, dark_rate))
 
 
 def sample_coherent_shots(
@@ -188,40 +205,27 @@ def sample_coherent_shots(
     seed: int,
     bin: int,
     dark_rate: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poissonian source mode: photon number ~ Poisson(mean_photons) in time
     bin ``bin``, split binomially between the arms.  Gives g2 = 1 in
-    expectation.  The records of that bin are laid out as ``sample_shots``
-    lays them out; a photon number beyond the int16 records raises
-    ValueError.
+    expectation.  The outcome histogram of that bin is laid out as
+    ``sample_shots`` lays it out; the source emits into whichever bin is
+    read, so every bin gives the same histogram.
 
-    Streamed in blocks like ``sample_shots``, with records identical to
-    the bin's column of whole-array draws: the photon numbers go straight
-    into arm B's column, which the binomial split then reduces in place,
-    so nothing but the 4 B/trial records is kept whole.  The peak is about
-    6 B/trial at 500 000 trials.
+    Poisson thinning makes nA and nB independent, each Poisson(mean/2)
+    plus a Bernoulli(dark_rate) dark click, so the single-trial table is
+    p (x) p over an unbounded support, with p from :func:`_arm_pmf`.  The
+    histogram is one Multinomial(n_trials, p (x) p) draw, made in two
+    steps by :func:`_histogram_rows`: nA's marginal histogram, then nB's
+    histogram within each nA row.  mean_photons lies in [0, 32767], so
+    the support, and with it time and memory, stays bounded at any
+    n_trials.
     """
-    counts = np.zeros((n_trials, 2), dtype=np.int16)
-    arm_a, arm_b = counts.T
     rng = np.random.default_rng(seed)
-    top = 0
-    for start, stop in _blocks(n_trials):
-        nph = rng.poisson(mean_photons, stop - start)
-        top = max(top, int(nph.max()))
-        arm_b[start:stop] = nph  # wraps past COUNT_MAX, but then we raise
-    # a dark click can add one count per arm
-    if top > COUNT_MAX - (dark_rate > 0):
-        raise ValueError(
-            f"photon count {top} overflows the int16 shot records; "
-            "lower mean_photons"
-        )
-    for start, stop in _blocks(n_trials):
-        na = rng.binomial(arm_b[start:stop], 0.5)
-        arm_a[start:stop] = na
-        arm_b[start:stop] -= na  # nph - na in place
-    if dark_rate > 0:
-        _add_dark_counts(rng, counts, dark_rate, bin)
-    return counts
+    pmf = _arm_pmf(0.5 * mean_photons, dark_rate)
+    _, na, freq_a = _histogram_rows(rng, [n_trials], pmf)
+    row, nb, freq = _histogram_rows(rng, freq_a, pmf)
+    return na[row], nb, freq
 
 
 # ---------------------------------------------------------------------------
@@ -230,68 +234,48 @@ def sample_coherent_shots(
 
 N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 815
+# counts per row block of the bootstrap's multinomial draws
+BOOTSTRAP_BLOCK = 1 << 15
 
 
-def _outcome_histogram(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, freq) of the distinct (nA, nB) outcomes of (n_trials, 2)
-    records: the sorted packed keys nA * (COUNT_MAX + 1) + nB and the int64
-    number of trials of each, merged from SHOT_BLOCK-trial blocks.
-
-    Both counts lie in [0, COUNT_MAX], so a key is at most 2**30 - 1, exact
-    in int32, and the sorted keys list the outcomes in lexicographic
-    (nA, nB) order.
-    """
-    keys = np.empty(0, dtype=np.int32)
-    freq = np.empty(0, dtype=np.int64)
-    for start, stop in _blocks(len(counts)):
-        block = counts[start:stop]
-        packed = np.multiply(block[:, 0], COUNT_MAX + 1, dtype=np.int32)
-        packed += block[:, 1]
-        block_keys, block_freq = np.unique(packed, return_counts=True)
-        keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)
-        merged = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(merged, where, np.concatenate([freq, block_freq]))
-        freq = merged
-    return keys, freq
-
-
-def estimate_g2(counts: np.ndarray, bin: int) -> tuple[float, float]:
+def estimate_g2(hist, bin: int) -> tuple[float, float]:
     """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials, and its
-    bootstrap standard error, from the (n_trials, 2) int16 records of one
-    time bin that a sampler returns; bin names that bin in the diagnostic.
-    NumericError when an arm registered no clicks, which leaves the
-    normalization undefined.
+    bootstrap standard error, from the (nA, nB, freq) outcome histogram
+    of one time bin that a sampler returns; bin names that bin in the
+    diagnostic.  NumericError when an arm registered no clicks, which
+    leaves the normalization undefined.
 
-    The records are collapsed to their outcome histogram block by block,
-    so nothing trial-long is built.  The sums behind <nA>, <nB> and
-    <nA nB> are exact Python integers over that histogram, so each mean is
-    one correctly rounded division by n at any n.  The bootstrap
-    (N_BOOTSTRAP resamples, seeded) resamples trials with replacement;
-    over the histogram that is a multinomial redraw, whose rows come in
-    blocks of at most SHOT_BLOCK counts, the same draws as one call.  The
-    draws depend on the order of the outcomes, the lexicographic (nA, nB)
-    order of the sorted keys, so that order fixes the stderr that
+    The sums behind <nA>, <nB> and <nA nB> are exact Python integers over
+    the histogram, so each mean is one correctly rounded division by n at
+    any n.  The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials
+    with replacement; over the histogram that is a multinomial redraw,
+    whose rows come in blocks of at most BOOTSTRAP_BLOCK counts, the same
+    draws and sums as one call, so memory is bounded by the number of
+    outcomes, not of trials.  The draws follow the order of the outcomes, so the
+    lexicographic (nA, nB) order of the samplers fixes the stderr that
     BOOTSTRAP_SEED yields.
     """
-    n = len(counts)
-    keys, freq = _outcome_histogram(counts)
-    ua, ub = np.divmod(keys, COUNT_MAX + 1)  # ua * ub <= COUNT_MAX**2: int32
+    na, nb, freq = hist
+    n = int(freq.sum())
     weights = freq.astype(object)
-    sum_a, sum_b, sum_ab = (int(weights @ x) for x in (ua, ub, ua * ub))
+    sum_a, sum_b, sum_ab = (int(weights @ x) for x in (na, nb, na * nb))
     if sum_a == 0 or sum_b == 0:
         raise NumericError(
             f"g2 undefined: one arm registered no clicks ({n} trials, bin {bin})"
         )
     value = sum_ab / n / ((sum_a / n) * (sum_b / n))
 
-    ua = ua.astype(float)
-    ub = ub.astype(float)
+    ua = na.astype(float)
+    ub = nb.astype(float)
     uab = ua * ub
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     sums = np.empty((3, N_BOOTSTRAP))  # sa, sb, sab of each resample
-    for start, stop in _blocks(N_BOOTSTRAP, len(freq)):
-        draws = rng.multinomial(n, freq / n, size=stop - start)
-        sums[:, start:stop] = draws @ ua, draws @ ub, draws @ uab
+    rows = max(1, BOOTSTRAP_BLOCK // len(freq))
+    for start in range(0, N_BOOTSTRAP, rows):
+        stop = min(start + rows, N_BOOTSTRAP)
+        draws = rng.multinomial(n, freq / n, size=stop - start).astype(float)
+        # each row summed on its own, so the blocks do not move a bit
+        sums[:, start:stop] = [(draws * u).sum(axis=1) for u in (ua, ub, uab)]
     sa, sb, sab = sums
     ok = (sa > 0) & (sb > 0)
     boot = n * sab[ok] / (sa[ok] * sb[ok])

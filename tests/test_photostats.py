@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
-from seqlab.config import DissipationSection
+from seqlab.config import DissipationSection, parse_config
 from seqlab.dissipative import NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
-    COUNT_MAX,
     BOOTSTRAP_SEED,
     N_BOOTSTRAP,
-    SHOT_BLOCK,
     FitResult,
+    _arm_pmf,
+    _mixture_table,
     TimeBinPopulations,
     estimate_g2,
     fit_sinusoid,
@@ -186,45 +187,46 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
 # Monte-Carlo sampling
 
 
+def _clicks(hist):
+    """(nA + nB, freq) of an outcome histogram."""
+    na, nb, freq = hist
+    return na + nb, freq
+
+
 def test_sampling_is_deterministic_per_seed():
     a = sample_shots(500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
     b = sample_shots(500, seed=42, dark_rate=0.01, p2=0.2, bin=1)
     c = sample_shots(500, seed=43, dark_rate=0.01, p2=0.2, bin=1)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_deterministic_source_gives_one_click_per_trial():
     n = 10_000
-    recs = sample_shots(n, seed=7, bin=1, dark_rate=0.0, p2=0.0)
-    totals = recs.sum(axis=1)
-    assert np.all(totals == 1)
+    na, nb, freq = sample_shots(n, seed=7, bin=1, dark_rate=0.0, p2=0.0)
+    assert np.all(na + nb == 1)
+    assert freq.sum() == n
     for bin in (2, 3):
-        assert sample_shots(n, seed=7, bin=bin, dark_rate=0.0, p2=0.0).sum() == 0
-    na = recs[:, 0].sum()
+        clicks, _ = _clicks(sample_shots(n, seed=7, bin=bin, dark_rate=0.0, p2=0.0))
+        assert not clicks.any()
+    arm_a = int(freq[na == 1].sum())
     # 4 sigma band around the 50/50 arm split
-    assert abs(na - n / 2) <= 4 * math.sqrt(n * 0.25)
-
-
-def _all_bins(sample):
-    """The (n_trials, 2, 3) records of the three bins of sample(bin)."""
-    return np.stack([sample(bin) for bin in (1, 2, 3)], axis=-1)
+    assert abs(arm_a - n / 2) <= 4 * math.sqrt(n * 0.25)
 
 
 def test_single_branch_never_exceeds_one_click():
-    recs = _all_bins(
-        lambda bin: sample_shots(5_000, seed=11, bin=bin, dark_rate=0.0, p2=0.0)
-    )
-    assert recs.sum(axis=(1, 2)).max() <= 1
+    for bin in (1, 2, 3):
+        clicks, _ = _clicks(sample_shots(5_000, seed=11, bin=bin, dark_rate=0.0, p2=0.0))
+        assert clicks.max() <= (bin == 1)
 
 
 def test_dark_counts_add_at_the_configured_rate():
     n = 40_000
     rate = 0.05
-    recs = _all_bins(
-        lambda bin: sample_shots(n, seed=3, bin=bin, dark_rate=rate, p2=0.0)
-    )
-    total = int(recs.sum()) - n  # each trial's single photon adds one click
+    total = -n  # each trial's single photon adds one click
+    for bin in (1, 2, 3):
+        clicks, freq = _clicks(sample_shots(n, seed=3, bin=bin, dark_rate=rate, p2=0.0))
+        total += int(clicks @ freq)
     mean = 6 * n * rate
     sigma = math.sqrt(6 * n * rate * (1 - rate))
     assert abs(total - mean) <= 5 * sigma
@@ -233,112 +235,132 @@ def test_dark_counts_add_at_the_configured_rate():
 def test_coherent_source_total_is_poissonian():
     n = 100_000
     mu = 0.1
-    recs = sample_coherent_shots(mu, n, seed=5, bin=1, dark_rate=0.0)
-    totals = recs.sum(axis=1)
-    assert abs(totals.mean() - mu) <= 5 * math.sqrt(mu / n)
+    clicks, freq = _clicks(sample_coherent_shots(mu, n, seed=5, bin=1, dark_rate=0.0))
+    assert abs(clicks @ freq / n - mu) <= 5 * math.sqrt(mu / n)
 
 
 def test_sampling_validation():
     # n_trials, dark_rate, p2, mean_photons and bin are bounded by their
-    # config keys (test_config); a photon number is bounded by the records
-    with pytest.raises(ValueError, match="overflows the int16 shot records"):
-        sample_coherent_shots(140_000, 10, seed=1, bin=1, dark_rate=0.0)
+    # config keys; the samplers run at the bounds
+    for line, rule in (
+        (f"shots.n_trials = {2**63}", "must be positive and below 2[*][*]63"),
+        ("shots.mean_photons = 32767.5", "must be non-negative and at most 32767"),
+    ):
+        with pytest.raises(ValueError, match=rf"^config line 1: {line[:line.index(' ')]}: {rule}$"):
+            parse_config(line + "\n")
+    n = 2**63 - 1
+    assert sample_shots(n, 1, bin=1, dark_rate=0.5, p2=0.5)[2].sum() == n
+    na, nb, freq = sample_coherent_shots(32767, 10, 1, bin=1, dark_rate=0.0)
+    assert freq.sum() == 10 and 30_000 < na.min() + nb.min()
 
 
-def _masked_loop_sample_shots(n_trials, seed, dark_rate, p2):
-    """Reference: the sampler as masked passes over the trials."""
-    rng = np.random.default_rng(seed)
-    double = rng.random(n_trials) < p2
-    double_a = rng.binomial(2, 0.5, size=n_trials)
-    rng.random(n_trials)  # the single photon's bin: always bin 1
-    arm_a = rng.random(n_trials) < 0.5
-    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
-    counts[double, 0, 0] += double_a[double].astype(np.int16)
-    counts[double, 1, 0] += (2 - double_a[double]).astype(np.int16)
-    counts[~double & arm_a, 0, 0] += 1
-    counts[~double & ~arm_a, 1, 0] += 1
-    if dark_rate > 0:
-        counts += (rng.random((n_trials, 2, 3)) < dark_rate).astype(np.int16)
-    return counts
+def _hand_built_table(bin, dark_rate, p2):
+    """p[nA, nB] of one trial in time bin ``bin``, written cell by cell:
+    the signal outcomes of bin 1 shifted by the dark clicks of each arm."""
+    q, d = 1.0 - dark_rate, dark_rate
+    if bin != 1:  # dark clicks only
+        return np.outer([q, d, 0.0, 0.0], [q, d, 0.0, 0.0])
+    s, p = 0.5 * (1.0 - p2), 0.25 * p2  # (1, 0) or (0, 1); (2, 0) or (0, 2)
+    return np.array([
+        [0.0, s * q * q, p * q * q + s * q * d, p * q * d],
+        [s * q * q, 2 * p * q * q + 2 * s * q * d, 3 * p * q * d + s * d * d, p * d * d],
+        [p * q * q + s * q * d, 3 * p * q * d + s * d * d, 2 * p * d * d, 0.0],
+        [p * q * d, p * d * d, 0.0, 0.0],
+    ])
 
 
 @given(
-    p2=st.sampled_from([0.0]) | st.floats(0.0, 0.99),
-    dark_rate=st.sampled_from([0.0]) | st.floats(0.0, 0.5),
-    n_trials=st.integers(1, 3000),
-    seed=st.integers(0, 2**32 - 1),
+    p2=st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True),
+    dark_rate=st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True),
+    n_trials=st.integers(1, 3000) | st.integers(1, 2**63 - 1),
+    seed=st.integers(0, 2**64 - 1),
 )
-@example(p2=0.05, dark_rate=0.001, n_trials=2000, seed=7)
+@example(p2=0.05, dark_rate=0.001, n_trials=500_000, seed=7)
 @example(p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
-def test_sample_shots_matches_masked_loop_reference(p2, dark_rate, n_trials, seed):
-    ref = _masked_loop_sample_shots(n_trials, seed, dark_rate, p2)
+@example(p2=1e-310, dark_rate=5e-324, n_trials=2**63 - 1, seed=2)  # subnormal cells
+def test_sample_shots_matches_the_multinomial_reference(p2, dark_rate, n_trials, seed):
     for bin in (1, 2, 3):
-        recs = sample_shots(n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
-        assert recs.dtype == np.int16
-        assert np.array_equal(recs, ref[:, :, bin - 1])
+        table = _hand_built_table(bin, dark_rate, p2)
+        assert abs(table.sum() - 1.0) <= 1e-12
+        # the sampler's table is the hand-built one to 4 ulp, or to a few
+        # subnormal units where the products underflow; near 2**63 trials
+        # one ulp of a cell moves the draws, so they are compared over the
+        # sampler's own table
+        own = _mixture_table(bin, dark_rate, p2)
+        assert np.allclose(own, table, rtol=4 * 2.0**-52, atol=2.0**-1070)
+        ref = np.random.default_rng(seed).multinomial(n_trials, own.ravel())
+        na, nb, freq = sample_shots(n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+        assert {na.dtype, nb.dtype, freq.dtype} == {np.dtype(np.int64)}
+        cells = 4 * na + nb
+        assert (np.diff(cells) > 0).all() and (freq > 0).all()  # sorted, no empty cell
+        dense = np.zeros(16, dtype=np.int64)
+        dense[cells] = freq
+        assert np.array_equal(dense, ref)
 
 
-def _whole_array_sample_shots(n_trials, seed, dark_rate, p2):
-    """Reference: the sampler as whole-array draws, one array per kind."""
-    rng = np.random.default_rng(seed)
-    double = rng.random(n_trials) < p2
-    double_a = rng.binomial(2, 0.5, size=n_trials)
-    rng.random(n_trials)  # the single photon's bin: always bin 1
-    arm_a = rng.random(n_trials) < 0.5
-    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
-    counts[:, 0, 0] = np.where(double, double_a, arm_a)
-    counts[:, 1, 0] = np.where(double, 2 - double_a, ~arm_a)
-    if dark_rate > 0:
-        counts += rng.random((n_trials, 2, 3)) < dark_rate
-    return counts
+def _coherent_arm_pmf(mean_photons, dark_rate):
+    """pmf of one arm's clicks, from scipy: Poisson(mean_photons / 2)
+    photons plus a Bernoulli(dark_rate) dark click, up to 20 standard
+    deviations and 50 counts past the mean, where the Poisson tail is
+    below 1e-40."""
+    mean = mean_photons / 2
+    photons = scipy_stats.poisson.pmf(np.arange(int(mean + 20 * math.sqrt(mean)) + 50), mean)
+    return (1.0 - dark_rate) * photons + dark_rate * np.concatenate([[0.0], photons[:-1]])
 
 
-def _whole_array_coherent_shots(mean_photons, n_trials, seed, bin, dark_rate):
-    """Reference: the coherent sampler as whole-array draws."""
-    rng = np.random.default_rng(seed)
-    nph = rng.poisson(mean_photons, n_trials)
-    na = rng.binomial(nph, 0.5)
-    counts = np.zeros((n_trials, 2, 3), dtype=np.int16)
-    counts[:, 0, bin - 1] = na
-    counts[:, 1, bin - 1] = nph - na
-    if dark_rate > 0:
-        counts += (rng.random((n_trials, 2, 3)) < dark_rate).astype(np.int16)
-    return counts
+# false-alarm rate of one chi-square check: 1e-9, in the chi-square limit
+# that pooling every cell to an expected count of at least 20 keeps
+CHI2_FALSE_ALARM = 1e-9
+CHI2_MIN_EXPECTED = 20.0
+
+_COHERENT_CASES = [(2.0, 1, 0.01), (0.1, 2, 0.3), (2.0, 3, 0.0), (400.0, 1, 0.0), (0.0, 1, 0.2)]
 
 
-# trial counts either side of one and two block boundaries
-_BLOCK_EDGES = (SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 1)
-
-
-@pytest.mark.parametrize(
-    "p2, dark_rate",
-    [(0.05, 0.001), (0.2, 0.05), (0.0, 0.0)],  # the first is the g2 mixture
-    # the ids of the cases from when each also set the bin probabilities
-    ids=["pops0-0.05-0.001", "pops1-0.2-0.05", "pops2-0.0-0.0"],
+@pytest.mark.parametrize("mean_photons, bin, dark_rate", _COHERENT_CASES)
+@settings(max_examples=15)
+@given(
+    n_trials=st.integers(1, 10**6) | st.sampled_from([10**9, 10**12]),
+    seed=st.integers(0, 2**64 - 1),
 )
-@settings(max_examples=4)
-@given(seed=st.integers(0, 2**64 - 1))
-def test_sample_shots_streams_the_whole_array_draws(p2, dark_rate, seed):
-    for n in _BLOCK_EDGES:
-        ref = _whole_array_sample_shots(n, seed, dark_rate, p2)
-        for bin in (1, 2, 3):
-            recs = sample_shots(n, seed, bin=bin, dark_rate=dark_rate, p2=p2)
-            assert recs.dtype == np.int16
-            assert np.array_equal(recs, ref[:, :, bin - 1])
+@example(n_trials=500_000, seed=7)
+def test_sample_coherent_shots_fit_the_product_distribution(
+    mean_photons, bin, dark_rate, n_trials, seed
+):
+    na, nb, freq = sample_coherent_shots(mean_photons, n_trials, seed, bin=bin, dark_rate=dark_rate)
+    assert {na.dtype, nb.dtype, freq.dtype} == {np.dtype(np.int64)}
+    assert (np.diff(na) >= 0).all() and (np.diff(nb)[np.diff(na) == 0] > 0).all()
+    assert (freq > 0).all() and freq.sum() == n_trials
+    pmf = _coherent_arm_pmf(mean_photons, dark_rate)
+    expected = n_trials * np.outer(pmf, pmf)
+    seen = np.zeros_like(expected)
+    inside = (na < len(pmf)) & (nb < len(pmf))
+    seen[na[inside], nb[inside]] = freq[inside]
+    # cells of small expectation, and the tail beyond the table, pooled
+    big = expected >= CHI2_MIN_EXPECTED
+    observed, expect = seen[big], expected[big]
+    rest = n_trials - expect.sum()
+    if rest >= CHI2_MIN_EXPECTED:
+        observed = np.append(observed, n_trials - observed.sum())
+        expect = np.append(expect, rest)
+    elif expect.size:  # too little left over for a cell of its own
+        smallest = np.argmin(expect)
+        observed[smallest] += n_trials - observed.sum()
+        expect[smallest] += rest
+    if expect.size < 2:
+        return  # nothing to compare: every trial in one cell
+    chi2 = float(((observed - expect) ** 2 / expect).sum())
+    assert scipy_stats.chi2.sf(chi2, expect.size - 1) >= CHI2_FALSE_ALARM
 
 
-@pytest.mark.parametrize(
-    "mean_photons, bin, dark_rate",
-    [(2.0, 1, 0.01), (0.1, 2, 0.3), (2.0, 3, 0.0), (400.0, 1, 0.0)],
-)
-@settings(max_examples=4)
-@given(seed=st.integers(0, 2**64 - 1))
-def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, dark_rate, seed):
-    for n in _BLOCK_EDGES:
-        recs = sample_coherent_shots(mean_photons, n, seed, bin=bin, dark_rate=dark_rate)
-        ref = _whole_array_coherent_shots(mean_photons, n, seed, bin, dark_rate)
-        assert recs.dtype == np.int16
-        assert np.array_equal(recs, ref[:, :, bin - 1])
+@pytest.mark.parametrize("mean_photons, bin, dark_rate", _COHERENT_CASES)
+def test_coherent_arm_means_are_half_the_photons_plus_dark(mean_photons, bin, dark_rate):
+    n = 10**6
+    na, nb, freq = sample_coherent_shots(mean_photons, n, 3, bin=bin, dark_rate=dark_rate)
+    assert freq.sum() == n
+    mean = mean_photons / 2 + dark_rate
+    sigma = math.sqrt((mean_photons / 2 + dark_rate * (1 - dark_rate)) / n)
+    for arm in (na, nb):
+        assert abs(arm @ freq / n - mean) <= 5 * sigma
 
 
 @pytest.mark.parametrize(
@@ -352,17 +374,17 @@ def test_sample_coherent_shots_streams_the_whole_array_draws(mean_photons, bin, 
     ids=["mixture", "three-bin", "coherent-dark", "coherent"],
 )
 def test_sampler_peak_memory_is_near_the_records(sample):
-    # the records take 4 B/trial; three-bin records peaked at 14-17 B/trial
-    # and whole-array draws at 82-94 B/trial
-    n = 500_000
+    # the records are the outcome histogram, a few hundred bytes here;
+    # int16 records of each of 10**12 trials would take 4 TB
+    n = 10**12
     tracemalloc.start()
     try:
-        recs = sample(n)
+        hist = sample(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert recs.shape == (n, 2)
-    assert peak / n <= 12.0
+    assert hist[2].sum() == n
+    assert peak <= sum(a.nbytes for a in hist) + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +405,28 @@ def test_coherent_records_give_unity_within_error():
 
 
 def test_estimate_g2_peak_memory_per_trial():
-    # the block histogram holds nothing trial-long; trial-long int32
-    # products and packed keys peaked at 10 B/trial
-    recs = sample_coherent_shots(2.0, 500_000, 9, dark_rate=0.01, bin=1)
-    tracemalloc.start()
-    try:
-        estimate_g2(recs, bin=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / len(recs) <= 2.0
+    # nothing trial-long: from 10**4 to 10**12 trials the peak grows by
+    # less than 1 MiB, about 1e-6 B/trial, as the outcomes and the
+    # bootstrap's row blocks do not grow with the trials
+    peaks = []
+    for n in (10**4, 10**12):
+        hist = sample_coherent_shots(2.0, n, 9, dark_rate=0.01, bin=1)
+        tracemalloc.start()
+        try:
+            estimate_g2(hist, bin=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20
+
+
+def _one_outcome(na, nb, freq):
+    return np.array([na]), np.array([nb]), np.array([freq])
 
 
 def test_g2_product_of_large_counts_does_not_wrap():
-    counts = np.full((4, 2), 200, dtype=np.int16)  # 200 * 200 is beyond int16
-    assert estimate_g2(counts, bin=1)[0] == 1.0
+    # 50 000 * 50 000 is beyond int32
+    assert estimate_g2(_one_outcome(50_000, 50_000, 4), bin=1)[0] == 1.0
 
 
 def test_mixture_reproduces_target_g2():
@@ -411,9 +440,8 @@ def test_mixture_reproduces_target_g2():
 
 
 def test_g2_invariant_under_arm_relabeling():
-    recs = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
-    swapped = recs[:, ::-1]
-    assert estimate_g2(recs, bin=1)[0] == estimate_g2(swapped, bin=1)[0]
+    na, nb, freq = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
+    assert estimate_g2((na, nb, freq), bin=1)[0] == estimate_g2((nb, na, freq), bin=1)[0]
 
 
 def test_g2_bootstrap_is_deterministic():
@@ -429,63 +457,66 @@ def test_g2_undefined_when_an_arm_is_dark():
         estimate_g2(recs, bin=2)
 
 
-def _row_unique_g2(counts):
-    """Reference: the estimator over whole (n_trials, 2) records, collapsing
-    outcomes with a row-wise unique; None where an arm is dark."""
-    na, nb = counts[:, 0], counts[:, 1]
-    n = len(counts)
-    mean_a, mean_b = na.mean(), nb.mean()
-    if mean_a == 0.0 or mean_b == 0.0:
+def _histogram_g2(na, nb, freq):
+    """Reference: the estimator over an outcome histogram, its sums as
+    Python integers cell by cell and its bootstrap as one multinomial call;
+    None where an arm is dark."""
+    cells = [(int(a), int(b), int(f)) for a, b, f in zip(na, nb, freq)]
+    n = sum(f for _, _, f in cells)
+    sum_a = sum(a * f for a, _, f in cells)
+    sum_b = sum(b * f for _, b, f in cells)
+    if sum_a == 0 or sum_b == 0:
         return None
-    value = float(np.multiply(na, nb, dtype=np.int64).mean() / (mean_a * mean_b))
-    uniq, freq = np.unique(counts, axis=0, return_counts=True)
-    ua = uniq[:, 0].astype(float)
-    ub = uniq[:, 1].astype(float)
+    sum_ab = sum(a * b * f for a, b, f in cells)
+    value = sum_ab / n / ((sum_a / n) * (sum_b / n))
+    ua, ub = na.astype(float), nb.astype(float)
     draws = np.random.default_rng(BOOTSTRAP_SEED).multinomial(
         n, freq / n, size=N_BOOTSTRAP
     )
-    sa, sb, sab = draws @ ua, draws @ ub, draws @ (ua * ub)
+    sa, sb, sab = ((draws * u).sum(axis=1) for u in (ua, ub, ua * ub))
     ok = (sa > 0) & (sb > 0)
     boot = n * sab[ok] / (sa[ok] * sb[ok])
     stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
     return value, stderr
 
 
+# the largest count of a coherent run at the top of shots.mean_photons
+TOP_COUNT = _arm_pmf(32767 / 2, 0.5).size - 1
+
+
 @st.composite
-def _shot_counts(draw):
-    # some spanning several histogram blocks, so a merge bug shows
-    n = draw(st.integers(1, 2000) | st.sampled_from(_BLOCK_EDGES))
-    top = draw(st.sampled_from([1, 2, 5, 300, COUNT_MAX]) | st.integers(0, COUNT_MAX))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return np.random.default_rng(seed).integers(
-        0, top, size=(n, 2), dtype=np.int16, endpoint=True
-    )
+def _histograms(draw):
+    """(nA, nB, freq) of distinct outcomes in lexicographic order, as the
+    samplers give them; some with more outcomes than fit in one row
+    block of the bootstrap, so a block bug shows."""
+    top = draw(st.sampled_from([1, 2, 5, 300, TOP_COUNT]) | st.integers(0, TOP_COUNT))
+    size = draw(st.integers(1, min(400, (top + 1) ** 2)))
+    most = draw(st.sampled_from([1, 3, 1000, 10**12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.sort(rng.choice((top + 1) ** 2, size=size, replace=False))
+    freq = rng.integers(1, most, size=size, endpoint=True)
+    return cells // (top + 1), cells % (top + 1), freq
 
 
-@given(counts=_shot_counts(), bin=st.integers(1, 3))
-@example(counts=np.full((50, 2), 3, dtype=np.int16), bin=1)  # one distinct outcome
-@example(  # counts at COUNT_MAX in both arms
-    counts=np.stack(
-        [
-            np.where(np.arange(27) % 4 == 0, COUNT_MAX, np.arange(27) % 2),
-            np.where(np.arange(27) % 3 == 0, COUNT_MAX, np.arange(27)),
-        ],
-        axis=1,
-    ).astype(np.int16),
+@given(hist=_histograms(), bin=st.integers(1, 3))
+@example(hist=_one_outcome(3, 3, 50), bin=1)  # one distinct outcome
+@example(  # counts at the top of the support in both arms
+    hist=(
+        np.array([0, 0, 1, 1, TOP_COUNT, TOP_COUNT]),
+        np.array([0, TOP_COUNT, 2, TOP_COUNT, 1, TOP_COUNT]),
+        np.array([5, 3, 8, 2, 4, 5]),
+    ),
     bin=1,
 )
-@example(  # arm B dark: undefined
-    counts=np.stack([np.ones(9), np.zeros(9)], axis=1).astype(np.int16),
-    bin=3,
-)
-def test_estimate_g2_matches_row_unique_reference(counts, bin):
-    ref = _row_unique_g2(counts)
+@example(hist=_one_outcome(1, 0, 9), bin=3)  # arm B dark: undefined
+def test_estimate_g2_matches_the_histogram_reference(hist, bin):
+    ref = _histogram_g2(*hist)
     if ref is None:
-        undefined = rf"no clicks \({len(counts)} trials, bin {bin}\)$"
+        undefined = rf"no clicks \({hist[2].sum()} trials, bin {bin}\)$"
         with pytest.raises(NumericError, match="^g2 undefined: one arm registered " + undefined):
-            estimate_g2(counts, bin=bin)
+            estimate_g2(hist, bin=bin)
     else:
-        assert np.array_equal(estimate_g2(counts, bin=bin), ref, equal_nan=True)
+        assert np.array_equal(estimate_g2(hist, bin=bin), ref, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,8 @@ BAD_CONFIGS = (
     ("scan.points = 3.5", "bad integer '3.5'"),
     ("scan.backend = euler", "expected one of"),
     ("scan.points = 4", "must be an odd integer >= 3"),
+    ("shots.n_trials = 9223372036854775808", "must be positive and below 2**63"),
+    ("shots.mean_photons = 32767.5", "must be non-negative and at most 32767"),
 )
 
 _X = [float(k) for k in range(16)]
@@ -414,15 +416,17 @@ def _traffic(tmp: Path) -> None:
                "g2.mode = coherent\ng2.bin = 2\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"):
         for fmt in ("csv", "json"):
             run("g2", "--seed", "3", "--format", fmt, config=shots + g2)
-    # records of a bin other than bin 1, where the doubles land
+    # the histogram of a bin other than bin 1, where the doubles land
     run("g2", config=shots + "g2.mode = mixture\ng2.bin = 3\nshots.dark_rate = 0.01\n")
     run("g2", config=shots + "g2.mode = coherent\ng2.bin = 3\n")
     run("g2", config=shots + "g2.bin = 2\n", code=3, err="g2 undefined")
     run("g2", "--seed", "-1", code=2, err="argument --seed: must be non-negative")
-    run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 140000\n",
-        code=2, err="overflows the int16 shot records")
-    run("g2", config="g2.mode = coherent\nshots.n_trials = 10000000000000\n",
-        code=3, err="out of memory")
+    # at the top and the bottom of the mean photon number, and at the top
+    # of the trial count
+    run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 32767\n")
+    run("g2", config=shots + "g2.mode = coherent\nshots.mean_photons = 0\nshots.dark_rate = 0.2\n")
+    run("g2", config="g2.mode = coherent\nshots.n_trials = 9223372036854775807\n")
+    run("rabi-scan", config="rabi.points = 1000000000000000\n", code=3, err="out of memory")
 
     run("--help")
     run(code=2)
