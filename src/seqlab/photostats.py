@@ -176,10 +176,14 @@ def sample_shots(
     seeds give identical histograms.  n_trials lies in [1, 2**63 - 1],
     bin is 1, 2 or 3, and dark_rate and p2 lie in [0, 1).
     """
-    table = _mixture_table(bin, dark_rate, p2)
-    freq = np.random.default_rng(seed).multinomial(n_trials, table.ravel())
-    cells = np.flatnonzero(freq)
-    return cells // 4, cells % 4, freq[cells]
+    # the draw runs over the possible outcomes only: numpy gives its last
+    # cell every trial that the rounded conditional draws leave, so an
+    # impossible last cell, such as (3, 3), would take some at large n_trials
+    table = _mixture_table(bin, dark_rate, p2).ravel()
+    possible = np.flatnonzero(table)
+    freq = np.random.default_rng(seed).multinomial(n_trials, table[possible])
+    cells, freq = possible[freq > 0], freq[freq > 0]
+    return cells // 4, cells % 4, freq
 
 
 def _arm_pmf(mean: float, dark_rate: float) -> np.ndarray:

@@ -278,6 +278,7 @@ def _hand_built_table(bin, dark_rate, p2):
 @example(p2=0.05, dark_rate=0.001, n_trials=500_000, seed=7)
 @example(p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
 @example(p2=1e-310, dark_rate=5e-324, n_trials=2**63 - 1, seed=2)  # subnormal cells
+@example(p2=0.0, dark_rate=0.9185622330137383, n_trials=3_364_613_377_441_178, seed=0)
 def test_sample_shots_matches_the_multinomial_reference(p2, dark_rate, n_trials, seed):
     for bin in (1, 2, 3):
         table = _hand_built_table(bin, dark_rate, p2)
@@ -285,10 +286,14 @@ def test_sample_shots_matches_the_multinomial_reference(p2, dark_rate, n_trials,
         # the sampler's table is the hand-built one to 4 ulp, or to a few
         # subnormal units where the products underflow; near 2**63 trials
         # one ulp of a cell moves the draws, so they are compared over the
-        # sampler's own table
-        own = _mixture_table(bin, dark_rate, p2)
-        assert np.allclose(own, table, rtol=4 * 2.0**-52, atol=2.0**-1070)
-        ref = np.random.default_rng(seed).multinomial(n_trials, own.ravel())
+        # sampler's own table, and over its possible cells: numpy hands its
+        # last cell every trial that the rounded draws leave, and (3, 3)
+        # is impossible
+        own = _mixture_table(bin, dark_rate, p2).ravel()
+        assert np.allclose(own, table.ravel(), rtol=4 * 2.0**-52, atol=2.0**-1070)
+        possible = np.flatnonzero(own)
+        ref = np.zeros(16, dtype=np.int64)
+        ref[possible] = np.random.default_rng(seed).multinomial(n_trials, own[possible])
         na, nb, freq = sample_shots(n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
         assert {na.dtype, nb.dtype, freq.dtype} == {np.dtype(np.int64)}
         cells = 4 * na + nb
@@ -361,6 +366,115 @@ def test_coherent_arm_means_are_half_the_photons_plus_dark(mean_photons, bin, da
     sigma = math.sqrt((mean_photons / 2 + dark_rate * (1 - dark_rate)) / n)
     for arm in (na, nb):
         assert abs(arm @ freq / n - mean) <= 5 * sigma
+
+
+def _masked_loop_table(bin, dark_rate, p2):
+    """Reference: p[nA, nB] of one trial, from the per-trial model as
+    masked passes over every branch of one trial (pair or single photon,
+    the pair's split, the single photon's arm, a dark click per arm), each
+    branch weighted by the probability of its draws."""
+    double, double_a, arm_a, dark_a, dark_b = (
+        g.ravel()
+        for g in np.meshgrid([False, True], [0, 1, 2], [False, True], [0, 1], [0, 1], indexing="ij")
+    )
+    weight = (
+        np.where(double, p2, 1.0 - p2)
+        * np.array([0.25, 0.5, 0.25])[double_a]
+        * 0.5
+        * np.where(dark_a == 1, dark_rate, 1.0 - dark_rate)
+        * np.where(dark_b == 1, dark_rate, 1.0 - dark_rate)
+    )
+    na, nb = dark_a.copy(), dark_b.copy()
+    if bin == 1:  # no photon reaches bins 2 and 3
+        na[double] += double_a[double]
+        nb[double] += 2 - double_a[double]
+        na[~double & arm_a] += 1
+        nb[~double & ~arm_a] += 1
+    table = np.zeros((4, 4))
+    np.add.at(table, (na, nb), weight)
+    return table
+
+
+@given(
+    p2=st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True),
+    dark_rate=st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True),
+    n_trials=st.integers(1, 3000) | st.integers(1, 2**63 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(p2=0.05, dark_rate=0.001, n_trials=2000, seed=7)
+@example(p2=0.0, dark_rate=0.0, n_trials=1, seed=1)
+@example(p2=1e-310, dark_rate=5e-324, n_trials=2**63 - 1, seed=2)  # subnormal cells
+# a full draw over the 16 cells put one trial in the impossible (3, 3) here
+@example(p2=0.0, dark_rate=0.9185622330137383, n_trials=3_364_613_377_441_178, seed=0)
+def test_sample_shots_matches_masked_loop_reference(p2, dark_rate, n_trials, seed):
+    for bin in (1, 2, 3):
+        ref = _masked_loop_table(bin, dark_rate, p2)
+        # a cell sums up to 8 branches of 4 rounded products each, or a
+        # few subnormal units where the products underflow
+        assert np.allclose(_mixture_table(bin, dark_rate, p2), ref, rtol=1e-14, atol=2.0**-1070)
+        na, nb, freq = sample_shots(n_trials, seed, bin=bin, dark_rate=dark_rate, p2=p2)
+        assert freq.sum() == n_trials
+        assert (ref[na, nb] > 0).all()  # no outcome the model cannot give
+
+
+def _whole_array_sample_shots(n_trials, seed, dark_rate, p2):
+    """Reference: the (n_trials, 2, 3) click records of the per-trial
+    model as whole-array draws, one array per kind."""
+    rng = np.random.default_rng(seed)
+    double = rng.random(n_trials) < p2
+    double_a = rng.binomial(2, 0.5, size=n_trials)
+    arm_a = rng.random(n_trials) < 0.5
+    counts = np.zeros((n_trials, 2, 3), dtype=np.int64)
+    counts[:, 0, 0] = np.where(double, double_a, arm_a)
+    counts[:, 1, 0] = np.where(double, 2 - double_a, ~arm_a)
+    counts += rng.random((n_trials, 2, 3)) < dark_rate
+    return counts
+
+
+def _homogeneity_p_value(a, b):
+    """p-value of the chi-square test that two outcome histograms
+    (nA, nB, freq) over {0..3}^2 with the same number of trials are draws
+    of one distribution; cells of small expectation are pooled."""
+    seen = np.zeros((2, 16))
+    for row, (na, nb, freq) in zip(seen, (a, b)):
+        row[4 * na + nb] = freq
+    expected = seen.mean(axis=0)
+    big = expected >= CHI2_MIN_EXPECTED
+    observed, expect = seen[:, big], expected[big]
+    rest = expected[~big].sum()
+    if rest >= CHI2_MIN_EXPECTED:
+        observed = np.column_stack([observed, seen[:, ~big].sum(axis=1)])
+        expect = np.append(expect, rest)
+    elif expect.size:  # too little left over for a cell of its own
+        smallest = np.argmin(expect)
+        observed[:, smallest] += seen[:, ~big].sum(axis=1)
+        expect[smallest] += rest
+    if expect.size < 2:
+        return 1.0  # nothing to compare: every trial in one cell
+    chi2 = float(((observed - expect) ** 2 / expect).sum())
+    return scipy_stats.chi2.sf(chi2, expect.size - 1)
+
+
+@pytest.mark.parametrize(
+    "p2, dark_rate",
+    [(0.05, 0.001), (0.2, 0.05), (0.0, 0.0)],  # the first is the g2 mixture
+    # the ids of the cases from when each also set the bin probabilities
+    ids=["pops0-0.05-0.001", "pops1-0.2-0.05", "pops2-0.0-0.0"],
+)
+@settings(max_examples=4)
+@given(n_trials=st.integers(1, 200_000), seed=st.integers(0, 2**64 - 1))
+@example(n_trials=200_000, seed=7)
+def test_sample_shots_streams_the_whole_array_draws(p2, dark_rate, n_trials, seed):
+    # the sampler's histogram and that of the per-trial whole-array draws
+    # are two samples of one distribution, in every bin
+    records = _whole_array_sample_shots(n_trials, seed, dark_rate, p2)
+    for bin in (1, 2, 3):
+        cells = 4 * records[:, 0, bin - 1] + records[:, 1, bin - 1]
+        freq = np.bincount(cells, minlength=16)
+        hit = np.flatnonzero(freq)
+        ref = (hit // 4, hit % 4, freq[hit])
+        hist = sample_shots(n_trials, seed ^ 1, bin=bin, dark_rate=dark_rate, p2=p2)
+        assert _homogeneity_p_value(hist, ref) >= CHI2_FALSE_ALARM
 
 
 @pytest.mark.parametrize(
