@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--points", type=int, default=41)
     args = ap.parse_args()
 
-    t2 = args.t_mu2_ns * 1e-9
+    t2 = float(f"{args.t_mu2_ns!r}e-9")  # the seconds the config reads "<t>ns" as
     omega_mhz = args.area_pi * math.pi / t2 / MHZ if t2 > 0 else 0.0
     config = (
         f"scan.t_mu1 = {args.t_mu1_ns!r}ns\n"

@@ -125,10 +125,7 @@ def _cmd_g2(args, cfg: RunConfig) -> int:
     sh = cfg.shots
     mode = cfg.g2.mode
     if mode == "coherent":
-        hist = sample_coherent_shots(
-            sh.mean_photons, sh.n_trials, seed,
-            bin=cfg.g2.bin, dark_rate=sh.dark_rate,
-        )
+        hist = sample_coherent_shots(sh.mean_photons, sh.n_trials, seed, dark_rate=sh.dark_rate)
     else:
         p2 = cfg.interaction.p2 if mode == "mixture" else 0.0
         hist = sample_shots(

@@ -9,11 +9,13 @@
 Each key is declared once, as a field of its section dataclass that
 carries the default, the parser of its written form and the bound on
 its value; the dotted-key schema is derived from ``RunConfig``'s fields.
-Drive frequencies and interaction shifts are angular internally (MHz
-value times 2*pi*1e6); decay and dephasing rates are plain 1/e rates
-(MHz value times 1e6 s^-1).  A line is parsed and bounds-checked as it
-is read, so an unknown key, a malformed value and an out-of-range value
-all name their line.
+A real value is read by :func:`seqlab.units.read_value`, the reader the
+sequence DSL shares: a time in ns/us/ms/s and a 1/e rate in MHz (times
+1e6 s^-1) shift the written exponent before the one rounding, so
+``scan.t_mu1 = 100ns`` gives the default 1e-07; drive frequencies and
+interaction shifts are angular (MHz value times ``units.MHZ``).  A line
+is parsed and bounds-checked as it is read, so an unknown key, a
+malformed value and an out-of-range value all name their line.
 """
 
 from __future__ import annotations
@@ -21,43 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .units import mhz
+from .units import ANGULAR, PLAIN, RATE, TIME, mhz, read_value
 
 __all__ = ["RunConfig", "convert", "parse_config", "load_config"]
-
-
-def _number(raw: str, factor: float = 1.0) -> float:
-    try:
-        value = float(raw) * factor
-    except ValueError:
-        raise ValueError(f"bad number {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValueError("value must be finite")
-    return value
-
-
-def _scaled(raw: str, units: dict[str, float]) -> float:
-    for suffix, factor in units.items():  # longest suffix first
-        if raw.endswith(suffix):
-            return _number(raw[: -len(suffix)], factor)
-    raise ValueError(
-        f"expected one of {sorted(units)} as unit suffix, got {raw!r}"
-    )
-
-
-def _time(raw: str) -> float:
-    """20ns / 1.5us / 2e-6s -> seconds."""
-    return _scaled(raw, {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0})
-
-
-def _angular(raw: str) -> float:
-    """12.5MHz -> rad/s."""
-    return _scaled(raw, {"MHz": mhz(1.0)})
-
-
-def _rate(raw: str) -> float:
-    """0.1MHz -> 1e5 s^-1: decay and dephasing rates are not angular."""
-    return _scaled(raw, {"MHz": 1e6})
 
 
 def _int(raw: str) -> int:
@@ -80,8 +48,9 @@ _PI_HALF_TIME = (
 
 
 def _key(default, parse, bound=None):
-    """A config key: its default, its parser (or tuple of allowed words)
-    and its optional bound."""
+    """A config key: its default, its parser (a unit table of
+    :mod:`seqlab.units`, a function or a tuple of allowed words) and its
+    optional bound."""
     return field(default=default, metadata={"parse": parse, "bound": bound})
 
 
@@ -89,15 +58,15 @@ def _key(default, parse, bound=None):
 class ScanSection:
     """Ramsey detuning scan: pi/2 - drive - pi/2 with a symmetric grid."""
 
-    t_mu1: float = _key(100e-9, _time, _PI_HALF_TIME)
-    t_mu2: float = _key(250e-9, _time, _NON_NEGATIVE)  # 0: no middle drive
-    omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
-    span: float = _key(mhz(10.0), _angular, _POSITIVE)
+    t_mu1: float = _key(100e-9, TIME, _PI_HALF_TIME)
+    t_mu2: float = _key(250e-9, TIME, _NON_NEGATIVE)  # 0: no middle drive
+    omega_mu2: float = _key(mhz(12.5), ANGULAR, _NON_NEGATIVE)
+    span: float = _key(mhz(10.0), ANGULAR, _POSITIVE)
     points: int = _key(
         201, _int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
     )
-    i0: float = _key(1.0, _number, _POSITIVE)
-    gap: float = _key(0.0, _time, _NON_NEGATIVE)  # a wait each side of the mu2 pulse
+    i0: float = _key(1.0, PLAIN, _POSITIVE)
+    gap: float = _key(0.0, TIME, _NON_NEGATIVE)  # a wait each side of the mu2 pulse
     backend: str = _key("analytic", ("analytic", "unitary", "lindblad"))
 
 
@@ -105,11 +74,11 @@ class ScanSection:
 class RabiSection:
     """mu2 Rabi scan after a mu1 pi/2 preparation pulse."""
 
-    t_mu1: float = _key(20e-9, _time, _PI_HALF_TIME)
-    omega_mu2: float = _key(mhz(12.5), _angular, _NON_NEGATIVE)
-    t_max: float = _key(160e-9, _time, _POSITIVE)
+    t_mu1: float = _key(20e-9, TIME, _PI_HALF_TIME)
+    omega_mu2: float = _key(mhz(12.5), ANGULAR, _NON_NEGATIVE)
+    t_max: float = _key(160e-9, TIME, _POSITIVE)
     points: int = _key(81, _int, (lambda v: v >= 2, "must be >= 2"))
-    detuning2: float = _key(0.0, _angular)
+    detuning2: float = _key(0.0, ANGULAR)
 
 
 @dataclass
@@ -117,12 +86,12 @@ class DissipationSection:
     """1/e rates in 1/s of R1, R2 and R3 (suffix 1, 2, 3); decay takes
     population to the loss level, dephasing damps the level's coherences."""
 
-    gamma_decay_1: float = _key(0.0, _rate, _NON_NEGATIVE)
-    gamma_decay_2: float = _key(0.0, _rate, _NON_NEGATIVE)
-    gamma_decay_3: float = _key(0.0, _rate, _NON_NEGATIVE)
-    gamma_deph_1: float = _key(0.0, _rate, _NON_NEGATIVE)
-    gamma_deph_2: float = _key(0.0, _rate, _NON_NEGATIVE)
-    gamma_deph_3: float = _key(0.0, _rate, _NON_NEGATIVE)
+    gamma_decay_1: float = _key(0.0, RATE, _NON_NEGATIVE)
+    gamma_decay_2: float = _key(0.0, RATE, _NON_NEGATIVE)
+    gamma_decay_3: float = _key(0.0, RATE, _NON_NEGATIVE)
+    gamma_deph_1: float = _key(0.0, RATE, _NON_NEGATIVE)
+    gamma_deph_2: float = _key(0.0, RATE, _NON_NEGATIVE)
+    gamma_deph_3: float = _key(0.0, RATE, _NON_NEGATIVE)
 
 
 @dataclass
@@ -130,10 +99,10 @@ class ReadoutSection:
     """Read-out efficiencies and dephasing between bins; the read-out
     pulses come from the sequence file."""
 
-    eta_1: float = _key(1.0, _number, _UNIT)
-    eta_2: float = _key(1.0, _number, _UNIT)
-    eta_3: float = _key(1.0, _number, _UNIT)
-    deph: float = _key(0.0, _rate, _NON_NEGATIVE)
+    eta_1: float = _key(1.0, PLAIN, _UNIT)
+    eta_2: float = _key(1.0, PLAIN, _UNIT)
+    eta_3: float = _key(1.0, PLAIN, _UNIT)
+    deph: float = _key(0.0, RATE, _NON_NEGATIVE)
 
 
 @dataclass
@@ -141,8 +110,8 @@ class InteractionSection:
     """v_int (rad/s) shifts every pair configuration but the stored pair
     (11); p2 is the probability that a shot holds two excitations."""
 
-    v_int: float = _key(0.0, _angular)
-    p2: float = _key(0.0, _number, _UNIT_OPEN)
+    v_int: float = _key(0.0, ANGULAR)
+    p2: float = _key(0.0, PLAIN, _UNIT_OPEN)
 
 
 @dataclass
@@ -154,9 +123,9 @@ class ShotsSection:
     n_trials: int = _key(
         100_000, _int, (lambda v: 0 < v < 2**63, "must be positive and below 2**63")
     )
-    dark_rate: float = _key(0.0, _number, _UNIT_OPEN)
+    dark_rate: float = _key(0.0, PLAIN, _UNIT_OPEN)
     mean_photons: float = _key(
-        0.1, _number, (lambda v: 0 <= v <= 32767, "must be non-negative and at most 32767")
+        0.1, PLAIN, (lambda v: 0 <= v <= 32767, "must be non-negative and at most 32767")
     )
 
 
@@ -169,7 +138,7 @@ class G2Section:
 @dataclass
 class FitSection:
     # 0 -> derive from the scan section
-    t_total_hint: float = _key(0.0, _time, _NON_NEGATIVE)
+    t_total_hint: float = _key(0.0, TIME, _NON_NEGATIVE)
 
 
 @dataclass
@@ -214,7 +183,7 @@ def convert(key: str, raw: str):
         if raw not in parse:
             raise ValueError(f"expected one of {parse}, got {raw!r}")
         return raw
-    value = parse(raw)
+    value = read_value(raw, parse) if isinstance(parse, dict) else parse(raw)
     if bound is not None and not bound[0](value):
         raise ValueError(bound[1])
     return value

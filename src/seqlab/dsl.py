@@ -8,9 +8,12 @@ Grammar, one statement per line, '#' starts a comment:
     readout bin=<1|2|3>
 
 Parse errors carry a 1-based line/column and a stable machine-readable
-code.  A value parses to its decimal times the unit's factor, the factor
-of :mod:`seqlab.units` for MHz, so ``rabi=12.5MHz`` is ``units.mhz(12.5)``
-bit for bit; the area form gives rabi = area * pi / duration.
+code.  A value is read by :func:`seqlab.units.read_value`, the reader
+the config shares: ``ns`` shifts the written exponent before the one
+rounding, so ``duration=100ns`` is the double nearest 1e-7, and MHz and
+a phase's pi keep their one factor, so ``rabi=12.5MHz`` is
+``units.mhz(12.5)`` bit for bit; the area form gives
+rabi = area * pi / duration.
 """
 
 from __future__ import annotations
@@ -26,13 +29,9 @@ from .qcore import (
     Segment,
     Wait,
 )
-from .units import MHZ
+from .units import ANGULAR, AREA, NS, PHASE, BadValue, read_value
 
 __all__ = ["ParseError", "parse_sequence", "load_sequence"]
-
-_MHZ = MHZ  # shared with units.mhz so parsed and constructed values agree bit-exactly
-_NS = 1e-9
-_PI = math.pi
 
 # error codes
 E_SYNTAX = "E_SYNTAX"
@@ -80,26 +79,17 @@ def _tokenize(text: str) -> Iterator[list[_Token]]:
             yield tokens
 
 
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-
-def _number_with_unit(tok: _Token, unit: str, what: str, scale: float = 1.0) -> float:
-    """The token's number times scale, which must be a finite float."""
-    m = _NUMBER_RE.match(tok.text)
-    if m is None:
-        raise ParseError(f"{what}: expected a number", tok.line, tok.column, E_BAD_NUMBER)
-    rest = tok.text[m.end():]
-    if rest != unit:
-        raise ParseError(
-            f"{what}: expected unit {unit!r}, got {rest!r}",
-            tok.line, tok.column + m.end(), E_BAD_UNIT,
-        )
-    value = float(m.group()) * scale
-    if not math.isfinite(value):
-        raise ParseError(
-            f"{what}: {tok.text!r} is out of range", tok.line, tok.column, E_BAD_NUMBER
-        )
-    return value
+def _value(tok: _Token, units: dict, what: str) -> float:
+    """The token's value in units, else a ParseError at its refused part."""
+    try:
+        return read_value(tok.text, units)
+    except BadValue as exc:
+        message, code = {
+            "number": ("expected a number", E_BAD_NUMBER),
+            "unit": (f"expected unit {[*units][0]!r}, got {tok.text[exc.at:]!r}", E_BAD_UNIT),
+            "range": (f"{tok.text!r} is out of range", E_BAD_NUMBER),
+        }[exc.kind]
+        raise ParseError(f"{what}: {message}", tok.line, tok.column + exc.at, code) from None
 
 
 def _split_kv(tok: _Token) -> tuple[str, _Token]:
@@ -136,15 +126,15 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
             raise ParseError(f"duplicate key {key!r}", tok.line, tok.column, E_DUPLICATE_KEY)
         seen[key] = tok
         if key == "rabi":
-            rabi = _number_with_unit(val, "MHz", "rabi", _MHZ)
+            rabi = _value(val, ANGULAR, "rabi")
         elif key == "area":
-            area = _number_with_unit(val, "pi", "area")
+            area = _value(val, AREA, "area")
         elif key == "detuning":
-            detuning = _number_with_unit(val, "MHz", "detuning", _MHZ)
+            detuning = _value(val, ANGULAR, "detuning")
         elif key == "phase":
-            phase = _number_with_unit(val, "pi", "phase", _PI)
+            phase = _value(val, PHASE, "phase")
         elif key == "duration":
-            duration = _number_with_unit(val, "ns", "duration", _NS)
+            duration = _value(val, NS, "duration")
             duration_tok = val
         else:
             raise ParseError(f"unknown key {key!r}", tok.line, tok.column, E_UNKNOWN_KEY)
@@ -176,7 +166,7 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
         tok = seen["area"]
         if area < 0:
             raise ParseError("area must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
-        rabi = area * _PI / duration
+        rabi = area * math.pi / duration
         if not math.isfinite(rabi):
             raise ParseError(
                 f"area {area!r}pi over {duration!r} s is out of range",
@@ -198,7 +188,7 @@ def _parse_wait(tokens: list[_Token]) -> Wait:
     cmd = tokens[0]
     if len(tokens) != 2:
         raise ParseError("wait takes exactly one duration", cmd.line, cmd.column, E_SYNTAX)
-    duration = _number_with_unit(tokens[1], "ns", "wait duration", _NS)
+    duration = _value(tokens[1], NS, "wait duration")
     if duration <= 0:  # also a positive ns value that underflows in seconds
         raise ParseError(
             "duration must be strictly positive",

@@ -207,14 +207,13 @@ def sample_coherent_shots(
     mean_photons: float,
     n_trials: int,
     seed: int,
-    bin: int,
     dark_rate: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poissonian source mode: photon number ~ Poisson(mean_photons) in time
-    bin ``bin``, split binomially between the arms.  Gives g2 = 1 in
-    expectation.  The outcome histogram of that bin is laid out as
-    ``sample_shots`` lays it out; the source emits into whichever bin is
-    read, so every bin gives the same histogram.
+    """Poissonian source mode: photon number ~ Poisson(mean_photons) in the
+    time bin read, split binomially between the arms.  Gives g2 = 1 in
+    expectation.  The outcome histogram is laid out as ``sample_shots``
+    lays it out; the source emits into whichever bin is read, so it takes
+    no bin: every bin gives the same histogram.
 
     Poisson thinning makes nA and nB independent, each Poisson(mean/2)
     plus a Bernoulli(dark_rate) dark click, so the single-trial table is

@@ -188,7 +188,7 @@ def test_g2_estimator_calibration():
     anti, _ = estimate_g2(sample_shots(200_000, 5, 1, 0.0, 0.0), 1)
     assert anti == 0.0
     # coherent source: Poissonian light has g2 = 1
-    coh, _ = estimate_g2(sample_coherent_shots(0.1, 1_000_000, 7, 1, 0.0), 1)
+    coh, _ = estimate_g2(sample_coherent_shots(0.1, 1_000_000, 7, 0.0), 1)
     assert abs(coh - 1.0) <= 0.02
     # two-photon admixture with closed-form g2 = 2 p2 / (1 + p2)^2 = 0.45
     p2 = 0.5194938532959157

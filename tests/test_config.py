@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, is_dataclass
+from decimal import Decimal
 
 import pytest
 
@@ -32,10 +33,11 @@ def test_time_units_convert_to_seconds():
         "fit.t_total_hint = 1.5e-7s\n"
         "scan.gap = 0.001ms\n"
     )
-    assert cfg.scan.t_mu1 == 100.0 * 1e-9
-    assert cfg.scan.t_mu2 == 1.5 * 1e-6
+    # each the double nearest the written value, as if written in seconds
+    assert cfg.scan.t_mu1 == 100e-9
+    assert cfg.scan.t_mu2 == 1.5e-6
     assert cfg.fit.t_total_hint == 1.5e-7
-    assert cfg.scan.gap == 0.001 * 1e-3
+    assert cfg.scan.gap == 0.001e-3
 
 
 def test_drive_frequencies_are_angular():
@@ -106,13 +108,33 @@ def test_bad_choice_lists_alternatives():
 
 
 def test_non_finite_values_rejected():
-    with pytest.raises(ValueError, match="must be finite"):
-        parse_config("scan.i0 = inf\n")
-    with pytest.raises(ValueError, match="must be finite"):
-        parse_config("shots.mean_photons = nan\n")
-    for text in ("interaction.v_int = infMHz", "interaction.v_int = nanMHz", "rabi.t_max = infns"):
-        with pytest.raises(ValueError, match="must be finite"):
+    # inf and nan are no decimals; a decimal past the doubles is not finite
+    for text in ("scan.i0 = inf", "shots.mean_photons = nan", "interaction.v_int = infMHz",
+                 "interaction.v_int = nanMHz", "rabi.t_max = infns"):
+        with pytest.raises(ValueError, match="^config line 1: [a-z0-9_.]+: bad number"):
             parse_config(text + "\n")
+    for text in ("scan.i0 = 1e309", "interaction.v_int = 1e303MHz", "rabi.t_max = 1e400ns",
+                 "dissipation.gamma_deph_1 = 1.8e303MHz"):
+        with pytest.raises(ValueError, match="^config line 1: [a-z0-9_.]+: value must be finite$"):
+            parse_config(text + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("scan.i0 = 1_000", "bad number '1_000'"),
+        ("scan.i0 = 5x", "bad number '5x'"),
+        ("scan.t_mu1 = abcns", "bad number 'abcns'"),
+        ("scan.t_mu1 = 100 ns", r"as unit suffix, got '100 ns'"),
+        ("scan.t_mu1 = 10xs", r"as unit suffix, got '10xs'"),
+        ("scan.t_mu1 = 100", r"as unit suffix, got '100'"),
+        ("scan.t_mu1 = \u0661ns", "bad number"),  # ASCII digits only
+    ],
+)
+def test_one_decimal_grammar_for_every_value(text, match):
+    with pytest.raises(ValueError, match=match) as info:
+        parse_config(text + "\n")
+    assert str(info.value).startswith(f"config line 1: {text.split(' = ')[0]}: ")
 
 
 @pytest.mark.parametrize(
@@ -175,14 +197,20 @@ def _is_rate(name: str) -> bool:
     return name.startswith("gamma_") or name == "deph"
 
 
+def _shifted(value: float, places: int) -> str:
+    """value's shortest decimal times 10**places, without an exponent."""
+    return format(Decimal(repr(value)).scaleb(places).normalize(), "f")
+
+
 def _written(name: str, value) -> str:
-    """A default written back in the unit the README gives its key."""
+    """A default written back in the unit the README gives its key: ns for
+    a time, MHz for a rate or an angular frequency."""
     if isinstance(value, (str, int)):
         return str(value)
     if name.startswith("t_") or name == "gap":
-        return f"{value!r}s"
+        return f"{_shifted(value, 9)}ns"
     if _is_rate(name):
-        return f"{value / 1e6!r}MHz"
+        return f"{_shifted(value, -6)}MHz"
     if name in _ANGULAR:
         return f"{value / MHZ!r}MHz"
     return repr(value)
@@ -203,6 +231,19 @@ def test_every_default_lies_in_its_bound_and_reads_back(key, f):
     if _is_rate(name) or name in _ANGULAR:
         # a non-zero value tells a plain rate from an angular frequency
         assert read("1MHz") == (1e6 if _is_rate(name) else mhz(1.0))
+
+
+def test_a_config_of_every_default_in_its_unit_is_the_default():
+    keys = list(_schema_keys())
+    text = "".join(f"{key} = {_written(key.rpartition('.')[2], f.default)}\n" for key, f in keys)
+    assert "scan.t_mu1 = 100ns\n" in text and "rabi.t_max = 160ns\n" in text
+    cfg, default = parse_config(text), RunConfig()
+    for key, _ in keys:
+        section, _, name = key.rpartition(".")
+        value, expected = (
+            getattr(getattr(c, section) if section else c, name) for c in (cfg, default)
+        )
+        assert value == expected and type(value) is type(expected), (key, value)
 
 
 def test_all_listed_choices_accepted():

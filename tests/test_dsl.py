@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +18,12 @@ from seqlab.units import mhz
 from test_qcore import same_segments
 
 CANONICAL = "sequences/ramsey_readout.seq"
+
+
+def _ns(text: str) -> float:
+    """The double nearest text ns in seconds: the decimal shifted, then
+    rounded once."""
+    return float(Decimal(text).scaleb(-9))
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +53,13 @@ def test_full_pulse_statement():
     assert seg.rabi == mhz(12.5)
     assert seg.detuning == mhz(-0.4)
     assert seg.phase == 0.25 * math.pi
-    assert seg.duration == 250.0 * 1e-9
+    assert seg.duration == 250e-9
 
 
 def test_wait_and_readout_statements():
     seq = parse_sequence("wait 50ns\nreadout bin=2")
     w, r = seq
-    assert isinstance(w, Wait) and w.duration == 50.0 * 1e-9
+    assert isinstance(w, Wait) and w.duration == 50e-9
     assert isinstance(r, Readout) and r.bin == 2
 
 
@@ -228,7 +235,7 @@ def test_parsed_values_equal_the_unit_helpers_bit_for_bit(f_mhz, d_mhz, ph_pi, t
     assert seg.rabi == mhz(f_mhz)
     assert seg.detuning == mhz(d_mhz)
     assert seg.phase == ph_pi * math.pi
-    assert seg.duration == t_ns * 1e-9
+    assert seg.duration == _ns(repr(t_ns))
 
 
 def _decimal(lo, hi):
@@ -239,7 +246,7 @@ def _decimal(lo, hi):
 def _drive_or_wait(draw):
     """(statement, the segment it stands for)."""
     text = draw(_decimal(1e-3, 1e5))
-    duration = float(text) * 1e-9
+    duration = _ns(text)
     if draw(st.booleans()):
         return f"wait {text}ns", Wait(duration)
     field = draw(st.sampled_from(["mu1", "mu2"]))

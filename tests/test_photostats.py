@@ -235,7 +235,7 @@ def test_dark_counts_add_at_the_configured_rate():
 def test_coherent_source_total_is_poissonian():
     n = 100_000
     mu = 0.1
-    clicks, freq = _clicks(sample_coherent_shots(mu, n, seed=5, bin=1, dark_rate=0.0))
+    clicks, freq = _clicks(sample_coherent_shots(mu, n, seed=5, dark_rate=0.0))
     assert abs(clicks @ freq / n - mu) <= 5 * math.sqrt(mu / n)
 
 
@@ -250,7 +250,7 @@ def test_sampling_validation():
             parse_config(line + "\n")
     n = 2**63 - 1
     assert sample_shots(n, 1, bin=1, dark_rate=0.5, p2=0.5)[2].sum() == n
-    na, nb, freq = sample_coherent_shots(32767, 10, 1, bin=1, dark_rate=0.0)
+    na, nb, freq = sample_coherent_shots(32767, 10, 1, dark_rate=0.0)
     assert freq.sum() == 10 and 30_000 < na.min() + nb.min()
 
 
@@ -318,6 +318,8 @@ def _coherent_arm_pmf(mean_photons, dark_rate):
 CHI2_FALSE_ALARM = 1e-9
 CHI2_MIN_EXPECTED = 20.0
 
+# (mean_photons, the bin g2 reads, dark_rate): the source emits into
+# whichever bin is read, so the sampler takes no bin and g2 names it
 _COHERENT_CASES = [(2.0, 1, 0.01), (0.1, 2, 0.3), (2.0, 3, 0.0), (400.0, 1, 0.0), (0.0, 1, 0.2)]
 
 
@@ -331,7 +333,7 @@ _COHERENT_CASES = [(2.0, 1, 0.01), (0.1, 2, 0.3), (2.0, 3, 0.0), (400.0, 1, 0.0)
 def test_sample_coherent_shots_fit_the_product_distribution(
     mean_photons, bin, dark_rate, n_trials, seed
 ):
-    na, nb, freq = sample_coherent_shots(mean_photons, n_trials, seed, bin=bin, dark_rate=dark_rate)
+    na, nb, freq = sample_coherent_shots(mean_photons, n_trials, seed, dark_rate=dark_rate)
     assert {na.dtype, nb.dtype, freq.dtype} == {np.dtype(np.int64)}
     assert (np.diff(na) >= 0).all() and (np.diff(nb)[np.diff(na) == 0] > 0).all()
     assert (freq > 0).all() and freq.sum() == n_trials
@@ -360,12 +362,15 @@ def test_sample_coherent_shots_fit_the_product_distribution(
 @pytest.mark.parametrize("mean_photons, bin, dark_rate", _COHERENT_CASES)
 def test_coherent_arm_means_are_half_the_photons_plus_dark(mean_photons, bin, dark_rate):
     n = 10**6
-    na, nb, freq = sample_coherent_shots(mean_photons, n, 3, bin=bin, dark_rate=dark_rate)
+    na, nb, freq = sample_coherent_shots(mean_photons, n, 3, dark_rate=dark_rate)
     assert freq.sum() == n
     mean = mean_photons / 2 + dark_rate
     sigma = math.sqrt((mean_photons / 2 + dark_rate * (1 - dark_rate)) / n)
     for arm in (na, nb):
         assert abs(arm @ freq / n - mean) <= 5 * sigma
+    # the arms are independent, so the bin read shows no bunching
+    g2, stderr = estimate_g2((na, nb, freq), bin)
+    assert abs(g2 - 1.0) <= 5 * stderr
 
 
 def _masked_loop_table(bin, dark_rate, p2):
@@ -482,8 +487,8 @@ def test_sample_shots_streams_the_whole_array_draws(p2, dark_rate, n_trials, see
     [
         lambda n: sample_shots(n, 7, dark_rate=0.001, p2=0.05, bin=1),
         lambda n: sample_shots(n, 7, bin=2, dark_rate=0.01, p2=0.0),
-        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01, bin=1),
-        lambda n: sample_coherent_shots(2.0, n, 7, bin=1, dark_rate=0.0),
+        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.01),
+        lambda n: sample_coherent_shots(2.0, n, 7, dark_rate=0.0),
     ],
     ids=["mixture", "three-bin", "coherent-dark", "coherent"],
 )
@@ -512,7 +517,7 @@ def test_antibunched_records_give_exactly_zero():
 
 
 def test_coherent_records_give_unity_within_error():
-    recs = sample_coherent_shots(0.1, 200_000, seed=7, bin=1, dark_rate=0.0)
+    recs = sample_coherent_shots(0.1, 200_000, seed=7, dark_rate=0.0)
     value, stderr = estimate_g2(recs, bin=1)
     assert stderr > 0
     assert abs(value - 1.0) <= 3 * stderr
@@ -524,7 +529,7 @@ def test_estimate_g2_peak_memory_per_trial():
     # bootstrap's row blocks do not grow with the trials
     peaks = []
     for n in (10**4, 10**12):
-        hist = sample_coherent_shots(2.0, n, 9, dark_rate=0.01, bin=1)
+        hist = sample_coherent_shots(2.0, n, 9, dark_rate=0.01)
         tracemalloc.start()
         try:
             estimate_g2(hist, bin=1)

@@ -305,6 +305,9 @@ BAD_SEQUENCES = (
     ("pulse mu1 rabi=xMHz duration=1ns", "expected a number [E_BAD_NUMBER]"),
     ("pulse mu1 rabi=1kHz duration=1ns", "[E_BAD_UNIT]"),
     ("pulse mu1 rabi=1e400MHz duration=1ns", "is out of range [E_BAD_NUMBER]"),
+    # exponents past int()'s 4300 digits
+    ("wait 1e" + "9" * 5000 + "ns", "is out of range [E_BAD_NUMBER]"),
+    ("wait 1e-" + "9" * 5000 + "ns", "[E_NONPOSITIVE_DURATION]"),
     ("pulse mu1 rabi=-1MHz duration=1ns", "rabi must be non-negative [E_BAD_NUMBER]"),
     ("pulse mu1 area=-1pi duration=1ns", "area must be non-negative [E_BAD_NUMBER]"),
     ("pulse mu1 area=1e300pi duration=1e-300ns", "s is out of range [E_BAD_NUMBER]"),
@@ -327,8 +330,12 @@ BAD_CONFIGS = (
     ("scan.nope = 1", "unknown key 'scan.nope'"),
     ("scan.points 11", "expected key = value"),
     ("scan.i0 = abc", "bad number 'abc'"),
-    ("scan.i0 = inf", "value must be finite"),
+    ("scan.i0 = inf", "bad number 'inf'"),
+    ("scan.i0 = 1_000", "bad number '1_000'"),
+    ("scan.i0 = 1e309", "value must be finite"),
     ("scan.t_mu1 = 10kHz", "as unit suffix"),
+    ("scan.t_mu1 = 1e" + "9" * 5000 + "ns", "scan.t_mu1: value must be finite"),
+    ("scan.t_mu1 = 1e-" + "9" * 5000 + "ns", "scan.t_mu1: must be positive"),
     ("scan.points = 3.5", "bad integer '3.5'"),
     ("scan.backend = euler", "expected one of"),
     ("scan.points = 4", "must be an odd integer >= 3"),
