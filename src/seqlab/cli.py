@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, convert, load_config
+from .config import RunConfig, convert, load_config, words
 from .dissipative import NumericError
-from .dsl import ParseError, load_sequence
+from .dsl import load_sequence
 from .io import csv_text, emit, json_table_text, json_text
 from .pairwise import mixture_fringe_scan
 from .photostats import (
@@ -33,7 +33,7 @@ from .photostats import (
     sample_shots,
 )
 from .qcore import SEQUENCE_BUDGET_S, total_duration
-from .ramsey import Backend, rabi_scan, symmetric_detuning_grid
+from .ramsey import rabi_scan, symmetric_detuning_grid
 
 RAMSEY_CSV_HEADER = "delta_rad_s,intensity"
 RABI_CSV_HEADER = "t_mu2_s,P1,P2,P3"
@@ -188,7 +188,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="run configuration file")
     sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     sub.add_argument(
-        "--format", choices=("csv", "json"), default=None,
+        "--format", choices=words("output.format"), default=None,
         help="output format (default: output.format; json for fit)",
     )
 
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ramsey-scan", help="detuning scan of the Ramsey fringe")
     _add_common(p)
     p.add_argument(
-        "--backend", choices=[b.value for b in Backend], default=None,
+        "--backend", choices=words("scan.backend"), default=None,
         help="override scan.backend from the config",
     )
     p.set_defaults(handler=_cmd_ramsey_scan)
@@ -243,9 +243,6 @@ def main(argv=None) -> int:
         # overflow and invalid operations are coded failures, not warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args, cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

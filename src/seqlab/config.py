@@ -21,18 +21,23 @@ malformed value and an out-of-range value all name their line.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .units import ANGULAR, PLAIN, RATE, TIME, mhz, read_value
 
-__all__ = ["RunConfig", "convert", "parse_config", "load_config"]
+__all__ = ["RunConfig", "convert", "words", "parse_config", "load_config"]
 
 
 def _int(raw: str) -> int:
+    """raw as ASCII digits after an optional sign; int() alone would also
+    take '1_0', other scripts' digits and surrounding spaces."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"bad integer {raw!r}") from None
+        if re.fullmatch(r"[+-]?[0-9]+", raw):
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"bad integer {raw!r}")
 
 
 # bounds: (predicate on the parsed value, rule named in the diagnostic)
@@ -187,6 +192,11 @@ def convert(key: str, raw: str):
     if bound is not None and not bound[0](value):
         raise ValueError(bound[1])
     return value
+
+
+def words(key: str) -> tuple[str, ...]:
+    """The words that the dotted key, a key of words, accepts."""
+    return _SCHEMA[key][1].metadata["parse"]
 
 
 def parse_config(text: str) -> RunConfig:

@@ -79,6 +79,11 @@ def _tokenize(text: str) -> Iterator[list[_Token]]:
             yield tokens
 
 
+def _fault(tok: _Token, message: str, code: str) -> ParseError:
+    """A ParseError at the start of tok."""
+    return ParseError(message, tok.line, tok.column, code)
+
+
 def _value(tok: _Token, units: dict, what: str) -> float:
     """The token's value in units, else a ParseError at its refused part."""
     try:
@@ -92,13 +97,22 @@ def _value(tok: _Token, units: dict, what: str) -> float:
         raise ParseError(f"{what}: {message}", tok.line, tok.column + exc.at, code) from None
 
 
+def _duration(value: float, tok: _Token) -> float:
+    """value, the duration written at tok, if it is strictly positive."""
+    if value <= 0:  # also a positive ns value that underflows in seconds
+        raise _fault(tok, "duration must be strictly positive", E_NONPOSITIVE_DURATION)
+    return value
+
+
 def _split_kv(tok: _Token) -> tuple[str, _Token]:
     if "=" not in tok.text:
-        raise ParseError(
-            f"expected key=value, got {tok.text!r}", tok.line, tok.column, E_SYNTAX
-        )
+        raise _fault(tok, f"expected key=value, got {tok.text!r}", E_SYNTAX)
     key, _, value = tok.text.partition("=")
     return key, _Token(value, tok.line, tok.column + len(key) + 1)
+
+
+# pulse key -> the unit table its value is written in
+_PULSE_KEYS = {"rabi": ANGULAR, "area": AREA, "detuning": ANGULAR, "phase": PHASE, "duration": NS}
 
 
 def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
@@ -108,140 +122,96 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
             "pulse needs a field tag (mu1 or mu2)",
             cmd.line, cmd.column + len(cmd.text), E_SYNTAX,
         )
-    field_tok = tokens[1]
     try:
-        fld = DriveField(field_tok.text)
+        fld = DriveField(tokens[1].text)
     except ValueError:
-        raise ParseError(
-            f"unknown drive field {field_tok.text!r} (expected mu1 or mu2)",
-            field_tok.line, field_tok.column, E_UNKNOWN_FIELD,
+        raise _fault(
+            tokens[1], f"unknown drive field {tokens[1].text!r} (expected mu1 or mu2)",
+            E_UNKNOWN_FIELD,
         ) from None
 
-    seen: dict[str, _Token] = {}
-    rabi = area = detuning = phase = duration = None
-    duration_tok = None
+    values: dict[str, float] = {}
+    written: dict[str, _Token] = {}  # key -> its key=value token
     for tok in tokens[2:]:
         key, val = _split_kv(tok)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}", tok.line, tok.column, E_DUPLICATE_KEY)
-        seen[key] = tok
-        if key == "rabi":
-            rabi = _value(val, ANGULAR, "rabi")
-        elif key == "area":
-            area = _value(val, AREA, "area")
-        elif key == "detuning":
-            detuning = _value(val, ANGULAR, "detuning")
-        elif key == "phase":
-            phase = _value(val, PHASE, "phase")
-        elif key == "duration":
-            duration = _value(val, NS, "duration")
-            duration_tok = val
-        else:
-            raise ParseError(f"unknown key {key!r}", tok.line, tok.column, E_UNKNOWN_KEY)
+        if key in written:
+            raise _fault(tok, f"duplicate key {key!r}", E_DUPLICATE_KEY)
+        if key not in _PULSE_KEYS:
+            raise _fault(tok, f"unknown key {key!r}", E_UNKNOWN_KEY)
+        written[key] = tok
+        values[key] = _value(val, _PULSE_KEYS[key], key)
 
-    if rabi is not None and area is not None:
-        tok = seen["area"]
-        raise ParseError(
-            "give rabi or area, not both", tok.line, tok.column, E_CONFLICTING_AMPLITUDE
-        )
-    if rabi is None and area is None:
-        raise ParseError(
-            "pulse needs rabi=...MHz or area=...pi",
-            cmd.line, cmd.column, E_MISSING_AMPLITUDE,
-        )
-    if duration is None:
-        if area is not None:
-            tok = seen["area"]
-            raise ParseError(
-                "area form needs an explicit duration",
-                tok.line, tok.column, E_AREA_WITHOUT_DURATION,
+    if "rabi" in values and "area" in values:
+        raise _fault(written["area"], "give rabi or area, not both", E_CONFLICTING_AMPLITUDE)
+    amplitude = "area" if "area" in values else "rabi"
+    if amplitude not in values:
+        raise _fault(cmd, "pulse needs rabi=...MHz or area=...pi", E_MISSING_AMPLITUDE)
+    if "duration" not in values:
+        if amplitude == "area":
+            raise _fault(
+                written["area"], "area form needs an explicit duration", E_AREA_WITHOUT_DURATION
             )
-        raise ParseError("pulse needs duration=...ns", cmd.line, cmd.column, E_MISSING_DURATION)
-    if duration <= 0:  # also a positive ns value that underflows in seconds
-        raise ParseError(
-            "duration must be strictly positive",
-            duration_tok.line, duration_tok.column, E_NONPOSITIVE_DURATION,
+        raise _fault(cmd, "pulse needs duration=...ns", E_MISSING_DURATION)
+    duration = _duration(values["duration"], _split_kv(written["duration"])[1])
+    value = values[amplitude]
+    if value < 0:
+        raise _fault(written[amplitude], f"{amplitude} must be non-negative", E_BAD_NUMBER)
+    rabi = value if amplitude == "rabi" else value * math.pi / duration
+    if not math.isfinite(rabi):  # only an area's rabi can overflow; a rabi is read finite
+        raise _fault(
+            written[amplitude], f"area {value!r}pi over {duration!r} s is out of range",
+            E_BAD_NUMBER,
         )
-    if area is not None:
-        tok = seen["area"]
-        if area < 0:
-            raise ParseError("area must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
-        rabi = area * math.pi / duration
-        if not math.isfinite(rabi):
-            raise ParseError(
-                f"area {area!r}pi over {duration!r} s is out of range",
-                tok.line, tok.column, E_BAD_NUMBER,
-            )
-    elif rabi < 0:
-        tok = seen["rabi"]
-        raise ParseError("rabi must be non-negative", tok.line, tok.column, E_BAD_NUMBER)
     return DriveSegment(
-        field=fld,
-        rabi=rabi,
-        duration=duration,
-        detuning=0.0 if detuning is None else detuning,
-        phase=0.0 if phase is None else phase,
+        field=fld, rabi=rabi, duration=duration,
+        detuning=values.get("detuning", 0.0), phase=values.get("phase", 0.0),
     )
 
 
 def _parse_wait(tokens: list[_Token]) -> Wait:
-    cmd = tokens[0]
     if len(tokens) != 2:
-        raise ParseError("wait takes exactly one duration", cmd.line, cmd.column, E_SYNTAX)
-    duration = _value(tokens[1], NS, "wait duration")
-    if duration <= 0:  # also a positive ns value that underflows in seconds
-        raise ParseError(
-            "duration must be strictly positive",
-            tokens[1].line, tokens[1].column, E_NONPOSITIVE_DURATION,
-        )
-    return Wait(duration)
+        raise _fault(tokens[0], "wait takes exactly one duration", E_SYNTAX)
+    return Wait(_duration(_value(tokens[1], NS, "wait duration"), tokens[1]))
 
 
 def _parse_readout(tokens: list[_Token]) -> Readout:
-    cmd = tokens[0]
     if len(tokens) != 2:
-        raise ParseError("readout takes exactly bin=<1|2|3>", cmd.line, cmd.column, E_SYNTAX)
+        raise _fault(tokens[0], "readout takes exactly bin=<1|2|3>", E_SYNTAX)
     key, val = _split_kv(tokens[1])
     if key != "bin":
-        raise ParseError(f"unknown key {key!r}", tokens[1].line, tokens[1].column, E_UNKNOWN_KEY)
+        raise _fault(tokens[1], f"unknown key {key!r}", E_UNKNOWN_KEY)
     if val.text not in ("1", "2", "3"):
-        raise ParseError(
-            f"bin must be 1, 2 or 3, got {val.text!r}", val.line, val.column, E_BAD_BIN
-        )
+        raise _fault(val, f"bin must be 1, 2 or 3, got {val.text!r}", E_BAD_BIN)
     return Readout(int(val.text))
+
+
+_PARSERS = {"pulse": _parse_pulse, "wait": _parse_wait, "readout": _parse_readout}
 
 
 def parse_sequence(text: str) -> tuple[Segment, ...]:
     """Parse sequence text into its tuple of segments, or raise ParseError;
     readout bins appear at most once each, in strictly increasing order."""
     segments = []
-    seen_bins: dict[int, int] = {}
-    last_bin = 0
+    read: dict[int, int] = {}  # bin -> the line that read it out, in order
     for tokens in _tokenize(text):
         cmd = tokens[0]
-        if cmd.text == "pulse":
-            segments.append(_parse_pulse(tokens))
-        elif cmd.text == "wait":
-            segments.append(_parse_wait(tokens))
-        elif cmd.text == "readout":
-            ro = _parse_readout(tokens)
-            if ro.bin in seen_bins:
-                raise ParseError(
-                    f"bin {ro.bin} already read out on line {seen_bins[ro.bin]}",
-                    cmd.line, cmd.column, E_DUPLICATE_BIN,
+        if cmd.text not in _PARSERS:
+            raise _fault(cmd, f"unknown command {cmd.text!r}", E_SYNTAX)
+        segment = _PARSERS[cmd.text](tokens)
+        if isinstance(segment, Readout):
+            last = max(read, default=0)
+            if segment.bin in read:
+                raise _fault(
+                    cmd, f"bin {segment.bin} already read out on line {read[segment.bin]}",
+                    E_DUPLICATE_BIN,
                 )
-            if ro.bin < last_bin:
-                raise ParseError(
-                    f"readout bins must be ascending (bin {ro.bin} after bin {last_bin})",
-                    cmd.line, cmd.column, E_BIN_ORDER,
+            if segment.bin < last:
+                raise _fault(
+                    cmd, f"readout bins must be ascending (bin {segment.bin} after bin {last})",
+                    E_BIN_ORDER,
                 )
-            seen_bins[ro.bin] = cmd.line
-            last_bin = ro.bin
-            segments.append(ro)
-        else:
-            raise ParseError(
-                f"unknown command {cmd.text!r}", cmd.line, cmd.column, E_SYNTAX
-            )
+            read[segment.bin] = cmd.line
+        segments.append(segment)
     if not segments:
         raise ParseError("sequence has no segments", 1, 1, E_EMPTY)
     return tuple(segments)

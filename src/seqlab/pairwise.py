@@ -36,7 +36,7 @@ import numpy as np
 from .config import DissipationSection, InteractionSection, ScanSection
 from .dissipative import collapse_operators
 from .qcore import hermitian_propagator, propagate
-from .ramsey import Backend, block_sequences, fringe_scan
+from .ramsey import block_sequences, fringe_scan
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
 PAIR_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -109,13 +109,13 @@ def mixture_fringe_scan(
     :func:`seqlab.ramsey.block_sequences`.  With p2 = 0 this is the single
     scan itself; the double branch is bounded by 2 I0, so the mixture is
     bounded by (1 - p2) I0 + 2 p2 I0.  The double branch is closed, so
-    p2 > 0 with LINDBLAD and a non-zero dissipation rate raises ValueError
-    rather than damp the single branch alone.
+    p2 > 0 with the lindblad backend and a non-zero dissipation rate raises
+    ValueError rather than damp the single branch alone.
     """
     p2 = interaction.p2
     if p2 == 0.0:
         return fringe_scan(scan, dissipation)
-    if scan.backend == Backend.LINDBLAD and collapse_operators(dissipation):
+    if scan.backend == "lindblad" and collapse_operators(dissipation):
         raise ValueError(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"

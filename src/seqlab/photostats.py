@@ -398,18 +398,15 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
             o, A, B, f = cand
             r, c, s = r_cand, c_cand, s_cand
             lam = max(lam * 0.3, 1e-14)
-            if rel < FIT_STEP_TOL:
-                converged = True
-                break
         else:
-            # a proposal too small to move the parameters means we sit at
-            # a minimum even if it no longer reduces the residual
-            if rel < FIT_STEP_TOL:
-                converged = True
-                break
             lam *= 3.0
-            if lam > 1e12:
-                break
+        # a proposal too small to move the parameters means we sit at a
+        # minimum, whether or not it still reduces the residual
+        if rel < FIT_STEP_TOL:
+            converged = True
+            break
+        if lam > 1e12:
+            break
 
     amplitude = math.hypot(A, B) * unit
     o *= unit

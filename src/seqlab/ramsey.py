@@ -27,14 +27,15 @@ A scan takes the run config's ``scan`` and ``dissipation`` sections as
 they are; its grid is :func:`symmetric_detuning_grid` of the scan's span and
 points.
 
-Backends: ANALYTIC evaluates the closed form over the whole grid at
-once.  UNITARY and LINDBLAD propagate the sequence of
+Backends, the words of ``scan.backend``: analytic evaluates the closed
+form over the whole grid at once.  unitary and lindblad propagate the
+sequence of
 :func:`build_ramsey_sequence`, the one layout of the Ramsey sequence (a
 plain tuple of segments), with the detunings of a block of BLOCK_POINTS
 grid points stacked in its mu1 pulses (:func:`block_sequences`).
 :func:`fringe_scan` holds the one block loop of a single scan: per block,
-UNITARY takes the last state of :func:`seqlab.qcore.propagate` and
-LINDBLAD makes one :func:`seqlab.dissipative.evolve_master` call.  All
+unitary takes the last state of :func:`seqlab.qcore.propagate` and
+lindblad makes one :func:`seqlab.dissipative.evolve_master` call.  All
 three agree at delta1 = 0.  Away from resonance they do not: the
 propagation backends follow the frame convention of :mod:`seqlab.qcore`
 (no diagonal term while mu1 is off) and lack the free-precession advance
@@ -48,7 +49,6 @@ defect.  ROADMAP.md item 1 (one rotating frame) is the fix.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -67,12 +67,6 @@ from .qcore import (
 # Grid points propagated per stacked call.  Stacking a whole 2001-point
 # scan at once ran no faster and raised the CLI's peak memory by ~13 %.
 BLOCK_POINTS = 256
-
-
-class Backend(str, Enum):
-    ANALYTIC = "analytic"
-    UNITARY = "unitary"
-    LINDBLAD = "lindblad"
 
 
 def ramsey_terms(delta1, t_mu1: float, t_mu2: float, dead_time: float):
@@ -165,16 +159,16 @@ def block_sequences(scan: ScanSection) -> Iterator[tuple[Segment, ...]]:
 def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarray:
     """Run a detuning scan with the scan's backend: a float64 array of
     intensities, one per point of its grid.  dissipation is consulted by
-    the LINDBLAD backend only."""
-    if scan.backend == Backend.ANALYTIC:  # == : a section holds the plain string
+    the lindblad backend only."""
+    if scan.backend == "analytic":
         deltas = symmetric_detuning_grid(scan.span, scan.points)
         return ramsey_intensity(
             deltas, scan.t_mu1, scan.omega_mu2, scan.t_mu2, scan.i0, 2.0 * scan.gap
         )
-    unitary = scan.backend == Backend.UNITARY
+    unitary = scan.backend == "unitary"
     return scan.i0 * np.concatenate([
         np.abs(propagate(seq, hermitian_propagator)[-1][:, 0]) ** 2 if unitary
-        else evolve_master(seq, dissipation)[:, 0, 0].real  # LINDBLAD
+        else evolve_master(seq, dissipation)[:, 0, 0].real  # lindblad
         for seq in block_sequences(scan)
     ])
 

@@ -16,7 +16,7 @@ from seqlab.qcore import (
     hermitian_propagator,
     segment_maps,
 )
-from seqlab.ramsey import Backend, symmetric_detuning_grid
+from seqlab.ramsey import symmetric_detuning_grid
 
 DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
 
@@ -64,7 +64,7 @@ def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulati
     )
 
 
-def scan_config(t_mu1, span, points, omega_mu2, t_mu2, backend=Backend.ANALYTIC, i0=1.0,
+def scan_config(t_mu1, span, points, omega_mu2, t_mu2, backend="analytic", i0=1.0,
                 gap=0.0) -> ScanSection:
     """A ScanSection over the symmetric grid of span and points, with the
     config's default I0 and gap and the analytic backend unless given."""

@@ -30,7 +30,6 @@ from seqlab.qcore import (
     total_duration,
 )
 from seqlab.ramsey import (
-    Backend,
     fringe_scan,
     rabi_scan,
     symmetric_detuning_grid,
@@ -66,14 +65,14 @@ def test_analytic_and_unitary_backends_agree():
         omega = area / t_mu2
         configs = {
             b: scan_config(t_mu1, mhz(10.0), 201, omega, t_mu2, backend=b)
-            for b in (Backend.ANALYTIC, Backend.UNITARY)
+            for b in ("analytic", "unitary")
         }
         scans = {b: fringe_scan(c, DissipationSection()) for b, c in configs.items()}
         on_resonance_gap = abs(
-            scans[Backend.ANALYTIC][center] - scans[Backend.UNITARY][center]
+            scans["analytic"][center] - scans["unitary"][center]
         )
         assert on_resonance_gap <= 1e-12
-        vis = extract_visibility(configs[Backend.UNITARY], scans[Backend.UNITARY])
+        vis = extract_visibility(configs["unitary"], scans["unitary"])
         assert abs(vis - ramsey_visibility(omega, t_mu2)) <= 1e-6
 
 
@@ -82,7 +81,7 @@ def test_lindblad_visibility_curve_reproduces_law():
     t_mu1, t_mu2 = 20e-9, 80e-9
     for area in np.linspace(0.0, 3.0 * math.pi, 25):
         omega = float(area) / t_mu2
-        cfg = scan_config(t_mu1, mhz(4.0), 5, omega, t_mu2, backend=Backend.LINDBLAD)
+        cfg = scan_config(t_mu1, mhz(4.0), 5, omega, t_mu2, backend="lindblad")
         vis = extract_visibility(cfg, fringe_scan(cfg, DissipationSection()))
         assert abs(vis - ramsey_visibility(omega, t_mu2)) <= 1e-4
 

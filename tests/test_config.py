@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from seqlab.config import RunConfig, load_config, parse_config
+from seqlab.config import RunConfig, convert, load_config, parse_config
 from seqlab.units import MHZ, mhz
 
 
@@ -117,6 +117,32 @@ def test_non_finite_values_rejected():
                  "dissipation.gamma_deph_1 = 1.8e303MHz"):
         with pytest.raises(ValueError, match="^config line 1: [a-z0-9_.]+: value must be finite$"):
             parse_config(text + "\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("scan.points = 1_001", id="underscore"),
+        pytest.param("seed = \u0661\u0662", id="arabic-indic"),
+        pytest.param("shots.n_trials = \uff12\uff10", id="fullwidth"),
+        pytest.param("scan.points = 3.5", id="decimal"),
+        pytest.param("seed = " + "1" * 5000, id="past-int-digit-limit"),
+    ],
+)
+def test_one_integer_grammar(text):
+    key, _, raw = text.partition(" = ")
+    with pytest.raises(ValueError) as info:
+        parse_config(text + "\n")
+    assert str(info.value) == f"config line 1: {key}: bad integer {raw!r}"
+
+
+def test_integers_take_a_sign_and_leading_zeros():
+    cfg = parse_config("seed = +7\nscan.points = 011\n")
+    assert (cfg.seed, cfg.scan.points) == (7, 11)
+    # --seed is read as the seed key
+    for raw in ("1_0", " 7"):
+        with pytest.raises(ValueError, match=f"^bad integer {raw!r}$"):
+            convert("seed", raw)
 
 
 @pytest.mark.parametrize(

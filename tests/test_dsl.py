@@ -184,6 +184,21 @@ def test_nonpositive_duration():
     assert (err.code, err.column) == (dsl.E_NONPOSITIVE_DURATION, 6)
 
 
+@pytest.mark.parametrize(
+    "text, code, column",
+    [
+        ("pulse mu1 duration=0ns", dsl.E_MISSING_AMPLITUDE, 1),
+        ("pulse mu1 rabi=1MHz area=1pi duration=0ns", dsl.E_CONFLICTING_AMPLITUDE, 21),
+        ("pulse mu1 duration=0ns rabi=xMHz", dsl.E_BAD_NUMBER, 29),
+        ("pulse mu1 area=-1pi duration=0ns", dsl.E_NONPOSITIVE_DURATION, 30),
+    ],
+)
+def test_a_line_with_several_faults_reports_the_first_in_rule_order(text, code, column):
+    # every value is read first, then the amplitude, then the duration rules
+    err = _err(text)
+    assert (err.code, err.line, err.column) == (code, 1, column)
+
+
 def test_bad_bin():
     assert _err("readout bin=4").code == dsl.E_BAD_BIN
     assert _err("readout bin=0").code == dsl.E_BAD_BIN

@@ -24,7 +24,6 @@ from seqlab.qcore import (
     segment_hamiltonian,
 )
 from seqlab.ramsey import (
-    Backend,
     build_ramsey_sequence,
     fringe_scan,
     symmetric_detuning_grid,
@@ -292,7 +291,7 @@ def test_zero_interactions_double_is_twice_single():
     # so the mixture is (1 + p2) times the single-excitation fringe
     p2 = 0.4
     base = _scan_config(points=41)
-    config = replace(base, backend=Backend.UNITARY)
+    config = replace(base, backend="unitary")
     single = fringe_scan(config, NO_RATES)
     mixed = mixture_fringe_scan(config, NO_RATES, InteractionSection(0.0, p2=p2))
     for s, m in zip(single, mixed):
@@ -367,7 +366,7 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
 def test_mixture_refuses_lindblad_with_rates(rates):
     # the double branch is closed: under LINDBLAD it would stay undamped
     # while the single branch decays, and the mixture used to report that
-    lindblad = replace(_scan_config(points=5), backend=Backend.LINDBLAD)
+    lindblad = replace(_scan_config(points=5), backend="lindblad")
     refused = r"^interaction\.p2 = 0\.5 with non-zero dissipation rates"
     with pytest.raises(ValueError, match=refused):
         mixture_fringe_scan(lindblad, rates, InteractionSection(0.0, p2=0.5))
@@ -378,7 +377,7 @@ def test_mixture_refuses_lindblad_with_rates(rates):
     # the closed backends ignore the rates; zero rates under LINDBLAD
     # shadow the unitary mixture
     interactions = InteractionSection(mhz(0.2), p2=0.5)
-    unitary_scan = replace(lindblad, backend=Backend.UNITARY)
+    unitary_scan = replace(lindblad, backend="unitary")
     unitary = mixture_fringe_scan(unitary_scan, rates, interactions)
     assert np.array_equal(unitary, mixture_fringe_scan(unitary_scan, NO_RATES, interactions))
     zero_rates = mixture_fringe_scan(lindblad, NO_RATES, interactions)

@@ -337,6 +337,11 @@ BAD_CONFIGS = (
     ("scan.t_mu1 = 1e" + "9" * 5000 + "ns", "scan.t_mu1: value must be finite"),
     ("scan.t_mu1 = 1e-" + "9" * 5000 + "ns", "scan.t_mu1: must be positive"),
     ("scan.points = 3.5", "bad integer '3.5'"),
+    # integers are ASCII digits after an optional sign, as int() alone is not
+    ("scan.points = 1_001", "bad integer '1_001'"),
+    ("seed = \u0661\u0662", "bad integer '\u0661\u0662'"),
+    ("shots.n_trials = \uff12\uff10", "bad integer '\uff12\uff10'"),
+    ("seed = " + "1" * 5000, "seed: bad integer '111"),  # past int()'s 4300 digits
     ("scan.backend = euler", "expected one of"),
     ("scan.points = 4", "must be an odd integer >= 3"),
     ("shots.n_trials = 9223372036854775808", "must be positive and below 2**63"),
@@ -428,6 +433,7 @@ def _traffic(tmp: Path) -> None:
     run("g2", config=shots + "g2.mode = coherent\ng2.bin = 3\n")
     run("g2", config=shots + "g2.bin = 2\n", code=3, err="g2 undefined")
     run("g2", "--seed", "-1", code=2, err="argument --seed: must be non-negative")
+    run("g2", "--seed", "1_0", code=2, err="argument --seed: bad integer '1_0'")
     # at the top and the bottom of the mean photon number, and at the top
     # of the trial count
     run("g2", config="g2.mode = coherent\nshots.n_trials = 10\nshots.mean_photons = 32767\n")
