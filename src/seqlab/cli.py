@@ -99,16 +99,8 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
         f"{'within' if total < SEQUENCE_BUDGET_S else 'EXCEEDS'} budget)",
         file=sys.stderr,
     )
-    ro = cfg.readout
-    pops = readout_from_sequence(
-        seq,
-        eta=(ro.eta_1, ro.eta_2, ro.eta_3),
-        deph_between_bins=ro.deph,
-    )
-    text = _table_text(
-        args, cfg, READOUT_CSV_HEADER, ((1, 2, 3), (pops.p1, pops.p2, pops.p3))
-    )
-    emit(text, args.out)
+    pops = readout_from_sequence(seq, cfg.readout)
+    emit(_table_text(args, cfg, READOUT_CSV_HEADER, ((1, 2, 3), pops)), args.out)
     return 0
 
 
@@ -157,7 +149,11 @@ def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}: malformed row {ln!r}")
-            if not all(map(math.isfinite, [float(p) for p in parts])):
+            try:
+                values = [float(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"{path}: data row {row} is not a number: {ln!r}") from None
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
     if len(body) < 2:
         raise ValueError(f"{path}: need at least two data rows")
@@ -165,7 +161,7 @@ def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_fit(args, cfg: RunConfig) -> int:
-    if not getattr(args, "in_path", None):
+    if not args.in_path:
         print("error: fit requires --in <scan csv>", file=sys.stderr)
         return 2
     deltas, intensities = _read_scan_csv(args.in_path)
@@ -178,8 +174,7 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
                 "fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
                 "+ 2*scan.gap, which overflows; set fit.t_total_hint"
             )
-    result = fit_sinusoid(deltas, intensities, hint)
-    values = [getattr(result, name) for name in FIT_CSV_HEADER.split(",")]
+    values = fit_sinusoid(deltas, intensities, hint).values()
     emit(_record_text(args, cfg, FIT_CSV_HEADER, values, default="json"), args.out)
     return 0
 

@@ -13,7 +13,8 @@ A real value is read by :func:`seqlab.units.read_value`, the reader the
 sequence DSL shares: a time in ns/us/ms/s and a 1/e rate in MHz (times
 1e6 s^-1) shift the written exponent before the one rounding, so
 ``scan.t_mu1 = 100ns`` gives the default 1e-07; drive frequencies and
-interaction shifts are angular (MHz value times ``units.MHZ``).  A line
+interaction shifts are angular (MHz value times ``units.MHZ``), and an
+integer is read by :func:`seqlab.units.read_int`.  A line
 is parsed and bounds-checked as it is read, so an unknown key, a
 malformed value and an out-of-range value all name their line.
 """
@@ -21,23 +22,11 @@ malformed value and an out-of-range value all name their line.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 
-from .units import ANGULAR, PLAIN, RATE, TIME, mhz, read_value
+from .units import ANGULAR, PLAIN, RATE, TIME, mhz, read_int, read_value
 
 __all__ = ["RunConfig", "convert", "words", "parse_config", "load_config"]
-
-
-def _int(raw: str) -> int:
-    """raw as ASCII digits after an optional sign; int() alone would also
-    take '1_0', other scripts' digits and surrounding spaces."""
-    try:
-        if re.fullmatch(r"[+-]?[0-9]+", raw):
-            return int(raw)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ValueError(f"bad integer {raw!r}")
 
 
 # bounds: (predicate on the parsed value, rule named in the diagnostic)
@@ -68,7 +57,7 @@ class ScanSection:
     omega_mu2: float = _key(mhz(12.5), ANGULAR, _NON_NEGATIVE)
     span: float = _key(mhz(10.0), ANGULAR, _POSITIVE)
     points: int = _key(
-        201, _int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
+        201, read_int, (lambda v: v >= 3 and v % 2 == 1, "must be an odd integer >= 3")
     )
     i0: float = _key(1.0, PLAIN, _POSITIVE)
     gap: float = _key(0.0, TIME, _NON_NEGATIVE)  # a wait each side of the mu2 pulse
@@ -82,7 +71,7 @@ class RabiSection:
     t_mu1: float = _key(20e-9, TIME, _PI_HALF_TIME)
     omega_mu2: float = _key(mhz(12.5), ANGULAR, _NON_NEGATIVE)
     t_max: float = _key(160e-9, TIME, _POSITIVE)
-    points: int = _key(81, _int, (lambda v: v >= 2, "must be >= 2"))
+    points: int = _key(81, read_int, (lambda v: v >= 2, "must be >= 2"))
     detuning2: float = _key(0.0, ANGULAR)
 
 
@@ -126,7 +115,7 @@ class ShotsSection:
     arm, so mean_photons bounds the work of a g2 run at any n_trials."""
 
     n_trials: int = _key(
-        100_000, _int, (lambda v: 0 < v < 2**63, "must be positive and below 2**63")
+        100_000, read_int, (lambda v: 0 < v < 2**63, "must be positive and below 2**63")
     )
     dark_rate: float = _key(0.0, PLAIN, _UNIT_OPEN)
     mean_photons: float = _key(
@@ -137,7 +126,7 @@ class ShotsSection:
 @dataclass
 class G2Section:
     mode: str = _key("antibunched", ("antibunched", "coherent", "mixture"))
-    bin: int = _key(1, _int, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3"))
+    bin: int = _key(1, read_int, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3"))
 
 
 @dataclass
@@ -162,7 +151,7 @@ class RunConfig:
     g2: G2Section = field(default_factory=G2Section)
     fit: FitSection = field(default_factory=FitSection)
     output: OutputSection = field(default_factory=OutputSection)
-    seed: int = _key(12345, _int, _NON_NEGATIVE)
+    seed: int = _key(12345, read_int, _NON_NEGATIVE)
 
 
 def _schema() -> dict[str, tuple[str | None, object]]:

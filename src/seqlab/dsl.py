@@ -13,7 +13,8 @@ the config shares: ``ns`` shifts the written exponent before the one
 rounding, so ``duration=100ns`` is the double nearest 1e-7, and MHz and
 a phase's pi keep their one factor, so ``rabi=12.5MHz`` is
 ``units.mhz(12.5)`` bit for bit; the area form gives
-rabi = area * pi / duration.
+rabi = area * pi / duration.  A bin is read by
+:func:`seqlab.units.read_int`, as the config's integers are.
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ import math
 import re
 from typing import Iterator, NamedTuple
 
-from .qcore import (
-    DriveField,
-    DriveSegment,
-    Readout,
-    Segment,
-    Wait,
-)
-from .units import ANGULAR, AREA, NS, PHASE, BadValue, read_value
+from .qcore import FIELDS, DriveSegment, Readout, Segment, Wait
+from .units import ANGULAR, AREA, NS, PHASE, BadValue, read_int, read_value
 
 __all__ = ["ParseError", "parse_sequence", "load_sequence"]
 
@@ -122,13 +117,11 @@ def _parse_pulse(tokens: list[_Token]) -> DriveSegment:
             "pulse needs a field tag (mu1 or mu2)",
             cmd.line, cmd.column + len(cmd.text), E_SYNTAX,
         )
-    try:
-        fld = DriveField(tokens[1].text)
-    except ValueError:
+    fld = tokens[1].text
+    if fld not in FIELDS:
         raise _fault(
-            tokens[1], f"unknown drive field {tokens[1].text!r} (expected mu1 or mu2)",
-            E_UNKNOWN_FIELD,
-        ) from None
+            tokens[1], f"unknown drive field {fld!r} (expected mu1 or mu2)", E_UNKNOWN_FIELD
+        )
 
     values: dict[str, float] = {}
     written: dict[str, _Token] = {}  # key -> its key=value token
@@ -180,9 +173,13 @@ def _parse_readout(tokens: list[_Token]) -> Readout:
     key, val = _split_kv(tokens[1])
     if key != "bin":
         raise _fault(tokens[1], f"unknown key {key!r}", E_UNKNOWN_KEY)
-    if val.text not in ("1", "2", "3"):
+    try:
+        bin = read_int(val.text)
+    except ValueError:
+        bin = None
+    if bin not in (1, 2, 3):
         raise _fault(val, f"bin must be 1, 2 or 3, got {val.text!r}", E_BAD_BIN)
-    return Readout(int(val.text))
+    return Readout(bin)
 
 
 _PARSERS = {"pulse": _parse_pulse, "wait": _parse_wait, "readout": _parse_readout}

@@ -3,14 +3,14 @@
 Read-out maps the qutrit onto three photon time bins: bin 1 retrieves
 whatever sits in R1, a mu1 pi pulse then moves R2 down for bin 2, and a
 mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
-retrieval empties R1.  Retrieval efficiencies eta scale the three bins
-independently.  A read-out sequence starts from the stored excitation in
-R1, like every sequence; the segments before bin 1 prepare the state that
-the bins read.
+retrieval empties R1.  The retrieval efficiencies eta_1..eta_3 of the
+config's readout section scale the three bins independently.  A read-out
+sequence starts from the stored excitation in R1, like every sequence;
+the segments before bin 1 prepare the state that the bins read.
 
 Dephasing accumulated between bins suppresses the retrievable collective
 mode, so it shows up as signal loss rather than as a population change:
-each retrieval after the first is scaled by exp(-rate * elapsed), with the
+each retrieval after the first is scaled by exp(-deph * elapsed), with the
 elapsed time taken from the durations of the remapping segments actually
 in the sequence.
 
@@ -21,48 +21,34 @@ independent, so that histogram is one multinomial draw over the outcome
 distribution of a single trial, and no trial is drawn on its own: time
 and memory do not grow with the trial count.  :func:`estimate_g2` takes
 the histogram.  The run configuration bounds every count, rate and
-efficiency that reaches this module.
+efficiency that reaches this module.  Results are plain values: the bins
+are (p1, p2, p3), g2 is (value, stderr) and a fit is a dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ReadoutSection
 from .dissipative import NumericError, stored_excitation
 from .qcore import Readout, Segment, hermitian_propagator, segment_maps
 
 
-@dataclass(frozen=True)
-class TimeBinPopulations:
-    """Retrieval probabilities of the three time bins."""
-
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self):
-        for p in (self.p1, self.p2, self.p3):
-            if not math.isfinite(p) or p < 0:
-                raise ValueError("bin probabilities must be finite and non-negative")
-        if self.p1 + self.p2 + self.p3 > 1.0 + 1e-9:
-            raise ValueError("bin probabilities exceed unity")
-
-
 def readout_from_sequence(
-    sequence: tuple[Segment, ...], eta, deph_between_bins: float
-) -> TimeBinPopulations:
-    """Walk a sequence containing Readout segments from the stored
-    excitation and collect the bins.
+    sequence: tuple[Segment, ...], readout: ReadoutSection
+) -> tuple[float, float, float]:
+    """(p1, p2, p3): the retrieval probabilities of the three time bins
+    of a sequence containing Readout segments, walked from the stored
+    excitation.
 
     Drive/wait segments propagate the state; each Readout(b) records the
-    current R1 population times eta[b-1] (times the inter-bin dephasing
-    factor) and then zeroes R1, modelling the departed photon.  The
-    dephasing clock starts at the first readout, so bin 1 is never
-    attenuated.  eta holds three efficiencies in [0, 1], and
-    deph_between_bins is a finite non-negative rate in 1/s.  The state is
+    current R1 population times the section's eta_<b> (times the
+    inter-bin dephasing factor) and then zeroes R1, modelling the departed
+    photon.  The dephasing clock starts at the first readout, so bin 1 is
+    never attenuated.  The config bounds each eta to [0, 1] and deph, the
+    dephasing rate in 1/s, to a finite non-negative value.  The state is
     walked as its density matrix, from
     :func:`seqlab.dissipative.stored_excitation`; the drive/wait
     propagators come from :func:`seqlab.qcore.segment_maps`.  The walk is its
@@ -73,16 +59,16 @@ def readout_from_sequence(
     steps = iter(segment_maps(drives, hermitian_propagator))
     U = np.eye(4, dtype=complex)  # the loss level is untouched
 
-    bins = {1: 0.0, 2: 0.0, 3: 0.0}
+    bins = [0.0, 0.0, 0.0]
     clock_running = False
     elapsed = 0.0
     for seg in sequence:
         if isinstance(seg, Readout):
-            factor = eta[seg.bin - 1]
-            if clock_running and deph_between_bins > 0:
-                factor *= math.exp(-deph_between_bins * elapsed)
+            factor = getattr(readout, f"eta_{seg.bin}")
+            if clock_running and readout.deph > 0:
+                factor *= math.exp(-readout.deph * elapsed)
             # rho is positive semidefinite: a negative rho_00 is rounding
-            bins[seg.bin] = max(float(rho[0, 0].real), 0.0) * factor
+            bins[seg.bin - 1] = max(float(rho[0, 0].real), 0.0) * factor
             rho[0, :] = 0.0
             rho[:, 0] = 0.0
             clock_running = True
@@ -91,7 +77,11 @@ def readout_from_sequence(
             rho = U @ rho @ U.conj().T
             if clock_running:
                 elapsed += seg.duration
-    return TimeBinPopulations(bins[1], bins[2], bins[3])
+    if not all(math.isfinite(p) and p >= 0 for p in bins):
+        raise NumericError("bin probabilities must be finite and non-negative")
+    if sum(bins) > 1.0 + 1e-9:
+        raise NumericError("bin probabilities exceed unity")
+    return tuple(bins)
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +280,6 @@ def estimate_g2(hist, bin: int) -> tuple[float, float]:
 # Sinusoid / fringe fitting
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """y ~ offset + amplitude * cos(frequency * x + phase).
-
-    visibility is amplitude/|offset| clamped to [0, 1].  flags may contain
-    "flat_scan", "not_converged", "frequency_far_from_hint" or
-    "zero_offset".
-    """
-
-    offset: float
-    amplitude: float
-    frequency: float
-    phase: float
-    visibility: float
-    residual_rms: float
-    converged: bool
-    flags: tuple[str, ...]
-
-
 MAX_FIT_ITERATIONS = 200
 FIT_STEP_TOL = 1e-10
 
@@ -335,8 +306,13 @@ def _periodogram_peak(x: np.ndarray, y: np.ndarray) -> float | None:
     return 2.0 * math.pi * k / (n * float(dx.mean()))
 
 
-def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
-    """Least-squares sinusoid fit: Gauss-Newton with Levenberg damping.
+def fit_sinusoid(x, y, freq_hint: float) -> dict:
+    """Least-squares fit of y ~ offset + amplitude * cos(frequency * x +
+    phase) by Gauss-Newton with Levenberg damping: a dict of offset,
+    amplitude, frequency, phase, visibility (amplitude/|offset| clamped to
+    [0, 1]), residual_rms, converged and flags, in that order; flags is a
+    tuple of "flat_scan", "not_converged", "frequency_far_from_hint" or
+    "zero_offset".
 
     The frequency initializer is the periodogram peak (freq_hint as
     fallback); offset/quadrature amplitudes start from the linear solve at
@@ -360,7 +336,7 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
 
     scale = float(np.abs(y).max())
     if np.ptp(y) <= 1e-12 * scale:  # relative, so the fit is scale-free
-        return FitResult(
+        return dict(
             offset=float(y.mean()), amplitude=0.0, frequency=freq_hint,
             phase=0.0, visibility=0.0, residual_rms=0.0, converged=True,
             flags=("flat_scan",),
@@ -369,17 +345,11 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
     unit = 2.0 ** math.frexp(scale)[1]  # max |y / unit| lies in [0.5, 1)
     y = y / unit
     f = _periodogram_peak(x, y) or freq_hint
-
-    def linear_at(f):
-        M = np.column_stack([np.ones_like(x), np.cos(f * x), np.sin(f * x)])
-        sol, *_ = np.linalg.lstsq(M, y, rcond=None)
-        return sol
-
-    o, A, B = linear_at(f)
-    lam = 1e-3
-    converged = False
     # c, s hold the trigonometry of the accepted f, reused by the next step
     c, s = np.cos(f * x), np.sin(f * x)
+    (o, A, B), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(x), c, s]), y, rcond=None)
+    lam = 1e-3
+    converged = False
     r = y - (o + A * c + B * s)
     for _ in range(MAX_FIT_ITERATIONS):
         J = np.column_stack([np.ones_like(x), c, s, x * (-A * s + B * c)])
@@ -425,7 +395,7 @@ def fit_sinusoid(x, y, freq_hint: float) -> FitResult:
         visibility = 0.0
         flags.append("zero_offset")
     rms = float(np.sqrt((r**2).mean())) * unit
-    return FitResult(
+    return dict(
         offset=float(o), amplitude=float(amplitude), frequency=float(f),
         phase=float(phase), visibility=float(visibility), residual_rms=rms,
         converged=converged, flags=tuple(flags),

@@ -35,7 +35,6 @@ and the Liouville space (16).  A sequence is a plain tuple of segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -44,13 +43,8 @@ import numpy as np
 # it, motional dephasing of the collective state dominates.
 SEQUENCE_BUDGET_S = 1.8e-6
 
-
-class DriveField(str, Enum):
-    """Which microwave field a pulse drives."""
-
-    MU1 = "mu1"  # couples R1 <-> R2
-    MU2 = "mu2"  # couples R2 <-> R3
-
+# the words of the two fields, in order: a field's index is its lower level
+FIELDS = ("mu1", "mu2")
 
 _DRIVE_VALUES = ("rabi", "duration", "detuning", "phase")
 
@@ -59,24 +53,23 @@ _DRIVE_VALUES = ("rabi", "duration", "detuning", "phase")
 class DriveSegment:
     """A constant-amplitude microwave pulse on one field, or a stack of them.
 
-    rabi, detuning in rad/s; phase in rad; duration in seconds.  The
-    sequence parser and the config bounds give finite values, a
-    non-negative rabi (its sign belongs in phase) and a positive duration.
-    The four are numbers or arrays that broadcast against each other (else
-    ValueError); an array, kept as a read-only float copy, makes the
-    segment a stack of pulses over the broadcast shape.  Segments compare
-    and hash by identity, as :func:`segment_maps` tells them apart.
+    field is a word of FIELDS; rabi, detuning in rad/s; phase in rad;
+    duration in seconds.  The sequence parser and the config bounds give
+    finite values, a non-negative rabi (its sign belongs in phase) and a
+    positive duration.  The four are numbers or arrays that broadcast
+    against each other (else ValueError); an array, kept as a read-only
+    float copy, makes the segment a stack of pulses over the broadcast
+    shape.  Segments compare and hash by identity, as
+    :func:`segment_maps` tells them apart.
     """
 
-    field: DriveField
+    field: str
     rabi: float | np.ndarray
     duration: float | np.ndarray
     detuning: float | np.ndarray = 0.0
     phase: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        # "mu1" compares equal to DriveField.MU1 but is not it; "mu3" is neither
-        object.__setattr__(self, "field", DriveField(self.field))
         values = [np.array(getattr(self, name), dtype=float) for name in _DRIVE_VALUES]
         np.broadcast(*values)  # ValueError unless the shapes broadcast
         for name, v in zip(_DRIVE_VALUES, values):
@@ -108,14 +101,15 @@ def total_duration(segments) -> float:
     return sum((s.duration for s in segments if not isinstance(s, Readout)), 0.0)
 
 
-def _drive_block(field: DriveField, rabi, detuning, phase) -> np.ndarray:
+def _drive_block(field: str, rabi, detuning, phase) -> np.ndarray:
     """Hamiltonian (rad/s) of one field driving alone, from a
     DriveSegment's checked values, shape (..., 3, 3) over the broadcast
     shape of rabi, detuning and phase.  The field's block carries
     (rabi/2) e^{i phase} below the diagonal, its conjugate above it and
     -detuning on the upper level's diagonal; every other entry is zero.
+    A field that is not a word of FIELDS raises ValueError.
     """
-    lo = 0 if field is DriveField.MU1 else 1
+    lo = FIELDS.index(field)
     H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
     g = 0.5 * rabi * np.exp(1j * phase)
     H[..., lo + 1, lo] = g

@@ -56,7 +56,6 @@ import numpy as np
 from .config import DissipationSection, ScanSection
 from .dissipative import evolve_master
 from .qcore import (
-    DriveField,
     DriveSegment,
     Segment,
     Wait,
@@ -132,14 +131,14 @@ def build_ramsey_sequence(
     detuning or an array of them; an array stacks the mu1 pulses over it.
     """
     half_pi = DriveSegment(
-        field=DriveField.MU1,
+        field="mu1",
         rabi=math.pi / (2.0 * t_mu1),
         duration=t_mu1,
         detuning=delta1,
     )
     gap = (Wait(inter_pulse_gap),) if inter_pulse_gap > 0 else ()
     mu2 = (
-        (DriveSegment(field=DriveField.MU2, rabi=omega_mu2, duration=t_mu2),)
+        (DriveSegment(field="mu2", rabi=omega_mu2, duration=t_mu2),)
         if t_mu2 > 0 else ()
     )
     return (half_pi, *gap, *mu2, *gap, half_pi)
@@ -193,8 +192,8 @@ def rabi_scan(
     """
     times = np.asarray(times, dtype=float)
     driven = times > 0
-    half_pi = DriveSegment(DriveField.MU1, rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
-    mu2 = DriveSegment(DriveField.MU2, rabi=omega_mu2, duration=times[driven], detuning=detuning2)
+    half_pi = DriveSegment("mu1", rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
+    mu2 = DriveSegment("mu2", rabi=omega_mu2, duration=times[driven], detuning=detuning2)
     prepared, after_mu2 = propagate((half_pi, mu2), hermitian_propagator)
     amps = np.tile(prepared, (times.size, 1))
     amps[driven] = after_mu2

@@ -1,4 +1,5 @@
-"""Unit helpers and the one reader of a written number with a unit.
+"""Unit helpers, the one reader of a written number with a unit and the
+one reader of a written integer.
 
 All internal quantities are SI: angular frequencies in rad/s, times in
 seconds.  Ordinary frequencies (MHz) appear only at I/O boundaries (the
@@ -61,3 +62,14 @@ def read_value(text: str, units: dict) -> float:
     if not math.isfinite(value):
         raise BadValue("value must be finite", "range", 0)
     return value
+
+
+def read_int(text: str) -> int:
+    """The integer that text writes in ASCII digits after an optional sign;
+    int() alone would also take '1_0', other scripts' digits and spaces."""
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"bad integer {text!r}")

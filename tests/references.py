@@ -7,10 +7,9 @@ import math
 
 import numpy as np
 
-from seqlab.config import ScanSection
-from seqlab.photostats import TimeBinPopulations, readout_from_sequence
+from seqlab.config import ReadoutSection, ScanSection
+from seqlab.photostats import readout_from_sequence
 from seqlab.qcore import (
-    DriveField,
     DriveSegment,
     Readout,
     hermitian_propagator,
@@ -51,17 +50,16 @@ def extract_visibility(scan, intensities) -> float:
     return abs(opposite - center) / (center + opposite)
 
 
-def readout_populations(prep, deph_between_bins: float = 0.0) -> TimeBinPopulations:
-    """Three-bin read-out with ideal retrieval of the state that the
-    segments prep prepare: the canonical remapping chain of
-    DEFAULT_PI_PULSE_S pi pulses on both fields follows prep."""
+def readout_populations(prep, deph: float = 0.0) -> tuple[float, float, float]:
+    """(p1, p2, p3) of the three-bin read-out with ideal retrieval of the
+    state that the segments prep prepare, at the inter-bin dephasing rate
+    deph: the canonical remapping chain of DEFAULT_PI_PULSE_S pi pulses on
+    both fields follows prep."""
     t = DEFAULT_PI_PULSE_S
-    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
-    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
+    pi_mu1 = DriveSegment("mu1", rabi=math.pi / t, duration=t)
+    pi_mu2 = DriveSegment("mu2", rabi=math.pi / t, duration=t)
     chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
-    return readout_from_sequence(
-        (*prep, *chain), (1.0, 1.0, 1.0), deph_between_bins
-    )
+    return readout_from_sequence((*prep, *chain), ReadoutSection(deph=deph))
 
 
 def scan_config(t_mu1, span, points, omega_mu2, t_mu2, backend="analytic", i0=1.0,

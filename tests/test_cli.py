@@ -865,6 +865,22 @@ def test_fit_rejects_a_row_of_the_wrong_width(tmp_path, capsys, rows, bad):
     assert capsys.readouterr().err == f"error: {scan}: malformed row {bad!r}\n"
 
 
+@pytest.mark.parametrize(
+    "rows, row, bad",
+    [
+        (["0,1", "2,abc", "3,4"], 2, "2,abc"),
+        (["0,1", "1,2", "2,"], 3, "2,"),
+        # the first faulty row in file order, before a later non-finite one
+        (["x,1", "1,inf", "2,3"], 1, "x,1"),
+    ],
+)
+def test_fit_names_the_row_of_a_cell_that_is_not_a_number(tmp_path, capsys, rows, row, bad):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("\n".join([RAMSEY_CSV_HEADER, *rows, ""]), encoding="utf-8")
+    assert main(["fit", "--in", str(scan)]) == 2
+    assert capsys.readouterr().err == f"error: {scan}: data row {row} is not a number: {bad!r}\n"
+
+
 def test_fit_needs_two_data_rows(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     scan.write_text(f"{RAMSEY_CSV_HEADER}\n0,1\n\n", encoding="utf-8")
@@ -896,7 +912,10 @@ def _row_by_row_scan_csv(path):
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        values = [float(p) for p in parts]
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}: data row {row} is not a number: {ln!r}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
         rows.append(values)

@@ -20,7 +20,7 @@ from seqlab.dissipative import (
     _validate_density,
 )
 from seqlab.qcore import (
-    DriveField,
+    FIELDS,
     DriveSegment,
     Wait,
     segment_hamiltonian,
@@ -38,7 +38,7 @@ def _random_sequence(rng, max_segments=6):
         else:
             segs.append(
                 DriveSegment(
-                    field=DriveField.MU1 if rng.random() < 0.5 else DriveField.MU2,
+                    field="mu1" if rng.random() < 0.5 else "mu2",
                     rabi=float(rng.uniform(0.0, mhz(20.0))),
                     duration=float(rng.uniform(5e-9, 120e-9)),
                     detuning=float(rng.uniform(-mhz(5.0), mhz(5.0))),
@@ -100,10 +100,10 @@ def test_zero_rates_reproduce_unitary_evolution():
 
 def test_invariants_hold_at_all_samples():
     seq = (
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment("mu2", rabi=mhz(12.5), duration=250e-9),
         Wait(50e-9),
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
     )
     cuts = list(cut_sequences(seq, 5e-9))
     assert len(cuts) > 20
@@ -126,7 +126,7 @@ def test_population_leaks_into_loss_level():
 
 def test_dephasing_damps_coherence_exponentially():
     # prepare an R1/R2 superposition, dephase R2 during a wait
-    prep = DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9)
+    prep = DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9)
     t_wait = 1e-6
     rate = 4e5
     seq = (prep, Wait(t_wait))
@@ -146,9 +146,9 @@ def test_dephasing_damps_coherence_exponentially():
 
 
 CANONICAL_RAMSEY = (
-    DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-    DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
-    DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
+    DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
+    DriveSegment("mu2", rabi=mhz(12.5), duration=250e-9),
+    DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
 )
 
 
@@ -220,7 +220,7 @@ _segments = st.lists(
         st.builds(Wait, st.floats(1e-9, 300e-9)),
         st.builds(
             DriveSegment,
-            field=st.sampled_from(DriveField),
+            field=st.sampled_from(FIELDS),
             rabi=st.floats(0.0, mhz(20.0)),
             duration=st.floats(1e-9, 300e-9),
             detuning=st.floats(-mhz(5.0), mhz(5.0)),
@@ -243,9 +243,9 @@ _rates = st.tuples(*[st.floats(0.0, 5e6)] * 3)
 # stepping integrator loses positivity here
 @example(
     segments=[
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
-        DriveSegment(DriveField.MU2, rabi=mhz(12.5), detuning=mhz(5.0), duration=250e-9),
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 100e-9), duration=100e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 100e-9), duration=100e-9),
+        DriveSegment("mu2", rabi=mhz(12.5), detuning=mhz(5.0), duration=250e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 100e-9), duration=100e-9),
     ],
     decay=(0.0, 0.0, 0.0),
     deph=(0.0, 0.0, 0.0),
@@ -316,7 +316,7 @@ def _stacked_sequences(draw):
 
     def drive():
         return DriveSegment(
-            field=draw(st.sampled_from(list(DriveField))),
+            field=draw(st.sampled_from(FIELDS)),
             rabi=value(0.0, mhz(20.0)),
             duration=draw(st.floats(3e-9, 120e-9)),
             detuning=value(-mhz(5.0), mhz(5.0)),
@@ -324,7 +324,7 @@ def _stacked_sequences(draw):
         )
 
     scan = DriveSegment(
-        DriveField.MU1, rabi=mhz(6.25), duration=40e-9,
+        "mu1", rabi=mhz(6.25), duration=40e-9,
         detuning=np.linspace(-mhz(3.0), mhz(3.0), points),
     )
     segs = [
@@ -350,7 +350,7 @@ def _stacked_sequences(draw):
 
 # prepares 0.6 |R1> + 0.8i |R2> from the stored excitation
 PREP_06_08 = DriveSegment(
-    DriveField.MU1, rabi=2.0 * math.acos(0.6) / 20e-9, duration=20e-9, phase=math.pi
+    "mu1", rabi=2.0 * math.acos(0.6) / 20e-9, duration=20e-9, phase=math.pi
 )
 
 
@@ -380,9 +380,9 @@ def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
 
     monkeypatch.setattr(dissipative, "expm", leaky_last_map)
     seq = (
-        DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9),
+        DriveSegment("mu2", rabi=mhz(12.5), duration=250e-9),
         DriveSegment(
-            DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9,
+            "mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9,
             detuning=np.array([-mhz(1.0), 0.0, mhz(1.0)]),
         ),
     )

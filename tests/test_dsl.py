@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seqlab import dsl
 from seqlab.dsl import ParseError, load_sequence, parse_sequence
 from seqlab.qcore import (
-    DriveField,
     DriveSegment,
     Readout,
     Wait,
@@ -34,13 +33,13 @@ def test_area_form_derives_rabi():
     seq = parse_sequence("pulse mu1 area=0.5pi duration=20ns")
     (seg,) = seq
     assert isinstance(seg, DriveSegment)
-    assert seg.field is DriveField.MU1
+    assert seg.field == "mu1"
     assert seg.rabi == 0.5 * math.pi / 20e-9
     assert seg.detuning == 0.0
     assert seg.phase == 0.0
     assert seg.duration == 20e-9
     # the area form leaves no trace: the pulse equals its rabi form
-    same = DriveSegment(DriveField.MU1, rabi=0.5 * math.pi / 20e-9, duration=20e-9)
+    same = DriveSegment("mu1", rabi=0.5 * math.pi / 20e-9, duration=20e-9)
     assert same_segments((seg,), (same,))
 
 
@@ -49,7 +48,7 @@ def test_full_pulse_statement():
         "pulse mu2 rabi=12.5MHz detuning=-0.4MHz phase=0.25pi duration=250ns"
     )
     (seg,) = seq
-    assert seg.field is DriveField.MU2
+    assert seg.field == "mu2"
     assert seg.rabi == mhz(12.5)
     assert seg.detuning == mhz(-0.4)
     assert seg.phase == 0.25 * math.pi
@@ -203,6 +202,19 @@ def test_bad_bin():
     assert _err("readout bin=4").code == dsl.E_BAD_BIN
     assert _err("readout bin=0").code == dsl.E_BAD_BIN
     assert _err("readout bin=x").code == dsl.E_BAD_BIN
+    # any text that is not an integer in 1..3, as units.read_int reads one
+    for text in ("-1", "+0", "04", "1_0", "1.0", "\u0661", "", "0" * 5000 + "1"):
+        err = _err(f"readout bin={text}")
+        assert (err.code, err.column, err.message) == (
+            dsl.E_BAD_BIN, 13, f"bin must be 1, 2 or 3, got {text!r}"
+        )
+
+
+@pytest.mark.parametrize("text, bin", [("+1", 1), ("01", 1), ("+02", 2), ("003", 3)])
+def test_a_bin_takes_a_sign_and_leading_zeros(text, bin):
+    # the config's integer grammar: E_BAD_BIN until the two shared a reader
+    (segment,) = parse_sequence(f"readout bin={text}")
+    assert segment.bin == bin
 
 
 def test_duplicate_bin():

@@ -17,7 +17,7 @@ from seqlab.pairwise import (
 )
 from seqlab.photostats import fit_sinusoid
 from seqlab.qcore import (
-    DriveField,
+    FIELDS,
     DriveSegment,
     Wait,
     hermitian_propagator,
@@ -88,9 +88,9 @@ def test_lift_matches_tensor_oracle_random():
 
 
 def test_lift_matches_tensor_oracle_physical_scale():
-    mu1 = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=20e-9,
+    mu1 = DriveSegment("mu1", rabi=mhz(5.0), duration=20e-9,
                        detuning=mhz(1.0), phase=0.3)
-    mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=250e-9,
+    mu2 = DriveSegment("mu2", rabi=mhz(12.5), duration=250e-9,
                        detuning=mhz(0.5), phase=-1.1)
     h3 = segment_hamiltonian(mu1) + segment_hamiltonian(mu2)
     lifted = lift_single_particle(h3)
@@ -182,7 +182,7 @@ def test_bosonic_enhancement_factors():
 
 
 def test_resonant_drive_coupling_is_sqrt2_half_rabi():
-    seg = DriveSegment(DriveField.MU1, rabi=mhz(10.0), duration=20e-9)
+    seg = DriveSegment("mu1", rabi=mhz(10.0), duration=20e-9)
     H = pair_hamiltonian(segment_hamiltonian(seg), FREE)
     assert abs(H[0, 1] - math.sqrt(2) * mhz(10.0) / 2.0) <= 1e-6
 
@@ -199,7 +199,7 @@ def test_v_int_shifts_every_configuration_but_the_stored_pair(v):
 
 
 def test_build_adds_diagonal_shifts_to_lift():
-    seg = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=100e-9)
+    seg = DriveSegment("mu2", rabi=mhz(12.5), duration=100e-9)
     v = mhz(0.4)
     H = pair_hamiltonian(segment_hamiltonian(seg), InteractionSection(v, p2=0.0))
     bare = lift_single_particle(segment_hamiltonian(seg))
@@ -230,7 +230,7 @@ def test_pair_propagation_is_unitary(seed):
         if kind < 0.3:
             segs.append(Wait(float(rng.uniform(1e-9, 2e-7))))
         else:
-            field = DriveField.MU1 if rng.random() < 0.5 else DriveField.MU2
+            field = "mu1" if rng.random() < 0.5 else "mu2"
             segs.append(
                 DriveSegment(
                     field,
@@ -248,7 +248,7 @@ def test_pair_propagation_is_unitary(seed):
 _segments = st.one_of(
     st.builds(
         DriveSegment,
-        field=st.sampled_from([DriveField.MU1, DriveField.MU2]),
+        field=st.sampled_from(FIELDS),
         rabi=st.floats(0.0, mhz(25.0)),
         duration=st.floats(1e-9, 1e-6),
         detuning=st.floats(-mhz(10.0), mhz(10.0)),
@@ -310,8 +310,8 @@ def test_zero_interactions_leave_fitted_phase_unchanged():
     mixed_fit = _fit_scan(
         config, mixture_fringe_scan(config, NO_RATES, InteractionSection(0.0, p2=0.4)), hint
     )
-    assert single_fit.converged and mixed_fit.converged
-    assert abs(mixed_fit.phase - single_fit.phase) <= 1e-6
+    assert single_fit["converged"] and mixed_fit["converged"]
+    assert abs(mixed_fit["phase"] - single_fit["phase"]) <= 1e-6
 
 
 def test_mixture_intensity_bounds():
@@ -349,8 +349,8 @@ def test_fitted_phase_offset_antisymmetric_and_monotone():
             mixture_fringe_scan(config, NO_RATES, InteractionSection(v, p2=0.3)),
             hint,
         )
-        assert fit.converged
-        phases.append(fit.phase)
+        assert fit["converged"]
+        phases.append(fit["phase"])
     assert phases[0] > phases[1] > phases[2]
     assert abs(phases[1]) <= 1e-6
     assert abs(phases[0] + phases[2]) <= 1e-6

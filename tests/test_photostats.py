@@ -7,16 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from seqlab.config import DissipationSection, parse_config
+from seqlab import photostats
+from seqlab.cli import FIT_CSV_HEADER
+from seqlab.config import DissipationSection, ReadoutSection, parse_config
 from seqlab.dissipative import NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
     BOOTSTRAP_SEED,
     N_BOOTSTRAP,
-    FitResult,
     _arm_pmf,
     _mixture_table,
-    TimeBinPopulations,
     estimate_g2,
     fit_sinusoid,
     readout_from_sequence,
@@ -24,7 +24,7 @@ from seqlab.photostats import (
     sample_shots,
 )
 from seqlab.qcore import (
-    DriveField,
+    FIELDS,
     DriveSegment,
     Readout,
     Wait,
@@ -40,10 +40,8 @@ from references import (
 )
 from test_tooling import SEQUENCE_WITH_A_WAIT
 
-IDEAL = (1.0, 1.0, 1.0)  # retrieval efficiencies of the three bins
-
 # one mu1 pi/2 pulse: the stored excitation split evenly between R1 and R2
-HALF_PI_MU1 = (DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),)
+HALF_PI_MU1 = (DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),)
 
 
 # ---------------------------------------------------------------------------
@@ -51,51 +49,51 @@ HALF_PI_MU1 = (DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration
 
 
 def test_ideal_readout_of_equal_superposition():
-    pops = readout_populations(HALF_PI_MU1)
-    assert abs(pops.p1 - 0.5) <= 1e-15
-    assert abs(pops.p2 - 0.5) <= 1e-15
+    p1, p2, p3 = readout_populations(HALF_PI_MU1)
+    assert abs(p1 - 0.5) <= 1e-15
+    assert abs(p2 - 0.5) <= 1e-15
     # float pi leaves a cos(pi/2)^4-scale residue, nothing larger
-    assert pops.p3 <= 1e-30
+    assert p3 <= 1e-30
 
 
 def test_readout_after_half_pi_and_pi_area():
     seq = (
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment("mu2", rabi=math.pi / 40e-9, duration=40e-9),
     )
-    pops = readout_populations(seq)
-    assert abs(pops.p1 - 0.5) <= 1e-12
-    assert abs(pops.p2 - 0.0) <= 1e-12
-    assert abs(pops.p3 - 0.5) <= 1e-12
+    p1, p2, p3 = readout_populations(seq)
+    assert abs(p1 - 0.5) <= 1e-12
+    assert abs(p2 - 0.0) <= 1e-12
+    assert abs(p3 - 0.5) <= 1e-12
 
 
 def test_readout_of_r3_lands_in_bin_three():
     to_r3 = (  # a mu1 pi pulse, then a mu2 pi pulse
-        DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
-        DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment("mu1", rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment("mu2", rabi=math.pi / 40e-9, duration=40e-9),
     )
-    pops = readout_populations(to_r3)
+    p1, p2, p3 = readout_populations(to_r3)
     # float pi leaves a cos(pi/2)^2-scale residue in R1, nothing larger
-    assert pops.p1 <= 1e-30
-    assert abs(pops.p2) <= 1e-24
-    assert abs(pops.p3 - 1.0) <= 1e-12
+    assert p1 <= 1e-30
+    assert abs(p2) <= 1e-24
+    assert abs(p3 - 1.0) <= 1e-12
 
 
 def _canonical_chain() -> tuple:
     """The read-out chain of readout_populations, written out."""
     t = DEFAULT_PI_PULSE_S
-    pi_mu1 = DriveSegment(DriveField.MU1, rabi=math.pi / t, duration=t)
-    pi_mu2 = DriveSegment(DriveField.MU2, rabi=math.pi / t, duration=t)
+    pi_mu1 = DriveSegment("mu1", rabi=math.pi / t, duration=t)
+    pi_mu2 = DriveSegment("mu2", rabi=math.pi / t, duration=t)
     return (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
 
 
 def test_readout_eta_scales_each_bin():
     seq = HALF_PI_MU1 + _canonical_chain()
-    assert readout_from_sequence(seq, IDEAL, 0.0) == readout_populations(HALF_PI_MU1)
-    pops = readout_from_sequence(seq, (0.8, 0.5, 0.3), 0.0)
-    assert abs(pops.p1 - 0.5 * 0.8) <= 1e-12
-    assert abs(pops.p2 - 0.5 * 0.5) <= 1e-12
-    assert pops.p3 <= 1e-30
+    assert readout_from_sequence(seq, ReadoutSection()) == readout_populations(HALF_PI_MU1)
+    p1, p2, p3 = readout_from_sequence(seq, ReadoutSection(eta_1=0.8, eta_2=0.5, eta_3=0.3))
+    assert abs(p1 - 0.5 * 0.8) <= 1e-12
+    assert abs(p2 - 0.5 * 0.5) <= 1e-12
+    assert p3 <= 1e-30
 
 
 # preparation segments from the stored excitation: field, area, phase, detuning
@@ -104,7 +102,7 @@ _prep_segments = st.lists(
         lambda field, area, phase, detuning: DriveSegment(
             field, rabi=area / 20e-9, duration=20e-9, phase=phase, detuning=detuning
         ),
-        st.sampled_from(DriveField),
+        st.sampled_from(FIELDS),
         st.floats(0.0, 4.0 * math.pi),
         st.floats(-math.pi, math.pi),
         st.floats(-mhz(5.0), mhz(5.0)),
@@ -115,8 +113,7 @@ _prep_segments = st.lists(
 
 @given(_prep_segments)
 def test_readout_conserves_probability(prep):
-    pops = readout_populations(prep)
-    assert abs(pops.p1 + pops.p2 + pops.p3 - 1.0) <= 1e-12
+    assert abs(sum(readout_populations(prep)) - 1.0) <= 1e-12
 
 
 @given(_prep_segments)
@@ -126,33 +123,40 @@ def test_prepared_state_is_the_first_column_of_the_unitary(prep):
     psi = np.zeros(4, dtype=complex)
     psi[:3] = sequence_unitary(prep)[:, 0]
     pops = readout_populations(prep)
-    assert np.abs(np.array([pops.p1, pops.p2, pops.p3]) - np.abs(psi[:3]) ** 2).max() <= 1e-12
+    assert np.abs(np.array(pops) - np.abs(psi[:3]) ** 2).max() <= 1e-12
     rho = evolve_master(tuple(prep), DissipationSection())
     assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
 
 
 def test_interbin_dephasing_attenuates_later_bins():
     gamma = 6.5e6
-    pops = readout_populations(HALF_PI_MU1, deph_between_bins=gamma)
+    p1, p2, _ = readout_populations(HALF_PI_MU1, deph=gamma)
     # bin 1 is read before any delay has accrued
-    assert abs(pops.p1 - 0.5) <= 1e-15
+    assert abs(p1 - 0.5) <= 1e-15
     # bin 2 follows one pi pulse of delay
-    assert abs(pops.p2 - 0.5 * math.exp(-gamma * DEFAULT_PI_PULSE_S)) <= 1e-12
+    assert abs(p2 - 0.5 * math.exp(-gamma * DEFAULT_PI_PULSE_S)) <= 1e-12
 
 
 def test_interbin_dephasing_is_monotone_in_rate():
     p2s = [
-        readout_populations(HALF_PI_MU1, deph_between_bins=g).p2
+        readout_populations(HALF_PI_MU1, deph=g)[1]
         for g in (0.0, 2e5, 5e5, 1e6, 2e6)
     ]
     assert all(a > b for a, b in zip(p2s, p2s[1:]))
 
 
-def test_readout_validation():
+def test_readout_validation(monkeypatch):
     # eta and the inter-bin rate are bounded by the readout.eta_* and
-    # readout.deph config keys (test_config)
-    with pytest.raises(ValueError):
-        TimeBinPopulations(0.6, 0.6, 0.0)
+    # readout.deph config keys (test_config); the bins are checked against
+    # maps that no propagator gives
+    seq = HALF_PI_MU1 + _canonical_chain()
+    for step, message in (
+        (2.0 * np.eye(3), "bin probabilities exceed unity"),
+        (np.full((3, 3), np.nan), "bin probabilities must be finite and non-negative"),
+    ):
+        monkeypatch.setattr(photostats, "segment_maps", lambda segs, _: [step] * len(segs))
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            readout_from_sequence(seq, ReadoutSection())
 
 
 def test_readout_from_sequence_clock_spans_segments():
@@ -161,26 +165,26 @@ def test_readout_from_sequence_clock_spans_segments():
     seq = HALF_PI_MU1 + (
         Readout(1),
         Wait(30e-9),
-        DriveSegment(DriveField.MU1, rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment("mu1", rabi=math.pi / 40e-9, duration=40e-9),
         Wait(20e-9),
         Readout(2),
     )
-    pops = readout_from_sequence(seq, IDEAL, gamma)
-    assert abs(pops.p1 - 0.5) <= 1e-15
-    assert abs(pops.p2 - 0.5 * math.exp(-gamma * 90e-9)) <= 1e-12
+    p1, p2, _ = readout_from_sequence(seq, ReadoutSection(deph=gamma))
+    assert abs(p1 - 0.5) <= 1e-15
+    assert abs(p2 - 0.5 * math.exp(-gamma * 90e-9)) <= 1e-12
 
 
 def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
     # a mu1 pi/2 pulse at phase pi, undone by the first pulse of
     # SEQUENCE_WITH_A_WAIT: bin 1 takes everything and rho_00 rounds to
-    # about -4.5e-34 at bin 2, which TimeBinPopulations would refuse
+    # about -4.5e-34 at bin 2, which the non-negativity check would refuse
     prep = (
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=math.pi),
+        DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=math.pi),
     )
     seq = prep + parse_sequence(SEQUENCE_WITH_A_WAIT)
-    pops = readout_from_sequence(seq, IDEAL, 0.0)
-    assert abs(pops.p1 - 1.0) <= 1e-15
-    assert pops.p2 == 0.0 and pops.p3 == 0.0
+    p1, p2, p3 = readout_from_sequence(seq, ReadoutSection())
+    assert abs(p1 - 1.0) <= 1e-15
+    assert p2 == 0.0 and p3 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -650,24 +654,26 @@ def _synth(o=1.3, a=0.91, f=2.7, ph=-0.4, n=64, span=10.0):
 def test_fit_recovers_exact_synthetic_parameters():
     x, y = _synth()
     fit = fit_sinusoid(x, y, freq_hint=2.7)
-    assert fit.converged
-    assert fit.flags == ()
-    assert abs(fit.offset - 1.3) <= 1e-8
-    assert abs(fit.amplitude - 0.91) <= 1e-8
-    assert abs(fit.frequency - 2.7) <= 1e-8
-    assert abs(fit.phase - (-0.4)) <= 1e-8
-    assert abs(fit.visibility - 0.7) <= 1e-8
-    assert fit.residual_rms <= 1e-10
+    assert list(fit) == FIT_CSV_HEADER.split(",")  # the fit command's record
+    assert fit["converged"]
+    assert fit["flags"] == ()
+    assert abs(fit["offset"] - 1.3) <= 1e-8
+    assert abs(fit["amplitude"] - 0.91) <= 1e-8
+    assert abs(fit["frequency"] - 2.7) <= 1e-8
+    assert abs(fit["phase"] - (-0.4)) <= 1e-8
+    assert abs(fit["visibility"] - 0.7) <= 1e-8
+    assert fit["residual_rms"] <= 1e-10
 
 
 def test_fit_flags_flat_scan():
     x = np.linspace(0.0, 10.0, 32)
     fit = fit_sinusoid(x, np.full_like(x, 0.25), freq_hint=1.0)
-    assert fit.converged
-    assert "flat_scan" in fit.flags
-    assert fit.amplitude == 0.0
-    assert fit.visibility == 0.0
-    assert fit.offset == 0.25
+    assert list(fit) == FIT_CSV_HEADER.split(",")
+    assert fit["converged"]
+    assert "flat_scan" in fit["flags"]
+    assert fit["amplitude"] == 0.0
+    assert fit["visibility"] == 0.0
+    assert fit["offset"] == 0.25
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-6, 1.0, 1e6, 1e13])
@@ -676,11 +682,11 @@ def test_fit_is_scale_equivariant(scale):
     x, y = _synth()
     ref = fit_sinusoid(x, y, freq_hint=2.7)
     fit = fit_sinusoid(x, scale * y, freq_hint=2.7)
-    assert fit.converged and fit.flags == ref.flags == ()
-    assert fit.visibility == pytest.approx(ref.visibility, rel=1e-12)
-    assert fit.frequency == pytest.approx(ref.frequency, rel=1e-12)
-    assert fit.offset == pytest.approx(scale * ref.offset, rel=1e-12)
-    assert fit.amplitude == pytest.approx(scale * ref.amplitude, rel=1e-12)
+    assert fit["converged"] and fit["flags"] == ref["flags"] == ()
+    assert fit["visibility"] == pytest.approx(ref["visibility"], rel=1e-12)
+    assert fit["frequency"] == pytest.approx(ref["frequency"], rel=1e-12)
+    assert fit["offset"] == pytest.approx(scale * ref["offset"], rel=1e-12)
+    assert fit["amplitude"] == pytest.approx(scale * ref["amplitude"], rel=1e-12)
 
 
 @pytest.mark.parametrize("exponent", [-1000, -700, -50, 3, 50, 700, 1000])
@@ -692,28 +698,27 @@ def test_fit_of_a_power_of_two_scaled_scan_is_the_same_fit_scaled(exponent):
     ref = fit_sinusoid(x, y, freq_hint=2.7)
     scale = 2.0**exponent
     fit = fit_sinusoid(x, scale * y, freq_hint=2.7)
-    assert (fit.offset, fit.amplitude, fit.residual_rms) == (
-        scale * ref.offset, scale * ref.amplitude, scale * ref.residual_rms
+    assert (fit["offset"], fit["amplitude"], fit["residual_rms"]) == (
+        scale * ref["offset"], scale * ref["amplitude"], scale * ref["residual_rms"]
     )
-    assert (fit.frequency, fit.phase, fit.visibility, fit.converged, fit.flags) == (
-        ref.frequency, ref.phase, ref.visibility, ref.converged, ref.flags
-    )
+    unscaled = ("frequency", "phase", "visibility", "converged", "flags")
+    assert [fit[key] for key in unscaled] == [ref[key] for key in unscaled]
 
 
 def test_fit_flags_frequency_far_from_hint():
     x, y = _synth(f=2.7)
     fit = fit_sinusoid(x, y, freq_hint=3.6)
-    assert "frequency_far_from_hint" in fit.flags
-    assert abs(fit.frequency - 2.7) <= 1e-6
+    assert "frequency_far_from_hint" in fit["flags"]
+    assert abs(fit["frequency"] - 2.7) <= 1e-6
 
 
 def test_fit_flags_zero_offset():
     x = np.linspace(0.0, 10.0, 64)
     y = 0.9 * np.cos(2.7 * x)
     fit = fit_sinusoid(x, y, freq_hint=2.7)
-    assert "zero_offset" in fit.flags
-    assert fit.visibility == 0.0
-    assert abs(fit.amplitude - 0.9) <= 1e-8
+    assert "zero_offset" in fit["flags"]
+    assert fit["visibility"] == 0.0
+    assert abs(fit["amplitude"] - 0.9) <= 1e-8
 
 
 def test_fit_validation():
@@ -752,10 +757,10 @@ def test_fit_on_degenerate_finite_input_is_finite_or_flagged(scan, hint):
     # says it did not converge; it never raises
     fit = fit_sinusoid(*scan, freq_hint=hint)
     numbers = (
-        fit.offset, fit.amplitude, fit.frequency,
-        fit.phase, fit.visibility, fit.residual_rms,
+        fit["offset"], fit["amplitude"], fit["frequency"],
+        fit["phase"], fit["visibility"], fit["residual_rms"],
     )
-    assert all(map(math.isfinite, numbers)) or "not_converged" in fit.flags
+    assert all(map(math.isfinite, numbers)) or "not_converged" in fit["flags"]
 
 
 def test_fit_handles_noisy_fringe():
@@ -763,9 +768,9 @@ def test_fit_handles_noisy_fringe():
     x = np.linspace(0.0, 12.0, 120)
     y = 2.0 + 0.8 * np.cos(3.1 * x + 0.2) + rng.normal(0.0, 0.01, x.size)
     fit = fit_sinusoid(x, y, freq_hint=3.1)
-    assert fit.converged
-    assert abs(fit.frequency - 3.1) <= 0.01
-    assert abs(fit.visibility - 0.4) <= 0.01
+    assert fit["converged"]
+    assert abs(fit["frequency"] - 3.1) <= 0.01
+    assert abs(fit["visibility"] - 0.4) <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +790,15 @@ def _fit_dense_scan(area: float):
 
 def test_fringe_fit_visibility_full_area():
     fit = _fit_dense_scan(2.0 * math.pi)
-    assert fit.converged
-    assert abs(fit.visibility - 1.0) <= 1e-6
+    assert fit["converged"]
+    assert abs(fit["visibility"] - 1.0) <= 1e-6
 
 
 def test_fringe_fit_visibility_half_pi_area():
     fit = _fit_dense_scan(math.pi / 2.0)
-    assert fit.converged
+    assert fit["converged"]
     law = ramsey_visibility((math.pi / 2.0) / 2000e-9, 2000e-9)
-    assert abs(fit.visibility - law) <= 1e-4
+    assert abs(fit["visibility"] - law) <= 1e-4
 
 
 def test_remapping_scan_keeps_bin_one_at_half():
@@ -802,6 +807,6 @@ def test_remapping_scan_keeps_bin_one_at_half():
     p1 = table[:, 1]
     assert np.abs(p1 - 0.5).max() <= 1e-9
     fit = fit_sinusoid(table[:, 0], table[:, 2], freq_hint=mhz(12.5))
-    assert fit.converged
-    period = 2.0 * math.pi / fit.frequency
+    assert fit["converged"]
+    period = 2.0 * math.pi / fit["frequency"]
     assert abs(period - 80e-9) <= 0.001 * 80e-9

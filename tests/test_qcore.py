@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from seqlab.qcore import (
     SEQUENCE_BUDGET_S,
-    DriveField,
+    FIELDS,
     DriveSegment,
     Readout,
     Wait,
@@ -77,7 +77,7 @@ def closed_form_unitary(segment):
     block = two_level_propagator(
         segment.rabi, segment.detuning, -segment.phase, segment.duration
     )
-    lo = 0 if segment.field is DriveField.MU1 else 1
+    lo = 0 if segment.field == "mu1" else 1
     U[lo:lo + 2, lo:lo + 2] = block
     return U
 
@@ -86,9 +86,9 @@ def closed_form_unitary(segment):
 
 
 def test_hamiltonian_both_fields():
-    mu1 = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=30e-9,
+    mu1 = DriveSegment("mu1", rabi=mhz(5.0), duration=30e-9,
                        detuning=mhz(1.0), phase=0.5 * math.pi)
-    mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=40e-9)
+    mu2 = DriveSegment("mu2", rabi=mhz(12.5), duration=40e-9)
     H1, H2 = segment_hamiltonian(mu1), segment_hamiltonian(mu2)
     g1 = 0.5 * mhz(5.0) * np.exp(0.5j * math.pi)
     assert H1[1, 0] == pytest.approx(g1, abs=1e-6)
@@ -104,7 +104,7 @@ def test_hamiltonian_both_fields():
 
 def test_hamiltonian_absent_field_is_zero():
     assert np.abs(segment_hamiltonian(Wait(10e-9))).max() == 0.0
-    mu2 = DriveSegment(DriveField.MU2, rabi=mhz(12.5), duration=40e-9,
+    mu2 = DriveSegment("mu2", rabi=mhz(12.5), duration=40e-9,
                        detuning=mhz(2.0))
     H = segment_hamiltonian(mu2)
     # absent mu1 contributes nothing, including its diagonal entry
@@ -112,16 +112,13 @@ def test_hamiltonian_absent_field_is_zero():
     assert H[2, 2] == pytest.approx(-mhz(2.0))
 
 
-def test_field_is_coerced_to_the_enum():
-    # "mu1" compares equal to DriveField.MU1; it used to drive the R2-R3 block
-    seg = DriveSegment("mu1", rabi=2.0, duration=1e-9)
-    assert seg.field is DriveField.MU1
-    H = segment_hamiltonian(seg)
-    assert np.array_equal(H, segment_hamiltonian(DriveSegment(DriveField.MU1, 2.0, 1e-9)))
-    assert H[1, 0] == 1.0 and H[0, 1] == 1.0
-    assert H[2, 1] == 0.0 and H[1, 2] == 0.0
-    assert DriveSegment("mu2", rabi=2.0, duration=1e-9).field is DriveField.MU2
-    # "mu3" was accepted and driven as mu2
+def test_each_field_word_drives_its_own_block():
+    for field, lo in (("mu1", 0), ("mu2", 1)):  # the block's lower level
+        H = segment_hamiltonian(DriveSegment(field, rabi=2.0, duration=1e-9))
+        block = np.zeros((3, 3), dtype=complex)
+        block[lo + 1, lo] = block[lo, lo + 1] = 1.0
+        assert np.array_equal(H, block), field
+    # the DSL refuses any other word; built by hand, it has no block to drive
     with pytest.raises(ValueError):
         segment_hamiltonian(DriveSegment("mu3", rabi=2.0, duration=1e-9))
 
@@ -168,7 +165,7 @@ def test_two_level_propagator_frozen_point():
     )
     U = two_level_propagator(mhz(5.0), mhz(1.0), 0.5 * math.pi, 30e-9)
     assert np.abs(U - expected).max() <= 1e-14
-    seg = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=30e-9,
+    seg = DriveSegment("mu1", rabi=mhz(5.0), duration=30e-9,
                        detuning=mhz(1.0), phase=-0.5 * math.pi)
     assert np.abs(sequence_unitary((seg,))[:2, :2] - expected).max() <= 1e-14
 
@@ -188,19 +185,19 @@ def test_propagator_rejects_bad_arguments():
     # bounds (test_config); shapes that do not broadcast are refused here
     with pytest.raises(ValueError):
         segment_hamiltonian(
-            DriveSegment(DriveField.MU1, rabi=np.ones(2), duration=1e-9, detuning=np.zeros(3))
+            DriveSegment("mu1", rabi=np.ones(2), duration=1e-9, detuning=np.zeros(3))
         )
 
 
 def test_stacked_duration_propagates_as_per_time_calls():
     times = np.array([1e-9, 37e-9, 2e-7, 5e-7])
-    seg = DriveSegment(DriveField.MU2, rabi=mhz(3.0), duration=times, detuning=mhz(1.5))
+    seg = DriveSegment("mu2", rabi=mhz(3.0), duration=times, detuning=mhz(1.5))
     (U,) = segment_maps((seg,), hermitian_propagator)
     assert U.shape == (4, 3, 3)
     for t, u in zip(times, U):
         assert np.array_equal(u, hermitian_propagator(segment_hamiltonian(seg), t))
     with pytest.raises(ValueError):  # does not broadcast against the detunings
-        DriveSegment(DriveField.MU2, rabi=mhz(3.0), duration=times, detuning=np.zeros(3))
+        DriveSegment("mu2", rabi=mhz(3.0), duration=times, detuning=np.zeros(3))
     times[0] = -1.0  # the segment holds its own read-only copy
     assert seg.duration[0] == 1e-9 and not seg.duration.flags.writeable
 
@@ -227,7 +224,7 @@ def test_hermitian_propagator_stacks_with_broadcast_durations():
 _segments = st.one_of(
     st.builds(
         DriveSegment,
-        field=st.sampled_from([DriveField.MU1, DriveField.MU2]),
+        field=st.sampled_from(FIELDS),
         rabi=st.floats(0.0, mhz(25.0)),
         duration=st.floats(1e-9, 1e-6),
         detuning=st.floats(-mhz(10.0), mhz(10.0)),
@@ -270,7 +267,7 @@ def _walked_sequences(draw):
     points = draw(st.integers(1, 4))
     detunings = st.lists(st.floats(-mhz(10.0), mhz(10.0)), min_size=points, max_size=points)
     stacked = DriveSegment(
-        draw(st.sampled_from([DriveField.MU1, DriveField.MU2])),
+        draw(st.sampled_from(FIELDS)),
         rabi=draw(st.floats(0.0, mhz(25.0))),
         duration=draw(st.floats(1e-9, 1e-6)),
         detuning=np.array(draw(detunings)),
@@ -336,8 +333,8 @@ def test_propagation_preserves_norm(segs):
 
 def test_half_pi_then_pi_moves_half_to_r3():
     seq = (
-        DriveSegment(DriveField.MU1, rabi=math.pi / (2 * 20e-9), duration=20e-9),
-        DriveSegment(DriveField.MU2, rabi=math.pi / 40e-9, duration=40e-9),
+        DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9),
+        DriveSegment("mu2", rabi=math.pi / 40e-9, duration=40e-9),
     )
     c1, c2, c3 = sequence_unitary(seq)[:, 0]  # from R1
     assert abs(c1) ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -358,7 +355,7 @@ def test_wait_is_identity():
 
 def test_sequence_totals_and_budget():
     seq = (
-        DriveSegment(DriveField.MU1, rabi=1.0, duration=20e-9),
+        DriveSegment("mu1", rabi=1.0, duration=20e-9),
         Wait(30e-9),
         Readout(1),
     )
@@ -371,7 +368,7 @@ def test_readout_takes_no_time():
     # a readout has no duration of its own to add to, or take from, the total
     with pytest.raises(TypeError):
         Readout(1, duration=-1.0)
-    seq = (DriveSegment(DriveField.MU1, rabi=1e7, duration=2e-6), Readout(1))
+    seq = (DriveSegment("mu1", rabi=1e7, duration=2e-6), Readout(1))
     assert total_duration(seq) == 2e-6
     assert repr(total_duration((Readout(1), Readout(3)))) == "0.0"
 
@@ -380,8 +377,8 @@ def test_stacked_drive_segment_rejects_bad_entries():
     # finite values come from the sequence parser (test_dsl) and the config
     good = np.array([0.0, mhz(1.0), mhz(2.0)])
     with pytest.raises(ValueError):  # does not broadcast against rabi
-        DriveSegment(DriveField.MU2, rabi=good, duration=1e-9, detuning=np.zeros(2))
-    seg = DriveSegment(DriveField.MU2, rabi=good, duration=1e-9, phase=np.zeros((2, 1)))
+        DriveSegment("mu2", rabi=good, duration=1e-9, detuning=np.zeros(2))
+    seg = DriveSegment("mu2", rabi=good, duration=1e-9, phase=np.zeros((2, 1)))
     assert segment_hamiltonian(seg).shape == (2, 3, 3, 3)
     good[0] = math.nan  # the segment holds its own read-only copy
     assert np.isfinite(seg.rabi).all() and not seg.rabi.flags.writeable
@@ -391,7 +388,7 @@ def test_stacked_segments_compare_and_hash():
     deltas = np.linspace(-mhz(1.0), mhz(1.0), 5)
 
     def seg(detuning, **kw):
-        return DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=1e-8,
+        return DriveSegment("mu1", rabi=mhz(5.0), duration=1e-8,
                             detuning=detuning, **kw)
 
     a, b = seg(deltas), seg(deltas.copy())
@@ -400,8 +397,8 @@ def test_stacked_segments_compare_and_hash():
     assert a != b and len({a, b, a}) == 2
     shifted = deltas.copy()
     shifted[2] += 1.0
-    other_field = DriveSegment(DriveField.MU2, rabi=mhz(5.0), duration=1e-8, detuning=deltas)
-    longer = DriveSegment(DriveField.MU1, rabi=mhz(5.0), duration=2e-8, detuning=deltas)
+    other_field = DriveSegment("mu2", rabi=mhz(5.0), duration=1e-8, detuning=deltas)
+    longer = DriveSegment("mu1", rabi=mhz(5.0), duration=2e-8, detuning=deltas)
     for other in (seg(shifted), seg(deltas[:4]), seg(deltas[:, None]),
                   other_field, longer, seg(0.0)):
         assert not same_segments((a,), (other,))

@@ -14,7 +14,6 @@ from seqlab.pairwise import (
     pair_hamiltonian,
 )
 from seqlab.qcore import (
-    DriveField,
     DriveSegment,
     Wait,
     hermitian_propagator,
@@ -154,17 +153,17 @@ def test_build_ramsey_sequence_layout():
     kinds = [type(s) for s in seq]
     assert kinds == [DriveSegment, Wait, DriveSegment, Wait, DriveSegment]
     first = seq[0]
-    assert first.field is DriveField.MU1
+    assert first.field == "mu1"
     assert first.rabi * first.duration == pytest.approx(0.5 * math.pi)
     assert first.detuning == mhz(1.0)
     mid = seq[2]
-    assert mid.field is DriveField.MU2 and mid.duration == T2
+    assert mid.field == "mu2" and mid.duration == T2
 
 
 def test_build_ramsey_sequence_without_mu2():
     seq = build_ramsey_sequence(0.0, T1, mhz(12.5), 0.0, 0.0)
     assert len(seq) == 2
-    assert all(s.field is DriveField.MU1 for s in seq)
+    assert all(s.field == "mu1" for s in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +290,12 @@ def _reference_scans(cfg, interactions, times, detuning2):
     single, double = np.array(single), np.array(double)
     p2 = interactions.p2
     mixed = single if p2 == 0.0 else (1.0 - p2) * single + p2 * double
-    prep = DriveSegment(DriveField.MU1, rabi=math.pi / (2.0 * cfg.t_mu1), duration=cfg.t_mu1)
+    prep = DriveSegment("mu1", rabi=math.pi / (2.0 * cfg.t_mu1), duration=cfg.t_mu1)
     rows = []
     for t in times:
         segs = (prep,)
         if t > 0:
-            segs += (DriveSegment(DriveField.MU2, cfg.omega_mu2, t, detuning=detuning2),)
+            segs += (DriveSegment("mu2", cfg.omega_mu2, t, detuning=detuning2),)
         state = _closed_form_state(segs)
         rows.append((t, *np.abs(state) ** 2))
     return single, mixed, np.array(rows)

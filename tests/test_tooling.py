@@ -135,10 +135,10 @@ ALLOWED_UNRUN = {
         "internal invariant: every command gives columns of one length",
     ("io.py:write_text", "except OSError:"): "the temp file was removed by another process",
     ("io.py:write_text", "pass"): "the temp file was removed by another process",
-    ("photostats.py:TimeBinPopulations.__post_init__",
-     'raise ValueError("bin probabilities must be finite and non-negative")'): _INVARIANT,
-    ("photostats.py:TimeBinPopulations.__post_init__",
-     'raise ValueError("bin probabilities exceed unity")'): _INVARIANT,
+    ("photostats.py:readout_from_sequence",
+     'raise NumericError("bin probabilities must be finite and non-negative")'): _INVARIANT,
+    ("photostats.py:readout_from_sequence",
+     'raise NumericError("bin probabilities exceed unity")'): _INVARIANT,
     ("photostats.py:fit_sinusoid", "except np.linalg.LinAlgError:"):
         "the damped normal matrix is positive definite: no scan is known to make it singular",
     ("photostats.py:fit_sinusoid", "break  # a singular system ends the fit unconverged"):
@@ -321,6 +321,7 @@ BAD_SEQUENCES = (
     ("readout", "readout takes exactly bin=<1|2|3> [E_SYNTAX]"),
     ("readout foo=1", "unknown key 'foo' [E_UNKNOWN_KEY]"),
     ("readout bin=4", "[E_BAD_BIN]"),
+    ("readout bin=1_0", "bin must be 1, 2 or 3, got '1_0' [E_BAD_BIN]"),
     ("readout bin=1\nreadout bin=1", "[E_DUPLICATE_BIN]"),
     ("readout bin=2\nreadout bin=1", "[E_BIN_ORDER]"),
 )
@@ -366,7 +367,7 @@ FIT_INPUTS = (
     ("decreasing", [*zip(_X[::-1], _FRINGE)], 2, "x must be strictly increasing"),
     ("one_row", "0.0,1.0\n", 2, "need at least two data rows"),
     ("wide", "0.0,1.0\n1.0,2.0,3.0\n", 2, "malformed row"),
-    ("word", "0.0,abc\n1.0,2.0\n", 2, "could not convert string to float"),
+    ("word", "0.0,abc\n1.0,2.0\n", 2, "data row 1 is not a number: '0.0,abc'"),
     ("infinite", "0.0,inf\n1.0,2.0\n", 2, "data row 1 is not finite"),
 )
 

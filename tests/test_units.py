@@ -1,6 +1,6 @@
 """The one reader of a written number with a unit, through the config and
 the sequence DSL: a power-of-ten unit gives the double nearest the
-written decimal, rounded once."""
+written decimal, rounded once; and the one reader of a written integer."""
 
 import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab.config import _SCHEMA, parse_config
-from seqlab.dsl import E_BAD_NUMBER, E_NONPOSITIVE_DURATION, ParseError, parse_sequence
+from seqlab.dsl import E_BAD_BIN, E_BAD_NUMBER, E_NONPOSITIVE_DURATION, ParseError, parse_sequence
+from seqlab.units import read_int
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -88,3 +89,32 @@ def test_sequence_duration_is_the_nearest_double(text):
             parse_sequence(line)
         code = E_BAD_NUMBER if not math.isfinite(expected) else E_NONPOSITIVE_DURATION
         assert (info.value.code, info.value.line, info.value.column) == (code, 1, column)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("2", 2),
+        # a sign and leading zeros, refused by the DSL until it shared the reader
+        ("+1", 1), ("01", 1), ("+02", 2), ("003", 3),
+        ("0", 0), ("-1", -1), ("+0", 0), ("04", 4),  # integers, but no bins
+        ("1_0", None), ("1.0", None), ("\u0661", None), ("", None),
+        pytest.param("0" * 5000 + "1", None, id="past-int-digit-limit"),
+    ],
+)
+def test_a_bin_reads_alike_in_the_config_and_the_sequence(text, value):
+    if value is None:
+        with pytest.raises(ValueError, match=f"^bad integer {text!r}$"):
+            read_int(text)
+    else:
+        assert read_int(text) == value
+    config = f"g2.bin = {text}\n"
+    if value in (1, 2, 3):
+        (segment,) = parse_sequence(f"readout bin={text}")
+        assert segment.bin == parse_config(config).g2.bin == value
+        return
+    with pytest.raises(ParseError) as info:
+        parse_sequence(f"readout bin={text}")
+    assert info.value.code == E_BAD_BIN
+    with pytest.raises(ValueError, match="^config line 1: g2.bin: "):
+        parse_config(config)
