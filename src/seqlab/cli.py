@@ -1,9 +1,12 @@
 """`seqlab` command line: experiment commands over the library.
 
-Subcommands: ramsey-scan, rabi-scan, readout, g2, fit.  Exit codes:
-0 success, 2 validation/usage error, 3 numeric failure (a floating-point
-overflow, invalid operation or division by zero included).  Diagnostics
-go to stderr; data goes to --out (atomically) or stdout.
+Subcommands: ramsey-scan, rabi-scan, readout, g2, fit.  A flag that
+sets a config key is written onto the config, and each handler returns
+its result, a table (header, columns) or a record dict; ``main`` alone
+formats it, writes it and maps failures to exit codes: 0 success, 2
+validation/usage error, 3 numeric failure (a floating-point overflow,
+invalid operation or division by zero included).  Diagnostics go to
+stderr; data goes to --out (atomically) or stdout.
 
 ``main(argv)`` may be called repeatedly in one process, as the example
 scripts do: it builds its parser on the first call and reuses it, so a
@@ -16,6 +19,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,63 +38,44 @@ from .photostats import (
 )
 from .qcore import SEQUENCE_BUDGET_S, total_duration
 from .ramsey import rabi_scan, symmetric_detuning_grid
+from .units import PLAIN, BadValue, read_value
 
 RAMSEY_CSV_HEADER = "delta_rad_s,intensity"
 RABI_CSV_HEADER = "t_mu2_s,P1,P2,P3"
 READOUT_CSV_HEADER = "bin,probability"
-G2_CSV_HEADER = "g2,stderr,n_trials"
-FIT_CSV_HEADER = "offset,amplitude,frequency,phase,visibility,residual_rms,converged,flags"
+
+# the characters of the shared decimal grammar's cells and their commas
+_DECIMAL_CELLS = re.compile(r"[0-9eE.+\-,]*")
 
 
-def _resolve_format(args, cfg: RunConfig, default: str | None = None) -> str:
-    if args.format is not None:
-        return args.format
-    if default is not None:
-        return default
-    return cfg.output.format
+def _text(result, fmt: str) -> str:
+    """A command's result in fmt: a table (header, columns), or a record
+    dict as a one-row table headed by its keys in CSV and an object in
+    JSON.  A tuple value (a list of words) is ';'-joined in CSV."""
+    if not isinstance(result, dict):
+        return (csv_text if fmt == "csv" else json_table_text)(*result)
+    if fmt == "json":
+        return json_text(result)
+    cells = [[";".join(v) if isinstance(v, tuple) else v] for v in result.values()]
+    return csv_text(",".join(result), cells)
 
 
-def _table_text(args, cfg: RunConfig, header: str, columns) -> str:
-    if _resolve_format(args, cfg) == "csv":
-        return csv_text(header, columns)
-    return json_table_text(header, columns)
-
-
-def _record_text(args, cfg: RunConfig, header: str, values, default=None) -> str:
-    """One record: a one-row CSV table, or a JSON object keyed by the
-    header names.  A tuple value (a list of words) is ';'-joined in CSV
-    and a list in JSON."""
-    if _resolve_format(args, cfg, default) == "csv":
-        return csv_text(
-            header,
-            [[";".join(v) if isinstance(v, tuple) else v] for v in values],
-        )
-    return json_text(dict(zip(header.split(","), values)))
-
-
-def _cmd_ramsey_scan(args, cfg: RunConfig) -> int:
+def _cmd_ramsey_scan(args, cfg: RunConfig):
     s = cfg.scan
-    if args.backend:
-        s.backend = args.backend
     deltas = symmetric_detuning_grid(s.span, s.points)
-    intensities = mixture_fringe_scan(s, cfg.dissipation, cfg.interaction)
-    text = _table_text(args, cfg, RAMSEY_CSV_HEADER, (deltas, intensities))
-    emit(text, args.out)
-    return 0
+    return RAMSEY_CSV_HEADER, (deltas, mixture_fringe_scan(s, cfg.dissipation, cfg.interaction))
 
 
-def _cmd_rabi_scan(args, cfg: RunConfig) -> int:
+def _cmd_rabi_scan(args, cfg: RunConfig):
     r = cfg.rabi
     times = np.linspace(0.0, r.t_max, r.points)
     table = rabi_scan(times, r.omega_mu2, t_mu1=r.t_mu1, detuning2=r.detuning2)
-    emit(_table_text(args, cfg, RABI_CSV_HEADER, table.T), args.out)
-    return 0
+    return RABI_CSV_HEADER, table.T
 
 
-def _cmd_readout(args, cfg: RunConfig) -> int:
+def _cmd_readout(args, cfg: RunConfig):
     if not args.seq:
-        print("error: readout requires --seq <sequence file>", file=sys.stderr)
-        return 2
+        raise ValueError("readout requires --seq <sequence file>")
     seq = load_sequence(args.seq)
     total = total_duration(seq)
     print(
@@ -99,9 +84,7 @@ def _cmd_readout(args, cfg: RunConfig) -> int:
         f"{'within' if total < SEQUENCE_BUDGET_S else 'EXCEEDS'} budget)",
         file=sys.stderr,
     )
-    pops = readout_from_sequence(seq, cfg.readout)
-    emit(_table_text(args, cfg, READOUT_CSV_HEADER, ((1, 2, 3), pops)), args.out)
-    return 0
+    return READOUT_CSV_HEADER, ((1, 2, 3), readout_from_sequence(seq, cfg.readout))
 
 
 def _seed(raw: str) -> int:
@@ -112,21 +95,18 @@ def _seed(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_g2(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.seed
+def _cmd_g2(args, cfg: RunConfig):
     sh = cfg.shots
     mode = cfg.g2.mode
     if mode == "coherent":
-        hist = sample_coherent_shots(sh.mean_photons, sh.n_trials, seed, dark_rate=sh.dark_rate)
+        hist = sample_coherent_shots(sh.mean_photons, sh.n_trials, cfg.seed, dark_rate=sh.dark_rate)
     else:
         p2 = cfg.interaction.p2 if mode == "mixture" else 0.0
         hist = sample_shots(
-            sh.n_trials, seed, bin=cfg.g2.bin, dark_rate=sh.dark_rate, p2=p2
+            sh.n_trials, cfg.seed, bin=cfg.g2.bin, dark_rate=sh.dark_rate, p2=p2
         )
     value, stderr = estimate_g2(hist, bin=cfg.g2.bin)
-    values = (value, stderr, sh.n_trials)
-    emit(_record_text(args, cfg, G2_CSV_HEADER, values), args.out)
-    return 0
+    return {"g2": value, "stderr": stderr, "n_trials": sh.n_trials}
 
 
 def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +115,13 @@ def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not lines or lines[0] != RAMSEY_CSV_HEADER:
         raise ValueError(f"{path}: expected header {RAMSEY_CSV_HEADER!r}")
     body = lines[1:]
-    cells = ",".join(body).split(",")
+    joined = ",".join(body)
+    cells = joined.split(",")
     table = None
-    # as many commas as rows and one in every row: two cells a row
-    if len(cells) == 2 * len(body) and all("," in ln for ln in body):
+    # as many commas as rows and one in every row: two cells a row; over
+    # the grammar's characters float() reads exactly the grammar
+    if len(cells) == 2 * len(body) and all("," in ln for ln in body) \
+            and _DECIMAL_CELLS.fullmatch(joined):
         try:  # (2, n): one contiguous row per column
             table = np.array(cells, dtype=float).reshape(-1, 2).T.copy()
         except ValueError:  # a cell that is not a number, reported below
@@ -149,21 +132,20 @@ def _read_scan_csv(path) -> tuple[np.ndarray, np.ndarray]:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}: malformed row {ln!r}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}: data row {row} is not a number: {ln!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
+            for cell in parts:
+                try:
+                    read_value(cell, PLAIN)
+                except BadValue as exc:
+                    what = "finite" if exc.kind == "range" else "a number"
+                    raise ValueError(f"{path}: data row {row} is not {what}: {ln!r}") from None
     if len(body) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     return table[0], table[1]
 
 
-def _cmd_fit(args, cfg: RunConfig) -> int:
+def _cmd_fit(args, cfg: RunConfig):
     if not args.in_path:
-        print("error: fit requires --in <scan csv>", file=sys.stderr)
-        return 2
+        raise ValueError("fit requires --in <scan csv>")
     deltas, intensities = _read_scan_csv(args.in_path)
     hint = cfg.fit.t_total_hint
     if hint == 0.0:
@@ -174,9 +156,7 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
                 "fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
                 "+ 2*scan.gap, which overflows; set fit.t_total_hint"
             )
-    values = fit_sinusoid(deltas, intensities, hint).values()
-    emit(_record_text(args, cfg, FIT_CSV_HEADER, values, default="json"), args.out)
-    return 0
+    return fit_sinusoid(deltas, intensities, hint)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -223,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--in", dest="in_path", metavar="PATH", help="input scan CSV"
     )
-    p.set_defaults(handler=_cmd_fit)
+    p.set_defaults(handler=_cmd_fit, format="json")
     return parser
 
 
@@ -235,9 +215,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config) if args.config is not None else RunConfig()
+        # a flag given sets its config key; fit's --format defaults to json
+        for section, key in ((cfg.scan, "backend"), (cfg, "seed"), (cfg.output, "format")):
+            if vars(args).get(key) is not None:
+                setattr(section, key, vars(args)[key])
         # overflow and invalid operations are coded failures, not warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.handler(args, cfg)
+            emit(_text(args.handler(args, cfg), cfg.output.format), args.out)
+        return 0
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

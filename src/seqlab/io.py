@@ -18,6 +18,7 @@ files.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -91,6 +92,8 @@ def json_text(obj) -> str:
 
 def write_text(path, text: str) -> None:
     """Atomic write: temp file in the target directory, then os.replace."""
+    if not path:  # refused as open("") refuses it, before any temp file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:

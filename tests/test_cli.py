@@ -14,7 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqlab import cli
+from seqlab import io as seqlab_io
 from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
+from seqlab.units import PLAIN, BadValue, read_value
 
 CANONICAL = "sequences/ramsey_readout.seq"
 
@@ -312,6 +314,30 @@ def test_format_priority_flag_over_config(tmp_path):
     assert _read(forced).startswith("delta_rad_s,intensity\n")
 
 
+@pytest.mark.parametrize(
+    "command, flag, key, value, other",
+    [
+        ("ramsey-scan", "--backend", "scan.backend", "unitary", "analytic"),
+        ("g2", "--seed", "seed", "7", "8"),
+        ("ramsey-scan", "--format", "output.format", "json", "csv"),
+    ],
+)
+def test_each_flag_sets_its_config_key(tmp_path, capsys, command, flag, key, value, other):
+    # a flag gives the bytes of its key set in the config, and wins over it
+    cfg = tmp_path / "run.cfg"
+
+    def run(*argv, setting=""):
+        base = "scan.points = 11\nshots.n_trials = 2000\ng2.mode = coherent\n"
+        cfg.write_text(base + setting, encoding="utf-8")
+        assert main([command, *argv, "--config", str(cfg)]) == 0
+        return capsys.readouterr().out
+
+    by_flag = run(flag, value)
+    assert run(setting=f"{key} = {value}\n") == by_flag
+    assert run(flag, value, setting=f"{key} = {other}\n") == by_flag
+    assert run(setting=f"{key} = {other}\n") != by_flag
+
+
 def test_stdout_when_no_out_flag(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scan.points = 5\n", encoding="utf-8")
@@ -405,6 +431,25 @@ def test_out_naming_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys
     assert captured.err.splitlines()[-1].startswith("error: [Errno 21] Is a directory: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
     assert not any(target.iterdir())
+
+
+def test_empty_out_path_exits_2_and_makes_no_temp_file(tmp_path, capsys, monkeypatch):
+    # an empty --out (say, an unset shell variable) is a missing file, as an
+    # empty --config is: no temp file is made, beside the working directory
+    # or anywhere else
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    made = []
+    mkstemp = seqlab_io.tempfile.mkstemp
+    monkeypatch.setattr(seqlab_io.tempfile, "mkstemp", lambda **kw: made.append(kw) or mkstemp(**kw))
+    assert main(["ramsey-scan", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert made == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+    assert not any(work.iterdir())
 
 
 def test_readout_requires_seq(capsys):
@@ -837,10 +882,10 @@ def test_fit_rejects_non_finite_rows(tmp_path, capsys):
     assert main(["ramsey-scan", "--config", str(cfg), "--out", str(scan)]) == 0
     lines = _read(scan).splitlines()
     assert len(lines) == 22
-    for bad in ("nan", "inf", "-inf"):
+    for bad in ("1e999", "-1e999"):
         broken = list(lines)
         broken[5] = broken[5].split(",")[0] + "," + bad
-        broken[9] = "nan," + broken[9].split(",")[1]
+        broken[9] = "1e999," + broken[9].split(",")[1]
         path = tmp_path / f"{bad}.csv"
         path.write_text("\n".join(broken) + "\n", encoding="utf-8")
         out = tmp_path / "fit.json"
@@ -871,7 +916,13 @@ def test_fit_rejects_a_row_of_the_wrong_width(tmp_path, capsys, rows, bad):
         (["0,1", "2,abc", "3,4"], 2, "2,abc"),
         (["0,1", "1,2", "2,"], 3, "2,"),
         # the first faulty row in file order, before a later non-finite one
-        (["x,1", "1,inf", "2,3"], 1, "x,1"),
+        (["x,1", "1,1e999", "2,3"], 1, "x,1"),
+        # cells follow the config's decimal grammar, not float()'s
+        (["0,1", "1,nan", "2,3"], 2, "1,nan"),
+        (["0,1", "1,-inf", "2,3"], 2, "1,-inf"),
+        (["0,1", "1_0,2", "2,3"], 2, "1_0,2"),
+        (["0,1", "\u0661,2", "2,3"], 2, "\u0661,2"),
+        (["0,1", "1,2 5", "2,3"], 2, "1,2 5"),
     ],
 )
 def test_fit_names_the_row_of_a_cell_that_is_not_a_number(tmp_path, capsys, rows, row, bad):
@@ -912,12 +963,13 @@ def _row_by_row_scan_csv(path):
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"{path}: data row {row} is not a number: {ln!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: data row {row} is not finite: {ln!r}")
+        values = []
+        for cell in parts:
+            try:
+                values.append(read_value(cell, PLAIN))
+            except BadValue as exc:
+                what = "finite" if exc.kind == "range" else "a number"
+                raise ValueError(f"{path}: data row {row} is not {what}: {ln!r}") from None
         rows.append(values)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two data rows")
@@ -925,7 +977,8 @@ def _row_by_row_scan_csv(path):
 
 
 _csv_cells = st.sampled_from(
-    ["0", "-0.0", "1.5", " 2e300 ", "5e-324", "1_0", "nan", "-inf", "1e999", "x", ""]
+    ["0", "-0.0", "1.5", " 2e300 ", "5e-324", "1_0", "nan", "-inf", "1e999", "x", "",
+     "+.5e-3", "1.", "1e", "2 5", "\u0661"]
 )
 _csv_lines = st.one_of(
     st.lists(_csv_cells, min_size=2, max_size=2).map(",".join),

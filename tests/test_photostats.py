@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from seqlab import photostats
-from seqlab.cli import FIT_CSV_HEADER
 from seqlab.config import DissipationSection, ReadoutSection, parse_config
 from seqlab.dissipative import NumericError, evolve_master
 from seqlab.dsl import parse_sequence
@@ -651,10 +650,16 @@ def _synth(o=1.3, a=0.91, f=2.7, ph=-0.4, n=64, span=10.0):
     return x, o + a * np.cos(f * x + ph)
 
 
+# the fit record's keys, in order: the fit command's CSV header and JSON keys
+FIT_KEYS = [
+    "offset", "amplitude", "frequency", "phase", "visibility", "residual_rms", "converged", "flags",
+]
+
+
 def test_fit_recovers_exact_synthetic_parameters():
     x, y = _synth()
     fit = fit_sinusoid(x, y, freq_hint=2.7)
-    assert list(fit) == FIT_CSV_HEADER.split(",")  # the fit command's record
+    assert list(fit) == FIT_KEYS  # the fit command's record
     assert fit["converged"]
     assert fit["flags"] == ()
     assert abs(fit["offset"] - 1.3) <= 1e-8
@@ -668,7 +673,7 @@ def test_fit_recovers_exact_synthetic_parameters():
 def test_fit_flags_flat_scan():
     x = np.linspace(0.0, 10.0, 32)
     fit = fit_sinusoid(x, np.full_like(x, 0.25), freq_hint=1.0)
-    assert list(fit) == FIT_CSV_HEADER.split(",")
+    assert list(fit) == FIT_KEYS
     assert fit["converged"]
     assert "flat_scan" in fit["flags"]
     assert fit["amplitude"] == 0.0

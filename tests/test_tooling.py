@@ -368,7 +368,9 @@ FIT_INPUTS = (
     ("one_row", "0.0,1.0\n", 2, "need at least two data rows"),
     ("wide", "0.0,1.0\n1.0,2.0,3.0\n", 2, "malformed row"),
     ("word", "0.0,abc\n1.0,2.0\n", 2, "data row 1 is not a number: '0.0,abc'"),
-    ("infinite", "0.0,inf\n1.0,2.0\n", 2, "data row 1 is not finite"),
+    # in the grammar's characters but not in its grammar: float() refuses it
+    ("empty_cell", "0.0,\n1.0,2.0\n", 2, "data row 1 is not a number: '0.0,'"),
+    ("infinite", "0.0,1e999\n1.0,2.0\n", 2, "data row 1 is not finite"),
 )
 
 
@@ -424,6 +426,7 @@ def _traffic(tmp: Path) -> None:
         run("readout", "--seq", str(seq), code=2, err=err)
     (tmp / "dir").mkdir()
     run("readout", "--seq", canonical, "--out", str(tmp / "dir"), code=2, err="Is a directory")
+    run("readout", "--seq", canonical, "--out", "", code=2, err="No such file or directory: ''")
     shots = "shots.n_trials = 2000\n"
     for g2 in ("", "g2.mode = mixture\ninteraction.p2 = 0.2\nshots.dark_rate = 0.01\n",
                "g2.mode = coherent\ng2.bin = 2\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"):
@@ -504,6 +507,26 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
     assert callers == {"qcore.py:propagate", "photostats.py:readout_from_sequence"}
+
+
+def test_every_emit_goes_through_main(tmp_path, monkeypatch):
+    # one output path: a command handler returns its result, and only
+    # cli.main formats and writes it and maps failures to exit codes
+    from seqlab import io as seqlab_io
+
+    emit = seqlab_io.emit
+    callers = set()
+
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1).f_code
+        callers.add(f"{Path(caller.co_filename).name}:{caller.co_name}")
+        return emit(*args, **kwargs)
+
+    for mod in _modules():
+        if vars(mod).get("emit") is emit:
+            monkeypatch.setattr(mod, "emit", wrapper)
+    _traffic(tmp_path)
+    assert callers == {"cli.py:main"}
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
