@@ -6,7 +6,8 @@ its result, a table (header, columns) or a record dict; ``main`` alone
 formats it, writes it and maps failures to exit codes: 0 success, 2
 validation/usage error, 3 numeric failure (a floating-point overflow,
 invalid operation or division by zero included).  Diagnostics go to
-stderr; data goes to --out (atomically) or stdout.
+stderr; data goes to stdout or to --out, checked before the command
+runs and written atomically.
 
 ``main(argv)`` may be called repeatedly in one process, as the example
 scripts do: it builds its parser on the first call and reuses it, so a
@@ -16,6 +17,7 @@ fresh ``seqlab`` process pays the same start-up as before.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -58,6 +60,15 @@ def _text(result, fmt: str) -> str:
         return json_text(result)
     cells = [[";".join(v) if isinstance(v, tuple) else v] for v in result.values()]
     return csv_text(",".join(result), cells)
+
+
+def _check_out(path: str) -> None:
+    """Refuse, naming it as typed, an --out that no write can reach: a
+    directory, an empty path or a path in a missing directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _cmd_ramsey_scan(args, cfg: RunConfig):
@@ -219,6 +230,8 @@ def main(argv=None) -> int:
         for section, key in ((cfg.scan, "backend"), (cfg, "seed"), (cfg.output, "format")):
             if vars(args).get(key) is not None:
                 setattr(section, key, vars(args)[key])
+        if args.out is not None:
+            _check_out(args.out)
         # overflow and invalid operations are coded failures, not warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             emit(_text(args.handler(args, cfg), cfg.output.format), args.out)

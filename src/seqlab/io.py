@@ -18,7 +18,7 @@ files.
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import json
 import math
 import os
@@ -91,21 +91,22 @@ def json_text(obj) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then os.replace."""
-    if not path:  # refused as open("") refuses it, before any temp file
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Atomic write: temp file in the target directory, then os.replace.
+    An OSError names path, not the temp file."""
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None:  # the write failed: remove its temp file
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def emit(text: str, out_path) -> None:

@@ -20,9 +20,11 @@ that occurred, with the number of trials of each.  The trials are
 independent, so that histogram is one multinomial draw over the outcome
 distribution of a single trial, and no trial is drawn on its own: time
 and memory do not grow with the trial count.  :func:`estimate_g2` takes
-the histogram.  The run configuration bounds every count, rate and
-efficiency that reaches this module.  Results are plain values: the bins
-are (p1, p2, p3), g2 is (value, stderr) and a fit is a dict.
+the histogram and gives g2 with its delta-method standard error, from
+exact integer sums over the outcomes; it draws nothing.  The run
+configuration bounds every count, rate and efficiency that reaches this
+module.  Results are plain values: the bins are (p1, p2, p3), g2 is
+(value, stderr) and a fit is a dict.
 """
 
 from __future__ import annotations
@@ -225,55 +227,37 @@ def sample_coherent_shots(
 # g2(0) estimation
 
 
-N_BOOTSTRAP = 200
-BOOTSTRAP_SEED = 815
-# counts per row block of the bootstrap's multinomial draws
-BOOTSTRAP_BLOCK = 1 << 15
-
-
 def estimate_g2(hist, bin: int) -> tuple[float, float]:
     """(g2, stderr): g2(0) = <nA nB> / (<nA> <nB>) over trials, and its
-    bootstrap standard error, from the (nA, nB, freq) outcome histogram
-    of one time bin that a sampler returns; bin names that bin in the
-    diagnostic.  NumericError when an arm registered no clicks, which
-    leaves the normalization undefined.
+    delta-method standard error, from the (nA, nB, freq) outcome
+    histogram of one time bin that a sampler returns; bin names that bin
+    in the diagnostic.  NumericError when an arm registered no clicks,
+    which leaves the normalization undefined.
 
-    The sums behind <nA>, <nB> and <nA nB> are exact Python integers over
-    the histogram, so each mean is one correctly rounded division by n at
-    any n.  The bootstrap (N_BOOTSTRAP resamples, seeded) resamples trials
-    with replacement; over the histogram that is a multinomial redraw,
-    whose rows come in blocks of at most BOOTSTRAP_BLOCK counts, the same
-    draws and sums as one call, so memory is bounded by the number of
-    outcomes, not of trials.  The draws follow the order of the outcomes, so the
-    lexicographic (nA, nB) order of the samplers fixes the stderr that
-    BOOTSTRAP_SEED yields.
+    The sums sum_a, sum_b and sum_ab of nA, nB and nA nB are exact Python
+    integers, so each mean is one correctly rounded division by n at any
+    n.  The stderr is sqrt(<psi^2> / n) over trials, with psi(nA, nB) =
+    nA nB / (mA mB) - g2 (nA / mA + nB / mB - 1) the estimator's influence
+    function (van der Vaart, Asymptotic Statistics, CUP 1998, ch. 3) and
+    mA, mB the arm means.  psi = n phi / (sum_a sum_b)^2 with phi an
+    integer at each outcome, so <psi^2> / n is a ratio of exact integers
+    rounded once: the stderr draws nothing, is finite, and does not
+    depend on the order of the outcomes or of the arms.
     """
-    na, nb, freq = hist
-    n = int(freq.sum())
-    weights = freq.astype(object)
-    sum_a, sum_b, sum_ab = (int(weights @ x) for x in (na, nb, na * nb))
+    na, nb, freq = (x.tolist() for x in hist)
+    n = sum(freq)
+    sum_a = sum(f * a for f, a in zip(freq, na))
+    sum_b = sum(f * b for f, b in zip(freq, nb))
     if sum_a == 0 or sum_b == 0:
-        raise NumericError(
-            f"g2 undefined: one arm registered no clicks ({n} trials, bin {bin})"
-        )
+        raise NumericError(f"g2 undefined: one arm registered no clicks ({n} trials, bin {bin})")
+    sum_ab = sum(f * a * b for f, a, b in zip(freq, na, nb))
     value = sum_ab / n / ((sum_a / n) * (sum_b / n))
 
-    ua = na.astype(float)
-    ub = nb.astype(float)
-    uab = ua * ub
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    sums = np.empty((3, N_BOOTSTRAP))  # sa, sb, sab of each resample
-    rows = max(1, BOOTSTRAP_BLOCK // len(freq))
-    for start in range(0, N_BOOTSTRAP, rows):
-        stop = min(start + rows, N_BOOTSTRAP)
-        draws = rng.multinomial(n, freq / n, size=stop - start).astype(float)
-        # each row summed on its own, so the blocks do not move a bit
-        sums[:, start:stop] = [(draws * u).sum(axis=1) for u in (ua, ub, uab)]
-    sa, sb, sab = sums
-    ok = (sa > 0) & (sb > 0)
-    boot = n * sab[ok] / (sa[ok] * sb[ok])
-    stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
-    return value, stderr
+    # phi = n sum_a sum_b nA nB - n sum_ab (sum_b nA + sum_a nB) + sum_ab sum_a sum_b
+    k_ab, k_a, k_b = n * sum_a * sum_b, n * sum_ab * sum_b, n * sum_ab * sum_a
+    k = sum_ab * sum_a * sum_b
+    sum_phi2 = sum(f * ((k_ab * b - k_a) * a - k_b * b + k) ** 2 for f, a, b in zip(freq, na, nb))
+    return value, math.sqrt(sum_phi2 / (sum_a * sum_b) ** 4)
 
 
 # ---------------------------------------------------------------------------

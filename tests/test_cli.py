@@ -1,8 +1,10 @@
 """Command line: artifact formats, exit codes, determinism, diagnostics."""
 
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from seqlab import cli
 from seqlab import io as seqlab_io
+from seqlab import pairwise
 from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
 from seqlab.units import PLAIN, BadValue, read_value
 
@@ -452,6 +455,44 @@ def test_empty_out_path_exits_2_and_makes_no_temp_file(tmp_path, capsys, monkeyp
     assert not any(work.iterdir())
 
 
+@pytest.mark.parametrize(
+    "out, err",
+    [
+        ("missing/scan.csv", "error: [Errno 2] No such file or directory: 'missing/scan.csv'\n"),
+        ("dir", "error: [Errno 21] Is a directory: 'dir'\n"),
+        ("", "error: [Errno 2] No such file or directory: ''\n"),
+    ],
+    ids=["missing-directory", "directory", "empty"],
+)
+def test_bad_out_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch, out, err):
+    # the scan never starts, and the diagnostic names the path as typed
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    monkeypatch.chdir(work)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(pairwise, "fringe_scan", never)
+    assert main(["ramsey-scan", "--out", out]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+    assert sorted(p.name for p in work.iterdir()) == ["dir"]
+    assert not any((work / "dir").iterdir())
+
+
+def test_a_failed_write_names_the_out_path(tmp_path, capsys):
+    # a name too long for the file system passes the up-front check, and the
+    # write's own diagnostic names it, not the temp file, which is removed
+    name = "x" * 300 + ".csv"
+    assert main(["rabi-scan", "--out", str(tmp_path / name)]) == 2
+    code = errno.ENAMETOOLONG
+    assert capsys.readouterr() == (
+        "", f"error: [Errno {code}] {os.strerror(code)}: {str(tmp_path / name)!r}\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def test_readout_requires_seq(capsys):
     assert main(["readout"]) == 2
     assert "requires --seq" in capsys.readouterr().err
@@ -589,23 +630,24 @@ def test_g2_undefined_exits_3(tmp_path, capsys):
 
 def test_g2_output_bytes_are_pinned(tmp_path):
     # data lines captured with numpy 2.4.6 once the samplers drew the
-    # outcome histogram; a change to the draws or the bootstrap moves them
+    # outcome histogram and the stderr came from the delta method; a change
+    # to the draws moves both columns, a change to the stderr only its own
     cases = [
         ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
-         "0.09436280568226474,0.003733944717183591,20000"),
+         "0.09436280568226474,0.0038881125521806406,20000"),
         ("g2.mode = coherent\nshots.mean_photons = 2.0\nshots.dark_rate = 0.01\n",
-         "1.0184231604595957,0.007384556621045067,20000"),
+         "1.0184231604595957,0.007147234682663168,20000"),
         ("g2.mode = coherent\nshots.mean_photons = 400\n",
-         "0.9999254533368432,3.459439720958315e-05,20000"),
+         "0.9999254533368432,3.5601576377252546e-05,20000"),
         ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.001\n",
-         "0.09413968334602754,0.0020153702694150014,70001"),
+         "0.09413968334602754,0.002078501541299938,70001"),
         # off bin 1: dark clicks only
         ("g2.mode = mixture\ninteraction.p2 = 0.05\nshots.dark_rate = 0.01\ng2.bin = 2\n",
-         "0.8626478803812028,0.36274559214812124,70001"),
+         "0.8626478803812028,0.34914311995023084,70001"),
         ("g2.mode = coherent\nshots.mean_photons = 2.0\nshots.dark_rate = 0.01\ng2.bin = 3\n",
-         "1.0002932016471602,0.0035486357651684855,70001"),
+         "1.0002932016471602,0.0037437218708100965,70001"),
         ("g2.mode = antibunched\nshots.dark_rate = 0.01\n",
-         "0.03931080545280663,0.0013207107066565407,70001"),
+         "0.03931080545280663,0.00144995701952736,70001"),
     ]
     cfg, out = tmp_path / "run.cfg", tmp_path / "g2.csv"
     for settings, line in cases:

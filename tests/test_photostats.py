@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from seqlab.config import DissipationSection, ReadoutSection, parse_config
 from seqlab.dissipative import NumericError, evolve_master
 from seqlab.dsl import parse_sequence
 from seqlab.photostats import (
-    BOOTSTRAP_SEED,
-    N_BOOTSTRAP,
     _arm_pmf,
     _mixture_table,
     estimate_g2,
@@ -528,8 +527,8 @@ def test_coherent_records_give_unity_within_error():
 
 def test_estimate_g2_peak_memory_per_trial():
     # nothing trial-long: from 10**4 to 10**12 trials the peak grows by
-    # less than 1 MiB, about 1e-6 B/trial, as the outcomes and the
-    # bootstrap's row blocks do not grow with the trials
+    # less than 1 MiB, about 1e-6 B/trial, as the estimator holds a few
+    # integers per outcome and the outcomes do not grow with the trials
     peaks = []
     for n in (10**4, 10**12):
         hist = sample_coherent_shots(2.0, n, 9, dark_rate=0.01)
@@ -563,12 +562,19 @@ def test_mixture_reproduces_target_g2():
 
 def test_g2_invariant_under_arm_relabeling():
     na, nb, freq = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
-    assert estimate_g2((na, nb, freq), bin=1)[0] == estimate_g2((nb, na, freq), bin=1)[0]
+    value, stderr = estimate_g2((na, nb, freq), bin=1)
+    assert stderr > 0
+    assert estimate_g2((nb, na, freq), bin=1) == (value, stderr)
 
 
-def test_g2_bootstrap_is_deterministic():
-    recs = sample_shots(50_000, seed=13, p2=0.3, bin=1, dark_rate=0.0)
-    assert estimate_g2(recs, bin=1)[1] == estimate_g2(recs, bin=1)[1]
+def test_g2_depends_only_on_the_histogram():
+    # the same outcomes in any order give the same g2 and stderr, to the
+    # bit: nothing is drawn, and the sums are exact
+    na, nb, freq = sample_coherent_shots(2.0, 20_000, seed=3, dark_rate=0.01)
+    expected = estimate_g2((na, nb, freq), bin=1)
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(na.size)
+        assert estimate_g2((na[order], nb[order], freq[order]), bin=1) == expected
 
 
 def test_g2_undefined_when_an_arm_is_dark():
@@ -579,10 +585,51 @@ def test_g2_undefined_when_an_arm_is_dark():
         estimate_g2(recs, bin=2)
 
 
+def _mixture_g2(p2, dark_rate):
+    """Closed-form g2(0) of bin 1 of the mixture: a pair lands (1, 1)
+    half the time, so <sA sB> = p2 / 2 over the signal, and each arm adds
+    an independent Bernoulli(dark_rate) dark click."""
+    mean = 0.5 * (1.0 + p2) + dark_rate
+    return (0.5 * p2 + dark_rate * (1.0 + p2) + dark_rate**2) / mean**2
+
+
+# (sampler of one seed's histogram, closed-form g2, seeds); a coherent
+# source has independent arms, so g2 = 1 whatever the dark rate
+_COVERAGE_CASES = {
+    "mixture-p2-0.3": (
+        lambda seed: sample_shots(20_000, seed, bin=1, dark_rate=0.0, p2=0.3),
+        _mixture_g2(0.3, 0.0), 2000,
+    ),
+    "mixture-p2-0.05-dark-5000": (
+        lambda seed: sample_shots(5_000, seed, bin=1, dark_rate=0.01, p2=0.05),
+        _mixture_g2(0.05, 0.01), 2000,
+    ),
+    "coherent-m-2-dark": (
+        lambda seed: sample_coherent_shots(2.0, 20_000, seed, dark_rate=0.01),
+        1.0, 1000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _COVERAGE_CASES)
+def test_g2_interval_covers_the_closed_form(case):
+    # g2 +- 1.96 stderr is a 95 % interval: over the seeds, the runs whose
+    # interval holds the closed form lie in the central 99.9 % of
+    # Binomial(seeds, 0.95): [1867, 1931] of 2000 and [926, 971] of 1000
+    draw, expected, seeds = _COVERAGE_CASES[case]
+    covered = 0
+    for seed in range(seeds):
+        value, stderr = estimate_g2(draw(seed), bin=1)
+        covered += abs(value - expected) <= 1.96 * stderr
+    lo, hi = scipy_stats.binom.interval(0.999, seeds, 0.95)
+    assert lo <= covered <= hi, covered / seeds
+
+
 def _histogram_g2(na, nb, freq):
-    """Reference: the estimator over an outcome histogram, its sums as
-    Python integers cell by cell and its bootstrap as one multinomial call;
-    None where an arm is dark."""
+    """Reference: the estimator over an outcome histogram in exact
+    arithmetic, cell by cell: g2 from Python-integer sums, and the stderr
+    from the influence function psi as written, in rationals, rounded once
+    before the square root; None where an arm is dark."""
     cells = [(int(a), int(b), int(f)) for a, b, f in zip(na, nb, freq)]
     n = sum(f for _, _, f in cells)
     sum_a = sum(a * f for a, _, f in cells)
@@ -591,15 +638,27 @@ def _histogram_g2(na, nb, freq):
         return None
     sum_ab = sum(a * b * f for a, b, f in cells)
     value = sum_ab / n / ((sum_a / n) * (sum_b / n))
-    ua, ub = na.astype(float), nb.astype(float)
-    draws = np.random.default_rng(BOOTSTRAP_SEED).multinomial(
-        n, freq / n, size=N_BOOTSTRAP
-    )
-    sa, sb, sab = ((draws * u).sum(axis=1) for u in (ua, ub, ua * ub))
-    ok = (sa > 0) & (sb > 0)
-    boot = n * sab[ok] / (sa[ok] * sb[ok])
-    stderr = float(boot.std(ddof=1)) if boot.size > 1 else math.nan
-    return value, stderr
+    ma, mb, g = Fraction(sum_a, n), Fraction(sum_b, n), Fraction(n * sum_ab, sum_a * sum_b)
+    var = sum(f * (a * b / (ma * mb) - g * (a / ma + b / mb - 1)) ** 2 for a, b, f in cells)
+    return value, math.sqrt(var / n**2)
+
+
+def _per_trial_g2(na, nb, freq):
+    """Reference on the trials one by one, in float64: the histogram
+    expanded with np.repeat, g2 from the trial means and the stderr as
+    sqrt(<psi^2> / n) with psi evaluated at each trial; also the scale
+    that the rounding of psi's terms leaves on that stderr."""
+    a, b = (np.repeat(x, freq).astype(float) for x in (na, nb))
+    ma, mb = a.mean(), b.mean()
+    g = (a * b).mean() / (ma * mb)
+    product, linear = a * b / (ma * mb), g * (a / ma + b / mb - 1.0)
+    psi = product - linear
+    terms = np.abs(product) + np.abs(linear)
+    return g, math.sqrt((psi**2).mean() / a.size), math.sqrt((terms**2).mean() / a.size)
+
+
+# the most trials that the per-trial reference expands
+PER_TRIAL_LIMIT = 500_000
 
 
 # the largest count of a coherent run at the top of shots.mean_photons
@@ -609,8 +668,8 @@ TOP_COUNT = _arm_pmf(32767 / 2, 0.5).size - 1
 @st.composite
 def _histograms(draw):
     """(nA, nB, freq) of distinct outcomes in lexicographic order, as the
-    samplers give them; some with more outcomes than fit in one row
-    block of the bootstrap, so a block bug shows."""
+    samplers give them, from one outcome up to 400 and from a few trials
+    up to 4e14."""
     top = draw(st.sampled_from([1, 2, 5, 300, TOP_COUNT]) | st.integers(0, TOP_COUNT))
     size = draw(st.integers(1, min(400, (top + 1) ** 2)))
     most = draw(st.sampled_from([1, 3, 1000, 10**12]))
@@ -638,7 +697,14 @@ def test_estimate_g2_matches_the_histogram_reference(hist, bin):
         with pytest.raises(NumericError, match="^g2 undefined: one arm registered " + undefined):
             estimate_g2(hist, bin=bin)
     else:
-        assert np.array_equal(estimate_g2(hist, bin=bin), ref, equal_nan=True)
+        value, stderr = estimate_g2(hist, bin=bin)
+        assert (value, stderr) == ref
+        assert math.isfinite(stderr)
+        if hist[2].sum() <= PER_TRIAL_LIMIT:
+            g, trial_stderr, scale = _per_trial_g2(*hist)
+            assert math.isclose(value, g, rel_tol=1e-12)
+            # where psi cancels to rounding, float64 keeps only its scale
+            assert math.isclose(stderr, trial_stderr, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

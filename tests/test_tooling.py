@@ -133,8 +133,6 @@ ALLOWED_UNRUN = {
         "internal invariant: every command gives one column per header field",
     ("io.py:_table", 'raise ValueError(f"columns differ in length: {sorted(lengths)}")'):
         "internal invariant: every command gives columns of one length",
-    ("io.py:write_text", "except OSError:"): "the temp file was removed by another process",
-    ("io.py:write_text", "pass"): "the temp file was removed by another process",
     ("photostats.py:readout_from_sequence",
      'raise NumericError("bin probabilities must be finite and non-negative")'): _INVARIANT,
     ("photostats.py:readout_from_sequence",
@@ -427,6 +425,11 @@ def _traffic(tmp: Path) -> None:
     (tmp / "dir").mkdir()
     run("readout", "--seq", canonical, "--out", str(tmp / "dir"), code=2, err="Is a directory")
     run("readout", "--seq", canonical, "--out", "", code=2, err="No such file or directory: ''")
+    run("readout", "--seq", canonical, "--out", str(tmp / "missing" / "bins.csv"), code=2,
+        err="No such file or directory")
+    # past the up-front check: only the write finds the name too long
+    run("readout", "--seq", canonical, "--out", str(tmp / ("x" * 300)), code=2,
+        err="File name too long")
     shots = "shots.n_trials = 2000\n"
     for g2 in ("", "g2.mode = mixture\ninteraction.p2 = 0.2\nshots.dark_rate = 0.01\n",
                "g2.mode = coherent\ng2.bin = 2\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"):
