@@ -17,8 +17,8 @@ backends propagate, embedded in the 4x4 space (the loss level is dark).
 Each segment is propagated exactly: rho is flattened row-major into a
 16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
 constant 16x16 Liouvillian Lv of :func:`liouvillian`, and the segment
-map is exp(Lv t), evaluated by :func:`expm`.  Lv is not Hermitian, so
-this is the propagator of the open system, as
+map is exp(Lv t), evaluated by :func:`expm` on the whole Liouvillian.
+Lv is not Hermitian, so this is the propagator of the open system, as
 :func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
 only: scipy would double the memory and start-up of every CLI call.
 
@@ -121,12 +121,15 @@ def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
 
 # Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
 # approximant is accurate to double precision without scaling (Higham,
-# SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-_PADE13 = (
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  They are divided by b_1, so
+# that b_0 = 2: the Pade step then solves with a power of two on the
+# diagonal, and the exponential of a zero matrix is exactly the identity
+# (b_0 = 1 would do that too, but would halve a subnormal generator to 0).
+_PADE13 = tuple(b / 32382376266240000.0 for b in (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
+))
 _THETA13 = 5.371920351148152
 
 
@@ -179,7 +182,9 @@ def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection
     n = LOSS_INDEX + 1
     ops = collapse_operators(dissipation)
 
-    def propagator(h3: np.ndarray, t) -> np.ndarray:
+    def propagator(h3: np.ndarray, t, _blocks) -> np.ndarray:
+        # the Liouvillian is exponentiated whole: on the short stacks of a
+        # scan, a call per block costs more than it saves
         H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark
         H[..., :3, :3] = h3
         return expm(liouvillian(H, ops) * np.asarray(t)[..., None, None])

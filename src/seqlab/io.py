@@ -92,13 +92,18 @@ def json_text(obj) -> str:
 
 def write_text(path, text: str) -> None:
     """Atomic write: temp file in the target directory, then os.replace.
-    An OSError names path, not the temp file."""
+    The file gets the mode that open() would give a new file, 0o666 less
+    the umask, not the temp file's 0o600.  An OSError names path, not the
+    temp file."""
     tmp = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0o077)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:

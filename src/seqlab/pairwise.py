@@ -17,18 +17,24 @@ against the storage configuration.  v_int and p2 come from the run
 config's ``interaction`` section, which the functions here take as is.
 
 The pair space has no generator or propagator of its own:
-:func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts, and
-:func:`seqlab.qcore.hermitian_propagator` propagates the result.  The lift
-is linear, one matmul with a constant (9, 36) matrix built once from the
-bosonic rule, so it lifts whole stacks: the mixture scan takes its single
-branch from :func:`seqlab.ramsey.fringe_scan` and walks the blocks of
-stacked Ramsey sequences (:func:`seqlab.ramsey.block_sequences`) only for
-its double branch, with :func:`seqlab.qcore.propagate` and a pair
-propagator that lifts each segment's Hamiltonian.
+:func:`pair_hamiltonian` lifts qutrit Hamiltonians and adds the shifts,
+:func:`pair_blocks` lifts the qutrit's blocks of levels to blocks of
+configurations, and :func:`seqlab.qcore.hermitian_propagator` propagates
+the result block by block.  Under mu1 the blocks are {(11), (12), (22)},
+{(13), (23)} and {(33)}, under mu2 {(11)}, {(12), (13)} and {(22), (23),
+(33)}, and a wait's are the six configurations alone: phases, the 2x2
+closed form, and one batched eigendecomposition for the 3x3 blocks.  The
+lift is linear, one matmul with a constant (9, 36) matrix built once from
+the bosonic rule, so it lifts whole stacks: the mixture scan takes its
+single branch from :func:`seqlab.ramsey.fringe_scan` and walks the blocks
+of stacked Ramsey sequences (:func:`seqlab.ramsey.block_sequences`) only
+for its double branch, with :func:`seqlab.qcore.propagate` and a pair
+propagator that lifts each segment's Hamiltonian and blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,6 +92,20 @@ def lift_single_particle(h3: np.ndarray) -> np.ndarray:
     return (h3.reshape(-1, 9) @ _LIFT).reshape(h3.shape[:-2] + (6, 6))
 
 
+@functools.cache
+def pair_blocks(blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of configurations that a lifted Hamiltonian couples, from
+    the blocks of levels of its qutrit one (:func:`seqlab.qcore.segment_blocks`).
+    The lift moves one excitation within its block, so two configurations
+    are in one block when their levels fall in the same blocks; the
+    interaction shifts are diagonal and couple nothing."""
+    block_of = {level: b for b, block in enumerate(blocks) for level in block}
+    found = {}
+    for i, config in enumerate(PAIR_CONFIGS):
+        found.setdefault(tuple(sorted(block_of[level] for level in config)), []).append(i)
+    return tuple(map(tuple, found.values()))
+
+
 def pair_hamiltonian(h3: np.ndarray, interaction: InteractionSection) -> np.ndarray:
     """Pair Hamiltonian of a (..., 3, 3) stack of single-excitation
     Hamiltonians, e.g. from :func:`seqlab.qcore.segment_hamiltonian`: the
@@ -121,8 +141,8 @@ def mixture_fringe_scan(
             "backend has no dissipative model of the double-excitation branch"
         )
 
-    def propagator(h3: np.ndarray, t) -> np.ndarray:
-        return hermitian_propagator(pair_hamiltonian(h3, interaction), t)
+    def propagator(h3: np.ndarray, t, blocks) -> np.ndarray:
+        return hermitian_propagator(pair_hamiltonian(h3, interaction), t, pair_blocks(blocks))
 
     # from the stored pair (11), configuration 0
     amps = np.concatenate([propagate(s, propagator)[-1] for s in block_sequences(scan)])

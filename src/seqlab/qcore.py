@@ -27,13 +27,28 @@ detuning and phase may be arrays that broadcast against each other.
 space lifts it and the master equation embeds it.  :func:`segment_maps`
 is the one path from a sequence's segments to their maps, for every space:
 it takes the propagator (:func:`hermitian_propagator` for closed systems)
-and calls it once per distinct segment.  :func:`propagate` is the one walk
-of those maps from the stored excitation, in the qutrit (3), the pair (6)
-and the Liouville space (16).  A sequence is a plain tuple of segments.
+and calls it once per distinct segment, with the segment's blocks
+(:func:`segment_blocks`).  :func:`propagate` is the one walk of those maps
+from the stored excitation, in the qutrit (3), the pair (6) and the
+Liouville space (16).  A sequence is a plain tuple of segments.
+
+Blocks: each field couples one pair of levels, so a segment's generator is
+block-diagonal, a two-level block plus the spectator level, and a wait
+couples nothing.  The blocks come from the segment's field, never from its
+values, so a stack whose rabi is 0 at some points is propagated in the
+same blocks, and to the same bits, as one whose rabi is not.
+:func:`hermitian_propagator` exponentiates block by block, with the kernel
+of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
+the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
+m the mean of its diagonal and +-r the eigenvalues of h - m I, and only
+blocks of 3 or more levels (in the pair space) take a batched
+eigendecomposition, one per group of same-size blocks.  The Liouville
+space's propagator takes the blocks too, and exponentiates the whole map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -110,10 +125,10 @@ def _drive_block(field: str, rabi, detuning, phase) -> np.ndarray:
     A field that is not a word of FIELDS raises ValueError.
     """
     lo = FIELDS.index(field)
-    H = np.zeros(np.broadcast(rabi, detuning, phase).shape + (3, 3), dtype=complex)
     g = 0.5 * rabi * np.exp(1j * phase)
+    H = np.zeros(np.broadcast(g, detuning).shape + (3, 3), dtype=complex)
     H[..., lo + 1, lo] = g
-    H[..., lo, lo + 1] = g.conj()
+    H[..., lo, lo + 1] = np.conj(g)
     H[..., lo + 1, lo + 1] = -detuning
     return H
 
@@ -129,28 +144,102 @@ def segment_hamiltonian(segment: Segment) -> np.ndarray:
     return _drive_block(segment.field, segment.rabi, segment.detuning, segment.phase)
 
 
-def hermitian_propagator(H: np.ndarray, duration) -> np.ndarray:
-    """exp(-i H t) for a stack of Hermitian H, shape (..., d, d).
+def segment_blocks(segment: Segment) -> tuple[tuple[int, ...], ...]:
+    """The blocks of levels that a drive or wait segment's generator
+    couples, a partition of (0, 1, 2): a field couples its two levels and
+    leaves the third alone, a wait couples nothing."""
+    if isinstance(segment, Wait):
+        return ((0,), (1,), (2,))
+    lo = FIELDS.index(segment.field)
+    spectator = (lo + 2) % 3  # the level that the field leaves alone
+    return ((lo, lo + 1), (spectator,))
+
+
+# The kernels of hermitian_propagator: each takes a group of same-size
+# blocks as an (..., n, size, size) stack h and z = -i t over (..., 1, 1, 1).
+
+
+def _phase(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(z h) of a (..., 1, 1) stack of real h."""
+    return np.exp(h * z)
+
+
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _rotation(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(z h) of a (..., 2, 2) Hermitian stack in closed form: with
+    x = z h, mu the mean of its diagonal and k = x - mu I, whose square is
+    -r^2 I, exp(x) = e^mu [cos(r) I + (sin(r)/r) k].  r is taken from k's
+    first diagonal entry, imaginary as h's diagonal is real, and its
+    off-diagonal one.  The divisor is floored at the least positive
+    double, which moves no positive r: where r = 0, k is zero up to the
+    rounding of mu."""
+    x = h * z
+    mu = 0.5 * (x[..., 0, 0] + x[..., 1, 1])
+    k = x - mu[..., None, None] * _EYE2
+    r = np.hypot(k[..., 0, 0].imag, np.abs(k[..., 1, 0]))
+    turn = np.exp(mu)
+    k *= (turn * (np.sin(r) / np.maximum(r, 5e-324)))[..., None, None]
+    k += (turn * np.cos(r))[..., None, None] * _EYE2
+    return k
+
+
+def _eigh(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(z h) of a (..., n, n) Hermitian stack by one batched
+    eigendecomposition, so one h serves every duration."""
+    w, V = np.linalg.eigh(h)
+    return (V * np.exp(w * z[..., 0])[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+@functools.cache
+def _groups(blocks: tuple[tuple[int, ...], ...]) -> tuple:
+    """(kernel, index) per group of same-size blocks: the index takes the
+    group out of a (..., d, d) stack as (..., n, size, size), by slices
+    when the group is one run of levels."""
+    sizes = {}
+    for block in blocks:
+        sizes.setdefault(len(block), []).append(block)
+    groups = []
+    for size, group in sorted(sizes.items()):
+        lo = group[0][0]
+        if group == [tuple(range(lo, lo + size))]:
+            index = (Ellipsis, None, slice(lo, lo + size), slice(lo, lo + size))
+        else:
+            rows = np.array(group)[:, :, None]
+            index = (Ellipsis, rows, rows.swapaxes(1, 2))
+        groups.append(({1: _phase, 2: _rotation}.get(size, _eigh), index))
+    return tuple(groups)
+
+
+def hermitian_propagator(H: np.ndarray, duration, blocks) -> np.ndarray:
+    """exp(-i H t) for a stack of Hermitian H, shape (..., d, d), that has
+    no entry between two of its blocks.
 
     duration (s) is a scalar or an array that broadcasts against the stack
     shape H.shape[:-2], a checked segment's; the result has shape (..., d, d)
-    over their broadcast shape.  One batched eigendecomposition of H, so a
-    single H serves every duration and the result is unitary up to
-    floating point.
+    over their broadcast shape.  blocks is a partition of range(d) into
+    tuples of levels, such as :func:`segment_blocks` gives; each group of
+    same-size blocks is exponentiated by one kernel call (see the module
+    docstring), and every entry between two blocks is a literal zero.
     """
-    duration = np.asarray(duration, dtype=float)
-    w, V = np.linalg.eigh(H)
-    phases = np.exp(-1j * w * duration[..., None])
-    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    z = np.asarray(-1j * duration)[..., None, None, None]
+    maps = [(index, kernel(H[index], z)) for kernel, index in _groups(blocks)]
+    # each block's stack is that of H broadcast against the durations
+    U = np.zeros(maps[0][1].shape[:-3] + H.shape[-2:], dtype=complex)
+    for index, block in maps:
+        U[index] = block
+    return U
 
 
 def segment_maps(segments, propagator) -> list[np.ndarray]:
     """The map of every drive/wait segment, in order, each of shape
     (..., d, d) over the segment's stack.
 
-    propagator(H, t) takes one segment's (..., 3, 3) Hamiltonian and its
-    duration, a number or an array that broadcasts against H.shape[:-2],
-    and returns the (..., d, d) maps over their broadcast shape, e.g.
+    propagator(H, t, blocks) takes one segment's (..., 3, 3) Hamiltonian,
+    its duration, a number or an array that broadcasts against
+    H.shape[:-2], and its :func:`segment_blocks`, and returns the
+    (..., d, d) maps over their broadcast shape, e.g.
     :func:`hermitian_propagator`.  Segments are told apart by identity, so
     a segment object that appears twice is propagated once: one
     propagator call per distinct segment.
@@ -158,7 +247,7 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
     maps = {}
     for s in segments:
         if id(s) not in maps:
-            maps[id(s)] = propagator(segment_hamiltonian(s), s.duration)
+            maps[id(s)] = propagator(segment_hamiltonian(s), s.duration, segment_blocks(s))
     return [maps[id(s)] for s in segments]
 
 

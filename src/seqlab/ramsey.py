@@ -187,8 +187,8 @@ def rabi_scan(
     Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
     be finite and non-negative; a time of 0 means no mu2 segment, so its
     row is the prepared state.  The other times stack one mu2 segment,
-    whose one Hamiltonian takes one eigendecomposition for every time, and
-    one walk gives both the prepared and the driven states.
+    whose one Hamiltonian serves every time in the closed form of its
+    blocks, and one walk gives both the prepared and the driven states.
     """
     times = np.asarray(times, dtype=float)
     driven = times > 0

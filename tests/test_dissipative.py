@@ -182,6 +182,15 @@ def test_expm_of_a_subnormal_generator_is_one_plus_it():
     assert np.abs(r - (np.eye(2) + a)).max() <= 2.0**-52
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_expm_of_zero_is_exactly_the_identity(n):
+    # with b_0 = 2 the Pade step solves 2I x = 2I; with the unscaled
+    # coefficients the diagonal came out as 0.9999999999999999
+    assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    stack = expm(np.zeros((2, 3, n, n), dtype=complex))
+    assert np.array_equal(stack, np.broadcast_to(np.eye(n), (2, 3, n, n)))
+
+
 def _rk4_oracle(rho, sequence, params):
     """Fixed-step RK4 at 0.05 ns on the matrix form of the master equation,
     drho/dt = -i (K rho - rho K^+) + sum_C C rho C^+ with K = H - i/2 sum_C C^+ C.

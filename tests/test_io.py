@@ -2,7 +2,9 @@
 
 import csv
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab.cli import RAMSEY_CSV_HEADER, _read_scan_csv, main
-from seqlab.io import csv_text, format_value, json_table_text
+from seqlab.io import csv_text, format_value, json_table_text, write_text
 
 ROOT = Path(__file__).resolve().parent.parent
 CANONICAL = ROOT / "sequences" / "ramsey_readout.seq"
@@ -188,3 +190,21 @@ def test_cli_tables_are_in_the_reference_format(tmp_path, name, fmt):
     text = out.read_text(encoding="utf-8")
     assert text.count("\n") > 1
     assert _reemit(fmt, text) == text
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_files_get_the_mode_that_open_gives(tmp_path, mask):
+    # the temp file of an atomic write is 0o600; the written file once kept it
+    old = os.umask(mask)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        write_text(tmp_path / "atomic", "x\n")
+        assert main(["rabi-scan", "--out", str(tmp_path / "rabi.csv")]) == 0
+        assert os.umask(mask) == mask  # the write left the umask as it was
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert want == 0o666 & ~mask
+    for name in ("atomic", "rabi.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want, name

@@ -13,6 +13,7 @@ from seqlab.pairwise import (
     _lift_tensor,
     lift_single_particle,
     mixture_fringe_scan,
+    pair_blocks,
     pair_hamiltonian,
 )
 from seqlab.photostats import fit_sinusoid
@@ -21,6 +22,7 @@ from seqlab.qcore import (
     DriveSegment,
     Wait,
     hermitian_propagator,
+    segment_blocks,
     segment_hamiltonian,
 )
 from seqlab.ramsey import (
@@ -58,11 +60,12 @@ def _tensor_lift(h3: np.ndarray) -> np.ndarray:
 
 
 def _pair_sequence_propagator(segs, interactions) -> np.ndarray:
-    """Per-segment product of the pair propagators (last segment last)."""
+    """Per-segment product of the blockwise pair propagators (last segment
+    last)."""
     U = np.eye(6, dtype=complex)
     for s in segs:
         H = pair_hamiltonian(segment_hamiltonian(s), interactions)
-        U = hermitian_propagator(H, s.duration) @ U
+        U = hermitian_propagator(H, s.duration, pair_blocks(segment_blocks(s))) @ U
     return U
 
 

@@ -3,8 +3,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from seqlab.qcore import (
@@ -15,13 +16,14 @@ from seqlab.qcore import (
     Wait,
     hermitian_propagator,
     propagate,
+    segment_blocks,
     segment_hamiltonian,
     segment_maps,
     total_duration,
 )
 from seqlab import dissipative
 from seqlab.config import DissipationSection, InteractionSection
-from seqlab.pairwise import pair_hamiltonian
+from seqlab.pairwise import pair_blocks, pair_hamiltonian
 from seqlab.units import mhz
 from references import sequence_unitary
 
@@ -195,7 +197,8 @@ def test_stacked_duration_propagates_as_per_time_calls():
     (U,) = segment_maps((seg,), hermitian_propagator)
     assert U.shape == (4, 3, 3)
     for t, u in zip(times, U):
-        assert np.array_equal(u, hermitian_propagator(segment_hamiltonian(seg), t))
+        step = hermitian_propagator(segment_hamiltonian(seg), t, segment_blocks(seg))
+        assert np.array_equal(u, step)
     with pytest.raises(ValueError):  # does not broadcast against the detunings
         DriveSegment("mu2", rabi=mhz(3.0), duration=times, detuning=np.zeros(3))
     times[0] = -1.0  # the segment holds its own read-only copy
@@ -207,19 +210,73 @@ def test_hermitian_propagator_stacks_with_broadcast_durations():
     m = rng.normal(size=(4, 5, 6, 6)) + 1j * rng.normal(size=(4, 5, 6, 6))
     H = 0.5 * (m + m.conj().swapaxes(-1, -2)) * mhz(3.0)
     t = rng.uniform(1e-9, 200e-9, size=5)  # one duration per column of the stack
-    U = hermitian_propagator(H, t)
+    whole = (tuple(range(6)),)  # one block: a dense H
+    U = hermitian_propagator(H, t, whole)
     assert U.shape == (4, 5, 6, 6)
     for i in range(4):
         for j in range(5):
-            assert np.abs(U[i, j] - hermitian_propagator(H[i, j], t[j])).max() <= 1e-13
+            assert np.abs(U[i, j] - hermitian_propagator(H[i, j], t[j], whole)).max() <= 1e-13
     # one Hamiltonian against a grid of durations
-    U = hermitian_propagator(H[0, 0], t)
+    U = hermitian_propagator(H[0, 0], t, whole)
     for j in range(5):
-        assert np.abs(U[j] - hermitian_propagator(H[0, 0], t[j])).max() <= 1e-13
+        assert np.abs(U[j] - hermitian_propagator(H[0, 0], t[j], whole)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
 # property tests
+
+
+@st.composite
+def _blockwise_cases(draw):
+    """(segment, v_int): a wait, or a drive on a random field whose values
+    are each a number or an array over a random stack shape; rabi holds
+    zeros, alone or among non-zero values."""
+    v_int = draw(st.floats(-mhz(10.0), mhz(10.0)))
+    shape = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+
+    def value(elements):
+        return draw(st.one_of(elements, arrays(float, shape, elements=elements)))
+
+    durations = st.floats(1e-9, 4e-7)
+    if draw(st.integers(0, 4)) == 0:
+        return Wait(draw(durations)), v_int
+    segment = DriveSegment(
+        draw(st.sampled_from(FIELDS)),
+        rabi=value(st.just(0.0) | st.floats(0.0, mhz(20.0))),
+        duration=value(durations),
+        detuning=value(st.floats(-mhz(20.0), mhz(20.0))),
+        phase=value(st.floats(-math.pi, math.pi)),
+    )
+    return segment, v_int
+
+
+@given(_blockwise_cases())
+def test_blockwise_maps_are_the_exponential_in_both_closed_spaces(case):
+    # exp(-i H t) block by block (phases, the 2x2 closed form, eigh from
+    # 3x3 up) against scipy's expm of the whole H, at |H| t <= 1e2
+    seg, v_int = case
+    interaction = InteractionSection(v_int, 0.0)
+    spaces = {
+        "qutrit": (hermitian_propagator, lambda h: h),
+        "pair": (
+            lambda h, t, b: hermitian_propagator(
+                pair_hamiltonian(h, interaction), t, pair_blocks(b)
+            ),
+            lambda h: pair_hamiltonian(h, interaction),
+        ),
+    }
+    for space, (propagator, generator) in spaces.items():
+        (U,) = segment_maps((seg,), propagator)
+        H = generator(segment_hamiltonian(seg))
+        t = np.asarray(seg.duration)
+        shape = np.broadcast_shapes(H.shape[:-2], t.shape)
+        H = np.broadcast_to(H, shape + H.shape[-2:]).reshape((-1,) + H.shape[-2:])
+        t = np.broadcast_to(t, shape).ravel()
+        assume(max(np.linalg.norm(h, 2) * d for h, d in zip(H, t)) <= 1e2)
+        assert U.shape == shape + H.shape[-2:], space
+        for u, h, d in zip(U.reshape(H.shape), H, t):
+            assert np.abs(u - expm(-1j * h * d)).max() <= 1e-13, space
+            assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-13, space
 
 _segments = st.one_of(
     st.builds(
@@ -284,7 +341,7 @@ def _liouville_propagator(dissipation):
     propagates a segment."""
     ops = dissipative.collapse_operators(dissipation)
 
-    def propagator(h3, t):
+    def propagator(h3, t, _blocks):
         H = np.zeros(h3.shape[:-2] + (4, 4), dtype=complex)
         H[..., :3, :3] = h3
         return dissipative.expm(dissipative.liouvillian(H, ops) * np.asarray(t)[..., None, None])
@@ -303,7 +360,9 @@ def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
     interaction = InteractionSection(v_int, 0.0)
     spaces = {
         "qutrit": hermitian_propagator,
-        "pair": lambda h, t: hermitian_propagator(pair_hamiltonian(h, interaction), t),
+        "pair": lambda h, t, b: hermitian_propagator(
+            pair_hamiltonian(h, interaction), t, pair_blocks(b)
+        ),
         "liouville": _liouville_propagator(DissipationSection(*rates)),
     }
     for space, propagator in spaces.items():
@@ -313,7 +372,7 @@ def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
         product = None
         for k, (seg, state) in enumerate(zip(segs, states)):
             # each occurrence of a segment propagated on its own
-            step = propagator(segment_hamiltonian(seg), seg.duration)
+            step = propagator(segment_hamiltonian(seg), seg.duration, segment_blocks(seg))
             product = step if product is None else step @ product
             if space == "qutrit":
                 assert np.array_equal(product, sequence_unitary(segs[: k + 1])), k

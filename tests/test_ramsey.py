@@ -285,7 +285,8 @@ def _reference_scans(cfg, interactions, times, detuning2):
         amps = np.eye(len(PAIR_CONFIGS), dtype=complex)[0]  # the stored pair (11)
         for s in seq:
             H = pair_hamiltonian(segment_hamiltonian(s), interactions)
-            amps = hermitian_propagator(H, s.duration) @ amps
+            # the whole 6x6 as one block: one eigendecomposition per segment
+            amps = hermitian_propagator(H, s.duration, (tuple(range(6)),)) @ amps
         double.append(cfg.i0 * (np.abs(amps) ** 2 @ _R1_OCC))
     single, double = np.array(single), np.array(double)
     p2 = interactions.p2

@@ -456,7 +456,7 @@ def _traffic(tmp: Path) -> None:
     run("ramsey-scan", "--backend", "lindblad",
         config=scan + "interaction.p2 = 0.5\ndissipation.gamma_decay_1 = 5MHz\n", code=2)
     run("ramsey-scan", "--backend", "lindblad",
-        config=scan + "dissipation.gamma_deph_2 = 1e300MHz\n", code=3, err="trace drifted")
+        config=scan + "dissipation.gamma_decay_2 = 1e9MHz\n", code=3, err="trace drifted")
     run("readout", code=2)
     run("fit", code=2)
     run("fit", "--in", str(seq), code=2, err="expected header")
@@ -510,6 +510,32 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
     assert callers == {"qcore.py:propagate", "photostats.py:readout_from_sequence"}
+
+
+def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
+    # the blockwise propagator's gain, counted rather than timed: over one
+    # stacked Ramsey block the qutrit walk makes no eigendecomposition, as
+    # its blocks take closed forms, and the pair walk makes one per distinct
+    # drive segment and block, on the 3x3 blocks
+    from seqlab import pairwise, ramsey
+    from seqlab.config import DissipationSection, InteractionSection, ScanSection
+
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    points = ramsey.BLOCK_POINTS + 1  # blocks of 256 points and of 1
+    scan = ScanSection(points=points, backend="unitary", gap=15e-9)
+    ramsey.fringe_scan(scan, DissipationSection())
+    assert shapes == []
+    pairwise.mixture_fringe_scan(scan, DissipationSection(), InteractionSection(1e6, 0.3))
+    # per block: the mu1 pulses, stacked over its detunings, and the one mu2
+    # pulse; the gap waits are phases
+    assert shapes == [(256, 1, 3, 3), (1, 3, 3), (1, 1, 3, 3), (1, 3, 3)]
 
 
 def test_every_emit_goes_through_main(tmp_path, monkeypatch):
