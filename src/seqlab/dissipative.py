@@ -17,20 +17,24 @@ backends propagate, embedded in the 4x4 space (the loss level is dark).
 Each segment is propagated exactly: rho is flattened row-major into a
 16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
 constant 16x16 Liouvillian Lv of :func:`liouvillian`, and the segment
-map is exp(Lv t), evaluated by :func:`expm` on the whole Liouvillian.
-Lv is not Hermitian, so this is the propagator of the open system, as
-:func:`seqlab.qcore.hermitian_propagator` is of the closed one.  numpy
+map is exp(Lv t), built by :func:`liouville_propagator`.  With a rate
+set, Lv is not Hermitian and the map is :func:`expm` of the whole
+Liouvillian.  With none, Lv = -i (H kron I - I kron H^T) and the map is
+exactly U kron conj(U), with U = exp(-i H t) from
+:func:`seqlab.qcore.hermitian_propagator` in the segment's blocks, the
+closed forms of the closed spaces: no Pade step and no squarings.  numpy
 only: scipy would double the memory and start-up of every CLI call.
 
 Every sequence starts from the stored excitation, rho = |R1><R1|
 (:func:`stored_excitation`), and everything works on stacks:
 :func:`evolve_master` takes one sequence, a tuple of segments that may
 stand for stacks of pulses (a detuning scan), walks it with
-:func:`seqlab.qcore.propagate` (one Liouvillian stack and one
-:func:`expm` call, with a scaling exponent per matrix, for each distinct
-segment), and checks the states of the whole stack after each segment
-with one :func:`_validate_density` call.  The rates come from the run
-config's ``dissipation`` section, which :func:`evolve_master` takes as is.
+:func:`seqlab.qcore.propagate` (one map stack for each distinct segment:
+one :func:`expm` call, with a scaling exponent per matrix, or one
+U kron conj(U)), and checks the states of the whole stack after each
+segment with one :func:`_validate_density` call.  The rates come from
+the run config's ``dissipation`` section, which :func:`evolve_master`
+takes as is.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 import numpy as np
 
 from .config import DissipationSection
-from .qcore import Segment, propagate
+from .qcore import Segment, hermitian_propagator, propagate
 
 LOSS_INDEX = 3
 
@@ -165,6 +169,33 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
+def liouville_propagator(collapse_ops: list[np.ndarray]):
+    """The Liouville-space propagator(H, t, blocks) that
+    :func:`seqlab.qcore.segment_maps` takes, under the collapse operators
+    collapse_ops: the (..., 16, 16) map of row-major vec(rho) over a drive
+    or wait segment, whose (..., 3, 3) H is embedded with a dark loss level.
+
+    With collapse operators, the map is :func:`expm` of the whole
+    Liouvillian.  Without them, Lv = -i (H kron I - I kron H^T) and the
+    map is exactly U kron conj(U), as rho -> U rho U^+, with U the
+    :func:`seqlab.qcore.hermitian_propagator` of H in the segment's blocks
+    and the loss level as a block of its own: closed forms, no squarings.
+    """
+    n = LOSS_INDEX + 1
+
+    def propagator(h3: np.ndarray, t, blocks) -> np.ndarray:
+        H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark
+        H[..., :3, :3] = h3
+        if collapse_ops:
+            # the Liouvillian is exponentiated whole: on the short stacks of
+            # a scan, a call per block costs more than it saves
+            return expm(liouvillian(H, collapse_ops) * np.asarray(t)[..., None, None])
+        U = hermitian_propagator(H, t, blocks + ((LOSS_INDEX,),))
+        return _kron(U, U.conj())
+
+    return propagator
+
+
 def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
     """The density matrix after a sequence of drive/wait segments under the
     master equation, starting from the stored excitation; |R1><R1| for an
@@ -172,27 +203,20 @@ def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection
 
     The segments may stand for stacks of pulses; the result is then the
     (..., 4, 4) stack over their broadcast shape.  The states come from
-    :func:`seqlab.qcore.propagate`, one :func:`expm` call per distinct
-    segment, and the whole stack is propagated together.
+    :func:`seqlab.qcore.propagate` with the :func:`liouville_propagator` of
+    the rates' collapse operators: one map per distinct segment, an
+    :func:`expm` call if a rate is set and U kron conj(U) if none is, and
+    the whole stack is propagated together.
 
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    n = LOSS_INDEX + 1
-    ops = collapse_operators(dissipation)
-
-    def propagator(h3: np.ndarray, t, _blocks) -> np.ndarray:
-        # the Liouvillian is exponentiated whole: on the short stacks of a
-        # scan, a call per block costs more than it saves
-        H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark
-        H[..., :3, :3] = h3
-        return expm(liouvillian(H, ops) * np.asarray(t)[..., None, None])
-
+    propagator = liouville_propagator(collapse_operators(dissipation))
     rho = stored_excitation()
     t = 0.0
     for seg, vec in zip(sequence, propagate(sequence, propagator)):
-        rho = vec.reshape(vec.shape[:-1] + (n, n))
+        rho = vec.reshape(vec.shape[:-1] + rho.shape[-2:])
         t += seg.duration
         try:
             _validate_density(rho)

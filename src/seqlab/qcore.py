@@ -43,7 +43,9 @@ the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
 m the mean of its diagonal and +-r the eigenvalues of h - m I, and only
 blocks of 3 or more levels (in the pair space) take a batched
 eigendecomposition, one per group of same-size blocks.  The Liouville
-space's propagator takes the blocks too, and exponentiates the whole map.
+space's propagator takes the blocks too: without a rate its map is
+U kron conj(U) of this U in the same blocks, and with one it
+exponentiates the whole Liouvillian.
 """
 
 from __future__ import annotations

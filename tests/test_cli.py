@@ -153,7 +153,10 @@ def test_out_of_range_scan_values_exit_2_under_every_command(tmp_path, capsys, s
     [
         ("analytic", "scan.span = 1e300MHz"),  # once exit 0 with nan rows
         ("unitary", "scan.i0 = 1.7e308\ninteraction.p2 = 0.9"),  # once exit 0 with inf rows
-        ("lindblad", "scan.span = 1e300MHz"),
+        # with a rate, expm of the Liouvillian overflows; without one, see
+        # test_zero_rate_lindblad_at_an_extreme_span_is_the_unitary_table
+        pytest.param("lindblad", "scan.span = 1e300MHz\ndissipation.gamma_deph_2 = 0.1MHz",
+                     id="lindblad-scan.span = 1e300MHz with dissipation.gamma_deph_2 = 0.1MHz"),
     ],
 )
 def test_overflow_exits_3_without_warnings(tmp_path, backend, setting):
@@ -172,6 +175,24 @@ def test_overflow_exits_3_without_warnings(tmp_path, backend, setting):
     assert not out.exists()
     assert proc.stderr.startswith("numeric failure: overflow encountered in ")
     assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
+
+def test_zero_rate_lindblad_at_an_extreme_span_is_the_unitary_table(tmp_path):
+    # once exit 3, "overflow encountered in matmul", from expm's squarings;
+    # without a rate the map is U kron conj(U) of the unitary backend's U,
+    # and every row away from resonance reads I0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scan.points = 11\nscan.t_mu1 = 100ns\nscan.span = 1e300MHz\n",
+                   encoding="utf-8")
+    tables = {}
+    for backend in ("unitary", "lindblad"):
+        out = tmp_path / f"{backend}.csv"
+        assert main(["ramsey-scan", "--backend", backend, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        tables[backend] = _read(out)
+    assert tables["lindblad"] == tables["unitary"]
+    rows = [line.split(",") for line in tables["lindblad"].splitlines()[1:]]
+    assert [i for d, i in rows if float(d) != 0.0] == ["1.0"] * 10
 
 
 @pytest.mark.parametrize("backend", ["analytic", "unitary", "lindblad"])
@@ -234,6 +255,22 @@ def test_extreme_rates_reach_their_limits(tmp_path, capsys, setting, limit):
     assert main(["ramsey-scan", "--backend", "lindblad", "--config", str(cfg)]) == 0
     table = _table(capsys.readouterr().out)
     assert np.abs(table[:, 1] - limit).max() <= 1e-30
+
+
+@pytest.mark.parametrize("p2", [0.0, 0.5])
+def test_zero_rate_lindblad_at_a_3s_pulse_stays_within_its_bound(tmp_path, capsys, p2):
+    # once 1.0000000079162419 > I0 (1.50000000395812 > 1.5 I0 at p2 = 0.5),
+    # exit 0, from the round-off of expm's squarings at |Lv| t ~ 1e8
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scan.t_mu1 = 3s\nscan.points = 5\ninteraction.p2 = {p2}\n",
+                   encoding="utf-8")
+    tables = {}
+    for backend in ("unitary", "lindblad"):
+        assert main(["ramsey-scan", "--backend", backend, "--config", str(cfg)]) == 0
+        tables[backend] = _table(capsys.readouterr().out)
+    intensity = tables["lindblad"][:, 1]
+    assert intensity.min() >= 0.0 and intensity.max() <= 1.0 + p2  # (1 - p2) + 2 p2, I0 = 1
+    assert np.abs(intensity - tables["unitary"][:, 1]).max() <= 1e-12
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
@@ -689,8 +726,9 @@ _RATES = (
 
 # sha256 of the emitted bytes, captured with numpy 2.4.6 once the closed
 # spaces propagated block by block and expm's Pade coefficients were scaled
-# to b_0 = 2; a refactor that moves a last bit anywhere in these outputs
-# fails here.  ROADMAP item 1 (one rotating frame)
+# to b_0 = 2; the zero-rate Lindblad ones (no _RATES) re-taken once their
+# maps became U kron conj(U).  A refactor that moves a last bit anywhere in
+# these outputs fails here.  ROADMAP item 1 (one rotating frame)
 # changes on purpose: the unitary and Lindblad scans (CSV and JSON); Lindblad
 # with _RATES; _MIXTURE on all three backends, the analytic one too, as its
 # double branch is propagated; both scan.gap cases.  Outside this list it
@@ -706,15 +744,15 @@ OUTPUT_SHA256 = [
     (["ramsey-scan", "--backend", "unitary", "--format", "json"], "",
      "221b866bf6241df13a7a66f010798d5bf49974078f48e296b72e6e7d028ab5ed"),
     (["ramsey-scan", "--backend", "lindblad", "--format", "csv"], "",
-     "e488bc29f5bdbb607c43e7dbb90c990e8e5a0866bd9dc6a1d42a0b8a7eade834"),
+     "d617a643b8d7f81d4df570e4462a745932f971ba1f6953c44b167f2521fe6d5a"),
     (["ramsey-scan", "--backend", "lindblad", "--format", "json"], "",
-     "670570e68a1d4bfa60078109d6a1c0ae472949b33333e8477b8db53b9419328b"),
+     "2a6f46b6ffd870da002549f45a820800bf372ba7a9240249dbd99c05d50afaa0"),
     (["ramsey-scan", "--backend", "analytic"], _MIXTURE,
      "a0dad3f352672fe41a67f2cc63efc64ccfe888aa350db960074bdd7b971a2434"),
     (["ramsey-scan", "--backend", "unitary"], _MIXTURE,
      "719f11b814e18e19991e923821351a84529153b0cd2fa912a2e2b0cac51654d7"),
     (["ramsey-scan", "--backend", "lindblad"], _MIXTURE,
-     "da879b8e2820e7c4f96081d617c613ec48cba198dc210cdfab8d1f9c83bf1cb2"),
+     "6fd144d1c7482fa99ff472eaa320b2106111e2a845c310782315b30192d59ffd"),
     (["ramsey-scan", "--backend", "lindblad"], _RATES,
      "d262e9eb97ed3455a0db79d4382d8611d55bcadc9be519593f3af0608d61b8ef"),
     (["rabi-scan"], "",

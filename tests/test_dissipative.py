@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from seqlab.config import DissipationSection
@@ -16,6 +16,7 @@ from seqlab.dissipative import (
     collapse_operators,
     evolve_master,
     expm,
+    liouville_propagator,
     liouvillian,
     _validate_density,
 )
@@ -24,10 +25,11 @@ from seqlab.qcore import (
     DriveSegment,
     Wait,
     segment_hamiltonian,
+    segment_maps,
 )
 from seqlab.units import mhz
 from references import sequence_unitary
-from test_qcore import closed_form_unitary
+from test_qcore import _blockwise_cases, closed_form_unitary
 
 
 def _random_sequence(rng, max_segments=6):
@@ -189,6 +191,30 @@ def test_expm_of_zero_is_exactly_the_identity(n):
     assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
     stack = expm(np.zeros((2, 3, n, n), dtype=complex))
     assert np.array_equal(stack, np.broadcast_to(np.eye(n), (2, 3, n, n)))
+
+
+@given(_blockwise_cases())
+def test_zero_rate_liouville_maps_are_the_exponential(case):
+    # U kron conj(U) in the segment's blocks against expm of the whole
+    # zero-rate Liouvillian, this module's and scipy's, at |Lv| t <= 1e2
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    seg, _ = case
+    (M,) = segment_maps((seg,), liouville_propagator([]))
+    h3 = segment_hamiltonian(seg)
+    H = np.zeros(h3.shape[:-2] + (4, 4), dtype=complex)
+    H[..., :3, :3] = h3
+    L = liouvillian(H, [])
+    t = np.asarray(seg.duration)
+    shape = np.broadcast_shapes(L.shape[:-2], t.shape)
+    L = np.broadcast_to(L, shape + (16, 16)).reshape(-1, 16, 16)
+    t = np.broadcast_to(t, shape).ravel()
+    assume(max(np.linalg.norm(l, 2) * d for l, d in zip(L, t)) <= 1e2)
+    assert M.shape == shape + (16, 16)
+    trace = np.eye(4).ravel()  # tr(rho) = vec(I) . vec(rho)
+    for m, l, d in zip(M.reshape(L.shape), L, t):
+        assert np.abs(m - expm(l * d)).max() <= 1e-13
+        assert np.abs(m - scipy_linalg.expm(l * d)).max() <= 1e-13
+        assert np.abs(trace @ m - trace).max() <= 1e-13
 
 
 def _rk4_oracle(rho, sequence, params):
@@ -367,13 +393,15 @@ PREP_06_08 = DriveSegment(
 def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
     stacked = (PREP_06_08,) + stacked
-    final = evolve_master(stacked, RATES)
-    assert final.shape == (points, 4, 4)
+    # with rates (expm) and without them (U kron conj(U))
+    for rates in (RATES, DissipationSection()):
+        final = evolve_master(stacked, rates)
+        assert final.shape == (points, 4, 4)
+        for i, seq in enumerate(per_point):
+            assert np.array_equal(final[i], evolve_master((PREP_06_08,) + seq, rates))
     U = sequence_unitary(stacked)
     for i, seq in enumerate(per_point):
-        seq = (PREP_06_08,) + seq
-        assert np.array_equal(final[i], evolve_master(seq, RATES))
-        assert np.array_equal(U[i], sequence_unitary(seq))
+        assert np.array_equal(U[i], sequence_unitary((PREP_06_08,) + seq))
 
 
 def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):

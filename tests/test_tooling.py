@@ -538,6 +538,33 @@ def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
     assert shapes == [(256, 1, 3, 3), (1, 3, 3), (1, 1, 3, 3), (1, 3, 3)]
 
 
+def test_zero_rate_master_walks_take_no_matrix_exponential(tmp_path, monkeypatch):
+    # the exact map U kron conj(U), counted rather than timed: a Lindblad
+    # ramsey-scan without rates makes no dissipative.expm call, and one with
+    # a rate makes one per distinct segment of each block
+    from seqlab import cli, dissipative, ramsey
+
+    expm = dissipative.expm
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dissipative, "expm", counting)
+    cfg = tmp_path / "run.cfg"
+    scan = f"scan.points = {ramsey.BLOCK_POINTS + 1}\nscan.gap = 15ns\n"  # blocks of 256 and 1
+    argv = ["ramsey-scan", "--backend", "lindblad", "--config", str(cfg)]
+    cfg.write_text(scan, encoding="utf-8")
+    assert cli.main(argv) == 0
+    assert shapes == []
+    cfg.write_text(scan + "dissipation.gamma_deph_2 = 0.1MHz\n", encoding="utf-8")
+    assert cli.main(argv) == 0
+    # per block: the mu1 pulses, stacked over its detunings, the gap wait
+    # and the mu2 pulse
+    assert shapes == [(256, 16, 16), (16, 16), (16, 16), (1, 16, 16), (16, 16), (16, 16)]
+
+
 def test_every_emit_goes_through_main(tmp_path, monkeypatch):
     # one output path: a command handler returns its result, and only
     # cli.main formats and writes it and maps failures to exit codes
