@@ -172,14 +172,16 @@ def expm(a: np.ndarray) -> np.ndarray:
 def liouville_propagator(collapse_ops: list[np.ndarray]):
     """The Liouville-space propagator(H, t, blocks) that
     :func:`seqlab.qcore.segment_maps` takes, under the collapse operators
-    collapse_ops: the (..., 16, 16) map of row-major vec(rho) over a drive
-    or wait segment, whose (..., 3, 3) H is embedded with a dark loss level.
+    collapse_ops: the (..., 16, 16) map of row-major vec(rho) over a
+    segment, whose (..., 3, 3) H is embedded with a dark loss level.
 
     With collapse operators, the map is :func:`expm` of the whole
-    Liouvillian.  Without them, Lv = -i (H kron I - I kron H^T) and the
-    map is exactly U kron conj(U), as rho -> U rho U^+, with U the
+    Liouvillian, of a drive or wait segment: no readout reaches it.
+    Without them, Lv = -i (H kron I - I kron H^T) and the map is exactly
+    U kron conj(U), as rho -> U rho U^+, with U the
     :func:`seqlab.qcore.hermitian_propagator` of H in the segment's blocks
-    and the loss level as a block of its own: closed forms, no squarings.
+    and the loss level as a block of its own: closed forms, no squarings;
+    a readout's map is the 0/1 projector that zeroes R1's row and column.
     """
     n = LOSS_INDEX + 1
 

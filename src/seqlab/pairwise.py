@@ -98,7 +98,8 @@ def pair_blocks(blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], .
     the blocks of levels of its qutrit one (:func:`seqlab.qcore.segment_blocks`).
     The lift moves one excitation within its block, so two configurations
     are in one block when their levels fall in the same blocks; the
-    interaction shifts are diagonal and couple nothing."""
+    interaction shifts are diagonal and couple nothing.  The blocks are a
+    drive's or a wait's: the pair space never sees a readout."""
     block_of = {level: b for b, block in enumerate(blocks) for level in block}
     found = {}
     for i, config in enumerate(PAIR_CONFIGS):

@@ -3,10 +3,10 @@
 Read-out maps the qutrit onto three photon time bins: bin 1 retrieves
 whatever sits in R1, a mu1 pi pulse then moves R2 down for bin 2, and a
 mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
-retrieval empties R1.  The retrieval efficiencies eta_1..eta_3 of the
-config's readout section scale the three bins independently.  A read-out
-sequence starts from the stored excitation in R1, like every sequence;
-the segments before bin 1 prepare the state that the bins read.
+retrieval empties R1: a readout is a segment whose map does so, and a
+read-out sequence is one :func:`seqlab.qcore.propagate` walk from the
+stored excitation, like every sequence.  The retrieval efficiencies
+eta_1..eta_3 of the config's readout section scale the three bins.
 
 Dephasing accumulated between bins suppresses the retrievable collective
 mode, so it shows up as signal loss rather than as a population change:
@@ -34,51 +34,37 @@ import math
 import numpy as np
 
 from .config import ReadoutSection
-from .dissipative import NumericError, stored_excitation
-from .qcore import Readout, Segment, hermitian_propagator, segment_maps
+from .dissipative import NumericError, liouville_propagator
+from .qcore import Readout, Segment, propagate, total_duration
 
 
 def readout_from_sequence(
     sequence: tuple[Segment, ...], readout: ReadoutSection
 ) -> tuple[float, float, float]:
     """(p1, p2, p3): the retrieval probabilities of the three time bins
-    of a sequence containing Readout segments, walked from the stored
-    excitation.
+    of a sequence containing Readout segments.
 
-    Drive/wait segments propagate the state; each Readout(b) records the
-    current R1 population times the section's eta_<b> (times the
-    inter-bin dephasing factor) and then zeroes R1, modelling the departed
-    photon.  The dephasing clock starts at the first readout, so bin 1 is
-    never attenuated.  The config bounds each eta to [0, 1] and deph, the
-    dephasing rate in 1/s, to a finite non-negative value.  The state is
-    walked as its density matrix, from
-    :func:`seqlab.dissipative.stored_excitation`; the drive/wait
-    propagators come from :func:`seqlab.qcore.segment_maps`.  The walk is its
-    own, not :func:`seqlab.qcore.propagate`: each readout empties R1.
+    The sequence is one :func:`seqlab.qcore.propagate` walk of rho from
+    the stored excitation, with the rate-free
+    :func:`seqlab.dissipative.liouville_propagator`, in which a Readout's
+    map empties R1, modelling the departed photon.  Readout(b) records
+    the R1 population rho_00 (vec index 0) of the state just before it,
+    times the section's eta_<b> and the inter-bin dephasing factor,
+    exp(-deph * the time since the first readout): bin 1 is never
+    attenuated.  The config bounds each eta to [0, 1] and deph, in 1/s,
+    to a finite non-negative value; the dissipation rates take no part.
     """
-    rho = stored_excitation()
-    drives = [s for s in sequence if not isinstance(s, Readout)]
-    steps = iter(segment_maps(drives, hermitian_propagator))
-    U = np.eye(4, dtype=complex)  # the loss level is untouched
-
+    rho00 = [1.0]  # before each segment, from the stored excitation
+    rho00 += [float(state[0].real) for state in propagate(sequence, liouville_propagator([]))]
+    reads = [i for i, seg in enumerate(sequence) if isinstance(seg, Readout)]
     bins = [0.0, 0.0, 0.0]
-    clock_running = False
-    elapsed = 0.0
-    for seg in sequence:
-        if isinstance(seg, Readout):
-            factor = getattr(readout, f"eta_{seg.bin}")
-            if clock_running and readout.deph > 0:
-                factor *= math.exp(-readout.deph * elapsed)
-            # rho is positive semidefinite: a negative rho_00 is rounding
-            bins[seg.bin - 1] = max(float(rho[0, 0].real), 0.0) * factor
-            rho[0, :] = 0.0
-            rho[:, 0] = 0.0
-            clock_running = True
-        else:
-            U[:3, :3] = next(steps)
-            rho = U @ rho @ U.conj().T
-            if clock_running:
-                elapsed += seg.duration
+    for i in reads:
+        b = sequence[i].bin
+        factor = getattr(readout, f"eta_{b}")
+        if readout.deph > 0:
+            factor *= math.exp(-readout.deph * total_duration(sequence[reads[0] : i]))
+        # rho is positive semidefinite: a negative rho_00 is rounding
+        bins[b - 1] = max(rho00[i], 0.0) * factor
     if not all(math.isfinite(p) and p >= 0 for p in bins):
         raise NumericError("bin probabilities must be finite and non-negative")
     if sum(bins) > 1.0 + 1e-9:

@@ -34,9 +34,13 @@ Liouville space (16).  A sequence is a plain tuple of segments.
 
 Blocks: each field couples one pair of levels, so a segment's generator is
 block-diagonal, a two-level block plus the spectator level, and a wait
-couples nothing.  The blocks come from the segment's field, never from its
-values, so a stack whose rabi is 0 at some points is propagated in the
-same blocks, and to the same bits, as one whose rabi is not.
+couples nothing.  A readout takes no time, its generator is zero and its
+blocks leave R1 out, so its map empties R1: diag(0, 1, 1), or in the
+rate-free Liouville space the 0/1 projector that zeroes row 0 and column
+0 of rho; the pair space and rated Liouville maps never see one.  The
+blocks come from the segment's field, never from its values, so a stack
+whose rabi is 0 at some points is propagated in the same blocks, and to
+the same bits, as one whose rabi is not.
 :func:`hermitian_propagator` exponentiates block by block, with the kernel
 of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
 the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -105,17 +109,19 @@ class Wait:
 
 @dataclass(frozen=True)
 class Readout:
-    """Retrieval of the R1 population into time bin `bin` (1..3)."""
+    """Retrieval of the R1 population into time bin `bin` (1..3); it
+    takes no time and its map empties R1."""
 
     bin: int
+    duration: ClassVar[float] = 0.0
 
 
 Segment = Union[DriveSegment, Wait, Readout]
 
 
 def total_duration(segments) -> float:
-    """The drive and wait durations summed, in s; a readout takes no time."""
-    return sum((s.duration for s in segments if not isinstance(s, Readout)), 0.0)
+    """The segment durations summed, in s; a readout takes no time."""
+    return sum((s.duration for s in segments), 0.0)
 
 
 def _drive_block(field: str, rabi, detuning, phase) -> np.ndarray:
@@ -136,20 +142,22 @@ def _drive_block(field: str, rabi, detuning, phase) -> np.ndarray:
 
 
 def segment_hamiltonian(segment: Segment) -> np.ndarray:
-    """Hamiltonian (rad/s) of a drive or wait segment, shape (..., 3, 3)
-    over the segment's stack: a drive's is its field's (values checked when
-    the segment was built), a wait's is zeros (see the frame convention
-    above).  A Readout is a measurement and has none: callers pass the
-    drive and wait segments only."""
-    if isinstance(segment, Wait):
+    """Hamiltonian (rad/s) of a segment, shape (..., 3, 3) over the
+    segment's stack: a drive's is its field's (values checked when the
+    segment was built), a wait's and a readout's are zeros (see the frame
+    convention above)."""
+    if not isinstance(segment, DriveSegment):
         return np.zeros((3, 3), dtype=complex)
     return _drive_block(segment.field, segment.rabi, segment.detuning, segment.phase)
 
 
 def segment_blocks(segment: Segment) -> tuple[tuple[int, ...], ...]:
-    """The blocks of levels that a drive or wait segment's generator
-    couples, a partition of (0, 1, 2): a field couples its two levels and
-    leaves the third alone, a wait couples nothing."""
+    """The blocks of levels that a segment's generator couples: a field
+    couples its two levels and leaves the third alone, a wait couples
+    nothing, and a readout leaves R1 out of every block, so R1 is zero in
+    its map."""
+    if isinstance(segment, Readout):
+        return ((1,), (2,))
     if isinstance(segment, Wait):
         return ((0,), (1,), (2,))
     lo = FIELDS.index(segment.field)
@@ -220,10 +228,11 @@ def hermitian_propagator(H: np.ndarray, duration, blocks) -> np.ndarray:
 
     duration (s) is a scalar or an array that broadcasts against the stack
     shape H.shape[:-2], a checked segment's; the result has shape (..., d, d)
-    over their broadcast shape.  blocks is a partition of range(d) into
-    tuples of levels, such as :func:`segment_blocks` gives; each group of
+    over their broadcast shape.  blocks are disjoint tuples of levels of
+    range(d), such as :func:`segment_blocks` gives; each group of
     same-size blocks is exponentiated by one kernel call (see the module
-    docstring), and every entry between two blocks is a literal zero.
+    docstring), and every entry between two blocks, or of a level in no
+    block, is a literal zero.
     """
     z = np.asarray(-1j * duration)[..., None, None, None]
     maps = [(index, kernel(H[index], z)) for kernel, index in _groups(blocks)]
@@ -235,8 +244,8 @@ def hermitian_propagator(H: np.ndarray, duration, blocks) -> np.ndarray:
 
 
 def segment_maps(segments, propagator) -> list[np.ndarray]:
-    """The map of every drive/wait segment, in order, each of shape
-    (..., d, d) over the segment's stack.
+    """The map of every segment, in order, each of shape (..., d, d)
+    over the segment's stack.
 
     propagator(H, t, blocks) takes one segment's (..., 3, 3) Hamiltonian,
     its duration, a number or an array that broadcasts against
@@ -254,9 +263,9 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
 
 
 def propagate(segments, propagator) -> list[np.ndarray]:
-    """The state after each drive/wait segment, from basis state 0 of the
-    space (R1, the stored pair (11) or vec|R1><R1|), shape (..., d) over the
-    stacks so far; [] for no segments.  The maps are :func:`segment_maps`'s,
+    """The state after each segment, from basis state 0 of the space (R1,
+    the stored pair (11) or vec|R1><R1|), shape (..., d) over the stacks
+    so far; [] for no segments.  The maps are :func:`segment_maps`'s,
     and the first state is column 0 of the first map, sliced out."""
     states = []
     for step in segment_maps(segments, propagator):

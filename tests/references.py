@@ -1,13 +1,15 @@
 """Reference computations that tests compare the library against: the
 sequence unitary, the closed-form visibility law and its centre-point
-extraction from a scan, and the canonical three-bin read-out chain; and
-the scan section that most tests build."""
+extraction from a scan, the read-out as a density-matrix walk by hand
+and the canonical three-bin read-out chain; and the scan section that
+most tests build."""
 
 import math
 
 import numpy as np
 
 from seqlab.config import ReadoutSection, ScanSection
+from seqlab.dissipative import stored_excitation
 from seqlab.photostats import readout_from_sequence
 from seqlab.qcore import (
     DriveSegment,
@@ -48,6 +50,37 @@ def extract_visibility(scan, intensities) -> float:
     K = 1.0 - 2.0 * r
     opposite = 0.25 * (1.0 + K) ** 2
     return abs(opposite - center) / (center + opposite)
+
+
+def readout_by_hand(sequence, readout: ReadoutSection) -> tuple[float, float, float]:
+    """(p1, p2, p3) of a sequence with Readout segments, as
+    readout_from_sequence defines them, by a walk of its own: the 4x4
+    density matrix from the stored excitation is conjugated by each
+    drive/wait segment's 3x3 map, lifted with the loss level untouched,
+    and each Readout(b) records rho_00 times eta_<b> (times the inter-bin
+    dephasing factor) and then zeroes row 0 and column 0."""
+    rho = stored_excitation()
+    drives = [s for s in sequence if not isinstance(s, Readout)]
+    steps = iter(segment_maps(drives, hermitian_propagator))
+    U = np.eye(4, dtype=complex)
+    bins = [0.0, 0.0, 0.0]
+    clock_running = False
+    elapsed = 0.0
+    for seg in sequence:
+        if isinstance(seg, Readout):
+            factor = getattr(readout, f"eta_{seg.bin}")
+            if clock_running and readout.deph > 0:
+                factor *= math.exp(-readout.deph * elapsed)
+            bins[seg.bin - 1] = max(float(rho[0, 0].real), 0.0) * factor
+            rho[0, :] = 0.0
+            rho[:, 0] = 0.0
+            clock_running = True
+        else:
+            U[:3, :3] = next(steps)
+            rho = U @ rho @ U.conj().T
+            if clock_running:
+                elapsed += seg.duration
+    return tuple(bins)
 
 
 def readout_populations(prep, deph: float = 0.0) -> tuple[float, float, float]:

@@ -32,6 +32,7 @@ from seqlab.units import mhz
 from references import (
     DEFAULT_PI_PULSE_S,
     ramsey_visibility,
+    readout_by_hand,
     readout_populations,
     scan_config,
     sequence_unitary,
@@ -109,6 +110,47 @@ _prep_segments = st.lists(
 )
 
 
+@st.composite
+def _readout_sequences(draw):
+    """A sequence of random fields, areas, detunings, phases and waits
+    with 1-3 ascending bins read out between them."""
+    drive = st.builds(
+        lambda field, area, phase, detuning, t: DriveSegment(
+            field, rabi=area / t, duration=t, phase=phase, detuning=detuning
+        ),
+        st.sampled_from(FIELDS),
+        st.floats(0.0, 4.0 * math.pi),
+        st.floats(-math.pi, math.pi),
+        st.floats(-mhz(5.0), mhz(5.0)),
+        st.floats(1e-9, 1e-7),
+    )
+    steps = draw(st.lists(drive | st.builds(Wait, st.floats(1e-9, 1e-7)), max_size=6))
+    bins = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True))
+    cuts = draw(st.lists(st.integers(0, len(steps)), min_size=len(bins), max_size=len(bins)))
+    seq = list(steps)
+    # each bin goes in after the steps before its cut, in ascending order
+    for b, cut in sorted(zip(sorted(bins), sorted(cuts)), reverse=True):
+        seq.insert(cut, Readout(b))
+    return tuple(seq)
+
+
+@given(
+    _readout_sequences(),
+    st.builds(
+        ReadoutSection,
+        eta_1=st.floats(0.0, 1.0),
+        eta_2=st.floats(0.0, 1.0),
+        eta_3=st.floats(0.0, 1.0),
+        deph=st.just(0.0) | st.floats(0.0, 1e8),
+    ),
+)
+def test_readout_equals_the_hand_walk(seq, section):
+    # the walk through propagate, with a read-out's map emptying R1,
+    # against the density matrix conjugated and emptied by hand
+    bins = readout_from_sequence(seq, section)
+    assert max(abs(a - b) for a, b in zip(bins, readout_by_hand(seq, section))) <= 1e-14
+
+
 @given(_prep_segments)
 def test_readout_conserves_probability(prep):
     assert abs(sum(readout_populations(prep)) - 1.0) <= 1e-12
@@ -146,13 +188,13 @@ def test_interbin_dephasing_is_monotone_in_rate():
 def test_readout_validation(monkeypatch):
     # eta and the inter-bin rate are bounded by the readout.eta_* and
     # readout.deph config keys (test_config); the bins are checked against
-    # maps that no propagator gives
+    # states that no walk gives
     seq = HALF_PI_MU1 + _canonical_chain()
-    for step, message in (
-        (2.0 * np.eye(3), "bin probabilities exceed unity"),
-        (np.full((3, 3), np.nan), "bin probabilities must be finite and non-negative"),
+    for state, message in (
+        (np.full(16, 2.0), "bin probabilities exceed unity"),
+        (np.full(16, np.nan), "bin probabilities must be finite and non-negative"),
     ):
-        monkeypatch.setattr(photostats, "segment_maps", lambda segs, _: [step] * len(segs))
+        monkeypatch.setattr(photostats, "propagate", lambda segs, _: [state] * len(segs))
         with pytest.raises(NumericError, match=f"^{message}$"):
             readout_from_sequence(seq, ReadoutSection())
 

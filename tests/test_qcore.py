@@ -22,7 +22,8 @@ from seqlab.qcore import (
     total_duration,
 )
 from seqlab import dissipative
-from seqlab.config import DissipationSection, InteractionSection
+from seqlab.config import DissipationSection, InteractionSection, ReadoutSection
+from seqlab.photostats import readout_from_sequence
 from seqlab.pairwise import pair_blocks, pair_hamiltonian
 from seqlab.units import mhz
 from references import sequence_unitary
@@ -465,11 +466,14 @@ def test_stacked_segments_compare_and_hash():
     assert same_segments((seg(0.0),), (seg(-0.0),))
 
 
-def test_readout_has_no_unitary():
-    # a readout is a measurement, not a drive: a read-out-only sequence
-    # has no segments to propagate, and its unitary is the identity
-    drive = tuple(s for s in (Readout(1), Readout(3)) if not isinstance(s, Readout))
-    assert drive == ()
-    assert segment_maps(drive, hermitian_propagator) == []
-    assert propagate(drive, hermitian_propagator) == []
-    assert np.array_equal(sequence_unitary(drive), np.eye(3))
+def test_a_readout_empties_r1():
+    # a readout is a segment whose map zeroes R1 and keeps the rest,
+    # exactly: diag(0, 1, 1) in the qutrit space and, without a rate, the
+    # 0/1 projector that zeroes row 0 and column 0 of rho in Liouville space
+    (U,) = segment_maps((Readout(2),), hermitian_propagator)
+    assert np.array_equal(U, np.diag([0.0, 1.0, 1.0]))
+    (P,) = segment_maps((Readout(1),), dissipative.liouville_propagator([]))
+    keep = np.ones((4, 4))
+    keep[0, :] = keep[:, 0] = 0.0
+    assert np.array_equal(P, np.diag(keep.ravel()))
+    assert readout_from_sequence((Readout(1),), ReadoutSection()) == (1.0, 0.0, 0.0)

@@ -4,8 +4,8 @@ the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
 dataclass field serves a command, and every propagator call of a command
 runs inside :func:`seqlab.qcore.segment_maps`, which no command calls but
-:func:`seqlab.qcore.propagate` and the read-out, and the command line
-builds its parser once per process.
+:func:`seqlab.qcore.propagate`, and the command line builds its parser
+once per process.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -492,10 +492,10 @@ def test_every_propagation_goes_through_segment_maps(tmp_path, monkeypatch):
 
 
 def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
-    # one walk of the maps from the stored excitation, in every space: no
-    # command calls qcore.segment_maps but qcore.propagate and the read-out,
-    # whose density-matrix walk empties R1 between segments
-    from seqlab import photostats, qcore
+    # one walk of the maps from the stored excitation, in every space and
+    # for every command, the read-out's too: only qcore.propagate calls
+    # qcore.segment_maps
+    from seqlab import qcore
 
     segment_maps = qcore.segment_maps
     callers = set()
@@ -509,7 +509,7 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
         if vars(mod).get("segment_maps") is segment_maps:
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
-    assert callers == {"qcore.py:propagate", "photostats.py:readout_from_sequence"}
+    assert callers == {"qcore.py:propagate"}
 
 
 def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
