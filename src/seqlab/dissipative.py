@@ -2,39 +2,42 @@
 
 The density matrix lives on four levels: R1, R2, R3 and a trace-conserving
 loss level that collects decayed population.  Two channel families act on
-each Rydberg level alpha:
+each Rydberg level a, at the rates g_a and p_a of the run config's
+``dissipation`` section (:func:`channel_rates`):
 
-    decay:     L = sqrt(gamma_decay_alpha) |loss><R_alpha|
-    dephasing: L = sqrt(gamma_deph_alpha)  |R_alpha><R_alpha|
+    decay:     L = sqrt(g_a) |loss><R_a|
+    dephasing: L = sqrt(p_a) |R_a><R_a|
 
-as :func:`collapse_operators` builds them, and the equation of motion is
+in drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
+Both are diagonal and the loss level is dark, so the six loss coherences
+start at zero and nothing feeds them: the Rydberg block rho_R and the loss
+population rho_44 form an invariant subspace (Breuer & Petruccione, The
+Theory of Open Quantum Systems, ch. 3).  Entry rho_ab is damped at the
+rate (g_a + g_b + p_a + p_b)/2 for a != b and g_a for a = b, and decay
+feeds rho_44 at g_a rho_aa.  So the 10-vector (vec rho_R, rho_44), vec
+row-major, obeys d/dt = Lv with the generator of :func:`liouvillian`
 
-    drho/dt = -i [H, rho] + sum_L ( L rho L^+ - (L^+ L rho + rho L^+ L) / 2 ).
+    Lv = [[ -i (H kron I - I kron H^T) - diag(rate),  0 ],
+          [ g_a at columns 0, 4 and 8,                0 ]]
 
-Drive and wait segments give a piecewise-constant H: the 3x3 H of
-:func:`seqlab.qcore.segment_hamiltonian`, the same generator the closed
-backends propagate, embedded in the 4x4 space (the loss level is dark).
-Each segment is propagated exactly: rho is flattened row-major into a
-16-vector, the equation becomes d vec(rho)/dt = Lv vec(rho) with the
-constant 16x16 Liouvillian Lv of :func:`liouvillian`, and the segment
-map is exp(Lv t), built by :func:`liouville_propagator`.  With a rate
-set, Lv is not Hermitian and the map is :func:`expm` of the whole
-Liouvillian.  With none, Lv = -i (H kron I - I kron H^T) and the map is
-exactly U kron conj(U), with U = exp(-i H t) from
-:func:`seqlab.qcore.hermitian_propagator` in the segment's blocks, the
-closed forms of the closed spaces: no Pade step and no squarings.  numpy
-only: scipy would double the memory and start-up of every CLI call.
+by vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
+(2003)), with H the 3x3 of :func:`seqlab.qcore.segment_hamiltonian` that
+the closed backends propagate.  Each drive or wait segment is propagated
+exactly, by the map exp(Lv t) of :func:`liouville_propagator`: with a rate
+set, :func:`expm` of Lv; with none, exactly U kron conj(U) on vec rho_R
+and 1 on rho_44, with U = exp(-i H t) from
+:func:`seqlab.qcore.hermitian_propagator` in the segment's blocks: no Pade
+step and no squarings.  rho_44 is propagated, never taken as 1 - tr rho_R,
+so the trace check tests the walk.  numpy only: scipy would double the
+memory and start-up of every CLI call.
 
-Every sequence starts from the stored excitation, rho = |R1><R1|
-(:func:`stored_excitation`), and everything works on stacks:
-:func:`evolve_master` takes one sequence, a tuple of segments that may
-stand for stacks of pulses (a detuning scan), walks it with
-:func:`seqlab.qcore.propagate` (one map stack for each distinct segment:
-one :func:`expm` call, with a scaling exponent per matrix, or one
-U kron conj(U)), and checks the states of the whole stack after each
-segment with one :func:`_validate_density` call.  The rates come from
-the run config's ``dissipation`` section, which :func:`evolve_master`
-takes as is.
+:func:`evolve_master` walks one sequence from the stored excitation,
+|R1><R1| (:func:`stored_excitation`), with :func:`seqlab.qcore.propagate`.
+Its segments may stand for stacks of pulses (a detuning scan), and each
+distinct one takes one map stack: one :func:`expm` call, with a scaling
+exponent per matrix, or one U kron conj(U).  Each state is scattered into
+the 4x4 rho, and one :func:`_validate_density` call checks the whole
+stack after each segment.
 """
 
 from __future__ import annotations
@@ -57,27 +60,18 @@ class NumericError(RuntimeError):
     """Propagation failed: non-finite state or a positivity/trace violation."""
 
 
-def collapse_operators(dissipation: DissipationSection) -> list[np.ndarray]:
-    """The 4x4 collapse operators of the non-zero rates, level by level
-    from R1, decay |loss><R_alpha| before dephasing |R_alpha><R_alpha|:
-    the order in which :func:`liouvillian` sums their dissipators."""
-    ops = []
-    for alpha in range(3):
-        for row, kind in ((LOSS_INDEX, "decay"), (alpha, "deph")):
-            rate = getattr(dissipation, f"gamma_{kind}_{alpha + 1}")
-            if rate > 0:
-                L = np.zeros((4, 4), dtype=complex)
-                L[row, alpha] = math.sqrt(rate)
-                ops.append(L)
-    return ops
+def channel_rates(dissipation: DissipationSection) -> np.ndarray:
+    """The (2, 3) rates in 1/s of R1, R2 and R3: decay, then dephasing."""
+    return np.array([
+        [getattr(dissipation, f"gamma_{kind}_{alpha}") for alpha in (1, 2, 3)]
+        for kind in ("decay", "deph")
+    ])
 
 
 def stored_excitation() -> np.ndarray:
     """|R1><R1| over (R1, R2, R3, loss), the state every sequence starts
     from, as a new complex 4x4 array."""
-    amps = np.zeros(LOSS_INDEX + 1, dtype=complex)
-    amps[0] = 1.0
-    return np.outer(amps, amps.conj())
+    return np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 
 def _validate_density(m: np.ndarray) -> None:
@@ -107,19 +101,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3], k.shape[-2] * k.shape[-1]))
 
 
-def liouvillian(H: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
-    """Generator of the master equation acting on row-major vec(rho), for
-    an (n, n) H or a (..., n, n) stack of them; shape (..., n^2, n^2).
-
-    Uses vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
-    (2003)) on each term of -i[H, rho] + sum_C D[C] rho.  The dissipator
-    does not depend on H and is built once for the whole stack.
-    """
-    eye = np.eye(H.shape[-1])
-    L = -1j * (_kron(H, eye) - _kron(eye, H.swapaxes(-1, -2)))
-    for C in collapse_ops:
-        CdC = C.conj().T @ C
-        L += _kron(C, C.conj()) - 0.5 * (_kron(CdC, eye) + _kron(eye, CdC.T))
+def liouvillian(H: np.ndarray, dissipation: DissipationSection) -> np.ndarray:
+    """The (..., 10, 10) generator Lv of the module docstring, of a (3, 3)
+    H or a (..., 3, 3) stack of them, under the rates of dissipation."""
+    decay, deph = channel_rates(dissipation)
+    eye = np.eye(3)
+    rate = 0.5 * (decay[:, None] + decay + (deph[:, None] + deph) * (1.0 - eye))
+    L = np.zeros(H.shape[:-2] + (10, 10), dtype=complex)
+    L[..., :9, :9] = -1j * (_kron(H, eye) - _kron(eye, H.swapaxes(-1, -2)))
+    L[..., :9, :9] -= np.diag(rate.ravel())
+    L[..., 9, :9:4] = decay
     return L
 
 
@@ -169,56 +160,55 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def liouville_propagator(collapse_ops: list[np.ndarray]):
-    """The Liouville-space propagator(H, t, blocks) that
-    :func:`seqlab.qcore.segment_maps` takes, under the collapse operators
-    collapse_ops: the (..., 16, 16) map of row-major vec(rho) over a
-    segment, whose (..., 3, 3) H is embedded with a dark loss level.
+def liouville_propagator(dissipation: DissipationSection):
+    """The propagator(H, t, blocks) that :func:`seqlab.qcore.segment_maps`
+    takes, under the rates of dissipation: the (..., 10, 10) map of
+    (vec rho_R, rho_44) over a segment of (..., 3, 3) H.
 
-    With collapse operators, the map is :func:`expm` of the whole
-    Liouvillian, of a drive or wait segment: no readout reaches it.
-    Without them, Lv = -i (H kron I - I kron H^T) and the map is exactly
-    U kron conj(U), as rho -> U rho U^+, with U the
-    :func:`seqlab.qcore.hermitian_propagator` of H in the segment's blocks
-    and the loss level as a block of its own: closed forms, no squarings;
-    a readout's map is the 0/1 projector that zeroes R1's row and column.
+    With a rate set, the map is :func:`expm` of the :func:`liouvillian` of
+    a drive or wait segment: no readout reaches it.  With none, it is
+    exactly U kron conj(U) on vec rho_R and 1 on rho_44, with U the
+    :func:`seqlab.qcore.hermitian_propagator` of H in the segment's
+    blocks; a readout's is the 0/1 projector that zeroes R1's row and
+    column of rho_R.
     """
-    n = LOSS_INDEX + 1
+    rated = channel_rates(dissipation).any()
 
-    def propagator(h3: np.ndarray, t, blocks) -> np.ndarray:
-        H = np.zeros(h3.shape[:-2] + (n, n), dtype=complex)  # the loss level is dark
-        H[..., :3, :3] = h3
-        if collapse_ops:
-            # the Liouvillian is exponentiated whole: on the short stacks of
+    def propagator(H: np.ndarray, t, blocks) -> np.ndarray:
+        if rated:
+            # the generator is exponentiated whole: on the short stacks of
             # a scan, a call per block costs more than it saves
-            return expm(liouvillian(H, collapse_ops) * np.asarray(t)[..., None, None])
-        U = hermitian_propagator(H, t, blocks + ((LOSS_INDEX,),))
-        return _kron(U, U.conj())
+            return expm(liouvillian(H, dissipation) * np.asarray(t)[..., None, None])
+        U = hermitian_propagator(H, t, blocks)
+        M = np.zeros(U.shape[:-2] + (10, 10), dtype=complex)
+        M[..., :9, :9] = _kron(U, U.conj())
+        M[..., 9, 9] = 1.0
+        return M
 
     return propagator
 
 
 def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
-    """The density matrix after a sequence of drive/wait segments under the
-    master equation, starting from the stored excitation; |R1><R1| for an
-    empty sequence.
+    """The density matrix over (R1, R2, R3, loss) after a sequence of
+    drive/wait segments under the master equation, starting from the
+    stored excitation; |R1><R1| for an empty sequence.
 
     The segments may stand for stacks of pulses; the result is then the
-    (..., 4, 4) stack over their broadcast shape.  The states come from
-    :func:`seqlab.qcore.propagate` with the :func:`liouville_propagator` of
-    the rates' collapse operators: one map per distinct segment, an
-    :func:`expm` call if a rate is set and U kron conj(U) if none is, and
-    the whole stack is propagated together.
+    (..., 4, 4) stack over their broadcast shape.  The states
+    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate` with the
+    :func:`liouville_propagator` of the rates, the whole stack together,
+    and are scattered into rho, whose loss coherences are zero.
 
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    propagator = liouville_propagator(collapse_operators(dissipation))
     rho = stored_excitation()
     t = 0.0
-    for seg, vec in zip(sequence, propagate(sequence, propagator)):
-        rho = vec.reshape(vec.shape[:-1] + rho.shape[-2:])
+    for seg, vec in zip(sequence, propagate(sequence, liouville_propagator(dissipation))):
+        rho = np.zeros(vec.shape[:-1] + rho.shape[-2:], dtype=complex)
+        rho[..., :3, :3] = vec[..., :9].reshape(vec.shape[:-1] + (3, 3))
+        rho[..., LOSS_INDEX, LOSS_INDEX] = vec[..., 9]
         t += seg.duration
         try:
             _validate_density(rho)

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .config import DissipationSection, InteractionSection, ScanSection
-from .dissipative import collapse_operators
+from .dissipative import channel_rates
 from .qcore import hermitian_propagator, propagate
 from .ramsey import block_sequences, fringe_scan
 
@@ -136,7 +136,7 @@ def mixture_fringe_scan(
     p2 = interaction.p2
     if p2 == 0.0:
         return fringe_scan(scan, dissipation)
-    if scan.backend == "lindblad" and collapse_operators(dissipation):
+    if scan.backend == "lindblad" and channel_rates(dissipation).any():
         raise ValueError(
             f"interaction.p2 = {p2!r} with non-zero dissipation rates: the lindblad "
             "backend has no dissipative model of the double-excitation branch"

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .config import ReadoutSection
+from .config import DissipationSection, ReadoutSection
 from .dissipative import NumericError, liouville_propagator
 from .qcore import Readout, Segment, propagate, total_duration
 
@@ -44,18 +44,19 @@ def readout_from_sequence(
     """(p1, p2, p3): the retrieval probabilities of the three time bins
     of a sequence containing Readout segments.
 
-    The sequence is one :func:`seqlab.qcore.propagate` walk of rho from
-    the stored excitation, with the rate-free
+    The sequence is one :func:`seqlab.qcore.propagate` walk of
+    (vec rho_R, rho_44) from the stored excitation, with the rate-free
     :func:`seqlab.dissipative.liouville_propagator`, in which a Readout's
     map empties R1, modelling the departed photon.  Readout(b) records
-    the R1 population rho_00 (vec index 0) of the state just before it,
+    the R1 population rho_00 (index 0) of the state just before it,
     times the section's eta_<b> and the inter-bin dephasing factor,
     exp(-deph * the time since the first readout): bin 1 is never
     attenuated.  The config bounds each eta to [0, 1] and deph, in 1/s,
     to a finite non-negative value; the dissipation rates take no part.
     """
+    rate_free = liouville_propagator(DissipationSection())
     rho00 = [1.0]  # before each segment, from the stored excitation
-    rho00 += [float(state[0].real) for state in propagate(sequence, liouville_propagator([]))]
+    rho00 += [float(state[0].real) for state in propagate(sequence, rate_free)]
     reads = [i for i, seg in enumerate(sequence) if isinstance(seg, Readout)]
     bins = [0.0, 0.0, 0.0]
     for i in reads:

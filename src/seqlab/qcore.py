@@ -24,20 +24,20 @@ means the drive is blue of the atomic transition.
 A drive segment may stand for a stack of pulses: its rabi, duration,
 detuning and phase may be arrays that broadcast against each other.
 :func:`segment_hamiltonian` is the one generator of segments; the pair
-space lifts it and the master equation embeds it.  :func:`segment_maps`
+space lifts it and the master equation vectorizes it.  :func:`segment_maps`
 is the one path from a sequence's segments to their maps, for every space:
 it takes the propagator (:func:`hermitian_propagator` for closed systems)
 and calls it once per distinct segment, with the segment's blocks
 (:func:`segment_blocks`).  :func:`propagate` is the one walk of those maps
 from the stored excitation, in the qutrit (3), the pair (6) and the
-Liouville space (16).  A sequence is a plain tuple of segments.
+master equation's space (10).  A sequence is a plain tuple of segments.
 
 Blocks: each field couples one pair of levels, so a segment's generator is
 block-diagonal, a two-level block plus the spectator level, and a wait
 couples nothing.  A readout takes no time, its generator is zero and its
 blocks leave R1 out, so its map empties R1: diag(0, 1, 1), or in the
-rate-free Liouville space the 0/1 projector that zeroes row 0 and column
-0 of rho; the pair space and rated Liouville maps never see one.  The
+rate-free master equation the 0/1 projector that zeroes row 0 and column
+0 of rho_R; the pair space and the rated maps never see one.  The
 blocks come from the segment's field, never from its values, so a stack
 whose rabi is 0 at some points is propagated in the same blocks, and to
 the same bits, as one whose rabi is not.
@@ -46,10 +46,10 @@ of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
 the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
 m the mean of its diagonal and +-r the eigenvalues of h - m I, and only
 blocks of 3 or more levels (in the pair space) take a batched
-eigendecomposition, one per group of same-size blocks.  The Liouville
-space's propagator takes the blocks too: without a rate its map is
+eigendecomposition, one per group of same-size blocks.  The master
+equation's propagator takes the blocks too: without a rate its map is
 U kron conj(U) of this U in the same blocks, and with one it
-exponentiates the whole Liouvillian.
+exponentiates its whole 10x10 generator.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ class DriveSegment:
     field is a word of FIELDS; rabi, detuning in rad/s; phase in rad;
     duration in seconds.  The sequence parser and the config bounds give
     finite values, a non-negative rabi (its sign belongs in phase) and a
-    positive duration.  The four are numbers or arrays that broadcast
-    against each other (else ValueError); an array, kept as a read-only
-    float copy, makes the segment a stack of pulses over the broadcast
-    shape.  Segments compare and hash by identity, as
-    :func:`segment_maps` tells them apart.
+    positive duration; a stack may hold zero durations (a Rabi scan's first
+    time), where the qutrit map is exactly the identity.  The four are
+    numbers or arrays that broadcast against each other (else ValueError);
+    an array, kept as a read-only float copy, makes the segment a stack of
+    pulses over the broadcast shape.  Segments compare and hash by
+    identity, as :func:`segment_maps` tells them apart.
     """
 
     field: str

@@ -185,16 +185,13 @@ def rabi_scan(
     P1 stays at 1/2 and P2/P3 oscillate with period 2*pi/omega_mu2.
 
     Returns an (n, 4) array with columns (t_mu2, P1, P2, P3).  Times must
-    be finite and non-negative; a time of 0 means no mu2 segment, so its
-    row is the prepared state.  The other times stack one mu2 segment,
+    be finite and non-negative.  One mu2 segment is stacked over them,
     whose one Hamiltonian serves every time in the closed form of its
-    blocks, and one walk gives both the prepared and the driven states.
+    blocks; at a time of 0 that form is exactly the identity, so the row
+    is the prepared state.
     """
     times = np.asarray(times, dtype=float)
-    driven = times > 0
     half_pi = DriveSegment("mu1", rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
-    mu2 = DriveSegment("mu2", rabi=omega_mu2, duration=times[driven], detuning=detuning2)
-    prepared, after_mu2 = propagate((half_pi, mu2), hermitian_propagator)
-    amps = np.tile(prepared, (times.size, 1))
-    amps[driven] = after_mu2
-    return np.column_stack((times, np.abs(amps) ** 2))
+    mu2 = DriveSegment("mu2", rabi=omega_mu2, duration=times, detuning=detuning2)
+    after_mu2 = propagate((half_pi, mu2), hermitian_propagator)[-1]
+    return np.column_stack((times, np.abs(after_mu2) ** 2))

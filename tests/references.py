@@ -1,20 +1,22 @@
 """Reference computations that tests compare the library against: the
-sequence unitary, the closed-form visibility law and its centre-point
-extraction from a scan, the read-out as a density-matrix walk by hand
-and the canonical three-bin read-out chain; and the scan section that
-most tests build."""
+sequence unitary, the master equation in the whole 16-dim Liouville
+space of the 4x4 density matrix, the closed-form visibility law and its
+centre-point extraction from a scan, the read-out as a density-matrix
+walk by hand and the canonical three-bin read-out chain; and the scan
+section that most tests build."""
 
 import math
 
 import numpy as np
 
 from seqlab.config import ReadoutSection, ScanSection
-from seqlab.dissipative import stored_excitation
+from seqlab.dissipative import LOSS_INDEX, expm, stored_excitation
 from seqlab.photostats import readout_from_sequence
 from seqlab.qcore import (
     DriveSegment,
     Readout,
     hermitian_propagator,
+    propagate,
     segment_maps,
 )
 from seqlab.ramsey import symmetric_detuning_grid
@@ -30,6 +32,69 @@ def sequence_unitary(segments) -> np.ndarray:
     for step in segment_maps(segments, hermitian_propagator):
         U = step @ U
     return U
+
+
+def collapse_operators(dissipation) -> list[np.ndarray]:
+    """The 4x4 collapse operators over (R1, R2, R3, loss) of the non-zero
+    rates of a dissipation section, level by level from R1: decay
+    sqrt(gamma_decay) |loss><R_alpha| before dephasing
+    sqrt(gamma_deph) |R_alpha><R_alpha|."""
+    ops = []
+    for alpha in range(3):
+        for row, kind in ((LOSS_INDEX, "decay"), (alpha, "deph")):
+            rate = getattr(dissipation, f"gamma_{kind}_{alpha + 1}")
+            if rate > 0:
+                L = np.zeros((4, 4), dtype=complex)
+                L[row, alpha] = math.sqrt(rate)
+                ops.append(L)
+    return ops
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes of (..., n, n) stacks."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3], k.shape[-2] * k.shape[-1]))
+
+
+def liouvillian_16(H: np.ndarray, collapse_ops) -> np.ndarray:
+    """Generator of drho/dt = -i[H, rho] + sum_C D[C] rho on row-major
+    vec(rho), shape (..., n^2, n^2) for a (..., n, n) H, by
+    vec(A X B) = (A kron B^T) vec(X) on each term."""
+    eye = np.eye(H.shape[-1])
+    L = -1j * (_kron(H, eye) - _kron(eye, H.swapaxes(-1, -2)))
+    for C in collapse_ops:
+        CdC = C.conj().T @ C
+        L += _kron(C, C.conj()) - 0.5 * (_kron(CdC, eye) + _kron(eye, CdC.T))
+    return L
+
+
+def embed_hamiltonian(h3: np.ndarray) -> np.ndarray:
+    """A (..., 3, 3) H over (R1, R2, R3) as a (..., 4, 4) H with a dark
+    loss level."""
+    H = np.zeros(h3.shape[:-2] + (4, 4), dtype=complex)
+    H[..., :3, :3] = h3
+    return H
+
+
+def liouville_propagator_16(dissipation):
+    """exp(Lv t) on vec(rho) over (R1, R2, R3, loss) for a segment's
+    (..., 3, 3) H, with the 16x16 Liouvillian of the collapse operators:
+    the propagator that the master equation once walked."""
+    ops = collapse_operators(dissipation)
+
+    def propagator(h3, t, _blocks):
+        L = liouvillian_16(embed_hamiltonian(h3), ops)
+        return expm(L * np.asarray(t)[..., None, None])
+
+    return propagator
+
+
+def master_walk_16(sequence, dissipation) -> np.ndarray:
+    """The (..., 4, 4) density matrix after a non-empty sequence of drive
+    and wait segments from the stored excitation, walked in the whole
+    16-dim Liouville space."""
+    vec = propagate(sequence, liouville_propagator_16(dissipation))[-1]
+    return vec.reshape(vec.shape[:-1] + (4, 4))
 
 
 def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:

@@ -36,6 +36,7 @@ from seqlab.ramsey import (
 from seqlab.units import mhz
 from references import (
     extract_visibility,
+    master_walk_16,
     ramsey_visibility,
     readout_populations,
     scan_config,
@@ -137,6 +138,8 @@ def test_master_equation_physicality_and_unitary_limit():
     )
     cuts = list(cut_sequences(drives, 5e-9))
     assert len(cuts) > 20
+    # the 10-dim walk is the whole 16-dim one on its invariant subspace
+    assert np.abs(evolve_master(drives, params) - master_walk_16(drives, params)).max() <= 1e-13
     for cut in cuts:
         m = evolve_master(cut, params)
         assert abs(m.trace().real - 1.0) <= 1e-8

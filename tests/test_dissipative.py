@@ -13,7 +13,7 @@ from seqlab.dissipative import (
     TRACE_TOL,
     _THETA13,
     NumericError,
-    collapse_operators,
+    channel_rates,
     evolve_master,
     expm,
     liouville_propagator,
@@ -28,7 +28,13 @@ from seqlab.qcore import (
     segment_maps,
 )
 from seqlab.units import mhz
-from references import sequence_unitary
+from references import (
+    collapse_operators,
+    embed_hamiltonian,
+    liouvillian_16,
+    master_walk_16,
+    sequence_unitary,
+)
 from test_qcore import _blockwise_cases, closed_form_unitary
 
 
@@ -155,6 +161,7 @@ CANONICAL_RAMSEY = (
 
 
 def _random_liouvillian(rng):
+    # the generic 16x16 form: a full 4x4 H and dense collapse operators
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = 0.5 * (h + h.conj().T) * rng.uniform(0.0, mhz(20.0))
     ops = [
@@ -162,7 +169,7 @@ def _random_liouvillian(rng):
         * math.sqrt(rng.uniform(0.0, 5e6))
         for _ in range(rng.integers(0, 4))
     ]
-    return liouvillian(h, ops)
+    return liouvillian_16(h, ops)
 
 
 def test_expm_matches_scipy_on_random_liouvillians():
@@ -195,22 +202,20 @@ def test_expm_of_zero_is_exactly_the_identity(n):
 
 @given(_blockwise_cases())
 def test_zero_rate_liouville_maps_are_the_exponential(case):
-    # U kron conj(U) in the segment's blocks against expm of the whole
-    # zero-rate Liouvillian, this module's and scipy's, at |Lv| t <= 1e2
+    # U kron conj(U) in the segment's blocks, with 1 for rho_44, against
+    # expm of the whole zero-rate generator, this module's and scipy's, at
+    # |Lv| t <= 1e2
     scipy_linalg = pytest.importorskip("scipy.linalg")
     seg, _ = case
-    (M,) = segment_maps((seg,), liouville_propagator([]))
-    h3 = segment_hamiltonian(seg)
-    H = np.zeros(h3.shape[:-2] + (4, 4), dtype=complex)
-    H[..., :3, :3] = h3
-    L = liouvillian(H, [])
+    (M,) = segment_maps((seg,), liouville_propagator(DissipationSection()))
+    L = liouvillian(segment_hamiltonian(seg), DissipationSection())
     t = np.asarray(seg.duration)
     shape = np.broadcast_shapes(L.shape[:-2], t.shape)
-    L = np.broadcast_to(L, shape + (16, 16)).reshape(-1, 16, 16)
+    L = np.broadcast_to(L, shape + (10, 10)).reshape(-1, 10, 10)
     t = np.broadcast_to(t, shape).ravel()
     assume(max(np.linalg.norm(l, 2) * d for l, d in zip(L, t)) <= 1e2)
-    assert M.shape == shape + (16, 16)
-    trace = np.eye(4).ravel()  # tr(rho) = vec(I) . vec(rho)
+    assert M.shape == shape + (10, 10)
+    trace = np.append(np.eye(3).ravel(), 1.0)  # tr(rho) = tr(rho_R) + rho_44
     for m, l, d in zip(M.reshape(L.shape), L, t):
         assert np.abs(m - expm(l * d)).max() <= 1e-13
         assert np.abs(m - scipy_linalg.expm(l * d)).max() <= 1e-13
@@ -309,9 +314,8 @@ def test_validate_flags_unphysical_matrices():
 
 def test_dissipation_params_validation():
     # the rates are bounded by the dissipation.* config keys (test_config)
-    ops = collapse_operators(RATES)
-    assert len(ops) == 6  # three decay + three dephasing channels
-    assert all(op.shape == (4, 4) for op in ops)
+    assert np.array_equal(channel_rates(RATES), [[1e5, 2e5, 3e5], [1e5, 1e5, 2e5]])
+    assert not channel_rates(DissipationSection()).any()
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +406,40 @@ def test_stacked_sequence_equals_per_point_sequences(case):
     U = sequence_unitary(stacked)
     for i, seq in enumerate(per_point):
         assert np.array_equal(U[i], sequence_unitary((PREP_06_08,) + seq))
+
+
+_maybe_zero_rates = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 5e6))] * 6)
+# the entries of row-major vec(rho) over (R1, R2, R3, loss) that the
+# master equation keeps: rho_R, then rho_44
+KEPT = [0, 1, 2, 4, 5, 6, 8, 9, 10, 15]
+
+
+@given(
+    h=st.lists(st.floats(-mhz(20.0), mhz(20.0)), min_size=18, max_size=18),
+    rates=_maybe_zero_rates,
+)
+def test_generator_is_the_16_dim_one_on_its_invariant_subspace(h, rates):
+    # the loss coherences are neither fed by nor feed the kept entries,
+    # and on the kept ones the two generators agree
+    h = np.array(h[:9]).reshape(3, 3) + 1j * np.array(h[9:]).reshape(3, 3)
+    H = h + h.conj().T
+    params = DissipationSection(*rates)
+    L16 = liouvillian_16(embed_hamiltonian(H), collapse_operators(params))
+    dropped = [i for i in range(16) if i not in KEPT]
+    assert not L16[np.ix_(KEPT, dropped)].any() and not L16[np.ix_(dropped, KEPT)].any()
+    L = liouvillian(H, params)
+    assert L.shape == (10, 10)
+    assert np.abs(L - L16[np.ix_(KEPT, KEPT)]).max() <= 1e-15 * np.abs(L16).max()
+
+
+@given(_stacked_sequences(), _maybe_zero_rates)
+def test_ten_dim_walk_matches_the_16_dim_reference(case, rates):
+    stacked, _, points = case
+    stacked = (PREP_06_08,) + stacked
+    params = DissipationSection(*rates)
+    final = evolve_master(stacked, params)
+    assert final.shape == (points, 4, 4)
+    assert np.abs(final - master_walk_16(stacked, params)).max() <= 1e-13
 
 
 def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):

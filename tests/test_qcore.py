@@ -26,7 +26,7 @@ from seqlab.config import DissipationSection, InteractionSection, ReadoutSection
 from seqlab.photostats import readout_from_sequence
 from seqlab.pairwise import pair_blocks, pair_hamiltonian
 from seqlab.units import mhz
-from references import sequence_unitary
+from references import liouville_propagator_16, sequence_unitary
 
 
 def _value(v):
@@ -337,34 +337,24 @@ def _walked_sequences(draw):
     return tuple(segs)
 
 
-def _liouville_propagator(dissipation):
-    """exp(Lv t) on vec(rho) over (R1, R2, R3, loss), as evolve_master
-    propagates a segment."""
-    ops = dissipative.collapse_operators(dissipation)
-
-    def propagator(h3, t, _blocks):
-        H = np.zeros(h3.shape[:-2] + (4, 4), dtype=complex)
-        H[..., :3, :3] = h3
-        return dissipative.expm(dissipative.liouvillian(H, ops) * np.asarray(t)[..., None, None])
-
-    return propagator
-
-
 @given(
     segs=_walked_sequences(),
     v_int=st.floats(-mhz(5.0), mhz(5.0)),
     rates=st.tuples(*[st.floats(0.0, 5e6)] * 6),
 )
 def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
-    # the one walk, in the qutrit, the pair and the Liouville space: the
-    # state after segment k is column 0 of the product of the first k maps
+    # the one walk, in the qutrit, the pair, the master equation's 10-dim
+    # space and the whole 16-dim Liouville space: the state after segment
+    # k is column 0 of the product of the first k maps
     interaction = InteractionSection(v_int, 0.0)
+    dissipation = DissipationSection(*rates)
     spaces = {
         "qutrit": hermitian_propagator,
         "pair": lambda h, t, b: hermitian_propagator(
             pair_hamiltonian(h, interaction), t, pair_blocks(b)
         ),
-        "liouville": _liouville_propagator(DissipationSection(*rates)),
+        "master": dissipative.liouville_propagator(dissipation),
+        "liouville": liouville_propagator_16(dissipation),
     }
     for space, propagator in spaces.items():
         assert propagate((), propagator) == []
@@ -469,11 +459,12 @@ def test_stacked_segments_compare_and_hash():
 def test_a_readout_empties_r1():
     # a readout is a segment whose map zeroes R1 and keeps the rest,
     # exactly: diag(0, 1, 1) in the qutrit space and, without a rate, the
-    # 0/1 projector that zeroes row 0 and column 0 of rho in Liouville space
+    # 0/1 projector that zeroes row 0 and column 0 of rho_R and keeps rho_44
     (U,) = segment_maps((Readout(2),), hermitian_propagator)
     assert np.array_equal(U, np.diag([0.0, 1.0, 1.0]))
-    (P,) = segment_maps((Readout(1),), dissipative.liouville_propagator([]))
-    keep = np.ones((4, 4))
+    propagator = dissipative.liouville_propagator(DissipationSection())
+    (P,) = segment_maps((Readout(1),), propagator)
+    keep = np.ones((3, 3))
     keep[0, :] = keep[:, 0] = 0.0
-    assert np.array_equal(P, np.diag(keep.ravel()))
+    assert np.array_equal(P, np.diag(np.append(keep.ravel(), 1.0)))
     assert readout_from_sequence((Readout(1),), ReadoutSection()) == (1.0, 0.0, 0.0)

@@ -340,6 +340,15 @@ def test_batched_scans_match_per_point_reference(
     _assert_batched_matches_reference(
         cfg, InteractionSection(v_int, p2), times, detuning2
     )
+    # the analytic backend sees the gaps as dead time only: a gap g is the
+    # gap-0 scan whose mu2 pulse is 2g longer at the same area, the same K
+    # and the same t_total
+    stretched = t_mu2 + 2.0 * gap
+    if stretched > 0:
+        gapped = scan_config(t_mu1, span, points, omega_mu2, t_mu2, i0=I0, gap=gap)
+        ref = scan_config(t_mu1, span, points, omega_mu2 * t_mu2 / stretched, stretched, i0=I0)
+        no_rates = DissipationSection()
+        assert np.abs(fringe_scan(gapped, no_rates) - fringe_scan(ref, no_rates)).max() <= 1e-12 * I0
 
 
 @pytest.mark.parametrize("points", [3, BLOCK_POINTS - 1, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1])

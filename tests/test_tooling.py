@@ -562,7 +562,7 @@ def test_zero_rate_master_walks_take_no_matrix_exponential(tmp_path, monkeypatch
     assert cli.main(argv) == 0
     # per block: the mu1 pulses, stacked over its detunings, the gap wait
     # and the mu2 pulse
-    assert shapes == [(256, 16, 16), (16, 16), (16, 16), (1, 16, 16), (16, 16), (16, 16)]
+    assert shapes == [(256, 10, 10), (10, 10), (10, 10), (1, 10, 10), (10, 10), (10, 10)]
 
 
 def test_every_emit_goes_through_main(tmp_path, monkeypatch):
