@@ -22,22 +22,26 @@ row-major, obeys d/dt = Lv with the generator of :func:`liouvillian`
 
 by vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), with H the 3x3 of :func:`seqlab.qcore.segment_hamiltonian` that
-the closed backends propagate.  Each drive or wait segment is propagated
-exactly, by the map exp(Lv t) of :func:`liouville_propagator`: with a rate
-set, :func:`expm` of Lv; with none, exactly U kron conj(U) on vec rho_R
-and 1 on rho_44, with U = exp(-i H t) from
-:func:`seqlab.qcore.hermitian_propagator` in the segment's blocks: no Pade
-step and no squarings.  rho_44 is propagated, never taken as 1 - tr rho_R,
-so the trace check tests the walk.  numpy only: scipy would double the
-memory and start-up of every CLI call.
+the closed backends propagate.  With a rate set, each drive or wait
+segment is propagated exactly, by the map :func:`expm` of Lv t
+(:func:`liouville_propagator`).  rho_44 is propagated, never taken as
+1 - tr rho_R, so the trace check tests the walk.  numpy only: scipy would
+double the memory and start-up of every CLI call.
+
+With no rate set the equation is closed and a pure state stays pure:
+rho_R = psi psi^+ and rho_44 = 0, with psi the unitary backend's own walk
+(:func:`seqlab.qcore.propagate` with
+:func:`seqlab.qcore.hermitian_propagator`), and the populations taken as
+|psi|^2 as :func:`seqlab.ramsey.fringe_scan` takes them.  So a zero-rate
+Lindblad scan is the unitary scan, to the bit.
 
 :func:`evolve_master` walks one sequence from the stored excitation,
-|R1><R1| (:func:`stored_excitation`), with :func:`seqlab.qcore.propagate`.
-Its segments may stand for stacks of pulses (a detuning scan), and each
-distinct one takes one map stack: one :func:`expm` call, with a scaling
-exponent per matrix, or one U kron conj(U).  Each state is scattered into
-the 4x4 rho, and one :func:`_validate_density` call checks the whole
-stack after each segment.
+|R1><R1|, with :func:`seqlab.qcore.propagate`.  Its segments may stand for
+stacks of pulses (a detuning scan), and each distinct one takes one map
+stack: one :func:`expm` call, with a scaling exponent per matrix, or one
+closed-space U.  One :func:`_validate_density` call checks the whole stack
+of 10-vectors after each segment, and only the last state is scattered
+into the 4x4 rho.
 """
 
 from __future__ import annotations
@@ -68,29 +72,25 @@ def channel_rates(dissipation: DissipationSection) -> np.ndarray:
     ])
 
 
-def stored_excitation() -> np.ndarray:
-    """|R1><R1| over (R1, R2, R3, loss), the state every sequence starts
-    from, as a new complex 4x4 array."""
-    return np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-
-
-def _validate_density(m: np.ndarray) -> None:
+def _validate_density(state: np.ndarray) -> None:
     """Raise NumericError if hermiticity, trace or positivity is violated
-    by the 4x4 density matrix m or by any matrix of a (..., 4, 4) stack;
-    the message quotes the worst value.  One batched eigvalsh call covers
-    the whole stack."""
-    if not np.isfinite(m).all():
+    by the state (vec rho_R, rho_44) or by any state of a (..., 10) stack;
+    the message quotes the worst value.  The loss coherences are zero, so
+    rho's eigenvalues are rho_R's, from one batched 3x3 eigvalsh call over
+    the whole stack, and rho_44; its trace is tr rho_R + rho_44."""
+    if not np.isfinite(state).all():
         raise NumericError("density matrix has non-finite entries")
+    m = state[..., :9].reshape(state.shape[:-1] + (3, 3))
     m_dag = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - m_dag).max()
     if herm > HERMITICITY_TOL:
         raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    tr = state[..., [0, 4, 8, 9]].sum(axis=-1).ravel()
     worst = np.abs(tr - 1.0).argmax()
     if abs(tr[worst] - 1.0) > TRACE_TOL:
         # repr: a drift beyond TRACE_TOL can round away in a short format
         raise NumericError(f"trace drifted to {float(tr[worst].real)!r}")
-    lo = float(np.linalg.eigvalsh(0.5 * (m + m_dag)).min())
+    lo = min(np.linalg.eigvalsh(0.5 * (m + m_dag)).min(), state[..., 9].real.min())
     if lo < -POSITIVITY_TOL:
         raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
 
@@ -162,30 +162,21 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 def liouville_propagator(dissipation: DissipationSection):
     """The propagator(H, t, blocks) that :func:`seqlab.qcore.segment_maps`
-    takes, under the rates of dissipation: the (..., 10, 10) map of
-    (vec rho_R, rho_44) over a segment of (..., 3, 3) H.
+    takes, under the rates of dissipation: the (..., 10, 10) map
+    :func:`expm` of the :func:`liouvillian` of a drive or wait segment's
+    (..., 3, 3) H over its duration.  The generator is exponentiated
+    whole, so the blocks go unused: on the short stacks of a scan, a call
+    per block costs more than it saves."""
+    return lambda H, t, blocks: expm(liouvillian(H, dissipation) * np.asarray(t)[..., None, None])
 
-    With a rate set, the map is :func:`expm` of the :func:`liouvillian` of
-    a drive or wait segment: no readout reaches it.  With none, it is
-    exactly U kron conj(U) on vec rho_R and 1 on rho_44, with U the
-    :func:`seqlab.qcore.hermitian_propagator` of H in the segment's
-    blocks; a readout's is the 0/1 projector that zeroes R1's row and
-    column of rho_R.
-    """
-    rated = channel_rates(dissipation).any()
 
-    def propagator(H: np.ndarray, t, blocks) -> np.ndarray:
-        if rated:
-            # the generator is exponentiated whole: on the short stacks of
-            # a scan, a call per block costs more than it saves
-            return expm(liouvillian(H, dissipation) * np.asarray(t)[..., None, None])
-        U = hermitian_propagator(H, t, blocks)
-        M = np.zeros(U.shape[:-2] + (10, 10), dtype=complex)
-        M[..., :9, :9] = _kron(U, U.conj())
-        M[..., 9, 9] = 1.0
-        return M
-
-    return propagator
+def _pure_state(psi: np.ndarray) -> np.ndarray:
+    """(vec psi psi^+, 0) of a (..., 3) stack of qutrit states, with the
+    populations taken as |psi|^2."""
+    state = np.zeros(psi.shape[:-1] + (10,), dtype=complex)
+    state[..., :9] = (psi[..., :, None] * psi[..., None, :].conj()).reshape(psi.shape[:-1] + (9,))
+    state[..., :9:4] = np.abs(psi) ** 2
+    return state
 
 
 def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
@@ -195,23 +186,29 @@ def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection
 
     The segments may stand for stacks of pulses; the result is then the
     (..., 4, 4) stack over their broadcast shape.  The states
-    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate` with the
-    :func:`liouville_propagator` of the rates, the whole stack together,
-    and are scattered into rho, whose loss coherences are zero.
+    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate`, the
+    whole stack together: with a rate set, with the
+    :func:`liouville_propagator` of the rates; with none, as the pure
+    states of the closed walk (see the module docstring).  The last one
+    is scattered into rho, whose loss coherences are zero.
 
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    rho = stored_excitation()
+    if channel_rates(dissipation).any():
+        states = propagate(sequence, liouville_propagator(dissipation))
+    else:
+        states = map(_pure_state, propagate(sequence, hermitian_propagator))
+    state = np.eye(10, dtype=complex)[0]  # vec |R1><R1|, the stored excitation
     t = 0.0
-    for seg, vec in zip(sequence, propagate(sequence, liouville_propagator(dissipation))):
-        rho = np.zeros(vec.shape[:-1] + rho.shape[-2:], dtype=complex)
-        rho[..., :3, :3] = vec[..., :9].reshape(vec.shape[:-1] + (3, 3))
-        rho[..., LOSS_INDEX, LOSS_INDEX] = vec[..., 9]
+    for seg, state in zip(sequence, states):
         t += seg.duration
         try:
-            _validate_density(rho)
+            _validate_density(state)
         except NumericError as err:
             raise NumericError(f"at t={t:.3e} s: {err}") from None
+    rho = np.zeros(state.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., :3, :3] = state[..., :9].reshape(state.shape[:-1] + (3, 3))
+    rho[..., LOSS_INDEX, LOSS_INDEX] = state[..., 9]
     return rho

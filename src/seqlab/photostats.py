@@ -4,8 +4,9 @@ Read-out maps the qutrit onto three photon time bins: bin 1 retrieves
 whatever sits in R1, a mu1 pi pulse then moves R2 down for bin 2, and a
 mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
 retrieval empties R1: a readout is a segment whose map does so, and a
-read-out sequence is one :func:`seqlab.qcore.propagate` walk from the
-stored excitation, like every sequence.  The retrieval efficiencies
+read-out sequence is one closed :func:`seqlab.qcore.propagate` walk of
+the qutrit state from the stored excitation, as the unitary backend walks
+a scan.  The retrieval efficiencies
 eta_1..eta_3 of the config's readout section scale the three bins.
 
 Dephasing accumulated between bins suppresses the retrievable collective
@@ -33,9 +34,9 @@ import math
 
 import numpy as np
 
-from .config import DissipationSection, ReadoutSection
-from .dissipative import NumericError, liouville_propagator
-from .qcore import Readout, Segment, propagate, total_duration
+from .config import ReadoutSection
+from .dissipative import NumericError
+from .qcore import Readout, Segment, hermitian_propagator, propagate, total_duration
 
 
 def readout_from_sequence(
@@ -44,19 +45,18 @@ def readout_from_sequence(
     """(p1, p2, p3): the retrieval probabilities of the three time bins
     of a sequence containing Readout segments.
 
-    The sequence is one :func:`seqlab.qcore.propagate` walk of
-    (vec rho_R, rho_44) from the stored excitation, with the rate-free
-    :func:`seqlab.dissipative.liouville_propagator`, in which a Readout's
-    map empties R1, modelling the departed photon.  Readout(b) records
-    the R1 population rho_00 (index 0) of the state just before it,
-    times the section's eta_<b> and the inter-bin dephasing factor,
-    exp(-deph * the time since the first readout): bin 1 is never
-    attenuated.  The config bounds each eta to [0, 1] and deph, in 1/s,
-    to a finite non-negative value; the dissipation rates take no part.
+    The sequence is one :func:`seqlab.qcore.propagate` walk of the qutrit
+    state psi from the stored excitation, with
+    :func:`seqlab.qcore.hermitian_propagator`, in which a Readout's map
+    empties R1, modelling the departed photon.  Readout(b) records the R1
+    population |psi_0|^2 of the state just before it, times the section's
+    eta_<b> and the inter-bin dephasing factor, exp(-deph * the time since
+    the first readout): bin 1 is never attenuated.  The config bounds each
+    eta to [0, 1] and deph, in 1/s, to a finite non-negative value; the
+    dissipation rates take no part.
     """
-    rate_free = liouville_propagator(DissipationSection())
-    rho00 = [1.0]  # before each segment, from the stored excitation
-    rho00 += [float(state[0].real) for state in propagate(sequence, rate_free)]
+    r1 = [1.0]  # the R1 population before each segment, from the stored excitation
+    r1 += [float(np.abs(psi[0]) ** 2) for psi in propagate(sequence, hermitian_propagator)]
     reads = [i for i, seg in enumerate(sequence) if isinstance(seg, Readout)]
     bins = [0.0, 0.0, 0.0]
     for i in reads:
@@ -64,8 +64,7 @@ def readout_from_sequence(
         factor = getattr(readout, f"eta_{b}")
         if readout.deph > 0:
             factor *= math.exp(-readout.deph * total_duration(sequence[reads[0] : i]))
-        # rho is positive semidefinite: a negative rho_00 is rounding
-        bins[b - 1] = max(rho00[i], 0.0) * factor
+        bins[b - 1] = r1[i] * factor
     if not all(math.isfinite(p) and p >= 0 for p in bins):
         raise NumericError("bin probabilities must be finite and non-negative")
     if sum(bins) > 1.0 + 1e-9:

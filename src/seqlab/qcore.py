@@ -30,26 +30,26 @@ it takes the propagator (:func:`hermitian_propagator` for closed systems)
 and calls it once per distinct segment, with the segment's blocks
 (:func:`segment_blocks`).  :func:`propagate` is the one walk of those maps
 from the stored excitation, in the qutrit (3), the pair (6) and the
-master equation's space (10).  A sequence is a plain tuple of segments.
+rated master equation's space (10).  A sequence is a plain tuple of
+segments.
 
 Blocks: each field couples one pair of levels, so a segment's generator is
 block-diagonal, a two-level block plus the spectator level, and a wait
 couples nothing.  A readout takes no time, its generator is zero and its
-blocks leave R1 out, so its map empties R1: diag(0, 1, 1), or in the
-rate-free master equation the 0/1 projector that zeroes row 0 and column
-0 of rho_R; the pair space and the rated maps never see one.  The
-blocks come from the segment's field, never from its values, so a stack
-whose rabi is 0 at some points is propagated in the same blocks, and to
-the same bits, as one whose rabi is not.
+blocks leave R1 out, so its map empties R1: diag(0, 1, 1); only the
+qutrit walk of a read-out sees one.  The blocks come from the segment's
+field, never from its values, so a stack whose rabi is 0 at some points
+is propagated in the same blocks, and to the same bits, as one whose rabi
+is not.
 :func:`hermitian_propagator` exponentiates block by block, with the kernel
 of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
 the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
 m the mean of its diagonal and +-r the eigenvalues of h - m I, and only
 blocks of 3 or more levels (in the pair space) take a batched
-eigendecomposition, one per group of same-size blocks.  The master
-equation's propagator takes the blocks too: without a rate its map is
-U kron conj(U) of this U in the same blocks, and with one it
-exponentiates its whole 10x10 generator.
+eigendecomposition, one per group of same-size blocks.  Without a rate
+the master equation walks the qutrit's pure state with this U, so a
+zero-rate Lindblad scan is the unitary scan; with one it exponentiates
+its whole 10x10 generator and leaves the blocks unused.
 """
 
 from __future__ import annotations

@@ -35,8 +35,9 @@ plain tuple of segments), with the detunings of a block of BLOCK_POINTS
 grid points stacked in its mu1 pulses (:func:`block_sequences`).
 :func:`fringe_scan` holds the one block loop of a single scan: per block,
 unitary takes the last state of :func:`seqlab.qcore.propagate` and
-lindblad makes one :func:`seqlab.dissipative.evolve_master` call.  All
-three agree at delta1 = 0.  Away from resonance they do not: the
+lindblad makes one :func:`seqlab.dissipative.evolve_master` call, which
+without a rate walks the same pure state: a zero-rate lindblad scan is
+the unitary scan, to the bit.  All three agree at delta1 = 0.  Away from resonance they do not: the
 propagation backends follow the frame convention of :mod:`seqlab.qcore`
 (no diagonal term while mu1 is off) and lack the free-precession advance
 that the closed form carries in t_total.  That moves the envelope and the

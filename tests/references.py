@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from seqlab.config import ReadoutSection, ScanSection
-from seqlab.dissipative import LOSS_INDEX, expm, stored_excitation
+from seqlab.dissipative import LOSS_INDEX, expm
 from seqlab.photostats import readout_from_sequence
 from seqlab.qcore import (
     DriveSegment,
@@ -124,7 +124,7 @@ def readout_by_hand(sequence, readout: ReadoutSection) -> tuple[float, float, fl
     drive/wait segment's 3x3 map, lifted with the loss level untouched,
     and each Readout(b) records rho_00 times eta_<b> (times the inter-bin
     dephasing factor) and then zeroes row 0 and column 0."""
-    rho = stored_excitation()
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # the stored excitation
     drives = [s for s in sequence if not isinstance(s, Readout)]
     steps = iter(segment_maps(drives, hermitian_propagator))
     U = np.eye(4, dtype=complex)

@@ -179,8 +179,8 @@ def test_overflow_exits_3_without_warnings(tmp_path, backend, setting):
 
 def test_zero_rate_lindblad_at_an_extreme_span_is_the_unitary_table(tmp_path):
     # once exit 3, "overflow encountered in matmul", from expm's squarings;
-    # without a rate the map is U kron conj(U) of the unitary backend's U,
-    # and every row away from resonance reads I0
+    # without a rate the walk is the unitary backend's own, and every row
+    # away from resonance reads I0
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scan.points = 11\nscan.t_mu1 = 100ns\nscan.span = 1e300MHz\n",
                    encoding="utf-8")
@@ -271,6 +271,20 @@ def test_zero_rate_lindblad_at_a_3s_pulse_stays_within_its_bound(tmp_path, capsy
     intensity = tables["lindblad"][:, 1]
     assert intensity.min() >= 0.0 and intensity.max() <= 1.0 + p2  # (1 - p2) + 2 p2, I0 = 1
     assert np.abs(intensity - tables["unitary"][:, 1]).max() <= 1e-12
+
+
+def test_zero_rate_lindblad_at_a_10ms_pulse_is_the_unitary_table(tmp_path, capsys):
+    # once 1.0000000000000004 > I0 on the four rows off resonance, where the
+    # unitary backend printed 1.0: the U kron conj(U) maps rounded otherwise
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scan.t_mu1 = 10ms\nscan.points = 5\n", encoding="utf-8")
+    outputs = {}
+    for backend in ("unitary", "lindblad"):
+        assert main(["ramsey-scan", "--backend", backend, "--config", str(cfg)]) == 0
+        outputs[backend] = capsys.readouterr().out
+    assert outputs["lindblad"] == outputs["unitary"]
+    rows = [line.split(",") for line in outputs["lindblad"].splitlines()[1:]]
+    assert [i for d, i in rows if float(d) != 0.0] == ["1.0"] * 4
 
 
 def test_lindblad_cli_path_imports_no_scipy(tmp_path):
@@ -726,42 +740,42 @@ _RATES = (
 
 # sha256 of the emitted bytes, captured with numpy 2.4.6 once the closed
 # spaces propagated block by block and expm's Pade coefficients were scaled
-# to b_0 = 2; the zero-rate Lindblad ones (no _RATES) re-taken once their
-# maps became U kron conj(U), the readout one once the read-out walked
-# through qcore.propagate, and every Lindblad one and the readout one again
-# once the master equation walked its 10-dim invariant subspace.  A
-# refactor that moves a last bit anywhere in these outputs fails here.
+# to b_0 = 2; the rated Lindblad ones re-taken once the master equation
+# walked its 10-dim invariant subspace, and the readout one each time its
+# walk changed: through qcore.propagate, in the 10-dim subspace, and as
+# the qutrit state psi.  Without a rate the Lindblad backend walks the
+# unitary backend's pure state, so its CSV, JSON and _MIXTURE digests are
+# the unitary ones (test_zero_rate_lindblad_bytes_are_the_unitary_bytes
+# compares the bytes themselves).  A refactor that moves a last bit
+# anywhere in these outputs fails here.
 # ROADMAP item 1 (one rotating frame)
 # changes on purpose: the unitary and Lindblad scans (CSV and JSON); Lindblad
 # with _RATES; _MIXTURE on all three backends, the analytic one too, as its
 # double branch is propagated; both scan.gap cases.  Outside this list it
 # moves the fit of the unitary scan (test_fit_output_bytes_are_pinned) and
 # the fringe_demo.py stdout pin (tests/test_scripts.py).
+_UNITARY_CSV = "522ee12059e975d089e397cc1f15b58651e512dc368096df7a2ba8c1a3b6f5ce"
+_UNITARY_JSON = "221b866bf6241df13a7a66f010798d5bf49974078f48e296b72e6e7d028ab5ed"
+_UNITARY_MIXTURE = "719f11b814e18e19991e923821351a84529153b0cd2fa912a2e2b0cac51654d7"
 OUTPUT_SHA256 = [
     (["ramsey-scan", "--backend", "analytic", "--format", "csv"], "",
      "faa8b6b6fa89d3b6e8471e2335fe021c9f964f9bf89c515b3e2105273cfa3b7e"),
     (["ramsey-scan", "--backend", "analytic", "--format", "json"], "",
      "5266ffe4215be17026ac1b6076f1050f6f4de3f447eb9ac812ae754611c9f6df"),
-    (["ramsey-scan", "--backend", "unitary", "--format", "csv"], "",
-     "522ee12059e975d089e397cc1f15b58651e512dc368096df7a2ba8c1a3b6f5ce"),
-    (["ramsey-scan", "--backend", "unitary", "--format", "json"], "",
-     "221b866bf6241df13a7a66f010798d5bf49974078f48e296b72e6e7d028ab5ed"),
-    (["ramsey-scan", "--backend", "lindblad", "--format", "csv"], "",
-     "1e7ddd10942e7d8dccb537aeed79e416ffab810ee565a5048bdc4ac5400b656c"),
-    (["ramsey-scan", "--backend", "lindblad", "--format", "json"], "",
-     "cb1523b6c778500bafa06b7b5424d7925b52e339d746b80382db77149153833f"),
+    (["ramsey-scan", "--backend", "unitary", "--format", "csv"], "", _UNITARY_CSV),
+    (["ramsey-scan", "--backend", "unitary", "--format", "json"], "", _UNITARY_JSON),
+    (["ramsey-scan", "--backend", "lindblad", "--format", "csv"], "", _UNITARY_CSV),
+    (["ramsey-scan", "--backend", "lindblad", "--format", "json"], "", _UNITARY_JSON),
     (["ramsey-scan", "--backend", "analytic"], _MIXTURE,
      "a0dad3f352672fe41a67f2cc63efc64ccfe888aa350db960074bdd7b971a2434"),
-    (["ramsey-scan", "--backend", "unitary"], _MIXTURE,
-     "719f11b814e18e19991e923821351a84529153b0cd2fa912a2e2b0cac51654d7"),
-    (["ramsey-scan", "--backend", "lindblad"], _MIXTURE,
-     "6ee1c454f94a0dd1e2698eeb2271ac37ec5d83015365843a626ae6483ffe61e4"),
+    (["ramsey-scan", "--backend", "unitary"], _MIXTURE, _UNITARY_MIXTURE),
+    (["ramsey-scan", "--backend", "lindblad"], _MIXTURE, _UNITARY_MIXTURE),
     (["ramsey-scan", "--backend", "lindblad"], _RATES,
      "2dc801def734cb41c66af750802f4139a86fcb08f892455fccb7092ff7a79d15"),
     (["rabi-scan"], "",
      "b746e52a8b18dbd311cf8664982234b7f280c3d2b1bd1bafafd4787f4742b5c2"),
     (["readout", "--seq", CANONICAL], "readout.eta_2 = 0.9\nreadout.deph = 1MHz\n",
-     "48671a640c3d6e3da1c60f2391582053ce5c9eca2fc16c86f777b83c529516c6"),
+     "4bdafb2572e5af8472483d1343698e0bdde20a8115726b75df218e9565cdb46c"),
     # a stacked mu2 drive at a detuning, and one gap wait on both sides of mu2
     (["rabi-scan"], "rabi.points = 301\nrabi.t_max = 400ns\nrabi.detuning2 = 3MHz\n",
      "686c6129df77c61a37d39b8c94119edddf7eb21499eb8f9f2458f6bb803df0d3"),
@@ -782,6 +796,30 @@ def test_output_bytes_are_pinned(tmp_path, argv, settings, digest):
     cfg.write_text(settings, encoding="utf-8")
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "settings",
+    ["", _MIXTURE, "scan.gap = 50ns\n"],
+    ids=["default", "mixture", "gap"],
+)
+def test_zero_rate_lindblad_bytes_are_the_unitary_bytes(tmp_path, capsys, fmt, settings):
+    # without a rate the master equation walks the pure state of the
+    # unitary backend, so both print and write the same bytes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(settings, encoding="utf-8")
+    printed, written = {}, {}
+    for backend in ("unitary", "lindblad"):
+        argv = ["ramsey-scan", "--backend", backend, "--format", fmt, "--config", str(cfg)]
+        assert main(argv) == 0
+        printed[backend] = capsys.readouterr().out
+        out = tmp_path / f"{backend}.{fmt}"
+        assert main([*argv, "--out", str(out)]) == 0
+        written[backend] = out.read_bytes()
+    assert printed["lindblad"] == printed["unitary"]
+    assert written["lindblad"] == written["unitary"]
+    assert written["unitary"] == printed["unitary"].encode()
 
 
 def test_fit_output_bytes_are_pinned(tmp_path):

@@ -16,7 +16,6 @@ from seqlab.dissipative import (
     channel_rates,
     evolve_master,
     expm,
-    liouville_propagator,
     liouvillian,
     _validate_density,
 )
@@ -24,6 +23,7 @@ from seqlab.qcore import (
     FIELDS,
     DriveSegment,
     Wait,
+    hermitian_propagator,
     segment_hamiltonian,
     segment_maps,
 )
@@ -79,6 +79,11 @@ def assert_physical(m):
     assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -POSITIVITY_TOL
 
 
+def ten_vector(rho):
+    """(vec rho_R, rho_44) of a (..., 4, 4) density matrix."""
+    return np.concatenate([rho[..., :3, :3].reshape(rho.shape[:-2] + (9,)), rho[..., 3:, 3]], -1)
+
+
 RATES = DissipationSection(
     gamma_decay_1=1e5, gamma_decay_2=2e5, gamma_decay_3=3e5,
     gamma_deph_1=1e5, gamma_deph_2=1e5, gamma_deph_3=2e5,
@@ -118,7 +123,7 @@ def test_invariants_hold_at_all_samples():
     for cut in cuts:
         assert_physical(evolve_master(cut, RATES))
     # the density check agrees
-    _validate_density(evolve_master(seq, RATES))
+    _validate_density(ten_vector(evolve_master(seq, RATES)))
 
 
 def test_population_leaks_into_loss_level():
@@ -202,24 +207,27 @@ def test_expm_of_zero_is_exactly_the_identity(n):
 
 @given(_blockwise_cases())
 def test_zero_rate_liouville_maps_are_the_exponential(case):
-    # U kron conj(U) in the segment's blocks, with 1 for rho_44, against
-    # expm of the whole zero-rate generator, this module's and scipy's, at
-    # |Lv| t <= 1e2
+    # expm of the zero-rate generator, this module's and scipy's, is the
+    # closed walk's map: U kron conj(U) on vec rho_R, with U the
+    # closed-space propagator in the segment's blocks, and 1 on rho_44, at
+    # |Lv| t <= 1e2.  So the rated walk tends to the pure-state walk as
+    # the rates go to zero.
     scipy_linalg = pytest.importorskip("scipy.linalg")
     seg, _ = case
-    (M,) = segment_maps((seg,), liouville_propagator(DissipationSection()))
+    (U,) = segment_maps((seg,), hermitian_propagator)
     L = liouvillian(segment_hamiltonian(seg), DissipationSection())
     t = np.asarray(seg.duration)
     shape = np.broadcast_shapes(L.shape[:-2], t.shape)
+    assert U.shape == shape + (3, 3)
     L = np.broadcast_to(L, shape + (10, 10)).reshape(-1, 10, 10)
     t = np.broadcast_to(t, shape).ravel()
     assume(max(np.linalg.norm(l, 2) * d for l, d in zip(L, t)) <= 1e2)
-    assert M.shape == shape + (10, 10)
-    trace = np.append(np.eye(3).ravel(), 1.0)  # tr(rho) = tr(rho_R) + rho_44
-    for m, l, d in zip(M.reshape(L.shape), L, t):
+    for u, l, d in zip(U.reshape(-1, 3, 3), L, t):
+        m = np.zeros((10, 10), dtype=complex)
+        m[:9, :9] = np.kron(u, u.conj())
+        m[9, 9] = 1.0
         assert np.abs(m - expm(l * d)).max() <= 1e-13
         assert np.abs(m - scipy_linalg.expm(l * d)).max() <= 1e-13
-        assert np.abs(trace @ m - trace).max() <= 1e-13
 
 
 def _rk4_oracle(rho, sequence, params):
@@ -302,14 +310,16 @@ def test_every_sample_is_physical(segments, decay, deph, dt):
 
 
 def test_validate_flags_unphysical_matrices():
-    bad_trace = np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex)
+    # states (vec rho_R, rho_44)
+    bad_trace = np.zeros(10, dtype=complex)
+    bad_trace[0] = 0.7
     with pytest.raises(NumericError):
         _validate_density(bad_trace)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    m[0, 1] = 1e-3  # non-Hermitian
+    v = np.zeros(10, dtype=complex)
+    v[0] = 1.0
+    v[1] = 1e-3  # rho_01 without its rho_10: non-Hermitian
     with pytest.raises(NumericError):
-        _validate_density(m)
+        _validate_density(v)
 
 
 def test_dissipation_params_validation():
@@ -397,7 +407,7 @@ PREP_06_08 = DriveSegment(
 def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
     stacked = (PREP_06_08,) + stacked
-    # with rates (expm) and without them (U kron conj(U))
+    # with rates (expm) and without them (the pure-state walk)
     for rates in (RATES, DissipationSection()):
         final = evolve_master(stacked, rates)
         assert final.shape == (points, 4, 4)
@@ -468,19 +478,22 @@ def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
 
 
 def test_validate_checks_every_matrix_of_a_stack():
-    good = np.zeros((7, 4, 4), dtype=complex)
-    good[:, 0, 0] = 1.0
+    # a stack of states (vec rho_R, rho_44): rho_ab at 3a + b, rho_44 at 9
+    good = np.zeros((7, 10), dtype=complex)
+    good[:, 0] = 1.0
     _validate_density(good)
     bad_cases = {
-        "non-finite": (3, 1, 1, math.nan),
-        "hermiticity": (5, 0, 1, 1e-3),
-        "trace": (6, 0, 0, 0.7),
-        "positivity": (2, 1, 1, -1e-3),
+        "non-finite": (3, 4, math.nan),
+        "hermiticity": (5, 1, 1e-3),
+        "trace": (6, 0, 0.7),
+        "trace of rho_44": (4, 9, 0.3),
+        "positivity": (2, 4, -1e-3),
+        "positivity of rho_44": (1, 9, -1e-3),
     }
-    for what, (i, r, c, value) in bad_cases.items():
-        m = good.copy()
-        m[i, r, c] = value
-        if what == "positivity":
-            m[i, 0, 0] = 1.0 + 1e-3  # keep the trace
-        with pytest.raises(NumericError, match=what.split("-")[0]):
-            _validate_density(m)
+    for what, (i, k, value) in bad_cases.items():
+        v = good.copy()
+        v[i, k] = value
+        if what.startswith("positivity"):
+            v[i, 0] = 1.0 + 1e-3  # keep the trace
+        with pytest.raises(NumericError, match=what.split("-")[0].split()[0]):
+            _validate_density(v)

@@ -317,6 +317,27 @@ def test_zero_interactions_leave_fitted_phase_unchanged():
     assert abs(mixed_fit["phase"] - single_fit["phase"]) <= 1e-6
 
 
+@given(
+    t_mu1=st.floats(5e-9, 1e-6),
+    area=st.floats(0.0, 4.0 * math.pi),  # of the intermediate mu2 pulse
+    t_mu2=st.floats(1e-9, 1e-6),
+    span=st.floats(mhz(0.01), mhz(50.0)),
+    points=st.integers(1, 150).map(lambda n: 2 * n + 1),  # up to two blocks
+    gap=st.one_of(st.just(0.0), st.floats(1e-9, 200e-9)),
+    p2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    v_int=st.floats(-mhz(5.0), mhz(5.0)),
+)
+def test_zero_rate_lindblad_mixture_is_the_unitary_one_bit_for_bit(
+    t_mu1, area, t_mu2, span, points, gap, p2, v_int
+):
+    # without a rate the master equation walks the unitary backend's pure
+    # state and reads its populations as that backend does
+    unitary = scan_config(t_mu1, span, points, area / t_mu2, t_mu2, backend="unitary", gap=gap)
+    interaction = InteractionSection(v_int, p2)
+    lindblad = mixture_fringe_scan(replace(unitary, backend="lindblad"), NO_RATES, interaction)
+    assert np.array_equal(lindblad, mixture_fringe_scan(unitary, NO_RATES, interaction))
+
+
 def test_mixture_intensity_bounds():
     config = _scan_config(points=81)
     p2 = 0.3

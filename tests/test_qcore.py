@@ -458,13 +458,7 @@ def test_stacked_segments_compare_and_hash():
 
 def test_a_readout_empties_r1():
     # a readout is a segment whose map zeroes R1 and keeps the rest,
-    # exactly: diag(0, 1, 1) in the qutrit space and, without a rate, the
-    # 0/1 projector that zeroes row 0 and column 0 of rho_R and keeps rho_44
+    # exactly: diag(0, 1, 1) in the qutrit space, where the read-out walks
     (U,) = segment_maps((Readout(2),), hermitian_propagator)
     assert np.array_equal(U, np.diag([0.0, 1.0, 1.0]))
-    propagator = dissipative.liouville_propagator(DissipationSection())
-    (P,) = segment_maps((Readout(1),), propagator)
-    keep = np.ones((3, 3))
-    keep[0, :] = keep[:, 0] = 0.0
-    assert np.array_equal(P, np.diag(np.append(keep.ravel(), 1.0)))
     assert readout_from_sequence((Readout(1),), ReadoutSection()) == (1.0, 0.0, 0.0)

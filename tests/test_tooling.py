@@ -539,9 +539,9 @@ def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
 
 
 def test_zero_rate_master_walks_take_no_matrix_exponential(tmp_path, monkeypatch):
-    # the exact map U kron conj(U), counted rather than timed: a Lindblad
-    # ramsey-scan without rates makes no dissipative.expm call, and one with
-    # a rate makes one per distinct segment of each block
+    # the pure-state walk, counted rather than timed: a Lindblad ramsey-scan
+    # without rates makes no dissipative.expm call, and one with a rate
+    # makes one per distinct segment of each block
     from seqlab import cli, dissipative, ramsey
 
     expm = dissipative.expm
