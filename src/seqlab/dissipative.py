@@ -22,26 +22,20 @@ row-major, obeys d/dt = Lv with the generator of :func:`liouvillian`
 
 by vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), with H the 3x3 of :func:`seqlab.qcore.segment_hamiltonian` that
-the closed backends propagate.  With a rate set, each drive or wait
-segment is propagated exactly, by the map :func:`expm` of Lv t
-(:func:`liouville_propagator`).  rho_44 is propagated, never taken as
+the closed backends propagate.  :func:`evolve_master`, the rated walk,
+walks one sequence from the stored excitation, |R1><R1|, with
+:func:`seqlab.qcore.propagate`: each distinct drive or wait segment,
+which may stand for a stack of pulses (a detuning scan), takes one
+:func:`expm` call, with a scaling exponent per matrix
+(:func:`liouville_propagator`), and one :func:`_validate_density` call
+checks the whole stack after it.  rho_44 is propagated, never taken as
 1 - tr rho_R, so the trace check tests the walk.  numpy only: scipy would
-double the memory and start-up of every CLI call.
-
-With no rate set the equation is closed and a pure state stays pure:
-rho_R = psi psi^+ and rho_44 = 0, with psi the unitary backend's own walk
-(:func:`seqlab.qcore.propagate` with
-:func:`seqlab.qcore.hermitian_propagator`), and the populations taken as
-|psi|^2 as :func:`seqlab.ramsey.fringe_scan` takes them.  So a zero-rate
-Lindblad scan is the unitary scan, to the bit.
-
-:func:`evolve_master` walks one sequence from the stored excitation,
-|R1><R1|, with :func:`seqlab.qcore.propagate`.  Its segments may stand for
-stacks of pulses (a detuning scan), and each distinct one takes one map
-stack: one :func:`expm` call, with a scaling exponent per matrix, or one
-closed-space U.  One :func:`_validate_density` call checks the whole stack
-of 10-vectors after each segment, and only the last state is scattered
-into the 4x4 rho.
+double the memory and start-up of every CLI call.  With no rate set the
+equation is closed and keeps a pure state pure, so a rate-free scan never
+calls :func:`evolve_master` (whose expm walk is exact up to Pade rounding
+there): :func:`seqlab.ramsey.fringe_scan` walks the unitary backend's psi,
+its norm checked by :func:`checked_last_state`, and a zero-rate Lindblad
+scan is the unitary scan, to the bit.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ import math
 import numpy as np
 
 from .config import DissipationSection
-from .qcore import Segment, hermitian_propagator, propagate
+from .qcore import Segment, propagate, total_duration
 
 LOSS_INDEX = 3
 
@@ -72,6 +66,35 @@ def channel_rates(dissipation: DissipationSection) -> np.ndarray:
     ])
 
 
+def _check_trace(tr: np.ndarray) -> None:
+    """Raise NumericError, quoting the worst, unless every trace of the
+    stack tr is finite and within TRACE_TOL of 1."""
+    worst = tr.flat[np.abs(tr - 1.0).argmax()]  # the first NaN, if there is one
+    if not abs(worst - 1.0) <= TRACE_TOL:  # NaN fails every comparison
+        # repr: a drift beyond TRACE_TOL can round away in a short format
+        raise NumericError(f"trace drifted to {float(worst.real)!r}")
+
+
+def _after(segments, check, state: np.ndarray) -> None:
+    """check(state), the state after segments, with their end time in the
+    message of a NumericError."""
+    try:
+        check(state)
+    except NumericError as err:
+        raise NumericError(f"at t={total_duration(segments):.3e} s: {err}") from None
+
+
+def checked_last_state(sequence: tuple[Segment, ...], states: list[np.ndarray]) -> np.ndarray:
+    """The last of the states of a closed walk of sequence (one stack
+    shape), once all their |psi|^2 pass the trace check at once: it runs on
+    the first segment that fails (a NaN too), else on the first, and names
+    its end.  A matmul sums the populations, faster than sum(axis=-1)."""
+    norms = (np.abs(np.stack(states)) ** 2 @ np.ones(3)).reshape(len(states), -1)
+    k = (~(np.abs(norms - 1.0) <= TRACE_TOL)).any(axis=1).argmax()
+    _after(sequence[: k + 1], _check_trace, norms[k])
+    return states[-1]
+
+
 def _validate_density(state: np.ndarray) -> None:
     """Raise NumericError if hermiticity, trace or positivity is violated
     by the state (vec rho_R, rho_44) or by any state of a (..., 10) stack;
@@ -85,11 +108,7 @@ def _validate_density(state: np.ndarray) -> None:
     herm = np.abs(m - m_dag).max()
     if herm > HERMITICITY_TOL:
         raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
-    tr = state[..., [0, 4, 8, 9]].sum(axis=-1).ravel()
-    worst = np.abs(tr - 1.0).argmax()
-    if abs(tr[worst] - 1.0) > TRACE_TOL:
-        # repr: a drift beyond TRACE_TOL can round away in a short format
-        raise NumericError(f"trace drifted to {float(tr[worst].real)!r}")
+    _check_trace(state[..., [0, 4, 8, 9]].sum(axis=-1))
     lo = min(np.linalg.eigvalsh(0.5 * (m + m_dag)).min(), state[..., 9].real.min())
     if lo < -POSITIVITY_TOL:
         raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
@@ -170,44 +189,25 @@ def liouville_propagator(dissipation: DissipationSection):
     return lambda H, t, blocks: expm(liouvillian(H, dissipation) * np.asarray(t)[..., None, None])
 
 
-def _pure_state(psi: np.ndarray) -> np.ndarray:
-    """(vec psi psi^+, 0) of a (..., 3) stack of qutrit states, with the
-    populations taken as |psi|^2."""
-    state = np.zeros(psi.shape[:-1] + (10,), dtype=complex)
-    state[..., :9] = (psi[..., :, None] * psi[..., None, :].conj()).reshape(psi.shape[:-1] + (9,))
-    state[..., :9:4] = np.abs(psi) ** 2
-    return state
-
-
 def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
     """The density matrix over (R1, R2, R3, loss) after a sequence of
-    drive/wait segments under the master equation, starting from the
+    drive/wait segments under the master equation with its rates (the
+    rated walk: a rate-free scan never calls this), starting from the
     stored excitation; |R1><R1| for an empty sequence.
 
     The segments may stand for stacks of pulses; the result is then the
     (..., 4, 4) stack over their broadcast shape.  The states
-    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate`, the
-    whole stack together: with a rate set, with the
-    :func:`liouville_propagator` of the rates; with none, as the pure
-    states of the closed walk (see the module docstring).  The last one
-    is scattered into rho, whose loss coherences are zero.
-
+    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate` with the
+    :func:`liouville_propagator` of the rates, the whole stack together,
+    and the last is scattered into rho, whose loss coherences are zero.
     The density-matrix invariants are checked after every segment, on the
     whole stack at once; a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    if channel_rates(dissipation).any():
-        states = propagate(sequence, liouville_propagator(dissipation))
-    else:
-        states = map(_pure_state, propagate(sequence, hermitian_propagator))
-    state = np.eye(10, dtype=complex)[0]  # vec |R1><R1|, the stored excitation
-    t = 0.0
-    for seg, state in zip(sequence, states):
-        t += seg.duration
-        try:
-            _validate_density(state)
-        except NumericError as err:
-            raise NumericError(f"at t={t:.3e} s: {err}") from None
+    states = propagate(sequence, liouville_propagator(dissipation))
+    for k, state in enumerate(states, 1):
+        _after(sequence[:k], _validate_density, state)
+    state = states[-1] if states else np.eye(10, dtype=complex)[0]  # vec |R1><R1|
     rho = np.zeros(state.shape[:-1] + (4, 4), dtype=complex)
     rho[..., :3, :3] = state[..., :9].reshape(state.shape[:-1] + (3, 3))
     rho[..., LOSS_INDEX, LOSS_INDEX] = state[..., 9]

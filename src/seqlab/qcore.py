@@ -46,10 +46,9 @@ of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
 the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
 m the mean of its diagonal and +-r the eigenvalues of h - m I, and only
 blocks of 3 or more levels (in the pair space) take a batched
-eigendecomposition, one per group of same-size blocks.  Without a rate
-the master equation walks the qutrit's pure state with this U, so a
-zero-rate Lindblad scan is the unitary scan; with one it exponentiates
-its whole 10x10 generator and leaves the blocks unused.
+eigendecomposition, one per group of same-size blocks.  A rate-free
+Lindblad scan walks this U and never calls evolve_master, the rated
+master equation, which exponentiates its whole 10x10 generator.
 """
 
 from __future__ import annotations

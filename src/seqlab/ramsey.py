@@ -29,15 +29,15 @@ points.
 
 Backends, the words of ``scan.backend``: analytic evaluates the closed
 form over the whole grid at once.  unitary and lindblad propagate the
-sequence of
-:func:`build_ramsey_sequence`, the one layout of the Ramsey sequence (a
-plain tuple of segments), with the detunings of a block of BLOCK_POINTS
-grid points stacked in its mu1 pulses (:func:`block_sequences`).
-:func:`fringe_scan` holds the one block loop of a single scan: per block,
-unitary takes the last state of :func:`seqlab.qcore.propagate` and
-lindblad makes one :func:`seqlab.dissipative.evolve_master` call, which
-without a rate walks the same pure state: a zero-rate lindblad scan is
-the unitary scan, to the bit.  All three agree at delta1 = 0.  Away from resonance they do not: the
+sequence of :func:`build_ramsey_sequence`, the one layout of the Ramsey
+sequence (a plain tuple of segments), with the detunings of a block of
+BLOCK_POINTS grid points stacked in its mu1 pulses (:func:`block_sequences`),
+in the one block loop of :func:`fringe_scan`.  The rates choose the walk:
+lindblad with a rate calls :func:`seqlab.dissipative.evolve_master`, the
+rated walk; unitary, and lindblad with no rate set, never call it but take
+the last state of a closed :func:`seqlab.qcore.propagate` walk, its norm
+checked after every segment: zero-rate lindblad is unitary, to the bit.
+All three agree at delta1 = 0.  Away from resonance they do not: the
 propagation backends follow the frame convention of :mod:`seqlab.qcore`
 (no diagonal term while mu1 is off) and lack the free-precession advance
 that the closed form carries in t_total.  That moves the envelope and the
@@ -55,7 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import DissipationSection, ScanSection
-from .dissipative import evolve_master
+from .dissipative import channel_rates, checked_last_state, evolve_master
 from .qcore import (
     DriveSegment,
     Segment,
@@ -159,16 +159,16 @@ def block_sequences(scan: ScanSection) -> Iterator[tuple[Segment, ...]]:
 def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarray:
     """Run a detuning scan with the scan's backend: a float64 array of
     intensities, one per point of its grid.  dissipation is consulted by
-    the lindblad backend only."""
+    the lindblad backend only, and walked only if it sets a rate."""
     if scan.backend == "analytic":
         deltas = symmetric_detuning_grid(scan.span, scan.points)
         return ramsey_intensity(
             deltas, scan.t_mu1, scan.omega_mu2, scan.t_mu2, scan.i0, 2.0 * scan.gap
         )
-    unitary = scan.backend == "unitary"
+    closed = scan.backend == "unitary" or not channel_rates(dissipation).any()
     return scan.i0 * np.concatenate([
-        np.abs(propagate(seq, hermitian_propagator)[-1][:, 0]) ** 2 if unitary
-        else evolve_master(seq, dissipation)[:, 0, 0].real  # lindblad
+        np.abs(checked_last_state(seq, propagate(seq, hermitian_propagator))[:, 0]) ** 2
+        if closed else evolve_master(seq, dissipation)[:, 0, 0].real  # lindblad, rated
         for seq in block_sequences(scan)
     ])
 

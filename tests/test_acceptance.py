@@ -77,7 +77,8 @@ def test_analytic_and_unitary_backends_agree():
 
 
 def test_lindblad_visibility_curve_reproduces_law():
-    # zero-rate master-equation scans trace the closed-form visibility curve
+    # zero-rate Lindblad scans, the closed walk, trace the closed-form
+    # visibility curve
     t_mu1, t_mu2 = 20e-9, 80e-9
     for area in np.linspace(0.0, 3.0 * math.pi, 25):
         omega = float(area) / t_mu2

@@ -238,6 +238,28 @@ def test_trace_drift_message_shows_a_small_drift(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("backend", ["unitary", "lindblad"])
+def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, backend):
+    # a propagator that gains 1e-6 in amplitude: the closed walk, of the
+    # unitary backend and of lindblad without a rate, exits 3 with the
+    # trace check's message at the end of the first mu1 pulse
+    from seqlab import qcore
+
+    exact = qcore.hermitian_propagator
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seqlab") and vars(module).get("hermitian_propagator") is exact:
+            monkeypatch.setattr(
+                module, "hermitian_propagator",
+                lambda H, t, blocks: (1.0 + 1e-6) * exact(H, t, blocks),
+            )
+    assert main(["ramsey-scan", "--backend", backend]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: at t=1.000e-07 s: trace drifted to 1.0000020000010004\n"
+    )
+
+
 @pytest.mark.parametrize(
     "setting, limit",
     [
@@ -743,8 +765,8 @@ _RATES = (
 # to b_0 = 2; the rated Lindblad ones re-taken once the master equation
 # walked its 10-dim invariant subspace, and the readout one each time its
 # walk changed: through qcore.propagate, in the 10-dim subspace, and as
-# the qutrit state psi.  Without a rate the Lindblad backend walks the
-# unitary backend's pure state, so its CSV, JSON and _MIXTURE digests are
+# the qutrit state psi.  Without a rate the Lindblad backend runs the
+# unitary backend's closed walk, so its CSV, JSON and _MIXTURE digests are
 # the unitary ones (test_zero_rate_lindblad_bytes_are_the_unitary_bytes
 # compares the bytes themselves).  A refactor that moves a last bit
 # anywhere in these outputs fails here.
@@ -805,8 +827,8 @@ def test_output_bytes_are_pinned(tmp_path, argv, settings, digest):
     ids=["default", "mixture", "gap"],
 )
 def test_zero_rate_lindblad_bytes_are_the_unitary_bytes(tmp_path, capsys, fmt, settings):
-    # without a rate the master equation walks the pure state of the
-    # unitary backend, so both print and write the same bytes
+    # without a rate the Lindblad backend runs the unitary backend's
+    # closed walk, so both print and write the same bytes
     cfg = tmp_path / "run.cfg"
     cfg.write_text(settings, encoding="utf-8")
     printed, written = {}, {}

@@ -14,6 +14,7 @@ from seqlab.dissipative import (
     _THETA13,
     NumericError,
     channel_rates,
+    checked_last_state,
     evolve_master,
     expm,
     liouvillian,
@@ -210,8 +211,8 @@ def test_zero_rate_liouville_maps_are_the_exponential(case):
     # expm of the zero-rate generator, this module's and scipy's, is the
     # closed walk's map: U kron conj(U) on vec rho_R, with U the
     # closed-space propagator in the segment's blocks, and 1 on rho_44, at
-    # |Lv| t <= 1e2.  So the rated walk tends to the pure-state walk as
-    # the rates go to zero.
+    # |Lv| t <= 1e2.  So the rated walk tends to the closed walk as the
+    # rates go to zero.
     scipy_linalg = pytest.importorskip("scipy.linalg")
     seg, _ = case
     (U,) = segment_maps((seg,), hermitian_propagator)
@@ -407,7 +408,7 @@ PREP_06_08 = DriveSegment(
 def test_stacked_sequence_equals_per_point_sequences(case):
     stacked, per_point, points = case
     stacked = (PREP_06_08,) + stacked
-    # with rates (expm) and without them (the pure-state walk)
+    # with rates and without them, both by expm of the generator
     for rates in (RATES, DissipationSection()):
         final = evolve_master(stacked, rates)
         assert final.shape == (points, 4, 4)
@@ -475,6 +476,25 @@ def test_unphysical_state_on_the_last_stacked_point_raises(monkeypatch):
     # three mu1 points, whose last map is the pulse at the last detuning only
     with pytest.raises(NumericError, match=r"^at t=2\.700e-07 s: trace drifted"):
         evolve_master(seq, RATES)
+
+
+def test_closed_walk_check_names_the_first_segment_that_fails():
+    # all the states of a closed walk are checked at once, and the message
+    # is the trace check's at the end of the first segment that fails it,
+    # also where a later segment drifts further or is not finite
+    seq = (PREP_06_08, Wait(30e-9), PREP_06_08)
+    psi = np.array([[0.6, 0.8j, 0.0], [0.0, 0.0, 1.0]])
+    states = [psi, psi.copy(), psi.copy()]
+    states[1][1] *= 1.0 + 2e-9  # |psi|^2 off by 4e-9, within TRACE_TOL
+    assert checked_last_state(seq, states) is states[-1]
+    states[1][1] *= 1.0 + 1e-6
+    states[2][0] *= 1.1
+    with pytest.raises(NumericError, match=r"^at t=5\.000e-08 s: trace drifted to 1\.0000020"):
+        checked_last_state(seq, states)
+    states[1:] = psi, psi.copy()
+    states[2][1, 2] = math.nan  # abs(nan - 1) > TRACE_TOL is false, yet it fails
+    with pytest.raises(NumericError, match=r"^at t=7\.000e-08 s: trace drifted to nan$"):
+        checked_last_state(seq, states)
 
 
 def test_validate_checks_every_matrix_of_a_stack():

@@ -330,8 +330,8 @@ def test_zero_interactions_leave_fitted_phase_unchanged():
 def test_zero_rate_lindblad_mixture_is_the_unitary_one_bit_for_bit(
     t_mu1, area, t_mu2, span, points, gap, p2, v_int
 ):
-    # without a rate the master equation walks the unitary backend's pure
-    # state and reads its populations as that backend does
+    # without a rate the Lindblad backend runs the unitary backend's closed
+    # walk and reads its populations as that backend does
     unitary = scan_config(t_mu1, span, points, area / t_mu2, t_mu2, backend="unitary", gap=gap)
     interaction = InteractionSection(v_int, p2)
     lindblad = mixture_fringe_scan(replace(unitary, backend="lindblad"), NO_RATES, interaction)

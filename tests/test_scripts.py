@@ -16,7 +16,7 @@ SCRIPTS = sorted(p for p in (ROOT / "scripts").glob("*.py") if not p.name.starts
 # sha256 of stdout, taken when the scripts called the library directly; the
 # propagated ones re-taken once the closed spaces went block by block and
 # expm's Pade coefficients were scaled to b_0 = 2.  Without a rate the
-# Lindblad backend walks the unitary backend's pure state, so its pin is
+# Lindblad backend runs the unitary backend's closed walk, so its pin is
 # the unitary one (test_visibility_curve_lindblad_backend_follows_the_law
 # compares the bytes themselves).
 # readout_dephasing.py's is of its table, without the line it printed first.
@@ -69,8 +69,8 @@ def test_visibility_curve_lindblad_backend_follows_the_law():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert len(rows) == 25
-    # zero rates: the exact master equation lands on the closed-form law,
-    # as the pure state of the unitary backend, to the byte
+    # zero rates: the Lindblad backend runs the unitary backend's closed
+    # walk, which lands on the closed-form law, to the byte
     assert max(abs(float(row.split()[-1])) for row in rows) <= 1e-12
     unitary = _run(ROOT / "scripts" / "visibility_curve.py", "--backend", "unitary")
     assert unitary.returncode == 0, unitary.stderr

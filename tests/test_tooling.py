@@ -539,30 +539,43 @@ def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
 
 
 def test_zero_rate_master_walks_take_no_matrix_exponential(tmp_path, monkeypatch):
-    # the pure-state walk, counted rather than timed: a Lindblad ramsey-scan
-    # without rates makes no dissipative.expm call, and one with a rate
-    # makes one per distinct segment of each block
+    # the rates choose the walk, counted rather than timed: a Lindblad
+    # ramsey-scan without rates is the closed walk, with no
+    # dissipative.evolve_master, expm or eigvalsh call, and one with a rate
+    # makes one evolve_master call per block and one expm call per distinct
+    # segment of each block
     from seqlab import cli, dissipative, ramsey
 
-    expm = dissipative.expm
-    shapes = []
+    expm, evolve_master, eigvalsh = dissipative.expm, ramsey.evolve_master, np.linalg.eigvalsh
+    shapes, masters, eigvalshs = [], [], []
 
     def counting(a):
         shapes.append(a.shape)
         return expm(a)
 
+    def counting_master(sequence, dissipation):
+        masters.append(len(sequence))
+        return evolve_master(sequence, dissipation)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalshs.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(dissipative, "expm", counting)
+    monkeypatch.setattr(ramsey, "evolve_master", counting_master)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     cfg = tmp_path / "run.cfg"
     scan = f"scan.points = {ramsey.BLOCK_POINTS + 1}\nscan.gap = 15ns\n"  # blocks of 256 and 1
     argv = ["ramsey-scan", "--backend", "lindblad", "--config", str(cfg)]
     cfg.write_text(scan, encoding="utf-8")
     assert cli.main(argv) == 0
-    assert shapes == []
+    assert (shapes, masters, eigvalshs) == ([], [], [])
     cfg.write_text(scan + "dissipation.gamma_deph_2 = 0.1MHz\n", encoding="utf-8")
     assert cli.main(argv) == 0
     # per block: the mu1 pulses, stacked over its detunings, the gap wait
-    # and the mu2 pulse
+    # and the mu2 pulse, in a sequence of five segments
     assert shapes == [(256, 10, 10), (10, 10), (10, 10), (1, 10, 10), (10, 10), (10, 10)]
+    assert masters == [5, 5]
 
 
 def test_every_emit_goes_through_main(tmp_path, monkeypatch):
