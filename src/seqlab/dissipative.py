@@ -86,10 +86,11 @@ def _after(segments, check, state: np.ndarray) -> None:
 
 def checked_last_state(sequence: tuple[Segment, ...], states: list[np.ndarray]) -> np.ndarray:
     """The last of the states of a closed walk of sequence (one stack
-    shape), once all their |psi|^2 pass the trace check at once: it runs on
+    shape), once all their norms pass the trace check at once: it runs on
     the first segment that fails (a NaN too), else on the first, and names
-    its end.  A matmul sums the populations, faster than sum(axis=-1)."""
-    norms = (np.abs(np.stack(states)) ** 2 @ np.ones(3)).reshape(len(states), -1)
+    its end.  A matmul sums the squares of the stack's float64 view."""
+    parts = np.stack(states).view(np.float64)
+    norms = (np.square(parts) @ np.ones(parts.shape[-1])).reshape(len(states), -1)
     k = (~(np.abs(norms - 1.0) <= TRACE_TOL)).any(axis=1).argmax()
     _after(sequence[: k + 1], _check_trace, norms[k])
     return states[-1]

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .config import DissipationSection, InteractionSection, ScanSection
-from .dissipative import channel_rates
+from .dissipative import channel_rates, checked_last_state
 from .qcore import hermitian_propagator, propagate
 from .ramsey import block_sequences, fringe_scan
 
@@ -127,10 +127,11 @@ def mixture_fringe_scan(
     :func:`seqlab.ramsey.fringe_scan` with the scan's backend and I_double
     is I0 times the expected number of R1 excitations after the pair
     propagates through the same sequence, one stacked call per block of
-    :func:`seqlab.ramsey.block_sequences`.  With p2 = 0 this is the single
-    scan itself; the double branch is bounded by 2 I0, so the mixture is
-    bounded by (1 - p2) I0 + 2 p2 I0.  The double branch is closed, so
-    p2 > 0 with the lindblad backend and a non-zero dissipation rate raises
+    :func:`seqlab.ramsey.block_sequences`, norm-checked as the single
+    branch is.  With p2 = 0 this is the single scan itself; the double
+    branch is bounded by 2 I0, so the mixture is bounded by
+    (1 - p2) I0 + 2 p2 I0.  The double branch is closed, so p2 > 0 with
+    the lindblad backend and a non-zero dissipation rate raises
     ValueError rather than damp the single branch alone.
     """
     p2 = interaction.p2
@@ -146,6 +147,7 @@ def mixture_fringe_scan(
         return hermitian_propagator(pair_hamiltonian(h3, interaction), t, pair_blocks(blocks))
 
     # from the stored pair (11), configuration 0
-    amps = np.concatenate([propagate(s, propagator)[-1] for s in block_sequences(scan)])
+    amps = np.concatenate([checked_last_state(s, propagate(s, propagator))
+                           for s in block_sequences(scan)])
     doubles = scan.i0 * (np.abs(amps) ** 2 @ _R1_OCC)
     return (1.0 - p2) * fringe_scan(scan, dissipation) + p2 * doubles

@@ -6,8 +6,7 @@ mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
 retrieval empties R1: a readout is a segment whose map does so, and a
 read-out sequence is one closed :func:`seqlab.qcore.propagate` walk of
 the qutrit state from the stored excitation, as the unitary backend walks
-a scan.  The retrieval efficiencies
-eta_1..eta_3 of the config's readout section scale the three bins.
+a scan.  The readout section's efficiencies eta_1..eta_3 scale the bins.
 
 Dephasing accumulated between bins suppresses the retrievable collective
 mode, so it shows up as signal loss rather than as a population change:
@@ -24,7 +23,9 @@ and memory do not grow with the trial count.  :func:`estimate_g2` takes
 the histogram and gives g2 with its delta-method standard error, from
 exact integer sums over the outcomes; it draws nothing.  The run
 configuration bounds every count, rate and efficiency that reaches this
-module.  Results are plain values: the bins are (p1, p2, p3), g2 is
+module.  A fringe fit is a search over the frequency alone (variable
+projection), converged when its least residual lies inside the search's
+bracket.  Results are plain values: the bins are (p1, p2, p3), g2 is
 (value, stderr) and a fit is a dict.
 """
 
@@ -250,52 +251,62 @@ def estimate_g2(hist, bin: int) -> tuple[float, float]:
 # Sinusoid / fringe fitting
 
 
-MAX_FIT_ITERATIONS = 200
-FIT_STEP_TOL = 1e-10
-
-
 def _periodogram_peak(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Peak angular frequency of a demeaned uniform-grid periodogram.
-
-    x is strictly increasing with at least 8 points, and y is not flat and
-    has its largest magnitude in [0.5, 1) (``fit_sinusoid`` sees to all
-    of it before it calls this), so the peak power is positive.
-    """
-    n = x.size
+    """Angular frequency of the peak bin, past the zero bin, of the
+    demeaned periodogram of y on a uniform grid x; None on a non-uniform
+    grid.  ``fit_sinusoid`` checks that x is strictly increasing."""
     dx = np.diff(x)
-    if np.ptp(dx) > 1e-9 * dx.mean():  # non-uniform grid: caller falls back
+    if np.ptp(dx) > 1e-9 * dx.mean():
         return None
-    spec = np.abs(np.fft.rfft(y - y.mean())) ** 2
-    k = int(np.argmax(spec[1:])) + 1
-    # parabolic refinement on log power where neighbours exist
-    if 1 <= k < spec.size - 1 and spec[k - 1] > 0 and spec[k + 1] > 0:
-        la, lb, lc = np.log(spec[k - 1 : k + 2])
-        denom = la - 2 * lb + lc
-        if denom < 0:
-            k = k + 0.5 * (la - lc) / denom
-    return 2.0 * math.pi * k / (n * float(dx.mean()))
+    k = int(np.argmax(np.abs(np.fft.rfft(y - y.mean()))[1:])) + 1
+    return 2.0 * math.pi * k / (x.size * float(dx.mean()))
+
+
+def _sign_change(g, ends: list) -> float:
+    """Where g turns from negative to positive between the ends [[a, g(a)],
+    [b, g(b)]], g(a) < 0 < g(b), to the last bit: regula falsi that halves
+    the g of an end kept twice running (Illinois), until the chord's zero
+    rounds onto an end; the end of smaller |g|."""
+    last = None
+    while True:
+        (a, ga), (b, gb) = ends
+        m = a + (b - a) * (ga / (ga - gb))
+        if not a < m < b:
+            return a if -ga < gb else b
+        gm = g(m)
+        side = int(gm >= 0.0)
+        if side == last:
+            ends[1 - side][1] *= 0.5
+        ends[side], last = [m, gm], side
 
 
 def fit_sinusoid(x, y, freq_hint: float) -> dict:
     """Least-squares fit of y ~ offset + amplitude * cos(frequency * x +
-    phase) by Gauss-Newton with Levenberg damping: a dict of offset,
-    amplitude, frequency, phase, visibility (amplitude/|offset| clamped to
-    [0, 1]), residual_rms, converged and flags, in that order; flags is a
-    tuple of "flat_scan", "not_converged", "frequency_far_from_hint" or
-    "zero_offset".
+    phase) = o + A cos(f x) + B sin(f x) by variable projection: a dict
+    of offset, amplitude, frequency, phase, visibility (amplitude/|offset|
+    clamped to [0, 1]), residual_rms, converged and flags, in that order;
+    flags is a tuple of "flat_scan", "not_converged",
+    "frequency_far_from_hint" or "zero_offset".
 
-    The frequency initializer is the periodogram peak (freq_hint as
-    fallback); offset/quadrature amplitudes start from the linear solve at
-    that frequency.  Convergence is a relative step below 1e-10 within 200
-    iterations; a non-converged fit is returned flagged, with its residual.
+    At a trial f, (o, A, B) are one linear least-squares solve, so the
+    residual sum of squares rss is a function of f alone, with d(rss)/df =
+    -2 r . x (B cos(f x) - A sin(f x)), r the residual.  f is searched
+    within one periodogram bin, 2 pi / (x_max - x_min), of the periodogram
+    peak (of freq_hint on a non-uniform grid), cut at 0: nine rss samples,
+    then the sign change of d(rss)/df between the best one's neighbours
+    (the best one itself at an end), to the last bit.  converged means
+    that d(rss)/df turns from negative to positive there, so the minimum
+    lies inside the bracket; else the best sample is returned, flagged
+    "not_converged": the minimum lies on the bracket's edge.
+
     x and y are finite 1-d float arrays of equal length, and freq_hint is
     finite and positive (the scan reader and the CLI check them).  A scan
     whose spread is within 1e-12 of its largest magnitude is returned flat
     (flag "flat_scan"); fewer than 8 points, or an x that is not strictly
     increasing, raise ValueError.  y is fitted divided by the power of
     two that brings its largest magnitude into [0.5, 1), so the squares
-    of the periodogram and the residuals neither under- nor overflow at
-    any scale; offset, amplitude and residual_rms are scaled back.
+    of the residuals neither under- nor overflow at any scale; offset,
+    amplitude and residual_rms are scaled back.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -314,47 +325,32 @@ def fit_sinusoid(x, y, freq_hint: float) -> dict:
 
     unit = 2.0 ** math.frexp(scale)[1]  # max |y / unit| lies in [0.5, 1)
     y = y / unit
-    f = _periodogram_peak(x, y) or freq_hint
-    # c, s hold the trigonometry of the accepted f, reused by the next step
-    c, s = np.cos(f * x), np.sin(f * x)
-    (o, A, B), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(x), c, s]), y, rcond=None)
-    lam = 1e-3
-    converged = False
-    r = y - (o + A * c + B * s)
-    for _ in range(MAX_FIT_ITERATIONS):
-        J = np.column_stack([np.ones_like(x), c, s, x * (-A * s + B * c)])
-        g = J.T @ r
-        Hm = J.T @ J
-        damped = Hm + lam * np.diag(np.maximum(np.diag(Hm), 1e-30))
-        try:
-            step = np.linalg.solve(damped, g)
-        except np.linalg.LinAlgError:
-            break  # a singular system ends the fit unconverged
-        cand = np.array([o, A, B, f]) + step
-        rel = np.linalg.norm(step) / max(np.linalg.norm(cand), 1e-30)
-        c_cand, s_cand = np.cos(cand[3] * x), np.sin(cand[3] * x)
-        r_cand = y - (cand[0] + cand[1] * c_cand + cand[2] * s_cand)
-        if (r_cand**2).sum() < (r**2).sum():
-            o, A, B, f = cand
-            r, c, s = r_cand, c_cand, s_cand
-            lam = max(lam * 0.3, 1e-14)
-        else:
-            lam *= 3.0
-        # a proposal too small to move the parameters means we sit at a
-        # minimum, whether or not it still reduces the residual
-        if rel < FIT_STEP_TOL:
-            converged = True
-            break
-        if lam > 1e12:
-            break
+
+    def project(f: float):
+        """The residual, (o, A, B) and the cos and sin columns at f."""
+        c, s = np.cos(f * x), np.sin(f * x)
+        # lstsq, as at f = 0 the cos column is the offset column
+        (o, A, B), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(x), c, s]), y, rcond=None)
+        return y - (o + A * c + B * s), (o, A, B), c, s
+
+    def slope(f: float) -> float:
+        """d(rss)/df / 2: (o, A, B) minimise rss, so only f's term is left."""
+        r, (_, A, B), c, s = project(f)
+        return -(r @ (x * (B * c - A * s)))
+
+    f0 = _periodogram_peak(x, y) or freq_hint
+    bin_width = 2.0 * math.pi / (x[-1] - x[0])
+    grid = np.linspace(max(f0 - bin_width, 0.0), f0 + bin_width, 9)
+    k = int(np.argmin([np.linalg.norm(project(f)[0]) for f in grid]))
+    ends = [[grid[i], slope(grid[i])] for i in (max(k - 1, 0), min(k + 1, grid.size - 1))]
+    converged = bool(ends[0][1] < 0.0 < ends[1][1])
+    f = float(_sign_change(slope, ends) if converged else grid[k])
+    r, (o, A, B), _, _ = project(f)
 
     amplitude = math.hypot(A, B) * unit
     o *= unit
     phase = math.atan2(-B, A)
-    f = abs(f)
-    flags = []
-    if not converged:
-        flags.append("not_converged")
+    flags = [] if converged else ["not_converged"]
     if abs(f - freq_hint) > 0.1 * freq_hint:
         flags.append("frequency_far_from_hint")
     # an offset at rounding scale against the amplitude makes the ratio

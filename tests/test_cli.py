@@ -256,7 +256,25 @@ def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, ba
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "numeric failure: at t=1.000e-07 s: trace drifted to 1.0000020000010004\n"
+        "numeric failure: at t=1.000e-07 s: trace drifted to 1.0000020000010001\n"
+    )
+
+
+def test_the_pair_walk_checks_its_norm(tmp_path, capsys, monkeypatch):
+    # the double branch of a mixture scan is norm-checked as the single
+    # branch is: a pair propagator that gains 1e-3 in amplitude exits 3
+    exact = pairwise.hermitian_propagator
+    monkeypatch.setattr(
+        pairwise, "hermitian_propagator",
+        lambda H, t, blocks: (1.0 + 1e-3) * exact(H, t, blocks),
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("interaction.p2 = 0.3\n", encoding="utf-8")
+    assert main(["ramsey-scan", "--backend", "unitary", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: at t=1.000e-07 s: trace drifted to 1.0020010000000013\n"
     )
 
 
@@ -849,7 +867,7 @@ def test_fit_output_bytes_are_pinned(tmp_path):
     assert main(["ramsey-scan", "--backend", "unitary", "--out", str(scan)]) == 0
     assert main(["fit", "--in", str(scan), "--out", str(fit)]) == 0
     assert hashlib.sha256(fit.read_bytes()).hexdigest() == (
-        "3858662c3f6b88485c5119fa038e3b934afdc82fd47dc855ac5b91d8e6299f82"
+        "dbd38916f255d4d938af371fe42cfa5eaa4f0c105ea3c48f4283aa7e32def67c"
     )
 
 
@@ -950,6 +968,28 @@ def test_fit_of_a_faint_scan_matches_the_unit_scan(tmp_path):
     assert faint["visibility"] == pytest.approx(unit["visibility"], rel=1e-12)
     assert faint["frequency"] == pytest.approx(unit["frequency"], rel=1e-12)
     assert 0.6 < faint["visibility"] < 0.63
+
+
+@pytest.mark.parametrize("backend", ["analytic", "unitary"])
+def test_fit_of_a_default_scan_is_scale_free(tmp_path, backend):
+    # f is pinned where d(rss)/df changes sign, so scaling the intensities
+    # by any factor moves the frequency and visibility by rounding only
+    scan = tmp_path / "scan.csv"
+    assert main(["ramsey-scan", "--backend", backend, "--out", str(scan)]) == 0
+    deltas, intensities = _read_scan_csv(scan)
+    fits = {}
+    for k in (0, -13, -11, -3, 3, 13):
+        rows = "".join(f"{float(x)!r},{float(10.0**k * y)!r}\n" for x, y in zip(deltas, intensities))
+        scaled, out = tmp_path / f"scan{k}.csv", tmp_path / f"fit{k}.json"
+        scaled.write_text(RAMSEY_CSV_HEADER + "\n" + rows, encoding="utf-8")
+        assert main(["fit", "--in", str(scaled), "--out", str(out)]) == 0
+        fits[k] = json.loads(_read(out))
+    unit = fits.pop(0)
+    assert unit["converged"] is True
+    for fit in fits.values():
+        assert fit["converged"] is True and fit["flags"] == unit["flags"]
+        assert fit["visibility"] == pytest.approx(unit["visibility"], rel=1e-12)
+        assert fit["frequency"] == pytest.approx(unit["frequency"], rel=1e-12)
 
 
 def _fit_of_scaled_fringe(tmp_path, scale) -> dict:

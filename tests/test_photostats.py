@@ -827,6 +827,34 @@ def test_fit_flags_frequency_far_from_hint():
     assert abs(fit["frequency"] - 2.7) <= 1e-6
 
 
+@pytest.mark.parametrize("hint", [2.5, 3.3, 2.0, 3.4])
+def test_fit_flags_a_minimum_on_the_bracket_edge(hint):
+    # on a non-uniform grid the search brackets the hint by one bin,
+    # 2 pi / (x_max - x_min) = 0.63 here: a fringe inside converges, also
+    # one nearer an end than the samples are spaced (3.3), and one beyond
+    # it is returned at the bracket's nearer edge, flagged
+    x = np.linspace(0.0, 10.0, 64) ** 2 / 10.0  # non-uniform, over [0, 10]
+    y = 1.3 + 0.91 * np.cos(2.7 * x - 0.4)
+    fit = fit_sinusoid(x, y, freq_hint=hint)
+    half_width = 2.0 * math.pi / 10.0
+    if abs(2.7 - hint) < half_width:
+        assert fit["converged"]
+        assert fit["frequency"] == pytest.approx(2.7, rel=1e-14)
+        assert fit["visibility"] == pytest.approx(0.7, rel=1e-13)
+    else:
+        assert not fit["converged"] and "not_converged" in fit["flags"]
+        edge = hint + math.copysign(half_width, 2.7 - hint)
+        assert fit["frequency"] == pytest.approx(edge, rel=1e-15)
+
+
+def test_fit_flags_a_ramp_whose_residual_falls_toward_zero_frequency():
+    # as f -> 0 the sinusoid tends to a quadratic, which fits a ramp
+    # better at every smaller f: the minimum is the bracket's edge f = 0
+    x = np.arange(16.0)
+    fit = fit_sinusoid(x, x, freq_hint=1.0)
+    assert not fit["converged"] and "not_converged" in fit["flags"]
+
+
 def test_fit_flags_zero_offset():
     x = np.linspace(0.0, 10.0, 64)
     y = 0.9 * np.cos(2.7 * x)

@@ -137,10 +137,6 @@ ALLOWED_UNRUN = {
      'raise NumericError("bin probabilities must be finite and non-negative")'): _INVARIANT,
     ("photostats.py:readout_from_sequence",
      'raise NumericError("bin probabilities exceed unity")'): _INVARIANT,
-    ("photostats.py:fit_sinusoid", "except np.linalg.LinAlgError:"):
-        "the damped normal matrix is positive definite: no scan is known to make it singular",
-    ("photostats.py:fit_sinusoid", "break  # a singular system ends the fit unconverged"):
-        "the damped normal matrix is positive definite: no scan is known to make it singular",
     ("ramsey.py:symmetric_detuning_grid",
      'raise ValueError("deltas must be strictly increasing")'):
         "a grid step underflows only past ~1.3e7 points (scan.points), too costly to run",
@@ -353,12 +349,16 @@ _FRINGE = [1.0 + 0.5 * math.cos(0.7 * x) for x in _X]
 # (name, rows or text of a scan CSV, exit code, a piece of stderr):
 # every path of fit --in
 FIT_INPUTS = (
-    ("fringe", [*zip(_X, _FRINGE)], 0, ""),  # converges on a step too small to move
+    # converges: d(rss)/df changes sign, and the search halves a kept end
+    ("fringe", [*zip(_X, _FRINGE)], 0, ""),
     ("zero_offset", [(x, math.cos(0.7 * x)) for x in _X], 0, ""),
     # squares that would under- or overflow unscaled
     ("faint", [(x, 1e-200 * y) for x, y in zip(_X, _FRINGE)], 0, ""),
     ("huge", [(x, 1e200 * y) for x, y in zip(_X, _FRINGE)], 0, ""),
-    ("not_converged", [(x, float(5 * k * k % 6)) for k, x in enumerate(_X)], 0, ""),
+    # a non-uniform grid brackets the hint, 450 ns here, by one bin, 2 pi / 120,
+    # and a fringe of 0.06 lies past it: the least rss is on the bracket's edge
+    ("not_converged", [(x * (x + 1) / 2, 1.0 + 0.5 * math.cos(0.03 * x * (x + 1))) for x in _X],
+     0, ""),
     ("non_uniform", [(x * (x + 1) / 2, y) for x, y in zip(_X, _FRINGE)], 0, ""),
     ("flat", [(x, 0.25) for x in _X], 0, ""),
     ("short", [*zip(_X[:5], _FRINGE)], 2, "need at least 8 points"),
