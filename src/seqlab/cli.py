@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from .config import RunConfig, convert, load_config, words
-from .dissipative import NumericError
 from .dsl import load_sequence
 from .io import csv_text, emit, json_table_text, json_text
 from .pairwise import mixture_fringe_scan
@@ -38,7 +37,7 @@ from .photostats import (
     sample_coherent_shots,
     sample_shots,
 )
-from .qcore import SEQUENCE_BUDGET_S, total_duration
+from .qcore import SEQUENCE_BUDGET_S, NumericError, total_duration
 from .ramsey import rabi_scan, symmetric_detuning_grid
 from .units import PLAIN, BadValue, read_value
 

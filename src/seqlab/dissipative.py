@@ -23,18 +23,18 @@ row-major, obeys d/dt = Lv with the generator of :func:`liouvillian`
 by vec(A X B) = (A kron B^T) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), with H the 3x3 of :func:`seqlab.qcore.segment_hamiltonian` that
 the closed backends propagate.  :func:`evolve_master`, the rated walk,
-walks one sequence from the stored excitation, |R1><R1|, with
-:func:`seqlab.qcore.propagate`: each distinct drive or wait segment,
-which may stand for a stack of pulses (a detuning scan), takes one
-:func:`expm` call, with a scaling exponent per matrix
-(:func:`liouville_propagator`), and one :func:`_validate_density` call
-checks the whole stack after it.  rho_44 is propagated, never taken as
-1 - tr rho_R, so the trace check tests the walk.  numpy only: scipy would
-double the memory and start-up of every CLI call.  With no rate set the
-equation is closed and keeps a pure state pure, so a rate-free scan never
-calls :func:`evolve_master` (whose expm walk is exact up to Pade rounding
-there): :func:`seqlab.ramsey.fringe_scan` walks the unitary backend's psi,
-its norm checked by :func:`checked_last_state`, and a zero-rate Lindblad
+is one :func:`seqlab.qcore.checked_walk` of a sequence from the stored
+excitation, |R1><R1|: each distinct drive or wait segment, which may
+stand for a stack of pulses (a detuning scan), takes one :func:`expm`
+call, with a scaling exponent per matrix (:func:`liouville_propagator`),
+and one :func:`_validate_density` call checks the whole stack after it.
+rho_44 is propagated, never taken as 1 - tr rho_R, so the trace check
+tests the walk.  numpy only: scipy would double the memory and start-up
+of every CLI call.  With no rate set the equation is closed and keeps a
+pure state pure, so a rate-free scan never calls :func:`evolve_master`
+(whose expm walk is exact up to Pade rounding there):
+:func:`seqlab.ramsey.fringe_scan` walks the unitary backend's psi, its
+norm checked by :func:`seqlab.qcore.check_norm`, and a zero-rate Lindblad
 scan is the unitary scan, to the bit.
 """
 
@@ -45,17 +45,10 @@ import math
 import numpy as np
 
 from .config import DissipationSection
-from .qcore import Segment, propagate, total_duration
+from .qcore import NumericError, Segment, check_trace, checked_walk
 
-LOSS_INDEX = 3
-
-TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-
-
-class NumericError(RuntimeError):
-    """Propagation failed: non-finite state or a positivity/trace violation."""
 
 
 def channel_rates(dissipation: DissipationSection) -> np.ndarray:
@@ -64,36 +57,6 @@ def channel_rates(dissipation: DissipationSection) -> np.ndarray:
         [getattr(dissipation, f"gamma_{kind}_{alpha}") for alpha in (1, 2, 3)]
         for kind in ("decay", "deph")
     ])
-
-
-def _check_trace(tr: np.ndarray) -> None:
-    """Raise NumericError, quoting the worst, unless every trace of the
-    stack tr is finite and within TRACE_TOL of 1."""
-    worst = tr.flat[np.abs(tr - 1.0).argmax()]  # the first NaN, if there is one
-    if not abs(worst - 1.0) <= TRACE_TOL:  # NaN fails every comparison
-        # repr: a drift beyond TRACE_TOL can round away in a short format
-        raise NumericError(f"trace drifted to {float(worst.real)!r}")
-
-
-def _after(segments, check, state: np.ndarray) -> None:
-    """check(state), the state after segments, with their end time in the
-    message of a NumericError."""
-    try:
-        check(state)
-    except NumericError as err:
-        raise NumericError(f"at t={total_duration(segments):.3e} s: {err}") from None
-
-
-def checked_last_state(sequence: tuple[Segment, ...], states: list[np.ndarray]) -> np.ndarray:
-    """The last of the states of a closed walk of sequence (one stack
-    shape), once all their norms pass the trace check at once: it runs on
-    the first segment that fails (a NaN too), else on the first, and names
-    its end.  A matmul sums the squares of the stack's float64 view."""
-    parts = np.stack(states).view(np.float64)
-    norms = (np.square(parts) @ np.ones(parts.shape[-1])).reshape(len(states), -1)
-    k = (~(np.abs(norms - 1.0) <= TRACE_TOL)).any(axis=1).argmax()
-    _after(sequence[: k + 1], _check_trace, norms[k])
-    return states[-1]
 
 
 def _validate_density(state: np.ndarray) -> None:
@@ -109,7 +72,7 @@ def _validate_density(state: np.ndarray) -> None:
     herm = np.abs(m - m_dag).max()
     if herm > HERMITICITY_TOL:
         raise NumericError(f"hermiticity violated: max |rho - rho^+| = {herm:.3e}")
-    _check_trace(state[..., [0, 4, 8, 9]].sum(axis=-1))
+    check_trace(state[..., [0, 4, 8, 9]].sum(axis=-1))
     lo = min(np.linalg.eigvalsh(0.5 * (m + m_dag)).min(), state[..., 9].real.min())
     if lo < -POSITIVITY_TOL:
         raise NumericError(f"positivity violated: min eigenvalue {lo:.3e}")
@@ -191,25 +154,16 @@ def liouville_propagator(dissipation: DissipationSection):
 
 
 def evolve_master(sequence: tuple[Segment, ...], dissipation: DissipationSection) -> np.ndarray:
-    """The density matrix over (R1, R2, R3, loss) after a sequence of
+    """The state (vec rho_R, rho_44) after a non-empty sequence of
     drive/wait segments under the master equation with its rates (the
-    rated walk: a rate-free scan never calls this), starting from the
-    stored excitation; |R1><R1| for an empty sequence.
+    rated walk: a rate-free scan never calls this), from the stored
+    excitation.
 
     The segments may stand for stacks of pulses; the result is then the
-    (..., 4, 4) stack over their broadcast shape.  The states
-    (vec rho_R, rho_44) come from :func:`seqlab.qcore.propagate` with the
-    :func:`liouville_propagator` of the rates, the whole stack together,
-    and the last is scattered into rho, whose loss coherences are zero.
-    The density-matrix invariants are checked after every segment, on the
-    whole stack at once; a violation beyond tolerance aborts with a
+    (..., 10) stack over their broadcast shape.  It is the
+    :func:`seqlab.qcore.checked_walk` of the :func:`liouville_propagator`
+    of the rates, the whole stack together, with :func:`_validate_density`
+    after every segment: a violation beyond tolerance aborts with a
     NumericError diagnostic naming its time.
     """
-    states = propagate(sequence, liouville_propagator(dissipation))
-    for k, state in enumerate(states, 1):
-        _after(sequence[:k], _validate_density, state)
-    state = states[-1] if states else np.eye(10, dtype=complex)[0]  # vec |R1><R1|
-    rho = np.zeros(state.shape[:-1] + (4, 4), dtype=complex)
-    rho[..., :3, :3] = state[..., :9].reshape(state.shape[:-1] + (3, 3))
-    rho[..., LOSS_INDEX, LOSS_INDEX] = state[..., 9]
-    return rho
+    return checked_walk(sequence, liouville_propagator(dissipation), _validate_density)

@@ -28,8 +28,9 @@ lift is linear, one matmul with a constant (9, 36) matrix built once from
 the bosonic rule, so it lifts whole stacks: the mixture scan takes its
 single branch from :func:`seqlab.ramsey.fringe_scan` and walks the blocks
 of stacked Ramsey sequences (:func:`seqlab.ramsey.block_sequences`) only
-for its double branch, with :func:`seqlab.qcore.propagate` and a pair
-propagator that lifts each segment's Hamiltonian and blocks.
+for its double branch, by a :func:`seqlab.qcore.checked_walk` with a pair
+propagator that lifts each segment's Hamiltonian and blocks, its norm
+checked by :func:`seqlab.qcore.check_norm` as the single branch's is.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import math
 import numpy as np
 
 from .config import DissipationSection, InteractionSection, ScanSection
-from .dissipative import channel_rates, checked_last_state
-from .qcore import hermitian_propagator, propagate
+from .dissipative import channel_rates
+from .qcore import check_norm, checked_walk, hermitian_propagator
 from .ramsey import block_sequences, fringe_scan
 
 # symmetric pair configurations (level indices, 0 = R1), lexicographic
@@ -147,7 +148,7 @@ def mixture_fringe_scan(
         return hermitian_propagator(pair_hamiltonian(h3, interaction), t, pair_blocks(blocks))
 
     # from the stored pair (11), configuration 0
-    amps = np.concatenate([checked_last_state(s, propagate(s, propagator))
+    amps = np.concatenate([checked_walk(s, propagator, check_norm)
                            for s in block_sequences(scan)])
     doubles = scan.i0 * (np.abs(amps) ** 2 @ _R1_OCC)
     return (1.0 - p2) * fringe_scan(scan, dissipation) + p2 * doubles

@@ -36,8 +36,7 @@ import math
 import numpy as np
 
 from .config import ReadoutSection
-from .dissipative import NumericError
-from .qcore import Readout, Segment, hermitian_propagator, propagate, total_duration
+from .qcore import NumericError, Readout, Segment, hermitian_propagator, propagate, total_duration
 
 
 def readout_from_sequence(

@@ -30,7 +30,12 @@ it takes the propagator (:func:`hermitian_propagator` for closed systems)
 and calls it once per distinct segment, with the segment's blocks
 (:func:`segment_blocks`).  :func:`propagate` is the one walk of those maps
 from the stored excitation, in the qutrit (3), the pair (6) and the
-rated master equation's space (10).  A sequence is a plain tuple of
+rated master equation's space (10).  :func:`checked_walk` is the one
+check of a walk: it runs an invariant check (:func:`check_norm` for the
+closed spaces, the density check of :mod:`seqlab.dissipative` for the
+master equation) on the state after every segment and names the end of
+the first segment that fails; every scan walks through it, and only the
+read-out walks :func:`propagate` itself.  A sequence is a plain tuple of
 segments.
 
 Blocks: each field couples one pair of levels, so a segment's generator is
@@ -67,6 +72,13 @@ SEQUENCE_BUDGET_S = 1.8e-6
 FIELDS = ("mu1", "mu2")
 
 _DRIVE_VALUES = ("rabi", "duration", "detuning", "phase")
+
+# how far a closed state's norm, or a density matrix's trace, may drift from 1
+TRACE_TOL = 1e-8
+
+
+class NumericError(RuntimeError):
+    """Propagation failed: non-finite state or a positivity/trace violation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,19 +217,15 @@ def _eigh(h: np.ndarray, z: np.ndarray) -> np.ndarray:
 @functools.cache
 def _groups(blocks: tuple[tuple[int, ...], ...]) -> tuple:
     """(kernel, index) per group of same-size blocks: the index takes the
-    group out of a (..., d, d) stack as (..., n, size, size), by slices
-    when the group is one run of levels."""
+    group out of a (..., d, d) stack as (..., n, size, size), one row of
+    levels per block."""
     sizes = {}
     for block in blocks:
         sizes.setdefault(len(block), []).append(block)
     groups = []
     for size, group in sorted(sizes.items()):
-        lo = group[0][0]
-        if group == [tuple(range(lo, lo + size))]:
-            index = (Ellipsis, None, slice(lo, lo + size), slice(lo, lo + size))
-        else:
-            rows = np.array(group)[:, :, None]
-            index = (Ellipsis, rows, rows.swapaxes(1, 2))
+        rows = np.array(group)[:, :, None]
+        index = (Ellipsis, rows, rows.swapaxes(1, 2))
         groups.append(({1: _phase, 2: _rotation}.get(size, _eigh), index))
     return tuple(groups)
 
@@ -272,3 +280,32 @@ def propagate(segments, propagator) -> list[np.ndarray]:
         states.append(step[..., :1] if not states else step @ states[-1])
     return [state[..., 0] for state in states]
 
+
+def check_trace(tr: np.ndarray) -> None:
+    """Raise NumericError, quoting the worst, unless every trace of the
+    stack tr is finite and within TRACE_TOL of 1."""
+    worst = tr.flat[np.abs(tr - 1.0).argmax()]  # the first NaN, if there is one
+    if not abs(worst - 1.0) <= TRACE_TOL:  # NaN fails every comparison
+        # repr: a drift beyond TRACE_TOL can round away in a short format
+        raise NumericError(f"trace drifted to {float(worst.real)!r}")
+
+
+def check_norm(psi: np.ndarray) -> None:
+    """:func:`check_trace` of |psi|^2 over a (..., d) stack of closed
+    states; a matmul sums the squares of the stack's float64 view."""
+    parts = np.ascontiguousarray(psi).view(np.float64)
+    check_trace(np.square(parts) @ np.ones(parts.shape[-1]))
+
+
+def checked_walk(sequence, propagator, check) -> np.ndarray:
+    """The last state of the :func:`propagate` walk of a non-empty
+    sequence, once check(state), which raises NumericError, has passed
+    the state after every segment, the whole stack at once.  The message
+    of the first segment that fails names that segment's end."""
+    states = propagate(sequence, propagator)
+    for k, state in enumerate(states, 1):
+        try:
+            check(state)
+        except NumericError as err:
+            raise NumericError(f"at t={total_duration(sequence[:k]):.3e} s: {err}") from None
+    return states[-1]

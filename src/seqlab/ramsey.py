@@ -35,8 +35,9 @@ BLOCK_POINTS grid points stacked in its mu1 pulses (:func:`block_sequences`),
 in the one block loop of :func:`fringe_scan`.  The rates choose the walk:
 lindblad with a rate calls :func:`seqlab.dissipative.evolve_master`, the
 rated walk; unitary, and lindblad with no rate set, never call it but take
-the last state of a closed :func:`seqlab.qcore.propagate` walk, its norm
-checked after every segment: zero-rate lindblad is unitary, to the bit.
+the last state of a closed :func:`seqlab.qcore.checked_walk`, its norm
+checked after every segment, as a Rabi scan's is: zero-rate lindblad is
+unitary, to the bit.
 All three agree at delta1 = 0.  Away from resonance they do not: the
 propagation backends follow the frame convention of :mod:`seqlab.qcore`
 (no diagonal term while mu1 is off) and lack the free-precession advance
@@ -55,13 +56,14 @@ from typing import Iterator
 import numpy as np
 
 from .config import DissipationSection, ScanSection
-from .dissipative import channel_rates, checked_last_state, evolve_master
+from .dissipative import channel_rates, evolve_master
 from .qcore import (
     DriveSegment,
     Segment,
     Wait,
+    check_norm,
+    checked_walk,
     hermitian_propagator,
-    propagate,
 )
 
 # Grid points propagated per stacked call.  Stacking a whole 2001-point
@@ -167,8 +169,8 @@ def fringe_scan(scan: ScanSection, dissipation: DissipationSection) -> np.ndarra
         )
     closed = scan.backend == "unitary" or not channel_rates(dissipation).any()
     return scan.i0 * np.concatenate([
-        np.abs(checked_last_state(seq, propagate(seq, hermitian_propagator))[:, 0]) ** 2
-        if closed else evolve_master(seq, dissipation)[:, 0, 0].real  # lindblad, rated
+        np.abs(checked_walk(seq, hermitian_propagator, check_norm)[:, 0]) ** 2
+        if closed else evolve_master(seq, dissipation)[:, 0].real  # lindblad, rated: rho_11
         for seq in block_sequences(scan)
     ])
 
@@ -189,10 +191,11 @@ def rabi_scan(
     be finite and non-negative.  One mu2 segment is stacked over them,
     whose one Hamiltonian serves every time in the closed form of its
     blocks; at a time of 0 that form is exactly the identity, so the row
-    is the prepared state.
+    is the prepared state.  The walk is a closed
+    :func:`seqlab.qcore.checked_walk`, its norm checked after each pulse.
     """
     times = np.asarray(times, dtype=float)
     half_pi = DriveSegment("mu1", rabi=math.pi / (2.0 * t_mu1), duration=t_mu1)
     mu2 = DriveSegment("mu2", rabi=omega_mu2, duration=times, detuning=detuning2)
-    after_mu2 = propagate((half_pi, mu2), hermitian_propagator)[-1]
+    after_mu2 = checked_walk((half_pi, mu2), hermitian_propagator, check_norm)
     return np.column_stack((times, np.abs(after_mu2) ** 2))

@@ -1,6 +1,7 @@
 """Reference computations that tests compare the library against: the
 sequence unitary, the master equation in the whole 16-dim Liouville
-space of the 4x4 density matrix, the closed-form visibility law and its
+space of the 4x4 density matrix and the 4x4 matrix of a state of the
+library's 10-dim walk, the closed-form visibility law and its
 centre-point extraction from a scan, the read-out as a density-matrix
 walk by hand and the canonical three-bin read-out chain; and the scan
 section that most tests build."""
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from seqlab.config import ReadoutSection, ScanSection
-from seqlab.dissipative import LOSS_INDEX, expm
+from seqlab.dissipative import expm
 from seqlab.photostats import readout_from_sequence
 from seqlab.qcore import (
     DriveSegment,
@@ -22,6 +23,7 @@ from seqlab.qcore import (
 from seqlab.ramsey import symmetric_detuning_grid
 
 DEFAULT_PI_PULSE_S = 40e-9  # pi pulse at rabi = 2*pi*12.5 MHz
+LOSS_INDEX = 3  # the loss level of the 4x4 density matrix over (R1, R2, R3, loss)
 
 
 def sequence_unitary(segments) -> np.ndarray:
@@ -95,6 +97,16 @@ def master_walk_16(sequence, dissipation) -> np.ndarray:
     16-dim Liouville space."""
     vec = propagate(sequence, liouville_propagator_16(dissipation))[-1]
     return vec.reshape(vec.shape[:-1] + (4, 4))
+
+
+def density_matrix(state: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4) density matrix over (R1, R2, R3, loss) of a (..., 10)
+    stack of states (vec rho_R, rho_44), as evolve_master gives them: the
+    loss coherences are zero."""
+    rho = np.zeros(state.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., :3, :3] = state[..., :9].reshape(state.shape[:-1] + (3, 3))
+    rho[..., LOSS_INDEX, LOSS_INDEX] = state[..., 9]
+    return rho
 
 
 def ramsey_visibility(omega_mu2: float, t_mu2: float) -> float:

@@ -35,6 +35,7 @@ from seqlab.ramsey import (
 )
 from seqlab.units import mhz
 from references import (
+    density_matrix,
     extract_visibility,
     master_walk_16,
     ramsey_visibility,
@@ -125,7 +126,7 @@ def test_master_equation_physicality_and_unitary_limit():
     seq = load_sequence(CANONICAL)
     drives = tuple(s for s in seq if not isinstance(s, Readout))
     # zero rates: the master equation must shadow the unitary propagation
-    final = evolve_master(drives, DissipationSection())
+    final = density_matrix(evolve_master(drives, DissipationSection()))
     psi = sequence_unitary(drives)[:, 0]  # from R1
     expected = np.zeros((4, 4), dtype=complex)
     expected[:3, :3] = np.outer(psi, psi.conj())
@@ -140,9 +141,10 @@ def test_master_equation_physicality_and_unitary_limit():
     cuts = list(cut_sequences(drives, 5e-9))
     assert len(cuts) > 20
     # the 10-dim walk is the whole 16-dim one on its invariant subspace
-    assert np.abs(evolve_master(drives, params) - master_walk_16(drives, params)).max() <= 1e-13
+    final = density_matrix(evolve_master(drives, params))
+    assert np.abs(final - master_walk_16(drives, params)).max() <= 1e-13
     for cut in cuts:
-        m = evolve_master(cut, params)
+        m = density_matrix(evolve_master(cut, params))
         assert abs(m.trace().real - 1.0) <= 1e-8
         assert np.abs(m - m.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh(m).min() >= -1e-8

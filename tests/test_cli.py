@@ -238,11 +238,17 @@ def test_trace_drift_message_shows_a_small_drift(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("backend", ["unitary", "lindblad"])
-def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, backend):
+@pytest.mark.parametrize("argv, message", [
+    (["ramsey-scan", "--backend", "unitary"], "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
+    (["ramsey-scan", "--backend", "lindblad"], "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
+    # the Rabi scan once exited 0 here, with P1 = P2 = 0.500002
+    (["rabi-scan"], "at t=2.000e-08 s: trace drifted to 1.000002000001"),
+], ids=["unitary", "lindblad", "rabi-scan"])
+def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, argv, message):
     # a propagator that gains 1e-6 in amplitude: the closed walk, of the
-    # unitary backend and of lindblad without a rate, exits 3 with the
-    # trace check's message at the end of the first mu1 pulse
+    # unitary backend, of lindblad without a rate and of the Rabi scan,
+    # exits 3 with the trace check's message at the end of the first mu1
+    # pulse
     from seqlab import qcore
 
     exact = qcore.hermitian_propagator
@@ -252,12 +258,10 @@ def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, ba
                 module, "hermitian_propagator",
                 lambda H, t, blocks: (1.0 + 1e-6) * exact(H, t, blocks),
             )
-    assert main(["ramsey-scan", "--backend", backend]) == 3
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "numeric failure: at t=1.000e-07 s: trace drifted to 1.0000020000010001\n"
-    )
+    assert captured.err == f"numeric failure: {message}\n"
 
 
 def test_the_pair_walk_checks_its_norm(tmp_path, capsys, monkeypatch):

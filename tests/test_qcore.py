@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -12,8 +13,11 @@ from seqlab.qcore import (
     SEQUENCE_BUDGET_S,
     FIELDS,
     DriveSegment,
+    NumericError,
     Readout,
     Wait,
+    check_norm,
+    checked_walk,
     hermitian_propagator,
     propagate,
     segment_blocks,
@@ -369,6 +373,56 @@ def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
                 assert np.array_equal(product, sequence_unitary(segs[: k + 1])), k
             assert state.shape == product[..., 0].shape, (space, k)
             assert np.abs(state - product[..., 0]).max() <= 1e-13, (space, k)
+
+
+def _spoiled(propagator, call, spoil):
+    """propagator with the map of its call-th call, from 0, passed
+    through spoil."""
+    calls = []
+
+    def spoiled(H, t, blocks):
+        U = propagator(H, t, blocks)
+        calls.append(None)
+        return spoil(U) if len(calls) == call + 1 else U
+
+    return spoiled
+
+
+def _nan_at_r1(U):
+    U = U.copy()
+    U[..., 0, 0] = math.nan
+    return U
+
+
+@given(
+    segs=_walked_sequences(),
+    v_int=st.floats(-mhz(5.0), mhz(5.0)),
+    pair=st.booleans(),
+    data=st.data(),
+)
+def test_checked_walk_names_the_end_of_the_first_segment_that_fails(segs, v_int, pair, data):
+    # the closed walks, qutrit and pair: with the exact maps the checked
+    # walk is the walk's last state, bit for bit, and a drift within
+    # TRACE_TOL passes; a map that gains 1e-6 in amplitude, or holds a NaN,
+    # fails the norm check at the end of the first occurrence of its
+    # segment, though every later state fails it too
+    interaction = InteractionSection(v_int, 0.0)
+    exact = hermitian_propagator
+    if pair:
+        def exact(h, t, b):
+            return hermitian_propagator(pair_hamiltonian(h, interaction), t, pair_blocks(b))
+
+    assert np.array_equal(checked_walk(segs, exact, check_norm), propagate(segs, exact)[-1])
+    # one propagator call per distinct segment, at its first occurrence
+    firsts = [k for k, s in enumerate(segs) if all(t is not s for t in segs[:k])]
+    call = data.draw(st.integers(0, len(firsts) - 1))
+    first = firsts[call]
+    checked_walk(segs, _spoiled(exact, call, lambda U: (1.0 + 1e-9) * U), check_norm)
+    end = re.escape(f"at t={total_duration(segs[: first + 1]):.3e} s: trace drifted to ")
+    with pytest.raises(NumericError, match=f"^{end}1\\.00000"):
+        checked_walk(segs, _spoiled(exact, call, lambda U: (1.0 + 1e-6) * U), check_norm)
+    with pytest.raises(NumericError, match=f"^{end}nan$"):
+        checked_walk(segs, _spoiled(exact, call, _nan_at_r1), check_norm)
 
 
 @given(st.lists(_segments, min_size=1, max_size=5))

@@ -407,7 +407,7 @@ def test_lindblad_scan_matches_per_point_master_equation(
     ref = [
         I0 * evolve_master(
             build_ramsey_sequence(d, t_mu1, omega_mu2, t_mu2, gap), params
-        )[0, 0].real
+        )[0].real
         for d in symmetric_detuning_grid(span, points)
     ]
     assert np.abs(fringe_scan(cfg, params) - ref).max() <= 1e-12 * I0

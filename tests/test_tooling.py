@@ -4,8 +4,9 @@ the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
 dataclass field serves a command, and every propagator call of a command
 runs inside :func:`seqlab.qcore.segment_maps`, which no command calls but
-:func:`seqlab.qcore.propagate`, and the command line builds its parser
-once per process.
+:func:`seqlab.qcore.propagate`, which no command calls but
+:func:`seqlab.qcore.checked_walk` and the read-out, and the command line
+builds its parser once per process.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -510,6 +511,27 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
     assert callers == {"qcore.py:propagate"}
+
+
+def test_every_scan_walk_is_checked(tmp_path, monkeypatch):
+    # one checked walk: every command walks through qcore.checked_walk,
+    # which checks the state after each segment, except the read-out, whose
+    # bins are checked as probabilities
+    from seqlab import qcore
+
+    propagate = qcore.propagate
+    callers = set()
+
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1).f_code
+        callers.add(f"{Path(caller.co_filename).name}:{caller.co_name}")
+        return propagate(*args, **kwargs)
+
+    for mod in _modules():
+        if vars(mod).get("propagate") is propagate:
+            monkeypatch.setattr(mod, "propagate", wrapper)
+    _traffic(tmp_path)
+    assert callers == {"qcore.py:checked_walk", "photostats.py:readout_from_sequence"}
 
 
 def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
