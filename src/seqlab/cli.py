@@ -160,10 +160,10 @@ def _cmd_fit(args, cfg: RunConfig):
     hint = cfg.fit.t_total_hint
     if hint == 0.0:
         s = cfg.scan
-        hint = 2.0 * s.t_mu1 + s.t_mu2 + 2.0 * s.gap
+        hint = s.t_mu1 + s.t_mu2 + 2.0 * s.gap
         if not math.isfinite(hint):
             raise ValueError(
-                "fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
+                "fit.t_total_hint = 0 takes the hint scan.t_mu1 + scan.t_mu2 "
                 "+ 2*scan.gap, which overflows; set fit.t_total_hint"
             )
     return fit_sinusoid(deltas, intensities, hint)

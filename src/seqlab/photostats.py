@@ -3,10 +3,11 @@
 Read-out maps the qutrit onto three photon time bins: bin 1 retrieves
 whatever sits in R1, a mu1 pi pulse then moves R2 down for bin 2, and a
 mu2 pi pulse followed by a mu1 pi pulse moves R3 down for bin 3.  Each
-retrieval empties R1: a readout is a segment whose map does so, and a
-read-out sequence is one closed :func:`seqlab.qcore.propagate` walk of
-the qutrit state from the stored excitation, as the unitary backend walks
-a scan.  The readout section's efficiencies eta_1..eta_3 scale the bins.
+retrieval swaps R1 with the photon mode of its bin (levels 3, 4, 5 of
+the read-out space), and a read-out sequence is one closed
+:func:`seqlab.qcore.checked_walk` of that space from the stored
+excitation, as the unitary backend walks a scan.  The readout section's
+efficiencies eta_1..eta_3 scale the bins.
 
 Dephasing accumulated between bins suppresses the retrievable collective
 mode, so it shows up as signal loss rather than as a population change:
@@ -36,27 +37,39 @@ import math
 import numpy as np
 
 from .config import ReadoutSection
-from .qcore import NumericError, Readout, Segment, hermitian_propagator, propagate, total_duration
+from .qcore import (NumericError, Readout, Segment, check_norm, checked_walk,
+                    hermitian_propagator, total_duration)
+
+
+def _readout_propagator(H: np.ndarray, duration, blocks) -> np.ndarray:
+    """The 6x6 map of a single segment in the read-out space: a drive's or
+    a wait's :func:`seqlab.qcore.hermitian_propagator` in the qutrit
+    corner, the photon modes untouched, or, for a readout, whose one block
+    holds R1 and a photon mode, the permutation that swaps the two."""
+    U = np.eye(6, dtype=complex)
+    if blocks[0][-1] > 2:  # a readout
+        U[blocks[0], :] = U[blocks[0][::-1], :]
+    else:
+        U[:3, :3] = hermitian_propagator(H, duration, blocks)
+    return U
 
 
 def readout_from_sequence(
     sequence: tuple[Segment, ...], readout: ReadoutSection
 ) -> tuple[float, float, float]:
     """(p1, p2, p3): the retrieval probabilities of the three time bins
-    of a sequence containing Readout segments.
+    of a non-empty, unstacked sequence containing Readout segments.
 
-    The sequence is one :func:`seqlab.qcore.propagate` walk of the qutrit
-    state psi from the stored excitation, with
-    :func:`seqlab.qcore.hermitian_propagator`, in which a Readout's map
-    empties R1, modelling the departed photon.  Readout(b) records the R1
-    population |psi_0|^2 of the state just before it, times the section's
-    eta_<b> and the inter-bin dephasing factor, exp(-deph * the time since
-    the first readout): bin 1 is never attenuated.  The config bounds each
-    eta to [0, 1] and deph, in 1/s, to a finite non-negative value; the
-    dissipation rates take no part.
+    The sequence is one norm-checked :func:`seqlab.qcore.checked_walk`
+    of the read-out state psi from the stored excitation, in which
+    Readout(b) swaps R1 into the photon mode of bin b.  Bin b is that
+    mode's population |psi_{2+b}|^2 after the sequence, times the
+    section's eta_<b> and the inter-bin dephasing factor, exp(-deph * the
+    time since the first readout): bin 1 is never attenuated.  The config
+    bounds each eta to [0, 1] and deph, in 1/s, to a finite non-negative
+    value; the dissipation rates take no part.
     """
-    r1 = [1.0]  # the R1 population before each segment, from the stored excitation
-    r1 += [float(np.abs(psi[0]) ** 2) for psi in propagate(sequence, hermitian_propagator)]
+    psi = checked_walk(sequence, _readout_propagator, check_norm)
     reads = [i for i, seg in enumerate(sequence) if isinstance(seg, Readout)]
     bins = [0.0, 0.0, 0.0]
     for i in reads:
@@ -64,7 +77,7 @@ def readout_from_sequence(
         factor = getattr(readout, f"eta_{b}")
         if readout.deph > 0:
             factor *= math.exp(-readout.deph * total_duration(sequence[reads[0] : i]))
-        bins[b - 1] = r1[i] * factor
+        bins[b - 1] = float(np.abs(psi[2 + b]) ** 2) * factor
     if not all(math.isfinite(p) and p >= 0 for p in bins):
         raise NumericError("bin probabilities must be finite and non-negative")
     if sum(bins) > 1.0 + 1e-9:

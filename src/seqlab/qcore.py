@@ -28,24 +28,23 @@ space lifts it and the master equation vectorizes it.  :func:`segment_maps`
 is the one path from a sequence's segments to their maps, for every space:
 it takes the propagator (:func:`hermitian_propagator` for closed systems)
 and calls it once per distinct segment, with the segment's blocks
-(:func:`segment_blocks`).  :func:`propagate` is the one walk of those maps
-from the stored excitation, in the qutrit (3), the pair (6) and the
-rated master equation's space (10).  :func:`checked_walk` is the one
-check of a walk: it runs an invariant check (:func:`check_norm` for the
-closed spaces, the density check of :mod:`seqlab.dissipative` for the
-master equation) on the state after every segment and names the end of
-the first segment that fails; every scan walks through it, and only the
-read-out walks :func:`propagate` itself.  A sequence is a plain tuple of
-segments.
+(:func:`segment_blocks`).  :func:`checked_walk` is the one walk of those
+maps from the stored excitation, in the qutrit (3), the pair (6), the
+read-out's qutrit and photon modes (6) and the rated master equation's
+space (10), and the one check of it: it runs an invariant check
+(:func:`check_norm` for the closed spaces, the density check of
+:mod:`seqlab.dissipative` for the master equation) on the state after
+every segment and names the end of the first segment that fails.  Every
+command walks through it.  A sequence is a plain tuple of segments.
 
 Blocks: each field couples one pair of levels, so a segment's generator is
 block-diagonal, a two-level block plus the spectator level, and a wait
-couples nothing.  A readout takes no time, its generator is zero and its
-blocks leave R1 out, so its map empties R1: diag(0, 1, 1); only the
-qutrit walk of a read-out sees one.  The blocks come from the segment's
-field, never from its values, so a stack whose rabi is 0 at some points
-is propagated in the same blocks, and to the same bits, as one whose rabi
-is not.
+couples nothing.  A readout takes no time; it couples R1 with the photon
+mode of its time bin, levels 3, 4 and 5 of the read-out space of
+:mod:`seqlab.photostats`, whose map swaps the two.  The blocks come from
+the segment's field, never from its values, so a stack whose rabi is 0 at
+some points is propagated in the same blocks, and to the same bits, as
+one whose rabi is not.
 :func:`hermitian_propagator` exponentiates block by block, with the kernel
 of each block size: a 1x1 block is the phase exp(-i h t), a 2x2 block is
 the exact closed form e^{-imt} [cos(rt) I - i (sin(rt)/r) (h - m I)], with
@@ -121,8 +120,8 @@ class Wait:
 
 @dataclass(frozen=True)
 class Readout:
-    """Retrieval of the R1 population into time bin `bin` (1..3); it
-    takes no time and its map empties R1."""
+    """Retrieval of R1 into time bin `bin` (1..3): it takes no time, and
+    its map swaps R1 with the photon mode of its bin."""
 
     bin: int
     duration: ClassVar[float] = 0.0
@@ -166,10 +165,10 @@ def segment_hamiltonian(segment: Segment) -> np.ndarray:
 def segment_blocks(segment: Segment) -> tuple[tuple[int, ...], ...]:
     """The blocks of levels that a segment's generator couples: a field
     couples its two levels and leaves the third alone, a wait couples
-    nothing, and a readout leaves R1 out of every block, so R1 is zero in
-    its map."""
+    nothing, and Readout(b) couples R1 with the photon mode of bin b,
+    level 2 + b of the read-out space."""
     if isinstance(segment, Readout):
-        return ((1,), (2,))
+        return ((0, 2 + segment.bin),)
     if isinstance(segment, Wait):
         return ((0,), (1,), (2,))
     lo = FIELDS.index(segment.field)
@@ -270,17 +269,6 @@ def segment_maps(segments, propagator) -> list[np.ndarray]:
     return [maps[id(s)] for s in segments]
 
 
-def propagate(segments, propagator) -> list[np.ndarray]:
-    """The state after each segment, from basis state 0 of the space (R1,
-    the stored pair (11) or vec|R1><R1|), shape (..., d) over the stacks
-    so far; [] for no segments.  The maps are :func:`segment_maps`'s,
-    and the first state is column 0 of the first map, sliced out."""
-    states = []
-    for step in segment_maps(segments, propagator):
-        states.append(step[..., :1] if not states else step @ states[-1])
-    return [state[..., 0] for state in states]
-
-
 def check_trace(tr: np.ndarray) -> None:
     """Raise NumericError, quoting the worst, unless every trace of the
     stack tr is finite and within TRACE_TOL of 1."""
@@ -298,14 +286,17 @@ def check_norm(psi: np.ndarray) -> None:
 
 
 def checked_walk(sequence, propagator, check) -> np.ndarray:
-    """The last state of the :func:`propagate` walk of a non-empty
-    sequence, once check(state), which raises NumericError, has passed
-    the state after every segment, the whole stack at once.  The message
-    of the first segment that fails names that segment's end."""
-    states = propagate(sequence, propagator)
-    for k, state in enumerate(states, 1):
+    """The state after a non-empty sequence from basis state 0 of the
+    space (R1, the stored pair (11) or vec|R1><R1|), shape (..., d) over
+    the stacks: column 0 of the first map, then each :func:`segment_maps`
+    map applied in turn.  check(state), which raises NumericError, sees
+    the state after every segment, the whole stack at once; the message of
+    the first segment that fails names that segment's end."""
+    state = None
+    for k, step in enumerate(segment_maps(sequence, propagator), 1):
+        state = step[..., :1] if state is None else step @ state
         try:
-            check(state)
+            check(state[..., 0])
         except NumericError as err:
             raise NumericError(f"at t={total_duration(sequence[:k]):.3e} s: {err}") from None
-    return states[-1]
+    return state[..., 0]

@@ -1,10 +1,10 @@
 """Reference computations that tests compare the library against: the
-sequence unitary, the master equation in the whole 16-dim Liouville
-space of the 4x4 density matrix and the 4x4 matrix of a state of the
-library's 10-dim walk, the closed-form visibility law and its
-centre-point extraction from a scan, the read-out as a density-matrix
-walk by hand and the canonical three-bin read-out chain; and the scan
-section that most tests build."""
+sequence unitary, the plain walk of a sequence's maps, the master
+equation in the whole 16-dim Liouville space of the 4x4 density matrix
+and the 4x4 matrix of a state of the library's 10-dim walk, the
+closed-form visibility law and its centre-point extraction from a scan,
+the read-out as a density-matrix walk by hand and the canonical
+three-bin read-out chain; and the scan section that most tests build."""
 
 import math
 
@@ -17,7 +17,6 @@ from seqlab.qcore import (
     DriveSegment,
     Readout,
     hermitian_propagator,
-    propagate,
     segment_maps,
 )
 from seqlab.ramsey import symmetric_detuning_grid
@@ -34,6 +33,16 @@ def sequence_unitary(segments) -> np.ndarray:
     for step in segment_maps(segments, hermitian_propagator):
         U = step @ U
     return U
+
+
+def propagate(segments, propagator) -> list[np.ndarray]:
+    """The state after each segment, from basis state 0 of the space, shape
+    (..., d) over the stacks so far; [] for no segments: the walk of the
+    segment_maps that checked_walk checks, unchecked."""
+    states = []
+    for step in segment_maps(segments, propagator):
+        states.append(step[..., :1] if not states else step @ states[-1])
+    return [state[..., 0] for state in states]
 
 
 def collapse_operators(dissipation) -> list[np.ndarray]:

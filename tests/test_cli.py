@@ -238,17 +238,22 @@ def test_trace_drift_message_shows_a_small_drift(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["ramsey-scan", "--backend", "unitary"], "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
-    (["ramsey-scan", "--backend", "lindblad"], "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
+@pytest.mark.parametrize("argv, gain, message", [
+    (["ramsey-scan", "--backend", "unitary"], 1.0 + 1e-6,
+     "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
+    (["ramsey-scan", "--backend", "lindblad"], 1.0 + 1e-6,
+     "at t=1.000e-07 s: trace drifted to 1.0000020000010001"),
     # the Rabi scan once exited 0 here, with P1 = P2 = 0.500002
-    (["rabi-scan"], "at t=2.000e-08 s: trace drifted to 1.000002000001"),
-], ids=["unitary", "lindblad", "rabi-scan"])
-def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, argv, message):
-    # a propagator that gains 1e-6 in amplitude: the closed walk, of the
-    # unitary backend, of lindblad without a rate and of the Rabi scan,
-    # exits 3 with the trace check's message at the end of the first mu1
-    # pulse
+    (["rabi-scan"], 1.0 + 1e-6, "at t=2.000e-08 s: trace drifted to 1.000002000001"),
+    # the read-out once exited 0 on this loss, with bin 1 = 0.9253225619491585
+    (["readout", "--seq", CANONICAL], 1.0 - 1e-6,
+     "at t=2.000e-08 s: trace drifted to 0.9999980000009998"),
+], ids=["unitary", "lindblad", "rabi-scan", "readout"])
+def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, argv, gain, message):
+    # a propagator that gains or loses 1e-6 in amplitude: the closed walk,
+    # of the unitary backend, of lindblad without a rate, of the Rabi scan
+    # and of the read-out, exits 3 with the trace check's message at the
+    # end of the first mu1 pulse; the read-out prints its budget line first
     from seqlab import qcore
 
     exact = qcore.hermitian_propagator
@@ -256,12 +261,14 @@ def test_closed_scans_check_the_norm_after_every_segment(capsys, monkeypatch, ar
         if name.startswith("seqlab") and vars(module).get("hermitian_propagator") is exact:
             monkeypatch.setattr(
                 module, "hermitian_propagator",
-                lambda H, t, blocks: (1.0 + 1e-6) * exact(H, t, blocks),
+                lambda H, t, blocks: gain * exact(H, t, blocks),
             )
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"numeric failure: {message}\n"
+    lines = captured.err.splitlines()
+    assert lines[-1] == f"numeric failure: {message}"
+    assert len(lines) == 1 + (argv[0] == "readout")
 
 
 def test_the_pair_walk_checks_its_norm(tmp_path, capsys, monkeypatch):
@@ -1055,16 +1062,16 @@ def test_fit_names_the_keys_of_an_overflowing_derived_hint(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     assert main(["ramsey-scan", "--out", str(scan)]) == 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scan.t_mu1 = 1e308s\n", encoding="utf-8")
+    cfg.write_text("scan.gap = 1e308s\n", encoding="utf-8")
     out = tmp_path / "fit.json"
     assert main(["fit", "--in", str(scan), "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: fit.t_total_hint = 0 takes the hint 2*scan.t_mu1 + scan.t_mu2 "
+        "error: fit.t_total_hint = 0 takes the hint scan.t_mu1 + scan.t_mu2 "
         "+ 2*scan.gap, which overflows; set fit.t_total_hint\n"
     )
     assert not out.exists()
     # a hint of its own fits the same scan
-    cfg.write_text("scan.t_mu1 = 1e308s\nfit.t_total_hint = 450ns\n", encoding="utf-8")
+    cfg.write_text("scan.gap = 1e308s\nfit.t_total_hint = 350ns\n", encoding="utf-8")
     assert main(["fit", "--in", str(scan), "--config", str(cfg), "--out", str(out)]) == 0
 
 

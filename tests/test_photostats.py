@@ -147,8 +147,9 @@ def _readout_sequences(draw):
     ),
 )
 def test_readout_equals_the_hand_walk(seq, section):
-    # the walk through propagate, with a read-out's map emptying R1,
-    # against the density matrix conjugated and emptied by hand
+    # the checked walk of the read-out space, each readout swapping R1 into
+    # its bin's photon mode, against the density matrix conjugated and
+    # emptied by hand
     bins = readout_from_sequence(seq, section)
     assert max(abs(a - b) for a, b in zip(bins, readout_by_hand(seq, section))) <= 1e-14
 
@@ -195,10 +196,10 @@ def test_readout_validation(monkeypatch):
     # states that no walk gives
     seq = HALF_PI_MU1 + _canonical_chain()
     for state, message in (
-        (np.full(3, 2.0), "bin probabilities exceed unity"),
-        (np.full(3, np.nan), "bin probabilities must be finite and non-negative"),
+        (np.full(6, 2.0), "bin probabilities exceed unity"),
+        (np.full(6, np.nan), "bin probabilities must be finite and non-negative"),
     ):
-        monkeypatch.setattr(photostats, "propagate", lambda segs, _: [state] * len(segs))
+        monkeypatch.setattr(photostats, "checked_walk", lambda segs, _, __: state)
         with pytest.raises(NumericError, match=f"^{message}$"):
             readout_from_sequence(seq, ReadoutSection())
 
@@ -222,8 +223,8 @@ def test_readout_of_an_emptied_r1_rounding_below_zero_reads_zero():
     # a mu1 pi/2 pulse at phase -pi, undone by the first pulse of
     # SEQUENCE_WITH_A_WAIT: bin 1 takes everything.  The density-matrix
     # walk once rounded rho_00 to about -5.6e-52 at bin 2, which a clamp
-    # read as 0.0; the walk of psi reads |psi_0|^2, which is never below
-    # zero and rounds to about 5.6e-52 here
+    # read as 0.0; the walk of psi reads its bin mode's |psi_{2+b}|^2,
+    # which is never below zero and rounds to about 5.6e-52 here
     prep = (
         DriveSegment("mu1", rabi=math.pi / (2 * 20e-9), duration=20e-9, phase=-math.pi),
     )

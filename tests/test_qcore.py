@@ -19,18 +19,17 @@ from seqlab.qcore import (
     check_norm,
     checked_walk,
     hermitian_propagator,
-    propagate,
     segment_blocks,
     segment_hamiltonian,
     segment_maps,
     total_duration,
 )
-from seqlab import dissipative
+from seqlab import dissipative, photostats
 from seqlab.config import DissipationSection, InteractionSection, ReadoutSection
 from seqlab.photostats import readout_from_sequence
 from seqlab.pairwise import pair_blocks, pair_hamiltonian
 from seqlab.units import mhz
-from references import liouville_propagator_16, sequence_unitary
+from references import liouville_propagator_16, propagate, sequence_unitary
 
 
 def _value(v):
@@ -347,9 +346,11 @@ def _walked_sequences(draw):
     rates=st.tuples(*[st.floats(0.0, 5e6)] * 6),
 )
 def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
-    # the one walk, in the qutrit, the pair, the master equation's 10-dim
-    # space and the whole 16-dim Liouville space: the state after segment
-    # k is column 0 of the product of the first k maps
+    # the one walk, checked_walk, in the qutrit, the pair, the master
+    # equation's 10-dim space and the whole 16-dim Liouville space: the
+    # state after segment k, as its check sees it, is column 0 of the
+    # product of the first k maps, the plain walk's state bit for bit, and
+    # the walk gives the last of them
     interaction = InteractionSection(v_int, 0.0)
     dissipation = DissipationSection(*rates)
     spaces = {
@@ -361,9 +362,12 @@ def test_propagate_gives_column_0_of_each_prefix_product(segs, v_int, rates):
         "liouville": liouville_propagator_16(dissipation),
     }
     for space, propagator in spaces.items():
-        assert propagate((), propagator) == []
-        states = propagate(segs, propagator)
+        states = []
+        last = checked_walk(segs, propagator, states.append)
         assert len(states) == len(segs)
+        assert np.array_equal(last, states[-1])
+        for state, plain in zip(states, propagate(segs, propagator), strict=True):
+            assert np.array_equal(state, plain), space
         product = None
         for k, (seg, state) in enumerate(zip(segs, states)):
             # each occurrence of a segment propagated on its own
@@ -510,9 +514,18 @@ def test_stacked_segments_compare_and_hash():
     assert same_segments((seg(0.0),), (seg(-0.0),))
 
 
-def test_a_readout_empties_r1():
-    # a readout is a segment whose map zeroes R1 and keeps the rest,
-    # exactly: diag(0, 1, 1) in the qutrit space, where the read-out walks
-    (U,) = segment_maps((Readout(2),), hermitian_propagator)
-    assert np.array_equal(U, np.diag([0.0, 1.0, 1.0]))
+def test_a_readout_swaps_r1_with_its_bin_mode():
+    # a readout is a segment whose map swaps R1 with the photon mode of its
+    # bin, level 2 + b of the read-out space, as an exact permutation, and
+    # a drive leaves the modes alone
+    for b in (1, 2, 3):
+        assert segment_blocks(Readout(b)) == ((0, 2 + b),)
+        (U,) = segment_maps((Readout(b),), photostats._readout_propagator)
+        swap = np.eye(6)
+        swap[[0, 2 + b]] = swap[[2 + b, 0]]
+        assert np.array_equal(U, swap), b
+    drive = DriveSegment("mu1", rabi=mhz(12.5), duration=40e-9)
+    (U,) = segment_maps((drive,), photostats._readout_propagator)
+    assert np.array_equal(U[:3, :3], sequence_unitary((drive,)))
+    assert np.array_equal(U[3:], np.eye(6)[3:]) and np.array_equal(U[:, 3:], np.eye(6)[:, 3:])
     assert readout_from_sequence((Readout(1),), ReadoutSection()) == (1.0, 0.0, 0.0)

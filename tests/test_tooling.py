@@ -2,11 +2,11 @@
 README lists the config's sections, the package version is the project's,
 the example scripts reach seqlab through its command line only, every
 seqlab function, every line, every defaulted parameter and every
-dataclass field serves a command, and every propagator call of a command
+dataclass field serves a command, every propagator call of a command
 runs inside :func:`seqlab.qcore.segment_maps`, which no command calls but
-:func:`seqlab.qcore.propagate`, which no command calls but
-:func:`seqlab.qcore.checked_walk` and the read-out, and the command line
-builds its parser once per process.
+:func:`seqlab.qcore.checked_walk`, the one walk, which checks the state
+after every segment, and the command line builds its parser once per
+process.
 
 Run as a script (``python tests/test_tooling.py DIR``), this file runs
 every command in one process under a call profile and a line trace and
@@ -356,7 +356,7 @@ FIT_INPUTS = (
     # squares that would under- or overflow unscaled
     ("faint", [(x, 1e-200 * y) for x, y in zip(_X, _FRINGE)], 0, ""),
     ("huge", [(x, 1e200 * y) for x, y in zip(_X, _FRINGE)], 0, ""),
-    # a non-uniform grid brackets the hint, 450 ns here, by one bin, 2 pi / 120,
+    # a non-uniform grid brackets the hint, 350 ns here, by one bin, 2 pi / 120,
     # and a fringe of 0.06 lies past it: the least rss is on the bracket's edge
     ("not_converged", [(x * (x + 1) / 2, 1.0 + 0.5 * math.cos(0.03 * x * (x + 1))) for x in _X],
      0, ""),
@@ -401,7 +401,7 @@ def _traffic(tmp: Path) -> None:
     run("ramsey-scan", "--out", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), config=scan)
     run("fit", "--in", str(scan_csv), "--format", "csv", config="fit.t_total_hint = 450ns\n")
-    run("fit", "--in", str(scan_csv), config="scan.t_mu1 = 1e308s\n", code=2,
+    run("fit", "--in", str(scan_csv), config="scan.gap = 1e308s\n", code=2,
         err="+ 2*scan.gap, which overflows")
     for name, rows, code, err in FIT_INPUTS:
         path = tmp / f"{name}.csv"
@@ -492,10 +492,10 @@ def test_every_propagation_goes_through_segment_maps(tmp_path, monkeypatch):
     assert not outside, sorted(outside)
 
 
-def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
+def test_every_walk_goes_through_checked_walk(tmp_path, monkeypatch):
     # one walk of the maps from the stored excitation, in every space and
-    # for every command, the read-out's too: only qcore.propagate calls
-    # qcore.segment_maps
+    # for every command, the read-out's too, checked after every segment:
+    # only qcore.checked_walk calls qcore.segment_maps
     from seqlab import qcore
 
     segment_maps = qcore.segment_maps
@@ -510,28 +510,7 @@ def test_every_walk_goes_through_propagate(tmp_path, monkeypatch):
         if vars(mod).get("segment_maps") is segment_maps:
             monkeypatch.setattr(mod, "segment_maps", wrapper)
     _traffic(tmp_path)
-    assert callers == {"qcore.py:propagate"}
-
-
-def test_every_scan_walk_is_checked(tmp_path, monkeypatch):
-    # one checked walk: every command walks through qcore.checked_walk,
-    # which checks the state after each segment, except the read-out, whose
-    # bins are checked as probabilities
-    from seqlab import qcore
-
-    propagate = qcore.propagate
-    callers = set()
-
-    def wrapper(*args, **kwargs):
-        caller = sys._getframe(1).f_code
-        callers.add(f"{Path(caller.co_filename).name}:{caller.co_name}")
-        return propagate(*args, **kwargs)
-
-    for mod in _modules():
-        if vars(mod).get("propagate") is propagate:
-            monkeypatch.setattr(mod, "propagate", wrapper)
-    _traffic(tmp_path)
-    assert callers == {"qcore.py:checked_walk", "photostats.py:readout_from_sequence"}
+    assert callers == {"qcore.py:checked_walk"}
 
 
 def test_closed_walks_diagonalise_blocks_of_three_only(monkeypatch):
