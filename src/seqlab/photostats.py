@@ -20,7 +20,12 @@ as its outcome histogram: the (nA, nB) click counts of arm A and arm B
 that occurred, with the number of trials of each.  The trials are
 independent, so that histogram is one multinomial draw over the outcome
 distribution of a single trial, and no trial is drawn on its own: time
-and memory do not grow with the trial count.  :func:`estimate_g2` takes
+and memory do not grow with the trial count.  The emitter's histogram is
+one numpy multinomial draw over its 4x4 table; the coherent source's is
+drawn by conditional binomials up each arm's Poisson support, with a
+Python-scalar draw per count for nA's marginal and one array draw per
+count over the nA rows for nB, the same draws as one array draw per
+count and row would make.  :func:`estimate_g2` takes
 the histogram and gives g2 with its delta-method standard error, from
 exact integer sums over the outcomes; it draws nothing.  The run
 configuration bounds every count, rate and efficiency that reaches this
@@ -89,38 +94,75 @@ def readout_from_sequence(
 # HBT shot sampling
 
 
-def _histogram_rows(rng, totals, pmf: np.ndarray):
-    """(row, k, freq) of the non-zero cells of one Multinomial(totals[row],
-    pmf) histogram per row, in lexicographic (row, k) order, over the
-    counts k = 0, 1, ... that pmf covers.
-
-    The conditional-binomial method (Davis, Comput. Stat. Data Anal. 16,
-    205 (1993)): count k takes Binomial(left, pmf[k] / P(K >= k)) of the
-    trials of a row not placed yet, for k up the support, vectorised over
-    the rows, until every trial is placed.  The tail masses P(K >= k) are
-    summed from the top, so they keep their relative precision far out in
-    the tail; counts outside the non-zero range of pmf take no draw.
-    """
+def _conditionals(pmf: np.ndarray) -> tuple[int, list]:
+    """(lo, q): the first count lo with non-zero mass in pmf, and q[i] =
+    P(K = lo + i | K >= lo + i) over the non-zero range of pmf, as Python
+    floats.  The tail masses P(K >= k) are summed from the top, so they
+    keep their relative precision far out in the tail; the last q is 1,
+    so the last count takes every trial left."""
     support = np.flatnonzero(pmf)
     lo = int(support[0])
     pmf = pmf[lo : support[-1] + 1]
-    tail = np.cumsum(pmf[::-1])[::-1]
+    return lo, (pmf / np.cumsum(pmf[::-1])[::-1]).tolist()
+
+
+def _histogram_rows(rng, totals, lo: int, conditional: list):
+    """(row, k, freq) of the non-zero cells of one Multinomial(totals[row],
+    pmf) histogram per row, in lexicographic (row, k) order, with
+    (lo, conditional) from :func:`_conditionals` of pmf.
+
+    The conditional-binomial method (Davis, Comput. Stat. Data Anal. 16,
+    205 (1993)): count k takes Binomial(left, P(K = k | K >= k)) of the
+    trials of a row not placed yet, for k up the support, until every
+    trial is placed; counts outside the non-zero range of pmf take no
+    draw.  One row is walked with a Python-scalar draw per count.  Many
+    rows take one array draw per count over the rows not yet finished; a
+    row is dropped from them when it finishes, and a count's cells are
+    kept as the rows and trials hit, with the count itself stored once.
+    A scalar draw consumes the generator as a one-element array draw
+    does, so the draws are the same either way: those of one array draw
+    per count over the unfinished rows.
+    """
+    if len(totals) == 1:
+        left, ks, freq = int(totals[0]), [], []
+        for k, q in enumerate(conditional, start=lo):
+            taken = rng.binomial(left, q)
+            if taken:
+                ks.append(k)
+                freq.append(taken)
+                left -= taken
+                if not left:
+                    break
+        cells = np.array([ks, freq], dtype=np.int64)
+        return np.zeros_like(cells[0]), cells[0], cells[1]
     rows = np.arange(len(totals))
-    left = np.asarray(totals, dtype=np.int64)
-    cells = []
-    # the last count takes every trial left, as pmf / tail is 1 there
-    for k, q in enumerate(pmf / tail, start=lo):
+    left = np.array(totals, dtype=np.int64)  # a copy: the walk counts it down
+    counts, hits, taken_hits = [], [], []  # k and its cells' number, stored once per count
+    for k, q in enumerate(conditional, start=lo):
         taken = rng.binomial(left, q)
-        hit = np.flatnonzero(taken)
-        cells.append((rows[hit], np.full(hit.size, k), taken[hit]))
+        hit = taken.nonzero()[0]
+        if not hit.size:
+            continue
+        counts.append((k, hit.size))
+        hits.append(rows[hit])
+        taken_hits.append(taken[hit])
         left -= taken
-        still = left > 0
-        rows, left = rows[still], left[still]
-        if not rows.size:
-            break
-    row, k, freq = map(np.concatenate, zip(*cells))
-    order = np.lexsort((k, row))
-    return row[order], k[order], freq[order]
+        if not left.all():
+            still = left > 0
+            rows, left = rows[still], left[still]
+            if not rows.size:
+                break
+    ks, sizes = zip(*counts)
+    # each list is dropped once joined, which keeps the peak near two
+    # copies of the cells at the top of the support
+    row = np.concatenate(hits)
+    del hits
+    freq = np.concatenate(taken_hits)
+    del taken_hits
+    # the cells come in (k, row) order with each (row, k) once, so a stable
+    # sort by row puts them in (row, k) order
+    order = np.argsort(row, kind="stable")
+    return row[order], np.repeat(np.array(ks, dtype=np.int64), sizes)[order], freq[order]
 
 
 def _mixture_table(bin: int, dark_rate: float, p2: float) -> np.ndarray:
@@ -182,15 +224,16 @@ def _arm_pmf(mean: float, dark_rate: float) -> np.ndarray:
     plus one dark click with probability dark_rate.  The Poisson pmf is
     taken in log space, so a large mean does not underflow exp(-mean), up
     to mean + 40 sqrt(mean) + 200 photons, where it is below exp(-745)
-    and has underflowed to zero."""
+    and has underflowed to zero.  The log terms are one array expression
+    over math.lgamma's values, which rounds as the same terms taken one
+    by one in Python floats."""
     if mean == 0.0:
         photons = np.ones(1)
     else:
         log_mean = math.log(mean)
         top = int(mean + 40.0 * math.sqrt(mean)) + 200
-        photons = np.exp(
-            [k * log_mean - mean - math.lgamma(k + 1) for k in range(top)]
-        )
+        lgamma = np.fromiter(map(math.lgamma, range(1, top + 1)), float, top)
+        photons = np.exp(np.arange(top) * log_mean - mean - lgamma)
     return np.convolve(photons, (1.0 - dark_rate, dark_rate))
 
 
@@ -210,15 +253,18 @@ def sample_coherent_shots(
     plus a Bernoulli(dark_rate) dark click, so the single-trial table is
     p (x) p over an unbounded support, with p from :func:`_arm_pmf`.  The
     histogram is one Multinomial(n_trials, p (x) p) draw, made in two
-    steps by :func:`_histogram_rows`: nA's marginal histogram, then nB's
-    histogram within each nA row.  mean_photons lies in [0, 32767], so
+    steps by :func:`_histogram_rows`: nA's marginal histogram, one row
+    walked with a Python-scalar binomial per count, then nB's histogram
+    within each nA row, with one array binomial per count over the rows.
+    The draws, and so the histogram of each seed, are those of one array
+    draw per count in both steps.  mean_photons lies in [0, 32767], so
     the support, and with it time and memory, stays bounded at any
     n_trials.
     """
     rng = np.random.default_rng(seed)
-    pmf = _arm_pmf(0.5 * mean_photons, dark_rate)
-    _, na, freq_a = _histogram_rows(rng, [n_trials], pmf)
-    row, nb, freq = _histogram_rows(rng, freq_a, pmf)
+    lo, conditional = _conditionals(_arm_pmf(0.5 * mean_photons, dark_rate))
+    _, na, freq_a = _histogram_rows(rng, [n_trials], lo, conditional)
+    row, nb, freq = _histogram_rows(rng, freq_a, lo, conditional)
     return na[row], nb, freq
 
 

@@ -4,7 +4,9 @@ equation in the whole 16-dim Liouville space of the 4x4 density matrix
 and the 4x4 matrix of a state of the library's 10-dim walk, the
 closed-form visibility law and its centre-point extraction from a scan,
 the read-out as a density-matrix walk by hand and the canonical
-three-bin read-out chain; and the scan section that most tests build."""
+three-bin read-out chain; the coherent sampler as an array draw per
+count over every row, the arm pmf as a list of Python floats; and the
+scan section that most tests build."""
 
 import math
 
@@ -179,6 +181,58 @@ def readout_populations(prep, deph: float = 0.0) -> tuple[float, float, float]:
     pi_mu2 = DriveSegment("mu2", rabi=math.pi / t, duration=t)
     chain = (Readout(1), pi_mu1, Readout(2), pi_mu2, pi_mu1, Readout(3))
     return readout_from_sequence((*prep, *chain), ReadoutSection(deph=deph))
+
+
+def histogram_rows(rng, totals, pmf: np.ndarray):
+    """(row, k, freq) of one Multinomial(totals[row], pmf) histogram per
+    row, by conditional binomials: one array draw per count over the rows
+    not yet finished, each cell recorded with its count in a full array,
+    and a lexsort at the end."""
+    support = np.flatnonzero(pmf)
+    lo = int(support[0])
+    pmf = pmf[lo : support[-1] + 1]
+    tail = np.cumsum(pmf[::-1])[::-1]
+    rows = np.arange(len(totals))
+    left = np.asarray(totals, dtype=np.int64)
+    cells = []
+    # the last count takes every trial left, as pmf / tail is 1 there
+    for k, q in enumerate(pmf / tail, start=lo):
+        taken = rng.binomial(left, q)
+        hit = np.flatnonzero(taken)
+        cells.append((rows[hit], np.full(hit.size, k), taken[hit]))
+        left -= taken
+        still = left > 0
+        rows, left = rows[still], left[still]
+        if not rows.size:
+            break
+    row, k, freq = map(np.concatenate, zip(*cells))
+    order = np.lexsort((k, row))
+    return row[order], k[order], freq[order]
+
+
+def arm_pmf(mean: float, dark_rate: float) -> np.ndarray:
+    """One arm's click pmf, Poisson(mean) photons in log space plus a
+    Bernoulli(dark_rate) dark click, term by term in Python floats."""
+    if mean == 0.0:
+        photons = np.ones(1)
+    else:
+        log_mean = math.log(mean)
+        top = int(mean + 40.0 * math.sqrt(mean)) + 200
+        photons = np.exp(
+            [k * log_mean - mean - math.lgamma(k + 1) for k in range(top)]
+        )
+    return np.convolve(photons, (1.0 - dark_rate, dark_rate))
+
+
+def sample_coherent_shots(mean_photons, n_trials, seed, dark_rate):
+    """The coherent source's (nA, nB, freq) histogram from
+    :func:`histogram_rows` and :func:`arm_pmf`: nA's marginal, then nB
+    within each nA row."""
+    rng = np.random.default_rng(seed)
+    pmf = arm_pmf(0.5 * mean_photons, dark_rate)
+    _, na, freq_a = histogram_rows(rng, [n_trials], pmf)
+    row, nb, freq = histogram_rows(rng, freq_a, pmf)
+    return na[row], nb, freq
 
 
 def scan_config(t_mu1, span, points, omega_mu2, t_mu2, backend="analytic", i0=1.0,

@@ -834,13 +834,30 @@ OUTPUT_SHA256 = [
      "c113723cd8ef5e0dc33cd09f32f4075487a37296421e29f9cd1e4f0d1d9e0b33"),
     (["ramsey-scan", "--backend", "unitary"], "scan.gap = 50ns\n" + _MIXTURE,
      "b3d06a4bee04940bdde29c8af2a6569c08bb18c791897ed72395753900962bc0"),
+    # the coherent source at many outcomes, and with dark clicks at many
+    # trials, and the emitter's mixture: a change to the draws moves them
+    (["g2", "--seed", "3"], "g2.mode = coherent\nshots.mean_photons = 400\n",
+     "90687948e937a92cecb29bb98a6c215b6c488ac7fa1d9afef9c21ef1b6d99048"),
+    (["g2", "--seed", "3"],
+     "g2.mode = coherent\nshots.mean_photons = 2\nshots.dark_rate = 0.01\n"
+     "shots.n_trials = 500000\n",
+     "396c90857684c39c9b758bb2cf760ea84d2a1b7417ec114da78ee9c83ee4f8b9"),
+    (["g2", "--seed", "3"], "g2.mode = mixture\ninteraction.p2 = 0.05\n",
+     "32f86ad5a35d285da948a731ed8adda662fa6616a347d02a0acbf28d3ba9b83a"),
 ]
 
 
+def _pin_id(argv, settings) -> str:
+    """A scan's command and flags, marked +cfg and +gap; a g2 run's
+    command and the values that its settings set."""
+    if argv[0] == "g2":
+        return " ".join(argv + [line.split(" = ")[1] for line in settings.splitlines()])
+    return (" ".join(argv[:3]) + (" +cfg" if settings else "")
+            + (" +gap" if "scan.gap" in settings else ""))
+
+
 @pytest.mark.parametrize(
-    "argv,settings,digest", OUTPUT_SHA256,
-    ids=[" ".join(a[:3]) + (" +cfg" if s else "") + (" +gap" if "scan.gap" in s else "")
-         for a, s, _ in OUTPUT_SHA256],
+    "argv,settings,digest", OUTPUT_SHA256, ids=[_pin_id(a, s) for a, s, _ in OUTPUT_SHA256],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, settings, digest):
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"

@@ -30,6 +30,7 @@ from seqlab.qcore import (
 )
 from seqlab.ramsey import fringe_scan, rabi_scan, symmetric_detuning_grid
 from seqlab.units import mhz
+import references
 from references import (
     DEFAULT_PI_PULSE_S,
     density_matrix,
@@ -410,6 +411,40 @@ def test_sample_coherent_shots_fit_the_product_distribution(
     assert scipy_stats.chi2.sf(chi2, expect.size - 1) >= CHI2_FALSE_ALARM
 
 
+@given(
+    mean=st.sampled_from([0.0, 0.05, 1.0, 200.0, 16383.5]) | st.floats(0.0, 16383.5),
+    dark_rate=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_arm_pmf_is_the_term_by_term_pmf(mean, dark_rate):
+    # the log terms as one array expression round as the Python-float terms
+    assert _arm_pmf(mean, dark_rate).tobytes() == references.arm_pmf(mean, dark_rate).tobytes()
+
+
+@st.composite
+def _coherent_inputs(draw):
+    """(mean_photons, n_trials, seed, dark_rate): n_trials anywhere in its
+    config range for up to 1000 photons, capped at 10**6 above, where a
+    histogram at 2**63 - 1 trials has millions of outcomes."""
+    mean = draw(st.sampled_from([0.0, 0.1, 2.0, 400.0, 32767.0]) | st.floats(0.0, 32767.0))
+    top = 2**63 - 1 if mean <= 1000 else 10**6
+    n_trials = draw(st.integers(1, top) | st.sampled_from([1, top]))
+    return mean, n_trials, draw(st.integers(0, 2**128)), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=15)
+@given(_coherent_inputs())
+@example((32767.0, 500_000, 3, 0.01))
+@example((0.0, 2**63 - 1, 0, 0.0))
+def test_sample_coherent_shots_makes_the_reference_draws(inputs):
+    # the same arrays, values and dtype, as one array draw per count and
+    # row of every pass, with the arm pmf summed term by term
+    hist = sample_coherent_shots(*inputs)
+    ref = references.sample_coherent_shots(*inputs)
+    for got, want in zip(hist, ref, strict=True):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("mean_photons, bin, dark_rate", _COHERENT_CASES)
 def test_coherent_arm_means_are_half_the_photons_plus_dark(mean_photons, bin, dark_rate):
     n = 10**6
@@ -555,6 +590,20 @@ def test_sampler_peak_memory_is_near_the_records(sample):
         tracemalloc.stop()
     assert hist[2].sum() == n
     assert peak <= sum(a.nbytes for a in hist) + 64 * 1024
+
+
+def test_sampler_peak_memory_at_the_top_of_the_support():
+    # at 32767 photons every count of the support takes cells: the peak
+    # stays within a few copies of the returned histogram, as finished
+    # rows and empty cells are dropped while the counts are walked
+    tracemalloc.start()
+    try:
+        hist = sample_coherent_shots(32767, 500_000, 7, dark_rate=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist[2].sum() == 500_000
+    assert peak <= 6 * sum(a.nbytes for a in hist)
 
 
 # ---------------------------------------------------------------------------
